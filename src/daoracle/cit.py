@@ -17,6 +17,13 @@ value pair per intermediate layer, sampled by pure index arithmetic, plus
 q-1 sibling digests per aggregation level. The two sampled symbols of a
 layer always share one parent, which is itself the sampled systematic
 symbol one layer up, so a single digest chain authenticates everything.
+
+Geometry. ``geometry(params, block_len)`` derives the layer sizes and
+systematic counts once, in integer arithmetic (the rate is read as
+num/den and every divisibility is checked with ``%``), and caches the
+frozen result. Tree building, proof sampling and walking, reconstruction
+and fraud-proof checks all read it, so no Fraction arithmetic runs per
+proof or per symbol.
 """
 
 from __future__ import annotations
@@ -24,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .codec import CodeSpec, encode_array, generate_code, is_bad_code
 from .errors import BadCode, IndexOutOfRange, ParameterError
-from .util import HASH_BYTES, as_rate, derive_seed, exact_int, sha256
+from .util import HASH_BYTES, as_rate, derive_seed, sha256
 
 
 @dataclass(frozen=True)
@@ -76,34 +83,81 @@ class TreeParams:
 
     def layer_sizes(self, block_len: int) -> tuple[int, ...]:
         """Coded layer sizes from root to base for a block of this length."""
-        if block_len < 1:
-            raise ParameterError("block must be non-empty")
-        n_sys = -(-block_len // self.symbol_size)
-        m = Fraction(n_sys) / self.rate
-        if m.denominator != 1:
-            raise ParameterError(
-                f"{n_sys} base symbols at rate {self.rate} is not integral"
-            )
-        sizes = [int(m)]
-        shrink = self.batch * self.rate
-        while sizes[-1] > self.root_size:
-            nxt = Fraction(sizes[-1]) / shrink
-            if nxt.denominator != 1:
-                raise ParameterError("layer sizes must stay integral")
-            sizes.append(int(nxt))
-        if sizes[-1] != self.root_size or len(sizes) < 2:
-            raise ParameterError(
-                f"layer sizes {sizes[::-1]} never land on root_size {self.root_size}"
-            )
-        for m in sizes:
-            if (self.rate * m).denominator != 1 or self.rate * m < 1:
-                raise ParameterError(
-                    f"layer of {m} symbols has non-integral systematic count"
-                )
-        return tuple(reversed(sizes))
+        return geometry(self, block_len).sizes
 
     def sys_count(self, layer_size: int) -> int:
-        return exact_int(self.rate * layer_size)
+        return _sys_count(layer_size, self.rate)
+
+
+def _sys_count(layer_size: int, rate: Fraction) -> int:
+    """rate * layer_size, which must be integral."""
+    s, rem = divmod(layer_size * rate.numerator, rate.denominator)
+    if rem:
+        raise ParameterError(f"{rate} * {layer_size} is not integral")
+    return s
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Integer shape of one tree: ``sizes[u]`` coded and ``sys_counts[u]``
+    systematic symbols at depth u, from the root (u = 0) to the base
+    (u = depth)."""
+
+    sizes: tuple[int, ...]
+    sys_counts: tuple[int, ...]
+    depth: int
+
+    def pom_pairs(self, base_index: int) -> list[tuple[int, int]]:
+        """(systematic, parity) sample indices of a proof, for layers
+        depth-1 down to 1."""
+        out = []
+        for u in range(self.depth - 1, 0, -1):
+            m, s = self.sizes[u], self.sys_counts[u]
+            out.append((base_index % s, s + base_index % (m - s)))
+        return out
+
+
+def geometry(params: TreeParams, block_len: int) -> Geometry:
+    """Layer sizes and systematic counts for a block of ``block_len``
+    bytes. Raises ParameterError when the sizes are not all integral or
+    never land exactly on ``root_size``."""
+    rate = params.rate
+    return _geometry(
+        params.symbol_size, params.root_size, rate.numerator, rate.denominator,
+        params.batch, block_len,
+    )
+
+
+@lru_cache(maxsize=256)
+def _geometry(symbol_size, root_size, num, den, batch, block_len) -> Geometry:
+    # keyed on the plain ints the shape depends on, so a lookup never
+    # hashes the params (a Fraction's hash is recomputed on every call)
+    if block_len < 1:
+        raise ParameterError("block must be non-empty")
+    n_sys = -(-block_len // symbol_size)
+    m, rem = divmod(n_sys * den, num)
+    if rem:
+        raise ParameterError(f"{n_sys} base symbols at rate {num}/{den} is not integral")
+    sizes = [m]
+    while sizes[-1] > root_size:
+        # shrink by batch * rate = batch * num / den
+        nxt, rem = divmod(sizes[-1] * den, batch * num)
+        if rem:
+            raise ParameterError("layer sizes must stay integral")
+        sizes.append(nxt)
+    if sizes[-1] != root_size or len(sizes) < 2:
+        raise ParameterError(
+            f"layer sizes {sizes[::-1]} never land on root_size {root_size}"
+        )
+    sys_counts = []
+    for m in sizes:
+        s, rem = divmod(m * num, den)
+        if rem or s < 1:
+            raise ParameterError(
+                f"layer of {m} symbols has non-integral systematic count"
+            )
+        sys_counts.append(s)
+    return Geometry(tuple(reversed(sizes)), tuple(reversed(sys_counts)), len(sizes) - 1)
 
 
 @dataclass(frozen=True)
@@ -206,17 +260,30 @@ def aggregate(child_symbols: np.ndarray, parent_size: int, params: TreeParams) -
     return out
 
 
-def build_tree(block: bytes, params: TreeParams) -> CodedTree:
-    sizes = params.layer_sizes(len(block))
-    depth = len(sizes) - 1
+def build_tree(
+    block: bytes,
+    params: TreeParams,
+    base_tamper: Optional[Callable[[np.ndarray, CodeSpec], None]] = None,
+) -> CodedTree:
+    """Encode, hash and aggregate every layer of the tree over ``block``.
+
+    ``base_tamper(symbols, code)``, when given, edits the encoded base
+    layer in place before anything is hashed, so the tree stays
+    self-consistent (every proof verifies) while the base layer may
+    violate its code."""
+    geo = geometry(params, len(block))
+    sizes, depth = geo.sizes, geo.depth
     padded = block + bytes(-len(block) % params.symbol_size)
     base_inputs = (
         np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size).copy()
     )
 
     layers: dict[int, Layer] = {}
-    cur = encode_array(layer_code(params, sizes[depth]), base_inputs)
-    layers[depth] = Layer(cur, _hash_rows(cur), layer_code(params, sizes[depth]))
+    code = layer_code(params, sizes[depth])
+    cur = encode_array(code, base_inputs)
+    if base_tamper is not None:
+        base_tamper(cur, code)
+    layers[depth] = Layer(cur, _hash_rows(cur), code)
     for u in range(depth - 1, -1, -1):
         parent_sys = aggregate(cur, sizes[u], params)
         code = layer_code(params, sizes[u])
@@ -247,7 +314,7 @@ def pom_indices(
     r = as_rate(rate)
     out = []
     for m in layer_sizes:
-        s = exact_int(r * m)
+        s = _sys_count(m, r)
         out.append((base_index % s, s + base_index % (m - s)))
     return out
 
@@ -260,28 +327,27 @@ def project_base_to_layer(
     idx = np.asarray(sorted(set(base_indices)), dtype=np.int64)
     out = []
     for m in layer_sizes:
-        s = exact_int(r * m)
+        s = _sys_count(m, r)
         covered = set((idx % s).tolist()) | set((s + idx % (m - s)).tolist())
         out.append(covered)
     return out
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
-    depth = tree.depth
-    sizes = tree.sizes
-    if not 0 <= base_index < sizes[depth]:
-        raise IndexOutOfRange(f"base index {base_index} not in [0, {sizes[depth]})")
+    geo = geometry(tree.params, tree.block_len)
+    depth = geo.depth
+    if not 0 <= base_index < geo.sizes[depth]:
+        raise IndexOutOfRange(f"base index {base_index} not in [0, {geo.sizes[depth]})")
 
     pairs = []
-    for u in range(depth - 1, 0, -1):
-        (p_idx, e_idx), = pom_indices(base_index, [sizes[u]], tree.params.rate)
-        layer = tree.layers[u]
-        pairs.append((p_idx, e_idx, layer.symbols[p_idx].tobytes(), layer.symbols[e_idx].tobytes()))
+    for u, (p_idx, e_idx) in zip(range(depth - 1, 0, -1), geo.pom_pairs(base_index)):
+        symbols = tree.layers[u].symbols
+        pairs.append((p_idx, e_idx, symbols[p_idx].tobytes(), symbols[e_idx].tobytes()))
 
     levels = []
     x = base_index
     for u in range(depth - 1, -1, -1):
-        s_par = tree.params.sys_count(sizes[u])
+        s_par = geo.sys_counts[u]
         par, pos = x % s_par, x // s_par
         child_hashes = tree.layers[u + 1].hashes[par::s_par]
         levels.append(
@@ -314,21 +380,20 @@ def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership)
     if params != commitment.params or pom.block_len != commitment.block_len:
         return None
     try:
-        sizes = params.layer_sizes(pom.block_len)
+        geo = geometry(params, pom.block_len)
     except ParameterError:
         return None
-    depth = len(sizes) - 1
+    depth, sys_counts = geo.depth, geo.sys_counts
     q = params.batch
     i = pom.base_index
-    if not 0 <= i < sizes[depth]:
+    if not 0 <= i < geo.sizes[depth]:
         return None
     if len(pom.base_symbol) != params.symbol_size:
         return None
     if len(pom.pairs) != depth - 1 or len(pom.levels) != depth:
         return None
 
-    want = pom_indices(i, [sizes[u] for u in range(depth - 1, 0, -1)], params.rate)
-    for (p_idx, e_idx, p_val, e_val), (wp, we) in zip(pom.pairs, want):
+    for (p_idx, e_idx, p_val, e_val), (wp, we) in zip(pom.pairs, geo.pom_pairs(i)):
         if (p_idx, e_idx) != (wp, we):
             return None
         if len(p_val) != HASH_BYTES or len(e_val) != HASH_BYTES:
@@ -339,11 +404,14 @@ def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership)
     h = sha256(pom.base_symbol)
     x = i
     for j, u in enumerate(range(depth - 1, -1, -1)):
-        s_par = params.sys_count(sizes[u])
+        s_par = sys_counts[u]
         par, pos = x % s_par, x // s_par
         sibs = pom.levels[j]
-        if len(sibs) != q - 1 or any(len(s) != HASH_BYTES for s in sibs):
+        if len(sibs) != q - 1:
             return None
+        for sib in sibs:
+            if len(sib) != HASH_BYTES:
+                return None
         tup = sibs[:pos] + (h,) + sibs[pos:]
         if j >= 1:
             # the previous layer's parity sample is a sibling here; its
@@ -383,23 +451,25 @@ def verify_membership(
     """Check a bare digest claim: the commitment binds a symbol hashing to
     ``leaf_hash`` at (path.layer, path.index)."""
     try:
-        sizes = params.layer_sizes(commitment.block_len)
+        geo = geometry(params, commitment.block_len)
     except ParameterError:
         return False
-    depth = len(sizes) - 1
     u = path.layer
-    if not 1 <= u <= depth or not 0 <= path.index < sizes[u]:
+    if not 1 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
         return False
     if len(path.levels) != u:
         return False
     h = leaf_hash
     x = path.index
     for j, w in enumerate(range(u - 1, -1, -1)):
-        s_par = params.sys_count(sizes[w])
+        s_par = geo.sys_counts[w]
         par, pos = x % s_par, x // s_par
         sibs = path.levels[j]
-        if len(sibs) != params.batch - 1 or any(len(s) != HASH_BYTES for s in sibs):
+        if len(sibs) != params.batch - 1:
             return False
+        for sib in sibs:
+            if len(sib) != HASH_BYTES:
+                return False
         value = sha256(b"".join(sibs[:pos] + (h,) + sibs[pos:]))
         if w >= 1:
             h = sha256(value)

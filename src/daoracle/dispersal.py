@@ -61,8 +61,6 @@ def feasibility(params: DispersalParams) -> Feasibility:
         return Feasibility.INFEASIBLE
     if params.eta < 1 and ratio > math.log(1 / (1 - params.eta)):
         return Feasibility.FEASIBLE
-    if params.eta == 1:
-        return Feasibility.INDETERMINATE
     return Feasibility.INDETERMINATE
 
 

@@ -16,7 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cit import (
+# protobench/layers.py times aggregate and encode_array through this
+# module's names, so they stay imported here though only cit calls them
+from .cit import (  # noqa: F401
     CodedTree,
     Commitment,
     TreeParams,
@@ -25,9 +27,8 @@ from .cit import (
     layer_code,
     sample_pom,
     verify_symbol,
-    _hash_rows,
 )
-from .codec import encode_array
+from .codec import encode_array  # noqa: F401
 from .dispersal import DispersalDesign
 from .errors import BadCode
 from .retrieval import (
@@ -350,32 +351,8 @@ def build_tree_with_base_corruption(
     coded symbol (default: the first parity symbol), then hash and aggregate
     so the tree is self-consistent (every proof verifies) while the base
     layer violates its code."""
-    from .cit import Layer
 
-    sizes = params.layer_sizes(len(block))
-    depth = len(sizes) - 1
-    padded = block + bytes(-len(block) % params.symbol_size)
-    base_inputs = (
-        np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size).copy()
-    )
-    base_code = layer_code(params, sizes[depth])
-    cur = encode_array(base_code, base_inputs)
-    if corrupt_index is None:
-        corrupt_index = base_code.n_systematic
-    cur[corrupt_index, 0] ^= xor_mask
+    def flip(symbols: np.ndarray, code) -> None:
+        symbols[code.n_systematic if corrupt_index is None else corrupt_index, 0] ^= xor_mask
 
-    layers = {depth: Layer(cur, _hash_rows(cur), base_code)}
-    for u in range(depth - 1, -1, -1):
-        parent_sys = aggregate(cur, sizes[u], params)
-        code = layer_code(params, sizes[u])
-        cur = encode_array(code, parent_sys)
-        layers[u] = Layer(cur, _hash_rows(cur), code)
-
-    root_vals = tuple(row.tobytes() for row in layers[0].symbols)
-    commitment = Commitment(root=root_vals, params=params, block_len=len(block))
-    return CodedTree(
-        params=params,
-        layers=tuple(layers[u] for u in range(depth + 1)),
-        commitment=commitment,
-        block_len=len(block),
-    )
+    return build_tree(block, params, base_tamper=flip)

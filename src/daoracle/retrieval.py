@@ -26,6 +26,7 @@ from .cit import (
     MembershipPath,
     ProofOfMembership,
     TreeParams,
+    geometry,
     layer_code,
     verify_membership,
     walk_pom,
@@ -106,12 +107,12 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
 def _verify_fraud_proof(commitment, params, proof) -> bool:
     if params != commitment.params:
         return False
-    sizes = params.layer_sizes(commitment.block_len)
-    depth = len(sizes) - 1
+    geo = geometry(params, commitment.block_len)
+    depth = geo.depth
     u = proof.layer
     if not 0 <= u <= depth:
         return False
-    code = layer_code(params, sizes[u])
+    code = layer_code(params, geo.sizes[u])
     if not 0 <= proof.equation_no < len(code.parity_checks):
         return False
     if code.parity_checks[proof.equation_no] != proof.equation:
@@ -167,8 +168,8 @@ class _Reconstructor:
     def __init__(self, commitment: Commitment, params: TreeParams, chunks: ChunkSet):
         self.commitment = commitment
         self.params = params
-        self.sizes = params.layer_sizes(commitment.block_len)
-        self.depth = len(self.sizes) - 1
+        geo = geometry(params, commitment.block_len)
+        self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         self.values: dict[tuple[int, int], bytes] = {}
         self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.layer_done: dict[int, np.ndarray] = {}
@@ -188,9 +189,6 @@ class _Reconstructor:
             for key, tup in harvest.tuples.items():
                 self.tuples.setdefault(key, tup)
 
-    def _sys(self, u: int) -> int:
-        return self.params.sys_count(self.sizes[u])
-
     def _tuple_at(self, w: int, par: int):
         """Committed child-digest tuple of parent (w, par): harvested from a
         proof, or regenerated once layer w+1 is fully decoded."""
@@ -200,13 +198,13 @@ class _Reconstructor:
         child = self.layer_done.get(w + 1)
         if child is None:
             return None
-        s_par = self._sys(w)
+        s_par = self.sys_counts[w]
         tup = tuple(sha256(child[x].tobytes()) for x in range(par, len(child), s_par))
         self.tuples[(w, par)] = tup
         return tup
 
     def _expected_hash(self, u: int, x: int):
-        s_par = self._sys(u - 1)
+        s_par = self.sys_counts[u - 1]
         tup = self._tuple_at(u - 1, x % s_par)
         return None if tup is None else tup[x // s_par]
 
@@ -214,7 +212,7 @@ class _Reconstructor:
         levels = []
         cur = x
         for w in range(u - 1, -1, -1):
-            s_par = self._sys(w)
+            s_par = self.sys_counts[w]
             par, pos = cur % s_par, cur // s_par
             tup = self._tuple_at(w, par)
             if tup is None:
@@ -282,7 +280,7 @@ class _Reconstructor:
         if self.unprovable:
             return self._insufficient(self.depth, np.ones(1, dtype=bool))
         base = self.layer_done[self.depth]
-        s_base = self._sys(self.depth)
+        s_base = self.sys_counts[self.depth]
         data = base[:s_base].tobytes()[: self.commitment.block_len]
         return Block(data)
 
@@ -348,7 +346,7 @@ class _Reconstructor:
     def _check_aggregation(self, u, sym):
         """Recompute each parent aggregate of the completed layer u against
         the certified layer above."""
-        s_par = self._sys(u - 1)
+        s_par = self.sys_counts[u - 1]
         parent = self.layer_done[u - 1]
         hashes = [sha256(sym[x].tobytes()) for x in range(sym.shape[0])]
         for k in range(s_par):

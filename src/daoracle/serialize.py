@@ -97,6 +97,8 @@ def decode_tree_params(r: _Reader) -> TreeParams:
     symbol_size = r.u64()
     root_size = r.u32()
     num, den = r.u32(), r.u32()
+    if den == 0:
+        raise ParameterError("rate denominator is zero")
     batch = r.u32()
     max_eq_degree = r.u32()
     alpha = r.f64()

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle as orc
-from .cit import TreeParams, build_tree
+from .cit import TreeParams, build_tree, geometry
 from .dispersal import DispersalParams, assign_chunks
 from .errors import BadCode, ConfigError
 from .oracle import Behavior, DispersalMessage, OracleNode, TrustedChain
@@ -57,8 +57,8 @@ class ScenarioConfig:
             raise ConfigError("need at least one client and rounds >= 0")
         if not 0 <= self.audit_probability <= 1:
             raise ConfigError("audit_probability must lie in [0, 1]")
-        sizes = self.tree.layer_sizes(self.block_size)
-        k = sizes[-1] / (self.n_nodes * self.dispersal.lam)
+        n_chunks = geometry(self.tree, self.block_size).sizes[-1]
+        k = n_chunks / (self.n_nodes * self.dispersal.lam)
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
             raise ConfigError(
                 f"chunks per node M/(N*lambda) = {k} must be a positive integer"
@@ -219,10 +219,12 @@ def measure(trace: Trace) -> MeasureReport:
 
 
 def _unit_size(pom, cache: dict) -> int:
-    key = id(pom)
-    if key not in cache:
-        cache[key] = 8 + len(encode_pom(pom))
-    return cache[key]
+    # keyed on the proof's value: an id() key could be reused by a later
+    # proof once an earlier, unstored one is garbage-collected
+    size = cache.get(pom)
+    if size is None:
+        size = cache[pom] = 8 + len(encode_pom(pom))
+    return size
 
 
 def _message_size(message: DispersalMessage, cache: dict) -> int:
@@ -264,7 +266,7 @@ def _propose(config: ScenarioConfig, round_no: int, design):
 def run_scenario(config: ScenarioConfig) -> Trace:
     nodes = [OracleNode(i, config.behaviors[i]) for i in range(config.n_nodes)]
     chain = TrustedChain(config.n_nodes, config.beta, config.dispersal.gamma)
-    sizes = config.tree.layer_sizes(config.block_size)
+    n_chunks = geometry(config.tree, config.block_size).sizes[-1]
     trace = Trace(config=config_to_json(config))
     trace.bytes_stored = {n.node_id: 0 for n in nodes}
     trace.bytes_downloaded = {c: 0 for c in range(config.n_clients)}
@@ -274,7 +276,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     for round_no in range(config.rounds):
         proposer = round_no % config.n_clients
         design = assign_chunks(
-            sizes[-1],
+            n_chunks,
             config.n_nodes,
             config.dispersal.lam,
             seed=derive_seed("design", config.master_seed, round_no),

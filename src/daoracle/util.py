@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 from fractions import Fraction
 
+from .errors import ParameterError
+
 HASH_BYTES = 32
 
 
@@ -29,20 +31,23 @@ def as_rate(value) -> Fraction:
     """Coerce a coding ratio to an exact Fraction in (0, 1].
 
     Accepts Fraction, int, "1/4"-style strings, and floats that are exact
-    binary fractions (0.25, 0.5).
+    binary fractions (0.25, 0.5). Anything else raises ParameterError.
     """
-    if isinstance(value, Fraction):
-        frac = value
-    elif isinstance(value, str):
-        frac = Fraction(value)
-    elif isinstance(value, int):
-        frac = Fraction(value)
-    else:
-        frac = Fraction(value).limit_denominator(1 << 20)
-        if float(frac) != float(value):
-            raise ValueError(f"rate {value!r} is not an exact fraction")
+    exact = True
+    try:
+        if isinstance(value, Fraction):
+            frac = value
+        elif isinstance(value, (str, int)):
+            frac = Fraction(value)
+        else:
+            frac = Fraction(value).limit_denominator(1 << 20)
+            exact = float(frac) == float(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ParameterError(f"rate {value!r} is not an exact fraction") from exc
+    if not exact:
+        raise ParameterError(f"rate {value!r} is not an exact fraction")
     if not 0 < frac <= 1:
-        raise ValueError(f"rate must lie in (0, 1], got {frac}")
+        raise ParameterError(f"rate must lie in (0, 1], got {frac}")
     return frac
 
 
@@ -50,5 +55,5 @@ def exact_int(value) -> int:
     """Convert a Fraction/float product to int, requiring exactness."""
     frac = Fraction(value)
     if frac.denominator != 1:
-        raise ValueError(f"{value} is not integral")
+        raise ParameterError(f"{value} is not integral")
     return int(frac)

@@ -41,6 +41,22 @@ class TestGeometry:
         b = cit.build_tree(small_block, small_params)
         assert a.commitment == b.commitment
 
+    def test_base_tamper_applies_before_hashing(self, small_block, small_params):
+        seen = []
+
+        def tamper(symbols, code):
+            seen.append(code.n_coded)
+            symbols[code.n_systematic + 1, 3] ^= 0x80
+
+        honest = cit.build_tree(small_block, small_params)
+        tree = cit.build_tree(small_block, small_params, base_tamper=tamper)
+        assert seen == [32]
+        diff = np.nonzero((honest.layers[-1].symbols != tree.layers[-1].symbols).any(axis=1))[0]
+        assert diff.tolist() == [9]
+        assert tree.commitment.root != honest.commitment.root
+        for i in range(32):
+            assert cit.verify_symbol(tree.commitment, small_params, cit.sample_pom(tree, i))
+
     def test_commitment_binds_every_byte(self, small_block, small_params):
         tree = cit.build_tree(small_block, small_params)
         flipped = bytearray(small_block)

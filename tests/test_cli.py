@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,17 @@ def workdir(tmp_path, small_block):
 
 def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def run_module(*argv, cwd) -> subprocess.CompletedProcess:
+    """`python -m daoracle ARGV` in ``cwd``, importing this checkout's src."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "daoracle", *map(str, argv)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestCommitVerifyRetrieve:
@@ -104,16 +116,26 @@ class TestCommitVerifyRetrieve:
 
     def test_module_entry_point_passes_exit_code(self, tmp_path):
         # `python -m daoracle` must hand main()'s code to the shell unchanged
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "daoracle", "verify", "--commitment",
-             "nope.bin", "--pom", "nope.bin"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_module("verify", "--commitment", "nope.bin", "--pom", "nope.bin",
+                          cwd=tmp_path)
         assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("num,den", [(5, 4), (1, 0)], ids=["rate_5_4", "den_zero"])
+    def test_hostile_rate_bytes_exit_params(self, workdir, num, den):
+        # DAC1 layout: magic(4) symbol_size u64 root_size u32, then the rate
+        # as u32 numerator and u32 denominator at offset 16
+        d = workdir
+        run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+        run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin")
+        blob = bytearray((d / "c.bin").read_bytes())
+        blob[16:24] = struct.pack("<II", num, den)
+        (d / "hostile.bin").write_bytes(bytes(blob))
+        proc = run_module("verify", "--commitment", "hostile.bin", "--pom", "p.bin", cwd=d)
+        assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 class TestDisperse:

@@ -1,0 +1,231 @@
+"""Integer tree geometry against the Fraction reference, and the proof walk
+it drives: honest proofs pass, every single-field mutation fails, and no
+Fraction is built or multiplied once the geometry is cached."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_geometry as ref
+from daoracle import cit
+from daoracle import retrieval as rt
+from daoracle.errors import ParameterError
+from daoracle.oracle import build_tree_with_base_corruption
+
+from conftest import SMALL, chunkset_for
+
+RATES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4))
+BATCHES = (2, 3, 4, 5, 8, 9)
+ROOT_SIZES = (1, 2, 3, 4, 6)
+SYMBOL_SIZE = 3
+# base systematic counts 1..240 and every 2^a 3^b 5^c up to 20000 (these
+# are where the deeper trees of the grid are valid), each as a block that
+# needs padding (its last symbol one byte short) except for 1-symbol blocks
+SYMBOL_COUNTS = sorted(
+    set(range(1, 241))
+    | {2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)
+       if 2**a * 3**b * 5**c <= 20000}
+)
+BLOCK_LENS = tuple(n * SYMBOL_SIZE - (n > 1) for n in SYMBOL_COUNTS)
+
+
+def grid_params():
+    for rate in RATES:
+        for batch in BATCHES:
+            if batch * rate <= 1:
+                continue  # rejected by TreeParams itself
+            for root in ROOT_SIZES:
+                yield cit.TreeParams(
+                    symbol_size=SYMBOL_SIZE, root_size=root, rate=rate, batch=batch,
+                    max_eq_degree=4, alpha=0.1,
+                )
+
+
+def reference_outcome(params, block_len):
+    try:
+        return ref.layer_sizes(params, block_len)
+    except ParameterError as exc:
+        return str(exc)
+
+
+REFERENCE_ERRORS = (
+    "block must be non-empty",
+    "base symbols at rate",
+    "layer sizes must stay integral",
+    "never land on root_size",
+    "non-integral systematic count",
+)
+
+
+def test_geometry_matches_the_fraction_reference_on_a_grid():
+    valid, errors = 0, set()
+    for params in grid_params():
+        for block_len in (0,) + BLOCK_LENS:
+            want = reference_outcome(params, block_len)
+            if isinstance(want, str):
+                with pytest.raises(ParameterError) as info:
+                    cit.geometry(params, block_len)
+                assert str(info.value) == want, (params, block_len)
+                errors.update(kind for kind in REFERENCE_ERRORS if kind in want)
+                continue
+            geo = cit.geometry(params, block_len)
+            assert geo.sizes == want, (params, block_len)
+            assert geo.sys_counts == tuple(ref.sys_count(params, m) for m in want)
+            assert geo.depth == len(want) - 1
+            assert params.layer_sizes(block_len) == want
+            assert [params.sys_count(m) for m in want] == list(geo.sys_counts)
+            valid += 1
+    # the grid must reach every reference error and many valid trees
+    assert errors == set(REFERENCE_ERRORS)
+    assert valid >= 100
+
+
+def test_pom_pairs_match_the_fraction_reference():
+    for params in grid_params():
+        for block_len in BLOCK_LENS:
+            sizes = reference_outcome(params, block_len)
+            if isinstance(sizes, str) or len(sizes) < 3:
+                continue
+            geo = cit.geometry(params, block_len)
+            for i in range(0, sizes[-1], max(1, sizes[-1] // 64)):
+                want = ref.pom_pairs(params, sizes, i)
+                assert geo.pom_pairs(i) == want
+                assert cit.pom_indices(i, sizes[-2:0:-1], params.rate) == want
+
+
+def test_layer_code_uses_the_integer_systematic_count():
+    params = cit.TreeParams(**SMALL)
+    for m in cit.geometry(params, 512).sizes:
+        assert cit.layer_code(params, m).n_systematic == ref.sys_count(params, m)
+    with pytest.raises(ParameterError):
+        params.sys_count(30)  # 30 / 4 is not integral
+
+
+# Trees for the walk properties: the reference geometry (depth 3, q = 8)
+# and a deeper, narrower one (rate 1/2, q = 4, depth 4).
+DEEP = dict(SMALL, rate=Fraction(1, 2), batch=4, root_size=2, symbol_size=16)
+TREES = (
+    cit.build_tree(bytes((i * 37 + 11) % 256 for i in range(512)), cit.TreeParams(**SMALL)),
+    cit.build_tree(bytes((i * 101 + 7) % 256 for i in range(16 * 16 - 5)), cit.TreeParams(**DEEP)),
+)
+
+
+def _flip(value: bytes, at: int) -> bytes:
+    out = bytearray(value)
+    out[at % len(out)] ^= 0x01
+    return bytes(out)
+
+
+def _replace_at(seq: tuple, j: int, item) -> tuple:
+    return seq[:j] + (item,) + seq[j + 1 :]
+
+
+@st.composite
+def mutated_proofs(draw):
+    """(tree, honest proof, proof differing from it in one field)."""
+    tree = draw(st.sampled_from(TREES))
+    m = tree.sizes[-1]
+    pom = cit.sample_pom(tree, draw(st.integers(0, m - 1)))
+    kind = draw(
+        st.sampled_from(
+            ("base_index", "pair_index", "pair_value", "sibling", "sibling_count",
+             "level_count", "pair_count", "base_symbol", "block_len")
+        )
+    )
+    if kind == "base_index":
+        i = draw(st.integers(-2, m + 2).filter(lambda v: v != pom.base_index))
+        return tree, pom, dataclasses.replace(pom, base_index=i)
+    if kind in ("pair_index", "pair_value"):
+        j = draw(st.integers(0, len(pom.pairs) - 1))
+        slot = draw(st.integers(0, 1)) + (2 if kind == "pair_value" else 0)
+        entry = list(pom.pairs[j])
+        if kind == "pair_index":
+            entry[slot] = draw(st.integers(-1, tree.sizes[-2] + 1).filter(lambda v: v != entry[slot]))
+        elif draw(st.booleans()):
+            entry[slot] = _flip(entry[slot], draw(st.integers(0, 31)))
+        else:
+            entry[slot] = entry[slot][:-1]
+        return tree, pom, dataclasses.replace(pom, pairs=_replace_at(pom.pairs, j, tuple(entry)))
+    if kind in ("sibling", "sibling_count"):
+        j = draw(st.integers(0, len(pom.levels) - 1))
+        sibs = pom.levels[j]
+        if kind == "sibling":
+            k = draw(st.integers(0, len(sibs) - 1))
+            new = _flip(sibs[k], draw(st.integers(0, 31))) if draw(st.booleans()) else sibs[k] + b"\0"
+            sibs = _replace_at(sibs, k, new)
+        else:
+            sibs = sibs[1:] if draw(st.booleans()) else sibs + (sibs[0],)
+        return tree, pom, dataclasses.replace(pom, levels=_replace_at(pom.levels, j, sibs))
+    if kind == "level_count":
+        levels = pom.levels[:-1] if draw(st.booleans()) else pom.levels + (pom.levels[-1],)
+        return tree, pom, dataclasses.replace(pom, levels=levels)
+    if kind == "pair_count":
+        pairs = pom.pairs[:-1] if draw(st.booleans()) else pom.pairs + (pom.pairs[-1],)
+        return tree, pom, dataclasses.replace(pom, pairs=pairs)
+    if kind == "base_symbol":
+        at = draw(st.integers(0, len(pom.base_symbol) - 1))
+        return tree, pom, dataclasses.replace(pom, base_symbol=_flip(pom.base_symbol, at))
+    delta = draw(st.sampled_from((-1, 1, tree.params.symbol_size)))
+    return tree, pom, dataclasses.replace(pom, block_len=pom.block_len + delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_proofs())
+def test_walk_accepts_honest_and_rejects_single_field_mutations(case):
+    tree, pom, bad = case
+    assert cit.walk_pom(tree.commitment, tree.params, pom) is not None
+    assert cit.walk_pom(tree.commitment, tree.params, bad) is None
+    assert not cit.verify_symbol(tree.commitment, tree.params, bad)
+
+
+FRACTION_OPS = (
+    "__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+    "__abs__", "__int__", "__float__", "__lt__", "__le__", "__gt__", "__ge__",
+    "limit_denominator",
+)
+
+
+def test_no_fraction_work_on_proof_paths_once_the_geometry_is_cached(monkeypatch):
+    params = cit.TreeParams(**SMALL)
+    block = bytes((i * 37 + 11) % 256 for i in range(512))
+    honest = cit.build_tree(block, params)
+    corrupted = build_tree_with_base_corruption(block, params, xor_mask=0x5A)
+    # warm-up: geometry and every layer code are cached from here on
+    fraud = rt.reconstruct(corrupted.commitment, params, chunkset_for(corrupted, range(32)))
+    assert isinstance(fraud, rt.Fraud)
+    honest_units = chunkset_for(honest, range(32))
+    corrupted_units = chunkset_for(corrupted, range(32))
+
+    used = []
+    for name in FRACTION_OPS:
+        original = getattr(Fraction, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            used.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, name, staticmethod(spy) if name == "__new__" else spy)
+    assert Fraction(1, 2) and used == ["__new__"]  # the spies are live
+    used.clear()
+
+    for i in range(32):
+        pom = cit.sample_pom(honest, i)
+        assert cit.walk_pom(honest.commitment, params, pom) is not None
+        assert cit.verify_symbol(honest.commitment, params, pom)
+    out = rt.reconstruct(honest.commitment, params, honest_units)
+    assert isinstance(out, rt.Block) and out.data == block
+    out = rt.reconstruct(corrupted.commitment, params, corrupted_units)
+    assert isinstance(out, rt.Fraud)
+    assert rt.verify_fraud_proof(corrupted.commitment, params, out.proof)
+    for member in out.proof.members:
+        if member.path is not None:
+            assert cit.verify_membership(
+                corrupted.commitment, params, cit.sha256(member.value), member.path
+            )
+    monkeypatch.undo()
+    assert used == []

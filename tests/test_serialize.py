@@ -1,12 +1,15 @@
 """Byte-exact golden vectors and round trips for the wire formats."""
 
 import hashlib
+import struct
+from fractions import Fraction
 
 import pytest
 
 from daoracle import cit, retrieval as rt, serialize as sz
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
+from daoracle.util import as_rate, exact_int
 
 from conftest import chunkset_for
 
@@ -75,3 +78,24 @@ def test_truncation_detected(small_tree):
         sz.decode_commitment(blob[:-1])
     with pytest.raises(ParameterError):
         sz.decode_commitment(blob + b"\x00")
+
+
+@pytest.mark.parametrize("num,den", [(5, 4), (1, 0), (0, 4), (4, 4)])
+def test_hostile_rate_bytes_raise_parameter_error(small_tree, num, den):
+    # the rate sits at offset 16 of a DAC1 commitment: u32 num, u32 den
+    blob = bytearray(sz.encode_commitment(small_tree.commitment))
+    blob[16:24] = struct.pack("<II", num, den)
+    with pytest.raises(ParameterError):
+        sz.decode_commitment(bytes(blob))
+
+
+@pytest.mark.parametrize("value", ["5/4", "1/0", "one quarter", float("nan"), float("inf"), 1.5, -1, None])
+def test_as_rate_rejects_with_parameter_error(value):
+    with pytest.raises(ParameterError):
+        as_rate(value)
+
+
+def test_exact_int_rejects_with_parameter_error():
+    assert exact_int(Fraction(8, 4)) == 2
+    with pytest.raises(ParameterError):
+        exact_int(Fraction(1, 4) * 30)

@@ -1,13 +1,17 @@
 """Scenario runs: determinism, safety sweep, counters vs closed forms."""
 
+import dataclasses
+import gc
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from daoracle import metrics as mx
 from daoracle import simnet as sn
-from daoracle.cit import TreeParams
+from daoracle.cit import TreeParams, sample_pom
 from daoracle.dispersal import DispersalParams
 from daoracle.errors import ConfigError
 
@@ -170,3 +174,31 @@ def test_trace_json_and_csv_shapes():
     csv_lines = trace.counters_csv().strip().splitlines()
     assert csv_lines[0] == "counter,entity,bytes"
     assert sum(1 for line in csv_lines if line.startswith("stored,")) == 20
+
+
+# sha256 of trace.json as `python3 -m daoracle simulate` writes it for the
+# shipped scenarios; any change to encodings, sampling, peeling order or the
+# trace layout moves these
+TRACE_DIGESTS = {
+    "all_honest": "7e44e3398006160bc869c818ab55d00229bfdf31efc25d20a3298f814913e508",
+    "invalid_coding": "61d0205b61c99fd0ebc4f331a747c9987012ae52a91bf9bd2aa54e67fc188851",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_scenario_trace_bytes_are_pinned(name):
+    path = Path(__file__).parents[1] / "scenarios" / f"{name}.json"
+    trace = sn.run_scenario(sn.config_from_json(path.read_text()))
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == TRACE_DIGESTS[name]
+
+
+def test_unit_size_cache_never_answers_for_another_proof(small_tree):
+    # proofs of alternating encoded size, each dropped right after its
+    # lookup, so a later proof may reuse the memory (and id) of an earlier one
+    cache: dict = {}
+    for rep in range(20):
+        pom = sample_pom(small_tree, rep)
+        pom = dataclasses.replace(pom, base_symbol=bytes(64 - rep % 2))
+        assert sn._unit_size(pom, cache) == 8 + len(sn.encode_pom(pom))
+        del pom
+        gc.collect()
