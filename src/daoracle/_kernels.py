@@ -1,11 +1,5 @@
 """Hot inner loops: XOR encoding, peeling decode, distinct-count Monte Carlo.
 
-Two execution paths provide identical results:
-
-- numba ``@njit`` compiled loops (default when numba imports cleanly), and
-- a pure-numpy path selected by setting ``DAORACLE_PURE_NUMPY=1`` in the
-  environment before import.
-
 Representation shared by all kernels:
 
 - parity equations in CSR form: ``eq_ptr`` int32 of shape (n_eq + 1,) and
@@ -16,38 +10,18 @@ Representation shared by all kernels:
 
 ``peel_symbols`` scans equations in ascending index order each pass and
 applies solves immediately ("in turn"), so a Violation always names the
-first failing equation under that discipline regardless of path. The
-pattern-only kernels may batch a pass: the peeling closure of a known-set
-is order independent.
+first failing equation under that discipline. ``peel_pattern`` batches a
+pass: the peeling closure of a known-set is order independent.
 
 Status codes returned by ``peel_symbols``: 0 decoded, 1 stuck, 2 violation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-PURE_NUMPY = os.environ.get("DAORACLE_PURE_NUMPY", "") == "1"
-USING_NUMBA = _HAVE_NUMBA and not PURE_NUMPY
-
-
-def _xor_encode_impl(eq_ptr, eq_idx, parity_of, sym):
+def xor_encode(eq_ptr, eq_idx, parity_of, sym):
     # parity_of[e] is the one output index of equation e; remaining members
     # are systematic inputs already present in sym.
     n_eq = eq_ptr.shape[0] - 1
@@ -61,7 +35,7 @@ def _xor_encode_impl(eq_ptr, eq_idx, parity_of, sym):
     return sym
 
 
-def _peel_symbols_impl(eq_ptr, eq_idx, sym, known):
+def peel_symbols(eq_ptr, eq_idx, sym, known):
     n = known.shape[0]
     n_eq = eq_ptr.shape[0] - 1
     verified = np.zeros(n_eq, dtype=np.bool_)
@@ -99,35 +73,9 @@ def _peel_symbols_impl(eq_ptr, eq_idx, sym, known):
     return 0, -1
 
 
-def _peel_pattern_impl(eq_ptr, eq_idx, known):
-    n = known.shape[0]
-    n_eq = eq_ptr.shape[0] - 1
-    n_known = 0
-    for i in range(n):
-        if known[i]:
-            n_known += 1
-    progress = True
-    while progress and n_known < n:
-        progress = False
-        for e in range(n_eq):
-            unknowns = 0
-            last_unknown = -1
-            for j in range(eq_ptr[e], eq_ptr[e + 1]):
-                if not known[eq_idx[j]]:
-                    unknowns += 1
-                    if unknowns > 1:
-                        break
-                    last_unknown = eq_idx[j]
-            if unknowns == 1:
-                known[last_unknown] = True
-                n_known += 1
-                progress = True
-    return n_known == n
-
-
-def _peel_pattern_numpy(eq_ptr, eq_idx, known):
-    # Batch passes: solve every degree-1 equation of the pass at once. The
-    # closure is order independent, so the outcome matches the loop kernel.
+def peel_pattern(eq_ptr, eq_idx, known):
+    # Batch passes: solve every degree-1 equation of the pass at once; the
+    # closure is order independent.
     if known.all():
         return True
     counts = np.diff(eq_ptr)
@@ -145,38 +93,12 @@ def _peel_pattern_numpy(eq_ptr, eq_idx, known):
     return bool(known.all())
 
 
-def _count_distinct_impl(rows, n_values):
-    n_rows = rows.shape[0]
-    out = np.empty(n_rows, dtype=np.int64)
-    stamp = np.full(n_values, -1, dtype=np.int64)
-    for b in range(n_rows):
-        cnt = 0
-        for j in range(rows.shape[1]):
-            v = rows[b, j]
-            if stamp[v] != b:
-                stamp[v] = b
-                cnt += 1
-        out[b] = cnt
-    return out
-
-
-def _count_distinct_numpy(rows, n_values):
+def count_distinct(rows):
+    """Distinct values in each row of a 2-D integer array."""
     if rows.shape[1] == 0:
         return np.zeros(rows.shape[0], dtype=np.int64)
     srt = np.sort(rows, axis=1)
     return 1 + np.count_nonzero(np.diff(srt, axis=1), axis=1).astype(np.int64)
-
-
-if USING_NUMBA:
-    xor_encode = njit(cache=True)(_xor_encode_impl)
-    peel_symbols = njit(cache=True)(_peel_symbols_impl)
-    peel_pattern = njit(cache=True)(_peel_pattern_impl)
-    count_distinct = njit(cache=True)(_count_distinct_impl)
-else:
-    xor_encode = _xor_encode_impl
-    peel_symbols = _peel_symbols_impl
-    peel_pattern = _peel_pattern_numpy
-    count_distinct = _count_distinct_numpy
 
 
 def first_fail_count(eq_ptr, eq_idx, perm):

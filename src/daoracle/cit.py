@@ -24,6 +24,18 @@ num/den and every divisibility is checked with ``%``), and caches the
 frozen result. Tree building, proof sampling and walking, reconstruction
 and fraud-proof checks all read it, so no Fraction arithmetic runs per
 proof or per symbol.
+
+Batches. ``sample_poms`` and ``walk_poms`` handle many proofs of one tree
+or one commitment: they run the one-proof ``sample_pom`` and ``walk_pom``
+with a memo that lives for that one call (the reconstructor, which walks
+its proofs one by one, passes ``walk_pom`` one memo for one
+reconstruction). Sampling converts each row it reads to bytes once and
+hands every proof through the same (layer, child) the same sibling tuple;
+walking hashes each distinct q-tuple and 32-byte value once, where one
+walk per proof re-hashes the tuples near the root that all proofs share.
+The memo only caches a pure function (a row's bytes, a digest), so each
+proof's verdict and harvest are those of a walk on its own. A memo is
+never kept past its batch, so never shared across nodes or rounds.
 """
 
 from __future__ import annotations
@@ -333,7 +345,25 @@ def project_base_to_layer(
     return out
 
 
-def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
+@lru_cache(maxsize=None)
+def _sibling_slices(batch: int, pos: int) -> tuple[slice, ...]:
+    """Byte ranges of the q - 1 digests other than child ``pos`` in the q
+    joined child digests of one parent."""
+    return tuple(
+        slice(k * HASH_BYTES, (k + 1) * HASH_BYTES) for k in range(batch) if k != pos
+    )
+
+
+def sample_pom(
+    tree: CodedTree, base_index: int, memo: Optional[dict] = None
+) -> ProofOfMembership:
+    """Membership proof of base symbol ``base_index``.
+
+    ``memo``, when given, is a dict shared by proofs sampled from this one
+    tree (see ``sample_poms``). It keeps each sampled symbol's bytes under
+    (layer, index) and each sibling tuple under (parent layer, parent index,
+    child position), so every row is converted once and the proofs share
+    the bytes."""
     geo = geometry(tree.params, tree.block_len)
     depth = geo.depth
     if not 0 <= base_index < geo.sizes[depth]:
@@ -342,17 +372,30 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     pairs = []
     for u, (p_idx, e_idx) in zip(range(depth - 1, 0, -1), geo.pom_pairs(base_index)):
         symbols = tree.layers[u].symbols
-        pairs.append((p_idx, e_idx, symbols[p_idx].tobytes(), symbols[e_idx].tobytes()))
+        if memo is None:
+            pairs.append((p_idx, e_idx, symbols[p_idx].tobytes(), symbols[e_idx].tobytes()))
+            continue
+        values = []
+        for k in (p_idx, e_idx):
+            row = memo.get((u, k))
+            if row is None:
+                row = memo[(u, k)] = symbols[k].tobytes()
+            values.append(row)
+        pairs.append((p_idx, e_idx, *values))
 
     levels = []
     x = base_index
     for u in range(depth - 1, -1, -1):
         s_par = geo.sys_counts[u]
         par, pos = x % s_par, x // s_par
-        child_hashes = tree.layers[u + 1].hashes[par::s_par]
-        levels.append(
-            tuple(child_hashes[p].tobytes() for p in range(len(child_hashes)) if p != pos)
-        )
+        sibs = None if memo is None else memo.get((u, par, pos))
+        if sibs is None:
+            # the q child digests of parent (u, par), in child order
+            children = tree.layers[u + 1].hashes[par::s_par].tobytes()
+            sibs = tuple(map(children.__getitem__, _sibling_slices(tree.params.batch, pos)))
+            if memo is not None:
+                memo[(u, par, pos)] = sibs
+        levels.append(sibs)
         x = par
 
     return ProofOfMembership(
@@ -362,6 +405,13 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         pairs=tuple(pairs),
         levels=tuple(levels),
     )
+
+
+def sample_poms(tree: CodedTree, base_indices: Iterable[int]) -> list[ProofOfMembership]:
+    """``[sample_pom(tree, i) for i in base_indices]`` with one memo, so the
+    proofs share every row and sibling tuple they have in common."""
+    memo: dict = {}
+    return [sample_pom(tree, i, memo) for i in base_indices]
 
 
 @dataclass
@@ -374,75 +424,113 @@ class PomHarvest:
     tuples: dict[tuple[int, int], tuple[bytes, ...]] = field(default_factory=dict)
 
 
-def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership):
+def walk_poms(
+    commitment: Commitment, params: TreeParams, poms: Sequence[ProofOfMembership]
+) -> list[Optional[PomHarvest]]:
+    """``[walk_pom(commitment, params, pom) for pom in poms]`` with one
+    digest memo, so each distinct q-tuple and 32-byte value is hashed once
+    across the proofs."""
+    geo = _walk_geometry(commitment, params)
+    if geo is None:
+        return [None] * len(poms)
+    digests: dict = {}
+    return [_walk(commitment, params, geo, pom, digests) for pom in poms]
+
+
+def walk_pom(
+    commitment: Commitment,
+    params: TreeParams,
+    pom: ProofOfMembership,
+    digests: Optional[dict] = None,
+) -> Optional[PomHarvest]:
     """Recompute the digest chain of a proof. Returns a PomHarvest when the
-    proof is consistent with the commitment, else None."""
-    if params != commitment.params or pom.block_len != commitment.block_len:
+    proof is consistent with the commitment, else None.
+
+    The proof carries the field types ``ProofOfMembership`` declares, as
+    ``serialize.decode_pom`` builds them; every value in it is checked.
+    ``digests``, when given, memoizes sha256 of the 32-byte values and of
+    the joined q-tuples the walk meets, for a caller that walks many proofs
+    against one commitment."""
+    geo = _walk_geometry(commitment, params)
+    if geo is None:
+        return None
+    return _walk(commitment, params, geo, pom, {} if digests is None else digests)
+
+
+def _walk_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
+    """The commitment's geometry, or None when no proof can match it."""
+    if params != commitment.params or len(commitment.root) != params.root_size:
         return None
     try:
-        geo = geometry(params, pom.block_len)
+        return geometry(params, commitment.block_len)
     except ParameterError:
         return None
-    depth, sys_counts = geo.depth, geo.sys_counts
+
+
+def _walk(commitment, params, geo, pom, digests) -> Optional[PomHarvest]:
+    depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
     q = params.batch
-    i = pom.base_index
-    if not 0 <= i < geo.sizes[depth]:
+    i, pairs, levels = pom.base_index, pom.pairs, pom.levels
+    if pom.block_len != commitment.block_len or not 0 <= i < sizes[depth]:
         return None
     if len(pom.base_symbol) != params.symbol_size:
         return None
-    if len(pom.pairs) != depth - 1 or len(pom.levels) != depth:
+    if len(pairs) != depth - 1 or len(levels) != depth:
         return None
 
-    for (p_idx, e_idx, p_val, e_val), (wp, we) in zip(pom.pairs, geo.pom_pairs(i)):
-        if (p_idx, e_idx) != (wp, we):
-            return None
-        if len(p_val) != HASH_BYTES or len(e_val) != HASH_BYTES:
-            return None
-
-    harvest = PomHarvest()
-    harvest.values[(depth, i)] = pom.base_symbol
+    values = {(depth, i): pom.base_symbol}
+    tuples = {}
     h = sha256(pom.base_symbol)
     x = i
     for j, u in enumerate(range(depth - 1, -1, -1)):
         s_par = sys_counts[u]
         par, pos = x % s_par, x // s_par
-        sibs = pom.levels[j]
-        if len(sibs) != q - 1:
-            return None
-        for sib in sibs:
-            if len(sib) != HASH_BYTES:
-                return None
+        sibs = levels[j]
         tup = sibs[:pos] + (h,) + sibs[pos:]
+        value = digests.get(tup)
+        if value is None:
+            # only q-tuples of digests enter the memo, so a tuple found
+            # there has passed these checks
+            if len(sibs) != q - 1:
+                return None
+            for sib in sibs:
+                if len(sib) != HASH_BYTES:
+                    return None
+            value = digests[tup] = sha256(b"".join(tup))
         if j >= 1:
             # the previous layer's parity sample is a sibling here; its
             # digest must sit at its own child position
-            _, e_idx, _, e_val = pom.pairs[j - 1]
-            if e_idx % s_par != par:
+            if e_idx % s_par != par or tup[e_idx // s_par] != e_hash:
                 return None
-            if tup[e_idx // s_par] != sha256(e_val):
-                return None
-        value = sha256(b"".join(tup))
-        harvest.tuples[(u, par)] = tup
-        if u >= 1:
-            p_idx, e_idx, p_val, e_val = pom.pairs[j]
-            if p_idx != par or value != p_val:
-                return None
-            harvest.values[(u, p_idx)] = p_val
-            harvest.values[(u, e_idx)] = e_val
-            h = sha256(value)
-            x = par
-        else:
+        tuples[(u, par)] = tup
+        if u == 0:
             if value != commitment.root[par]:
                 return None
-    return harvest
+            return PomHarvest(values, tuples)
+
+        p_idx, e_idx, p_val, e_val = pairs[j]
+        # the pair sampled at layer u: (i mod s, s + i mod (m - s))
+        if p_idx != i % s_par or e_idx != s_par + i % (sizes[u] - s_par):
+            return None
+        if len(p_val) != HASH_BYTES or len(e_val) != HASH_BYTES:
+            return None
+        if p_idx != par or value != p_val:
+            return None
+        values[(u, p_idx)] = p_val
+        values[(u, e_idx)] = e_val
+        e_hash = digests.get(e_val)
+        if e_hash is None:
+            e_hash = digests[e_val] = sha256(e_val)
+        h = digests.get(value)
+        if h is None:
+            h = digests[value] = sha256(value)
+        x = par
+    return None  # unreachable: depth >= 1, so the loop ends at u == 0
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
     """True iff the proof's digest chain reproduces a commitment entry."""
-    try:
-        return walk_pom(commitment, params, pom) is not None
-    except Exception:
-        return False
+    return walk_pom(commitment, params, pom) is not None
 
 
 def verify_membership(
@@ -450,6 +538,8 @@ def verify_membership(
 ) -> bool:
     """Check a bare digest claim: the commitment binds a symbol hashing to
     ``leaf_hash`` at (path.layer, path.index)."""
+    if len(commitment.root) != params.root_size:
+        return False
     try:
         geo = geometry(params, commitment.block_len)
     except ParameterError:

@@ -84,7 +84,7 @@ def coverage(design: DispersalDesign, nodes) -> float:
     if not nodes:
         return 0.0
     rows = design.assignments[nodes].reshape(1, -1)
-    distinct = int(_kernels.count_distinct(rows, design.n_chunks)[0])
+    distinct = int(_kernels.count_distinct(rows)[0])
     return distinct / design.n_chunks
 
 
@@ -129,7 +129,7 @@ def verify_design(
         failures = 0
         for subset in combinations(range(n), take):
             rows = design.assignments[list(subset)].reshape(1, -1)
-            if int(_kernels.count_distinct(rows, design.n_chunks)[0]) < need:
+            if int(_kernels.count_distinct(rows)[0]) < need:
                 failures += 1
         return DesignCheck(failures / total, total, exhaustive=True)
 
@@ -143,7 +143,7 @@ def verify_design(
         b = min(batch, trials - done)
         subsets = np.stack([rng.choice(n, size=take, replace=False) for _ in range(b)])
         rows = design.assignments[subsets].reshape(b, take * design.k_per_node)
-        distinct = _kernels.count_distinct(rows, design.n_chunks)
+        distinct = _kernels.count_distinct(rows)
         failures += int(np.count_nonzero(distinct < need))
         done += b
     return DesignCheck(failures / trials, trials, exhaustive=False)
@@ -195,7 +195,7 @@ def sample_distinct_fractions(
     while done < trials:
         b = min(batch, trials - done)
         draws = rng.integers(0, n_chunks, size=(b, n_draws), dtype=np.int64)
-        out[done : done + b] = _kernels.count_distinct(draws, n_chunks) / n_chunks
+        out[done : done + b] = _kernels.count_distinct(draws) / n_chunks
         done += b
     return out
 

@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-# protobench/layers.py times aggregate and encode_array through this
-# module's names, so they stay imported here though only cit calls them
+# protobench/layers.py times aggregate, encode_array and sample_pom through
+# this module's names, and protobench's tests replace verify_symbol here, so
+# they stay imported though nothing in this module calls them
 from .cit import (  # noqa: F401
     CodedTree,
     Commitment,
@@ -26,7 +27,9 @@ from .cit import (  # noqa: F401
     build_tree,
     layer_code,
     sample_pom,
+    sample_poms,
     verify_symbol,
+    walk_poms,
 )
 from .codec import encode_array  # noqa: F401
 from .dispersal import DispersalDesign
@@ -189,17 +192,17 @@ def messages_for_tree(tree: CodedTree, design: DispersalDesign):
         raise ValueError(
             f"design covers {design.n_chunks} chunks but tree has {m_base}"
         )
+    assigned = [
+        tuple(int(i) for i in design.assignments[node]) for node in range(design.n_nodes)
+    ]
+    wanted = sorted(set().union(*assigned))
+    # one proof per chunk, shared by every node it is assigned to; a unit's
+    # symbol is its proof's base symbol
+    poms = dict(zip(wanted, sample_poms(tree, wanted)))
     messages = {}
-    base = tree.layers[-1].symbols
-    pom_cache: dict[int, object] = {}
-    for node in range(design.n_nodes):
-        assigned = tuple(int(i) for i in design.assignments[node])
-        units = []
-        for idx in sorted(set(assigned)):
-            if idx not in pom_cache:
-                pom_cache[idx] = sample_pom(tree, idx)
-            units.append((idx, base[idx].tobytes(), pom_cache[idx]))
-        messages[node] = DispersalMessage(tree.commitment, tuple(units), assigned)
+    for node, indices in enumerate(assigned):
+        units = tuple((idx, poms[idx].base_symbol, poms[idx]) for idx in sorted(set(indices)))
+        messages[node] = DispersalMessage(tree.commitment, units, indices)
     return messages
 
 
@@ -219,8 +222,10 @@ def node_on_dispersal(node: OracleNode, message: DispersalMessage) -> Optional[V
     for idx, symbol, pom in message.units:
         if pom.base_index != idx or pom.base_symbol != symbol:
             return None
-        if not verify_symbol(message.commitment, message.commitment.params, pom):
-            return None
+    poms = [pom for _, _, pom in message.units]
+    harvests = walk_poms(message.commitment, message.commitment.params, poms)
+    if any(harvest is None for harvest in harvests):
+        return None
     for idx, symbol, pom in message.units:
         node.stored[(key, idx)] = (symbol, pom)
     node.assigned[key] = message.assigned
@@ -284,16 +289,13 @@ def audit(
     picked = int(voters[rng.integers(0, len(voters))])
     node = next(n for n in nodes if n.node_id == picked)
     want = sorted(set(int(i) for i in design.assignments[picked]))
-    ok = True
-    for idx in want:
-        entry = node.stored.get((key, idx))
-        if entry is None:
-            ok = False
-            break
-        symbol, pom = entry
-        if pom.base_index != idx or not verify_symbol(commitment, commitment.params, pom):
-            ok = False
-            break
+    entries = [node.stored.get((key, idx)) for idx in want]
+    ok = all(
+        entry is not None and entry[1].base_index == idx for idx, entry in zip(want, entries)
+    )
+    if ok:
+        harvests = walk_poms(commitment, commitment.params, [pom for _, pom in entries])
+        ok = all(harvest is not None for harvest in harvests)
     if not ok:
         node.stake = max(0.0, node.stake - stake_penalty)
         return AuditOutcome(picked, False, stake_penalty)

@@ -87,32 +87,32 @@ class Insufficient:
 ReconstructionResult = Union[Block, Fraud, Insufficient]
 
 
-def _xor(values) -> bytes:
-    acc = None
+def _xor(values, width: int) -> bytes:
+    acc = np.zeros(width, dtype=np.uint8)
     for v in values:
-        arr = np.frombuffer(v, dtype=np.uint8)
-        acc = arr.copy() if acc is None else acc ^ arr
+        acc ^= np.frombuffer(v, dtype=np.uint8)
     return acc.tobytes()
 
 
 def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudProof) -> bool:
-    """Stateless check of an incorrect-coding proof. Malformed proofs are
-    simply False, never exceptions."""
+    """Stateless check of an incorrect-coding proof against the commitment
+    alone. The proof carries the field types ``FraudProof`` declares, as
+    ``serialize.decode_fraud_proof`` builds them; every value in it is
+    checked, so a malformed proof is False."""
+    if params != commitment.params or len(commitment.root) != params.root_size:
+        return False
     try:
-        return _verify_fraud_proof(commitment, params, proof)
-    except Exception:
+        geo = geometry(params, commitment.block_len)
+    except ParameterError:
         return False
-
-
-def _verify_fraud_proof(commitment, params, proof) -> bool:
-    if params != commitment.params:
-        return False
-    geo = geometry(params, commitment.block_len)
     depth = geo.depth
     u = proof.layer
     if not 0 <= u <= depth:
         return False
-    code = layer_code(params, geo.sizes[u])
+    try:
+        code = layer_code(params, geo.sizes[u])
+    except (BadCode, ParameterError):
+        return False
     if not 0 <= proof.equation_no < len(code.parity_checks):
         return False
     if code.parity_checks[proof.equation_no] != proof.equation:
@@ -142,7 +142,7 @@ def _verify_fraud_proof(commitment, params, proof) -> bool:
     if proof.mismatch is None:
         if set(seen) != eq_idx:
             return False
-        return any(b != 0 for b in _xor(seen.values()))
+        return any(_xor(seen.values(), width))
 
     mm = proof.mismatch
     if u == 0 or mm.index not in eq_idx or set(seen) != eq_idx - {mm.index}:
@@ -153,7 +153,7 @@ def _verify_fraud_proof(commitment, params, proof) -> bool:
         return False
     if not verify_membership(commitment, params, mm.expected_hash, mm.path):
         return False
-    derived = _xor(seen.values())
+    derived = _xor(seen.values(), width)
     return sha256(derived) != mm.expected_hash
 
 
@@ -178,10 +178,13 @@ class _Reconstructor:
         self._ingest(chunks)
 
     def _ingest(self, chunks: ChunkSet):
+        # the walks share one digest memo, as in cit.walk_poms; each goes
+        # through this module's walk_pom name, which per-proof timers wrap
+        digests: dict = {}
         for index, symbol, pom in chunks.units:
             if index != pom.base_index or symbol != pom.base_symbol:
                 continue
-            harvest = walk_pom(self.commitment, self.params, pom)
+            harvest = walk_pom(self.commitment, self.params, pom, digests)
             if harvest is None:
                 continue
             for key, val in harvest.values.items():

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from daoracle.cit import CodedTree, TreeParams, build_tree, sample_pom
+from daoracle.cit import CodedTree, TreeParams, build_tree, sample_poms
 from daoracle.retrieval import ChunkSet
 
 # 8 systematic base symbols at rate 1/4, batch 8, 4-digest root:
@@ -47,11 +47,8 @@ def small_tree(small_block, small_params) -> CodedTree:
 
 
 def chunkset_for(tree: CodedTree, indices) -> ChunkSet:
-    base = tree.layers[-1].symbols
-    units = tuple(
-        (i, base[i].tobytes(), sample_pom(tree, i)) for i in sorted(set(indices))
-    )
-    return ChunkSet(tree.commitment, units)
+    poms = sample_poms(tree, sorted(set(indices)))
+    return ChunkSet(tree.commitment, tuple((pom.base_index, pom.base_symbol, pom) for pom in poms))
 
 
 def random_geometries(count=3, seed=20240501):

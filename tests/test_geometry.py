@@ -124,9 +124,9 @@ def _replace_at(seq: tuple, j: int, item) -> tuple:
 
 
 @st.composite
-def mutated_proofs(draw):
+def mutated_proofs(draw, trees=TREES):
     """(tree, honest proof, proof differing from it in one field)."""
-    tree = draw(st.sampled_from(TREES))
+    tree = draw(st.sampled_from(trees))
     m = tree.sizes[-1]
     pom = cit.sample_pom(tree, draw(st.integers(0, m - 1)))
     kind = draw(

@@ -1,10 +1,13 @@
-"""The compiled kernels and the pure-numpy fallbacks must agree exactly."""
+"""The kernels against independent references: GF(2) elimination
+(``tests/gf2.py``), a plain set-based peeling closure, Python's own
+distinct count, and hand-built equation systems."""
 
 import numpy as np
 import pytest
 
 from daoracle import _kernels as kn
 from daoracle.codec import _csr, encode_array, generate_code
+from gf2 import solve_erasure
 
 
 def random_instance(seed, k=8, rate="1/4", width=16):
@@ -15,53 +18,124 @@ def random_instance(seed, k=8, rate="1/4", width=16):
     return code, sym
 
 
+def peel_closure(equations, n, known) -> bool:
+    """Reference peeling: solve any equation with one unknown member until
+    none is left; True when every symbol ends up known."""
+    known = set(known)
+    progress = True
+    while progress:
+        progress = False
+        for members in equations:
+            left = [i for i in members if i not in known]
+            if len(left) == 1:
+                known.add(left[0])
+                progress = True
+    return len(known) == n
+
+
+def csr(equations):
+    eq_ptr = np.cumsum([0] + [len(m) for m in equations]).astype(np.int32)
+    eq_idx = np.array([i for m in equations for i in m], dtype=np.int32)
+    return eq_ptr, eq_idx
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_peel_symbols_paths_agree(seed):
+    """Peeling agrees with GF(2) elimination: whatever it solves is the
+    codeword, a full decode is the unique solution, and a violation is an
+    inconsistent system."""
     code, sym = random_instance(seed)
     eq_ptr, eq_idx, _ = _csr(code)
     rng = np.random.default_rng(seed + 100)
-    known = rng.random(code.n_coded) > 0.3
+    # erase about 30%, 45% and 75% of the symbols
+    known = rng.random(code.n_coded) > (0.3, 0.45, 0.75)[seed // 2]
+    given = sym.copy()
+    if seed % 2:
+        # corrupt one known symbol: the system may become inconsistent
+        given[int(np.flatnonzero(known)[0]), 0] ^= 0x5A
 
-    sym_a, known_a = sym.copy(), known.copy()
-    sym_a[~known_a] = 0
-    res_a = kn.peel_symbols(eq_ptr, eq_idx, sym_a, known_a)
+    peeled, mask = given.copy(), known.copy()
+    peeled[~mask] = 0
+    status, viol = kn.peel_symbols(eq_ptr, eq_idx, peeled, mask)
+    verdict, solution = solve_erasure(
+        code, {int(i): given[i].tobytes() for i in np.flatnonzero(known)}
+    )
 
-    sym_b, known_b = sym.copy(), known.copy()
-    sym_b[~known_b] = 0
-    res_b = kn._peel_symbols_impl(eq_ptr, eq_idx, sym_b, known_b)
-
-    assert res_a == tuple(res_b)
-    assert np.array_equal(known_a, known_b)
-    assert np.array_equal(sym_a[known_a], sym_b[known_b])
+    if status == 2:
+        assert verdict == "inconsistent"
+        eq = code.parity_checks[viol]
+        assert np.bitwise_xor.reduce(peeled[list(eq.symbol_indices)], axis=0).any()
+        return
+    if seed % 2 == 0:
+        # an honest codeword: every solved symbol is the encoded one
+        assert np.array_equal(peeled[mask], sym[mask])
+    if status == 0:
+        assert mask.all() and verdict == "decoded"
+        assert all(solution[i] == peeled[i].tobytes() for i in range(code.n_coded))
+    else:
+        assert status == 1 and not mask.all() and viol == -1
+        # a stall leaves a stopping set: no equation has exactly one unknown
+        for eq in code.parity_checks:
+            assert sum(not mask[i] for i in eq.symbol_indices) != 1
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_peel_pattern_paths_agree(seed):
-    code, _sym = random_instance(seed, k=16, rate="1/2")
+    """The batched pattern peel agrees with the set-based closure, and a
+    pattern it decodes has a unique GF(2) solution."""
+    code, sym = random_instance(seed, k=16, rate="1/2")
     eq_ptr, eq_idx, _ = _csr(code)
+    equations = [eq.symbol_indices for eq in code.parity_checks]
     rng = np.random.default_rng(seed)
     for _ in range(50):
         known = rng.random(code.n_coded) > rng.uniform(0.1, 0.6)
-        a = kn.peel_pattern(eq_ptr, eq_idx, known.copy())
-        b = kn._peel_pattern_numpy(eq_ptr, eq_idx, known.copy())
-        c = kn._peel_pattern_impl(eq_ptr, eq_idx, known.copy())
-        assert a == b == c
+        got = kn.peel_pattern(eq_ptr, eq_idx, known.copy())
+        assert got == peel_closure(equations, code.n_coded, np.flatnonzero(known).tolist())
+        if got:
+            verdict, _ = solve_erasure(
+                code, {int(i): sym[i].tobytes() for i in np.flatnonzero(known)}
+            )
+            assert verdict == "decoded"
+
+
+def test_peel_pattern_hand_built_cases():
+    # a chain: knowing 0 and 1 solves 2, which solves 3, which solves 4
+    chain = [(0, 1, 2), (2, 3), (3, 4)]
+    eq_ptr, eq_idx = csr(chain)
+    assert kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 1, 0, 0, 0], dtype=bool))
+    assert not kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 0, 0, 0, 0], dtype=bool))
+    # {1, 2} is a stopping set of (0, 1, 2), (1, 2, 3): each equation that
+    # touches it touches it twice
+    stop = [(0, 1, 2), (1, 2, 3)]
+    eq_ptr, eq_idx = csr(stop)
+    assert not kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 0, 0, 1], dtype=bool))
+    assert kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 1, 0, 1], dtype=bool))
+
+
+def test_peel_symbols_hand_built_cases():
+    eq_ptr, eq_idx = csr([(0, 1, 2), (2, 3)])
+    sym = np.array([[5], [3], [6], [6]], dtype=np.uint8)  # 5^3 = 6
+    peeled, known = sym.copy(), np.array([1, 1, 0, 0], dtype=bool)
+    peeled[~known] = 0
+    assert kn.peel_symbols(eq_ptr, eq_idx, peeled, known) == (0, -1)
+    assert np.array_equal(peeled, sym) and known.all()
+    # equation 1 is fully known and fails; equation 0 holds
+    bad = np.array([[5], [3], [6], [7]], dtype=np.uint8)
+    assert kn.peel_symbols(eq_ptr, eq_idx, bad.copy(), np.ones(4, dtype=bool)) == (2, 1)
+    known = np.array([1, 0, 0, 0], dtype=bool)
+    assert kn.peel_symbols(eq_ptr, eq_idx, sym.copy(), known) == (1, -1)
 
 
 def test_count_distinct_paths_agree():
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 37, size=(40, 25), dtype=np.int64)
-    a = kn.count_distinct(rows, 37)
-    b = kn._count_distinct_numpy(rows, 37)
-    c = kn._count_distinct_impl(rows, 37)
-    assert np.array_equal(a, b) and np.array_equal(b, c)
     expect = [len(set(row.tolist())) for row in rows]
-    assert a.tolist() == expect
+    assert kn.count_distinct(rows).tolist() == expect
 
 
 def test_count_distinct_empty_rows():
     rows = np.zeros((3, 0), dtype=np.int64)
-    assert kn._count_distinct_numpy(rows, 10).tolist() == [0, 0, 0]
+    assert kn.count_distinct(rows).tolist() == [0, 0, 0]
 
 
 def test_first_fail_monotone_and_in_range():
@@ -80,8 +154,3 @@ def test_first_fail_monotone_and_in_range():
             known = np.ones(code.n_coded, dtype=np.bool_)
             known[perm[: e - 1]] = False
             assert kn.peel_pattern(eq_ptr, eq_idx, known)
-
-
-def test_env_flag_reported():
-    assert isinstance(kn.USING_NUMBA, bool)
-    assert kn.PURE_NUMPY == (not kn.USING_NUMBA) or not kn._HAVE_NUMBA
