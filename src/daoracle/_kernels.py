@@ -1,24 +1,63 @@
-"""Hot inner loops: XOR encoding, peeling decode, distinct-count Monte Carlo.
+"""Hot inner loops: XOR encoding, the peeling engine, distinct counts.
 
-Representation shared by all kernels:
+Code tables. ``CodeTables`` holds one code's parity equations in the forms
+the loops read, built once per code (``CodeSpec.tables``):
 
-- parity equations in CSR form: ``eq_ptr`` int32 of shape (n_eq + 1,) and
-  ``eq_idx`` int32 of shape (nnz,); equation ``e`` touches the coded-symbol
-  indices ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``, sorted ascending.
-- symbols as a C-contiguous uint8 array of shape (n_coded, symbol_len).
-- knownness as a bool array of shape (n_coded,).
+- CSR arrays for ``xor_encode``: ``eq_ptr`` int32 of shape (n_eq + 1,) and
+  ``eq_idx`` int32 of shape (nnz,), so equation ``e`` touches the
+  coded-symbol indices ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``, sorted ascending;
+  ``parity_of[e]`` is the one output index of equation ``e``;
+- ``members[e]``, the same indices as a tuple, and ``touching[x]``, the
+  equations that contain symbol ``x``, ascending;
+- ``degree[e]`` and ``index_xor[e]``: member count and XOR of member
+  indices, the state of a peel that knows nothing.
 
-``peel_symbols`` scans equations in ascending index order each pass and
-applies solves immediately ("in turn"), so a Violation always names the
-first failing equation under that discipline. ``peel_pattern`` batches a
-pass: the peeling closure of a known-set is order independent.
+Peeling. A ``Peel`` keeps, per equation, the number of members still
+unknown and the XOR of their indices, so an equation with one unknown
+names it directly. ``Peel.mark(x)`` records symbol x as known and returns
+the equations it leaves with exactly one unknown. The engine never touches
+symbol values and is run in two ways:
 
-Status codes returned by ``peel_symbols``: 0 decoded, 1 stuck, 2 violation.
+- ``Peel.steps()`` visits equations in the order of an ascending scan over
+  all equations, repeated while a scan solves something, that solves each
+  equation in turn (a Violation or fraud proof names the first failing
+  equation under that rule). The caller XORs values and calls
+  ``Peel.solve(x)`` for each solve it accepts. ``codec.peel_decode`` and
+  retrieval both peel this way.
+- ``first_fail_count`` adds symbols back in reverse erasure order and
+  follows the closure, for the alpha gate.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import xor
+from typing import Optional, Sequence
+
 import numpy as np
+
+
+class CodeTables:
+    """Member and incidence tables of one code's parity equations."""
+
+    __slots__ = ("members", "touching", "degree", "index_xor", "eq_ptr", "eq_idx", "parity_of")
+
+    def __init__(self, equations: Sequence[Sequence[int]], n_coded: int):
+        self.members = tuple(tuple(eq) for eq in equations)
+        touching: list[list[int]] = [[] for _ in range(n_coded)]
+        for e, eq in enumerate(self.members):
+            for i in eq:
+                touching[i].append(e)
+        self.touching = touching
+        self.degree = [len(eq) for eq in self.members]
+        self.index_xor = [reduce(xor, eq) for eq in self.members]
+        self.eq_ptr = np.zeros(len(self.members) + 1, dtype=np.int32)
+        self.eq_ptr[1:] = np.cumsum(self.degree)
+        self.eq_idx = np.fromiter(
+            (i for eq in self.members for i in eq), dtype=np.int32, count=int(self.eq_ptr[-1])
+        )
+        self.parity_of = np.array([eq[-1] for eq in self.members], dtype=np.int32)
 
 
 def xor_encode(eq_ptr, eq_idx, parity_of, sym):
@@ -35,62 +74,75 @@ def xor_encode(eq_ptr, eq_idx, parity_of, sym):
     return sym
 
 
-def peel_symbols(eq_ptr, eq_idx, sym, known):
-    n = known.shape[0]
-    n_eq = eq_ptr.shape[0] - 1
-    verified = np.zeros(n_eq, dtype=np.bool_)
-    progress = True
-    while progress:
-        progress = False
-        for e in range(n_eq):
-            if verified[e]:
-                continue
-            unknowns = 0
-            last_unknown = -1
-            for j in range(eq_ptr[e], eq_ptr[e + 1]):
-                if not known[eq_idx[j]]:
-                    unknowns += 1
-                    last_unknown = eq_idx[j]
-            if unknowns == 0:
-                acc = np.zeros(sym.shape[1], dtype=np.uint8)
-                for j in range(eq_ptr[e], eq_ptr[e + 1]):
-                    acc ^= sym[eq_idx[j], :]
-                if acc.any():
-                    return 2, e
-                verified[e] = True
-            elif unknowns == 1:
-                sym[last_unknown, :] = 0
-                for j in range(eq_ptr[e], eq_ptr[e + 1]):
-                    m = eq_idx[j]
-                    if m != last_unknown:
-                        sym[last_unknown, :] ^= sym[m, :]
-                known[last_unknown] = True
-                verified[e] = True
-                progress = True
-    for i in range(n):
-        if not known[i]:
-            return 1, -1
-    return 0, -1
+def xor_members(values, members, skip: int = -1):
+    """XOR of ``values[i]`` over the members other than ``skip``. Values are
+    Python ints or uint8 rows; the XOR of rows is a fresh array."""
+    acc = 0
+    for i in members:
+        if i != skip:
+            acc ^= values[i]
+    return acc
 
 
-def peel_pattern(eq_ptr, eq_idx, known):
-    # Batch passes: solve every degree-1 equation of the pass at once; the
-    # closure is order independent.
-    if known.all():
-        return True
-    counts = np.diff(eq_ptr)
-    while True:
-        unk = ~known[eq_idx]
-        unk_per_eq = np.add.reduceat(unk, eq_ptr[:-1]) if len(eq_idx) else np.zeros(0, int)
-        deg1 = unk_per_eq == 1
-        if not deg1.any():
-            break
-        member_deg1 = np.repeat(deg1, counts)
-        solved = np.unique(eq_idx[member_deg1 & unk])
-        known[solved] = True
-        if known.all():
-            return True
-    return bool(known.all())
+class Peel:
+    """Peeling state of one code from a known set (``known`` a bool array;
+    None means nothing is known). ``known`` is kept as a bytearray that
+    ``mark`` updates."""
+
+    def __init__(self, tables: CodeTables, known: Optional[np.ndarray] = None):
+        self._touching = tables.touching
+        if known is None:
+            self.known = bytearray(len(tables.touching))
+            self.count = list(tables.degree)
+            self.xor = list(tables.index_xor)
+            return
+        self.known = bytearray(known.astype(np.uint8))
+        starts = tables.eq_ptr[:-1]
+        unknown = ~known[tables.eq_idx]
+        self.count = np.add.reduceat(unknown.astype(np.int32), starts).tolist()
+        self.xor = np.bitwise_xor.reduceat(np.where(unknown, tables.eq_idx, 0), starts).tolist()
+
+    def mark(self, x: int) -> list[int]:
+        """Make symbol x known; returns the equations left with exactly one
+        unknown member (an equation reaches zero only through one)."""
+        self.known[x] = 1
+        count, index_xor = self.count, self.xor
+        ready = []
+        for f in self._touching[x]:
+            c = count[f] - 1
+            count[f] = c
+            index_xor[f] ^= x
+            if c == 1:
+                ready.append(f)
+        return ready
+
+    def steps(self):
+        """Yield ``(e, x)`` for each equation an ascending, solve-in-turn
+        scan reaches with at most one unknown member: x is that member, or
+        -1 when every member is known. Each equation is yielded once.
+
+        Equations ready at the start form pass 0. When a solve at e readies
+        f, the scan reaches f later in the same pass if f > e, else in the
+        next pass; entries run in (pass, equation) order."""
+        count, index_xor = self.count, self.xor
+        now = self._now = [e for e, c in enumerate(count) if c <= 1]
+        while now:
+            self._later = []
+            while now:
+                e = self._at = heappop(now)
+                yield e, (index_xor[e] if count[e] else -1)
+            now = self._now = self._later
+            heapify(now)
+
+    def solve(self, x: int) -> None:
+        """Accept the solve of symbol x at the equation ``steps`` last
+        yielded."""
+        e = self._at
+        for f in self.mark(x):
+            if f > e:
+                heappush(self._now, f)
+            else:
+                self._later.append(f)
 
 
 def count_distinct(rows):
@@ -101,24 +153,28 @@ def count_distinct(rows):
     return 1 + np.count_nonzero(np.diff(srt, axis=1), axis=1).astype(np.int64)
 
 
-def first_fail_count(eq_ptr, eq_idx, perm):
+def first_fail_count(tables: CodeTables, perm: Sequence[int]) -> int:
     """Smallest erasure count e such that erasing perm[:e] stalls peeling.
 
-    Monotone in e (peeling succeeds from any superset of a decodable known
-    set), so binary search applies. Returns a value in [1, n].
+    Adds perm[n-1], perm[n-2], ... back into an empty known set, following
+    the peeling closure after each. Decodability is monotone in the known
+    set, so the first t at which the closure covers all n symbols is the
+    largest decodable erasure count: e = t + 1, capped at n. Returns a value
+    in [1, n].
     """
-    n = perm.shape[0]
-
-    def fails(e):
-        known = np.ones(n, dtype=np.bool_)
-        known[perm[:e]] = False
-        return not peel_pattern(eq_ptr, eq_idx, known)
-
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if fails(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    n = len(perm)
+    peel = Peel(tables)
+    known, index_xor = peel.known, peel.xor
+    left = n
+    for t in range(n - 1, -1, -1):
+        todo = [perm[t]]
+        while todo:
+            x = todo.pop()
+            if known[x]:
+                continue
+            left -= 1
+            for f in peel.mark(x):
+                todo.append(index_xor[f])
+        if not left:
+            return min(t + 1, n)
+    return n

@@ -52,6 +52,12 @@ from .errors import BadCode, IndexOutOfRange, ParameterError
 from .util import HASH_BYTES, as_rate, derive_seed, sha256
 
 
+# caps on the alpha gate's loop counts: one layer size costs at most
+# MAX_CODE_ATTEMPTS * MAX_GATE_TRIALS peels
+MAX_GATE_TRIALS = 128
+MAX_CODE_ATTEMPTS = 32
+
+
 @dataclass(frozen=True)
 class TreeParams:
     """Geometry and code knobs for one tree family.
@@ -62,7 +68,8 @@ class TreeParams:
     ratio for every layer code; hash_size: digest width, fixed at 32.
     code_seed seeds deterministic per-layer code generation; gate_trials
     and max_code_attempts drive the bad-code gate (gate_trials=0 disables
-    gating).
+    gating). Both are loop counts read from files, so they are capped at
+    MAX_GATE_TRIALS and MAX_CODE_ATTEMPTS.
     """
 
     symbol_size: int
@@ -92,6 +99,13 @@ class TreeParams:
             raise ParameterError(f"hash_size is fixed at {HASH_BYTES}")
         if not 0 <= self.alpha < 1:
             raise ParameterError("alpha must lie in [0, 1)")
+        for name, cap in (
+            ("gate_trials", MAX_GATE_TRIALS),
+            ("max_code_attempts", MAX_CODE_ATTEMPTS),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or not 0 <= value <= cap:
+                raise ParameterError(f"{name} must be an integer in [0, {cap}]")
 
     def layer_sizes(self, block_len: int) -> tuple[int, ...]:
         """Coded layer sizes from root to base for a block of this length."""

@@ -23,7 +23,7 @@ from .dispersal import (
     design_to_text,
     feasibility,
 )
-from .errors import BadCode, ComplexityError, ConfigError, ParameterError
+from .errors import BadCode, ComplexityError, ConfigError, IndexOutOfRange, ParameterError
 from .incentives import (
     IncentiveParams,
     check_allC_equilibrium,
@@ -311,7 +311,9 @@ def main(argv=None) -> int:
         parser.error("pom needs --index, --indices or --all")
     try:
         return args.func(args)
-    except (ParameterError, ConfigError, ComplexityError, FileNotFoundError) as exc:
+    except (
+        ParameterError, ConfigError, ComplexityError, IndexOutOfRange, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except BadCode as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -62,6 +62,14 @@ class CodeSpec:
                 raise ParameterError("equation degree exceeds max_eq_degree")
             if eq.symbol_indices[0] < 0 or eq.symbol_indices[-1] >= self.n_coded:
                 raise ParameterError("equation index out of range")
+
+    @cached_property
+    def tables(self) -> _kernels.CodeTables:
+        """Member and incidence tables for the encoder and the peeling
+        engine, built on first use and kept on this instance."""
+        return _kernels.CodeTables(
+            [eq.symbol_indices for eq in self.parity_checks], self.n_coded
+        )
 
 
 @dataclass(frozen=True)
@@ -130,25 +138,6 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
     return CodeSpec(k, n, r, max_eq_degree, seed & _MASK64, tuple(equations))
 
 
-@lru_cache(maxsize=256)
-def _csr(code: CodeSpec):
-    """CSR member arrays plus the parity-output index of each equation."""
-    counts = [len(eq.symbol_indices) for eq in code.parity_checks]
-    eq_ptr = np.zeros(len(counts) + 1, dtype=np.int32)
-    eq_ptr[1:] = np.cumsum(counts)
-    eq_idx = np.fromiter(
-        (i for eq in code.parity_checks for i in eq.symbol_indices),
-        dtype=np.int32,
-        count=int(eq_ptr[-1]),
-    )
-    parity_of = np.fromiter(
-        (eq.symbol_indices[-1] for eq in code.parity_checks),
-        dtype=np.int32,
-        count=len(counts),
-    )
-    return eq_ptr, eq_idx, parity_of
-
-
 def _as_matrix(symbols: Sequence[bytes]) -> np.ndarray:
     widths = {len(s) for s in symbols}
     if len(widths) > 1:
@@ -168,9 +157,9 @@ def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
         )
     sym = np.zeros((code.n_coded, inputs.shape[1]), dtype=np.uint8)
     sym[: code.n_systematic] = inputs
-    eq_ptr, eq_idx, parity_of = _csr(code)
-    if len(parity_of):
-        _kernels.xor_encode(eq_ptr, eq_idx, parity_of, sym)
+    tables = code.tables
+    if len(tables.parity_of):
+        _kernels.xor_encode(tables.eq_ptr, tables.eq_idx, tables.parity_of, sym)
     return sym
 
 
@@ -180,11 +169,13 @@ def encode(code: CodeSpec, inputs: Sequence[bytes]) -> tuple[bytes, ...]:
 
 
 def peel_decode(code: CodeSpec, known: Mapping[int, bytes]) -> DecodeOutcome:
-    """Iterative peeling: check degree-0 equations, solve degree-1 ones.
+    """Iterative peeling: check fully known equations, solve those with one
+    unknown member.
 
-    Equations are scanned in ascending index order each pass and solves take
-    effect immediately, so the outcome (including which equation a Violation
-    names) is deterministic.
+    Runs the peeling engine's solve-in-turn order (``_kernels.Peel.steps``),
+    so the outcome, including which equation a Violation names, is
+    deterministic: the first fully known equation that fails under that
+    order.
     """
     n = code.n_coded
     for i in known:
@@ -195,19 +186,24 @@ def peel_decode(code: CodeSpec, known: Mapping[int, bytes]) -> DecodeOutcome:
     width = {len(s) for s in known.values()}
     if len(width) != 1:
         raise LengthMismatch("known symbols must all have equal length")
-    sym = np.zeros((n, width.pop()), dtype=np.uint8)
+    rows = [None] * n
     mask = np.zeros(n, dtype=np.bool_)
     for i, s in known.items():
-        sym[i] = np.frombuffer(bytes(s), dtype=np.uint8)
+        rows[i] = np.frombuffer(bytes(s), dtype=np.uint8)
         mask[i] = True
-    eq_ptr, eq_idx, _ = _csr(code)
-    status, viol = _kernels.peel_symbols(eq_ptr, eq_idx, sym, mask)
-    if status == 0:
-        return Decoded(tuple(row.tobytes() for row in sym))
-    if status == 1:
-        return Stuck(frozenset(int(i) for i in np.nonzero(~mask)[0]))
-    members = code.parity_checks[viol].symbol_indices
-    return Violation(int(viol), tuple((i, sym[i].tobytes()) for i in members))
+    tables = code.tables
+    peel = _kernels.Peel(tables, mask)
+    for e, x in peel.steps():
+        acc = _kernels.xor_members(rows, tables.members[e], x)
+        if x >= 0:
+            rows[x] = acc
+            peel.solve(x)
+        elif acc.any():
+            return Violation(e, tuple((i, rows[i].tobytes()) for i in tables.members[e]))
+    unknown = frozenset(i for i, k in enumerate(peel.known) if not k)
+    if unknown:
+        return Stuck(unknown)
+    return Decoded(tuple(row.tobytes() for row in rows))
 
 
 def estimate_undecodable_ratio(
@@ -218,13 +214,13 @@ def estimate_undecodable_ratio(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    eq_ptr, eq_idx, _ = _csr(code)
+    tables = code.tables
     rng = np.random.default_rng(np.uint64(rng_seed & _MASK64))
     n = code.n_coded
     best = n
     for _ in range(trials):
-        perm = rng.permutation(n).astype(np.int64)
-        best = min(best, _kernels.first_fail_count(eq_ptr, eq_idx, perm))
+        perm = rng.permutation(n).tolist()
+        best = min(best, _kernels.first_fail_count(tables, perm))
         if best == 1:
             break
     return UndecodableEstimate(best / n, trials)

@@ -2,13 +2,17 @@
 
 Reconstruction seeds every layer's known symbols from the collected
 membership proofs, then decodes top-down: the root is the commitment
-verbatim, and each layer below is peeled with its own code. Every solved
-symbol whose committed digest is pinned by some collected sibling tuple is
-checked against it; every fully known equation is checked for zero XOR;
-after a layer completes, each parent aggregate is recomputed and compared
-with the (already certified) layer above. Any contradiction yields a
-compact incorrect-coding proof a third party can verify against the
-commitment alone.
+verbatim, and each layer below is peeled with its own code by the package's
+one peeling engine (``_kernels.Peel``), in its solve-in-turn order, so a
+fraud proof names the first failing equation of an ascending scan. Every
+solved symbol whose committed digest is pinned by some collected sibling
+tuple is checked against it; every fully known equation is checked for zero
+XOR; after a layer completes, each parent aggregate is recomputed and
+compared with the (already certified) layer above. Any contradiction yields
+a compact incorrect-coding proof a third party can verify against the
+commitment alone. Digest layers XOR their 32-byte symbols as Python ints,
+the base layer as uint8 rows, which are faster at symbol widths of 1 KiB
+and up.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
@@ -31,7 +35,8 @@ from .cit import (
     verify_membership,
     walk_pom,
 )
-from .codec import CodeSpec, ParityEquation, _csr
+from ._kernels import Peel, xor_members
+from .codec import CodeSpec, ParityEquation
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, sha256
 
@@ -172,7 +177,7 @@ class _Reconstructor:
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         self.values: dict[tuple[int, int], bytes] = {}
         self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
-        self.layer_done: dict[int, np.ndarray] = {}
+        self.layer_done: dict[int, list[bytes]] = {}
         self.solver: dict[tuple[int, int], int] = {}
         self.unprovable = False
         self._ingest(chunks)
@@ -202,7 +207,7 @@ class _Reconstructor:
         if child is None:
             return None
         s_par = self.sys_counts[w]
-        tup = tuple(sha256(child[x].tobytes()) for x in range(par, len(child), s_par))
+        tup = tuple(sha256(child[x]) for x in range(par, len(child), s_par))
         self.tuples[(w, par)] = tup
         return tup
 
@@ -224,7 +229,7 @@ class _Reconstructor:
             cur = par
         return MembershipPath(u, x, tuple(levels))
 
-    def _members(self, u: int, eq: ParityEquation, sym, skip: int = -1):
+    def _members(self, u: int, eq: ParityEquation, rows, skip: int = -1):
         """Fraud members with membership paths; None when some path is not
         derivable from the collected material."""
         members = []
@@ -237,7 +242,7 @@ class _Reconstructor:
             path = self._path(u, idx)
             if path is None:
                 return None
-            members.append(FraudMember(idx, sym[idx].tobytes(), path))
+            members.append(FraudMember(idx, rows[idx], path))
         return tuple(members)
 
     def run(self) -> ReconstructionResult:
@@ -245,116 +250,104 @@ class _Reconstructor:
         for u in range(self.depth + 1):
             m = self.sizes[u]
             code = layer_code(params, m)
-            width = params.symbol_size if u == self.depth else HASH_BYTES
-            sym = np.zeros((m, width), dtype=np.uint8)
-            known = np.zeros(m, dtype=bool)
             if u == 0:
-                for idx, val in enumerate(self.commitment.root):
-                    sym[idx] = np.frombuffer(val, dtype=np.uint8)
-                known[:] = True
+                rows = list(self.commitment.root)
             else:
-                for idx in range(m):
-                    val = self.values.get((u, idx))
-                    if val is not None:
-                        sym[idx] = np.frombuffer(val, dtype=np.uint8)
-                        known[idx] = True
+                rows = [self.values.get((u, x)) for x in range(m)]
 
-            outcome = self._peel_layer(u, code, sym, known)
+            outcome, known = self._peel_layer(u, code, rows)
             if outcome is not None:
                 return outcome
-            if not known.all():
-                frac = known.mean()
+            n_known = known.count(1)
+            if n_known < m:
+                frac = n_known / m
                 if frac >= 1 - params.alpha:
                     raise BadCode(
                         f"layer {u} stalled with {frac:.4f} of symbols known",
                         layer=u,
                         layer_size=m,
-                        known_fraction=float(frac),
-                        unknown=frozenset(int(i) for i in np.nonzero(~known)[0]),
+                        known_fraction=frac,
+                        unknown=frozenset(i for i, k in enumerate(known) if not k),
                         code_seed=code.seed,
                     )
-                return self._insufficient(u, known)
+                return self._insufficient(u, frac)
 
-            self.layer_done[u] = sym
+            self.layer_done[u] = rows
             if u >= 1:
-                outcome = self._check_aggregation(u, sym)
+                outcome = self._check_aggregation(u, rows)
                 if outcome is not None:
                     return outcome
         if self.unprovable:
-            return self._insufficient(self.depth, np.ones(1, dtype=bool))
+            return self._insufficient(self.depth, 1.0)
         base = self.layer_done[self.depth]
         s_base = self.sys_counts[self.depth]
-        data = base[:s_base].tobytes()[: self.commitment.block_len]
+        data = b"".join(base[:s_base])[: self.commitment.block_len]
         return Block(data)
 
-    def _peel_layer(self, u, code: CodeSpec, sym, known):
-        """Sequential hash-aware peeling; returns a Fraud outcome or None."""
-        eq_ptr, eq_idx, _ = _csr(code)
-        n_eq = len(code.parity_checks)
-        verified = np.zeros(n_eq, dtype=bool)
-        progress = True
-        while progress:
-            progress = False
-            for e in range(n_eq):
-                if verified[e]:
-                    continue
-                members = eq_idx[eq_ptr[e] : eq_ptr[e + 1]]
-                unknown = [int(i) for i in members if not known[i]]
-                if not unknown:
-                    acc = np.zeros(sym.shape[1], dtype=np.uint8)
-                    for i in members:
-                        acc ^= sym[i]
-                    if acc.any():
-                        fraud = self._equation_fraud(u, code, e, sym)
-                        if fraud is not None:
-                            return fraud
-                        self.unprovable = True
-                    verified[e] = True
-                elif len(unknown) == 1:
-                    x = unknown[0]
-                    acc = np.zeros(sym.shape[1], dtype=np.uint8)
-                    for i in members:
-                        if i != x:
-                            acc ^= sym[i]
-                    expected = self._expected_hash(u, x) if u >= 1 else None
-                    if expected is not None and sha256(acc.tobytes()) != expected:
-                        fraud = self._mismatch_fraud(u, code, e, x, expected, sym)
-                        if fraud is not None:
-                            return fraud
-                        self.unprovable = True
-                        verified[e] = True
-                        continue
-                    sym[x] = acc
-                    known[x] = True
-                    self.solver[(u, x)] = e
-                    verified[e] = True
-                    progress = True
-        return None
+    def _peel_layer(self, u, code: CodeSpec, rows):
+        """Hash-aware peeling of layer u in the engine's solve-in-turn order.
 
-    def _equation_fraud(self, u, code, e, sym):
+        ``rows`` holds each symbol's bytes or None and is filled in with
+        every solve. Every fully known equation the order reaches is checked
+        for zero XOR, and every solve whose digest some collected tuple pins
+        is checked against it; a contradiction that cannot be proven from
+        the collected material marks the reconstruction unprovable and, for
+        a solve, leaves the symbol unknown. Returns (Fraud or None, the
+        known flags)."""
+        if u == self.depth:
+            # wide symbols XOR fastest as uint8 rows
+            load, dump, nonzero = _row_from_bytes, np.ndarray.tobytes, np.ndarray.any
+        else:
+            load, dump, nonzero = _int_from_digest, _digest_from_int, bool
+        values = [None if r is None else load(r) for r in rows]
+        tables = code.tables
+        peel = Peel(tables, np.array([r is not None for r in rows]))
+        for e, x in peel.steps():
+            acc = xor_members(values, tables.members[e], x)
+            if x < 0:
+                if nonzero(acc):
+                    fraud = self._equation_fraud(u, code, e, rows)
+                    if fraud is not None:
+                        return fraud, peel.known
+                    self.unprovable = True
+                continue
+            value = dump(acc)
+            expected = self._expected_hash(u, x) if u >= 1 else None
+            if expected is not None and sha256(value) != expected:
+                fraud = self._mismatch_fraud(u, code, e, x, expected, rows)
+                if fraud is not None:
+                    return fraud, peel.known
+                self.unprovable = True
+                continue
+            values[x], rows[x] = acc, value
+            peel.solve(x)
+            self.solver[(u, x)] = e
+        return None, peel.known
+
+    def _equation_fraud(self, u, code, e, rows):
         eq = code.parity_checks[e]
-        members = self._members(u, eq, sym)
+        members = self._members(u, eq, rows)
         if members is None:
             return None
         return Fraud(FraudProof(u, e, eq, members, None))
 
-    def _mismatch_fraud(self, u, code, e, x, expected, sym):
+    def _mismatch_fraud(self, u, code, e, x, expected, rows):
         eq = code.parity_checks[e]
         path = self._path(u, x)
-        members = self._members(u, eq, sym, skip=x)
+        members = self._members(u, eq, rows, skip=x)
         if path is None or members is None:
             return None
         return Fraud(FraudProof(u, e, eq, members, HashMismatch(x, expected, path)))
 
-    def _check_aggregation(self, u, sym):
+    def _check_aggregation(self, u, rows):
         """Recompute each parent aggregate of the completed layer u against
         the certified layer above."""
         s_par = self.sys_counts[u - 1]
         parent = self.layer_done[u - 1]
-        hashes = [sha256(sym[x].tobytes()) for x in range(sym.shape[0])]
+        hashes = [sha256(row) for row in rows]
         for k in range(s_par):
             agg = sha256(b"".join(hashes[k::s_par]))
-            if agg == parent[k].tobytes():
+            if agg == parent[k]:
                 continue
             tup = self.tuples.get((u - 1, k))
             if tup is None:
@@ -367,23 +360,35 @@ class _Reconstructor:
                     if e is None:
                         continue
                     code = layer_code(self.params, self.sizes[u])
-                    fraud = self._mismatch_fraud(u, code, e, x, tup[pos], sym)
+                    fraud = self._mismatch_fraud(u, code, e, x, tup[pos], rows)
                     if fraud is not None:
                         return fraud
             self.unprovable = True
         return None
 
-    def _insufficient(self, stalled: int, known) -> Insufficient:
+    def _insufficient(self, stalled: int, fraction: float) -> Insufficient:
         fractions = []
         for u in range(self.depth + 1):
             if u in self.layer_done:
                 fractions.append((u, 1.0))
             elif u == stalled:
-                fractions.append((u, float(known.mean())))
+                fractions.append((u, fraction))
             else:
                 have = sum(1 for (w, _i) in self.values if w == u)
                 fractions.append((u, have / self.sizes[u]))
         return Insufficient(tuple(fractions))
+
+
+def _row_from_bytes(value: bytes) -> np.ndarray:
+    return np.frombuffer(value, dtype=np.uint8)
+
+
+def _int_from_digest(value: bytes) -> int:
+    return int.from_bytes(value, "big")
+
+
+def _digest_from_int(value: int) -> bytes:
+    return value.to_bytes(HASH_BYTES, "big")
 
 
 def reconstruct(

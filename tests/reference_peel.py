@@ -1,0 +1,423 @@
+"""Reference peelers: the three the package had before its one peeling
+engine, kept verbatim.
+
+- ``peel_symbols`` rescans every equation on each pass, solving in turn;
+  ``peel_decode`` is the codec decoder built on it.
+- ``peel_pattern`` runs batched passes over a knownness pattern;
+  ``first_fail_count`` binary-searches the erasure count with it, and
+  ``estimate_undecodable_ratio`` / ``is_bad_code`` are the alpha gate built
+  on that.
+- ``Reconstructor`` is the retrieval reconstructor whose ``_peel_layer``
+  rescans every equation on each pass, over numpy symbol rows.
+
+``codec.peel_decode``, ``codec.estimate_undecodable_ratio``,
+``codec.is_bad_code`` and ``retrieval._Reconstructor`` must agree with
+them: the same outcomes, the same equation numbers, the same solver map.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Optional
+
+import numpy as np
+
+from daoracle.cit import Commitment, MembershipPath, TreeParams, geometry, layer_code, walk_pom
+from daoracle.codec import (
+    _MASK64,
+    CodeSpec,
+    Decoded,
+    DecodeOutcome,
+    ParityEquation,
+    Stuck,
+    UndecodableEstimate,
+    Violation,
+)
+from daoracle.errors import BadCode, LengthMismatch, ParameterError
+from daoracle.retrieval import (
+    Block,
+    ChunkSet,
+    Fraud,
+    FraudMember,
+    FraudProof,
+    HashMismatch,
+    Insufficient,
+    ReconstructionResult,
+)
+from daoracle.util import HASH_BYTES, sha256
+
+
+def _csr(code: CodeSpec):
+    """CSR member arrays plus the parity-output index of each equation."""
+    counts = [len(eq.symbol_indices) for eq in code.parity_checks]
+    eq_ptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    eq_ptr[1:] = np.cumsum(counts)
+    eq_idx = np.fromiter(
+        (i for eq in code.parity_checks for i in eq.symbol_indices),
+        dtype=np.int32,
+        count=int(eq_ptr[-1]),
+    )
+    parity_of = np.fromiter(
+        (eq.symbol_indices[-1] for eq in code.parity_checks),
+        dtype=np.int32,
+        count=len(counts),
+    )
+    return eq_ptr, eq_idx, parity_of
+
+
+def peel_symbols(eq_ptr, eq_idx, sym, known):
+    n = known.shape[0]
+    n_eq = eq_ptr.shape[0] - 1
+    verified = np.zeros(n_eq, dtype=np.bool_)
+    progress = True
+    while progress:
+        progress = False
+        for e in range(n_eq):
+            if verified[e]:
+                continue
+            unknowns = 0
+            last_unknown = -1
+            for j in range(eq_ptr[e], eq_ptr[e + 1]):
+                if not known[eq_idx[j]]:
+                    unknowns += 1
+                    last_unknown = eq_idx[j]
+            if unknowns == 0:
+                acc = np.zeros(sym.shape[1], dtype=np.uint8)
+                for j in range(eq_ptr[e], eq_ptr[e + 1]):
+                    acc ^= sym[eq_idx[j], :]
+                if acc.any():
+                    return 2, e
+                verified[e] = True
+            elif unknowns == 1:
+                sym[last_unknown, :] = 0
+                for j in range(eq_ptr[e], eq_ptr[e + 1]):
+                    m = eq_idx[j]
+                    if m != last_unknown:
+                        sym[last_unknown, :] ^= sym[m, :]
+                known[last_unknown] = True
+                verified[e] = True
+                progress = True
+    for i in range(n):
+        if not known[i]:
+            return 1, -1
+    return 0, -1
+
+
+def peel_pattern(eq_ptr, eq_idx, known):
+    # Batch passes: solve every degree-1 equation of the pass at once; the
+    # closure is order independent.
+    if known.all():
+        return True
+    counts = np.diff(eq_ptr)
+    while True:
+        unk = ~known[eq_idx]
+        unk_per_eq = np.add.reduceat(unk, eq_ptr[:-1]) if len(eq_idx) else np.zeros(0, int)
+        deg1 = unk_per_eq == 1
+        if not deg1.any():
+            break
+        member_deg1 = np.repeat(deg1, counts)
+        solved = np.unique(eq_idx[member_deg1 & unk])
+        known[solved] = True
+        if known.all():
+            return True
+    return bool(known.all())
+
+
+def first_fail_count(eq_ptr, eq_idx, perm):
+    """Smallest erasure count e such that erasing perm[:e] stalls peeling.
+
+    Monotone in e (peeling succeeds from any superset of a decodable known
+    set), so binary search applies. Returns a value in [1, n].
+    """
+    n = perm.shape[0]
+
+    def fails(e):
+        known = np.ones(n, dtype=np.bool_)
+        known[perm[:e]] = False
+        return not peel_pattern(eq_ptr, eq_idx, known)
+
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def peel_decode(code: CodeSpec, known: Mapping[int, bytes]) -> DecodeOutcome:
+    """Iterative peeling: check degree-0 equations, solve degree-1 ones.
+
+    Equations are scanned in ascending index order each pass and solves take
+    effect immediately, so the outcome (including which equation a Violation
+    names) is deterministic.
+    """
+    n = code.n_coded
+    for i in known:
+        if not 0 <= i < n:
+            raise ParameterError(f"known index {i} out of range")
+    if not known:
+        return Stuck(frozenset(range(n)))
+    width = {len(s) for s in known.values()}
+    if len(width) != 1:
+        raise LengthMismatch("known symbols must all have equal length")
+    sym = np.zeros((n, width.pop()), dtype=np.uint8)
+    mask = np.zeros(n, dtype=np.bool_)
+    for i, s in known.items():
+        sym[i] = np.frombuffer(bytes(s), dtype=np.uint8)
+        mask[i] = True
+    eq_ptr, eq_idx, _ = _csr(code)
+    status, viol = peel_symbols(eq_ptr, eq_idx, sym, mask)
+    if status == 0:
+        return Decoded(tuple(row.tobytes() for row in sym))
+    if status == 1:
+        return Stuck(frozenset(int(i) for i in np.nonzero(~mask)[0]))
+    members = code.parity_checks[viol].symbol_indices
+    return Violation(int(viol), tuple((i, sym[i].tobytes()) for i in members))
+
+
+def estimate_undecodable_ratio(
+    code: CodeSpec, trials: int, rng_seed: int
+) -> UndecodableEstimate:
+    """Monte-Carlo estimate of the smallest erased fraction that stalls
+    peeling, minimized over random erasure orders (conservative from below).
+    """
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    eq_ptr, eq_idx, _ = _csr(code)
+    rng = np.random.default_rng(np.uint64(rng_seed & _MASK64))
+    n = code.n_coded
+    best = n
+    for _ in range(trials):
+        perm = rng.permutation(n).astype(np.int64)
+        best = min(best, first_fail_count(eq_ptr, eq_idx, perm))
+        if best == 1:
+            break
+    return UndecodableEstimate(best / n, trials)
+
+
+def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int) -> bool:
+    """True when the estimated undecodable ratio misses the target gate."""
+    return estimate_undecodable_ratio(code, trials, rng_seed).ratio < alpha_target
+
+
+class Reconstructor:
+    def __init__(self, commitment: Commitment, params: TreeParams, chunks: ChunkSet):
+        self.commitment = commitment
+        self.params = params
+        geo = geometry(params, commitment.block_len)
+        self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
+        self.values: dict[tuple[int, int], bytes] = {}
+        self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        self.layer_done: dict[int, np.ndarray] = {}
+        self.solver: dict[tuple[int, int], int] = {}
+        self.unprovable = False
+        self._ingest(chunks)
+
+    def _ingest(self, chunks: ChunkSet):
+        # the walks share one digest memo, as in cit.walk_poms; each goes
+        # through this module's walk_pom name, which per-proof timers wrap
+        digests: dict = {}
+        for index, symbol, pom in chunks.units:
+            if index != pom.base_index or symbol != pom.base_symbol:
+                continue
+            harvest = walk_pom(self.commitment, self.params, pom, digests)
+            if harvest is None:
+                continue
+            for key, val in harvest.values.items():
+                self.values.setdefault(key, val)
+            for key, tup in harvest.tuples.items():
+                self.tuples.setdefault(key, tup)
+
+    def _tuple_at(self, w: int, par: int):
+        """Committed child-digest tuple of parent (w, par): harvested from a
+        proof, or regenerated once layer w+1 is fully decoded."""
+        tup = self.tuples.get((w, par))
+        if tup is not None:
+            return tup
+        child = self.layer_done.get(w + 1)
+        if child is None:
+            return None
+        s_par = self.sys_counts[w]
+        tup = tuple(sha256(child[x].tobytes()) for x in range(par, len(child), s_par))
+        self.tuples[(w, par)] = tup
+        return tup
+
+    def _expected_hash(self, u: int, x: int):
+        s_par = self.sys_counts[u - 1]
+        tup = self._tuple_at(u - 1, x % s_par)
+        return None if tup is None else tup[x // s_par]
+
+    def _path(self, u: int, x: int) -> Optional[MembershipPath]:
+        levels = []
+        cur = x
+        for w in range(u - 1, -1, -1):
+            s_par = self.sys_counts[w]
+            par, pos = cur % s_par, cur // s_par
+            tup = self._tuple_at(w, par)
+            if tup is None:
+                return None
+            levels.append(tup[:pos] + tup[pos + 1 :])
+            cur = par
+        return MembershipPath(u, x, tuple(levels))
+
+    def _members(self, u: int, eq: ParityEquation, sym, skip: int = -1):
+        """Fraud members with membership paths; None when some path is not
+        derivable from the collected material."""
+        members = []
+        for idx in eq.symbol_indices:
+            if idx == skip:
+                continue
+            if u == 0:
+                members.append(FraudMember(idx, self.commitment.root[idx], None))
+                continue
+            path = self._path(u, idx)
+            if path is None:
+                return None
+            members.append(FraudMember(idx, sym[idx].tobytes(), path))
+        return tuple(members)
+
+    def run(self) -> ReconstructionResult:
+        params = self.params
+        for u in range(self.depth + 1):
+            m = self.sizes[u]
+            code = layer_code(params, m)
+            width = params.symbol_size if u == self.depth else HASH_BYTES
+            sym = np.zeros((m, width), dtype=np.uint8)
+            known = np.zeros(m, dtype=bool)
+            if u == 0:
+                for idx, val in enumerate(self.commitment.root):
+                    sym[idx] = np.frombuffer(val, dtype=np.uint8)
+                known[:] = True
+            else:
+                for idx in range(m):
+                    val = self.values.get((u, idx))
+                    if val is not None:
+                        sym[idx] = np.frombuffer(val, dtype=np.uint8)
+                        known[idx] = True
+
+            outcome = self._peel_layer(u, code, sym, known)
+            if outcome is not None:
+                return outcome
+            if not known.all():
+                frac = known.mean()
+                if frac >= 1 - params.alpha:
+                    raise BadCode(
+                        f"layer {u} stalled with {frac:.4f} of symbols known",
+                        layer=u,
+                        layer_size=m,
+                        known_fraction=float(frac),
+                        unknown=frozenset(int(i) for i in np.nonzero(~known)[0]),
+                        code_seed=code.seed,
+                    )
+                return self._insufficient(u, known)
+
+            self.layer_done[u] = sym
+            if u >= 1:
+                outcome = self._check_aggregation(u, sym)
+                if outcome is not None:
+                    return outcome
+        if self.unprovable:
+            return self._insufficient(self.depth, np.ones(1, dtype=bool))
+        base = self.layer_done[self.depth]
+        s_base = self.sys_counts[self.depth]
+        data = base[:s_base].tobytes()[: self.commitment.block_len]
+        return Block(data)
+
+    def _peel_layer(self, u, code: CodeSpec, sym, known):
+        """Sequential hash-aware peeling; returns a Fraud outcome or None."""
+        eq_ptr, eq_idx, _ = _csr(code)
+        n_eq = len(code.parity_checks)
+        verified = np.zeros(n_eq, dtype=bool)
+        progress = True
+        while progress:
+            progress = False
+            for e in range(n_eq):
+                if verified[e]:
+                    continue
+                members = eq_idx[eq_ptr[e] : eq_ptr[e + 1]]
+                unknown = [int(i) for i in members if not known[i]]
+                if not unknown:
+                    acc = np.zeros(sym.shape[1], dtype=np.uint8)
+                    for i in members:
+                        acc ^= sym[i]
+                    if acc.any():
+                        fraud = self._equation_fraud(u, code, e, sym)
+                        if fraud is not None:
+                            return fraud
+                        self.unprovable = True
+                    verified[e] = True
+                elif len(unknown) == 1:
+                    x = unknown[0]
+                    acc = np.zeros(sym.shape[1], dtype=np.uint8)
+                    for i in members:
+                        if i != x:
+                            acc ^= sym[i]
+                    expected = self._expected_hash(u, x) if u >= 1 else None
+                    if expected is not None and sha256(acc.tobytes()) != expected:
+                        fraud = self._mismatch_fraud(u, code, e, x, expected, sym)
+                        if fraud is not None:
+                            return fraud
+                        self.unprovable = True
+                        verified[e] = True
+                        continue
+                    sym[x] = acc
+                    known[x] = True
+                    self.solver[(u, x)] = e
+                    verified[e] = True
+                    progress = True
+        return None
+
+    def _equation_fraud(self, u, code, e, sym):
+        eq = code.parity_checks[e]
+        members = self._members(u, eq, sym)
+        if members is None:
+            return None
+        return Fraud(FraudProof(u, e, eq, members, None))
+
+    def _mismatch_fraud(self, u, code, e, x, expected, sym):
+        eq = code.parity_checks[e]
+        path = self._path(u, x)
+        members = self._members(u, eq, sym, skip=x)
+        if path is None or members is None:
+            return None
+        return Fraud(FraudProof(u, e, eq, members, HashMismatch(x, expected, path)))
+
+    def _check_aggregation(self, u, sym):
+        """Recompute each parent aggregate of the completed layer u against
+        the certified layer above."""
+        s_par = self.sys_counts[u - 1]
+        parent = self.layer_done[u - 1]
+        hashes = [sha256(sym[x].tobytes()) for x in range(sym.shape[0])]
+        for k in range(s_par):
+            agg = sha256(b"".join(hashes[k::s_par]))
+            if agg == parent[k].tobytes():
+                continue
+            tup = self.tuples.get((u - 1, k))
+            if tup is None:
+                self.unprovable = True
+                continue
+            for pos in range(self.params.batch):
+                x = k + pos * s_par
+                if hashes[x] != tup[pos]:
+                    e = self.solver.get((u, x))
+                    if e is None:
+                        continue
+                    code = layer_code(self.params, self.sizes[u])
+                    fraud = self._mismatch_fraud(u, code, e, x, tup[pos], sym)
+                    if fraud is not None:
+                        return fraud
+            self.unprovable = True
+        return None
+
+    def _insufficient(self, stalled: int, known) -> Insufficient:
+        fractions = []
+        for u in range(self.depth + 1):
+            if u in self.layer_done:
+                fractions.append((u, 1.0))
+            elif u == stalled:
+                fractions.append((u, float(known.mean())))
+            else:
+                have = sum(1 for (w, _i) in self.values if w == u)
+                fractions.append((u, have / self.sizes[u]))
+        return Insufficient(tuple(fractions))

@@ -137,6 +137,48 @@ class TestCommitVerifyRetrieve:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--index", "999"), ("--indices", "1,999")], ids=["index", "indices"]
+    )
+    def test_out_of_range_index_exits_params(self, workdir, flag, value):
+        d = workdir
+        run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+        proc = run_module("pom", "--tree", "t.bin", flag, value, "--out", "p.bin", cwd=d)
+        assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert not (d / "p.bin").exists()
+
+    def test_hostile_gate_trials_exit_params(self, workdir):
+        # gate_trials is the u32 at offset 52 of a DAC1 commitment
+        d = workdir
+        run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+        run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle")
+        run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin")
+        blob = bytearray((d / "c.bin").read_bytes())
+        blob[52:56] = struct.pack("<I", 2**32 - 1)
+        (d / "hostile.bin").write_bytes(bytes(blob))
+        for argv in (
+            ("verify", "--commitment", "hostile.bin", "--pom", "p.bin"),
+            ("retrieve", "--commitment", "hostile.bin", "--chunks", "all.bundle"),
+        ):
+            proc = run_module(*argv, cwd=d)
+            assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error: ")
+
+    def test_json_gate_trials_above_the_cap_exit_params(self, workdir):
+        d = workdir
+        raw = json.loads((d / "tree_params.json").read_text())
+        raw["gate_trials"] = cit.MAX_GATE_TRIALS + 1
+        (d / "big.json").write_text(json.dumps(raw))
+        assert run(
+            "commit", "--block", d / "block.bin", "--params", d / "big.json",
+            "--out-commitment", d / "c.bin",
+        ) == cli.EXIT_PARAMS
+
 
 class TestDisperse:
     def test_writes_line_per_node(self, tmp_path):

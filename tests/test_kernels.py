@@ -1,12 +1,15 @@
 """The kernels against independent references: GF(2) elimination
 (``tests/gf2.py``), a plain set-based peeling closure, Python's own
-distinct count, and hand-built equation systems."""
+distinct count, and hand-built equation systems. The peeling engine is
+driven here the way its callers drive it: ``closes`` follows the closure of
+a known set, ``peel_rows`` decodes uint8 rows as ``codec.peel_decode``
+does. ``tests/test_peel.py`` checks it against the peelers it replaced."""
 
 import numpy as np
 import pytest
 
 from daoracle import _kernels as kn
-from daoracle.codec import _csr, encode_array, generate_code
+from daoracle.codec import encode_array, generate_code
 from gf2 import solve_erasure
 
 
@@ -33,10 +36,37 @@ def peel_closure(equations, n, known) -> bool:
     return len(known) == n
 
 
-def csr(equations):
-    eq_ptr = np.cumsum([0] + [len(m) for m in equations]).astype(np.int32)
-    eq_idx = np.array([i for m in equations for i in m], dtype=np.int32)
-    return eq_ptr, eq_idx
+def closes(tables, known) -> bool:
+    """True when the engine's peel from the bool array ``known`` reaches
+    every symbol."""
+    peel = kn.Peel(tables, known)
+    for _e, x in peel.steps():
+        if x >= 0:
+            peel.solve(x)
+    return all(peel.known)
+
+
+def peel_rows(tables, sym, known):
+    """Solve-in-turn decode of the uint8 rows ``sym`` in place (rows not in
+    ``known`` are overwritten as they are solved), as ``codec.peel_decode``
+    runs it: ("decoded", -1), ("stuck", -1) or ("violation", the first
+    failing equation)."""
+    rows = [row.copy() if k else None for row, k in zip(sym, known)]
+    peel = kn.Peel(tables, known)
+    outcome = None
+    for e, x in peel.steps():
+        acc = kn.xor_members(rows, tables.members[e], x)
+        if x >= 0:
+            rows[x] = acc
+            peel.solve(x)
+        elif acc.any():
+            outcome = "violation", e
+            break
+    known[:] = np.frombuffer(bytes(peel.known), dtype=np.uint8).astype(bool)
+    for i, row in enumerate(rows):
+        if row is not None:
+            sym[i] = row
+    return outcome or (("decoded" if known.all() else "stuck"), -1)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -45,7 +75,6 @@ def test_peel_symbols_paths_agree(seed):
     codeword, a full decode is the unique solution, and a violation is an
     inconsistent system."""
     code, sym = random_instance(seed)
-    eq_ptr, eq_idx, _ = _csr(code)
     rng = np.random.default_rng(seed + 100)
     # erase about 30%, 45% and 75% of the symbols
     known = rng.random(code.n_coded) > (0.3, 0.45, 0.75)[seed // 2]
@@ -55,13 +84,12 @@ def test_peel_symbols_paths_agree(seed):
         given[int(np.flatnonzero(known)[0]), 0] ^= 0x5A
 
     peeled, mask = given.copy(), known.copy()
-    peeled[~mask] = 0
-    status, viol = kn.peel_symbols(eq_ptr, eq_idx, peeled, mask)
+    status, viol = peel_rows(code.tables, peeled, mask)
     verdict, solution = solve_erasure(
         code, {int(i): given[i].tobytes() for i in np.flatnonzero(known)}
     )
 
-    if status == 2:
+    if status == "violation":
         assert verdict == "inconsistent"
         eq = code.parity_checks[viol]
         assert np.bitwise_xor.reduce(peeled[list(eq.symbol_indices)], axis=0).any()
@@ -69,11 +97,11 @@ def test_peel_symbols_paths_agree(seed):
     if seed % 2 == 0:
         # an honest codeword: every solved symbol is the encoded one
         assert np.array_equal(peeled[mask], sym[mask])
-    if status == 0:
+    if status == "decoded":
         assert mask.all() and verdict == "decoded"
         assert all(solution[i] == peeled[i].tobytes() for i in range(code.n_coded))
     else:
-        assert status == 1 and not mask.all() and viol == -1
+        assert status == "stuck" and not mask.all() and viol == -1
         # a stall leaves a stopping set: no equation has exactly one unknown
         for eq in code.parity_checks:
             assert sum(not mask[i] for i in eq.symbol_indices) != 1
@@ -81,15 +109,14 @@ def test_peel_symbols_paths_agree(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_peel_pattern_paths_agree(seed):
-    """The batched pattern peel agrees with the set-based closure, and a
+    """The engine's closure agrees with the set-based closure, and a
     pattern it decodes has a unique GF(2) solution."""
     code, sym = random_instance(seed, k=16, rate="1/2")
-    eq_ptr, eq_idx, _ = _csr(code)
     equations = [eq.symbol_indices for eq in code.parity_checks]
     rng = np.random.default_rng(seed)
     for _ in range(50):
         known = rng.random(code.n_coded) > rng.uniform(0.1, 0.6)
-        got = kn.peel_pattern(eq_ptr, eq_idx, known.copy())
+        got = closes(code.tables, known)
         assert got == peel_closure(equations, code.n_coded, np.flatnonzero(known).tolist())
         if got:
             verdict, _ = solve_erasure(
@@ -100,30 +127,42 @@ def test_peel_pattern_paths_agree(seed):
 
 def test_peel_pattern_hand_built_cases():
     # a chain: knowing 0 and 1 solves 2, which solves 3, which solves 4
-    chain = [(0, 1, 2), (2, 3), (3, 4)]
-    eq_ptr, eq_idx = csr(chain)
-    assert kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 1, 0, 0, 0], dtype=bool))
-    assert not kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 0, 0, 0, 0], dtype=bool))
+    chain = kn.CodeTables([(0, 1, 2), (2, 3), (3, 4)], 5)
+    assert closes(chain, np.array([1, 1, 0, 0, 0], dtype=bool))
+    assert not closes(chain, np.array([1, 0, 0, 0, 0], dtype=bool))
     # {1, 2} is a stopping set of (0, 1, 2), (1, 2, 3): each equation that
     # touches it touches it twice
-    stop = [(0, 1, 2), (1, 2, 3)]
-    eq_ptr, eq_idx = csr(stop)
-    assert not kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 0, 0, 1], dtype=bool))
-    assert kn.peel_pattern(eq_ptr, eq_idx, np.array([1, 1, 0, 1], dtype=bool))
+    stop = kn.CodeTables([(0, 1, 2), (1, 2, 3)], 4)
+    assert not closes(stop, np.array([1, 0, 0, 1], dtype=bool))
+    assert closes(stop, np.array([1, 1, 0, 1], dtype=bool))
 
 
 def test_peel_symbols_hand_built_cases():
-    eq_ptr, eq_idx = csr([(0, 1, 2), (2, 3)])
+    tables = kn.CodeTables([(0, 1, 2), (2, 3)], 4)
     sym = np.array([[5], [3], [6], [6]], dtype=np.uint8)  # 5^3 = 6
     peeled, known = sym.copy(), np.array([1, 1, 0, 0], dtype=bool)
     peeled[~known] = 0
-    assert kn.peel_symbols(eq_ptr, eq_idx, peeled, known) == (0, -1)
+    assert peel_rows(tables, peeled, known) == ("decoded", -1)
     assert np.array_equal(peeled, sym) and known.all()
     # equation 1 is fully known and fails; equation 0 holds
     bad = np.array([[5], [3], [6], [7]], dtype=np.uint8)
-    assert kn.peel_symbols(eq_ptr, eq_idx, bad.copy(), np.ones(4, dtype=bool)) == (2, 1)
+    assert peel_rows(tables, bad.copy(), np.ones(4, dtype=bool)) == ("violation", 1)
     known = np.array([1, 0, 0, 0], dtype=bool)
-    assert kn.peel_symbols(eq_ptr, eq_idx, sym.copy(), known) == (1, -1)
+    assert peel_rows(tables, sym.copy(), known) == ("stuck", -1)
+
+
+def test_steps_follow_the_ascending_scan():
+    # knowing 3 readies equation 1, whose solve of 0 readies equation 2
+    # (later in this pass) and equation 0 (in the next pass)
+    tables = kn.CodeTables([(0, 1), (0, 3), (0, 2)], 4)
+    peel = kn.Peel(tables, np.array([0, 0, 0, 1], dtype=bool))
+    visited = []
+    for e, x in peel.steps():
+        visited.append((e, x))
+        if x >= 0:
+            peel.solve(x)
+    assert visited == [(1, 0), (2, 2), (0, 1)]
+    assert all(peel.known)
 
 
 def test_count_distinct_paths_agree():
@@ -140,17 +179,16 @@ def test_count_distinct_empty_rows():
 
 def test_first_fail_monotone_and_in_range():
     code, _ = random_instance(3)
-    eq_ptr, eq_idx, _ = _csr(code)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        perm = rng.permutation(code.n_coded).astype(np.int64)
-        e = kn.first_fail_count(eq_ptr, eq_idx, perm)
+        perm = rng.permutation(code.n_coded)
+        e = kn.first_fail_count(code.tables, perm.tolist())
         assert 1 <= e <= code.n_coded
         # e is the first failing prefix: e-1 must still decode
         known = np.ones(code.n_coded, dtype=np.bool_)
         known[perm[:e]] = False
-        assert not kn.peel_pattern(eq_ptr, eq_idx, known)
+        assert not closes(code.tables, known)
         if e > 1:
             known = np.ones(code.n_coded, dtype=np.bool_)
             known[perm[: e - 1]] = False
-            assert kn.peel_pattern(eq_ptr, eq_idx, known)
+            assert closes(code.tables, known)

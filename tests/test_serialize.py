@@ -89,6 +89,40 @@ def test_hostile_rate_bytes_raise_parameter_error(small_tree, num, den):
         sz.decode_commitment(bytes(blob))
 
 
+@pytest.mark.parametrize("offset", [52, 56], ids=["gate_trials", "max_code_attempts"])
+@pytest.mark.parametrize("which", ["commitment", "tree_cache"])
+def test_hostile_gate_counts_raise_parameter_error(small_tree, small_block, offset, which):
+    # gate_trials and max_code_attempts are the last two u32 fields of the
+    # tree parameters, at offsets 52 and 56 of a DAC1 or DAT1 file; a count
+    # of 2^32 - 1 would drive billions of gate trials, so decoding rejects
+    # it before any code is generated
+    if which == "commitment":
+        blob, decode = sz.encode_commitment(small_tree.commitment), sz.decode_commitment
+    else:
+        blob = sz.encode_tree_cache(small_tree.params, small_block)
+        decode = sz.decode_tree_cache
+    blob = bytearray(blob)
+    assert struct.unpack_from("<II", blob, 52) == (
+        small_tree.params.gate_trials, small_tree.params.max_code_attempts
+    )
+    blob[offset : offset + 4] = struct.pack("<I", 2**32 - 1)
+    with pytest.raises(ParameterError, match="must be an integer in"):
+        decode(bytes(blob))
+
+
+def test_gate_count_caps_admit_their_bound_only(small_params):
+    import dataclasses
+
+    for name, cap in (
+        ("gate_trials", cit.MAX_GATE_TRIALS), ("max_code_attempts", cit.MAX_CODE_ATTEMPTS)
+    ):
+        for ok in (0, 3, 24, cap):
+            assert getattr(dataclasses.replace(small_params, **{name: ok}), name) == ok
+        for bad in (cap + 1, -1, 2**32 - 1, 2.0, "24"):
+            with pytest.raises(ParameterError):
+                dataclasses.replace(small_params, **{name: bad})
+
+
 @pytest.mark.parametrize("value", ["5/4", "1/0", "one quarter", float("nan"), float("inf"), 1.5, -1, None])
 def test_as_rate_rejects_with_parameter_error(value):
     with pytest.raises(ParameterError):
