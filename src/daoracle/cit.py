@@ -12,11 +12,15 @@ Aggregation. Child x of layer u+1 feeds the parent systematic symbol
 value is the digest of its q children's digests concatenated in ascending
 child index.
 
-Membership. The proof for base index i carries one (systematic, parity)
-value pair per intermediate layer, sampled by pure index arithmetic, plus
-q-1 sibling digests per aggregation level. The two sampled symbols of a
-layer always share one parent, which is itself the sampled systematic
-symbol one layer up, so a single digest chain authenticates everything.
+Membership. One digest chain runs from a symbol to the root: at each level
+the running digest takes its child position in a q-tuple of child digests,
+and the tuple's digest is the parent's value. ``_climb`` is its one
+implementation, behind one admission guard, ``commitment_geometry``.
+``verify_membership`` climbs from a bare digest at any (layer, index).
+``walk_pom`` climbs from a base symbol, then checks the proof's one
+(systematic, parity) value pair per intermediate layer, sampled by pure
+index arithmetic, against the climbed tuples: the systematic symbol is the
+parent, and the parity symbol shares that parent one level up.
 
 Geometry. ``geometry(params, block_len)`` derives the layer sizes and
 systematic counts once, in integer arithmetic (the rate is read as
@@ -25,17 +29,16 @@ frozen result. Tree building, proof sampling and walking, reconstruction
 and fraud-proof checks all read it, so no Fraction arithmetic runs per
 proof or per symbol.
 
-Batches. ``sample_poms`` and ``walk_poms`` handle many proofs of one tree
-or one commitment: they run the one-proof ``sample_pom`` and ``walk_pom``
-with a memo that lives for that one call (the reconstructor, which walks
-its proofs one by one, passes ``walk_pom`` one memo for one
-reconstruction). Sampling converts each row it reads to bytes once and
-hands every proof through the same (layer, child) the same sibling tuple;
-walking hashes each distinct q-tuple and 32-byte value once, where one
-walk per proof re-hashes the tuples near the root that all proofs share.
-The memo only caches a pure function (a row's bytes, a digest), so each
-proof's verdict and harvest are those of a walk on its own. A memo is
-never kept past its batch, so never shared across nodes or rounds.
+Batches. ``sample_pom`` always samples through a memo (``sample_poms``
+shares one across its proofs): each row it reads becomes bytes once, and
+every proof through the same (layer, child) gets the same sibling tuple.
+``walk_poms`` shares one digest memo across its proofs, as client ingest
+does across one reconstruction's ``walk_pom`` calls, so the climber hashes
+each distinct q-tuple and 32-byte value once. The memo only caches a pure
+function (a row's bytes, a digest), and a q-tuple enters it only after its
+shape checks, so each proof's verdict and harvest are those of a walk on
+its own. A memo is never kept past its batch, so never shared across nodes
+or rounds.
 """
 
 from __future__ import annotations
@@ -373,22 +376,21 @@ def sample_pom(
 ) -> ProofOfMembership:
     """Membership proof of base symbol ``base_index``.
 
-    ``memo``, when given, is a dict shared by proofs sampled from this one
-    tree (see ``sample_poms``). It keeps each sampled symbol's bytes under
-    (layer, index) and each sibling tuple under (parent layer, parent index,
-    child position), so every row is converted once and the proofs share
-    the bytes."""
+    ``memo`` is a dict shared by proofs sampled from this one tree (see
+    ``sample_poms``); a fresh one is made when none is given. It keeps each
+    sampled symbol's bytes under (layer, index) and each sibling tuple under
+    (parent layer, parent index, child position), so every row is converted
+    once and the proofs share the bytes."""
     geo = geometry(tree.params, tree.block_len)
     depth = geo.depth
     if not 0 <= base_index < geo.sizes[depth]:
         raise IndexOutOfRange(f"base index {base_index} not in [0, {geo.sizes[depth]})")
+    if memo is None:
+        memo = {}
 
     pairs = []
     for u, (p_idx, e_idx) in zip(range(depth - 1, 0, -1), geo.pom_pairs(base_index)):
         symbols = tree.layers[u].symbols
-        if memo is None:
-            pairs.append((p_idx, e_idx, symbols[p_idx].tobytes(), symbols[e_idx].tobytes()))
-            continue
         values = []
         for k in (p_idx, e_idx):
             row = memo.get((u, k))
@@ -402,13 +404,13 @@ def sample_pom(
     for u in range(depth - 1, -1, -1):
         s_par = geo.sys_counts[u]
         par, pos = x % s_par, x // s_par
-        sibs = None if memo is None else memo.get((u, par, pos))
+        sibs = memo.get((u, par, pos))
         if sibs is None:
             # the q child digests of parent (u, par), in child order
             children = tree.layers[u + 1].hashes[par::s_par].tobytes()
-            sibs = tuple(map(children.__getitem__, _sibling_slices(tree.params.batch, pos)))
-            if memo is not None:
-                memo[(u, par, pos)] = sibs
+            sibs = memo[(u, par, pos)] = tuple(
+                map(children.__getitem__, _sibling_slices(tree.params.batch, pos))
+            )
         levels.append(sibs)
         x = par
 
@@ -438,17 +440,63 @@ class PomHarvest:
     tuples: dict[tuple[int, int], tuple[bytes, ...]] = field(default_factory=dict)
 
 
+def commitment_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
+    """The commitment's geometry, or None when no proof can match it: the
+    params are not the ones the commitment echoes, the root has the wrong
+    length, or the geometry is invalid. Every membership and fraud-proof
+    check starts here."""
+    if params != commitment.params or len(commitment.root) != params.root_size:
+        return None
+    try:
+        return geometry(params, commitment.block_len)
+    except ParameterError:
+        return None
+
+
+def _climb(commitment, geo, u, x, h, levels, digests, tuples) -> bool:
+    """True iff digest ``h`` of symbol ``x`` of layer ``u`` climbs through
+    ``levels`` (u tuples of q-1 sibling digests) to ``commitment.root``.
+    Hashes go through the memo ``digests``; each climbed q-tuple is written
+    to ``tuples`` under (parent layer, parent index), bottom up."""
+    if len(levels) != u:
+        return False
+    sys_counts = geo.sys_counts
+    n_sibs = commitment.params.batch - 1
+    for sibs, w in zip(levels, range(u - 1, -1, -1)):
+        s_par = sys_counts[w]
+        par, pos = x % s_par, x // s_par
+        tup = sibs[:pos] + (h,) + sibs[pos:]
+        value = digests.get(tup)
+        if value is None:
+            # only q-tuples of digests enter the memo, so a tuple found
+            # there has passed these checks
+            if len(sibs) != n_sibs:
+                return False
+            for sib in sibs:
+                if len(sib) != HASH_BYTES:
+                    return False
+            value = digests[tup] = sha256(b"".join(tup))
+        tuples[(w, par)] = tup
+        if w == 0:
+            return value == commitment.root[par]
+        h = digests.get(value)
+        if h is None:
+            h = digests[value] = sha256(value)
+        x = par
+    return False  # unreachable for u >= 1: the loop ends at w == 0
+
+
 def walk_poms(
     commitment: Commitment, params: TreeParams, poms: Sequence[ProofOfMembership]
 ) -> list[Optional[PomHarvest]]:
     """``[walk_pom(commitment, params, pom) for pom in poms]`` with one
     digest memo, so each distinct q-tuple and 32-byte value is hashed once
     across the proofs."""
-    geo = _walk_geometry(commitment, params)
+    geo = commitment_geometry(commitment, params)
     if geo is None:
         return [None] * len(poms)
     digests: dict = {}
-    return [_walk(commitment, params, geo, pom, digests) for pom in poms]
+    return [_walk(commitment, geo, pom, digests) for pom in poms]
 
 
 def walk_pom(
@@ -465,81 +513,47 @@ def walk_pom(
     ``digests``, when given, memoizes sha256 of the 32-byte values and of
     the joined q-tuples the walk meets, for a caller that walks many proofs
     against one commitment."""
-    geo = _walk_geometry(commitment, params)
+    geo = commitment_geometry(commitment, params)
     if geo is None:
         return None
-    return _walk(commitment, params, geo, pom, {} if digests is None else digests)
+    return _walk(commitment, geo, pom, {} if digests is None else digests)
 
 
-def _walk_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
-    """The commitment's geometry, or None when no proof can match it."""
-    if params != commitment.params or len(commitment.root) != params.root_size:
-        return None
-    try:
-        return geometry(params, commitment.block_len)
-    except ParameterError:
-        return None
-
-
-def _walk(commitment, params, geo, pom, digests) -> Optional[PomHarvest]:
+def _walk(commitment, geo, pom, digests) -> Optional[PomHarvest]:
     depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
-    q = params.batch
-    i, pairs, levels = pom.base_index, pom.pairs, pom.levels
+    i, pairs = pom.base_index, pom.pairs
     if pom.block_len != commitment.block_len or not 0 <= i < sizes[depth]:
         return None
-    if len(pom.base_symbol) != params.symbol_size:
+    if len(pom.base_symbol) != commitment.params.symbol_size or len(pairs) != depth - 1:
         return None
-    if len(pairs) != depth - 1 or len(levels) != depth:
-        return None
-
-    values = {(depth, i): pom.base_symbol}
     tuples = {}
-    h = sha256(pom.base_symbol)
-    x = i
-    for j, u in enumerate(range(depth - 1, -1, -1)):
-        s_par = sys_counts[u]
-        par, pos = x % s_par, x // s_par
-        sibs = levels[j]
-        tup = sibs[:pos] + (h,) + sibs[pos:]
-        value = digests.get(tup)
-        if value is None:
-            # only q-tuples of digests enter the memo, so a tuple found
-            # there has passed these checks
-            if len(sibs) != q - 1:
-                return None
-            for sib in sibs:
-                if len(sib) != HASH_BYTES:
-                    return None
-            value = digests[tup] = sha256(b"".join(tup))
-        if j >= 1:
-            # the previous layer's parity sample is a sibling here; its
-            # digest must sit at its own child position
-            if e_idx % s_par != par or tup[e_idx // s_par] != e_hash:
-                return None
-        tuples[(u, par)] = tup
-        if u == 0:
-            if value != commitment.root[par]:
-                return None
-            return PomHarvest(values, tuples)
+    if not _climb(commitment, geo, depth, i, sha256(pom.base_symbol), pom.levels, digests, tuples):
+        return None
 
-        p_idx, e_idx, p_val, e_val = pairs[j]
-        # the pair sampled at layer u: (i mod s, s + i mod (m - s))
+    # the pair sampled at layer u, (i mod s, s + i mod (m - s)): the
+    # systematic symbol is the parent of the tuple climbed below it
+    values = {(depth, i): pom.base_symbol}
+    climbed = iter(tuples.items())
+    (u, par), tup = next(climbed)
+    for (p_idx, e_idx, p_val, e_val), ((_, up_par), up) in zip(pairs, climbed):
+        s_par = sys_counts[u]
         if p_idx != i % s_par or e_idx != s_par + i % (sizes[u] - s_par):
             return None
         if len(p_val) != HASH_BYTES or len(e_val) != HASH_BYTES:
             return None
-        if p_idx != par or value != p_val:
+        if p_idx != par or digests[tup] != p_val:
             return None
-        values[(u, p_idx)] = p_val
-        values[(u, e_idx)] = e_val
         e_hash = digests.get(e_val)
         if e_hash is None:
             e_hash = digests[e_val] = sha256(e_val)
-        h = digests.get(value)
-        if h is None:
-            h = digests[value] = sha256(value)
-        x = par
-    return None  # unreachable: depth >= 1, so the loop ends at u == 0
+        # the parity symbol's digest sits at its own child position one up
+        s_up = sys_counts[u - 1]
+        if e_idx % s_up != up_par or up[e_idx // s_up] != e_hash:
+            return None
+        values[(u, p_idx)] = p_val
+        values[(u, e_idx)] = e_val
+        u, par, tup = u - 1, up_par, up
+    return PomHarvest(values, tuples)
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
@@ -552,32 +566,10 @@ def verify_membership(
 ) -> bool:
     """Check a bare digest claim: the commitment binds a symbol hashing to
     ``leaf_hash`` at (path.layer, path.index)."""
-    if len(commitment.root) != params.root_size:
-        return False
-    try:
-        geo = geometry(params, commitment.block_len)
-    except ParameterError:
+    geo = commitment_geometry(commitment, params)
+    if geo is None:
         return False
     u = path.layer
     if not 1 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
         return False
-    if len(path.levels) != u:
-        return False
-    h = leaf_hash
-    x = path.index
-    for j, w in enumerate(range(u - 1, -1, -1)):
-        s_par = geo.sys_counts[w]
-        par, pos = x % s_par, x // s_par
-        sibs = path.levels[j]
-        if len(sibs) != params.batch - 1:
-            return False
-        for sib in sibs:
-            if len(sib) != HASH_BYTES:
-                return False
-        value = sha256(b"".join(sibs[:pos] + (h,) + sibs[pos:]))
-        if w >= 1:
-            h = sha256(value)
-            x = par
-        else:
-            return value == commitment.root[par]
-    return False
+    return _climb(commitment, geo, u, path.index, leaf_hash, path.levels, {}, {})

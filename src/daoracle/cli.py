@@ -8,15 +8,15 @@ File formats are documented in FORMATS.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import metrics as mx
 from . import serialize as sz
 from . import simnet
-from .cit import TreeParams, build_tree, sample_pom, sample_poms, verify_symbol
+from .cit import build_tree, sample_pom, sample_poms, verify_symbol
 from .dispersal import (
     DispersalParams,
     assign_chunks,
@@ -30,6 +30,7 @@ from .incentives import (
     check_allO_equilibrium,
 )
 from .retrieval import Block, ChunkSet, Fraud, reconstruct
+from .util import NUMBER, RATE, as_rate, json_fields
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -39,23 +40,27 @@ EXIT_INSUFFICIENT = 5
 EXIT_BAD_CODE = 6
 
 
-def _tree_params(raw: dict) -> TreeParams:
-    return TreeParams(
-        symbol_size=raw["symbol_size"],
-        root_size=raw["root_size"],
-        rate=Fraction(str(raw["rate"])),
-        batch=raw["batch"],
-        max_eq_degree=raw["max_eq_degree"],
-        alpha=raw["alpha"],
-        code_seed=raw.get("code_seed", 0),
-        gate_trials=raw.get("gate_trials", 32),
-        max_code_attempts=raw.get("max_code_attempts", 16),
-    )
+def _read_json(path: str):
+    """The JSON document in file ``path``; a file that does not parse as
+    JSON raises ConfigError. Commands check its fields with json_fields."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _index_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers"
+        ) from None
 
 
 def cmd_commit(args) -> int:
     block = Path(args.block).read_bytes()
-    params = _tree_params(json.loads(Path(args.params).read_text()))
+    params = simnet.tree_params_from_dict(_read_json(args.params))
     tree = build_tree(block, params)
     Path(args.out_commitment).write_bytes(sz.encode_commitment(tree.commitment))
     if args.out_tree:
@@ -71,7 +76,7 @@ def cmd_pom(args) -> int:
     if args.all:
         indices = list(range(m_base))
     elif args.indices:
-        indices = [int(tok) for tok in args.indices.split(",")]
+        indices = args.indices
     else:
         indices = [args.index]
     if len(indices) == 1 and not args.all and args.indices is None:
@@ -95,7 +100,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_disperse(args) -> int:
-    raw = json.loads(Path(args.params).read_text())
+    raw = json_fields(
+        _read_json(args.params),
+        {"n_chunks": int, "n_nodes": int, "lambda": NUMBER},
+        {"gamma": NUMBER, "eta": NUMBER},
+    )
     design = assign_chunks(
         raw["n_chunks"], raw["n_nodes"], raw["lambda"], seed=args.design_seed
     )
@@ -124,8 +133,8 @@ def cmd_retrieve(args) -> int:
             print(f"bad code: {exc}")
             return EXIT_BAD_CODE
     else:
-        trace = json.loads(Path(args.trace).read_text())
-        config = simnet.config_from_json(json.dumps(trace["config"]))
+        trace = json_fields(_read_json(args.trace), {"config": dict})
+        config = simnet.config_from_dict(trace["config"])
         replay = simnet.run_scenario(config)
         result = replay.results.get((0, 0))
         if result is None:
@@ -152,7 +161,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = simnet.config_from_json(Path(args.scenario).read_text())
+    config = simnet.config_from_dict(_read_json(args.scenario))
     trace = simnet.run_scenario(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,16 +191,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    raw = json.loads(Path(args.params).read_text())
+    raw = json_fields(
+        _read_json(args.params),
+        {
+            "block_size": NUMBER, "n_nodes": int, "symbol_size": NUMBER,
+            "root_size": int, "rate": RATE, "batch": int, "max_eq_degree": int,
+        },
+        {"lambda": NUMBER, "beta": NUMBER, "eta": NUMBER},
+    )
     lam = raw.get("lambda")
     if lam is None:
-        lam = mx.lambda_from_beta(raw["beta"], raw["eta"])
+        # without lambda, beta and eta give it
+        beta_eta = json_fields(raw, {"beta": NUMBER, "eta": NUMBER})
+        lam = mx.lambda_from_beta(beta_eta["beta"], beta_eta["eta"])
     cost = mx.CostParams(
         block_size=raw["block_size"],
         n_nodes=raw["n_nodes"],
         symbol_size=raw["symbol_size"],
         root_size=raw["root_size"],
-        rate=float(Fraction(str(raw["rate"]))),
+        rate=float(as_rate(raw["rate"])),
         batch=raw["batch"],
         max_eq_degree=raw["max_eq_degree"],
         lam=lam,
@@ -213,19 +231,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_incentives(args) -> int:
-    raw = json.loads(Path(args.params).read_text())
-    params = IncentiveParams(
-        p_audit=raw["p_audit"],
-        stake_oracle=raw["stake_oracle"],
-        stake_committee=raw["stake_committee"],
-        stake_proposer=raw["stake_proposer"],
-        submission_fee=raw["submission_fee"],
-        block_reward=raw["block_reward"],
-        reward_fraction=raw["reward_fraction"],
-        verify_cost=raw["verify_cost"],
-        aggregate_cost=raw["aggregate_cost"],
-        n_signatures=raw["n_signatures"],
-    )
+    spec = {field.name: NUMBER for field in dataclasses.fields(IncentiveParams)}
+    params = IncentiveParams(**json_fields(_read_json(args.params), spec))
     payload = {
         "all_cooperate": json.loads(check_allC_equilibrium(params).to_json()),
         "all_offline": json.loads(check_allO_equilibrium(params).to_json()),
@@ -258,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pom", help="sample membership proofs from a tree cache")
     p.add_argument("--tree", required=True)
     p.add_argument("--index", type=int)
-    p.add_argument("--indices", help="comma-separated base indices (writes a bundle)")
+    p.add_argument(
+        "--indices", type=_index_list, help="comma-separated base indices (writes a bundle)"
+    )
     p.add_argument("--all", action="store_true", help="bundle every base symbol")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pom)

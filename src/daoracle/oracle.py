@@ -167,10 +167,14 @@ def chain_submit_fraud(
     chain: TrustedChain, commitment: Commitment, proof: FraudProof
 ) -> bool:
     """Verify then record a fraud proof; a recorded fraud marks the
-    commitment invalid forever."""
+    commitment invalid forever. A proof against a commitment the chain
+    never committed is False unchecked, so a forged commitment cannot make
+    the chain generate and gate codes of a size it chooses."""
+    key = commit_key(commitment)
+    if key not in chain.committed:
+        return False
     if not verify_fraud_proof(commitment, commitment.params, proof):
         return False
-    key = commit_key(commitment)
     if key not in chain.invalid:
         chain.invalid.add(key)
         chain.records.append(FraudRecord(key, proof))

@@ -30,6 +30,7 @@ from .cit import (
     MembershipPath,
     ProofOfMembership,
     TreeParams,
+    commitment_geometry,
     geometry,
     layer_code,
     verify_membership,
@@ -104,11 +105,8 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     alone. The proof carries the field types ``FraudProof`` declares, as
     ``serialize.decode_fraud_proof`` builds them; every value in it is
     checked, so a malformed proof is False."""
-    if params != commitment.params or len(commitment.root) != params.root_size:
-        return False
-    try:
-        geo = geometry(params, commitment.block_len)
-    except ParameterError:
+    geo = commitment_geometry(commitment, params)
+    if geo is None:
         return False
     depth = geo.depth
     u = proof.layer
@@ -124,6 +122,16 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     width = params.symbol_size if u == depth else HASH_BYTES
 
+    def committed(index: int, leaf_hash: bytes, path: Optional[MembershipPath]) -> bool:
+        """The commitment binds a symbol hashing to ``leaf_hash`` at
+        (u, index), by ``path``."""
+        return (
+            path is not None
+            and path.layer == u
+            and path.index == index
+            and verify_membership(commitment, params, leaf_hash, path)
+        )
+
     eq_idx = set(proof.equation.symbol_indices)
     seen = {}
     for member in proof.members:
@@ -134,14 +142,8 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         if u == 0:
             if member.path is not None or commitment.root[member.index] != member.value:
                 return False
-        else:
-            if (
-                member.path is None
-                or member.path.layer != u
-                or member.path.index != member.index
-                or not verify_membership(commitment, params, sha256(member.value), member.path)
-            ):
-                return False
+        elif not committed(member.index, sha256(member.value), member.path):
+            return False
         seen[member.index] = member.value
 
     if proof.mismatch is None:
@@ -154,9 +156,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     if len(mm.expected_hash) != HASH_BYTES:
         return False
-    if mm.path.layer != u or mm.path.index != mm.index:
-        return False
-    if not verify_membership(commitment, params, mm.expected_hash, mm.path):
+    if not committed(mm.index, mm.expected_hash, mm.path):
         return False
     derived = _xor(seen.values(), width)
     return sha256(derived) != mm.expected_hash

@@ -154,11 +154,7 @@ def encode_pom(pom: ProofOfMembership) -> bytes:
     out += _u16(len(pom.pairs))
     for p_idx, e_idx, p_val, e_val in pom.pairs:
         out += _u64(p_idx) + _u64(e_idx) + p_val + e_val
-    out += _u16(len(pom.levels))
-    for level in pom.levels:
-        out += _u16(len(level))
-        for h in level:
-            out += h
+    _put_levels(out, pom.levels)
     return bytes(out)
 
 
@@ -173,31 +169,38 @@ def decode_pom(data: bytes) -> ProofOfMembership:
         (r.u64(), r.u64(), r.take(HASH_BYTES), r.take(HASH_BYTES))
         for _ in range(r.u16())
     )
-    levels = tuple(
-        tuple(r.take(HASH_BYTES) for _ in range(r.u16())) for _ in range(r.u16())
-    )
+    levels = _take_levels(r)
     if not r.done():
         raise ParameterError("trailing bytes in membership proof")
     return ProofOfMembership(base_index, base_symbol, block_len, pairs, levels)
 
 
-def _encode_path(path: MembershipPath) -> bytes:
-    out = bytearray(_u32(path.layer) + _u64(path.index))
-    out += _u16(len(path.levels))
-    for level in path.levels:
+def _put_levels(out: bytearray, levels) -> None:
+    """Sibling digest tuples: u16 tuple count, then per tuple a u16 digest
+    count and the 32-byte digests."""
+    out += _u16(len(levels))
+    for level in levels:
         out += _u16(len(level))
         for h in level:
             out += h
+
+
+def _take_levels(r: _Reader) -> tuple[tuple[bytes, ...], ...]:
+    return tuple(
+        tuple(r.take(HASH_BYTES) for _ in range(r.u16())) for _ in range(r.u16())
+    )
+
+
+def _encode_path(path: MembershipPath) -> bytes:
+    out = bytearray(_u32(path.layer) + _u64(path.index))
+    _put_levels(out, path.levels)
     return bytes(out)
 
 
 def _decode_path(r: _Reader) -> MembershipPath:
     layer = r.u32()
     index = r.u64()
-    levels = tuple(
-        tuple(r.take(HASH_BYTES) for _ in range(r.u16())) for _ in range(r.u16())
-    )
-    return MembershipPath(layer, index, levels)
+    return MembershipPath(layer, index, _take_levels(r))
 
 
 def encode_fraud_proof(proof: FraudProof) -> bytes:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import BadCode, ConfigError
 from .oracle import Behavior, DispersalMessage, OracleNode, TrustedChain
 from .retrieval import Block, Fraud
 from .serialize import encode_commitment, encode_pom
-from .util import derive_seed, sha256
+from .util import NUMBER, RATE, derive_seed, json_fields, sha256
 
 PROPOSER_STRATEGIES = ("honest", "invalid_coding", "equivocating")
 
@@ -65,14 +64,22 @@ class ScenarioConfig:
             )
 
 
+def _behavior(name) -> Behavior:
+    try:
+        return Behavior(name)
+    except ValueError:
+        raise ConfigError(f"unknown behavior {name!r}") from None
+
+
 def behaviors_from_counts(
     n_nodes: int, counts: dict, seed: Optional[int] = None
 ) -> tuple[Behavior, ...]:
     """Expand {"silent": 3, ...} counts; ids are sampled by seed when given,
     else the highest ids take the non-honest roles."""
     order = []
-    for name, cnt in sorted(counts.items()):
-        order += [Behavior(name)] * int(cnt)
+    # every count must be an int
+    for name, cnt in sorted(json_fields(counts, {}, dict.fromkeys(counts, int)).items()):
+        order += [_behavior(name)] * cnt
     if len(order) > n_nodes:
         raise ConfigError("more behavior assignments than nodes")
     out = [Behavior.HONEST] * n_nodes
@@ -86,26 +93,42 @@ def behaviors_from_counts(
     return tuple(out)
 
 
+TREE_FIELDS = {
+    "symbol_size": int, "root_size": int, "rate": RATE, "batch": int,
+    "max_eq_degree": int, "alpha": NUMBER,
+}
+# left out, each takes its TreeParams default
+OPTIONAL_TREE_FIELDS = {"code_seed": int, "gate_trials": int, "max_code_attempts": int}
+
+
+def tree_params_from_dict(raw) -> TreeParams:
+    """TreeParams from a JSON object, as in a scenario's "tree" block or the
+    CLI's tree parameter file. Raises ConfigError for a missing key or a
+    value of the wrong type."""
+    return TreeParams(**json_fields(raw, TREE_FIELDS, OPTIONAL_TREE_FIELDS))
+
+
 def config_from_json(text: str) -> ScenarioConfig:
-    raw = json.loads(text)
-    tree = raw["tree"]
-    params = TreeParams(
-        symbol_size=tree["symbol_size"],
-        root_size=tree["root_size"],
-        rate=Fraction(tree["rate"]),
-        batch=tree["batch"],
-        max_eq_degree=tree["max_eq_degree"],
-        alpha=tree["alpha"],
-        code_seed=tree.get("code_seed", 0),
-        gate_trials=tree.get("gate_trials", 32),
-        max_code_attempts=tree.get("max_code_attempts", 16),
+    return config_from_dict(json.loads(text))
+
+
+def config_from_dict(raw) -> ScenarioConfig:
+    """ScenarioConfig from a parsed scenario JSON object (FORMATS.md).
+    Raises ConfigError for a missing key or a value of the wrong type."""
+    raw = json_fields(
+        raw,
+        {"n_nodes": int, "beta": NUMBER, "tree": dict, "dispersal": dict, "block_size": int},
+        {
+            "behaviors": (dict, list), "behavior_seed": int, "n_clients": int,
+            "proposer_strategy": str, "rounds": int, "audit_probability": NUMBER,
+            "master_seed": int,
+        },
     )
-    disp = raw["dispersal"]
-    dparams = DispersalParams(disp["gamma"], disp["eta"], disp["lambda"])
+    disp = json_fields(raw["dispersal"], {"gamma": NUMBER, "eta": NUMBER, "lambda": NUMBER})
     n_nodes = raw["n_nodes"]
     behaviors = raw.get("behaviors", {})
     if isinstance(behaviors, list):
-        assignment = tuple(Behavior(b) for b in behaviors)
+        assignment = tuple(_behavior(b) for b in behaviors)
     else:
         assignment = behaviors_from_counts(
             n_nodes, behaviors, raw.get("behavior_seed")
@@ -113,8 +136,8 @@ def config_from_json(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         n_nodes=n_nodes,
         beta=raw["beta"],
-        tree=params,
-        dispersal=dparams,
+        tree=tree_params_from_dict(raw["tree"]),
+        dispersal=DispersalParams(disp["gamma"], disp["eta"], disp["lambda"]),
         block_size=raw["block_size"],
         behaviors=assignment,
         n_clients=raw.get("n_clients", 3),

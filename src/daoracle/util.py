@@ -1,13 +1,19 @@
-"""Small shared helpers: hashing, seed derivation, exact rate arithmetic."""
+"""Small shared helpers: hashing, seed derivation, exact rate arithmetic,
+field checks for JSON configs."""
 
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from typing import Optional
 
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 
 HASH_BYTES = 32
+
+# value types of JSON config fields; a bool never passes as a number
+NUMBER = (int, float)
+RATE = (str, int, float)  # "1/4"-style string or an exact number, see as_rate
 
 
 def sha256(data: bytes) -> bytes:
@@ -57,3 +63,23 @@ def exact_int(value) -> int:
     if frac.denominator != 1:
         raise ParameterError(f"{value} is not integral")
     return int(frac)
+
+
+def json_fields(raw, required: dict, optional: Optional[dict] = None) -> dict:
+    """The entries of the JSON object ``raw`` that ``required`` and
+    ``optional`` name (key -> type or tuple of types), each checked against
+    its type. A missing required key, a value of another type, or a ``raw``
+    that is not an object raises ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"expected a JSON object, got {type(raw).__name__}")
+    out = {}
+    for key, kind in (*required.items(), *(optional or {}).items()):
+        if key not in raw:
+            if key in required:
+                raise ConfigError(f"missing key {key!r}")
+            continue
+        value = raw[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"key {key!r} has the wrong type {type(value).__name__}")
+        out[key] = value
+    return out

@@ -1,11 +1,12 @@
-"""Reference membership-proof sampling and walk: one proof at a time,
+"""Reference membership-proof sampling and checks: one proof at a time,
 nothing shared or memoized.
 
-``sample_pom`` converts every row it reads on its own; ``walk_pom`` hashes
-every q-tuple and every value it meets. The package's ``sample_pom``,
-``sample_poms``, ``walk_pom`` and ``walk_poms`` must agree with them: the
-same proofs, and for any proof the same verdict and, when it passes, the
-same harvest.
+``sample_pom`` converts every row it reads on its own; ``walk_pom`` and
+``verify_membership`` hash every q-tuple and every value they meet, each
+with its own loop. The package's ``sample_pom``, ``sample_poms``,
+``walk_pom``, ``walk_poms`` and ``verify_membership`` must agree with them:
+the same proofs, and for any proof or claim the same verdict and, when a
+proof passes, the same harvest.
 """
 
 from __future__ import annotations
@@ -107,3 +108,39 @@ def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership)
             if value != commitment.root[par]:
                 return None
     return harvest
+
+
+def verify_membership(
+    commitment: Commitment, params: TreeParams, leaf_hash: bytes, path: MembershipPath
+) -> bool:
+    """Check a bare digest claim: the commitment binds a symbol hashing to
+    ``leaf_hash`` at (path.layer, path.index)."""
+    if len(commitment.root) != params.root_size:
+        return False
+    try:
+        geo = geometry(params, commitment.block_len)
+    except ParameterError:
+        return False
+    u = path.layer
+    if not 1 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
+        return False
+    if len(path.levels) != u:
+        return False
+    h = leaf_hash
+    x = path.index
+    for j, w in enumerate(range(u - 1, -1, -1)):
+        s_par = geo.sys_counts[w]
+        par, pos = x % s_par, x // s_par
+        sibs = path.levels[j]
+        if len(sibs) != params.batch - 1:
+            return False
+        for sib in sibs:
+            if len(sib) != HASH_BYTES:
+                return False
+        value = sha256(b"".join(sibs[:pos] + (h,) + sibs[pos:]))
+        if w >= 1:
+            h = sha256(value)
+            x = par
+        else:
+            return value == commitment.root[par]
+    return False

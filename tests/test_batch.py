@@ -4,9 +4,11 @@ per-proof verdicts and harvests, and the same first-wins merge of what
 passes. The proof sets mix honest proofs with single-field mutations, with
 forged q-tuples shared by several proofs, and with forgeries placed before
 the honest proofs whose tuples they imitate, so a memo entry made while
-walking a forgery has every chance to decide a later proof."""
+walking a forgery has every chance to decide a later proof. Bare digest
+claims get the reference ``verify_membership``'s verdict."""
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from daoracle import cit, oracle as orc
 from daoracle import retrieval as rt
 from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode, IndexOutOfRange
+from daoracle.util import sha256
 
 from conftest import chunkset_for
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
@@ -147,6 +150,37 @@ def test_forgeries_first_do_not_decide_the_honest_proofs_after_them(tree):
     assert all(harvest is not None for harvest in got[len(forged):])
 
 
+@st.composite
+def pair_forgeries(draw):
+    """(tree, forged proof, honest proof): the forged proof's chain is the
+    honest one, but one pair names another parity symbol under the same
+    parent and carries that symbol's true value, so only the index formula
+    tells it apart; or it keeps the honest indices with a forged e_val."""
+    tree = draw(st.sampled_from(TREES))
+    geo = cit.geometry(tree.params, tree.block_len)
+    honest = cit.sample_pom(tree, draw(st.integers(0, tree.sizes[-1] - 1)))
+    j = draw(st.integers(0, len(honest.pairs) - 1))
+    u = geo.depth - 1 - j
+    p_idx, e_idx, p_val, e_val = honest.pairs[j]
+    if draw(st.booleans()):
+        s_up = geo.sys_counts[u - 1]
+        others = [x for x in range(e_idx % s_up, geo.sizes[u], s_up) if x not in (p_idx, e_idx)]
+        x = draw(st.sampled_from(others))
+        pair = (p_idx, x, p_val, tree.layers[u].symbols[x].tobytes())
+    else:
+        pair = (p_idx, e_idx, p_val, _flip(e_val, draw(st.integers(0, 31))))
+    forged = dataclasses.replace(honest, pairs=_replace_at(honest.pairs, j, pair))
+    return tree, forged, honest
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_forgeries())
+def test_an_honest_chain_with_a_forged_pair_is_rejected(case):
+    tree, forged, honest = case
+    got = check_batch(tree, [forged, honest])
+    assert got[0] is None and got[1] is not None
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(TREES), st.data())
 def test_batched_sampling_matches_the_reference(tree, data):
@@ -221,14 +255,19 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     assert cit.walk_poms(short, tree.params, [pom, pom]) == [None, None]
 
 
-@pytest.fixture(scope="module")
-def fraud_case():
+@lru_cache(maxsize=None)
+def _fraud_case():
     params = TREES[0].params
     block = bytes((i * 37 + 11) % 256 for i in range(512))
     corrupted = orc.build_tree_with_base_corruption(block, params, xor_mask=0x5A)
     out = rt.reconstruct(corrupted.commitment, params, chunkset_for(corrupted, range(32)))
     assert isinstance(out, rt.Fraud)
     return corrupted.commitment, params, out.proof
+
+
+@pytest.fixture(scope="module")
+def fraud_case():
+    return _fraud_case()
 
 
 def test_malformed_fraud_proof_inputs_are_false(fraud_case, monkeypatch):
@@ -274,3 +313,104 @@ def test_a_fault_inside_the_fraud_verifier_propagates(fraud_case, monkeypatch):
     monkeypatch.setattr(rt, "verify_membership", spy)
     with pytest.raises(RuntimeError, match="spy"):
         rt.verify_fraud_proof(commitment, params, proof)
+
+
+# verify_membership against the reference
+
+
+@lru_cache(maxsize=None)
+def _decoded(n: int) -> rt._Reconstructor:
+    """A reconstructor that decoded every layer of TREES[n], so it derives
+    the honest path of any symbol below the root."""
+    tree = TREES[n]
+    reader = rt._Reconstructor(
+        tree.commitment, tree.params, chunkset_for(tree, range(tree.sizes[-1]))
+    )
+    assert isinstance(reader.run(), rt.Block)
+    return reader
+
+
+MEMBERSHIP_MUTATIONS = (
+    "honest", "layer", "index", "level_count", "sibling_count", "sibling_width",
+    "sibling_digest", "leaf_hash", "params", "root",
+)
+
+
+@st.composite
+def membership_claims(draw):
+    """(kind, commitment, params, leaf hash, path): an honest claim, taken
+    from a fraud proof or from a reconstructor's path, or one differing
+    from it in the single field ``kind`` names."""
+    if draw(st.booleans()):
+        commitment, params, proof = _fraud_case()
+        claims = [(sha256(m.value), m.path) for m in proof.members if m.path is not None]
+        if proof.mismatch is not None:
+            claims.append((proof.mismatch.expected_hash, proof.mismatch.path))
+        leaf, path = draw(st.sampled_from(claims))
+    else:
+        n = draw(st.integers(0, len(TREES) - 1))
+        tree = TREES[n]
+        commitment, params = tree.commitment, tree.params
+        u = draw(st.integers(1, tree.depth))
+        x = draw(st.integers(0, tree.sizes[u] - 1))
+        leaf, path = tree.layers[u].hashes[x].tobytes(), _decoded(n)._path(u, x)
+    geo = cit.geometry(params, commitment.block_len)
+    kind = draw(st.sampled_from(MEMBERSHIP_MUTATIONS))
+    levels = path.levels
+    j = draw(st.integers(0, len(levels) - 1))
+    k = draw(st.integers(0, len(levels[j]) - 1))
+    if kind == "layer":
+        u = draw(st.integers(-1, geo.depth + 1).filter(lambda v: v != path.layer))
+        path = dataclasses.replace(path, layer=u)
+    elif kind == "index":
+        size = geo.sizes[path.layer]
+        x = draw(st.integers(-1, size).filter(lambda v: v != path.index))
+        path = dataclasses.replace(path, index=x)
+    elif kind == "level_count":
+        levels = levels[:-1] if draw(st.booleans()) else levels + (levels[-1],)
+        path = dataclasses.replace(path, levels=levels)
+    elif kind == "sibling_count":
+        sibs = levels[j][1:] if draw(st.booleans()) else levels[j] + (levels[j][0],)
+        path = dataclasses.replace(path, levels=_replace_at(levels, j, sibs))
+    elif kind == "sibling_digest":
+        sibs = _replace_at(levels[j], k, _flip(levels[j][k], draw(st.integers(0, 31))))
+        path = dataclasses.replace(path, levels=_replace_at(levels, j, sibs))
+    elif kind == "sibling_width":
+        sibs = levels[j]
+        if draw(st.booleans()):
+            sibs = _replace_at(sibs, k, sibs[k][:-1] if draw(st.booleans()) else sibs[k] + b"\0")
+        else:
+            # move one byte between two siblings that sit side by side in
+            # the joined q-tuple, so the joined bytes, and their digest, stay
+            x = path.index
+            for w in range(path.layer - 1, path.layer - 1 - j, -1):
+                x %= geo.sys_counts[w]
+            pos = x // geo.sys_counts[path.layer - 1 - j]
+            k = draw(st.sampled_from([k for k in range(len(sibs) - 1) if k + 1 != pos]))
+            sibs = sibs[:k] + (sibs[k][:-1], sibs[k][-1:] + sibs[k + 1]) + sibs[k + 2 :]
+        path = dataclasses.replace(path, levels=_replace_at(levels, j, sibs))
+    elif kind == "leaf_hash":
+        leaf = _flip(leaf, draw(st.integers(0, 31))) if draw(st.booleans()) else leaf[:-1]
+    elif kind == "params":
+        # another code family of the same geometry, or another root size
+        params = dataclasses.replace(
+            params,
+            **draw(st.sampled_from(({"code_seed": params.code_seed + 1},
+                                    {"root_size": params.root_size + 1}))),
+        )
+    elif kind == "root":
+        commitment = dataclasses.replace(commitment, root=commitment.root[:-1])
+    return kind, commitment, params, leaf, path
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_claims())
+def test_verify_membership_matches_the_reference(claim):
+    kind, commitment, params, leaf, path = claim
+    want = ref.verify_membership(commitment, params, leaf, path)
+    if kind == "honest":
+        assert want
+    # the package also refuses params the commitment does not echo, as its
+    # proof walk and fraud verifier always have; the reference does not
+    want = want and params == commitment.params
+    assert cit.verify_membership(commitment, params, leaf, path) == want

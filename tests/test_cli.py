@@ -309,3 +309,83 @@ class TestTables:
         report = json.loads((tmp_path / "i_out.json").read_text())
         assert report["all_cooperate"]["is_equilibrium"] is True
         assert report["all_offline"]["is_equilibrium"] is True
+
+
+TREE_PARAMS = {
+    "symbol_size": 64, "root_size": 4, "rate": "1/4", "batch": 8,
+    "max_eq_degree": 8, "alpha": 0.125, "code_seed": 5,
+}
+COST_PARAMS = {
+    "block_size": 12e6, "n_nodes": 9000, "beta": 0.49, "eta": 0.875,
+    "symbol_size": 48e3, "root_size": 16, "rate": 0.25, "batch": 8, "max_eq_degree": 8,
+}
+SCENARIO = {
+    "n_nodes": 20, "beta": 0.25, "block_size": 65536, "behaviors": {},
+    "tree": {**TREE_PARAMS, "symbol_size": 2048, "code_seed": 11},
+    "dispersal": {"gamma": 0.5, "eta": 0.875, "lambda": 0.2},
+}
+INCENTIVE_PARAMS = {
+    "p_audit": 0.2, "stake_oracle": 50, "stake_committee": 10, "stake_proposer": 20,
+    "submission_fee": 0.5, "block_reward": 100, "reward_fraction": 0.6,
+    "verify_cost": 1.0, "aggregate_cost": 2.0, "n_signatures": 10,
+}
+
+
+def without(raw: dict, key: str) -> str:
+    return json.dumps({k: v for k, v in raw.items() if k != key})
+
+
+class TestBadJsonInput:
+    """Malformed JSON input is a bad parameter: exit 2 and one error line."""
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("commit", without(TREE_PARAMS, "root_size")),
+            ("commit", '{"symbol_size": 64,'),
+            ("commit", json.dumps({**TREE_PARAMS, "batch": "8"})),
+            ("commit", json.dumps([TREE_PARAMS])),
+            ("simulate", without(SCENARIO, "tree")),
+            ("simulate", json.dumps({**SCENARIO, "behaviors": {"sleepy": 1}})),
+            ("simulate", json.dumps({**SCENARIO, "behaviors": {"silent": "2"}})),
+            ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8})),
+            ("metrics", without(COST_PARAMS, "batch")),
+            ("metrics", without(COST_PARAMS, "eta")),
+            ("incentives", without(INCENTIVE_PARAMS, "p_audit")),
+            ("retrieve", json.dumps({"rounds": []})),
+        ],
+        ids=[
+            "commit_missing_key", "commit_unparsable", "commit_wrong_type",
+            "commit_not_an_object", "simulate_missing_tree", "simulate_unknown_behavior",
+            "simulate_count_not_an_int", "disperse_missing_key",
+            "metrics_missing_key", "metrics_no_lambda_nor_eta",
+            "incentives_missing_key", "retrieve_trace_without_config",
+        ],
+    )
+    def test_exits_params(self, tmp_path, small_block, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        (tmp_path / "block.bin").write_bytes(small_block)
+        argv = {
+            "commit": ("--block", tmp_path / "block.bin", "--params", path,
+                       "--out-commitment", tmp_path / "c.bin"),
+            "simulate": ("--scenario", path, "--out", tmp_path / "sim"),
+            "disperse": ("--params", path, "--out", tmp_path / "design.txt"),
+            "metrics": ("--params", path, "--out-prefix", tmp_path / "tables"),
+            "incentives": ("--params", path),
+            "retrieve": ("--trace", path),
+        }[command]
+        assert run(command, *argv) == cli.EXIT_PARAMS
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+        assert out.out == ""
+
+    def test_malformed_indices_exit_params(self, workdir, capsys):
+        d = workdir
+        run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+        with pytest.raises(SystemExit) as exit_:
+            run("pom", "--tree", d / "t.bin", "--indices", "1,,2", "--out", d / "p.bin")
+        assert exit_.value.code == cli.EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert "error: argument --indices" in err and "Traceback" not in err

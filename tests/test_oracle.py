@@ -1,11 +1,14 @@
 """Node behaviors, the trusted-chain mock, retrieval, audits, bad codes."""
 
 import dataclasses
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from daoracle import cit, oracle as orc, retrieval as rt
+from daoracle.codec import ParityEquation
 from daoracle.dispersal import DispersalDesign, assign_chunks
 from daoracle.errors import BadCode
 
@@ -114,6 +117,27 @@ class TestChain:
         )
         assert second.block_id == first.block_id + 1
         assert [type(r).__name__ for r in chain.records] == ["CommitRecord"] * 2
+
+    def test_fraud_against_a_commitment_never_committed_is_false_unchecked(
+        self, monkeypatch
+    ):
+        # the README's params at 2**18 bytes: checking a proof at the base
+        # layer would generate and gate a code of 16384 symbols (over 1 s)
+        params = cit.TreeParams(
+            symbol_size=64, root_size=4, rate=Fraction(1, 4), batch=8,
+            max_eq_degree=8, alpha=0.125, code_seed=5,
+        )
+        forged = cit.Commitment(root=(bytes(32),) * 4, params=params, block_len=1 << 18)
+        depth = cit.geometry(params, forged.block_len).depth
+        proof = rt.FraudProof(depth, 0, ParityEquation((0, 1)), (), None)
+        calls = []
+        real = rt.layer_code
+        monkeypatch.setattr(rt, "layer_code", lambda *args: calls.append(args) or real(*args))
+        chain = orc.TrustedChain(n_nodes=4, beta=0.25, gamma=0.5)
+        start = time.perf_counter()
+        assert not orc.chain_submit_fraud(chain, forged, proof)
+        assert time.perf_counter() - start < 0.1
+        assert calls == [] and chain.records == [] and chain.invalid == set()
 
     def test_log_lines(self, setup):
         _, tree, _ = setup
