@@ -4,13 +4,17 @@ Layout. A tree over a block of ``block_len`` bytes has coded layers indexed
 by depth u = 0..L, where u = L is the base layer (symbols of ``symbol_size``
 bytes) and u = 0 is the root layer of exactly ``root_size`` y-byte values,
 stored verbatim as the commitment. Layer u has ``sizes[u]`` coded symbols,
-``sizes[u-1] = sizes[u] / (batch * rate)``; geometries where the shrink
-never lands exactly on the root size are rejected.
+``sizes[u-1] = sizes[u] / (batch * rate)``, where batch * rate is an
+integer; geometries where the shrink never lands exactly on the root size
+are rejected.
 
 Aggregation. Child x of layer u+1 feeds the parent systematic symbol
 ``x mod s`` of layer u, where s is layer u's systematic count. A parent's
 value is the digest of its q children's digests concatenated in ascending
-child index.
+child index. ``aggregate`` reads those digests from the child layer's
+``Layer.hashes``, so ``build_tree`` hashes each row of each layer once and
+each parent's joined q-tuple once, the count of one hash per symbol per
+layer that Coded Merkle Tree commitments cost.
 
 Membership. One digest chain runs from a symbol to the root: at each level
 the running digest takes its child position in a q-tuple of child digests,
@@ -94,6 +98,11 @@ class TreeParams:
             raise ParameterError("tree rate must lie in (0, 1)")
         if self.batch * self.rate <= 1:
             raise ParameterError("batch * rate must exceed 1 so layers shrink")
+        if (self.batch * self.rate).denominator != 1:
+            # only then does each layer's systematic count divide the one
+            # below, so the pair a proof samples at a layer (i mod s_u) is
+            # the parent its digest chain climbs through
+            raise ParameterError("batch * rate must be an integer")
         if self.root_size < 1:
             raise ParameterError("root_size (t) must be >= 1")
         if self.symbol_size < 1:
@@ -248,10 +257,10 @@ class CodedTree:
 
 
 def _hash_rows(arr: np.ndarray) -> np.ndarray:
-    out = np.empty((arr.shape[0], HASH_BYTES), dtype=np.uint8)
-    for i in range(arr.shape[0]):
-        out[i] = np.frombuffer(sha256(arr[i].tobytes()), dtype=np.uint8)
-    return out
+    """(rows, 32) digests of the rows of a C-contiguous 2-D uint8 array;
+    each row is a contiguous buffer, hashed in place."""
+    digests = b"".join(map(sha256, arr))
+    return np.frombuffer(digests, dtype=np.uint8).reshape(arr.shape[0], HASH_BYTES)
 
 
 @lru_cache(maxsize=512)
@@ -279,14 +288,16 @@ def layer_code(params: TreeParams, layer_size: int) -> CodeSpec:
     )
 
 
-def aggregate(child_symbols: np.ndarray, parent_size: int, params: TreeParams) -> np.ndarray:
-    """Parent systematic symbols from one coded child layer."""
+def aggregate(child_hashes: np.ndarray, parent_size: int, params: TreeParams) -> np.ndarray:
+    """Parent systematic symbols from the (size, 32) digests of one coded
+    child layer: parent k is the digest of children k, k + s, k + 2s, ...
+    joined, for s = the parent layer's systematic count."""
     s_par = params.sys_count(parent_size)
-    hashes = _hash_rows(child_symbols)
-    out = np.empty((s_par, HASH_BYTES), dtype=np.uint8)
-    for k in range(s_par):
-        out[k] = np.frombuffer(sha256(hashes[k::s_par].tobytes()), dtype=np.uint8)
-    return out
+    # child x = pos * s_par + k sits at [pos, k]; gather each parent's q
+    # digests into one contiguous row
+    q = child_hashes.shape[0] // s_par
+    joined = child_hashes.reshape(q, s_par, HASH_BYTES).swapaxes(0, 1)
+    return _hash_rows(joined.reshape(s_par, q * HASH_BYTES))
 
 
 def build_tree(
@@ -303,9 +314,8 @@ def build_tree(
     geo = geometry(params, len(block))
     sizes, depth = geo.sizes, geo.depth
     padded = block + bytes(-len(block) % params.symbol_size)
-    base_inputs = (
-        np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size).copy()
-    )
+    # a read-only view: encode_array copies it into the codeword once
+    base_inputs = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size)
 
     layers: dict[int, Layer] = {}
     code = layer_code(params, sizes[depth])
@@ -314,7 +324,7 @@ def build_tree(
         base_tamper(cur, code)
     layers[depth] = Layer(cur, _hash_rows(cur), code)
     for u in range(depth - 1, -1, -1):
-        parent_sys = aggregate(cur, sizes[u], params)
+        parent_sys = aggregate(layers[u + 1].hashes, sizes[u], params)
         code = layer_code(params, sizes[u])
         cur = encode_array(code, parent_sys)
         layers[u] = Layer(cur, _hash_rows(cur), code)

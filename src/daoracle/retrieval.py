@@ -14,6 +14,15 @@ commitment alone. Digest layers XOR their 32-byte symbols as Python ints,
 the base layer as uint8 rows, which are faster at symbol widths of 1 KiB
 and up.
 
+Digests are computed once per reconstruction. The reconstructor keeps a
+(layer, index) -> digest map of the symbols it has hashed: each value a
+verified proof harvests (its walk hashed it and matched the digest at its
+position in the climbed tuple one up) and each solve that passed its
+pinned-digest check. The aggregation check and regenerated tuples hash
+only the rows missing from the map. Every digest in the map is sha256 of
+the bytes the symbol is known by, computed in this call; a committed
+digest is never put there on trust.
+
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
 """
@@ -176,6 +185,8 @@ class _Reconstructor:
         geo = geometry(params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         self.values: dict[tuple[int, int], bytes] = {}
+        # sha256 of each known symbol's bytes, computed in this call
+        self.digests: dict[tuple[int, int], bytes] = {}
         self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.layer_done: dict[int, list[bytes]] = {}
         self.solver: dict[tuple[int, int], int] = {}
@@ -193,7 +204,15 @@ class _Reconstructor:
             if harvest is None:
                 continue
             for key, val in harvest.values.items():
-                self.values.setdefault(key, val)
+                if key in self.values:
+                    continue
+                # the walk hashed every value it harvests and matched the
+                # digest against the entry at its position in the climbed
+                # tuple one up
+                u, x = key
+                s_par = self.sys_counts[u - 1]
+                self.values[key] = val
+                self.digests[key] = harvest.tuples[(u - 1, x % s_par)][x // s_par]
             for key, tup in harvest.tuples.items():
                 self.tuples.setdefault(key, tup)
 
@@ -207,9 +226,17 @@ class _Reconstructor:
         if child is None:
             return None
         s_par = self.sys_counts[w]
-        tup = tuple(sha256(child[x]) for x in range(par, len(child), s_par))
+        tup = tuple(self._digest(w + 1, x, child[x]) for x in range(par, len(child), s_par))
         self.tuples[(w, par)] = tup
         return tup
+
+    def _digest(self, u: int, x: int, row: bytes) -> bytes:
+        """sha256 of ``row``, the bytes symbol x of layer u is known by,
+        hashed at most once per reconstruction."""
+        h = self.digests.get((u, x))
+        if h is None:
+            h = self.digests[(u, x)] = sha256(row)
+        return h
 
     def _expected_hash(self, u: int, x: int):
         s_par = self.sys_counts[u - 1]
@@ -281,8 +308,10 @@ class _Reconstructor:
             return self._insufficient(self.depth, 1.0)
         base = self.layer_done[self.depth]
         s_base = self.sys_counts[self.depth]
-        data = b"".join(base[:s_base])[: self.commitment.block_len]
-        return Block(data)
+        # only the last systematic symbol carries padding; cut it before the
+        # join, so each byte of the block is copied once
+        tail = self.commitment.block_len - (s_base - 1) * self.params.symbol_size
+        return Block(b"".join([*base[: s_base - 1], base[s_base - 1][:tail]]))
 
     def _peel_layer(self, u, code: CodeSpec, rows):
         """Hash-aware peeling of layer u in the engine's solve-in-turn order.
@@ -313,12 +342,15 @@ class _Reconstructor:
                 continue
             value = dump(acc)
             expected = self._expected_hash(u, x) if u >= 1 else None
-            if expected is not None and sha256(value) != expected:
-                fraud = self._mismatch_fraud(u, code, e, x, expected, rows)
-                if fraud is not None:
-                    return fraud, peel.known
-                self.unprovable = True
-                continue
+            if expected is not None:
+                digest = sha256(value)
+                if digest != expected:
+                    fraud = self._mismatch_fraud(u, code, e, x, expected, rows)
+                    if fraud is not None:
+                        return fraud, peel.known
+                    self.unprovable = True
+                    continue
+                self.digests[(u, x)] = digest
             values[x], rows[x] = acc, value
             peel.solve(x)
             self.solver[(u, x)] = e
@@ -344,7 +376,7 @@ class _Reconstructor:
         the certified layer above."""
         s_par = self.sys_counts[u - 1]
         parent = self.layer_done[u - 1]
-        hashes = [sha256(row) for row in rows]
+        hashes = [self._digest(u, x, row) for x, row in enumerate(rows)]
         for k in range(s_par):
             agg = sha256(b"".join(hashes[k::s_par]))
             if agg == parent[k]:

@@ -4,6 +4,12 @@ All integers are little-endian and fixed-width; variable fields carry a
 length prefix. Layouts are documented byte-by-byte in FORMATS.md and frozen
 by golden digests in the test suite. Encodings are self-describing enough
 to decode without out-of-band parameters.
+
+Encoders collect their fields as a list of parts and join it once, so each
+symbol is copied once into the output; a bundle's proofs share one list.
+Decoders read through a bounds-checked ``_Reader``; a bundle's proofs are
+read in place through readers windowed on the bundle bytes, so each symbol
+is copied once out of them.
 """
 
 from __future__ import annotations
@@ -24,55 +30,81 @@ MAGIC_BUNDLE = b"DAB1"
 MAGIC_TREE = b"DAT1"
 
 
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+# one sampled pair of a DAP1 proof: p_index, e_index, p_value, e_value
+_PAIR = struct.Struct(f"<QQ{HASH_BYTES}s{HASH_BYTES}s")
+
+
 class _Reader:
-    def __init__(self, data: bytes):
+    """Bounds-checked reads over ``data[start:end]``."""
+
+    def __init__(self, data: bytes, start: int = 0, end: int = -1):
         self.data = data
-        self.pos = 0
+        self.pos = start
+        self.end = len(data) if end < 0 else end
+
+    def _advance(self, n: int) -> int:
+        """Skip n bytes; returns where they start."""
+        pos = self.pos
+        end = pos + n
+        if end > self.end:
+            raise ParameterError("truncated encoding")
+        self.pos = end
+        return pos
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        pos = self._advance(n)
+        return self.data[pos : self.pos]
+
+    def digests(self, count: int) -> tuple[bytes, ...]:
+        """``count`` 32-byte digests, behind one bounds check."""
+        pos = self._advance(count * HASH_BYTES)
+        data = self.data
+        return tuple(data[k : k + HASH_BYTES] for k in range(pos, self.pos, HASH_BYTES))
+
+    def window(self, n: int) -> "_Reader":
+        """A reader over the next n bytes, which this one skips."""
+        pos = self._advance(n)
+        return _Reader(self.data, pos, self.pos)
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        # integers and pairs are most of a proof's reads, so the bounds
+        # check is inline rather than a call to _advance
+        pos = self.pos
+        end = pos + fmt.size
+        if end > self.end:
             raise ParameterError("truncated encoding")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.pos = end
+        return fmt.unpack_from(self.data, pos)
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.unpack(_U8)[0]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return self.unpack(_U16)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return self.unpack(_U64)[0]
 
     def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+        return self.unpack(_F64)[0]
 
     def done(self) -> bool:
-        return self.pos == len(self.data)
+        return self.pos == self.end
 
 
-def _u8(v):
-    return struct.pack("<B", v)
-
-
-def _u16(v):
-    return struct.pack("<H", v)
-
-
-def _u32(v):
-    return struct.pack("<I", v)
-
-
-def _u64(v):
-    return struct.pack("<Q", v)
-
-
-def _f64(v):
-    return struct.pack("<d", v)
+_u8 = _U8.pack
+_u16 = _U16.pack
+_u32 = _U32.pack
+_u64 = _U64.pack
+_f64 = _F64.pack
 
 
 def encode_tree_params(p: TreeParams) -> bytes:
@@ -121,15 +153,18 @@ def decode_tree_params(r: _Reader) -> TreeParams:
 
 
 def encode_commitment(com: Commitment) -> bytes:
-    out = bytearray(MAGIC_COMMITMENT)
-    out += encode_tree_params(com.params)
-    out += _u64(com.block_len)
-    out += _u32(len(com.root))
     for val in com.root:
         if len(val) != HASH_BYTES:
             raise ParameterError("root entries must be digest-sized")
-        out += val
-    return bytes(out)
+    return b"".join(
+        (
+            MAGIC_COMMITMENT,
+            encode_tree_params(com.params),
+            _u64(com.block_len),
+            _u32(len(com.root)),
+            *com.root,
+        )
+    )
 
 
 def decode_commitment(data: bytes) -> Commitment:
@@ -139,62 +174,67 @@ def decode_commitment(data: bytes) -> Commitment:
     params = decode_tree_params(r)
     block_len = r.u64()
     count = r.u32()
-    root = tuple(r.take(HASH_BYTES) for _ in range(count))
+    root = r.digests(count)
     if count != params.root_size or not r.done():
         raise ParameterError("malformed commitment")
     return Commitment(root=root, params=params, block_len=block_len)
 
 
-def encode_pom(pom: ProofOfMembership) -> bytes:
-    out = bytearray(MAGIC_POM)
-    out += _u64(pom.base_index)
-    out += _u64(pom.block_len)
-    out += _u64(len(pom.base_symbol))
-    out += pom.base_symbol
-    out += _u16(len(pom.pairs))
+def _put_pom(parts: list, pom: ProofOfMembership) -> None:
+    """Append the parts of ``pom``'s DAP1 encoding to ``parts``."""
+    parts += (
+        MAGIC_POM,
+        _u64(pom.base_index),
+        _u64(pom.block_len),
+        _u64(len(pom.base_symbol)),
+        pom.base_symbol,
+        _u16(len(pom.pairs)),
+    )
     for p_idx, e_idx, p_val, e_val in pom.pairs:
-        out += _u64(p_idx) + _u64(e_idx) + p_val + e_val
-    _put_levels(out, pom.levels)
-    return bytes(out)
+        parts += (_u64(p_idx), _u64(e_idx), p_val, e_val)
+    _put_levels(parts, pom.levels)
+
+
+def encode_pom(pom: ProofOfMembership) -> bytes:
+    parts: list = []
+    _put_pom(parts, pom)
+    return b"".join(parts)
 
 
 def decode_pom(data: bytes) -> ProofOfMembership:
-    r = _Reader(data)
+    return _take_pom(_Reader(data))
+
+
+def _take_pom(r: _Reader) -> ProofOfMembership:
+    """The DAP1 proof that fills all of ``r``."""
     if r.take(4) != MAGIC_POM:
         raise ParameterError("not a membership proof file")
     base_index = r.u64()
     block_len = r.u64()
     base_symbol = r.take(r.u64())
-    pairs = tuple(
-        (r.u64(), r.u64(), r.take(HASH_BYTES), r.take(HASH_BYTES))
-        for _ in range(r.u16())
-    )
+    pairs = tuple(r.unpack(_PAIR) for _ in range(r.u16()))
     levels = _take_levels(r)
     if not r.done():
         raise ParameterError("trailing bytes in membership proof")
     return ProofOfMembership(base_index, base_symbol, block_len, pairs, levels)
 
 
-def _put_levels(out: bytearray, levels) -> None:
+def _put_levels(parts: list, levels) -> None:
     """Sibling digest tuples: u16 tuple count, then per tuple a u16 digest
     count and the 32-byte digests."""
-    out += _u16(len(levels))
+    parts.append(_u16(len(levels)))
     for level in levels:
-        out += _u16(len(level))
-        for h in level:
-            out += h
+        parts.append(_u16(len(level)))
+        parts += level
 
 
 def _take_levels(r: _Reader) -> tuple[tuple[bytes, ...], ...]:
-    return tuple(
-        tuple(r.take(HASH_BYTES) for _ in range(r.u16())) for _ in range(r.u16())
-    )
+    return tuple(r.digests(r.u16()) for _ in range(r.u16()))
 
 
-def _encode_path(path: MembershipPath) -> bytes:
-    out = bytearray(_u32(path.layer) + _u64(path.index))
-    _put_levels(out, path.levels)
-    return bytes(out)
+def _put_path(parts: list, path: MembershipPath) -> None:
+    parts += (_u32(path.layer), _u64(path.index))
+    _put_levels(parts, path.levels)
 
 
 def _decode_path(r: _Reader) -> MembershipPath:
@@ -204,26 +244,25 @@ def _decode_path(r: _Reader) -> MembershipPath:
 
 
 def encode_fraud_proof(proof: FraudProof) -> bytes:
-    out = bytearray(MAGIC_FRAUD)
-    out += _u32(proof.layer)
-    out += _u32(proof.equation_no)
-    out += _u16(len(proof.equation.symbol_indices))
-    for i in proof.equation.symbol_indices:
-        out += _u64(i)
-    out += _u16(len(proof.members))
+    indices = proof.equation.symbol_indices
+    parts = [
+        MAGIC_FRAUD,
+        _u32(proof.layer),
+        _u32(proof.equation_no),
+        _u16(len(indices)),
+        *map(_u64, indices),
+        _u16(len(proof.members)),
+    ]
     for member in proof.members:
-        out += _u64(member.index)
-        out += _u64(len(member.value))
-        out += member.value
-        out += _u8(1 if member.path is not None else 0)
+        parts += (_u64(member.index), _u64(len(member.value)), member.value)
+        parts.append(_u8(1 if member.path is not None else 0))
         if member.path is not None:
-            out += _encode_path(member.path)
-    out += _u8(1 if proof.mismatch is not None else 0)
+            _put_path(parts, member.path)
+    parts.append(_u8(1 if proof.mismatch is not None else 0))
     if proof.mismatch is not None:
-        out += _u64(proof.mismatch.index)
-        out += proof.mismatch.expected_hash
-        out += _encode_path(proof.mismatch.path)
-    return bytes(out)
+        parts += (_u64(proof.mismatch.index), proof.mismatch.expected_hash)
+        _put_path(parts, proof.mismatch.path)
+    return b"".join(parts)
 
 
 def decode_fraud_proof(data: bytes) -> FraudProof:
@@ -250,11 +289,7 @@ def decode_fraud_proof(data: bytes) -> FraudProof:
 def encode_tree_cache(params: TreeParams, block: bytes) -> bytes:
     """CLI cache: parameters plus the raw block; the tree itself is
     rebuilt deterministically on load."""
-    out = bytearray(MAGIC_TREE)
-    out += encode_tree_params(params)
-    out += _u64(len(block))
-    out += block
-    return bytes(out)
+    return b"".join((MAGIC_TREE, encode_tree_params(params), _u64(len(block)), block))
 
 
 def decode_tree_cache(data: bytes) -> tuple[TreeParams, bytes]:
@@ -269,16 +304,17 @@ def decode_tree_cache(data: bytes) -> tuple[TreeParams, bytes]:
 
 
 def encode_chunk_bundle(units) -> bytes:
-    """Units as (base_index, base_symbol, pom) triples."""
-    out = bytearray(MAGIC_BUNDLE)
-    out += _u32(len(units))
+    """Units as (base_index, base_symbol, pom) triples. Every unit's parts
+    go into one list, and one join copies each byte once."""
+    parts = [MAGIC_BUNDLE, _u32(len(units))]
     for index, symbol, pom in units:
         if index != pom.base_index or symbol != pom.base_symbol:
             raise ParameterError("bundle unit disagrees with its proof")
-        blob = encode_pom(pom)
-        out += _u64(len(blob))
-        out += blob
-    return bytes(out)
+        pom_parts: list = []
+        _put_pom(pom_parts, pom)
+        parts.append(_u64(sum(map(len, pom_parts))))
+        parts += pom_parts
+    return b"".join(parts)
 
 
 def decode_chunk_bundle(data: bytes):
@@ -287,7 +323,7 @@ def decode_chunk_bundle(data: bytes):
         raise ParameterError("not a chunk bundle file")
     units = []
     for _ in range(r.u32()):
-        pom = decode_pom(r.take(r.u64()))
+        pom = _take_pom(r.window(r.u64()))
         units.append((pom.base_index, pom.base_symbol, pom))
     if not r.done():
         raise ParameterError("trailing bytes in chunk bundle")

@@ -23,6 +23,8 @@ def layer_sizes(params, block_len: int) -> tuple[int, ...]:
         )
     sizes = [int(m)]
     shrink = params.batch * params.rate
+    if shrink.denominator != 1:
+        raise ParameterError("batch * rate must be an integer")
     while sizes[-1] > params.root_size:
         nxt = Fraction(sizes[-1]) / shrink
         if nxt.denominator != 1:

@@ -25,6 +25,21 @@ class TestGeometry:
         with pytest.raises(ParameterError):
             cit.TreeParams(**{**SMALL, "rate": Fraction(1)})
 
+    def test_rejects_batch_times_rate_not_an_integer(self):
+        # batch 3 at rate 1/2 shrinks each layer by 3/2: over 108 bytes of
+        # 4-byte symbols the sizes are 16/24/36/54, layer 1's systematic
+        # count 12 does not divide layer 2's 18, and the pair a proof
+        # samples at layer 1 (i mod 12) is not the parent its digest chain
+        # climbs through ((i mod 18) mod 12), so no honest proof verifies
+        geo = cit._geometry(4, 16, 1, 2, 3, 108)
+        assert geo.sizes == (16, 24, 36, 54)
+        assert [(i % 18) % 12 for i in range(54)] != [geo.pom_pairs(i)[1][0] for i in range(54)]
+        with pytest.raises(ParameterError, match=r"batch \* rate must be an integer"):
+            cit.TreeParams(
+                symbol_size=4, root_size=16, rate=Fraction(1, 2), batch=3,
+                max_eq_degree=4, alpha=0.1,
+            )
+
     def test_rejects_geometry_missing_the_root(self, small_params):
         # 3 base symbols -> 12 coded, and 12/(q*r) = 6 never reaches 4
         with pytest.raises(ParameterError):
@@ -56,6 +71,25 @@ class TestGeometry:
         assert tree.commitment.root != honest.commitment.root
         for i in range(32):
             assert cit.verify_symbol(tree.commitment, small_params, cit.sample_pom(tree, i))
+
+    def test_build_tree_hashes_each_row_once(self, small_block, small_params, monkeypatch):
+        # every row of every layer is hashed once for Layer.hashes, and each
+        # parent's joined q child digests once for its value; aggregation
+        # reads the child layer's digests instead of hashing its rows again
+        hashed = []
+        real = cit.sha256
+        monkeypatch.setattr(cit, "sha256", lambda data: hashed.append(bytes(data)) or real(data))
+        tree = cit.build_tree(small_block, small_params)
+        monkeypatch.undo()
+        geo = cit.geometry(small_params, len(small_block))
+        rows = [row.tobytes() for layer in tree.layers for row in layer.symbols]
+        joined = [
+            tree.layers[u + 1].hashes[k::s].tobytes()
+            for u, s in enumerate(geo.sys_counts[:-1])
+            for k in range(s)
+        ]
+        assert sorted(hashed) == sorted(rows + joined)
+        assert len(hashed) == sum(geo.sizes) + sum(geo.sys_counts[:-1])
 
     def test_commitment_binds_every_byte(self, small_block, small_params):
         tree = cit.build_tree(small_block, small_params)

@@ -169,6 +169,22 @@ class TestCommitVerifyRetrieve:
             assert "Traceback" not in proc.stderr
             assert proc.stderr.startswith("error: ")
 
+    def test_tree_cache_with_fractional_batch_times_rate_exits_params(self, workdir):
+        # DAT1 layout: magic(4) symbol_size u64, root_size u32, rate num
+        # u32 and den u32, batch u32; batch 3 at rate 1/2 over 108 bytes of
+        # 4-byte symbols is a geometry (16/24/36/54) where no proof verifies
+        d = workdir
+        params = cit.TreeParams(**json.loads((d / "tree_params.json").read_text()))
+        blob = bytearray(sz.encode_tree_cache(params, bytes(108)))
+        struct.pack_into("<QIIII", blob, 4, 4, 16, 1, 2, 3)
+        (d / "t.bin").write_bytes(bytes(blob))
+        proc = run_module("pom", "--tree", "t.bin", "--index", "0", "--out", "p.bin", cwd=d)
+        assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "batch * rate must be an integer" in proc.stderr
+        assert not (d / "p.bin").exists()
+
     def test_json_gate_trials_above_the_cap_exit_params(self, workdir):
         d = workdir
         raw = json.loads((d / "tree_params.json").read_text())

@@ -35,7 +35,7 @@ BLOCK_LENS = tuple(n * SYMBOL_SIZE - (n > 1) for n in SYMBOL_COUNTS)
 def grid_params():
     for rate in RATES:
         for batch in BATCHES:
-            if batch * rate <= 1:
+            if batch * rate <= 1 or (batch * rate).denominator != 1:
                 continue  # rejected by TreeParams itself
             for root in ROOT_SIZES:
                 yield cit.TreeParams(

@@ -54,7 +54,7 @@ def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
             cur[index % geo.sizes[u], 0] ^= mask
         layers[u] = cit.Layer(cur, cit._hash_rows(cur), code)
         if u:
-            inputs = cit.aggregate(cur, geo.sizes[u - 1], params)
+            inputs = cit.aggregate(layers[u].hashes, geo.sizes[u - 1], params)
     root = tuple(row.tobytes() for row in layers[0].symbols)
     return cit.CodedTree(
         params,

@@ -64,6 +64,26 @@ class TestRoundTrip:
         fractions = dict(out.known_fractions)
         assert fractions[3] < 1 - small_params.alpha
 
+    @pytest.mark.parametrize("every", [1, 4, 8], ids=["all", "3_of_4", "7_of_8"])
+    def test_each_base_row_is_hashed_once(
+        self, small_tree, small_block, small_params, monkeypatch, every
+    ):
+        # ingest hashes each delivered base symbol, a peel solve hashes the
+        # symbol it checks, and the aggregation check hashes only the rows
+        # neither did; 64-byte inputs are exactly the base rows here (digests
+        # are 32 bytes and the joined q-tuples 8 x 32)
+        m = small_tree.sizes[-1]
+        chunks = chunkset_for(small_tree, [i for i in range(m) if every == 1 or i % every])
+        hashed = []
+        for module in (cit, rt):
+            real = module.sha256
+            monkeypatch.setattr(
+                module, "sha256", lambda data, _real=real: hashed.append(len(data)) or _real(data)
+            )
+        out = rt.reconstruct(small_tree.commitment, small_params, chunks)
+        assert isinstance(out, rt.Block) and out.data == small_block
+        assert hashed.count(small_params.symbol_size) == m
+
     def test_agreement_between_independent_retrievers(
         self, small_tree, small_params
     ):

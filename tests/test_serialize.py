@@ -1,10 +1,14 @@
 """Byte-exact golden vectors and round trips for the wire formats."""
 
 import hashlib
+import signal
 import struct
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt, serialize as sz
 from daoracle.errors import ParameterError
@@ -18,6 +22,8 @@ from conftest import chunkset_for
 GOLDEN_COMMITMENT = "d46ccbe1240c6e05f5ce297622f2bf722c2c40ec6868386dc3ee58d90a499074"
 GOLDEN_POM_15 = "7fab6325af2d9eae0b369c79d47f6457bc31d3244869c5f0e88acc5459ccf2ba"
 GOLDEN_FRAUD = "1ee31c4db835689d7553871c3f58ff7858a5042f26d06ddac1821abe22031187"
+# DAB1 bundle of every base symbol of the reference tree, in index order
+GOLDEN_BUNDLE = "4ea32393d8e018b3256a4d6bc8be0200021b1cc8afd0f009acf87388c92a2b83"
 
 
 def sha(data: bytes) -> str:
@@ -52,6 +58,30 @@ def test_chunk_bundle_round_trip(small_tree):
         (i, base[i].tobytes(), cit.sample_pom(small_tree, i)) for i in (0, 7, 31)
     )
     blob = sz.encode_chunk_bundle(units)
+    assert sz.decode_chunk_bundle(blob) == units
+
+
+def bundle_units(tree, indices):
+    return tuple((p.base_index, p.base_symbol, p) for p in cit.sample_poms(tree, indices))
+
+
+def test_chunk_bundle_golden(small_tree):
+    blob = sz.encode_chunk_bundle(bundle_units(small_tree, range(small_tree.sizes[-1])))
+    assert len(blob) == 30152
+    assert sha(blob) == GOLDEN_BUNDLE
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chunk_bundle_round_trip_over_unit_subsets(small_tree, data):
+    n = small_tree.sizes[-1]
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    units = bundle_units(small_tree, picks)
+    blob = sz.encode_chunk_bundle(units)
+    # a bundle is its units' DAP1 proofs, each behind a u64 length
+    assert blob == b"DAB1" + struct.pack("<I", len(units)) + b"".join(
+        struct.pack("<Q", len(pom)) + pom for pom in map(sz.encode_pom, (u[2] for u in units))
+    )
     assert sz.decode_chunk_bundle(blob) == units
 
 
@@ -133,3 +163,85 @@ def test_exact_int_rejects_with_parameter_error():
     assert exact_int(Fraction(8, 4)) == 2
     with pytest.raises(ParameterError):
         exact_int(Fraction(1, 4) * 30)
+
+
+# every decoder, with one valid file of its format for the fuzz below
+DECODERS = {
+    "DAC1": sz.decode_commitment,
+    "DAP1": sz.decode_pom,
+    "DAF1": sz.decode_fraud_proof,
+    "DAB1": sz.decode_chunk_bundle,
+    "DAT1": sz.decode_tree_cache,
+}
+# wall-clock bound on one decode; valid files here decode in well under a
+# millisecond, so only a loop or an allocation sized by a field read from
+# the file can reach it
+DECODE_BOUND_S = 2.0
+
+
+@pytest.fixture(scope="module")
+def valid_files(small_tree, small_block, small_params):
+    bad = build_tree_with_base_corruption(small_block, small_params, xor_mask=0x5A)
+    fraud = rt.reconstruct(bad.commitment, small_params, chunkset_for(bad, range(32)))
+    return {
+        "DAC1": sz.encode_commitment(small_tree.commitment),
+        "DAP1": sz.encode_pom(cit.sample_pom(small_tree, 15)),
+        "DAF1": sz.encode_fraud_proof(fraud.proof),
+        "DAB1": sz.encode_chunk_bundle(bundle_units(small_tree, (0, 7, 31))),
+        "DAT1": sz.encode_tree_cache(small_params, small_block),
+    }
+
+
+class DecodeOverrun(Exception):
+    pass
+
+
+@contextmanager
+def time_bound(seconds: float):
+    """Raise DecodeOverrun inside the block once ``seconds`` have passed."""
+
+    def expire(_signum, _frame):
+        raise DecodeOverrun(f"decode ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def hostile_files(draw):
+    """(format, how, edits): a valid file of that format gets 1-8 bytes
+    overwritten, is cut short, or is extended by 1-8 bytes."""
+    kind = draw(st.sampled_from(sorted(DECODERS)))
+    how = draw(st.sampled_from(("mutate", "truncate", "extend")))
+    # offsets are taken modulo the file length; two in three fall in the
+    # headers, where the counts and lengths are, and extreme byte values
+    # are favoured, as they make those fields huge or zero
+    offsets = st.one_of(st.integers(0, 31), st.integers(0, 255), st.integers(0, 1 << 20))
+    values = st.one_of(st.sampled_from((0x00, 0x01, 0x7F, 0x80, 0xFF)), st.integers(0, 255))
+    if how == "truncate":
+        return kind, how, draw(offsets)
+    return kind, how, draw(st.lists(st.tuples(offsets, values), min_size=1, max_size=8))
+
+
+@settings(max_examples=600, deadline=None)
+@given(hostile_files())
+def test_hostile_bytes_decode_or_raise_parameter_error(valid_files, case):
+    kind, how, edits = case
+    blob = bytearray(valid_files[kind])
+    if how == "truncate":
+        del blob[edits % len(blob):]
+    elif how == "extend":
+        blob += bytes(value for _, value in edits)
+    else:
+        for at, value in edits:
+            blob[at % len(blob)] = value
+    with time_bound(DECODE_BOUND_S):
+        try:
+            DECODERS[kind](bytes(blob))
+        except ParameterError:
+            pass
