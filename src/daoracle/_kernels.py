@@ -3,12 +3,13 @@
 Code tables. ``CodeTables`` holds one code's parity equations in the forms
 the loops read, built once per code (``CodeSpec.tables``):
 
-- CSR arrays for ``xor_encode``: ``eq_ptr`` int32 of shape (n_eq + 1,) and
-  ``eq_idx`` int32 of shape (nnz,), so equation ``e`` touches the
-  coded-symbol indices ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``, sorted ascending;
-  ``parity_of[e]`` is the one output index of equation ``e``;
-- ``members[e]``, the same indices as a tuple, and ``touching[x]``, the
-  equations that contain symbol ``x``, ascending;
+- ``members[e]``, the coded-symbol indices of equation ``e`` as a tuple,
+  sorted ascending (the last is its parity symbol), which ``xor_encode``
+  walks, and ``touching[x]``, the equations that contain symbol ``x``,
+  ascending;
+- the same indices as CSR arrays for a ``Peel`` started from a known set:
+  ``eq_ptr`` int32 of shape (n_eq + 1,) and ``eq_idx`` int32 of shape
+  (nnz,), so equation ``e`` touches ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``;
 - ``degree[e]`` and ``index_xor[e]``: member count and XOR of member
   indices, the state of a peel that knows nothing.
 
@@ -41,7 +42,7 @@ import numpy as np
 class CodeTables:
     """Member and incidence tables of one code's parity equations."""
 
-    __slots__ = ("members", "touching", "degree", "index_xor", "eq_ptr", "eq_idx", "parity_of")
+    __slots__ = ("members", "touching", "degree", "index_xor", "eq_ptr", "eq_idx")
 
     def __init__(self, equations: Sequence[Sequence[int]], n_coded: int):
         self.members = tuple(tuple(eq) for eq in equations)
@@ -57,20 +58,17 @@ class CodeTables:
         self.eq_idx = np.fromiter(
             (i for eq in self.members for i in eq), dtype=np.int32, count=int(self.eq_ptr[-1])
         )
-        self.parity_of = np.array([eq[-1] for eq in self.members], dtype=np.int32)
 
 
-def xor_encode(eq_ptr, eq_idx, parity_of, sym):
-    # parity_of[e] is the one output index of equation e; remaining members
-    # are systematic inputs already present in sym.
-    n_eq = eq_ptr.shape[0] - 1
-    for e in range(n_eq):
-        target = parity_of[e]
-        sym[target, :] = 0
-        for j in range(eq_ptr[e], eq_ptr[e + 1]):
-            m = eq_idx[j]
-            if m != target:
-                sym[target, :] ^= sym[m, :]
+def xor_encode(members, sym):
+    """Write each equation's parity row, its last member, as the XOR of the
+    rows of its other members, systematic inputs already present in sym:
+    a copy of the first, then the rest XORed in place."""
+    for eq in members:
+        row = sym[eq[-1]]
+        row[:] = sym[eq[0]]
+        for i in eq[1:-1]:
+            row ^= sym[i]
     return sym
 
 

@@ -3,10 +3,12 @@
 Layout. A tree over a block of ``block_len`` bytes has coded layers indexed
 by depth u = 0..L, where u = L is the base layer (symbols of ``symbol_size``
 bytes) and u = 0 is the root layer of exactly ``root_size`` y-byte values,
-stored verbatim as the commitment. Layer u has ``sizes[u]`` coded symbols,
-``sizes[u-1] = sizes[u] / (batch * rate)``, where batch * rate is an
-integer; geometries where the shrink never lands exactly on the root size
-are rejected.
+stored verbatim as the commitment. Every layer code has rate 1/e for an
+integer e >= 2 (k systematic symbols, k * e coded), and the batch q is a
+multiple of e larger than e, so layer u has ``sizes[u]`` coded symbols and
+``sizes[u-1] = sizes[u] / (q / e)`` by the integer shrink q / e;
+geometries where the shrink never lands exactly on the root size are
+rejected.
 
 Aggregation. Child x of layer u+1 feeds the parent systematic symbol
 ``x mod s`` of layer u, where s is layer u's systematic count. A parent's
@@ -26,12 +28,13 @@ implementation, behind one admission guard, ``commitment_geometry``.
 index arithmetic, against the climbed tuples: the systematic symbol is the
 parent, and the parity symbol shares that parent one level up.
 
-Geometry. ``geometry(params, block_len)`` derives the layer sizes and
-systematic counts once, in integer arithmetic (the rate is read as
-num/den and every divisibility is checked with ``%``), and caches the
-frozen result. Tree building, proof sampling and walking, reconstruction
-and fraud-proof checks all read it, so no Fraction arithmetic runs per
-proof or per symbol.
+Geometry. ``geometry(params, block_len)`` derives every size from the
+integer e once: the base layer holds ceil(block_len / c) * e symbols, each
+layer up shrinks by q // e, and a layer of m symbols has m // e systematic
+ones (each divisibility checked with ``%``). It caches the frozen result,
+whose ``pom_pairs`` gives a proof's sample indices. Tree building, proof
+sampling and walking, reconstruction and fraud-proof checks all read it,
+so the tree does no Fraction arithmetic beyond coercing the rate.
 
 Batches. ``sample_pom`` always samples through a memo (``sample_poms``
 shares one across its proofs): each row it reads becomes bytes once, and
@@ -70,9 +73,11 @@ class TreeParams:
     """Geometry and code knobs for one tree family.
 
     symbol_size: bytes per base symbol (c); root_size: symbol count of the
-    root layer (t); rate: coding ratio (r); batch: aggregation batch (q);
-    max_eq_degree: parity equation cap (d); alpha: required undecodable
-    ratio for every layer code; hash_size: digest width, fixed at 32.
+    root layer (t); rate: coding ratio (r), 1/e for an integer e >= 2;
+    batch: aggregation batch (q), a multiple of e larger than e;
+    max_eq_degree: parity equation cap (d), at least 2; alpha: required
+    undecodable ratio for every layer code; hash_size: digest width, fixed
+    at 32.
     code_seed seeds deterministic per-layer code generation; gate_trials
     and max_code_attempts drive the bad-code gate (gate_trials=0 disables
     gating). Both are loop counts read from files, so they are capped at
@@ -91,18 +96,20 @@ class TreeParams:
     max_code_attempts: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", as_rate(self.rate))
-        if self.batch < 2:
-            raise ParameterError("batch (q) must be >= 2")
-        if not 0 < self.rate < 1:
-            raise ParameterError("tree rate must lie in (0, 1)")
-        if self.batch * self.rate <= 1:
+        rate = as_rate(self.rate)
+        object.__setattr__(self, "rate", rate)
+        # exactly the params layer codes exist for (codec.generate_code)
+        if rate.numerator != 1 or rate.denominator < 2:
+            raise ParameterError("tree rate must be 1/e for an integer e >= 2")
+        if self.batch <= rate.denominator:
             raise ParameterError("batch * rate must exceed 1 so layers shrink")
-        if (self.batch * self.rate).denominator != 1:
+        if self.batch % rate.denominator:
             # only then does each layer's systematic count divide the one
             # below, so the pair a proof samples at a layer (i mod s_u) is
             # the parent its digest chain climbs through
             raise ParameterError("batch * rate must be an integer")
+        if self.max_eq_degree < 2:
+            raise ParameterError("max_eq_degree (d) must be >= 2")
         if self.root_size < 1:
             raise ParameterError("root_size (t) must be >= 1")
         if self.symbol_size < 1:
@@ -122,17 +129,6 @@ class TreeParams:
     def layer_sizes(self, block_len: int) -> tuple[int, ...]:
         """Coded layer sizes from root to base for a block of this length."""
         return geometry(self, block_len).sizes
-
-    def sys_count(self, layer_size: int) -> int:
-        return _sys_count(layer_size, self.rate)
-
-
-def _sys_count(layer_size: int, rate: Fraction) -> int:
-    """rate * layer_size, which must be integral."""
-    s, rem = divmod(layer_size * rate.numerator, rate.denominator)
-    if rem:
-        raise ParameterError(f"{rate} * {layer_size} is not integral")
-    return s
 
 
 @dataclass(frozen=True)
@@ -159,27 +155,22 @@ def geometry(params: TreeParams, block_len: int) -> Geometry:
     """Layer sizes and systematic counts for a block of ``block_len``
     bytes. Raises ParameterError when the sizes are not all integral or
     never land exactly on ``root_size``."""
-    rate = params.rate
     return _geometry(
-        params.symbol_size, params.root_size, rate.numerator, rate.denominator,
-        params.batch, block_len,
+        params.symbol_size, params.root_size, params.rate.denominator, params.batch, block_len
     )
 
 
 @lru_cache(maxsize=256)
-def _geometry(symbol_size, root_size, num, den, batch, block_len) -> Geometry:
+def _geometry(symbol_size, root_size, e, batch, block_len) -> Geometry:
     # keyed on the plain ints the shape depends on, so a lookup never
-    # hashes the params (a Fraction's hash is recomputed on every call)
+    # hashes the params (a Fraction's hash is recomputed on every call);
+    # validated params only, so the shrink batch // e is at least 2
     if block_len < 1:
         raise ParameterError("block must be non-empty")
-    n_sys = -(-block_len // symbol_size)
-    m, rem = divmod(n_sys * den, num)
-    if rem:
-        raise ParameterError(f"{n_sys} base symbols at rate {num}/{den} is not integral")
-    sizes = [m]
+    sizes = [-(-block_len // symbol_size) * e]
+    shrink = batch // e
     while sizes[-1] > root_size:
-        # shrink by batch * rate = batch * num / den
-        nxt, rem = divmod(sizes[-1] * den, batch * num)
+        nxt, rem = divmod(sizes[-1], shrink)
         if rem:
             raise ParameterError("layer sizes must stay integral")
         sizes.append(nxt)
@@ -189,8 +180,8 @@ def _geometry(symbol_size, root_size, num, den, batch, block_len) -> Geometry:
         )
     sys_counts = []
     for m in sizes:
-        s, rem = divmod(m * num, den)
-        if rem or s < 1:
+        s, rem = divmod(m, e)
+        if rem:
             raise ParameterError(
                 f"layer of {m} symbols has non-integral systematic count"
             )
@@ -271,7 +262,11 @@ def layer_code(params: TreeParams, layer_size: int) -> CodeSpec:
     and advance by one per failed gate, so every party regenerating from
     the same parameters lands on the same accepted code.
     """
-    k = params.sys_count(layer_size)
+    k, rem = divmod(layer_size, params.rate.denominator)
+    if rem:
+        raise ParameterError(
+            f"layer of {layer_size} symbols has non-integral systematic count"
+        )
     base_seed = derive_seed("cit-code", params.code_seed, layer_size)
     for attempt in range(max(1, params.max_code_attempts)):
         seed = (base_seed + attempt) & ((1 << 64) - 1)
@@ -292,7 +287,7 @@ def aggregate(child_hashes: np.ndarray, parent_size: int, params: TreeParams) ->
     """Parent systematic symbols from the (size, 32) digests of one coded
     child layer: parent k is the digest of children k, k + s, k + 2s, ...
     joined, for s = the parent layer's systematic count."""
-    s_par = params.sys_count(parent_size)
+    s_par = parent_size // params.rate.denominator
     # child x = pos * s_par + k sits at [pos, k]; gather each parent's q
     # digests into one contiguous row
     q = child_hashes.shape[0] // s_par
@@ -340,36 +335,6 @@ def build_tree(
         commitment=commitment,
         block_len=len(block),
     )
-
-
-def pom_indices(
-    base_index: int, layer_sizes: Sequence[int], rate
-) -> list[tuple[int, int]]:
-    """(systematic, parity) sample indices per layer, by pure arithmetic.
-
-    layer_sizes lists the target layers (any subset/order); for each size m
-    the pair is (i mod r*m, r*m + (i mod (1-r)*m)).
-    """
-    r = as_rate(rate)
-    out = []
-    for m in layer_sizes:
-        s = _sys_count(m, r)
-        out.append((base_index % s, s + base_index % (m - s)))
-    return out
-
-
-def project_base_to_layer(
-    base_indices: Iterable[int], layer_sizes: Sequence[int], rate
-) -> list[set[int]]:
-    """Per-layer index sets touched by the proofs of a base-symbol subset."""
-    r = as_rate(rate)
-    idx = np.asarray(sorted(set(base_indices)), dtype=np.int64)
-    out = []
-    for m in layer_sizes:
-        s = _sys_count(m, r)
-        covered = set((idx % s).tolist()) | set((s + idx % (m - s)).tolist())
-        out.append(covered)
-    return out
 
 
 @lru_cache(maxsize=None)

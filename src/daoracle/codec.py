@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import LengthMismatch, ParameterError
-from .util import as_rate, exact_int
+from .util import as_rate
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,7 +53,7 @@ class CodeSpec:
     def __post_init__(self):
         if self.n_systematic < 1:
             raise ParameterError("need at least one systematic symbol")
-        if self.n_coded * self.rate != self.n_systematic:
+        if self.n_coded * self.rate.numerator != self.n_systematic * self.rate.denominator:
             raise ParameterError("n_coded * rate must equal n_systematic exactly")
         if self.max_eq_degree < 2:
             raise ParameterError("max_eq_degree must be >= 2")
@@ -111,7 +111,7 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
         raise ParameterError("rate must be 1/m with integer m >= 2")
     if max_eq_degree < 2:
         raise ParameterError("max_eq_degree must be >= 2")
-    n = exact_int(Fraction(k) / r)
+    n = k * r.denominator
     n_parity = n - k
 
     equations: list[ParityEquation] = []
@@ -157,9 +157,7 @@ def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
         )
     sym = np.zeros((code.n_coded, inputs.shape[1]), dtype=np.uint8)
     sym[: code.n_systematic] = inputs
-    tables = code.tables
-    if len(tables.parity_of):
-        _kernels.xor_encode(tables.eq_ptr, tables.eq_idx, tables.parity_of, sym)
+    _kernels.xor_encode(code.tables.members, sym)
     return sym
 
 

@@ -51,9 +51,6 @@ class DispersalDesign:
     assignments: np.ndarray  # (N, k) int64, multisets of chunk indices
     seed: int
 
-    def node_chunks(self, node: int) -> np.ndarray:
-        return self.assignments[node]
-
 
 def feasibility(params: DispersalParams) -> Feasibility:
     ratio = params.gamma / params.lam

@@ -219,21 +219,26 @@ def node_on_dispersal(node: OracleNode, message: DispersalMessage) -> Optional[V
         return Vote(node.node_id, key)
     # honest verification path (shared by WITHHOLD_AFTER_VOTE, which behaves
     # correctly at dispersal time)
-    want = sorted(set(message.assigned))
-    have = [idx for idx, _, _ in message.units]
-    if have != want:
-        return None
-    for idx, symbol, pom in message.units:
-        if pom.base_index != idx or pom.base_symbol != symbol:
-            return None
-    poms = [pom for _, _, pom in message.units]
-    harvests = walk_poms(message.commitment, message.commitment.params, poms)
-    if any(harvest is None for harvest in harvests):
+    if not _units_check(message.commitment, message.assigned, message.units):
         return None
     for idx, symbol, pom in message.units:
         node.stored[(key, idx)] = (symbol, pom)
     node.assigned[key] = message.assigned
     return Vote(node.node_id, key)
+
+
+def _units_check(commitment: Commitment, assigned, units) -> bool:
+    """True iff ``units`` holds one (index, symbol, proof) per distinct
+    assigned index, ascending, each proof is for its index and symbol, and
+    every proof walks to ``commitment``. Dispersal and audit both check a
+    node's units with it."""
+    if [idx for idx, _, _ in units] != sorted(set(assigned)):
+        return False
+    for idx, symbol, pom in units:
+        if pom.base_index != idx or pom.base_symbol != symbol:
+            return False
+    harvests = walk_poms(commitment, commitment.params, [pom for _, _, pom in units])
+    return all(harvest is not None for harvest in harvests)
 
 
 def node_on_retrieval(node: OracleNode, key: bytes):
@@ -293,14 +298,8 @@ def audit(
     picked = int(voters[rng.integers(0, len(voters))])
     node = next(n for n in nodes if n.node_id == picked)
     want = sorted(set(int(i) for i in design.assignments[picked]))
-    entries = [node.stored.get((key, idx)) for idx in want]
-    ok = all(
-        entry is not None and entry[1].base_index == idx for idx, entry in zip(want, entries)
-    )
-    if ok:
-        harvests = walk_poms(commitment, commitment.params, [pom for _, pom in entries])
-        ok = all(harvest is not None for harvest in harvests)
-    if not ok:
+    units = [(idx, *node.stored[(key, idx)]) for idx in want if (key, idx) in node.stored]
+    if not _units_check(commitment, want, units):
         node.stake = max(0.0, node.stake - stake_penalty)
         return AuditOutcome(picked, False, stake_penalty)
     return AuditOutcome(picked, True, 0.0)

@@ -218,29 +218,6 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    communication_bytes: int
-    storage_bytes: dict
-    download_bytes: dict
-
-    @property
-    def total_storage(self) -> int:
-        return sum(self.storage_bytes.values())
-
-    @property
-    def total_download(self) -> int:
-        return sum(self.download_bytes.values())
-
-
-def measure(trace: Trace) -> MeasureReport:
-    return MeasureReport(
-        communication_bytes=trace.bytes_sent,
-        storage_bytes=dict(trace.bytes_stored),
-        download_bytes=dict(trace.bytes_downloaded),
-    )
-
-
 def _unit_size(pom, cache: dict) -> int:
     # keyed on the proof's value: an id() key could be reused by a later
     # proof once an earlier, unstored one is garbage-collected

@@ -1,4 +1,4 @@
-"""Small shared helpers: hashing, seed derivation, exact rate arithmetic,
+"""Small shared helpers: hashing, seed derivation, exact rate coercion,
 field checks for JSON configs."""
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ def as_rate(value) -> Fraction:
     if not 0 < frac <= 1:
         raise ParameterError(f"rate must lie in (0, 1], got {frac}")
     return frac
-
-
-def exact_int(value) -> int:
-    """Convert a Fraction/float product to int, requiring exactness."""
-    frac = Fraction(value)
-    if frac.denominator != 1:
-        raise ParameterError(f"{value} is not integral")
-    return int(frac)
 
 
 def json_fields(raw, required: dict, optional: Optional[dict] = None) -> dict:

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from daoracle.cit import CodedTree, TreeParams, build_tree, sample_poms
+from daoracle.cit import CodedTree, Geometry, TreeParams, build_tree, geometry, sample_poms
 from daoracle.retrieval import ChunkSet
 
 # 8 systematic base symbols at rate 1/4, batch 8, 4-digest root:
@@ -77,3 +77,30 @@ def sizes_for(root_size, rate, batch, levels):
     for _ in range(levels):
         sizes.append(int(sizes[-1] * shrink))
     return sizes
+
+
+def geometry_for(root_size, rate, batch, levels) -> Geometry:
+    """The geometry of ``sizes_for(root_size, rate, batch, levels)``: one
+    byte per symbol, so the block is as long as the base systematic count."""
+    sizes = sizes_for(root_size, rate, batch, levels)
+    params = TreeParams(
+        symbol_size=1, root_size=root_size, rate=rate, batch=batch,
+        max_eq_degree=8, alpha=0.1,
+    )
+    geo = geometry(params, int(sizes[-1] * rate))
+    assert list(geo.sizes) == sizes
+    return geo
+
+
+def pairs_table(geo: Geometry) -> np.ndarray:
+    """(base size, depth - 1, 2) int array whose row i is geo.pom_pairs(i)."""
+    m = geo.sizes[-1]
+    pairs = [geo.pom_pairs(i) for i in range(m)]
+    return np.array(pairs, dtype=np.int64).reshape(m, geo.depth - 1, 2)
+
+
+def covered_layers(table: np.ndarray, base_indices) -> list[set[int]]:
+    """Index sets the proofs of ``base_indices`` sample at layers depth-1
+    down to 1, read from ``pairs_table``."""
+    rows = table[np.asarray(list(base_indices), dtype=np.int64)]
+    return [set(rows[:, j].ravel().tolist()) for j in range(table.shape[1])]

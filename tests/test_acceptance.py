@@ -13,12 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from daoracle import cit, codec, dispersal as dp, incentives as inc
+from daoracle import codec, dispersal as dp, incentives as inc
 from daoracle import metrics as mx, retrieval as rt, simnet as sn
 from daoracle.cit import TreeParams
 from daoracle.dispersal import DispersalParams
 
-from conftest import random_geometries, sizes_for
+from conftest import covered_layers, geometry_for, pairs_table, random_geometries, sizes_for
 from gf2 import solve_erasure
 
 ETA = 0.875
@@ -34,9 +34,10 @@ def test_criterion_1_sibling_property():
     checked = 0
     for t, r, q, levels in geometries:
         sizes = sizes_for(t, r, q, levels)  # root .. base
+        geo = geometry_for(t, r, q, levels)
         layer_ids = list(range(len(sizes) - 2, 0, -1))
         for i in range(sizes[-1]):
-            pairs = cit.pom_indices(i, [sizes[u] for u in layer_ids], r)
+            pairs = geo.pom_pairs(i)
             prev = i
             for u, (p, e) in zip(layer_ids, pairs):
                 s_own = int(r * sizes[u])
@@ -61,9 +62,10 @@ def test_criterion_2_layer_coverage():
         m_base = sizes[-1]
         need = math.ceil(ETA * m_base)
         intermediate = sizes[-2:0:-1]
+        table = pairs_table(geometry_for(t, r, q, levels))
         for _ in range(10_000):
             subset = rng.choice(m_base, size=need, replace=False)
-            covered = cit.project_base_to_layer(subset, intermediate, r)
+            covered = covered_layers(table, subset)
             for m, w in zip(intermediate, covered):
                 assert len(w) >= ETA * m, f"coverage lost at layer size {m}"
             total += 1

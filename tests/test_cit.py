@@ -10,7 +10,9 @@ from daoracle import cit
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import sha256
 
-from conftest import SMALL, random_geometries, sizes_for
+from conftest import (
+    SMALL, covered_layers, geometry_for, pairs_table, random_geometries, sizes_for,
+)
 
 
 class TestGeometry:
@@ -31,8 +33,7 @@ class TestGeometry:
         # count 12 does not divide layer 2's 18, and the pair a proof
         # samples at layer 1 (i mod 12) is not the parent its digest chain
         # climbs through ((i mod 18) mod 12), so no honest proof verifies
-        geo = cit._geometry(4, 16, 1, 2, 3, 108)
-        assert geo.sizes == (16, 24, 36, 54)
+        geo = cit.Geometry((16, 24, 36, 54), (8, 12, 18, 27), 3)
         assert [(i % 18) % 12 for i in range(54)] != [geo.pom_pairs(i)[1][0] for i in range(54)]
         with pytest.raises(ParameterError, match=r"batch \* rate must be an integer"):
             cit.TreeParams(
@@ -101,11 +102,12 @@ class TestGeometry:
 
 class TestPomIndices:
     def test_reference_pairs_for_index_15(self):
-        assert cit.pom_indices(15, [16, 8], Fraction(1, 4)) == [(3, 7), (1, 5)]
+        geo = geometry_for(4, Fraction(1, 4), 8, 3)
+        assert geo.pom_pairs(15) == [(3, 7), (1, 5)]
 
     def test_index_zero_hits_first_systematic_and_first_parity(self):
-        for m in (16, 8):
-            (p, e), = cit.pom_indices(0, [m], Fraction(1, 4))
+        geo = geometry_for(4, Fraction(1, 4), 8, 3)
+        for m, (p, e) in zip((16, 8), geo.pom_pairs(0)):
             assert (p, e) == (0, m // 4)
 
     def test_sampled_pairs_share_a_parent(self):
@@ -114,8 +116,9 @@ class TestPomIndices:
         geometries = [(4, Fraction(1, 4), 8, 3)] + random_geometries()
         for t, r, q, levels in geometries:
             sizes = sizes_for(t, r, q, levels)
+            geo = geometry_for(t, r, q, levels)
             for i in range(sizes[-1]):
-                pairs = cit.pom_indices(i, sizes[-2:0:-1], r)
+                pairs = geo.pom_pairs(i)
                 chain = [i] + [p for p, _ in pairs]
                 for depth, (p, e) in enumerate(pairs):
                     parent_size = sizes[len(sizes) - 2 - depth - 1]
@@ -123,8 +126,8 @@ class TestPomIndices:
                     assert p % s_par == e % s_par == chain[depth + 1] % s_par
 
     def test_projection_of_everything_is_everything(self):
-        full = range(32)
-        covered = cit.project_base_to_layer(full, [16, 8], Fraction(1, 4))
+        table = pairs_table(geometry_for(4, Fraction(1, 4), 8, 3))
+        covered = covered_layers(table, range(32))
         assert covered[0] == set(range(16))
         assert covered[1] == set(range(8))
 
@@ -132,10 +135,11 @@ class TestPomIndices:
         # eta-dense base subsets stay eta-dense at every layer
         rng = np.random.default_rng(3)
         sizes = sizes_for(4, Fraction(1, 4), 8, 3)
+        table = pairs_table(geometry_for(4, Fraction(1, 4), 8, 3))
         eta = 0.875
         for _ in range(300):
             take = rng.choice(32, size=28, replace=False)
-            covered = cit.project_base_to_layer(take, sizes[-2:0:-1], Fraction(1, 4))
+            covered = covered_layers(table, take)
             for m, w in zip(sizes[-2:0:-1], covered):
                 assert len(w) >= eta * m
 
@@ -207,10 +211,11 @@ class TestSiblingProperty:
         # exhaustively over all base indices
         for t, r, q, levels in self.geometries():
             sizes = sizes_for(t, r, q, levels)  # root .. base
+            geo = geometry_for(t, r, q, levels)
             for i in range(sizes[-1]):
                 # pairs at layers len-2 .. 1, then the root junction
                 layer_ids = list(range(len(sizes) - 2, 0, -1))
-                pairs = cit.pom_indices(i, [sizes[u] for u in layer_ids], r)
+                pairs = geo.pom_pairs(i)
                 prev_child = i
                 for u, (p, e) in zip(layer_ids, pairs):
                     s_par = int(r * sizes[u])

@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from daoracle import cit, cli, serialize as sz
 from daoracle.oracle import build_tree_with_base_corruption
+
+from hostile import hostile, hostile_files, time_bound
 
 @pytest.fixture()
 def workdir(tmp_path, small_block):
@@ -361,6 +364,7 @@ class TestBadJsonInput:
             ("commit", '{"symbol_size": 64,'),
             ("commit", json.dumps({**TREE_PARAMS, "batch": "8"})),
             ("commit", json.dumps([TREE_PARAMS])),
+            ("commit", json.dumps({**TREE_PARAMS, "rate": "2/3", "batch": 6})),
             ("simulate", without(SCENARIO, "tree")),
             ("simulate", json.dumps({**SCENARIO, "behaviors": {"sleepy": 1}})),
             ("simulate", json.dumps({**SCENARIO, "behaviors": {"silent": "2"}})),
@@ -372,7 +376,7 @@ class TestBadJsonInput:
         ],
         ids=[
             "commit_missing_key", "commit_unparsable", "commit_wrong_type",
-            "commit_not_an_object", "simulate_missing_tree", "simulate_unknown_behavior",
+            "commit_not_an_object", "commit_rate_without_layer_codes", "simulate_missing_tree", "simulate_unknown_behavior",
             "simulate_count_not_an_int", "disperse_missing_key",
             "metrics_missing_key", "metrics_no_lambda_nor_eta",
             "incentives_missing_key", "retrieve_trace_without_config",
@@ -405,3 +409,78 @@ class TestBadJsonInput:
         assert exit_.value.code == cli.EXIT_PARAMS
         err = capsys.readouterr().err
         assert "error: argument --indices" in err and "Traceback" not in err
+
+
+# each hostile format goes to every command that reads it, with valid files
+# for the other arguments
+HOSTILE_COMMANDS = {
+    "DAC1": (
+        lambda d, x: ("verify", "--commitment", x, "--pom", d / "p.bin"),
+        lambda d, x: ("retrieve", "--commitment", x, "--chunks", d / "all.bundle",
+                      "--out-block", d / "out.bin"),
+    ),
+    "DAP1": (lambda d, x: ("verify", "--commitment", d / "c.bin", "--pom", x),),
+    "DAB1": (
+        lambda d, x: ("retrieve", "--commitment", d / "c.bin", "--chunks", x,
+                      "--out-block", d / "out.bin"),
+    ),
+    "DAT1": (lambda d, x: ("pom", "--tree", x, "--all", "--out", d / "out.bundle"),),
+}
+EXIT_CODES = {
+    cli.EXIT_OK, cli.EXIT_PARAMS, cli.EXIT_VERIFY_FAILED, cli.EXIT_FRAUD,
+    cli.EXIT_INSUFFICIENT, cli.EXIT_BAD_CODE,
+}
+# wall-clock bound on one command; on valid files each runs in well under
+# a second
+COMMAND_BOUND_S = 10.0
+
+
+@pytest.fixture(scope="module")
+def valid_cli_files(tmp_path_factory, small_block):
+    d = tmp_path_factory.mktemp("hostile")
+    (d / "block.bin").write_bytes(small_block)
+    (d / "tree_params.json").write_text(json.dumps(TREE_PARAMS))
+    assert run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+               "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin") == cli.EXIT_OK
+    assert run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin") == cli.EXIT_OK
+    assert run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle") == cli.EXIT_OK
+    files = {"DAC1": "c.bin", "DAP1": "p.bin", "DAB1": "all.bundle", "DAT1": "t.bin"}
+    return d, {kind: (d / name).read_bytes() for kind, name in files.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_files(HOSTILE_COMMANDS))
+def test_hostile_files_exit_with_a_documented_code(valid_cli_files, case):
+    d, valid = valid_cli_files
+    kind, how, edits = case
+    x = d / "hostile.bin"
+    x.write_bytes(hostile(valid[kind], how, edits))
+    for argv in HOSTILE_COMMANDS[kind]:
+        with time_bound(COMMAND_BOUND_S):
+            code = run(*argv(d, x))
+        assert code in EXIT_CODES, (kind, argv(d, x)[0], code)
+
+
+@pytest.mark.parametrize(
+    "name,offset,fmt,values",
+    [("c.bin", 16, "<III", (2, 3, 6)), ("t.bin", 28, "<I", (1,))],
+    ids=["commitment_rate_2_3", "tree_cache_degree_1"],
+)
+def test_params_without_layer_codes_exit_params(workdir, capsys, name, offset, fmt, values):
+    # DAC1 and DAT1 share the tree-parameter layout: u32 rate num at offset
+    # 16, den at 20, batch at 24 and max_eq_degree at 28
+    d = workdir
+    run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+        "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+    run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin")
+    blob = bytearray((d / name).read_bytes())
+    struct.pack_into(fmt, blob, offset, *values)
+    (d / name).write_bytes(bytes(blob))
+    capsys.readouterr()
+    if name == "c.bin":
+        code = run("verify", "--commitment", d / "c.bin", "--pom", d / "p.bin")
+    else:
+        code = run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "q.bin")
+    assert code == cli.EXIT_PARAMS
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

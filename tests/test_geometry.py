@@ -6,19 +6,22 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_geometry as ref
 from daoracle import cit
 from daoracle import retrieval as rt
-from daoracle.errors import ParameterError
+from daoracle.errors import BadCode, ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import SMALL, chunkset_for
 
-RATES = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4))
-BATCHES = (2, 3, 4, 5, 8, 9)
+RATES = (
+    Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4),
+    Fraction(1, 5), Fraction(1, 8),
+)
+BATCHES = (2, 3, 4, 5, 6, 8, 9, 10, 16)
 ROOT_SIZES = (1, 2, 3, 4, 6)
 SYMBOL_SIZE = 3
 # base systematic counts 1..240 and every 2^a 3^b 5^c up to 20000 (these
@@ -35,13 +38,17 @@ BLOCK_LENS = tuple(n * SYMBOL_SIZE - (n > 1) for n in SYMBOL_COUNTS)
 def grid_params():
     for rate in RATES:
         for batch in BATCHES:
-            if batch * rate <= 1 or (batch * rate).denominator != 1:
-                continue  # rejected by TreeParams itself
+            knobs = dict(
+                symbol_size=SYMBOL_SIZE, rate=rate, batch=batch, max_eq_degree=4, alpha=0.1
+            )
+            e = rate.denominator
+            if rate.numerator != 1 or batch <= e or batch % e:
+                # no layer code exists for these: TreeParams itself rejects them
+                with pytest.raises(ParameterError):
+                    cit.TreeParams(root_size=1, **knobs)
+                continue
             for root in ROOT_SIZES:
-                yield cit.TreeParams(
-                    symbol_size=SYMBOL_SIZE, root_size=root, rate=rate, batch=batch,
-                    max_eq_degree=4, alpha=0.1,
-                )
+                yield cit.TreeParams(root_size=root, **knobs)
 
 
 def reference_outcome(params, block_len):
@@ -53,7 +60,6 @@ def reference_outcome(params, block_len):
 
 REFERENCE_ERRORS = (
     "block must be non-empty",
-    "base symbols at rate",
     "layer sizes must stay integral",
     "never land on root_size",
     "non-integral systematic count",
@@ -76,7 +82,6 @@ def test_geometry_matches_the_fraction_reference_on_a_grid():
             assert geo.sys_counts == tuple(ref.sys_count(params, m) for m in want)
             assert geo.depth == len(want) - 1
             assert params.layer_sizes(block_len) == want
-            assert [params.sys_count(m) for m in want] == list(geo.sys_counts)
             valid += 1
     # the grid must reach every reference error and many valid trees
     assert errors == set(REFERENCE_ERRORS)
@@ -93,7 +98,6 @@ def test_pom_pairs_match_the_fraction_reference():
             for i in range(0, sizes[-1], max(1, sizes[-1] // 64)):
                 want = ref.pom_pairs(params, sizes, i)
                 assert geo.pom_pairs(i) == want
-                assert cit.pom_indices(i, sizes[-2:0:-1], params.rate) == want
 
 
 def test_layer_code_uses_the_integer_systematic_count():
@@ -101,7 +105,42 @@ def test_layer_code_uses_the_integer_systematic_count():
     for m in cit.geometry(params, 512).sizes:
         assert cit.layer_code(params, m).n_systematic == ref.sys_count(params, m)
     with pytest.raises(ParameterError):
-        params.sys_count(30)  # 30 / 4 is not integral
+        cit.layer_code(params, 30)  # 30 / 4 is not integral
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num=st.integers(1, 3), den=st.integers(2, 6), mult=st.integers(1, 3),
+    degree=st.integers(1, 6), root_mult=st.integers(1, 2), levels=st.integers(1, 3),
+    symbol_size=st.integers(1, 3), pad=st.integers(0, 2),
+)
+# rate 2/3 at batch 3 shrinks each layer by the integer 2 (base 6, root 3)
+# and a degree cap of 1 is a plain int, but no layer code exists for either
+@example(num=2, den=3, mult=1, degree=4, root_mult=1, levels=1, symbol_size=1, pad=0)
+@example(num=1, den=2, mult=2, degree=1, root_mult=1, levels=1, symbol_size=1, pad=0)
+def test_admitted_params_always_have_layer_codes(
+    num, den, mult, degree, root_mult, levels, symbol_size, pad
+):
+    # the batch and the root size are multiples of den, and the block fills
+    # a base of root * (batch * rate)^levels coded symbols, so that most
+    # draws of any rate num/den have a valid geometry
+    rate = Fraction(num, den)
+    batch, root = den * mult, den * root_mult
+    n_sys = root * (batch * rate) ** levels * rate
+    try:
+        params = cit.TreeParams(
+            symbol_size=symbol_size, root_size=root, rate=rate, batch=batch,
+            max_eq_degree=degree, alpha=0.1, gate_trials=2, max_code_attempts=2,
+        )
+        geo = cit.geometry(params, int(n_sys) * symbol_size - pad % symbol_size)
+    except ParameterError:
+        return
+    for m in geo.sizes:
+        try:
+            code = cit.layer_code(params, m)
+        except BadCode:
+            continue
+        assert code.n_coded == m
 
 
 # Trees for the walk properties: the reference geometry (depth 3, q = 8)

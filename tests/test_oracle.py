@@ -225,6 +225,22 @@ class TestAudit:
         assert slashed > 0 and honest_passes > 0
         assert nodes[0].stake < 1.0 and all(n.stake == 1.0 for n in nodes[1:])
 
+    def test_symbols_that_differ_from_their_proofs_fail(self, setup):
+        # every node keeps its proofs but zeroes its symbols: it can serve
+        # no block, so no audit may pass it
+        design, tree, messages = setup
+        nodes = [orc.OracleNode(i) for i in range(4)]
+        chain = orc.TrustedChain(4, 0.25, 0.5)
+        votes = [orc.node_on_dispersal(n, messages[n.node_id]) for n in nodes]
+        orc.chain_submit_votes(chain, tree.commitment, votes)
+        for node in nodes:
+            for key, (symbol, pom) in node.stored.items():
+                node.stored[key] = (bytes(len(symbol)), pom)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            out = orc.audit(chain, nodes, tree.commitment, 1.0, rng, design)
+            assert out.audited is not None and out.passed is False
+
 
 class TestBadCodeRound:
     def bad_network(self, small_block):

@@ -1,10 +1,7 @@
 """Byte-exact golden vectors and round trips for the wire formats."""
 
 import hashlib
-import signal
 import struct
-from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +10,10 @@ from hypothesis import strategies as st
 from daoracle import cit, retrieval as rt, serialize as sz
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
-from daoracle.util import as_rate, exact_int
+from daoracle.util import as_rate
 
 from conftest import chunkset_for
+from hostile import hostile, hostile_files, time_bound
 
 # frozen digests of the canonical encodings for the reference tree; any
 # change to the wire layout must update these deliberately
@@ -119,6 +117,20 @@ def test_hostile_rate_bytes_raise_parameter_error(small_tree, num, den):
         sz.decode_commitment(bytes(blob))
 
 
+@pytest.mark.parametrize(
+    "offset,fmt,values", [(16, "<III", (2, 3, 6)), (28, "<I", (1,))], ids=["rate_2_3", "degree_1"]
+)
+def test_params_without_layer_codes_raise_parameter_error(small_tree, offset, fmt, values):
+    # DAC1 tree parameters: u32 rate num at offset 16, den at 20, batch at
+    # 24, max_eq_degree at 28; rate 2/3 at batch 6 shrinks each layer by the
+    # integer 4 and a degree cap of 1 is a plain u32, but no layer code
+    # exists for either
+    blob = bytearray(sz.encode_commitment(small_tree.commitment))
+    struct.pack_into(fmt, blob, offset, *values)
+    with pytest.raises(ParameterError):
+        sz.decode_commitment(bytes(blob))
+
+
 @pytest.mark.parametrize("offset", [52, 56], ids=["gate_trials", "max_code_attempts"])
 @pytest.mark.parametrize("which", ["commitment", "tree_cache"])
 def test_hostile_gate_counts_raise_parameter_error(small_tree, small_block, offset, which):
@@ -159,12 +171,6 @@ def test_as_rate_rejects_with_parameter_error(value):
         as_rate(value)
 
 
-def test_exact_int_rejects_with_parameter_error():
-    assert exact_int(Fraction(8, 4)) == 2
-    with pytest.raises(ParameterError):
-        exact_int(Fraction(1, 4) * 30)
-
-
 # every decoder, with one valid file of its format for the fuzz below
 DECODERS = {
     "DAC1": sz.decode_commitment,
@@ -192,56 +198,13 @@ def valid_files(small_tree, small_block, small_params):
     }
 
 
-class DecodeOverrun(Exception):
-    pass
-
-
-@contextmanager
-def time_bound(seconds: float):
-    """Raise DecodeOverrun inside the block once ``seconds`` have passed."""
-
-    def expire(_signum, _frame):
-        raise DecodeOverrun(f"decode ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@st.composite
-def hostile_files(draw):
-    """(format, how, edits): a valid file of that format gets 1-8 bytes
-    overwritten, is cut short, or is extended by 1-8 bytes."""
-    kind = draw(st.sampled_from(sorted(DECODERS)))
-    how = draw(st.sampled_from(("mutate", "truncate", "extend")))
-    # offsets are taken modulo the file length; two in three fall in the
-    # headers, where the counts and lengths are, and extreme byte values
-    # are favoured, as they make those fields huge or zero
-    offsets = st.one_of(st.integers(0, 31), st.integers(0, 255), st.integers(0, 1 << 20))
-    values = st.one_of(st.sampled_from((0x00, 0x01, 0x7F, 0x80, 0xFF)), st.integers(0, 255))
-    if how == "truncate":
-        return kind, how, draw(offsets)
-    return kind, how, draw(st.lists(st.tuples(offsets, values), min_size=1, max_size=8))
-
-
 @settings(max_examples=600, deadline=None)
-@given(hostile_files())
+@given(hostile_files(DECODERS))
 def test_hostile_bytes_decode_or_raise_parameter_error(valid_files, case):
     kind, how, edits = case
-    blob = bytearray(valid_files[kind])
-    if how == "truncate":
-        del blob[edits % len(blob):]
-    elif how == "extend":
-        blob += bytes(value for _, value in edits)
-    else:
-        for at, value in edits:
-            blob[at % len(blob)] = value
+    blob = hostile(valid_files[kind], how, edits)
     with time_bound(DECODE_BOUND_S):
         try:
-            DECODERS[kind](bytes(blob))
+            DECODERS[kind](blob)
         except ParameterError:
             pass

@@ -127,13 +127,12 @@ class TestSafetySweep:
 class TestMeasure:
     def test_empty_scenario_measures_zero(self):
         trace = sn.run_scenario(make_config(rounds=0))
-        report = sn.measure(trace)
-        assert report.communication_bytes == 0
-        assert report.total_storage == 0 and report.total_download == 0
+        assert trace.bytes_sent == 0
+        assert sum(trace.bytes_stored.values()) == 0
+        assert sum(trace.bytes_downloaded.values()) == 0
 
     def test_all_honest_run_tracks_the_closed_form(self):
         trace = sn.run_scenario(make_config())
-        report = sn.measure(trace)
         cost = mx.CostParams(
             block_size=65536,
             n_nodes=20,
@@ -148,22 +147,21 @@ class TestMeasure:
         # the wire format is leaner than the formula's per-level accounting
         # (see decisions ledger); it must never exceed it by more than the
         # encoding overhead
-        assert report.communication_bytes <= 1.10 * formula
-        assert report.communication_bytes >= 0.55 * formula
+        assert trace.bytes_sent <= 1.10 * formula
+        assert trace.bytes_sent >= 0.55 * formula
 
     def test_doubling_block_roughly_doubles_communication(self):
-        small = sn.measure(sn.run_scenario(make_config(block_size=65536)))
-        big = sn.measure(sn.run_scenario(make_config(block_size=131072)))
-        ratio = big.communication_bytes / small.communication_bytes
+        small = sn.run_scenario(make_config(block_size=65536))
+        big = sn.run_scenario(make_config(block_size=131072))
+        ratio = big.bytes_sent / small.bytes_sent
         assert 1.7 <= ratio <= 2.3
 
     def test_storage_and_download_populated(self):
         trace = sn.run_scenario(make_config())
-        report = sn.measure(trace)
-        assert all(b > 0 for b in report.storage_bytes.values())
-        assert all(b > 0 for b in report.download_bytes.values())
+        assert all(b > 0 for b in trace.bytes_stored.values())
+        assert all(b > 0 for b in trace.bytes_downloaded.values())
         # every client downloads the same distinct-unit pool
-        assert len(set(report.download_bytes.values())) == 1
+        assert len(set(trace.bytes_downloaded.values())) == 1
 
 
 def test_trace_json_and_csv_shapes():
