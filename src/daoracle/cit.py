@@ -76,8 +76,8 @@ class TreeParams:
     root layer (t); rate: coding ratio (r), 1/e for an integer e >= 2;
     batch: aggregation batch (q), a multiple of e larger than e;
     max_eq_degree: parity equation cap (d), at least 2; alpha: required
-    undecodable ratio for every layer code; hash_size: digest width, fixed
-    at 32.
+    undecodable ratio for every layer code. Digests are HASH_BYTES (32)
+    wide.
     code_seed seeds deterministic per-layer code generation; gate_trials
     and max_code_attempts drive the bad-code gate (gate_trials=0 disables
     gating). Both are loop counts read from files, so they are capped at
@@ -90,7 +90,6 @@ class TreeParams:
     batch: int
     max_eq_degree: int
     alpha: float
-    hash_size: int = HASH_BYTES
     code_seed: int = 0
     gate_trials: int = 32
     max_code_attempts: int = 16
@@ -114,8 +113,6 @@ class TreeParams:
             raise ParameterError("root_size (t) must be >= 1")
         if self.symbol_size < 1:
             raise ParameterError("symbol_size (c) must be >= 1")
-        if self.hash_size != HASH_BYTES:
-            raise ParameterError(f"hash_size is fixed at {HASH_BYTES}")
         if not 0 <= self.alpha < 1:
             raise ParameterError("alpha must lie in [0, 1)")
         for name, cap in (

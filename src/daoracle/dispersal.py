@@ -201,16 +201,3 @@ def design_to_text(design: DispersalDesign) -> str:
     """One node per line, assigned chunk indices space-separated."""
     return "\n".join(" ".join(str(i) for i in row) for row in design.assignments) + "\n"
 
-
-def design_from_text(text: str, n_chunks: int, seed: int = 0) -> DispersalDesign:
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ParameterError("design text must be rectangular and non-empty")
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n_chunks:
-        raise ParameterError("chunk index out of range in design text")
-    return DispersalDesign(n_chunks, arr.shape[0], arr.shape[1], arr, seed)

@@ -45,6 +45,9 @@ from .retrieval import (
 from .serialize import encode_commitment
 from .util import sha256
 
+# stake a voter loses when an audit finds it without its exact units
+STAKE_PENALTY = 1.0
+
 
 class Behavior(enum.Enum):
     HONEST = "honest"
@@ -285,10 +288,9 @@ def audit(
     p_audit: float,
     rng: np.random.Generator,
     design: DispersalDesign,
-    stake_penalty: float = 1.0,
 ) -> AuditOutcome:
     """With probability p_audit pick one voter; it must produce its exact
-    assigned units or lose stake."""
+    assigned units or lose STAKE_PENALTY of its stake."""
     if rng.random() >= p_audit:
         return AuditOutcome(None, None, 0.0)
     key = commit_key(commitment)
@@ -300,8 +302,8 @@ def audit(
     want = sorted(set(int(i) for i in design.assignments[picked]))
     units = [(idx, *node.stored[(key, idx)]) for idx in want if (key, idx) in node.stored]
     if not _units_check(commitment, want, units):
-        node.stake = max(0.0, node.stake - stake_penalty)
-        return AuditOutcome(picked, False, stake_penalty)
+        node.stake = max(0.0, node.stake - STAKE_PENALTY)
+        return AuditOutcome(picked, False, STAKE_PENALTY)
     return AuditOutcome(picked, True, 0.0)
 
 
@@ -325,7 +327,7 @@ def bad_code_round(
                 pooled.setdefault(idx, (idx, symbol, pom))
     chunks = ChunkSet(commitment, tuple(pooled[i] for i in sorted(pooled)))
     try:
-        result = reconstruct(commitment, params, chunks)
+        reconstruct(commitment, params, chunks)
         confirmed = False
     except BadCode:
         confirmed = True

@@ -6,22 +6,23 @@ verbatim, and each layer below is peeled with its own code by the package's
 one peeling engine (``_kernels.Peel``), in its solve-in-turn order, so a
 fraud proof names the first failing equation of an ascending scan. Every
 solved symbol whose committed digest is pinned by some collected sibling
-tuple is checked against it; every fully known equation is checked for zero
-XOR; after a layer completes, each parent aggregate is recomputed and
-compared with the (already certified) layer above. Any contradiction yields
-a compact incorrect-coding proof a third party can verify against the
-commitment alone. Digest layers XOR their 32-byte symbols as Python ints,
-the base layer as uint8 rows, which are faster at symbol widths of 1 KiB
-and up.
+tuple is checked against it, and every fully known equation is checked for
+zero XOR; a contradiction there yields a compact incorrect-coding proof a
+third party can verify against the commitment alone. After a layer
+completes, each parent aggregate is recomputed and compared with the
+(already certified) layer above; a mismatch there only marks the
+reconstruction unprovable and never yields a proof. Digest layers XOR their
+32-byte symbols as Python ints, the base layer as uint8 rows, which are
+faster at symbol widths of 1 KiB and up.
 
 Digests are computed once per reconstruction. The reconstructor keeps a
 (layer, index) -> digest map of the symbols it has hashed: each value a
 verified proof harvests (its walk hashed it and matched the digest at its
 position in the climbed tuple one up) and each solve that passed its
-pinned-digest check. The aggregation check and regenerated tuples hash
-only the rows missing from the map. Every digest in the map is sha256 of
-the bytes the symbol is known by, computed in this call; a committed
-digest is never put there on trust.
+pinned-digest check. The aggregation check hashes only the rows missing
+from the map. Every digest in the map is sha256 of the bytes the symbol is
+known by, computed in this call; a committed digest is never put there on
+trust.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
@@ -189,7 +190,6 @@ class _Reconstructor:
         self.digests: dict[tuple[int, int], bytes] = {}
         self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.layer_done: dict[int, list[bytes]] = {}
-        self.solver: dict[tuple[int, int], int] = {}
         self.unprovable = False
         self._ingest(chunks)
 
@@ -216,20 +216,6 @@ class _Reconstructor:
             for key, tup in harvest.tuples.items():
                 self.tuples.setdefault(key, tup)
 
-    def _tuple_at(self, w: int, par: int):
-        """Committed child-digest tuple of parent (w, par): harvested from a
-        proof, or regenerated once layer w+1 is fully decoded."""
-        tup = self.tuples.get((w, par))
-        if tup is not None:
-            return tup
-        child = self.layer_done.get(w + 1)
-        if child is None:
-            return None
-        s_par = self.sys_counts[w]
-        tup = tuple(self._digest(w + 1, x, child[x]) for x in range(par, len(child), s_par))
-        self.tuples[(w, par)] = tup
-        return tup
-
     def _digest(self, u: int, x: int, row: bytes) -> bytes:
         """sha256 of ``row``, the bytes symbol x of layer u is known by,
         hashed at most once per reconstruction."""
@@ -240,7 +226,7 @@ class _Reconstructor:
 
     def _expected_hash(self, u: int, x: int):
         s_par = self.sys_counts[u - 1]
-        tup = self._tuple_at(u - 1, x % s_par)
+        tup = self.tuples.get((u - 1, x % s_par))
         return None if tup is None else tup[x // s_par]
 
     def _path(self, u: int, x: int) -> Optional[MembershipPath]:
@@ -249,7 +235,7 @@ class _Reconstructor:
         for w in range(u - 1, -1, -1):
             s_par = self.sys_counts[w]
             par, pos = cur % s_par, cur // s_par
-            tup = self._tuple_at(w, par)
+            tup = self.tuples.get((w, par))
             if tup is None:
                 return None
             levels.append(tup[:pos] + tup[pos + 1 :])
@@ -301,9 +287,7 @@ class _Reconstructor:
 
             self.layer_done[u] = rows
             if u >= 1:
-                outcome = self._check_aggregation(u, rows)
-                if outcome is not None:
-                    return outcome
+                self._check_aggregation(u, rows)
         if self.unprovable:
             return self._insufficient(self.depth, 1.0)
         base = self.layer_done[self.depth]
@@ -353,7 +337,6 @@ class _Reconstructor:
                 self.digests[(u, x)] = digest
             values[x], rows[x] = acc, value
             peel.solve(x)
-            self.solver[(u, x)] = e
         return None, peel.known
 
     def _equation_fraud(self, u, code, e, rows):
@@ -373,30 +356,18 @@ class _Reconstructor:
 
     def _check_aggregation(self, u, rows):
         """Recompute each parent aggregate of the completed layer u against
-        the certified layer above."""
+        the certified layer above; a mismatch marks the reconstruction
+        unprovable. Only a parent with no collected tuple can mismatch:
+        tuples come from proofs' climbs to the root, so a collected tuple's
+        ancestors are collected too, and each child of a parent with a
+        tuple was checked against it at ingest or at its solve."""
         s_par = self.sys_counts[u - 1]
         parent = self.layer_done[u - 1]
         hashes = [self._digest(u, x, row) for x, row in enumerate(rows)]
         for k in range(s_par):
-            agg = sha256(b"".join(hashes[k::s_par]))
-            if agg == parent[k]:
-                continue
-            tup = self.tuples.get((u - 1, k))
-            if tup is None:
+            if sha256(b"".join(hashes[k::s_par])) != parent[k]:
                 self.unprovable = True
-                continue
-            for pos in range(self.params.batch):
-                x = k + pos * s_par
-                if hashes[x] != tup[pos]:
-                    e = self.solver.get((u, x))
-                    if e is None:
-                        continue
-                    code = layer_code(self.params, self.sizes[u])
-                    fraud = self._mismatch_fraud(u, code, e, x, tup[pos], rows)
-                    if fraud is not None:
-                        return fraud
-            self.unprovable = True
-        return None
+                return
 
     def _insufficient(self, stalled: int, fraction: float) -> Insufficient:
         fractions = []

@@ -117,7 +117,7 @@ def encode_tree_params(p: TreeParams) -> bytes:
             _u32(p.batch),
             _u32(p.max_eq_degree),
             _f64(p.alpha),
-            _u32(p.hash_size),
+            _u32(HASH_BYTES),
             _u64(p.code_seed),
             _u32(p.gate_trials),
             _u32(p.max_code_attempts),
@@ -138,18 +138,20 @@ def decode_tree_params(r: _Reader) -> TreeParams:
     code_seed = r.u64()
     gate_trials = r.u32()
     max_code_attempts = r.u32()
-    return TreeParams(
+    params = TreeParams(
         symbol_size=symbol_size,
         root_size=root_size,
         rate=Fraction(num, den),
         batch=batch,
         max_eq_degree=max_eq_degree,
         alpha=alpha,
-        hash_size=hash_size,
         code_seed=code_seed,
         gate_trials=gate_trials,
         max_code_attempts=max_code_attempts,
     )
+    if hash_size != HASH_BYTES:
+        raise ParameterError(f"hash_size is fixed at {HASH_BYTES}")
+    return params
 
 
 def encode_commitment(com: Commitment) -> bytes:

@@ -108,10 +108,6 @@ def tree_params_from_dict(raw) -> TreeParams:
     return TreeParams(**json_fields(raw, TREE_FIELDS, OPTIONAL_TREE_FIELDS))
 
 
-def config_from_json(text: str) -> ScenarioConfig:
-    return config_from_dict(json.loads(text))
-
-
 def config_from_dict(raw) -> ScenarioConfig:
     """ScenarioConfig from a parsed scenario JSON object (FORMATS.md).
     Raises ConfigError for a missing key or a value of the wrong type."""
@@ -153,15 +149,8 @@ def config_to_json(config: ScenarioConfig) -> str:
         "n_nodes": config.n_nodes,
         "beta": config.beta,
         "tree": {
-            "symbol_size": config.tree.symbol_size,
-            "root_size": config.tree.root_size,
+            **{name: getattr(config.tree, name) for name in (*TREE_FIELDS, *OPTIONAL_TREE_FIELDS)},
             "rate": str(config.tree.rate),
-            "batch": config.tree.batch,
-            "max_eq_degree": config.tree.max_eq_degree,
-            "alpha": config.tree.alpha,
-            "code_seed": config.tree.code_seed,
-            "gate_trials": config.tree.gate_trials,
-            "max_code_attempts": config.tree.max_code_attempts,
         },
         "dispersal": {
             "gamma": config.dispersal.gamma,

@@ -12,7 +12,7 @@ engine, kept verbatim.
 
 ``codec.peel_decode``, ``codec.estimate_undecodable_ratio``,
 ``codec.is_bad_code`` and ``retrieval._Reconstructor`` must agree with
-them: the same outcomes, the same equation numbers, the same solver map.
+them: the same outcomes and the same equation numbers.
 """
 
 from __future__ import annotations

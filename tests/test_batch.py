@@ -150,6 +150,20 @@ def test_forgeries_first_do_not_decide_the_honest_proofs_after_them(tree):
     assert all(harvest is not None for harvest in got[len(forged):])
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mixed_sets(), shared_forgeries().map(lambda case: case[:2])))
+def test_ingest_keeps_the_collected_tuples_upward_closed(case):
+    """With the tuple of parent (w, p), ingest also holds the tuple of its
+    parent (w - 1, p mod s): the reconstructor reads committed digests only
+    from these tuples and never rebuilds one."""
+    tree, poms = case
+    units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
+    reader = rt._Reconstructor(tree.commitment, tree.params, rt.ChunkSet(tree.commitment, units))
+    sys_counts = cit.geometry(tree.params, tree.block_len).sys_counts
+    for w, p in reader.tuples:
+        assert w == 0 or (w - 1, p % sys_counts[w - 1]) in reader.tuples
+
+
 @st.composite
 def pair_forgeries(draw):
     """(tree, forged proof, honest proof): the forged proof's chain is the
@@ -318,16 +332,19 @@ def test_a_fault_inside_the_fraud_verifier_propagates(fraud_case, monkeypatch):
 # verify_membership against the reference
 
 
-@lru_cache(maxsize=None)
-def _decoded(n: int) -> rt._Reconstructor:
-    """A reconstructor that decoded every layer of TREES[n], so it derives
-    the honest path of any symbol below the root."""
-    tree = TREES[n]
-    reader = rt._Reconstructor(
-        tree.commitment, tree.params, chunkset_for(tree, range(tree.sizes[-1]))
-    )
-    assert isinstance(reader.run(), rt.Block)
-    return reader
+def honest_path(tree, u: int, x: int) -> cit.MembershipPath:
+    """The membership path of symbol x of layer u, read off the tree's
+    digest rows: at each level up, the digests of the other children of
+    the parent the chain passes."""
+    geo = cit.geometry(tree.params, tree.block_len)
+    levels, cur = [], x
+    for w in range(u - 1, -1, -1):
+        s_par = geo.sys_counts[w]
+        hashes = tree.layers[w + 1].hashes
+        children = range(cur % s_par, geo.sizes[w + 1], s_par)
+        levels.append(tuple(hashes[k].tobytes() for k in children if k != cur))
+        cur %= s_par
+    return cit.MembershipPath(u, x, tuple(levels))
 
 
 MEMBERSHIP_MUTATIONS = (
@@ -339,7 +356,7 @@ MEMBERSHIP_MUTATIONS = (
 @st.composite
 def membership_claims(draw):
     """(kind, commitment, params, leaf hash, path): an honest claim, taken
-    from a fraud proof or from a reconstructor's path, or one differing
+    from a fraud proof or read off a tree, or one differing
     from it in the single field ``kind`` names."""
     if draw(st.booleans()):
         commitment, params, proof = _fraud_case()
@@ -348,12 +365,11 @@ def membership_claims(draw):
             claims.append((proof.mismatch.expected_hash, proof.mismatch.path))
         leaf, path = draw(st.sampled_from(claims))
     else:
-        n = draw(st.integers(0, len(TREES) - 1))
-        tree = TREES[n]
+        tree = draw(st.sampled_from(TREES))
         commitment, params = tree.commitment, tree.params
         u = draw(st.integers(1, tree.depth))
         x = draw(st.integers(0, tree.sizes[u] - 1))
-        leaf, path = tree.layers[u].hashes[x].tobytes(), _decoded(n)._path(u, x)
+        leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
     geo = cit.geometry(params, commitment.block_len)
     kind = draw(st.sampled_from(MEMBERSHIP_MUTATIONS))
     levels = path.levels

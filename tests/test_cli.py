@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from daoracle import cit, cli, serialize as sz
 from daoracle.oracle import build_tree_with_base_corruption
 
+from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
 from hostile import hostile, hostile_files, time_bound
 
 @pytest.fixture()
@@ -101,6 +102,22 @@ class TestCommitVerifyRetrieve:
             "retrieve", "--commitment", d / "c.bin", "--chunks", d / "few.bundle",
             "--out-block", d / "x.bin",
         ) == cli.EXIT_INSUFFICIENT
+
+    def test_bad_code_exit_code(self, workdir, small_block, capsys):
+        # every chunk except the planted stopping set of an ungated base code
+        params = cit.TreeParams(**{**SMALL, "code_seed": BAD_BASE_CODE_SEED, "gate_trials": 0})
+        tree = cit.build_tree(small_block, params)
+        d = workdir
+        keep = [i for i in range(32) if i not in BAD_BASE_STOPPING_SET]
+        (d / "c.bin").write_bytes(sz.encode_commitment(tree.commitment))
+        (d / "stall.bundle").write_bytes(sz.encode_chunk_bundle(chunkset_for(tree, keep).units))
+        code = run(
+            "retrieve", "--commitment", d / "c.bin", "--chunks", d / "stall.bundle",
+            "--out-block", d / "x.bin",
+        )
+        assert code == cli.EXIT_BAD_CODE == 6
+        assert capsys.readouterr().out.startswith("bad code: layer 3 stalled")
+        assert not (d / "x.bin").exists()
 
     def test_commit_outputs_byte_stable(self, workdir):
         d = workdir

@@ -53,12 +53,6 @@ class TestAssignment:
             a.assignments, dp.assign_chunks(120, 6, 0.5, seed=10).assignments
         )
 
-    def test_text_round_trip(self):
-        design = dp.assign_chunks(60, 4, 0.5, seed=2)
-        text = dp.design_to_text(design)
-        back = dp.design_from_text(text, 60, seed=2)
-        assert np.array_equal(back.assignments, design.assignments)
-
 
 class TestCoverage:
     def test_empty_subset_is_zero(self):

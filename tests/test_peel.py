@@ -3,12 +3,16 @@
 the alpha gate give the same answers, and the gate accepts the same codes.
 
 Reconstructions run on trees whose layers violate their codes at random
-places, from random chunk subsets, with random committed sibling tuples
-dropped so that some contradictions cannot be proven, and on a code with a
-planted stopping set, so every outcome kind and the unprovable path occur.
+places, from random chunk subsets, and on a code with a planted stopping
+set, so every outcome kind and the unprovable path occur. Some cases drop
+committed sibling tuples, so that some contradictions cannot be proven: a
+dropped tuple goes with every tuple below it, as when every chunk whose
+proof climbs through it is lost, so what is left stays upward-closed like
+any harvest.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +70,7 @@ def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
 
 def outcome(reconstructor, drop):
     """What a reconstruction returns or raises, in comparable form, with the
-    solver map and the unprovable flag it ends with."""
+    unprovable flag it ends with."""
     for key in drop:
         reconstructor.tuples.pop(key, None)
     try:
@@ -81,7 +85,24 @@ def outcome(reconstructor, drop):
             got = ("block", out.data)
         else:
             got = ("insufficient", out.known_fractions)
-    return got, reconstructor.solver, reconstructor.unprovable
+    return got, reconstructor.unprovable
+
+
+def with_tuples_below(keys, picked, sys_counts):
+    """The tuple keys among ``keys`` at or below a picked one: (w, p) is
+    below (v, a) when the climb from parent p of layer w passes parent a
+    of layer v."""
+    out = set()
+    for key in keys:
+        w, p = key
+        chain = {key}
+        while w > 0:
+            w -= 1
+            p %= sys_counts[w]
+            chain.add((w, p))
+        if chain & picked:
+            out.add(key)
+    return out
 
 
 def both(which, flips, keep, drop_every):
@@ -93,7 +114,8 @@ def both(which, flips, keep, drop_every):
     new = rt._Reconstructor(tree.commitment, params, chunks)
     old = ref.Reconstructor(tree.commitment, params, chunks)
     assert new.tuples == old.tuples
-    drop = sorted(new.tuples)[::drop_every] if drop_every else ()
+    picked = set(sorted(new.tuples)[::drop_every] if drop_every else ())
+    drop = with_tuples_below(set(new.tuples), picked, new.sys_counts)
     return outcome(new, drop), outcome(old, drop), tree
 
 
@@ -133,7 +155,7 @@ def test_reconstruction_cases_reach_every_outcome():
         case = make_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
         new, old, tree = both(*case)
         assert new == old
-        (kind, *rest), _solver, unprovable = new
+        (kind, *rest), unprovable = new
         if kind == "fraud":
             proof = decode_fraud_proof(rest[0])
             assert rt.verify_fraud_proof(tree.commitment, tree.params, proof)
@@ -231,7 +253,7 @@ ACCEPTED = (
 
 
 def scenario_tree(name):
-    config = simnet.config_from_json((SCENARIOS / name).read_text())
+    config = simnet.config_from_dict(json.loads((SCENARIOS / name).read_text()))
     return config.tree, config.block_size
 
 

@@ -2,16 +2,22 @@
 
 import dataclasses
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt
 from daoracle.errors import BadCode
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
+from daoracle.util import HASH_BYTES, sha256
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
+from test_geometry import _flip, _replace_at
+from test_peel import tampered_tree
 
 
 def eta_subsets(rng, m, eta, count):
@@ -83,6 +89,26 @@ class TestRoundTrip:
         out = rt.reconstruct(small_tree.commitment, small_params, chunks)
         assert isinstance(out, rt.Block) and out.data == small_block
         assert hashed.count(small_params.symbol_size) == m
+
+    @pytest.mark.parametrize("field", ["index", "symbol"])
+    def test_a_unit_that_disagrees_with_its_proof_is_skipped(
+        self, small_tree, small_params, field
+    ):
+        # 7 base symbols stall the decode; the proof of an 8th completes it,
+        # but not from a unit whose index or symbol differs from its proof
+        c = small_tree.commitment
+        chunks = chunkset_for(small_tree, range(7))
+        without = rt.reconstruct(c, small_params, chunks)
+        assert isinstance(without, rt.Insufficient)
+        full = rt.reconstruct(c, small_params, chunkset_for(small_tree, range(8)))
+        assert isinstance(full, rt.Block)
+        pom = cit.sample_pom(small_tree, 7)
+        if field == "index":
+            unit = (8, pom.base_symbol, pom)
+        else:
+            unit = (7, _flip(pom.base_symbol, 5), pom)
+        with_unit = rt.ChunkSet(c, chunks.units + (unit,))
+        assert rt.reconstruct(c, small_params, with_unit) == without
 
     def test_agreement_between_independent_retrievers(
         self, small_tree, small_params
@@ -205,6 +231,131 @@ class TestFraud:
         assert rt.fraud_proof_size(out.proof) == len(blob)
 
 
+@lru_cache(maxsize=None)
+def fraud_flavours():
+    """{name: (commitment, params, proof)}: an equation fraud on the base
+    layer, a mismatch fraud on the base layer, and an equation fraud on the
+    root layer, whose members carry no paths."""
+    params = cit.TreeParams(**SMALL)
+    block = bytes((i * 37 + 11) % 256 for i in range(512))
+    cases = (
+        ("equation", build_tree_with_base_corruption(block, params, xor_mask=0x5A), range(32)),
+        (
+            "mismatch",
+            build_tree_with_base_corruption(block, params, corrupt_index=3, xor_mask=0x77),
+            [i for i in range(32) if i != 3],
+        ),
+        # root symbol 1 is a parity symbol and no proof climbs through it
+        ("root", tampered_tree(block, params, {0: [(1, 0x5A)]}), range(32)),
+    )
+    out = {}
+    for name, tree, keep in cases:
+        result = rt.reconstruct(tree.commitment, params, chunkset_for(tree, keep))
+        out[name] = (tree.commitment, params, result.proof)
+    depth = cit.geometry(params, 512).depth
+    assert out["equation"][2].layer == depth and out["equation"][2].mismatch is None
+    assert out["mismatch"][2].layer == depth and out["mismatch"][2].mismatch is not None
+    assert out["root"][2].layer == 0 and out["root"][2].mismatch is None
+    return out
+
+
+MEMBER_MUTATIONS = (
+    "layer_out_of_range", "layer", "equation_no_out_of_range", "equation_no", "equation",
+    "duplicate_member", "foreign_member", "member_width", "member_value", "member_path",
+    "drop_member",
+)
+MISMATCH_MUTATIONS = (
+    "drop_mismatch", "mismatch_index", "mismatch_hash_width", "mismatch_hash", "mismatch_path",
+)
+FRAUD_MUTATIONS = [
+    (flavour, kind)
+    for flavour in ("equation", "mismatch", "root")
+    for kind in MEMBER_MUTATIONS
+    + (MISMATCH_MUTATIONS if flavour == "mismatch" else ("add_mismatch",))
+]
+
+
+def mutate_fraud(kind, commitment, params, proof, draw):
+    """``proof`` with the one field ``kind`` names changed so that it no
+    longer proves anything."""
+    geo = cit.geometry(params, commitment.block_len)
+    code = cit.layer_code(params, geo.sizes[proof.layer])
+    eq = proof.equation.symbol_indices
+    members, mm = proof.members, proof.mismatch
+    j = draw(st.integers(0, len(members) - 1))
+    member = members[j]
+    other_path = draw(st.sampled_from(
+        [m.path for m in members if m.index != member.index] + [mm.path if mm else None]
+    ))
+    replace = dataclasses.replace
+    if kind == "layer_out_of_range":
+        return replace(proof, layer=draw(st.sampled_from((-1, geo.depth + 1))))
+    if kind == "layer":
+        layer = draw(st.integers(0, geo.depth).filter(lambda v: v != proof.layer))
+        return replace(proof, layer=layer)
+    if kind == "equation_no_out_of_range":
+        return replace(proof, equation_no=draw(st.sampled_from((-1, len(code.parity_checks)))))
+    if kind in ("equation_no", "equation"):
+        no = draw(st.integers(0, len(code.parity_checks) - 1).filter(
+            lambda v: v != proof.equation_no))
+        if kind == "equation_no":
+            return replace(proof, equation_no=no)
+        return replace(proof, equation=code.parity_checks[no])
+    if kind == "duplicate_member":
+        at = draw(st.integers(0, len(members)))
+        return replace(proof, members=members[:at] + (member,) + members[at:])
+    if kind == "foreign_member":
+        index = draw(st.integers(-2, geo.sizes[proof.layer] + 1).filter(lambda v: v not in eq))
+        return replace(proof, members=_replace_at(members, j, replace(member, index=index)))
+    if kind == "member_width":
+        value = member.value[:-1] if draw(st.booleans()) else member.value + b"\0"
+        return replace(proof, members=_replace_at(members, j, replace(member, value=value)))
+    if kind == "member_value":
+        value = _flip(member.value, draw(st.integers(0, len(member.value) - 1)))
+        return replace(proof, members=_replace_at(members, j, replace(member, value=value)))
+    if kind == "member_path":
+        # a root-layer member carries no path; any other needs its own
+        path = cit.MembershipPath(0, member.index, ()) if member.path is None else other_path
+        return replace(proof, members=_replace_at(members, j, replace(member, path=path)))
+    if kind == "drop_member":
+        return replace(proof, members=members[:j] + members[j + 1:])
+    if kind == "add_mismatch":
+        index = draw(st.sampled_from(eq))
+        path = member.path or cit.MembershipPath(0, index, ())
+        return replace(proof, mismatch=rt.HashMismatch(index, sha256(member.value), path))
+    if kind == "drop_mismatch":
+        return replace(proof, mismatch=None)
+    if kind == "mismatch_index":
+        index = draw(st.one_of(
+            st.integers(-2, geo.sizes[proof.layer] + 1).filter(lambda v: v not in eq),
+            st.sampled_from([m.index for m in members]),
+        ))
+        return replace(proof, mismatch=replace(mm, index=index))
+    if kind == "mismatch_hash_width":
+        digest = mm.expected_hash[:-1] if draw(st.booleans()) else mm.expected_hash + b"\0"
+        return replace(proof, mismatch=replace(mm, expected_hash=digest))
+    if kind == "mismatch_hash":
+        digest = _flip(mm.expected_hash, draw(st.integers(0, HASH_BYTES - 1)))
+        return replace(proof, mismatch=replace(mm, expected_hash=digest))
+    assert kind == "mismatch_path"
+    levels = mm.path.levels
+    k = draw(st.integers(0, len(levels) - 1))
+    sibs = _replace_at(levels[k], 0, _flip(levels[k][0], draw(st.integers(0, HASH_BYTES - 1))))
+    flipped = replace(mm.path, levels=_replace_at(levels, k, sibs))
+    path = draw(st.sampled_from((flipped, other_path, None)))
+    return replace(proof, mismatch=replace(mm, path=path))
+
+
+@pytest.mark.parametrize("flavour, kind", FRAUD_MUTATIONS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_each_single_field_mutation_of_a_fraud_proof_is_false(flavour, kind, data):
+    commitment, params, proof = fraud_flavours()[flavour]
+    assert rt.verify_fraud_proof(commitment, params, proof)
+    bad = mutate_fraud(kind, commitment, params, proof, data.draw)
+    assert not rt.verify_fraud_proof(commitment, params, bad)
+
+
 class TestProofSize:
     def degree_d_fraud(self, params, block):
         """Corrupt the parity of a full-degree equation so the reported
@@ -237,7 +388,7 @@ class TestProofSize:
         )
         return (params.max_eq_degree - 1) * params.symbol_size + (
             params.max_eq_degree
-            * params.hash_size
+            * HASH_BYTES
             * (params.batch - 1)
             * levels
         )
@@ -254,7 +405,7 @@ class TestProofSize:
         proof = self.degree_d_fraud(params, block)
         measured = rt.fraud_proof_size(proof)
         expect = self.formula(params, len(block))
-        one_path = params.symbol_size + params.hash_size * (params.batch - 1) * 5
+        one_path = params.symbol_size + HASH_BYTES * (params.batch - 1) * 5
         assert abs(measured - expect) <= one_path
 
     def test_smallest_equation_degree_two(self, small_params):

@@ -131,6 +131,16 @@ def test_params_without_layer_codes_raise_parameter_error(small_tree, offset, fm
         sz.decode_commitment(bytes(blob))
 
 
+@pytest.mark.parametrize("hash_size", [0, 31, 33, 2**32 - 1])
+def test_hash_size_other_than_32_raises_parameter_error(small_tree, hash_size):
+    # u32 hash_size at offset 40 of a DAC1 commitment has one legal value
+    blob = bytearray(sz.encode_commitment(small_tree.commitment))
+    assert struct.unpack_from("<I", blob, 40) == (32,)
+    struct.pack_into("<I", blob, 40, hash_size)
+    with pytest.raises(ParameterError, match="hash_size is fixed at 32"):
+        sz.decode_commitment(bytes(blob))
+
+
 @pytest.mark.parametrize("offset", [52, 56], ids=["gate_trials", "max_code_attempts"])
 @pytest.mark.parametrize("which", ["commitment", "tree_cache"])
 def test_hostile_gate_counts_raise_parameter_error(small_tree, small_block, offset, which):

@@ -12,8 +12,11 @@ import pytest
 from daoracle import metrics as mx
 from daoracle import simnet as sn
 from daoracle.cit import TreeParams, sample_pom
-from daoracle.dispersal import DispersalParams
-from daoracle.errors import ConfigError
+from daoracle.dispersal import DispersalParams, assign_chunks
+from daoracle.errors import BadCode, ConfigError
+from daoracle.util import derive_seed
+
+from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL
 
 TREE_64K = TreeParams(
     symbol_size=2048,
@@ -55,7 +58,7 @@ class TestDeterminism:
 
     def test_config_json_round_trip(self):
         config = make_config({"withhold_after_vote": 2})
-        again = sn.config_from_json(sn.config_to_json(config))
+        again = sn.config_from_dict(json.loads(sn.config_to_json(config)))
         assert again == config
 
     def test_config_rejects_too_many_adversaries(self):
@@ -124,6 +127,48 @@ class TestSafetySweep:
         )
 
 
+# the SMALL tree with its ungated base code whose stopping set is
+# {0, 3, 4, 5}, dispersed as 16 chunk draws to each of 4 honest nodes;
+# master seeds found by search over the round-0 design: STALL_SEED's assigns
+# every coded base chunk except exactly the stopping set, SHORT_SEED's
+# leaves too few for the peel to pass 1 - alpha
+PLANTED = TreeParams(**{**SMALL, "code_seed": BAD_BASE_CODE_SEED, "gate_trials": 0})
+STALL_SEED = 109008
+SHORT_SEED = 2230
+
+
+def planted_config(seed):
+    return make_config(
+        seed=seed, block_size=512, n_clients=1, tree=PLANTED, n_nodes=4,
+        disp=DispersalParams(gamma=0.5, eta=0.875, lam=0.5),
+    )
+
+
+class TestStalledRetrieval:
+    def test_a_stall_on_the_stopping_set_runs_the_bad_code_round(self):
+        design = assign_chunks(32, 4, 0.5, seed=derive_seed("design", STALL_SEED, 0))
+        unassigned = set(range(32)) - set(design.assignments.ravel().tolist())
+        assert unassigned == set(BAD_BASE_STOPPING_SET)
+        trace = sn.run_scenario(planted_config(STALL_SEED))
+        entry = {"client": 0, "outcome": "bad_code", "new_seed": BAD_BASE_CODE_SEED + 1}
+        assert trace.rounds[0]["retrievals"] == [entry]
+        assert trace.ledgers[0] == [{"round": 0, **entry}]
+        assert isinstance(trace.results[(0, 0)], BadCode)
+        # pooling every node's storage confirms the stall, and the chain
+        # records the replacement seed
+        commit, badcode = trace.chain_lines
+        assert commit.startswith("COMMIT") and badcode.startswith("BADCODE")
+        assert badcode.endswith(f"size=32 seed={BAD_BASE_CODE_SEED}->{BAD_BASE_CODE_SEED + 1}")
+
+    def test_a_stall_below_one_minus_alpha_is_insufficient(self):
+        trace = sn.run_scenario(planted_config(SHORT_SEED))
+        (entry,) = trace.rounds[0]["retrievals"]
+        assert entry["outcome"] == "insufficient"
+        assert dict(entry["fractions"])[3] < 1 - PLANTED.alpha
+        assert trace.ledgers[0] == [{"round": 0, **entry}]
+        assert [line.split()[0] for line in trace.chain_lines] == ["COMMIT"]
+
+
 class TestMeasure:
     def test_empty_scenario_measures_zero(self):
         trace = sn.run_scenario(make_config(rounds=0))
@@ -186,7 +231,7 @@ TRACE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
 def test_scenario_trace_bytes_are_pinned(name):
     path = Path(__file__).parents[1] / "scenarios" / f"{name}.json"
-    trace = sn.run_scenario(sn.config_from_json(path.read_text()))
+    trace = sn.run_scenario(sn.config_from_dict(json.loads(path.read_text())))
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == TRACE_DIGESTS[name]
 
 
