@@ -20,7 +20,7 @@ layer that Coded Merkle Tree commitments cost.
 
 Membership. One digest chain runs from a symbol to the root: at each level
 the running digest takes its child position in a q-tuple of child digests,
-and the tuple's digest is the parent's value. ``_climb`` is its one
+and the tuple's digest is the parent's value. ``Frontier._climb`` is its one
 implementation, behind one admission guard, ``commitment_geometry``.
 ``verify_membership`` climbs from a bare digest at any (layer, index).
 ``walk_pom`` climbs from a base symbol, then checks the proof's one
@@ -39,13 +39,18 @@ so the tree does no Fraction arithmetic beyond coercing the rate.
 Batches. ``sample_pom`` always samples through a memo (``sample_poms``
 shares one across its proofs): each row it reads becomes bytes once, and
 every proof through the same (layer, child) gets the same sibling tuple.
-``walk_poms`` shares one digest memo across its proofs, as client ingest
-does across one reconstruction's ``walk_pom`` calls, so the climber hashes
-each distinct q-tuple and 32-byte value once. The memo only caches a pure
-function (a row's bytes, a digest), and a q-tuple enters it only after its
-shape checks, so each proof's verdict and harvest are those of a walk on
-its own. A memo is never kept past its batch, so never shared across nodes
-or rounds.
+``walk_poms`` walks its proofs against one ``Frontier``, as client ingest
+does across one reconstruction's ``walk_pom`` calls. The frontier holds,
+by position, what the proofs that passed so far authenticated: each
+climbed q-tuple with the sibling levels above it, and each pairs suffix.
+A climb stops at the first position the frontier holds, and the pair
+checks at the first pairs key it holds; the rest of the proof must then
+equal what was authenticated there, which is one tuple comparison each.
+Its hash memo hashes each distinct q-tuple and 32-byte value once. So
+each proof's verdict is that of a walk on its own, and the delivered
+values, digests and tuples are derived once per distinct position. A
+frontier is never kept past its batch, so never shared across nodes or
+rounds.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -425,106 +430,195 @@ def commitment_geometry(commitment: Commitment, params: TreeParams) -> Optional[
         return None
 
 
-def _climb(commitment, geo, u, x, h, levels, digests, tuples) -> bool:
-    """True iff digest ``h`` of symbol ``x`` of layer ``u`` climbs through
-    ``levels`` (u tuples of q-1 sibling digests) to ``commitment.root``.
-    Hashes go through the memo ``digests``; each climbed q-tuple is written
-    to ``tuples`` under (parent layer, parent index), bottom up."""
-    if len(levels) != u:
-        return False
-    sys_counts = geo.sys_counts
-    n_sibs = commitment.params.batch - 1
-    for sibs, w in zip(levels, range(u - 1, -1, -1)):
-        s_par = sys_counts[w]
-        par, pos = x % s_par, x // s_par
-        tup = sibs[:pos] + (h,) + sibs[pos:]
-        value = digests.get(tup)
-        if value is None:
-            # only q-tuples of digests enter the memo, so a tuple found
-            # there has passed these checks
-            if len(sibs) != n_sibs:
-                return False
-            for sib in sibs:
-                if len(sib) != HASH_BYTES:
+class Frontier:
+    """What the passing proofs of one batch authenticated against one
+    commitment, keyed by position, never by content:
+
+    - ``paths[(w, p)]``: the q-tuple of child digests under parent p of
+      layer w, its digest, and the sibling levels from there to the root;
+    - ``pairs[(u, r)]`` for r = i mod (m_u - s_u), which decides a proof's
+      pairs from layer u up to layer 1: those pairs;
+    - ``base[i]``: base symbol i and its digest;
+    - ``digests``: sha256 of each q-tuple and 32-byte value the walks met,
+      keyed by content (a pure function, so any walk may add to it).
+
+    Only a proof whose whole walk passed adds positions, so ``paths`` is
+    upward-closed: with (w, p) it holds every position above. A frontier is
+    bound to the commitment and params it was made for, and lives for one
+    batch (one node's units, one audit, one reconstruction)."""
+
+    __slots__ = ("commitment", "params", "geo", "paths", "pairs", "base", "digests")
+
+    def __init__(self, commitment: Commitment, params: TreeParams):
+        self.commitment = commitment
+        self.params = params
+        self.geo = commitment_geometry(commitment, params)
+        self.paths: dict[tuple[int, int], tuple] = {}
+        self.pairs: dict[tuple[int, int], tuple] = {}
+        self.base: dict[int, tuple[bytes, bytes]] = {}
+        self.digests: dict = {}
+
+    def _climb(self, u, x, h, levels) -> Optional[list]:
+        """The digest chain of digest ``h`` of symbol ``x`` of layer ``u``
+        through ``levels`` (u tuples of q-1 sibling digests): a list of
+        ((parent layer, parent index), q-tuple, its digest), bottom up, of
+        the levels below the first position the frontier holds, or None
+        when the chain does not reach ``commitment.root``. At a held
+        position the chain's tuple and the levels above must be the ones
+        authenticated there."""
+        if len(levels) != u:
+            return None
+        sys_counts = self.geo.sys_counts
+        paths, digests = self.paths, self.digests
+        n_sibs = self.params.batch - 1
+        climbed = []
+        for j, (sibs, w) in enumerate(zip(levels, range(u - 1, -1, -1))):
+            s_par = sys_counts[w]
+            par, pos = x % s_par, x // s_par
+            tup = sibs[:pos] + (h,) + sibs[pos:]
+            key = (w, par)
+            known = paths.get(key)
+            if known is not None:
+                # any other tuple here, or other levels above, could only
+                # reach the root through a sha256 collision
+                if tup == known[0] and levels[j + 1 :] == known[2]:
+                    return climbed
+                return None
+            value = digests.get(tup)
+            if value is None:
+                # only q-tuples of digests enter the memo, so a tuple found
+                # there has passed these checks
+                if len(sibs) != n_sibs:
+                    return None
+                for sib in sibs:
+                    if len(sib) != HASH_BYTES:
+                        return None
+                value = digests[tup] = sha256(b"".join(tup))
+            climbed.append((key, tup, value))
+            if w == 0:
+                return climbed if value == self.commitment.root[par] else None
+            h = digests.get(value)
+            if h is None:
+                h = digests[value] = sha256(value)
+            x = par
+        return None  # unreachable for u >= 1: the loop ends at w == 0
+
+    def walk(self, pom: ProofOfMembership) -> bool:
+        """True iff ``pom`` is consistent with the commitment. A proof that
+        passes adds what it authenticated.
+
+        The proof carries the field types ``ProofOfMembership`` declares,
+        as ``serialize.decode_pom`` builds them; every value in it is
+        checked, either here or by equality with what the frontier holds."""
+        geo = self.geo
+        if geo is None:
+            return False
+        depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
+        i, pairs = pom.base_index, pom.pairs
+        if pom.block_len != self.commitment.block_len or not 0 <= i < sizes[depth]:
+            return False
+        if len(pom.base_symbol) != self.params.symbol_size or len(pairs) != depth - 1:
+            return False
+        h = sha256(pom.base_symbol)
+        climbed = self._climb(depth, i, h, pom.levels)
+        if climbed is None:
+            return False
+
+        # the pair sampled at layer u, (i mod s, s + i mod (m - s)): the
+        # systematic symbol is the parent of the tuple climbed below it, and
+        # the parity symbol's digest sits at its child position one up
+        # (admitted params make s_{u-1} divide both s and m - s, so that is
+        # the parent the chain climbs through)
+        paths, known_pairs, digests = self.paths, self.pairs, self.digests
+        n_new = len(climbed)
+        checked = []
+        for j, u in enumerate(range(depth - 1, 0, -1)):
+            s_par = sys_counts[u]
+            key = (u, i % (sizes[u] - s_par))
+            suffix = known_pairs.get(key)
+            if suffix is not None:
+                if pairs[j:] != suffix:
                     return False
-            value = digests[tup] = sha256(b"".join(tup))
-        tuples[(w, par)] = tup
-        if w == 0:
-            return value == commitment.root[par]
-        h = digests.get(value)
-        if h is None:
-            h = digests[value] = sha256(value)
-        x = par
-    return False  # unreachable for u >= 1: the loop ends at w == 0
+                break
+            p_idx, e_idx, p_val, e_val = pairs[j]
+            if p_idx != i % s_par or e_idx != s_par + key[1] or len(e_val) != HASH_BYTES:
+                return False
+            value = climbed[j][2] if j < n_new else paths[(u, p_idx)][1]
+            if value != p_val:
+                return False
+            e_hash = digests.get(e_val)
+            if e_hash is None:
+                e_hash = digests[e_val] = sha256(e_val)
+            s_up = sys_counts[u - 1]
+            up = climbed[j + 1][1] if j + 1 < n_new else paths[(u - 1, i % s_up)][0]
+            if up[e_idx // s_up] != e_hash:
+                return False
+            checked.append(key)
+
+        levels = pom.levels
+        for j, (key, tup, value) in enumerate(climbed):
+            paths[key] = (tup, value, levels[j + 1 :])
+        for j, key in enumerate(checked):
+            known_pairs[key] = pairs[j:]
+        self.base.setdefault(i, (pom.base_symbol, h))
+        return True
+
+    def known(self):
+        """(values, digests, tuples) of everything the passing proofs
+        delivered: each symbol by (layer, index), sha256 of each (read from
+        the climbed tuple one up, or for a base symbol from its walk), and
+        each climbed q-tuple by (parent layer, parent index). Each entry is
+        derived once, however many proofs carried it."""
+        tuples = {key: entry[0] for key, entry in self.paths.items()}
+        values, digests = {}, {}
+        if self.geo is None:
+            return values, digests, tuples
+        depth, sys_counts = self.geo.depth, self.geo.sys_counts
+        for i, (symbol, h) in self.base.items():
+            values[(depth, i)] = symbol
+            digests[(depth, i)] = h
+        for (u, _), suffix in self.pairs.items():
+            p_idx, e_idx, p_val, e_val = suffix[0]
+            s_up = sys_counts[u - 1]
+            for x, val in ((p_idx, p_val), (e_idx, e_val)):
+                if (u, x) not in values:
+                    values[(u, x)] = val
+                    digests[(u, x)] = tuples[(u - 1, x % s_up)][x // s_up]
+        return values, digests, tuples
 
 
 def walk_poms(
     commitment: Commitment, params: TreeParams, poms: Sequence[ProofOfMembership]
-) -> list[Optional[PomHarvest]]:
-    """``[walk_pom(commitment, params, pom) for pom in poms]`` with one
-    digest memo, so each distinct q-tuple and 32-byte value is hashed once
-    across the proofs."""
-    geo = commitment_geometry(commitment, params)
-    if geo is None:
-        return [None] * len(poms)
-    digests: dict = {}
-    return [_walk(commitment, geo, pom, digests) for pom in poms]
+) -> list[bool]:
+    """Each proof's verdict, ``walk_pom(commitment, params, pom) is not
+    None``, walked against one ``Frontier``: a proof stops climbing where
+    an earlier passing proof already reached the root, and each distinct
+    q-tuple and 32-byte value is hashed once across the proofs."""
+    frontier = Frontier(commitment, params)
+    return [frontier.walk(pom) for pom in poms]
 
 
 def walk_pom(
     commitment: Commitment,
     params: TreeParams,
     pom: ProofOfMembership,
-    digests: Optional[dict] = None,
-) -> Optional[PomHarvest]:
+    frontier: Optional[Frontier] = None,
+) -> Union[Optional[PomHarvest], bool]:
     """Recompute the digest chain of a proof. Returns a PomHarvest when the
     proof is consistent with the commitment, else None.
 
-    The proof carries the field types ``ProofOfMembership`` declares, as
-    ``serialize.decode_pom`` builds them; every value in it is checked.
-    ``digests``, when given, memoizes sha256 of the 32-byte values and of
-    the joined q-tuples the walk meets, for a caller that walks many proofs
-    against one commitment."""
-    geo = commitment_geometry(commitment, params)
-    if geo is None:
+    With a ``frontier``, made for this very commitment and params, the
+    proof is walked against it and the verdict is returned as a bool; a
+    caller walking many proofs reads what they delivered from
+    ``frontier.known()``."""
+    if frontier is not None:
+        if commitment is not frontier.commitment or params is not frontier.params:
+            raise ValueError("the frontier was made for another commitment")
+        return frontier.walk(pom)
+    frontier = Frontier(commitment, params)
+    if not frontier.walk(pom):
         return None
-    return _walk(commitment, geo, pom, {} if digests is None else digests)
-
-
-def _walk(commitment, geo, pom, digests) -> Optional[PomHarvest]:
-    depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
-    i, pairs = pom.base_index, pom.pairs
-    if pom.block_len != commitment.block_len or not 0 <= i < sizes[depth]:
-        return None
-    if len(pom.base_symbol) != commitment.params.symbol_size or len(pairs) != depth - 1:
-        return None
-    tuples = {}
-    if not _climb(commitment, geo, depth, i, sha256(pom.base_symbol), pom.levels, digests, tuples):
-        return None
-
-    # the pair sampled at layer u, (i mod s, s + i mod (m - s)): the
-    # systematic symbol is the parent of the tuple climbed below it
-    values = {(depth, i): pom.base_symbol}
-    climbed = iter(tuples.items())
-    (u, par), tup = next(climbed)
-    for (p_idx, e_idx, p_val, e_val), ((_, up_par), up) in zip(pairs, climbed):
-        s_par = sys_counts[u]
-        if p_idx != i % s_par or e_idx != s_par + i % (sizes[u] - s_par):
-            return None
-        if len(p_val) != HASH_BYTES or len(e_val) != HASH_BYTES:
-            return None
-        if p_idx != par or digests[tup] != p_val:
-            return None
-        e_hash = digests.get(e_val)
-        if e_hash is None:
-            e_hash = digests[e_val] = sha256(e_val)
-        # the parity symbol's digest sits at its own child position one up
-        s_up = sys_counts[u - 1]
-        if e_idx % s_up != up_par or up[e_idx // s_up] != e_hash:
-            return None
-        values[(u, p_idx)] = p_val
-        values[(u, e_idx)] = e_val
-        u, par, tup = u - 1, up_par, up
+    values, _, tuples = frontier.known()
     return PomHarvest(values, tuples)
 
 
@@ -538,10 +632,11 @@ def verify_membership(
 ) -> bool:
     """Check a bare digest claim: the commitment binds a symbol hashing to
     ``leaf_hash`` at (path.layer, path.index)."""
-    geo = commitment_geometry(commitment, params)
+    frontier = Frontier(commitment, params)
+    geo = frontier.geo
     if geo is None:
         return False
     u = path.layer
     if not 1 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
         return False
-    return _climb(commitment, geo, u, path.index, leaf_hash, path.levels, {}, {})
+    return frontier._climb(u, path.index, leaf_hash, path.levels) is not None

@@ -240,8 +240,7 @@ def _units_check(commitment: Commitment, assigned, units) -> bool:
     for idx, symbol, pom in units:
         if pom.base_index != idx or pom.base_symbol != symbol:
             return False
-    harvests = walk_poms(commitment, commitment.params, [pom for _, _, pom in units])
-    return all(harvest is not None for harvest in harvests)
+    return all(walk_poms(commitment, commitment.params, [pom for _, _, pom in units]))
 
 
 def node_on_retrieval(node: OracleNode, key: bytes):
@@ -340,7 +339,10 @@ def bad_code_round(
             layer_code(candidate, signal.layer_size or candidate.root_size)
         except BadCode:
             continue
-        if chain is not None:
+        # one record per commitment, however many clients confirm the stall
+        if chain is not None and not any(
+            isinstance(rec, BadCodeRecord) and rec.key == key for rec in chain.records
+        ):
             chain.records.append(
                 BadCodeRecord(key, signal.layer_size or 0, params.code_seed, candidate.code_seed)
             )

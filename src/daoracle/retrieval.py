@@ -15,14 +15,15 @@ reconstruction unprovable and never yields a proof. Digest layers XOR their
 32-byte symbols as Python ints, the base layer as uint8 rows, which are
 faster at symbol widths of 1 KiB and up.
 
-Digests are computed once per reconstruction. The reconstructor keeps a
-(layer, index) -> digest map of the symbols it has hashed: each value a
-verified proof harvests (its walk hashed it and matched the digest at its
-position in the climbed tuple one up) and each solve that passed its
-pinned-digest check. The aggregation check hashes only the rows missing
-from the map. Every digest in the map is sha256 of the bytes the symbol is
-known by, computed in this call; a committed digest is never put there on
-trust.
+Digests are computed once per reconstruction. Ingest walks the collected
+proofs against one ``cit.Frontier`` and reads from it the known symbols,
+the climbed tuples, and a (layer, index) -> digest map: a base symbol's
+digest is its walk's hash of it, and any other delivered value's is the
+entry at its position in the climbed tuple one up, which its walk matched.
+Each solve that passes its pinned-digest check adds its digest. The
+aggregation check hashes only the rows missing from the map. Every digest
+in the map is sha256 of the bytes the symbol is known by, computed in
+this call; a committed digest is never put there on trust.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
@@ -37,6 +38,7 @@ import numpy as np
 
 from .cit import (
     Commitment,
+    Frontier,
     MembershipPath,
     ProofOfMembership,
     TreeParams,
@@ -185,36 +187,20 @@ class _Reconstructor:
         self.params = params
         geo = geometry(params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
-        self.values: dict[tuple[int, int], bytes] = {}
-        # sha256 of each known symbol's bytes, computed in this call
-        self.digests: dict[tuple[int, int], bytes] = {}
-        self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        # known symbols, sha256 of each (computed in this call) and the
+        # collected q-tuples, by position
+        self.values, self.digests, self.tuples = self._ingest(chunks)
         self.layer_done: dict[int, list[bytes]] = {}
         self.unprovable = False
-        self._ingest(chunks)
 
     def _ingest(self, chunks: ChunkSet):
-        # the walks share one digest memo, as in cit.walk_poms; each goes
+        # the walks share one frontier, as in cit.walk_poms; each goes
         # through this module's walk_pom name, which per-proof timers wrap
-        digests: dict = {}
+        frontier = Frontier(self.commitment, self.params)
         for index, symbol, pom in chunks.units:
-            if index != pom.base_index or symbol != pom.base_symbol:
-                continue
-            harvest = walk_pom(self.commitment, self.params, pom, digests)
-            if harvest is None:
-                continue
-            for key, val in harvest.values.items():
-                if key in self.values:
-                    continue
-                # the walk hashed every value it harvests and matched the
-                # digest against the entry at its position in the climbed
-                # tuple one up
-                u, x = key
-                s_par = self.sys_counts[u - 1]
-                self.values[key] = val
-                self.digests[key] = harvest.tuples[(u - 1, x % s_par)][x // s_par]
-            for key, tup in harvest.tuples.items():
-                self.tuples.setdefault(key, tup)
+            if index == pom.base_index and symbol == pom.base_symbol:
+                walk_pom(self.commitment, self.params, pom, frontier)
+        return frontier.known()
 
     def _digest(self, u: int, x: int, row: bytes) -> bytes:
         """sha256 of ``row``, the bytes symbol x of layer u is known by,

@@ -11,7 +11,7 @@ byte-identical trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -223,22 +223,22 @@ def _message_size(message: DispersalMessage, cache: dict) -> int:
     return total
 
 
-def _propose(config: ScenarioConfig, round_no: int, design):
+def _propose(config: ScenarioConfig, params: TreeParams, round_no: int, design):
     rng = np.random.default_rng(
         np.uint64(derive_seed("block", config.master_seed, round_no))
     )
     block = rng.bytes(config.block_size)
     strategy = config.proposer_strategy
     if strategy == "honest":
-        tree = build_tree(block, config.tree)
+        tree = build_tree(block, params)
         return block, tree, orc.messages_for_tree(tree, design)
     if strategy == "invalid_coding":
-        tree = orc.build_tree_with_base_corruption(block, config.tree, xor_mask=0x5A)
+        tree = orc.build_tree_with_base_corruption(block, params, xor_mask=0x5A)
         return block, tree, orc.messages_for_tree(tree, design)
     # equivocating: commitment from one block, chunks from another
     other = rng.bytes(config.block_size)
-    tree_a = build_tree(block, config.tree)
-    tree_b = build_tree(other, config.tree)
+    tree_a = build_tree(block, params)
+    tree_b = build_tree(other, params)
     msgs_a = orc.messages_for_tree(tree_a, design)
     msgs_b = orc.messages_for_tree(tree_b, design)
     messages = {}
@@ -261,6 +261,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     trace.bytes_downloaded = {c: 0 for c in range(config.n_clients)}
     trace.ledgers = {c: [] for c in range(config.n_clients)}
     size_cache: dict = {}
+    # the tree params of the next round: a confirmed bad code moves every
+    # later round to the code seed the bad-code round agreed on
+    params = config.tree
 
     for round_no in range(config.rounds):
         proposer = round_no % config.n_clients
@@ -270,7 +273,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             config.dispersal.lam,
             seed=derive_seed("design", config.master_seed, round_no),
         )
-        block, tree, messages = _propose(config, round_no, design)
+        block, tree, messages = _propose(config, params, round_no, design)
         commitment = tree.commitment
         trace.commitments[round_no] = commitment
         key = orc.commit_key(commitment)
@@ -295,9 +298,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
             )
             chunks = orc.ChunkSet(commitment, units)
             try:
-                result = orc.reconstruct(commitment, config.tree, chunks)
+                result = orc.reconstruct(commitment, commitment.params, chunks)
             except BadCode as signal:
                 new_seed = orc.bad_code_round(nodes, commitment, signal, chain)
+                params = replace(commitment.params, code_seed=new_seed)
                 entry = {"client": client, "outcome": "bad_code", "new_seed": new_seed}
                 retrievals.append(entry)
                 trace.ledgers[client].append({"round": round_no, **entry})

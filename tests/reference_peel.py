@@ -215,13 +215,11 @@ class Reconstructor:
         self._ingest(chunks)
 
     def _ingest(self, chunks: ChunkSet):
-        # the walks share one digest memo, as in cit.walk_poms; each goes
-        # through this module's walk_pom name, which per-proof timers wrap
-        digests: dict = {}
+        # each proof walked on its own, its harvest merged first-wins
         for index, symbol, pom in chunks.units:
             if index != pom.base_index or symbol != pom.base_symbol:
                 continue
-            harvest = walk_pom(self.commitment, self.params, pom, digests)
+            harvest = walk_pom(self.commitment, self.params, pom)
             if harvest is None:
                 continue
             for key, val in harvest.values.items():

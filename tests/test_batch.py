@@ -1,11 +1,14 @@
 """Batched proof sampling and verification against the one-proof-at-a-time
 reference in ``tests/reference_proofs.py``: the same proofs, the same
-per-proof verdicts and harvests, and the same first-wins merge of what
-passes. The proof sets mix honest proofs with single-field mutations, with
-forged q-tuples shared by several proofs, and with forgeries placed before
-the honest proofs whose tuples they imitate, so a memo entry made while
-walking a forgery has every chance to decide a later proof. Bare digest
-claims get the reference ``verify_membership``'s verdict."""
+per-proof verdicts, the same harvest from a single walk, and for a
+reconstruction's ingest the same first-wins merge of what passes. The
+proof sets mix honest proofs with single-field mutations, with forged
+q-tuples shared by several proofs, with forgeries that share positions,
+pairs keys or objects with honest proofs, over blocks whose tuples are all
+equal, and with forgeries placed before and after the honest proofs whose
+tuples they imitate, so nothing a walk leaves in the frontier has a
+chance to decide a later proof wrongly. Bare digest claims get the
+reference ``verify_membership``'s verdict."""
 
 import dataclasses
 from functools import lru_cache
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 import reference_proofs as ref
 from daoracle import cit, oracle as orc
 from daoracle import retrieval as rt
+from daoracle import serialize as sz
 from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode, IndexOutOfRange
 from daoracle.util import sha256
@@ -40,16 +44,24 @@ def merged(harvests) -> cit.PomHarvest:
 
 
 def check_batch(tree, poms) -> list:
-    """Batched verdicts and harvests equal the reference walk's, proof by
-    proof, and the reconstructor's ingest keeps their merge."""
+    """Batched verdicts and one-proof harvests equal the reference walk's,
+    proof by proof, and the reconstructor's ingest keeps the merge of the
+    passing harvests: its values and tuples, and for each value the digest
+    at its position in the tuple one up."""
     c, p = tree.commitment, tree.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
-    assert cit.walk_poms(c, p, poms) == want
+    assert cit.walk_poms(c, p, poms) == [harvest is not None for harvest in want]
+    assert [cit.walk_pom(c, p, pom) for pom in poms] == want
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(c, p, rt.ChunkSet(c, units))
     expect = merged(want)
     assert reader.values == expect.values
     assert reader.tuples == expect.tuples
+    sys_counts = cit.geometry(p, tree.block_len).sys_counts
+    assert reader.digests == {
+        (u, x): expect.tuples[(u - 1, x % sys_counts[u - 1])][x // sys_counts[u - 1]]
+        for u, x in expect.values
+    }
     return want
 
 
@@ -195,6 +207,94 @@ def test_an_honest_chain_with_a_forged_pair_is_rejected(case):
     assert got[0] is None and got[1] is not None
 
 
+# The frontier: a walk stops climbing at the first position an earlier
+# passing proof authenticated, and stops checking pairs at the first pairs
+# key one did. Each case puts forgeries next to honest proofs whose
+# positions they share.
+
+# zero blocks: every tuple of a layer is equal, whatever its position
+ZERO_TREES = tuple(cit.build_tree(bytes(tree.block_len), tree.params) for tree in TREES)
+
+
+@st.composite
+def frontier_sets(draw):
+    """(tree, proofs, which must fail): honest proofs, each sampled through
+    one shared memo or decoded from a chunk bundle (so it shares no
+    objects), and forgeries, in any order. A forgery climbs through the
+    parent of an honest proof's first tuple and flips one sibling digest
+    above it; or shares one of an honest proof's pairs keys (u, i mod
+    (m_u - s_u)) and forges one pair, below, at or above that layer; or is
+    any single-field mutation."""
+    tree = draw(st.sampled_from(TREES + ZERO_TREES))
+    geo = cit.geometry(tree.params, tree.block_len)
+    depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
+    m = sizes[depth]
+    memo: dict = {}
+    picks = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+    honest = [cit.sample_pom(tree, i, memo) for i in picks]
+    units = tuple((pom.base_index, pom.base_symbol, pom) for pom in honest)
+    decoded = [pom for _, _, pom in sz.decode_chunk_bundle(sz.encode_chunk_bundle(units))]
+    honest = [draw(st.sampled_from((pom, copy))) for pom, copy in zip(honest, decoded)]
+    forged, must_fail = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.sampled_from(picks))
+        kind = draw(st.sampled_from(("upper_sibling", "pair", "mutation")))
+        if kind == "upper_sibling":
+            s_par = sys_counts[depth - 1]
+            pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % s_par, m, s_par))), memo)
+            j = draw(st.integers(1, depth - 1))
+            k = draw(st.integers(0, tree.params.batch - 2))
+            sibs = _replace_at(pom.levels[j], k, _flip(pom.levels[j][k], draw(st.integers(0, 31))))
+            forged.append(dataclasses.replace(pom, levels=_replace_at(pom.levels, j, sibs)))
+        elif kind == "pair":
+            u_key = draw(st.integers(1, depth - 1))
+            mod = sizes[u_key] - sys_counts[u_key]
+            pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % mod, m, mod))), memo)
+            j = draw(st.integers(0, depth - 2))
+            u = depth - 1 - j
+            p_idx, e_idx, p_val, e_val = pom.pairs[j]
+            how = draw(st.sampled_from(("e_val", "p_val", "e_idx")))
+            if how == "e_val":
+                pair = (p_idx, e_idx, p_val, _flip(e_val, draw(st.integers(0, 31))))
+            elif how == "p_val":
+                pair = (p_idx, e_idx, _flip(p_val, draw(st.integers(0, 31))), e_val)
+            else:
+                # another symbol under the same parent, with its true value
+                s_up = sys_counts[u - 1]
+                x = draw(st.sampled_from(
+                    [x for x in range(e_idx % s_up, sizes[u], s_up) if x != e_idx]
+                ))
+                pair = (p_idx, x, p_val, tree.layers[u].symbols[x].tobytes())
+            forged.append(dataclasses.replace(pom, pairs=_replace_at(pom.pairs, j, pair)))
+        else:
+            # some mutations of a zero-block proof are another honest proof
+            forged.append(draw(mutated_proofs(trees=(tree,)))[2])
+        must_fail.append(kind != "mutation")
+    order = draw(st.permutations(range(len(honest) + len(forged))))
+    proofs = [(honest + forged)[n] for n in order]
+    fails = [n >= len(honest) and must_fail[n - len(honest)] for n in order]
+    return tree, proofs, fails
+
+
+@settings(max_examples=300, deadline=None)
+@given(frontier_sets())
+def test_the_frontier_walk_matches_the_reference(case):
+    tree, proofs, fails = case
+    got = check_batch(tree, proofs)
+    assert all(harvest is None for harvest, fail in zip(got, fails) if fail)
+
+
+def test_a_zero_block_ingests_every_position_it_was_given():
+    """Equal tuples at different parents: a frontier keyed by tuple content
+    would let one proof stand for another position's."""
+    tree = ZERO_TREES[0]
+    m = tree.sizes[-1]
+    got = check_batch(tree, cit.sample_poms(tree, range(0, m, 2)))
+    assert all(harvest is not None for harvest in got)
+    out = rt.reconstruct(tree.commitment, tree.params, chunkset_for(tree, range(m - 4)))
+    assert out == rt.Block(bytes(tree.block_len))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(TREES), st.data())
 def test_batched_sampling_matches_the_reference(tree, data):
@@ -266,7 +366,7 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     pom = cit.sample_pom(tree, 5)
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
     assert not cit.verify_symbol(short, tree.params, pom)
-    assert cit.walk_poms(short, tree.params, [pom, pom]) == [None, None]
+    assert cit.walk_poms(short, tree.params, [pom, pom]) == [False, False]
 
 
 @lru_cache(maxsize=None)

@@ -342,7 +342,9 @@ def mutate_fraud(kind, commitment, params, proof, draw):
     k = draw(st.integers(0, len(levels) - 1))
     sibs = _replace_at(levels[k], 0, _flip(levels[k][0], draw(st.integers(0, HASH_BYTES - 1))))
     flipped = replace(mm.path, levels=_replace_at(levels, k, sibs))
-    path = draw(st.sampled_from((flipped, other_path, None)))
+    # any path but the mismatch's own: the members' paths are for other
+    # indices
+    path = draw(st.sampled_from([flipped, None] + [m.path for m in members]))
     return replace(proof, mismatch=replace(mm, path=path))
 
 

@@ -160,6 +160,18 @@ class TestStalledRetrieval:
         assert commit.startswith("COMMIT") and badcode.startswith("BADCODE")
         assert badcode.endswith(f"size=32 seed={BAD_BASE_CODE_SEED}->{BAD_BASE_CODE_SEED + 1}")
 
+    def test_every_client_confirms_the_stall_and_the_chain_records_it_once(self):
+        config = dataclasses.replace(planted_config(STALL_SEED), n_clients=3)
+        trace = sn.run_scenario(config)
+        assert [r["outcome"] for r in trace.rounds[0]["retrievals"]] == ["bad_code"] * 3
+        assert [line.split()[0] for line in trace.chain_lines] == ["COMMIT", "BADCODE"]
+
+    def test_the_rounds_after_a_confirmed_stall_use_the_agreed_code_seed(self):
+        trace = sn.run_scenario(dataclasses.replace(planted_config(STALL_SEED), rounds=2))
+        assert trace.commitments[0].params.code_seed == BAD_BASE_CODE_SEED
+        assert trace.commitments[1].params.code_seed == BAD_BASE_CODE_SEED + 1
+        assert trace.rounds[1]["committed"]
+
     def test_a_stall_below_one_minus_alpha_is_insufficient(self):
         trace = sn.run_scenario(planted_config(SHORT_SEED))
         (entry,) = trace.rounds[0]["retrievals"]
