@@ -7,34 +7,28 @@ the loops read, built once per code (``CodeSpec.tables``):
   sorted ascending (the last is its parity symbol), which ``xor_encode``
   walks, and ``touching[x]``, the equations that contain symbol ``x``,
   ascending;
-- the same indices as CSR arrays for a ``Peel`` started from a known set:
-  ``eq_ptr`` int32 of shape (n_eq + 1,) and ``eq_idx`` int32 of shape
-  (nnz,), so equation ``e`` touches ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``;
-- ``degree[e]`` and ``index_xor[e]``: member count and XOR of member
-  indices, the state of a peel that knows nothing.
+- the same indices as CSR arrays, from which a ``Peel`` starts: ``eq_ptr``
+  int32 of shape (n_eq + 1,) and ``eq_idx`` int32 of shape (nnz,), so
+  equation ``e`` touches ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``.
 
-Peeling. A ``Peel`` keeps, per equation, the number of members still
-unknown and the XOR of their indices, so an equation with one unknown
-names it directly. ``Peel.mark(x)`` records symbol x as known and returns
-the equations it leaves with exactly one unknown. The engine never touches
-symbol values and is run in two ways:
-
-- ``Peel.steps()`` visits equations in the order of an ascending scan over
-  all equations, repeated while a scan solves something, that solves each
-  equation in turn (a Violation or fraud proof names the first failing
-  equation under that rule). The caller XORs values and calls
-  ``Peel.solve(x)`` for each solve it accepts. ``codec.peel_decode`` and
-  retrieval both peel this way.
-- ``first_fail_count`` adds symbols back in reverse erasure order and
-  follows the closure, for the alpha gate.
+Peeling. A ``Peel`` starts from a known set and keeps, per equation, the
+number of members still unknown and the XOR of their indices, so an
+equation with one unknown names it directly. ``Peel.mark(x)`` records
+symbol x as known and returns the equations it leaves with exactly one
+unknown. The engine never touches symbol values. ``Peel.steps()`` visits
+equations in the order of an ascending scan over all equations, repeated
+while a scan solves something, that solves each equation in turn (a
+Violation or fraud proof names the first failing equation under that
+rule). The caller XORs values, or for the alpha gate only follows the
+closure, and calls ``Peel.solve(x)`` for each solve it accepts.
+``codec.peel_decode``, ``codec.is_bad_code`` and retrieval all peel this
+way.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import xor
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +36,7 @@ import numpy as np
 class CodeTables:
     """Member and incidence tables of one code's parity equations."""
 
-    __slots__ = ("members", "touching", "degree", "index_xor", "eq_ptr", "eq_idx")
+    __slots__ = ("members", "touching", "eq_ptr", "eq_idx")
 
     def __init__(self, equations: Sequence[Sequence[int]], n_coded: int):
         self.members = tuple(tuple(eq) for eq in equations)
@@ -51,10 +45,8 @@ class CodeTables:
             for i in eq:
                 touching[i].append(e)
         self.touching = touching
-        self.degree = [len(eq) for eq in self.members]
-        self.index_xor = [reduce(xor, eq) for eq in self.members]
         self.eq_ptr = np.zeros(len(self.members) + 1, dtype=np.int32)
-        self.eq_ptr[1:] = np.cumsum(self.degree)
+        self.eq_ptr[1:] = np.cumsum([len(eq) for eq in self.members])
         self.eq_idx = np.fromiter(
             (i for eq in self.members for i in eq), dtype=np.int32, count=int(self.eq_ptr[-1])
         )
@@ -83,17 +75,11 @@ def xor_members(values, members, skip: int = -1):
 
 
 class Peel:
-    """Peeling state of one code from a known set (``known`` a bool array;
-    None means nothing is known). ``known`` is kept as a bytearray that
-    ``mark`` updates."""
+    """Peeling state of one code from a known set (``known`` a bool array),
+    kept as a bytearray that ``mark`` updates."""
 
-    def __init__(self, tables: CodeTables, known: Optional[np.ndarray] = None):
+    def __init__(self, tables: CodeTables, known: np.ndarray):
         self._touching = tables.touching
-        if known is None:
-            self.known = bytearray(len(tables.touching))
-            self.count = list(tables.degree)
-            self.xor = list(tables.index_xor)
-            return
         self.known = bytearray(known.astype(np.uint8))
         starts = tables.eq_ptr[:-1]
         unknown = ~known[tables.eq_idx]
@@ -150,29 +136,3 @@ def count_distinct(rows):
     srt = np.sort(rows, axis=1)
     return 1 + np.count_nonzero(np.diff(srt, axis=1), axis=1).astype(np.int64)
 
-
-def first_fail_count(tables: CodeTables, perm: Sequence[int]) -> int:
-    """Smallest erasure count e such that erasing perm[:e] stalls peeling.
-
-    Adds perm[n-1], perm[n-2], ... back into an empty known set, following
-    the peeling closure after each. Decodability is monotone in the known
-    set, so the first t at which the closure covers all n symbols is the
-    largest decodable erasure count: e = t + 1, capped at n. Returns a value
-    in [1, n].
-    """
-    n = len(perm)
-    peel = Peel(tables)
-    known, index_xor = peel.known, peel.xor
-    left = n
-    for t in range(n - 1, -1, -1):
-        todo = [perm[t]]
-        while todo:
-            x = todo.pop()
-            if known[x]:
-                continue
-            left -= 1
-            for f in peel.mark(x):
-                todo.append(index_xor[f])
-        if not left:
-            return min(t + 1, n)
-    return n

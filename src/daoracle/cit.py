@@ -29,12 +29,13 @@ index arithmetic, against the climbed tuples: the systematic symbol is the
 parent, and the parity symbol shares that parent one level up.
 
 Geometry. ``geometry(params, block_len)`` derives every size from the
-integer e once: the base layer holds ceil(block_len / c) * e symbols, each
-layer up shrinks by q // e, and a layer of m symbols has m // e systematic
-ones (each divisibility checked with ``%``). It caches the frozen result,
-whose ``pom_pairs`` gives a proof's sample indices. Tree building, proof
-sampling and walking, reconstruction and fraud-proof checks all read it,
-so the tree does no Fraction arithmetic beyond coercing the rate.
+integer e once: the base layer holds ceil(block_len / c) * e symbols, at
+most ``MAX_BASE_SYMBOLS``, each layer up shrinks by q // e, and a layer of
+m symbols has m // e systematic ones (each divisibility checked with
+``%``). It caches the frozen result, whose ``pom_pairs`` gives a proof's
+sample indices. Tree building, proof sampling and walking, reconstruction
+and fraud-proof checks all read it, so the tree does no Fraction
+arithmetic beyond coercing the rate.
 
 Batches. ``sample_pom`` always samples through a memo (``sample_poms``
 shares one across its proofs): each row it reads becomes bytes once, and
@@ -55,10 +56,10 @@ rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +72,10 @@ from .util import HASH_BYTES, as_rate, derive_seed, sha256
 # MAX_CODE_ATTEMPTS * MAX_GATE_TRIALS peels
 MAX_GATE_TRIALS = 128
 MAX_CODE_ATTEMPTS = 32
+# cap on a tree's coded base symbols, and so on every layer size, e and
+# root_size: block_len and the rate are read from files, and each layer's
+# code is generated and gated before anything a proof carries is checked
+MAX_BASE_SYMBOLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,9 @@ class Geometry:
 
 def geometry(params: TreeParams, block_len: int) -> Geometry:
     """Layer sizes and systematic counts for a block of ``block_len``
-    bytes. Raises ParameterError when the sizes are not all integral or
-    never land exactly on ``root_size``."""
+    bytes. Raises ParameterError when the base layer would exceed
+    ``MAX_BASE_SYMBOLS`` or the sizes are not all integral or never land
+    exactly on ``root_size``."""
     return _geometry(
         params.symbol_size, params.root_size, params.rate.denominator, params.batch, block_len
     )
@@ -170,6 +176,10 @@ def _geometry(symbol_size, root_size, e, batch, block_len) -> Geometry:
     if block_len < 1:
         raise ParameterError("block must be non-empty")
     sizes = [-(-block_len // symbol_size) * e]
+    if sizes[0] > MAX_BASE_SYMBOLS:
+        raise ParameterError(
+            f"base layer of {sizes[0]} symbols exceeds the cap of {MAX_BASE_SYMBOLS}"
+        )
     shrink = batch // e
     while sizes[-1] > root_size:
         nxt, rem = divmod(sizes[-1], shrink)
@@ -407,16 +417,6 @@ def sample_poms(tree: CodedTree, base_indices: Iterable[int]) -> list[ProofOfMem
     return [sample_pom(tree, i, memo) for i in base_indices]
 
 
-@dataclass
-class PomHarvest:
-    """Everything a verified proof pins down: symbol values keyed by
-    (layer, index) and full q-digest child tuples keyed by
-    (parent_layer, parent_index)."""
-
-    values: dict[tuple[int, int], bytes] = field(default_factory=dict)
-    tuples: dict[tuple[int, int], tuple[bytes, ...]] = field(default_factory=dict)
-
-
 def commitment_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
     """The commitment's geometry, or None when no proof can match it: the
     params are not the ones the commitment echoes, the root has the wrong
@@ -590,10 +590,10 @@ class Frontier:
 def walk_poms(
     commitment: Commitment, params: TreeParams, poms: Sequence[ProofOfMembership]
 ) -> list[bool]:
-    """Each proof's verdict, ``walk_pom(commitment, params, pom) is not
-    None``, walked against one ``Frontier``: a proof stops climbing where
-    an earlier passing proof already reached the root, and each distinct
-    q-tuple and 32-byte value is hashed once across the proofs."""
+    """Each proof's verdict, ``walk_pom(commitment, params, pom)``, walked
+    against one ``Frontier``: a proof stops climbing where an earlier
+    passing proof already reached the root, and each distinct q-tuple and
+    32-byte value is hashed once across the proofs."""
     frontier = Frontier(commitment, params)
     return [frontier.walk(pom) for pom in poms]
 
@@ -603,28 +603,22 @@ def walk_pom(
     params: TreeParams,
     pom: ProofOfMembership,
     frontier: Optional[Frontier] = None,
-) -> Union[Optional[PomHarvest], bool]:
-    """Recompute the digest chain of a proof. Returns a PomHarvest when the
-    proof is consistent with the commitment, else None.
+) -> bool:
+    """True iff the proof is consistent with the commitment.
 
     With a ``frontier``, made for this very commitment and params, the
-    proof is walked against it and the verdict is returned as a bool; a
-    caller walking many proofs reads what they delivered from
-    ``frontier.known()``."""
-    if frontier is not None:
-        if commitment is not frontier.commitment or params is not frontier.params:
-            raise ValueError("the frontier was made for another commitment")
-        return frontier.walk(pom)
-    frontier = Frontier(commitment, params)
-    if not frontier.walk(pom):
-        return None
-    values, _, tuples = frontier.known()
-    return PomHarvest(values, tuples)
+    proof is walked against it; a caller walking many proofs reads what
+    they delivered from ``frontier.known()``."""
+    if frontier is None:
+        frontier = Frontier(commitment, params)
+    elif commitment is not frontier.commitment or params is not frontier.params:
+        raise ValueError("the frontier was made for another commitment")
+    return frontier.walk(pom)
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
     """True iff the proof's digest chain reproduces a commitment entry."""
-    return walk_pom(commitment, params, pom) is not None
+    return walk_pom(commitment, params, pom)
 
 
 def verify_membership(

@@ -9,10 +9,17 @@ are rejection-resampled. Tiny codes (k <= 2) degenerate to repetition.
 
 Everything is a pure function of its arguments including seeds; two calls
 with equal arguments produce bit-identical codes.
+
+Decoding and the alpha gate both run the one peeling engine
+(``_kernels.Peel``). ``peel_decode`` XORs symbol values along its solves.
+``is_bad_code`` only follows the closure: a code is bad when one of its
+seeded erasure trials, erasing the largest count below the alpha
+threshold, leaves a symbol unknown.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -89,12 +96,6 @@ class Violation:
 
 
 DecodeOutcome = Union[Decoded, Stuck, Violation]
-
-
-@dataclass(frozen=True)
-class UndecodableEstimate:
-    ratio: float
-    trials: int
 
 
 def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> CodeSpec:
@@ -204,29 +205,36 @@ def peel_decode(code: CodeSpec, known: Mapping[int, bytes]) -> DecodeOutcome:
     return Decoded(tuple(row.tobytes() for row in rows))
 
 
-def estimate_undecodable_ratio(
-    code: CodeSpec, trials: int, rng_seed: int
-) -> UndecodableEstimate:
-    """Monte-Carlo estimate of the smallest erased fraction that stalls
-    peeling, minimized over random erasure orders (conservative from below).
+def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int) -> bool:
+    """True when some seeded erasure trial stalls peeling with fewer than
+    ``alpha_target`` of the n coded symbols erased.
+
+    Trial t erases the first E symbols of the t-th permutation drawn from
+    ``rng_seed``, E the largest count with E / n < alpha_target. Peeling is
+    monotone in the known set, so a trial that decodes with E erased
+    decodes with any shorter prefix erased: the verdict is whether the
+    smallest stalling erased fraction over the trials misses the target.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    n = code.n_coded
+    # E from the comparison the verdict is stated in, never from
+    # ceil(alpha * n) - 1, so float rounding cannot move a verdict
+    erased = bisect_left(range(1, n + 1), alpha_target, key=lambda e: e / n)
+    if erased == 0:
+        return False
     tables = code.tables
     rng = np.random.default_rng(np.uint64(rng_seed & _MASK64))
-    n = code.n_coded
-    best = n
     for _ in range(trials):
-        perm = rng.permutation(n).tolist()
-        best = min(best, _kernels.first_fail_count(tables, perm))
-        if best == 1:
-            break
-    return UndecodableEstimate(best / n, trials)
-
-
-def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int) -> bool:
-    """True when the estimated undecodable ratio misses the target gate."""
-    return estimate_undecodable_ratio(code, trials, rng_seed).ratio < alpha_target
+        known = np.ones(n, dtype=np.bool_)
+        known[rng.permutation(n)[:erased]] = False
+        peel = _kernels.Peel(tables, known)
+        for _e, x in peel.steps():
+            if x >= 0:
+                peel.solve(x)
+        if 0 in peel.known:
+            return True
+    return False
 
 
 def code_to_text(code: CodeSpec) -> str:

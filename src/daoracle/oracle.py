@@ -316,9 +316,15 @@ def bad_code_round(
     code seed (old seed + smallest bump whose codes pass the alpha gate).
 
     Returns the agreed code seed; unchanged when pooling reconstructs fine.
+    Once the chain records the agreed seed for the commitment, later calls
+    read it from that record and run nothing again.
     """
     params = commitment.params
     key = commit_key(commitment)
+    if chain is not None:
+        for rec in chain.records:
+            if isinstance(rec, BadCodeRecord) and rec.key == key:
+                return rec.new_seed
     pooled: dict[int, tuple] = {}
     for node in nodes:
         for (k, idx), (symbol, pom) in node.stored.items():
@@ -339,10 +345,7 @@ def bad_code_round(
             layer_code(candidate, signal.layer_size or candidate.root_size)
         except BadCode:
             continue
-        # one record per commitment, however many clients confirm the stall
-        if chain is not None and not any(
-            isinstance(rec, BadCodeRecord) and rec.key == key for rec in chain.records
-        ):
+        if chain is not None:
             chain.records.append(
                 BadCodeRecord(key, signal.layer_size or 0, params.code_seed, candidate.code_seed)
             )

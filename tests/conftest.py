@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from daoracle.cit import CodedTree, Geometry, TreeParams, build_tree, geometry, sample_poms
+from daoracle.codec import CodeSpec, ParityEquation
 from daoracle.retrieval import ChunkSet
 
 # 8 systematic base symbols at rate 1/4, batch 8, 4-digest root:
@@ -29,6 +30,16 @@ SMALL = dict(
 # in the tests that use it
 BAD_BASE_CODE_SEED = 6
 BAD_BASE_STOPPING_SET = (0, 3, 4, 5)
+
+
+def planted_weak_code() -> CodeSpec:
+    """Adversarial construction: systematic symbols 1..63 each appear in
+    exactly one degree-2 equation, so every {i, 64 + i} is a stopping set
+    of 2 of the 256 symbols."""
+    k, n = 64, 256
+    eqs = [ParityEquation((i, k + i)) for i in range(k)]
+    eqs += [ParityEquation((0, k + k + j)) for j in range(n - 2 * k)]
+    return CodeSpec(k, n, Fraction(1, 4), 8, 0, tuple(eqs))
 
 
 @pytest.fixture(scope="session")

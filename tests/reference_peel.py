@@ -6,22 +6,25 @@ engine, kept verbatim.
 - ``peel_pattern`` runs batched passes over a knownness pattern;
   ``first_fail_count`` binary-searches the erasure count with it, and
   ``estimate_undecodable_ratio`` / ``is_bad_code`` are the alpha gate built
-  on that.
+  on that: the exact smallest stalling erased fraction over the trials,
+  compared with alpha.
 - ``Reconstructor`` is the retrieval reconstructor whose ``_peel_layer``
-  rescans every equation on each pass, over numpy symbol rows.
+  rescans every equation on each pass, over numpy symbol rows; it walks
+  each proof on its own with ``reference_proofs.walk_pom``.
 
-``codec.peel_decode``, ``codec.estimate_undecodable_ratio``,
-``codec.is_bad_code`` and ``retrieval._Reconstructor`` must agree with
-them: the same outcomes and the same equation numbers.
+``codec.peel_decode``, ``codec.is_bad_code`` and
+``retrieval._Reconstructor`` must agree with them: the same outcomes and
+the same equation numbers.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from daoracle.cit import Commitment, MembershipPath, TreeParams, geometry, layer_code, walk_pom
+from daoracle.cit import Commitment, MembershipPath, TreeParams, geometry, layer_code
 from daoracle.codec import (
     _MASK64,
     CodeSpec,
@@ -29,7 +32,6 @@ from daoracle.codec import (
     DecodeOutcome,
     ParityEquation,
     Stuck,
-    UndecodableEstimate,
     Violation,
 )
 from daoracle.errors import BadCode, LengthMismatch, ParameterError
@@ -44,6 +46,13 @@ from daoracle.retrieval import (
     ReconstructionResult,
 )
 from daoracle.util import HASH_BYTES, sha256
+from reference_proofs import walk_pom
+
+
+@dataclass(frozen=True)
+class UndecodableEstimate:
+    ratio: float
+    trials: int
 
 
 def _csr(code: CodeSpec):

@@ -30,9 +30,9 @@ from conftest import chunkset_for
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
 
 
-def merged(harvests) -> cit.PomHarvest:
+def merged(harvests) -> ref.PomHarvest:
     """First-wins merge, in order, of the harvests of the passing proofs."""
-    out = cit.PomHarvest()
+    out = ref.PomHarvest()
     for harvest in harvests:
         if harvest is None:
             continue
@@ -44,24 +44,28 @@ def merged(harvests) -> cit.PomHarvest:
 
 
 def check_batch(tree, poms) -> list:
-    """Batched verdicts and one-proof harvests equal the reference walk's,
-    proof by proof, and the reconstructor's ingest keeps the merge of the
-    passing harvests: its values and tuples, and for each value the digest
-    at its position in the tuple one up."""
+    """Batched and one-proof verdicts equal the reference walk's, proof by
+    proof, and what one frontier and the reconstructor's ingest keep is the
+    merge of the passing harvests: its values and tuples, and for each
+    value the digest at its position in the tuple one up. Returns the
+    reference harvests (None for a failing proof)."""
     c, p = tree.commitment, tree.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
-    assert cit.walk_poms(c, p, poms) == [harvest is not None for harvest in want]
-    assert [cit.walk_pom(c, p, pom) for pom in poms] == want
-    units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
-    reader = rt._Reconstructor(c, p, rt.ChunkSet(c, units))
+    verdicts = [harvest is not None for harvest in want]
+    assert cit.walk_poms(c, p, poms) == verdicts
+    assert [cit.walk_pom(c, p, pom) for pom in poms] == verdicts
+    frontier = cit.Frontier(c, p)
+    assert [cit.walk_pom(c, p, pom, frontier) for pom in poms] == verdicts
     expect = merged(want)
-    assert reader.values == expect.values
-    assert reader.tuples == expect.tuples
     sys_counts = cit.geometry(p, tree.block_len).sys_counts
-    assert reader.digests == {
+    digests = {
         (u, x): expect.tuples[(u - 1, x % sys_counts[u - 1])][x // sys_counts[u - 1]]
         for u, x in expect.values
     }
+    assert frontier.known() == (expect.values, digests, expect.tuples)
+    units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
+    reader = rt._Reconstructor(c, p, rt.ChunkSet(c, units))
+    assert (reader.values, reader.digests, reader.tuples) == frontier.known()
     return want
 
 

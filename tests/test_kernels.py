@@ -178,17 +178,20 @@ def test_count_distinct_empty_rows():
 
 
 def test_first_fail_monotone_and_in_range():
+    """Erasing a longer prefix of an erasure order never helps: the engine
+    stalls, as the set-based closure does, from the first failing prefix
+    length on, and that length lies in [1, n]."""
     code, _ = random_instance(3)
+    n = code.n_coded
+    equations = [eq.symbol_indices for eq in code.parity_checks]
     rng = np.random.default_rng(3)
     for _ in range(10):
-        perm = rng.permutation(code.n_coded)
-        e = kn.first_fail_count(code.tables, perm.tolist())
-        assert 1 <= e <= code.n_coded
-        # e is the first failing prefix: e-1 must still decode
-        known = np.ones(code.n_coded, dtype=np.bool_)
-        known[perm[:e]] = False
-        assert not closes(code.tables, known)
-        if e > 1:
-            known = np.ones(code.n_coded, dtype=np.bool_)
-            known[perm[: e - 1]] = False
-            assert closes(code.tables, known)
+        perm = rng.permutation(n)
+        stalls = []
+        for e in range(n + 1):
+            known = np.ones(n, dtype=np.bool_)
+            known[perm[:e]] = False
+            stalls.append(not closes(code.tables, known))
+            assert stalls[-1] == (not peel_closure(equations, n, np.nonzero(known)[0].tolist()))
+        assert stalls == sorted(stalls)
+        assert 1 <= stalls.index(True) <= n

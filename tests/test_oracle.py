@@ -121,13 +121,14 @@ class TestChain:
     def test_fraud_against_a_commitment_never_committed_is_false_unchecked(
         self, monkeypatch
     ):
-        # the README's params at 2**18 bytes: checking a proof at the base
-        # layer would generate and gate a code of 16384 symbols (over 1 s)
+        # the README's params at the longest block the base cap admits,
+        # 2**16 bytes: checking a proof at the base layer would generate and
+        # gate a code of 4096 symbols (about 0.4 s)
         params = cit.TreeParams(
             symbol_size=64, root_size=4, rate=Fraction(1, 4), batch=8,
             max_eq_degree=8, alpha=0.125, code_seed=5,
         )
-        forged = cit.Commitment(root=(bytes(32),) * 4, params=params, block_len=1 << 18)
+        forged = cit.Commitment(root=(bytes(32),) * 4, params=params, block_len=1 << 16)
         depth = cit.geometry(params, forged.block_len).depth
         proof = rt.FraudProof(depth, 0, ParityEquation((0, 1)), (), None)
         calls = []

@@ -13,6 +13,7 @@ any harvest.
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,10 @@ from daoracle import cit, codec, retrieval as rt, simnet
 from daoracle.errors import BadCode
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
 
-from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
+from conftest import (
+    BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, planted_weak_code,
+)
+from test_kernels import closes
 
 # SMALL (layers 32/16/8/4 at rate 1/4); the same with an ungated code that
 # has a planted stopping set in its base layer; and a rate-1/2 family whose
@@ -205,23 +209,58 @@ def equation_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(equation_systems(), st.randoms(use_true_random=False))
 def test_first_fail_count_matches_the_binary_search(system, rnd):
+    """The engine stalls after erasing perm[:e] iff the batched reference
+    peel does, for every e; so stalling is monotone in e, which the alpha
+    gate's one threshold peel per trial rests on, and the first stalling e
+    is the one the reference binary search finds."""
     n, eqs = system
     tables = kn.CodeTables(eqs, n)
     perm = list(range(n))
     rnd.shuffle(perm)
+    stalls = []
+    for e in range(n + 1):
+        known = np.ones(n, dtype=np.bool_)
+        known[perm[:e]] = False
+        stalls.append(not closes(tables, known))
+        assert stalls[-1] == (not ref.peel_pattern(tables.eq_ptr, tables.eq_idx, known))
+    assert stalls == sorted(stalls)
     want = ref.first_fail_count(tables.eq_ptr, tables.eq_idx, np.array(perm, dtype=np.int64))
-    assert kn.first_fail_count(tables, perm) == want
+    assert stalls.index(True) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 40), st.sampled_from(("1/2", "1/4")), st.integers(2, 8),
-    st.integers(0, 2**32), st.integers(1, 12), st.sampled_from((0.05, 0.125, 0.25)),
-)
-def test_gate_verdicts_match_the_reference(k, rate, degree, seed, trials, alpha):
-    code = codec.generate_code(k, rate, degree, seed=seed)
-    want = ref.estimate_undecodable_ratio(code, trials, seed)
-    assert codec.estimate_undecodable_ratio(code, trials, seed) == want
+@st.composite
+def gate_cases(draw):
+    """(code, alpha, trials, rng seed): random codes, k <= 2 repetition
+    codes, the planted weak code and the SMALL base code with a planted
+    stopping set; alpha is e / n exactly, or one float step to either side
+    of it, where rounding would move a threshold taken from alpha * n, for
+    e mostly next to the smallest stalling erasure count of the trials,
+    where the verdict turns."""
+    kind = draw(st.sampled_from(("random", "repetition", "weak", "planted")))
+    if kind == "weak":
+        code = planted_weak_code()
+    elif kind == "planted":
+        code = cit.layer_code(PARAMS[1], 32)
+    else:
+        k = draw(st.integers(1, 2) if kind == "repetition" else st.integers(3, 40))
+        code = codec.generate_code(
+            k, draw(st.sampled_from(("1/2", "1/3", "1/4"))), draw(st.integers(2, 8)),
+            seed=draw(st.integers(0, 2**64 - 1)),
+        )
+    n, trials, seed = code.n_coded, draw(st.integers(1, 8)), draw(st.integers(0, 2**64 - 1))
+    least = round(ref.estimate_undecodable_ratio(code, trials, seed).ratio * n)
+    e = draw(st.one_of(st.integers(max(0, least - 1), min(n, least + 1)), st.integers(0, n)))
+    at = e / n
+    alpha = draw(st.sampled_from((at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf))))
+    return code, alpha, trials, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(gate_cases())
+def test_gate_verdicts_match_the_reference(case):
+    """One threshold peel per trial decides as the exact smallest stalling
+    fraction over the same trials does."""
+    code, alpha, trials, seed = case
     assert codec.is_bad_code(code, alpha, trials, seed) == ref.is_bad_code(
         code, alpha, trials, seed
     )

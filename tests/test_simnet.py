@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from daoracle import metrics as mx
+from daoracle import oracle as orc
 from daoracle import simnet as sn
 from daoracle.cit import TreeParams, sample_pom
 from daoracle.dispersal import DispersalParams, assign_chunks
@@ -160,11 +161,28 @@ class TestStalledRetrieval:
         assert commit.startswith("COMMIT") and badcode.startswith("BADCODE")
         assert badcode.endswith(f"size=32 seed={BAD_BASE_CODE_SEED}->{BAD_BASE_CODE_SEED + 1}")
 
-    def test_every_client_confirms_the_stall_and_the_chain_records_it_once(self):
+    def test_every_client_confirms_the_stall_and_the_chain_records_it_once(self, monkeypatch):
+        calls = {"reconstruct": 0, "layer_code": 0}
+        for name in calls:
+
+            def spy(*args, _name=name, _original=getattr(orc, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(orc, name, spy)
         config = dataclasses.replace(planted_config(STALL_SEED), n_clients=3)
         trace = sn.run_scenario(config)
-        assert [r["outcome"] for r in trace.rounds[0]["retrievals"]] == ["bad_code"] * 3
-        assert [line.split()[0] for line in trace.chain_lines] == ["COMMIT", "BADCODE"]
+        # the first client's bad-code round pools storage and searches for
+        # the seed once; the others read the agreed seed from its record
+        assert calls == {"reconstruct": 3 + 1, "layer_code": 1}
+        for client in range(3):
+            entry = {"client": client, "outcome": "bad_code", "new_seed": BAD_BASE_CODE_SEED + 1}
+            assert trace.rounds[0]["retrievals"][client] == entry
+            assert trace.ledgers[client] == [{"round": 0, **entry}]
+        commit, badcode = trace.chain_lines
+        assert commit.startswith("COMMIT")
+        assert badcode.startswith("BADCODE")
+        assert badcode.endswith(f"size=32 seed={BAD_BASE_CODE_SEED}->{BAD_BASE_CODE_SEED + 1}")
 
     def test_the_rounds_after_a_confirmed_stall_use_the_agreed_code_seed(self):
         trace = sn.run_scenario(dataclasses.replace(planted_config(STALL_SEED), rounds=2))
