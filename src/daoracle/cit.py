@@ -56,10 +56,10 @@ rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -417,6 +417,16 @@ def sample_poms(tree: CodedTree, base_indices: Iterable[int]) -> list[ProofOfMem
     return [sample_pom(tree, i, memo) for i in base_indices]
 
 
+@dataclass
+class PomHarvest:
+    """Everything a verified proof pins down: symbol values keyed by
+    (layer, index) and full q-digest child tuples keyed by
+    (parent_layer, parent_index)."""
+
+    values: dict[tuple[int, int], bytes] = field(default_factory=dict)
+    tuples: dict[tuple[int, int], tuple[bytes, ...]] = field(default_factory=dict)
+
+
 def commitment_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
     """The commitment's geometry, or None when no proof can match it: the
     params are not the ones the commitment echoes, the root has the wrong
@@ -590,10 +600,10 @@ class Frontier:
 def walk_poms(
     commitment: Commitment, params: TreeParams, poms: Sequence[ProofOfMembership]
 ) -> list[bool]:
-    """Each proof's verdict, ``walk_pom(commitment, params, pom)``, walked
-    against one ``Frontier``: a proof stops climbing where an earlier
-    passing proof already reached the root, and each distinct q-tuple and
-    32-byte value is hashed once across the proofs."""
+    """Each proof's verdict, ``walk_pom(commitment, params, pom) is not
+    None``, walked against one ``Frontier``: a proof stops climbing where
+    an earlier passing proof already reached the root, and each distinct
+    q-tuple and 32-byte value is hashed once across the proofs."""
     frontier = Frontier(commitment, params)
     return [frontier.walk(pom) for pom in poms]
 
@@ -603,22 +613,28 @@ def walk_pom(
     params: TreeParams,
     pom: ProofOfMembership,
     frontier: Optional[Frontier] = None,
-) -> bool:
-    """True iff the proof is consistent with the commitment.
+) -> Union[Optional[PomHarvest], bool]:
+    """Recompute the digest chain of a proof. Returns a PomHarvest when the
+    proof is consistent with the commitment, else None.
 
     With a ``frontier``, made for this very commitment and params, the
-    proof is walked against it; a caller walking many proofs reads what
-    they delivered from ``frontier.known()``."""
-    if frontier is None:
-        frontier = Frontier(commitment, params)
-    elif commitment is not frontier.commitment or params is not frontier.params:
-        raise ValueError("the frontier was made for another commitment")
-    return frontier.walk(pom)
+    proof is walked against it and the verdict is returned as a bool; a
+    caller walking many proofs reads what they delivered from
+    ``frontier.known()``."""
+    if frontier is not None:
+        if commitment is not frontier.commitment or params is not frontier.params:
+            raise ValueError("the frontier was made for another commitment")
+        return frontier.walk(pom)
+    frontier = Frontier(commitment, params)
+    if not frontier.walk(pom):
+        return None
+    values, _, tuples = frontier.known()
+    return PomHarvest(values, tuples)
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
     """True iff the proof's digest chain reproduces a commitment entry."""
-    return walk_pom(commitment, params, pom)
+    return walk_pom(commitment, params, pom) is not None
 
 
 def verify_membership(

@@ -5,28 +5,16 @@ nothing shared or memoized.
 ``verify_membership`` hash every q-tuple and every value they meet, each
 with its own loop. The package's ``sample_pom``, ``sample_poms``,
 ``walk_pom``, ``walk_poms`` and ``verify_membership`` must agree with them:
-the same proofs, and for any proof or claim the same verdict; what a
-batch of passing proofs delivers (``cit.Frontier.known``) is the
-first-wins merge of their harvests.
+the same proofs, and for any proof or claim the same verdict and, when a
+proof passes, the same harvest; what a batch of passing proofs delivers
+(``cit.Frontier.known``) is the first-wins merge of their harvests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from daoracle.cit import ProofOfMembership, geometry
+from daoracle.cit import PomHarvest, ProofOfMembership, geometry
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
-
-
-@dataclass
-class PomHarvest:
-    """Everything a verified proof pins down: symbol values keyed by
-    (layer, index) and full q-digest child tuples keyed by
-    (parent_layer, parent_index)."""
-
-    values: dict[tuple[int, int], bytes] = field(default_factory=dict)
-    tuples: dict[tuple[int, int], tuple[bytes, ...]] = field(default_factory=dict)
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:

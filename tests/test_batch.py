@@ -30,9 +30,9 @@ from conftest import chunkset_for
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
 
 
-def merged(harvests) -> ref.PomHarvest:
+def merged(harvests) -> cit.PomHarvest:
     """First-wins merge, in order, of the harvests of the passing proofs."""
-    out = ref.PomHarvest()
+    out = cit.PomHarvest()
     for harvest in harvests:
         if harvest is None:
             continue
@@ -44,8 +44,8 @@ def merged(harvests) -> ref.PomHarvest:
 
 
 def check_batch(tree, poms) -> list:
-    """Batched and one-proof verdicts equal the reference walk's, proof by
-    proof, and what one frontier and the reconstructor's ingest keep is the
+    """Batched verdicts and one-proof harvests equal the reference walk's,
+    proof by proof, and what one frontier and the reconstructor's ingest keep is the
     merge of the passing harvests: its values and tuples, and for each
     value the digest at its position in the tuple one up. Returns the
     reference harvests (None for a failing proof)."""
@@ -53,7 +53,7 @@ def check_batch(tree, poms) -> list:
     want = [ref.walk_pom(c, p, pom) for pom in poms]
     verdicts = [harvest is not None for harvest in want]
     assert cit.walk_poms(c, p, poms) == verdicts
-    assert [cit.walk_pom(c, p, pom) for pom in poms] == verdicts
+    assert [cit.walk_pom(c, p, pom) for pom in poms] == want
     frontier = cit.Frontier(c, p)
     assert [cit.walk_pom(c, p, pom, frontier) for pom in poms] == verdicts
     expect = merged(want)

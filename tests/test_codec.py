@@ -1,5 +1,7 @@
 """Erasure code construction, encoding, peeling, and the bad-code gate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,9 +226,14 @@ class TestUndecodableRatio:
 
     def test_estimate_deterministic_in_seed(self):
         code = codec.generate_code(8, "1/4", 8, seed=5)
-        a = ref.estimate_undecodable_ratio(code, trials=24, rng_seed=9)
-        b = ref.estimate_undecodable_ratio(code, trials=24, rng_seed=9)
-        assert a == b
+        ratio = ref.estimate_undecodable_ratio(code, trials=24, rng_seed=9).ratio
+        verdicts = []
+        for alpha in (ratio / 2, ratio, math.nextafter(ratio, 2.0), 1.0):
+            first = codec.is_bad_code(code, alpha, trials=24, rng_seed=9)
+            assert codec.is_bad_code(code, alpha, trials=24, rng_seed=9) == first
+            verdicts.append(first)
+        # both verdicts are reached: the gate flips just above the minimum
+        assert verdicts == [False, False, True, True]
 
 
 def test_canonical_text_is_sorted_and_stable():
