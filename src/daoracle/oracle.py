@@ -76,11 +76,38 @@ class Vote:
 
 @dataclass
 class OracleNode:
+    """One storage/voting node.
+
+    ``stored`` is flat, keyed ``(key, chunk_index)`` -> ``(symbol, pom)``,
+    so ``len(stored)`` counts units. ``assigned[key]`` holds, ascending and
+    once each, every chunk index of every message the node took for
+    commitment ``key``, so every stored unit of ``key`` has its index there.
+    The node answers for one key by looking up ``(key, i)`` for each ``i``
+    in ``assigned[key]``: no read touches the units of other commitments,
+    and a lookup costs the same however many blocks the node holds.
+    """
+
     node_id: int
     behavior: Behavior = Behavior.HONEST
     stake: float = 1.0
     stored: dict = field(default_factory=dict)  # (key, chunk_index) -> (symbol, pom)
-    assigned: dict = field(default_factory=dict)  # key -> tuple of chunk indices
+    assigned: dict = field(default_factory=dict)  # key -> sorted distinct chunk indices
+
+    def units(self, key: bytes) -> tuple:
+        """The node's stored (index, symbol, proof) units of ``key``, in
+        ascending index order, whatever its behavior."""
+        stored = self.stored
+        return tuple(
+            (idx, *stored[(key, idx)])
+            for idx in self.assigned.get(key, ())
+            if (key, idx) in stored
+        )
+
+    def assign(self, key: bytes, assigned) -> None:
+        """Add the indices ``assigned`` to the node's assignment for
+        ``key``; units a second message for ``key`` leaves out stay stored,
+        so the assignment keeps their indices."""
+        self.assigned[key] = tuple(sorted(set(self.assigned.get(key, ())).union(assigned)))
 
 
 @dataclass(frozen=True)
@@ -218,15 +245,15 @@ def node_on_dispersal(node: OracleNode, message: DispersalMessage) -> Optional[V
     if node.behavior is Behavior.SILENT:
         return None
     if node.behavior is Behavior.VOTE_WITHOUT_STORE:
-        node.assigned[key] = message.assigned
+        node.assign(key, message.assigned)
         return Vote(node.node_id, key)
     # honest verification path (shared by WITHHOLD_AFTER_VOTE, which behaves
     # correctly at dispersal time)
     if not _units_check(message.commitment, message.assigned, message.units):
         return None
+    node.assign(key, message.assigned)
     for idx, symbol, pom in message.units:
         node.stored[(key, idx)] = (symbol, pom)
-    node.assigned[key] = message.assigned
     return Vote(node.node_id, key)
 
 
@@ -246,20 +273,22 @@ def _units_check(commitment: Commitment, assigned, units) -> bool:
 def node_on_retrieval(node: OracleNode, key: bytes):
     if node.behavior in (Behavior.SILENT, Behavior.WITHHOLD_AFTER_VOTE):
         return ()
-    return tuple(
-        (idx, symbol, pom)
-        for (k, idx), (symbol, pom) in sorted(node.stored.items())
-        if k == key
-    )
+    return node.units(key)
+
+
+def _first_wins(answers) -> tuple:
+    """The distinct units of several answers by ascending index; of units
+    with one index, the first answer's wins."""
+    units: dict[int, tuple] = {}
+    for answer in answers:
+        for unit in answer:
+            units.setdefault(unit[0], unit)
+    return tuple(units[i] for i in sorted(units))
 
 
 def gather_units(nodes, key: bytes):
     """Distinct units collected by querying every node (first answer wins)."""
-    units: dict[int, tuple] = {}
-    for node in nodes:
-        for idx, symbol, pom in node_on_retrieval(node, key):
-            units.setdefault(idx, (idx, symbol, pom))
-    return tuple(units[i] for i in sorted(units))
+    return _first_wins(node_on_retrieval(node, key) for node in nodes)
 
 
 def client_retrieve(
@@ -325,12 +354,7 @@ def bad_code_round(
         for rec in chain.records:
             if isinstance(rec, BadCodeRecord) and rec.key == key:
                 return rec.new_seed
-    pooled: dict[int, tuple] = {}
-    for node in nodes:
-        for (k, idx), (symbol, pom) in node.stored.items():
-            if k == key:
-                pooled.setdefault(idx, (idx, symbol, pom))
-    chunks = ChunkSet(commitment, tuple(pooled[i] for i in sorted(pooled)))
+    chunks = ChunkSet(commitment, _first_wins(node.units(key) for node in nodes))
     try:
         reconstruct(commitment, params, chunks)
         confirmed = False

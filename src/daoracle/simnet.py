@@ -216,11 +216,12 @@ def _unit_size(pom, cache: dict) -> int:
     return size
 
 
+def _units_size(units, cache: dict) -> int:
+    return sum(_unit_size(pom, cache) for _idx, _symbol, pom in units)
+
+
 def _message_size(message: DispersalMessage, cache: dict) -> int:
-    total = len(encode_commitment(message.commitment))
-    for _idx, _symbol, pom in message.units:
-        total += _unit_size(pom, cache)
-    return total
+    return len(encode_commitment(message.commitment)) + _units_size(message.units, cache)
 
 
 def _propose(config: ScenarioConfig, params: TreeParams, round_no: int, design):
@@ -281,7 +282,10 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         votes = []
         for node in nodes:
             trace.bytes_sent += _message_size(messages[node.node_id], size_cache)
+            # only this round's key can change: add its new units' bytes
+            held = _units_size(node.units(key), size_cache)
             vote = orc.node_on_dispersal(node, messages[node.node_id])
+            trace.bytes_stored[node.node_id] += _units_size(node.units(key), size_cache) - held
             if vote is not None:
                 votes.append(vote)
         status = orc.chain_submit_votes(chain, commitment, votes)
@@ -293,9 +297,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                 trace.ledgers[client].append({"round": round_no, "outcome": "none"})
                 continue
             units = orc.gather_units(nodes, key)
-            trace.bytes_downloaded[client] += sum(
-                _unit_size(pom, size_cache) for _i, _s, pom in units
-            )
+            trace.bytes_downloaded[client] += _units_size(units, size_cache)
             chunks = orc.ChunkSet(commitment, units)
             try:
                 result = orc.reconstruct(commitment, commitment.params, chunks)
@@ -351,12 +353,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                     "passed": outcome.passed,
                     "slashed": outcome.slashed,
                 }
-
-        for node in nodes:
-            trace.bytes_stored[node.node_id] = sum(
-                _unit_size(pom, size_cache)
-                for (_k, _i), (_symbol, pom) in node.stored.items()
-            )
 
         trace.rounds.append(
             {

@@ -143,6 +143,36 @@ class TestCommitVerifyRetrieve:
         assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "case", ["verify_directory", "simulate_directory", "commit_out_below_a_file",
+                 "simulate_out_below_a_file"],
+    )
+    def test_unusable_paths_exit_params(self, workdir, capsys, case):
+        d = workdir
+        (d / "plain").write_bytes(b"")
+        (d / "scenario.json").write_text(json.dumps(SCENARIO))
+        argv = {
+            # IsADirectoryError
+            "verify_directory": ("verify", "--commitment", d, "--pom", d / "p.bin"),
+            "simulate_directory": ("simulate", "--scenario", d, "--out", d / "sim"),
+            # NotADirectoryError
+            "commit_out_below_a_file": (
+                "commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+                "--out-commitment", d / "plain" / "c.bin",
+            ),
+            "simulate_out_below_a_file": (
+                "simulate", "--scenario", d / "scenario.json", "--out", d / "plain" / "sim",
+            ),
+        }[case]
+        assert run(*argv) == cli.EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_module_entry_point_exits_params_on_a_directory(self, tmp_path):
+        proc = run_module("verify", "--commitment", tmp_path, "--pom", "x", cwd=tmp_path)
+        assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("num,den", [(5, 4), (1, 0)], ids=["rate_5_4", "den_zero"])
     def test_hostile_rate_bytes_exit_params(self, workdir, num, den):
         # DAC1 layout: magic(4) symbol_size u64 root_size u32, then the rate
@@ -317,6 +347,24 @@ class TestSimulate:
         )
         assert code == cli.EXIT_OK
         assert (tmp_path / "replayed.bin").stat().st_size == 65536
+
+    def test_retrieve_replays_round_zero_only(self, tmp_path, capsys):
+        path = self.scenario(tmp_path)
+        run("simulate", "--scenario", path, "--out", tmp_path / "sim")
+        trace = json.loads((tmp_path / "sim" / "trace.json").read_text())
+        printed = []
+        for rounds in (1, 10**9):
+            trace["config"]["rounds"] = rounds
+            (tmp_path / "t.json").write_text(json.dumps(trace))
+            capsys.readouterr()
+            with time_bound(30):
+                code = run(
+                    "retrieve", "--trace", tmp_path / "t.json",
+                    "--out-block", tmp_path / "replayed.bin",
+                )
+            assert code == cli.EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_retrieve_from_fraud_trace_replay(self, tmp_path):
         path = self.scenario(tmp_path, strategy="invalid_coding")

@@ -256,6 +256,9 @@ class TestBadCodeRound:
         for rank, idx in enumerate(keep):
             node = nodes[rank % 4]
             node.stored[(key, idx)] = (base[idx].tobytes(), cit.sample_pom(tree, idx))
+        # each node answers for key from its assignment, as after dispersal
+        for node in nodes:
+            node.assigned[key] = tuple(keep[node.node_id::4])
         return params, tree, nodes
 
     def test_confirmed_stall_moves_the_seed(self, small_block):

@@ -250,18 +250,49 @@ def test_trace_json_and_csv_shapes():
 
 
 # sha256 of trace.json as `python3 -m daoracle simulate` writes it for the
-# shipped scenarios; any change to encodings, sampling, peeling order or the
-# trace layout moves these
+# shipped scenarios and the inline ones below; any change to encodings,
+# sampling, peeling order, storage accounting or the trace layout moves these
 TRACE_DIGESTS = {
     "all_honest": "7e44e3398006160bc869c818ab55d00229bfdf31efc25d20a3298f814913e508",
     "invalid_coding": "61d0205b61c99fd0ebc4f331a747c9987012ae52a91bf9bd2aa54e67fc188851",
+    "stored_history": "3943ee86bbc392e16c64021078414fe5429f53f3eb0f23523668d5cb96f195eb",
+    "repeated_commitment": "a162c287a207d4400dd0ce827950d0ed070b5c3e4931de5c743e0642d88ad7c6",
 }
+
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+
+
+def _scenario(name) -> dict:
+    if name == "stored_history":
+        # six rounds of stored units piling up on every kind of node, each
+        # round audited; the vote-without-store node is slashed in round 0
+        raw = json.loads((SCENARIOS / "all_honest.json").read_text())
+        raw.update(
+            rounds=6,
+            audit_probability=1.0,
+            behaviors={"silent": 2, "withhold_after_vote": 2, "vote_without_store": 1},
+        )
+        return raw
+    if name == "repeated_commitment":
+        # 2-byte blocks: round 102 proposes the block of round 41, so the
+        # nodes take a second message, with another assignment, for one key
+        return {
+            "n_nodes": 4, "beta": 0.25, "block_size": 2, "n_clients": 1, "rounds": 120,
+            "master_seed": 9, "audit_probability": 1.0,
+            "behaviors": {"vote_without_store": 1},
+            "tree": {
+                "symbol_size": 1, "root_size": 4, "rate": "1/4", "batch": 8,
+                "max_eq_degree": 8, "alpha": 0.125, "code_seed": 5,
+            },
+            "dispersal": {"gamma": 0.5, "eta": 0.875, "lambda": 1.0},
+        }
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
 def test_scenario_trace_bytes_are_pinned(name):
-    path = Path(__file__).parents[1] / "scenarios" / f"{name}.json"
-    trace = sn.run_scenario(sn.config_from_dict(json.loads(path.read_text())))
+    trace = sn.run_scenario(sn.config_from_dict(_scenario(name)))
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == TRACE_DIGESTS[name]
 
 
