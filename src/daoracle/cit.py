@@ -49,7 +49,7 @@ checks at the first pairs key it holds; the rest of the proof must then
 equal what was authenticated there, which is one tuple comparison each.
 Its hash memo hashes each distinct q-tuple and 32-byte value once. So
 each proof's verdict is that of a walk on its own, and the delivered
-values, digests and tuples are derived once per distinct position. A
+values and tuples are derived once per distinct position. A
 frontier is never kept past its batch, so never shared across nodes or
 rounds.
 """
@@ -448,14 +448,16 @@ class Frontier:
       layer w, its digest, and the sibling levels from there to the root;
     - ``pairs[(u, r)]`` for r = i mod (m_u - s_u), which decides a proof's
       pairs from layer u up to layer 1: those pairs;
-    - ``base[i]``: base symbol i and its digest;
+    - ``base[i]``: base symbol i;
     - ``digests``: sha256 of each q-tuple and 32-byte value the walks met,
       keyed by content (a pure function, so any walk may add to it).
 
     Only a proof whose whole walk passed adds positions, so ``paths`` is
-    upward-closed: with (w, p) it holds every position above. A frontier is
-    bound to the commitment and params it was made for, and lives for one
-    batch (one node's units, one audit, one reconstruction)."""
+    upward-closed: with (w, p) it holds every position above. Each symbol
+    it holds was certified by its walk, against the committed digest in its
+    parent's climbed tuple. A frontier is bound to the commitment and
+    params it was made for, and lives for one batch (one node's units, one
+    audit, one reconstruction)."""
 
     __slots__ = ("commitment", "params", "geo", "paths", "pairs", "base", "digests")
 
@@ -465,7 +467,7 @@ class Frontier:
         self.geo = commitment_geometry(commitment, params)
         self.paths: dict[tuple[int, int], tuple] = {}
         self.pairs: dict[tuple[int, int], tuple] = {}
-        self.base: dict[int, tuple[bytes, bytes]] = {}
+        self.base: dict[int, bytes] = {}
         self.digests: dict = {}
 
     def _climb(self, u, x, h, levels) -> Optional[list]:
@@ -570,31 +572,26 @@ class Frontier:
             paths[key] = (tup, value, levels[j + 1 :])
         for j, key in enumerate(checked):
             known_pairs[key] = pairs[j:]
-        self.base.setdefault(i, (pom.base_symbol, h))
+        self.base.setdefault(i, pom.base_symbol)
         return True
 
     def known(self):
-        """(values, digests, tuples) of everything the passing proofs
-        delivered: each symbol by (layer, index), sha256 of each (read from
-        the climbed tuple one up, or for a base symbol from its walk), and
-        each climbed q-tuple by (parent layer, parent index). Each entry is
-        derived once, however many proofs carried it."""
+        """(values, tuples) of everything the passing proofs delivered, each
+        certified symbol by (layer, index) and each climbed q-tuple by
+        (parent layer, parent index); each entry is derived once, however
+        many proofs carried it."""
         tuples = {key: entry[0] for key, entry in self.paths.items()}
-        values, digests = {}, {}
+        values = {}
         if self.geo is None:
-            return values, digests, tuples
-        depth, sys_counts = self.geo.depth, self.geo.sys_counts
-        for i, (symbol, h) in self.base.items():
+            return values, tuples
+        depth = self.geo.depth
+        for i, symbol in self.base.items():
             values[(depth, i)] = symbol
-            digests[(depth, i)] = h
         for (u, _), suffix in self.pairs.items():
             p_idx, e_idx, p_val, e_val = suffix[0]
-            s_up = sys_counts[u - 1]
-            for x, val in ((p_idx, p_val), (e_idx, e_val)):
-                if (u, x) not in values:
-                    values[(u, x)] = val
-                    digests[(u, x)] = tuples[(u - 1, x % s_up)][x // s_up]
-        return values, digests, tuples
+            values.setdefault((u, p_idx), p_val)
+            values.setdefault((u, e_idx), e_val)
+        return values, tuples
 
 
 def walk_poms(
@@ -628,8 +625,7 @@ def walk_pom(
     frontier = Frontier(commitment, params)
     if not frontier.walk(pom):
         return None
-    values, _, tuples = frontier.known()
-    return PomHarvest(values, tuples)
+    return PomHarvest(*frontier.known())
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:

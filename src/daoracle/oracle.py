@@ -2,9 +2,9 @@
 and a trusted-chain mock that stores only commitments and fraud proofs.
 
 Votes are identity-bound tokens (no signature aggregation); the chain
-counts distinct accepting voters against the ceil((beta+gamma)*N)
-threshold, keeps an append-only record log with strictly increasing block
-ids, and never unmarks a commitment once a verified fraud proof lands.
+counts distinct voters against the ceil((beta+gamma)*N) threshold, keeps
+an append-only record log with strictly increasing block ids, and never
+unmarks a commitment once a verified fraud proof lands.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class DispersalMessage:
 class Vote:
     node_id: int
     commitment_key: bytes
-    accept: bool = True
 
 
 @dataclass
@@ -147,7 +146,8 @@ class TrustedChain:
     votes: dict = field(default_factory=dict)  # key -> set of node ids
     committed: dict = field(default_factory=dict)  # key -> block id
     invalid: set = field(default_factory=set)
-    next_block_id: int = 0
+    # key -> replacement code seed, written with its BadCodeRecord
+    new_seeds: dict = field(default_factory=dict)
 
     @property
     def commit_threshold(self) -> int:
@@ -175,19 +175,19 @@ class TrustedChain:
 
 
 def chain_submit_votes(chain: TrustedChain, commitment: Commitment, votes) -> CommitStatus:
-    """Record votes; append a Commit once distinct accepting voters reach
-    the threshold. Idempotent per commitment, duplicates counted once."""
+    """Record votes; append a Commit once distinct voters reach the
+    threshold. Idempotent per commitment, duplicates counted once. Block ids
+    count commits from 0, so the next one is ``len(chain.committed)``."""
     key = commit_key(commitment)
     pool = chain.votes.setdefault(key, set())
     for vote in votes:
-        if vote.accept and vote.commitment_key == key and 0 <= vote.node_id < chain.n_nodes:
+        if vote.commitment_key == key and 0 <= vote.node_id < chain.n_nodes:
             pool.add(vote.node_id)
     if key in chain.committed:
         return CommitStatus(True, chain.committed[key], len(pool))
     if key in chain.invalid or len(pool) < chain.commit_threshold:
         return CommitStatus(False, None, len(pool))
-    block_id = chain.next_block_id
-    chain.next_block_id += 1
+    block_id = len(chain.committed)
     chain.committed[key] = block_id
     chain.records.append(CommitRecord(block_id, key, frozenset(pool)))
     return CommitStatus(True, block_id, len(pool))
@@ -346,14 +346,12 @@ def bad_code_round(
 
     Returns the agreed code seed; unchanged when pooling reconstructs fine.
     Once the chain records the agreed seed for the commitment, later calls
-    read it from that record and run nothing again.
+    read it from ``chain.new_seeds`` by key and run nothing again.
     """
     params = commitment.params
     key = commit_key(commitment)
-    if chain is not None:
-        for rec in chain.records:
-            if isinstance(rec, BadCodeRecord) and rec.key == key:
-                return rec.new_seed
+    if chain is not None and key in chain.new_seeds:
+        return chain.new_seeds[key]
     chunks = ChunkSet(commitment, _first_wins(node.units(key) for node in nodes))
     try:
         reconstruct(commitment, params, chunks)
@@ -373,6 +371,7 @@ def bad_code_round(
             chain.records.append(
                 BadCodeRecord(key, signal.layer_size or 0, params.code_seed, candidate.code_seed)
             )
+            chain.new_seeds[key] = candidate.code_seed
         return candidate.code_seed
     raise BadCode("no replacement seed met the gate", layer_size=signal.layer_size)
 

@@ -9,21 +9,17 @@ solved symbol whose committed digest is pinned by some collected sibling
 tuple is checked against it, and every fully known equation is checked for
 zero XOR; a contradiction there yields a compact incorrect-coding proof a
 third party can verify against the commitment alone. After a layer
-completes, each parent aggregate is recomputed and compared with the
-(already certified) layer above; a mismatch there only marks the
-reconstruction unprovable and never yields a proof. Digest layers XOR their
-32-byte symbols as Python ints, the base layer as uint8 rows, which are
-faster at symbol widths of 1 KiB and up.
+completes, the aggregate of each parent without a collected tuple is
+recomputed and compared with the (already certified) layer above; a
+mismatch there only marks the reconstruction unprovable and never yields
+a proof. Digest layers XOR their 32-byte symbols as Python ints, the base
+layer as uint8 rows, which are faster at symbol widths of 1 KiB and up.
 
-Digests are computed once per reconstruction. Ingest walks the collected
-proofs against one ``cit.Frontier`` and reads from it the known symbols,
-the climbed tuples, and a (layer, index) -> digest map: a base symbol's
-digest is its walk's hash of it, and any other delivered value's is the
-entry at its position in the climbed tuple one up, which its walk matched.
-Each solve that passes its pinned-digest check adds its digest. The
-aggregation check hashes only the rows missing from the map. Every digest
-in the map is sha256 of the bytes the symbol is known by, computed in
-this call; a committed digest is never put there on trust.
+Each symbol is certified once: ingest walks the collected proofs against
+one ``cit.Frontier``, which checks each delivered symbol against the
+committed digest in its parent's climbed tuple, a solve under a parent
+with a collected tuple is checked at its solve, and only the children of
+the parents no collected tuple covers are hashed again, to re-aggregate.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
@@ -187,9 +183,9 @@ class _Reconstructor:
         self.params = params
         geo = geometry(params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
-        # known symbols, sha256 of each (computed in this call) and the
-        # collected q-tuples, by position
-        self.values, self.digests, self.tuples = self._ingest(chunks)
+        # known symbols, each certified at ingest, and the collected
+        # q-tuples, by position
+        self.values, self.tuples = self._ingest(chunks)
         self.layer_done: dict[int, list[bytes]] = {}
         self.unprovable = False
 
@@ -201,14 +197,6 @@ class _Reconstructor:
             if index == pom.base_index and symbol == pom.base_symbol:
                 walk_pom(self.commitment, self.params, pom, frontier)
         return frontier.known()
-
-    def _digest(self, u: int, x: int, row: bytes) -> bytes:
-        """sha256 of ``row``, the bytes symbol x of layer u is known by,
-        hashed at most once per reconstruction."""
-        h = self.digests.get((u, x))
-        if h is None:
-            h = self.digests[(u, x)] = sha256(row)
-        return h
 
     def _expected_hash(self, u: int, x: int):
         s_par = self.sys_counts[u - 1]
@@ -312,15 +300,12 @@ class _Reconstructor:
                 continue
             value = dump(acc)
             expected = self._expected_hash(u, x) if u >= 1 else None
-            if expected is not None:
-                digest = sha256(value)
-                if digest != expected:
-                    fraud = self._mismatch_fraud(u, code, e, x, expected, rows)
-                    if fraud is not None:
-                        return fraud, peel.known
-                    self.unprovable = True
-                    continue
-                self.digests[(u, x)] = digest
+            if expected is not None and sha256(value) != expected:
+                fraud = self._mismatch_fraud(u, code, e, x, expected, rows)
+                if fraud is not None:
+                    return fraud, peel.known
+                self.unprovable = True
+                continue
             values[x], rows[x] = acc, value
             peel.solve(x)
         return None, peel.known
@@ -341,17 +326,19 @@ class _Reconstructor:
         return Fraud(FraudProof(u, e, eq, members, HashMismatch(x, expected, path)))
 
     def _check_aggregation(self, u, rows):
-        """Recompute each parent aggregate of the completed layer u against
-        the certified layer above; a mismatch marks the reconstruction
-        unprovable. Only a parent with no collected tuple can mismatch:
-        tuples come from proofs' climbs to the root, so a collected tuple's
-        ancestors are collected too, and each child of a parent with a
-        tuple was checked against it at ingest or at its solve."""
+        """Recompute the aggregate of each parent of the completed layer u
+        that has no collected tuple against the certified layer above; a
+        mismatch marks the reconstruction unprovable. A parent with a tuple
+        cannot mismatch: tuples come from proofs' climbs to the root, so a
+        collected tuple's ancestors are collected too, and each child of a
+        parent with a tuple was checked against it at ingest or at its
+        solve."""
         s_par = self.sys_counts[u - 1]
         parent = self.layer_done[u - 1]
-        hashes = [self._digest(u, x, row) for x, row in enumerate(rows)]
         for k in range(s_par):
-            if sha256(b"".join(hashes[k::s_par])) != parent[k]:
+            if (u - 1, k) in self.tuples:
+                continue
+            if sha256(b"".join(map(sha256, rows[k::s_par]))) != parent[k]:
                 self.unprovable = True
                 return
 

@@ -26,6 +26,16 @@ from .serialize import encode_commitment, encode_pom
 from .util import NUMBER, RATE, derive_seed, json_fields, sha256
 
 PROPOSER_STRATEGIES = ("honest", "invalid_coding", "equivocating")
+# caps on values a scenario or trace file sets, checked before they size
+# the behavior list, the node table or a proposed block
+MAX_NODES, MAX_BLOCK_SIZE = 1 << 14, 1 << 24
+
+
+def _check_sizes(n_nodes: int, block_size: int) -> None:
+    if not 1 <= n_nodes <= MAX_NODES:
+        raise ConfigError(f"n_nodes must lie in [1, {MAX_NODES}], got {n_nodes}")
+    if not 1 <= block_size <= MAX_BLOCK_SIZE:
+        raise ConfigError(f"block_size must lie in [1, {MAX_BLOCK_SIZE}], got {block_size}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,7 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _check_sizes(self.n_nodes, self.block_size)
         if len(self.behaviors) != self.n_nodes:
             raise ConfigError("behaviors must list one entry per node")
         bad = sum(1 for b in self.behaviors if b is not Behavior.HONEST)
@@ -110,7 +121,8 @@ def tree_params_from_dict(raw) -> TreeParams:
 
 def config_from_dict(raw) -> ScenarioConfig:
     """ScenarioConfig from a parsed scenario JSON object (FORMATS.md).
-    Raises ConfigError for a missing key or a value of the wrong type."""
+    Raises ConfigError for a missing key, a value of the wrong type, or a
+    node count or block size outside its cap."""
     raw = json_fields(
         raw,
         {"n_nodes": int, "beta": NUMBER, "tree": dict, "dispersal": dict, "block_size": int},
@@ -122,6 +134,7 @@ def config_from_dict(raw) -> ScenarioConfig:
     )
     disp = json_fields(raw["dispersal"], {"gamma": NUMBER, "eta": NUMBER, "lambda": NUMBER})
     n_nodes = raw["n_nodes"]
+    _check_sizes(n_nodes, raw["block_size"])
     behaviors = raw.get("behaviors", {})
     if isinstance(behaviors, list):
         assignment = tuple(_behavior(b) for b in behaviors)

@@ -46,9 +46,9 @@ def merged(harvests) -> cit.PomHarvest:
 def check_batch(tree, poms) -> list:
     """Batched verdicts and one-proof harvests equal the reference walk's,
     proof by proof, and what one frontier and the reconstructor's ingest keep is the
-    merge of the passing harvests: its values and tuples, and for each
-    value the digest at its position in the tuple one up. Returns the
-    reference harvests (None for a failing proof)."""
+    merge of the passing harvests, its values and tuples; each value hashes to
+    the digest at its position in the tuple one up. Returns the reference
+    harvests (None for a failing proof)."""
     c, p = tree.commitment, tree.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
     verdicts = [harvest is not None for harvest in want]
@@ -57,15 +57,15 @@ def check_batch(tree, poms) -> list:
     frontier = cit.Frontier(c, p)
     assert [cit.walk_pom(c, p, pom, frontier) for pom in poms] == verdicts
     expect = merged(want)
+    values, tuples = frontier.known()
+    assert (values, tuples) == (expect.values, expect.tuples)
     sys_counts = cit.geometry(p, tree.block_len).sys_counts
-    digests = {
-        (u, x): expect.tuples[(u - 1, x % sys_counts[u - 1])][x // sys_counts[u - 1]]
-        for u, x in expect.values
-    }
-    assert frontier.known() == (expect.values, digests, expect.tuples)
+    for (u, x), value in values.items():
+        s_par = sys_counts[u - 1]
+        assert sha256(value) == tuples[(u - 1, x % s_par)][x // s_par]
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(c, p, rt.ChunkSet(c, units))
-    assert (reader.values, reader.digests, reader.tuples) == frontier.known()
+    assert (reader.values, reader.tuples) == (values, tuples)
     return want
 
 

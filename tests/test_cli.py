@@ -1,11 +1,13 @@
 """Exercise every subcommand and exit code through main(argv)."""
 
 import dataclasses
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from daoracle import cit, cli, serialize as sz
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
-from hostile import hostile, hostile_files, time_bound
+from hostile import hostile, hostile_files, memory_bound, time_bound
 
 @pytest.fixture()
 def workdir(tmp_path, small_block):
@@ -440,6 +442,14 @@ INCENTIVE_PARAMS = {
 }
 
 
+def quiet_run(*argv) -> tuple[int, str]:
+    """``run(*argv)``'s exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
 def without(raw: dict, key: str) -> str:
     return json.dumps({k: v for k, v in raw.items() if k != key})
 
@@ -458,6 +468,7 @@ class TestBadJsonInput:
             ("simulate", without(SCENARIO, "tree")),
             ("simulate", json.dumps({**SCENARIO, "behaviors": {"sleepy": 1}})),
             ("simulate", json.dumps({**SCENARIO, "behaviors": {"silent": "2"}})),
+            ("simulate", json.dumps({**SCENARIO, "n_nodes": 0})),
             ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8})),
             ("metrics", without(COST_PARAMS, "batch")),
             ("metrics", without(COST_PARAMS, "eta")),
@@ -467,7 +478,7 @@ class TestBadJsonInput:
         ids=[
             "commit_missing_key", "commit_unparsable", "commit_wrong_type",
             "commit_not_an_object", "commit_rate_without_layer_codes", "simulate_missing_tree", "simulate_unknown_behavior",
-            "simulate_count_not_an_int", "disperse_missing_key",
+            "simulate_count_not_an_int", "simulate_no_nodes", "disperse_missing_key",
             "metrics_missing_key", "metrics_no_lambda_nor_eta",
             "incentives_missing_key", "retrieve_trace_without_config",
         ],
@@ -489,6 +500,31 @@ class TestBadJsonInput:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "Traceback" not in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "retrieve"])
+    @pytest.mark.parametrize(
+        "oversized",
+        [
+            {"n_nodes": 10**9},
+            # 32 systematic symbols, as in SCENARIO, of 128 MiB each
+            {"block_size": 1 << 32, "tree": {**SCENARIO["tree"], "symbol_size": 1 << 27}},
+        ],
+        ids=["n_nodes", "block_size"],
+    )
+    def test_oversized_scenario_values_exit_params(self, tmp_path, command, oversized):
+        # each value would size an allocation of gigabytes if read unchecked,
+        # so the command runs in a child under a memory bound
+        config = {**SCENARIO, **oversized}
+        path = tmp_path / "input.json"
+        if command == "simulate":
+            path.write_text(json.dumps(config))
+            argv = ("--scenario", path, "--out", tmp_path / "sim")
+        else:
+            path.write_text(json.dumps({"config": config}))
+            argv = ("--trace", path, "--out-block", tmp_path / "block.bin")
+        code, err = memory_bound(quiet_run, command, *argv)
+        assert code == cli.EXIT_PARAMS
+        assert err.startswith("error: ") and next(iter(oversized)) in err
 
     def test_malformed_indices_exit_params(self, workdir, capsys):
         d = workdir

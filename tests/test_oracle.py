@@ -68,7 +68,7 @@ class TestNodeBehavior:
         _, tree, messages = setup
         node = orc.OracleNode(0, orc.Behavior.VOTE_WITHOUT_STORE)
         vote = orc.node_on_dispersal(node, messages[0])
-        assert vote is not None and vote.accept
+        assert vote == orc.Vote(0, orc.commit_key(messages[0].commitment))
         assert node.stored == {}
 
     def test_withholder_stores_but_refuses_retrieval(self, setup):
@@ -271,6 +271,26 @@ class TestBadCodeRound:
         regenerated = dataclasses.replace(params, code_seed=new_seed)
         assert cit.layer_code(regenerated, 32)  # passes the alpha gate
         assert any(isinstance(r, orc.BadCodeRecord) for r in chain.records)
+
+    def test_a_second_round_reads_the_seed_by_key(self, small_block):
+        # the agreed seed is looked up by commitment key, never by scanning
+        # the record log; the second call has no nodes to pool, so only the
+        # lookup can give it the agreed seed
+        class NoScan(list):
+            def __iter__(self):
+                raise AssertionError("the record log was scanned")
+
+        params, tree, nodes = self.bad_network(small_block)
+        chain = orc.TrustedChain(4, 0.25, 0.5, records=NoScan())
+        with pytest.raises(BadCode) as err:
+            orc.client_retrieve(chain, nodes, tree.commitment, params)
+        agreed = orc.bad_code_round(nodes, tree.commitment, err.value, chain)
+        assert agreed > params.code_seed
+        assert orc.bad_code_round([], tree.commitment, err.value, chain) == agreed
+        key = orc.commit_key(tree.commitment)
+        assert list.copy(chain.records) == [
+            orc.BadCodeRecord(key, 32, params.code_seed, agreed)
+        ]
 
     def test_replacement_is_the_same_at_every_node(self, small_block):
         params, tree, nodes = self.bad_network(small_block)

@@ -150,14 +150,30 @@ def test_reconstruction_matches_the_reference(data):
     assert new == old
 
 
-def test_reconstruction_cases_reach_every_outcome():
+def test_reconstruction_cases_reach_every_outcome(monkeypatch):
     """A seeded sweep over the same cases meets every outcome kind, both
-    fraud flavours and the unprovable path, all equal to the reference."""
+    fraud flavours and the unprovable path, all equal to the reference;
+    some cases are made unprovable by the aggregation check, on a parent
+    without a collected tuple, where the reference re-aggregates every
+    parent."""
+    check = rt._Reconstructor._check_aggregation
+    flagged = []
+
+    def spy(self, u, rows):
+        before = self.unprovable
+        check(self, u, rows)
+        if self.unprovable and not before:
+            flagged.append(u)
+
+    monkeypatch.setattr(rt._Reconstructor, "_check_aggregation", spy)
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(200):
         case = make_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        flagged.clear()
         new, old, tree = both(*case)
+        if flagged:
+            seen.add("aggregation mismatch")
         assert new == old
         (kind, *rest), unprovable = new
         if kind == "fraud":
@@ -169,6 +185,7 @@ def test_reconstruction_cases_reach_every_outcome():
             seen.add("unprovable")
     assert seen >= {
         "block", "equation fraud", "mismatch fraud", "insufficient", "bad code", "unprovable",
+        "aggregation mismatch",
     }
 
 

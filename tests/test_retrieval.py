@@ -17,7 +17,7 @@ from daoracle.util import HASH_BYTES, sha256
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
 from test_geometry import _flip, _replace_at
-from test_peel import tampered_tree
+from test_peel import family, tampered_tree
 
 
 def eta_subsets(rng, m, eta, count):
@@ -75,9 +75,10 @@ class TestRoundTrip:
         self, small_tree, small_block, small_params, monkeypatch, every
     ):
         # ingest hashes each delivered base symbol, a peel solve hashes the
-        # symbol it checks, and the aggregation check hashes only the rows
-        # neither did; 64-byte inputs are exactly the base rows here (digests
-        # are 32 bytes and the joined q-tuples 8 x 32)
+        # symbol it checks against its parent's collected tuple, and the
+        # aggregation check hashes only the rows under parents without one;
+        # 64-byte inputs are exactly the base rows here (digests are 32
+        # bytes and the joined q-tuples 8 x 32)
         m = small_tree.sizes[-1]
         chunks = chunkset_for(small_tree, [i for i in range(m) if every == 1 or i % every])
         hashed = []
@@ -89,6 +90,22 @@ class TestRoundTrip:
         out = rt.reconstruct(small_tree.commitment, small_params, chunks)
         assert isinstance(out, rt.Block) and out.data == small_block
         assert hashed.count(small_params.symbol_size) == m
+
+    def test_every_chunk_delivered_hashes_nothing_after_ingest(self, monkeypatch):
+        # every base chunk's proof delivers every symbol of every layer and
+        # every parent's tuple, so each symbol is certified at ingest and no
+        # parent is re-aggregated (re-aggregating each would take 255 join
+        # hashes on this geometry)
+        params = family(1024)
+        block = np.random.default_rng(3).bytes(256 * 1024)
+        tree = cit.build_tree(block, params)
+        chunks = chunkset_for(tree, range(tree.sizes[-1]))
+        hashed = []
+        real = rt.sha256
+        monkeypatch.setattr(rt, "sha256", lambda data: hashed.append(len(data)) or real(data))
+        out = rt.reconstruct(tree.commitment, params, chunks)
+        assert isinstance(out, rt.Block) and out.data == block
+        assert hashed == []
 
     @pytest.mark.parametrize("field", ["index", "symbol"])
     def test_a_unit_that_disagrees_with_its_proof_is_skipped(
