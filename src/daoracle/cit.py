@@ -37,13 +37,21 @@ sample indices. Tree building, proof sampling and walking, reconstruction
 and fraud-proof checks all read it, so the tree does no Fraction
 arithmetic beyond coercing the rate.
 
-Batches. ``sample_pom`` always samples through a memo (``sample_poms``
-shares one across its proofs): each row it reads becomes bytes once, and
-every proof through the same (layer, child) gets the same sibling tuple.
-``walk_poms`` walks its proofs against one ``Frontier``, as client ingest
-does across one reconstruction's ``walk_pom`` calls. The frontier holds,
-by position, what the proofs that passed so far authenticated: each
-climbed q-tuple with the sibling levels above it, and each pairs suffix.
+Sampling. Above its base symbol, a proof is a pure function of its
+index modulo a layer count: the pairs from layer u up depend only on
+i mod (m_u - s_u), and the sibling levels above layer u only on the child
+index there. So each tree builds its sampling tables once, on its first
+proof (``CodedTree.sampling``): every intermediate row and every non-root
+digest split into bytes once, and a memo of pairs suffixes and one of
+sibling-level suffixes, each suffix sharing the one above it. Every proof
+sampled from the tree, by any call, shares those tuples; its own cost is
+a range check, one lookup in each memo and a copy of its base row.
+
+Batches. ``walk_poms`` walks its proofs against one ``Frontier``, as
+client ingest does across one reconstruction's ``walk_pom`` calls. The
+frontier holds, by position, what the proofs that passed so far
+authenticated: each climbed q-tuple with the sibling levels above it, and
+each pairs suffix.
 A climb stops at the first position the frontier holds, and the pair
 checks at the first pairs key it holds; the rest of the proof must then
 equal what was authenticated there, which is one tuple comparison each.
@@ -58,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -258,6 +266,11 @@ class CodedTree:
     def depth(self) -> int:
         return len(self.layers) - 1
 
+    @cached_property
+    def sampling(self) -> "SamplingTables":
+        """This tree's proof sampling tables, built on first use."""
+        return SamplingTables(self)
+
 
 def _hash_rows(arr: np.ndarray) -> np.ndarray:
     """(rows, 32) digests of the rows of a C-contiguous 2-D uint8 array;
@@ -349,72 +362,94 @@ def build_tree(
     )
 
 
-@lru_cache(maxsize=None)
-def _sibling_slices(batch: int, pos: int) -> tuple[slice, ...]:
-    """Byte ranges of the q - 1 digests other than child ``pos`` in the q
-    joined child digests of one parent."""
-    return tuple(
-        slice(k * HASH_BYTES, (k + 1) * HASH_BYTES) for k in range(batch) if k != pos
-    )
+def _split(arr: np.ndarray) -> list[bytes]:
+    """The rows of a (rows, 32) uint8 array as bytes, from one copy."""
+    flat = arr.tobytes()
+    return [flat[k : k + HASH_BYTES] for k in range(0, len(flat), HASH_BYTES)]
 
 
-def sample_pom(
-    tree: CodedTree, base_index: int, memo: Optional[dict] = None
-) -> ProofOfMembership:
-    """Membership proof of base symbol ``base_index``.
+class SamplingTables:
+    """What every proof sampled from one tree shares, built once per tree
+    (see ``CodedTree.sampling``):
 
-    ``memo`` is a dict shared by proofs sampled from this one tree (see
-    ``sample_poms``); a fresh one is made when none is given. It keeps each
-    sampled symbol's bytes under (layer, index) and each sibling tuple under
-    (parent layer, parent index, child position), so every row is converted
-    once and the proofs share the bytes."""
-    geo = geometry(tree.params, tree.block_len)
-    depth = geo.depth
-    if not 0 <= base_index < geo.sizes[depth]:
-        raise IndexOutOfRange(f"base index {base_index} not in [0, {geo.sizes[depth]})")
-    if memo is None:
-        memo = {}
+    - ``rows[u]``: layer u's symbols as bytes, for u = 1..depth-1;
+    - ``digests[u]``: layer u's row digests as bytes, for u = 1..depth;
+    - ``pairs[(u, r)]``: a proof's pairs from layer u up to layer 1, for
+      any base index i with i mod (m_u - s_u) = r;
+    - ``levels[(w, x)]``: the sibling levels from parent layer w up to the
+      root of child x of layer w + 1, ``(sibs,)`` plus the suffix at
+      ``(w - 1, x mod s_w)``.
 
-    pairs = []
-    for u, (p_idx, e_idx) in zip(range(depth - 1, 0, -1), geo.pom_pairs(base_index)):
-        symbols = tree.layers[u].symbols
-        values = []
-        for k in (p_idx, e_idx):
-            row = memo.get((u, k))
-            if row is None:
-                row = memo[(u, k)] = symbols[k].tobytes()
-            values.append(row)
-        pairs.append((p_idx, e_idx, *values))
+    The memos fill as proofs ask for them, so each suffix is built once
+    and every proof through it holds the same tuple."""
 
-    levels = []
-    x = base_index
-    for u in range(depth - 1, -1, -1):
-        s_par = geo.sys_counts[u]
-        par, pos = x % s_par, x // s_par
-        sibs = memo.get((u, par, pos))
-        if sibs is None:
-            # the q child digests of parent (u, par), in child order
-            children = tree.layers[u + 1].hashes[par::s_par].tobytes()
-            sibs = memo[(u, par, pos)] = tuple(
-                map(children.__getitem__, _sibling_slices(tree.params.batch, pos))
-            )
-        levels.append(sibs)
-        x = par
+    __slots__ = ("geo", "rows", "digests", "pairs", "levels", "pair_mod")
 
+    def __init__(self, tree: CodedTree):
+        geo = self.geo = geometry(tree.params, tree.block_len)
+        depth = geo.depth
+        self.rows = {u: _split(tree.layers[u].symbols) for u in range(1, depth)}
+        self.digests = {u: _split(tree.layers[u].hashes) for u in range(1, depth + 1)}
+        self.pairs: dict[tuple[int, int], tuple] = {}
+        self.levels: dict[tuple[int, int], tuple] = {}
+        # the modulus that decides a proof's pairs, m - s of layer depth-1
+        self.pair_mod = geo.sizes[depth - 1] - geo.sys_counts[depth - 1]
+
+    def pairs_from(self, u: int, r: int) -> tuple:
+        """A proof's pairs from layer u up to layer 1, for a base index
+        congruent to ``r`` modulo m_u - s_u."""
+        if u == 0:
+            return ()
+        key = (u, r)
+        got = self.pairs.get(key)
+        if got is None:
+            sizes, sys_counts = self.geo.sizes, self.geo.sys_counts
+            s = sys_counts[u]
+            p_idx, e_idx = r % s, s + r
+            rows = self.rows[u]
+            # s_{u-1} divides s_u, so m_{u-1} - s_{u-1} divides m_u - s_u
+            above = self.pairs_from(u - 1, r % (sizes[u - 1] - sys_counts[u - 1]))
+            got = self.pairs[key] = ((p_idx, e_idx, rows[p_idx], rows[e_idx]),) + above
+        return got
+
+    def levels_from(self, w: int, x: int) -> tuple:
+        """The sibling levels of child ``x`` of layer w + 1, from its
+        parent's aggregation up to the root's."""
+        key = (w, x)
+        got = self.levels.get(key)
+        if got is None:
+            s_par = self.geo.sys_counts[w]
+            par, pos = x % s_par, x // s_par
+            # the q child digests of parent (w, par), in child order
+            children = self.digests[w + 1][par::s_par]
+            sibs = tuple(children[:pos] + children[pos + 1 :])
+            above = self.levels_from(w - 1, par) if w else ()
+            got = self.levels[key] = (sibs,) + above
+        return got
+
+
+def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
+    """Membership proof of base symbol ``base_index``, read from the tree's
+    sampling tables, so it shares every pair and sibling tuple it has in
+    common with any proof sampled from this tree before."""
+    base = tree.layers[-1].symbols
+    if not 0 <= base_index < base.shape[0]:
+        raise IndexOutOfRange(f"base index {base_index} not in [0, {base.shape[0]})")
+    tables = tree.sampling
+    depth = tables.geo.depth
     return ProofOfMembership(
         base_index=base_index,
-        base_symbol=tree.layers[depth].symbols[base_index].tobytes(),
+        base_symbol=base[base_index].tobytes(),
         block_len=tree.block_len,
-        pairs=tuple(pairs),
-        levels=tuple(levels),
+        pairs=tables.pairs_from(depth - 1, base_index % tables.pair_mod),
+        levels=tables.levels_from(depth - 1, base_index),
     )
 
 
 def sample_poms(tree: CodedTree, base_indices: Iterable[int]) -> list[ProofOfMembership]:
-    """``[sample_pom(tree, i) for i in base_indices]`` with one memo, so the
-    proofs share every row and sibling tuple they have in common."""
-    memo: dict = {}
-    return [sample_pom(tree, i, memo) for i in base_indices]
+    """``[sample_pom(tree, i) for i in base_indices]``; the proofs share
+    what the tree's sampling tables hold, as proofs of separate calls do."""
+    return [sample_pom(tree, i) for i in base_indices]
 
 
 @dataclass

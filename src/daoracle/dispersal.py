@@ -22,6 +22,9 @@ from .errors import ComplexityError, ParameterError
 from .util import derive_seed
 
 _MASK64 = (1 << 64) - 1
+# cap on a design's slots N * k: the (N, k) int64 assignment array and the
+# design text written from it are sized by counts read from files
+MAX_DESIGN_SLOTS = 1 << 20
 
 
 class Feasibility(enum.Enum):
@@ -61,13 +64,31 @@ def feasibility(params: DispersalParams) -> Feasibility:
     return Feasibility.INDETERMINATE
 
 
-def assign_chunks(n_chunks: int, n_nodes: int, lam: float, seed: int) -> DispersalDesign:
+def chunks_per_node(n_chunks: int, n_nodes: int, lam: float) -> int:
+    """k = M / (N * lam), checked before it sizes anything: M and N at
+    least 1, lam in (0, 1], k a positive integer and the design's N * k
+    slots at most ``MAX_DESIGN_SLOTS``; raises ParameterError otherwise."""
+    for name, value in (("n_chunks", n_chunks), ("n_nodes", n_nodes)):
+        # lam <= 1 makes N * k at least M and at least N
+        if not 1 <= value <= MAX_DESIGN_SLOTS:
+            raise ParameterError(f"{name} must lie in [1, {MAX_DESIGN_SLOTS}], got {value}")
+    if not 0 < lam <= 1:
+        raise ParameterError(f"lam must lie in (0, 1], got {lam}")
     k = n_chunks / (n_nodes * lam)
     if abs(k - round(k)) > 1e-9 or round(k) < 1:
         raise ParameterError(
             f"chunks per node M/(N*lam) = {k} must be a positive integer"
         )
     k = int(round(k))
+    if n_nodes * k > MAX_DESIGN_SLOTS:
+        raise ParameterError(
+            f"design of {n_nodes} x {k} slots exceeds the cap of {MAX_DESIGN_SLOTS}"
+        )
+    return k
+
+
+def assign_chunks(n_chunks: int, n_nodes: int, lam: float, seed: int) -> DispersalDesign:
+    k = chunks_per_node(n_chunks, n_nodes, lam)
     rng = np.random.default_rng(np.uint64(seed & _MASK64))
     assignments = rng.integers(0, n_chunks, size=(n_nodes, k), dtype=np.int64)
     return DispersalDesign(n_chunks, n_nodes, k, assignments, seed & _MASK64)

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import oracle as orc
 from .cit import TreeParams, build_tree, geometry
-from .dispersal import DispersalParams, assign_chunks
-from .errors import BadCode, ConfigError
+from .dispersal import DispersalParams, assign_chunks, chunks_per_node
+from .errors import BadCode, ConfigError, ParameterError
 from .oracle import Behavior, DispersalMessage, OracleNode, TrustedChain
 from .retrieval import Block, Fraud
 from .serialize import encode_commitment, encode_pom
@@ -67,12 +67,13 @@ class ScenarioConfig:
             raise ConfigError("need at least one client and rounds >= 0")
         if not 0 <= self.audit_probability <= 1:
             raise ConfigError("audit_probability must lie in [0, 1]")
+        # the design's checks, including its slot cap, before any round
+        # builds a tree or draws a design
         n_chunks = geometry(self.tree, self.block_size).sizes[-1]
-        k = n_chunks / (self.n_nodes * self.dispersal.lam)
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise ConfigError(
-                f"chunks per node M/(N*lambda) = {k} must be a positive integer"
-            )
+        try:
+            chunks_per_node(n_chunks, self.n_nodes, self.dispersal.lam)
+        except ParameterError as exc:
+            raise ConfigError(f"dispersal: {exc}") from None
 
 
 def _behavior(name) -> Behavior:

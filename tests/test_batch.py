@@ -26,7 +26,7 @@ from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode, IndexOutOfRange
 from daoracle.util import sha256
 
-from conftest import chunkset_for
+from conftest import SMALL, chunkset_for
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
 
 
@@ -222,20 +222,19 @@ ZERO_TREES = tuple(cit.build_tree(bytes(tree.block_len), tree.params) for tree i
 
 @st.composite
 def frontier_sets(draw):
-    """(tree, proofs, which must fail): honest proofs, each sampled through
-    one shared memo or decoded from a chunk bundle (so it shares no
-    objects), and forgeries, in any order. A forgery climbs through the
-    parent of an honest proof's first tuple and flips one sibling digest
-    above it; or shares one of an honest proof's pairs keys (u, i mod
-    (m_u - s_u)) and forges one pair, below, at or above that layer; or is
-    any single-field mutation."""
+    """(tree, proofs, which must fail): honest proofs, each sampled from the
+    tree's tables (so proofs share tuples) or decoded from a chunk bundle
+    (so it shares no objects), and forgeries, in any order. A forgery
+    climbs through the parent of an honest proof's first tuple and flips
+    one sibling digest above it; or shares one of an honest proof's pairs
+    keys (u, i mod (m_u - s_u)) and forges one pair, below, at or above
+    that layer; or is any single-field mutation."""
     tree = draw(st.sampled_from(TREES + ZERO_TREES))
     geo = cit.geometry(tree.params, tree.block_len)
     depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
     m = sizes[depth]
-    memo: dict = {}
     picks = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
-    honest = [cit.sample_pom(tree, i, memo) for i in picks]
+    honest = [cit.sample_pom(tree, i) for i in picks]
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in honest)
     decoded = [pom for _, _, pom in sz.decode_chunk_bundle(sz.encode_chunk_bundle(units))]
     honest = [draw(st.sampled_from((pom, copy))) for pom, copy in zip(honest, decoded)]
@@ -245,7 +244,7 @@ def frontier_sets(draw):
         kind = draw(st.sampled_from(("upper_sibling", "pair", "mutation")))
         if kind == "upper_sibling":
             s_par = sys_counts[depth - 1]
-            pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % s_par, m, s_par))), memo)
+            pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % s_par, m, s_par))))
             j = draw(st.integers(1, depth - 1))
             k = draw(st.integers(0, tree.params.batch - 2))
             sibs = _replace_at(pom.levels[j], k, _flip(pom.levels[j][k], draw(st.integers(0, 31))))
@@ -253,7 +252,7 @@ def frontier_sets(draw):
         elif kind == "pair":
             u_key = draw(st.integers(1, depth - 1))
             mod = sizes[u_key] - sys_counts[u_key]
-            pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % mod, m, mod))), memo)
+            pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % mod, m, mod))))
             j = draw(st.integers(0, depth - 2))
             u = depth - 1 - j
             p_idx, e_idx, p_val, e_val = pom.pairs[j]
@@ -319,6 +318,62 @@ def test_batched_sampling_rejects_an_out_of_range_index(tree, data):
     indices.insert(data.draw(st.integers(0, len(indices))), bad)
     with pytest.raises(IndexOutOfRange):
         cit.sample_poms(tree, indices)
+
+
+# The sampling tables: each tree builds its own on its first proof, and
+# every later proof, from any call, is read from them.
+
+# (params, block length) of each tree built per draw, so every case starts
+# from empty tables: the geometries of TREES, and one of depth 1, whose
+# proofs carry no pairs
+TABLE_BLOCKS = tuple((tree.params, tree.block_len) for tree in TREES) + (
+    (cit.TreeParams(**SMALL), 128),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TABLE_BLOCKS), st.booleans(), st.data())
+def test_sampling_tables_match_the_reference(shape, zero, data):
+    """Two trees of one geometry sampled in alternation, at repeated
+    indices in any order, one proof per call or in batches, give the
+    reference proofs: the tables of one tree never answer for the other,
+    and on a zero block (as in ZERO_TREES), where equal rows sit at
+    different positions, the memos keep each position's own."""
+    params, block_len = shape
+    salt = data.draw(st.integers(1, 255))
+    blocks = [bytes((i * 37 + salt) % 256 for i in range(block_len))]
+    blocks.append(bytes(block_len) if zero else bytes(reversed(blocks[0])))
+    trees = [cit.build_tree(block, params) for block in blocks]
+    m = trees[0].sizes[-1]
+    draws = data.draw(st.lists(
+        st.tuples(st.integers(0, 1), st.lists(st.integers(0, m - 1), min_size=1, max_size=4)),
+        min_size=1, max_size=12,
+    ))
+    # the same proofs again, from tables that already hold them
+    draws += data.draw(st.lists(st.sampled_from(draws), max_size=4))
+    for which, indices in draws:
+        tree = trees[which]
+        want = [ref.sample_pom(tree, i) for i in indices]
+        if len(indices) > 1:
+            assert cit.sample_poms(tree, indices) == want
+        else:
+            assert cit.sample_pom(tree, indices[0]) == want[0]
+    if shape == TABLE_BLOCKS[-1]:
+        assert trees[0].depth == 1 and want[0].pairs == ()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(TABLE_BLOCKS), st.data())
+def test_an_out_of_range_index_raises_before_the_tables_are_built(shape, data):
+    params, block_len = shape
+    tree = cit.build_tree(bytes(block_len), params)
+    m = tree.sizes[-1]
+    bad = data.draw(st.one_of(st.integers(-3, -1), st.integers(m, m + 3)))
+    with pytest.raises(IndexOutOfRange):
+        cit.sample_pom(tree, bad)
+    assert "sampling" not in vars(tree)
+    assert cit.sample_pom(tree, m - 1) == ref.sample_pom(tree, m - 1)
+    assert "sampling" in vars(tree)
 
 
 def test_duplicate_indices_sample_equal_proofs():

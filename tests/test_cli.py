@@ -1,6 +1,7 @@
 """Exercise every subcommand and exit code through main(argv)."""
 
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -295,6 +296,44 @@ class TestDisperse:
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
+class TestDisperseBounds:
+    """A design's counts are read from a file and size an (N, k) array, so
+    each is bounded before anything is allocated: the command exits 2 with
+    one error line, within a time bound, in a child under a memory bound."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"n_chunks": 32, "n_nodes": 0, "lambda": 0.5},
+            {"n_chunks": -32, "n_nodes": -8, "lambda": 0.5},
+            {"n_chunks": 32, "n_nodes": 8, "lambda": 0},
+            {"n_chunks": 32, "n_nodes": 8, "lambda": -0.5},
+            {"n_chunks": 2**40, "n_nodes": 1, "lambda": 1.0},
+            {"n_chunks": 1024, "n_nodes": 1, "lambda": 2.0**-20},
+            {"n_chunks": 2**20, "n_nodes": 2**10, "lambda": 0.5},
+        ],
+        ids=["no_nodes", "negative", "lambda_zero", "lambda_negative",
+             "chunks_2_40", "slots_2_30", "slots_2_21"],
+    )
+    def test_out_of_bounds_design_exits_params(self, tmp_path, spec):
+        (tmp_path / "d.json").write_text(json.dumps(spec))
+        argv = ("disperse", "--params", "d.json", "--out", "design.txt")
+        with time_bound(COMMAND_BOUND_S):
+            proc = memory_bound(functools.partial(run_module, cwd=tmp_path), *argv)
+        assert proc.returncode == cli.EXIT_PARAMS
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+        assert not (tmp_path / "design.txt").exists()
+
+    def test_the_cap_admits_a_full_design(self, tmp_path):
+        spec = {"n_chunks": 1024, "n_nodes": 1, "lambda": 2.0**-10}
+        (tmp_path / "d.json").write_text(json.dumps(spec))
+        assert run(
+            "disperse", "--params", tmp_path / "d.json", "--out", tmp_path / "design.txt"
+        ) == cli.EXIT_OK
+        assert len((tmp_path / "design.txt").read_text().split()) == 1 << 20
+
+
 class TestSimulate:
     def scenario(self, tmp_path, strategy="honest"):
         config = {
@@ -508,8 +547,10 @@ class TestBadJsonInput:
             {"n_nodes": 10**9},
             # 32 systematic symbols, as in SCENARIO, of 128 MiB each
             {"block_size": 1 << 32, "tree": {**SCENARIO["tree"], "symbol_size": 1 << 27}},
+            # one node and lambda 2**-20 over 128 chunks: a 1 GiB design
+            {"dispersal": {**SCENARIO["dispersal"], "lambda": 2.0**-20}, "n_nodes": 1},
         ],
-        ids=["n_nodes", "block_size"],
+        ids=["n_nodes", "block_size", "design_slots"],
     )
     def test_oversized_scenario_values_exit_params(self, tmp_path, command, oversized):
         # each value would size an allocation of gigabytes if read unchecked,

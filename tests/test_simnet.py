@@ -13,7 +13,7 @@ from daoracle import metrics as mx
 from daoracle import oracle as orc
 from daoracle import simnet as sn
 from daoracle.cit import TreeParams, sample_pom
-from daoracle.dispersal import DispersalParams, assign_chunks
+from daoracle.dispersal import MAX_DESIGN_SLOTS, DispersalParams, assign_chunks
 from daoracle.errors import BadCode, ConfigError
 from daoracle.util import derive_seed
 
@@ -69,6 +69,16 @@ class TestDeterminism:
     def test_config_rejects_non_integral_chunks_per_node(self):
         with pytest.raises(ConfigError):
             make_config(disp=DispersalParams(gamma=0.5, eta=0.875, lam=0.21))
+
+    def test_config_rejects_a_design_past_the_slot_cap(self):
+        # one node and lambda 2**-20 over 128 chunks: k = 2**27 chunks per
+        # node, a 1 GiB design, refused before anything is built
+        disp = DispersalParams(gamma=0.5, eta=0.875, lam=2.0**-20)
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            make_config(disp=disp, n_nodes=1)
+        # the largest lambda-side design the cap admits on this block
+        lam = 128 / MAX_DESIGN_SLOTS
+        assert make_config(disp=dataclasses.replace(disp, lam=lam), n_nodes=1)
 
 
 class TestSafetySweep:
