@@ -23,6 +23,11 @@ rule). The caller XORs values, or for the alpha gate only follows the
 closure, and calls ``Peel.solve(x)`` for each solve it accepts.
 ``codec.peel_decode``, ``codec.is_bad_code`` and retrieval all peel this
 way.
+
+Values. The base layer XORs uint8 rows, in ``xor_encode`` and in the
+peel; a digest layer's 32-byte symbols XOR as Python ints
+(``int_from_digest``), in ``cit.build_tree``'s encode and in the peel
+alike, through ``xor_members``.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 import numpy as np
+
+from .util import HASH_BYTES
 
 
 class CodeTables:
@@ -72,6 +79,14 @@ def xor_members(values, members, skip: int = -1):
         if i != skip:
             acc ^= values[i]
     return acc
+
+
+def int_from_digest(value: bytes) -> int:
+    return int.from_bytes(value, "big")
+
+
+def digest_from_int(value: int) -> bytes:
+    return value.to_bytes(HASH_BYTES, "big")
 
 
 class Peel:

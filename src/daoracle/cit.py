@@ -37,15 +37,14 @@ sample indices. Tree building, proof sampling and walking, reconstruction
 and fraud-proof checks all read it, so the tree does no Fraction
 arithmetic beyond coercing the rate.
 
-Sampling. Above its base symbol, a proof is a pure function of its
-index modulo a layer count: the pairs from layer u up depend only on
-i mod (m_u - s_u), and the sibling levels above layer u only on the child
-index there. So each tree builds its sampling tables once, on its first
-proof (``CodedTree.sampling``): every intermediate row and every non-root
-digest split into bytes once, and a memo of pairs suffixes and one of
-sibling-level suffixes, each suffix sharing the one above it. Every proof
-sampled from the tree, by any call, shares those tuples; its own cost is
-a range check, one lookup in each memo and a copy of its base row.
+Sampling. Above its base symbol, a proof's sibling levels depend only on
+its base index, and its pairs only on that index modulo m - s of layer
+depth-1. So each tree builds its sampling tables once, on its first proof
+(``CodedTree.sampling``), top down, one pass per layer: the levels of
+every base index and the pairs of every residue, each entry its own
+tuple followed by the shared entry one layer up. Every proof sampled from
+the tree, by any call, shares those tuples; its own cost is a range
+check, one lookup in each table and a copy of its base row.
 
 Batches. ``walk_poms`` walks its proofs against one ``Frontier``, as
 client ingest does across one reconstruction's ``walk_pom`` calls. The
@@ -71,6 +70,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from ._kernels import digest_from_int, int_from_digest, xor_members
 from .codec import CodeSpec, encode_array, generate_code, is_bad_code
 from .errors import BadCode, IndexOutOfRange, ParameterError
 from .util import HASH_BYTES, as_rate, derive_seed, sha256
@@ -272,11 +272,11 @@ class CodedTree:
         return SamplingTables(self)
 
 
-def _hash_rows(arr: np.ndarray) -> np.ndarray:
-    """(rows, 32) digests of the rows of a C-contiguous 2-D uint8 array;
-    each row is a contiguous buffer, hashed in place."""
-    digests = b"".join(map(sha256, arr))
-    return np.frombuffer(digests, dtype=np.uint8).reshape(arr.shape[0], HASH_BYTES)
+def _hash_rows(rows) -> np.ndarray:
+    """(rows, 32) digests of the rows of a C-contiguous 2-D uint8 array, or
+    of a list of bytes; each row is a contiguous buffer, hashed in place."""
+    digests = b"".join(map(sha256, rows))
+    return np.frombuffer(digests, dtype=np.uint8).reshape(-1, HASH_BYTES)
 
 
 @lru_cache(maxsize=512)
@@ -320,6 +320,16 @@ def aggregate(child_hashes: np.ndarray, parent_size: int, params: TreeParams) ->
     return _hash_rows(joined.reshape(s_par, q * HASH_BYTES))
 
 
+def _encode_digests(code: CodeSpec, inputs: np.ndarray) -> list[bytes]:
+    """The rows of ``encode_array(code, inputs)`` for a (k, 32) array of
+    digests, as bytes: at this width one Python int XOR beats a numpy call,
+    as in the peel of a digest layer."""
+    values = [*map(int_from_digest, _split(inputs)), *[0] * (code.n_coded - code.n_systematic)]
+    for eq in code.tables.members:
+        values[eq[-1]] = xor_members(values, eq)  # its parity member is still 0
+    return list(map(digest_from_int, values))
+
+
 def build_tree(
     block: bytes,
     params: TreeParams,
@@ -346,8 +356,9 @@ def build_tree(
     for u in range(depth - 1, -1, -1):
         parent_sys = aggregate(layers[u + 1].hashes, sizes[u], params)
         code = layer_code(params, sizes[u])
-        cur = encode_array(code, parent_sys)
-        layers[u] = Layer(cur, _hash_rows(cur), code)
+        rows = _encode_digests(code, parent_sys)
+        cur = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, HASH_BYTES)
+        layers[u] = Layer(cur, _hash_rows(rows), code)
     for layer in layers.values():
         layer.symbols.setflags(write=False)
         layer.hashes.setflags(write=False)
@@ -369,63 +380,41 @@ def _split(arr: np.ndarray) -> list[bytes]:
 
 
 class SamplingTables:
-    """What every proof sampled from one tree shares, built once per tree
-    (see ``CodedTree.sampling``):
+    """What every proof sampled from one tree shares (the module's
+    Sampling): ``levels[x]``, the sibling levels of base index x, and
+    ``pairs[r]``, the pairs of each base index i with i mod ``pair_mod`` =
+    r, each entry its own tuple followed by the entry one layer up."""
 
-    - ``rows[u]``: layer u's symbols as bytes, for u = 1..depth-1;
-    - ``digests[u]``: layer u's row digests as bytes, for u = 1..depth;
-    - ``pairs[(u, r)]``: a proof's pairs from layer u up to layer 1, for
-      any base index i with i mod (m_u - s_u) = r;
-    - ``levels[(w, x)]``: the sibling levels from parent layer w up to the
-      root of child x of layer w + 1, ``(sibs,)`` plus the suffix at
-      ``(w - 1, x mod s_w)``.
-
-    The memos fill as proofs ask for them, so each suffix is built once
-    and every proof through it holds the same tuple."""
-
-    __slots__ = ("geo", "rows", "digests", "pairs", "levels", "pair_mod")
+    __slots__ = ("levels", "pairs", "pair_mod")
 
     def __init__(self, tree: CodedTree):
-        geo = self.geo = geometry(tree.params, tree.block_len)
-        depth = geo.depth
-        self.rows = {u: _split(tree.layers[u].symbols) for u in range(1, depth)}
-        self.digests = {u: _split(tree.layers[u].hashes) for u in range(1, depth + 1)}
-        self.pairs: dict[tuple[int, int], tuple] = {}
-        self.levels: dict[tuple[int, int], tuple] = {}
-        # the modulus that decides a proof's pairs, m - s of layer depth-1
-        self.pair_mod = geo.sizes[depth - 1] - geo.sys_counts[depth - 1]
-
-    def pairs_from(self, u: int, r: int) -> tuple:
-        """A proof's pairs from layer u up to layer 1, for a base index
-        congruent to ``r`` modulo m_u - s_u."""
-        if u == 0:
-            return ()
-        key = (u, r)
-        got = self.pairs.get(key)
-        if got is None:
-            sizes, sys_counts = self.geo.sizes, self.geo.sys_counts
+        geo = geometry(tree.params, tree.block_len)
+        sizes, sys_counts, q = geo.sizes, geo.sys_counts, tree.params.batch
+        # child x of layer w + 1 sits at position x // s_w under parent
+        # x mod s_w, after levels[par] of the layer above
+        levels = [()] * sizes[0]
+        for w in range(geo.depth):
+            s_par = sys_counts[w]
+            digests = _split(tree.layers[w + 1].hashes)
+            below = [()] * sizes[w + 1]
+            for par in range(s_par):
+                children, above = tuple(digests[par::s_par]), levels[par]
+                for pos in range(q):
+                    below[pos * s_par + par] = (children[:pos] + children[pos + 1 :],) + above
+            levels = below
+        self.levels = levels
+        # the pair at layer u of residue r mod m_u - s_u is (r mod s_u,
+        # s_u + r); s_{u-1} divides s_u, so m_{u-1} - s_{u-1} divides m_u - s_u
+        pairs, mod = [()], 1
+        for u in range(1, geo.depth):
             s = sys_counts[u]
-            p_idx, e_idx = r % s, s + r
-            rows = self.rows[u]
-            # s_{u-1} divides s_u, so m_{u-1} - s_{u-1} divides m_u - s_u
-            above = self.pairs_from(u - 1, r % (sizes[u - 1] - sys_counts[u - 1]))
-            got = self.pairs[key] = ((p_idx, e_idx, rows[p_idx], rows[e_idx]),) + above
-        return got
-
-    def levels_from(self, w: int, x: int) -> tuple:
-        """The sibling levels of child ``x`` of layer w + 1, from its
-        parent's aggregation up to the root's."""
-        key = (w, x)
-        got = self.levels.get(key)
-        if got is None:
-            s_par = self.geo.sys_counts[w]
-            par, pos = x % s_par, x // s_par
-            # the q child digests of parent (w, par), in child order
-            children = self.digests[w + 1][par::s_par]
-            sibs = tuple(children[:pos] + children[pos + 1 :])
-            above = self.levels_from(w - 1, par) if w else ()
-            got = self.levels[key] = (sibs,) + above
-        return got
+            rows = _split(tree.layers[u].symbols)
+            pairs = [
+                ((r % s, s + r, rows[r % s], rows[s + r]),) + pairs[r % mod]
+                for r in range(sizes[u] - s)
+            ]
+            mod = sizes[u] - s
+        self.pairs, self.pair_mod = pairs, mod
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
@@ -436,13 +425,12 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     if not 0 <= base_index < base.shape[0]:
         raise IndexOutOfRange(f"base index {base_index} not in [0, {base.shape[0]})")
     tables = tree.sampling
-    depth = tables.geo.depth
     return ProofOfMembership(
         base_index=base_index,
         base_symbol=base[base_index].tobytes(),
         block_len=tree.block_len,
-        pairs=tables.pairs_from(depth - 1, base_index % tables.pair_mod),
-        levels=tables.levels_from(depth - 1, base_index),
+        pairs=tables.pairs[base_index % tables.pair_mod],
+        levels=tables.levels[base_index],
     )
 
 

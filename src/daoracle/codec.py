@@ -126,12 +126,13 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
         seen: set[frozenset[int]] = set()
         for j in range(n_parity):
             anchor = j % k
-            pool = np.delete(np.arange(k), anchor)
             inputs = frozenset((anchor,))
             for _ in range(32):
                 deg_in = int(rng.integers(lo, hi + 1))
-                extra = rng.choice(pool, size=deg_in - 1, replace=False)
-                inputs = frozenset((anchor, *extra.tolist()))
+                # a draw from range(k - 1), shifted past the anchor: the
+                # same stream as a draw from the k - 1 other inputs
+                extra = rng.choice(k - 1, size=deg_in - 1, replace=False)
+                inputs = frozenset((anchor, *(extra + (extra >= anchor)).tolist()))
                 if inputs not in seen:
                     break
             seen.add(inputs)

@@ -226,9 +226,8 @@ def messages_for_tree(tree: CodedTree, design: DispersalDesign):
         raise ValueError(
             f"design covers {design.n_chunks} chunks but tree has {m_base}"
         )
-    assigned = [
-        tuple(int(i) for i in design.assignments[node]) for node in range(design.n_nodes)
-    ]
+    rows = design.assignments.tolist()
+    assigned = [tuple(rows[node]) for node in range(design.n_nodes)]
     wanted = sorted(set().union(*assigned))
     # one proof per chunk, shared by every node it is assigned to; a unit's
     # symbol is its proof's base symbol

@@ -12,8 +12,9 @@ third party can verify against the commitment alone. After a layer
 completes, the aggregate of each parent without a collected tuple is
 recomputed and compared with the (already certified) layer above; a
 mismatch there only marks the reconstruction unprovable and never yields
-a proof. Digest layers XOR their 32-byte symbols as Python ints, the base
-layer as uint8 rows, which are faster at symbol widths of 1 KiB and up.
+a proof. Digest layers XOR their 32-byte symbols as Python ints, here as
+in ``cit.build_tree``'s encode, and the base layer as uint8 rows in both,
+which are faster at symbol widths of 1 KiB and up.
 
 Each symbol is certified once: ingest walks the collected proofs against
 one ``cit.Frontier``, which checks each delivered symbol against the
@@ -44,7 +45,7 @@ from .cit import (
     verify_membership,
     walk_pom,
 )
-from ._kernels import Peel, xor_members
+from ._kernels import Peel, digest_from_int, int_from_digest, xor_members
 from .codec import CodeSpec, ParityEquation
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, sha256
@@ -285,7 +286,7 @@ class _Reconstructor:
             # wide symbols XOR fastest as uint8 rows
             load, dump, nonzero = _row_from_bytes, np.ndarray.tobytes, np.ndarray.any
         else:
-            load, dump, nonzero = _int_from_digest, _digest_from_int, bool
+            load, dump, nonzero = int_from_digest, digest_from_int, bool
         values = [None if r is None else load(r) for r in rows]
         tables = code.tables
         peel = Peel(tables, np.array([r is not None for r in rows]))
@@ -357,14 +358,6 @@ class _Reconstructor:
 
 def _row_from_bytes(value: bytes) -> np.ndarray:
     return np.frombuffer(value, dtype=np.uint8)
-
-
-def _int_from_digest(value: bytes) -> int:
-    return int.from_bytes(value, "big")
-
-
-def _digest_from_int(value: int) -> bytes:
-    return value.to_bytes(HASH_BYTES, "big")
 
 
 def reconstruct(

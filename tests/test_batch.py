@@ -11,6 +11,7 @@ chance to decide a later proof wrongly. Bare digest claims get the
 reference ``verify_membership``'s verdict."""
 
 import dataclasses
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -338,7 +339,7 @@ def test_sampling_tables_match_the_reference(shape, zero, data):
     indices in any order, one proof per call or in batches, give the
     reference proofs: the tables of one tree never answer for the other,
     and on a zero block (as in ZERO_TREES), where equal rows sit at
-    different positions, the memos keep each position's own."""
+    different positions, the tables keep each position's own."""
     params, block_len = shape
     salt = data.draw(st.integers(1, 255))
     blocks = [bytes((i * 37 + salt) % 256 for i in range(block_len))]
@@ -360,6 +361,28 @@ def test_sampling_tables_match_the_reference(shape, zero, data):
             assert cit.sample_pom(tree, indices[0]) == want[0]
     if shape == TABLE_BLOCKS[-1]:
         assert trees[0].depth == 1 and want[0].pairs == ()
+
+
+# the round workloads' geometry (depth 8, 1024 coded base symbols) with
+# 4-byte symbols
+ROUND_PARAMS = cit.TreeParams(4, 4, Fraction(1, 4), 8, 8, 0.125, code_seed=11, gate_trials=24)
+ROUND_SHAPE = (ROUND_PARAMS, 1024)
+
+
+@pytest.mark.parametrize("zero", (False, True), ids=("block", "zero"))
+@pytest.mark.parametrize(
+    "shape", TABLE_BLOCKS + (ROUND_SHAPE,), ids=("small", "deep", "depth1", "round")
+)
+def test_fresh_tables_give_the_reference_proof_of_every_index(shape, zero):
+    """The tables of one fresh tree, built in one pass before its first
+    proof, give the reference proof of every base index, so indices no
+    earlier proof asked for are covered too."""
+    params, block_len = shape
+    block = bytes(block_len) if zero else bytes((i * 53 + 9) % 256 for i in range(block_len))
+    tree = cit.build_tree(block, params)
+    m = tree.sizes[-1]
+    assert "sampling" not in vars(tree) and len(tree.sampling.levels) == m
+    assert cit.sample_poms(tree, range(m)) == [ref.sample_pom(tree, i) for i in range(m)]
 
 
 @settings(max_examples=50, deadline=None)

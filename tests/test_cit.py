@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from daoracle import cit
+from daoracle.codec import encode_array
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import sha256
 
 from conftest import (
     SMALL, covered_layers, geometry_for, pairs_table, random_geometries, sizes_for,
 )
+from test_geometry import BLOCK_LENS, grid_params
 
 
 class TestGeometry:
@@ -234,3 +236,34 @@ def test_gate_failure_raises_bad_code(small_block):
     params = cit.TreeParams(**{**SMALL, "alpha": 0.9, "max_code_attempts": 3})
     with pytest.raises(BadCode):
         cit.build_tree(small_block, params)
+
+
+def test_digest_layers_encode_as_encode_array_does():
+    """``build_tree``'s int encoder gives ``codec.encode_array``'s rows for
+    the code of every digest layer of the geometry grid, ungated (the gate
+    only picks among seeds), on rows with leading zero bytes, all-zero
+    rows and an all-zero layer, each kept 32 bytes wide."""
+    rng = np.random.default_rng(16)
+    seen = set()
+    for params in grid_params():
+        ungated = dataclasses.replace(params, gate_trials=0)
+        for block_len in BLOCK_LENS:
+            try:
+                sizes = cit.geometry(params, block_len).sizes
+            except ParameterError:
+                continue
+            for m in sizes[:-1]:
+                key = (params.rate, params.max_eq_degree, params.code_seed, m)
+                if key in seen:
+                    continue
+                seen.add(key)
+                code = cit.layer_code(ungated, m)
+                k = code.n_systematic
+                rows = rng.integers(0, 256, (k, 32), dtype=np.uint8)
+                for i, lead in enumerate(rng.integers(0, 33, k)):
+                    rows[i, :lead] = 0  # lead 32 is an all-zero row
+                for inputs in (rows, np.zeros_like(rows)):
+                    got = cit._encode_digests(code, inputs)
+                    assert [len(row) for row in got] == [32] * m
+                    assert b"".join(got) == encode_array(code, inputs).tobytes()
+    assert len(seen) >= 60
