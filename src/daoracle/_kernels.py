@@ -25,7 +25,7 @@ closure, and calls ``Peel.solve(x)`` for each solve it accepts.
 way.
 
 Values. The base layer XORs uint8 rows, in ``xor_encode`` and in the
-peel; a digest layer's 32-byte symbols XOR as Python ints
+peel; a digest layer's symbols, q digests each, XOR as Python ints
 (``int_from_digest``), in ``cit.build_tree``'s encode and in the peel
 alike, through ``xor_members``.
 """
@@ -36,8 +36,6 @@ from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 import numpy as np
-
-from .util import HASH_BYTES
 
 
 class CodeTables:
@@ -85,8 +83,8 @@ def int_from_digest(value: bytes) -> int:
     return int.from_bytes(value, "big")
 
 
-def digest_from_int(value: int) -> bytes:
-    return value.to_bytes(HASH_BYTES, "big")
+def digest_from_int(value: int, width: int) -> bytes:
+    return value.to_bytes(width, "big")
 
 
 class Peel:

@@ -2,63 +2,65 @@
 
 Layout. A tree over a block of ``block_len`` bytes has coded layers indexed
 by depth u = 0..L, where u = L is the base layer (symbols of ``symbol_size``
-bytes) and u = 0 is the root layer of exactly ``root_size`` y-byte values,
-stored verbatim as the commitment. Every layer code has rate 1/e for an
-integer e >= 2 (k systematic symbols, k * e coded), and the batch q is a
-multiple of e larger than e, so layer u has ``sizes[u]`` coded symbols and
-``sizes[u-1] = sizes[u] / (q / e)`` by the integer shrink q / e;
-geometries where the shrink never lands exactly on the root size are
-rejected.
+bytes), u = 0 is the root layer of exactly ``root_size`` symbols, and
+every layer above the base holds symbols of q * y bytes. Every layer code
+has rate 1/e for an integer e >= 2 (k systematic symbols, k * e coded),
+and the batch q is a multiple of e larger than e, so layer u has
+``sizes[u]`` coded symbols and ``sizes[u-1] = sizes[u] / (q / e)`` by the
+integer shrink q / e; geometries where the shrink never lands exactly on
+the root size are rejected.
 
 Aggregation. Child x of layer u+1 feeds the parent systematic symbol
-``x mod s`` of layer u, where s is layer u's systematic count. A parent's
-value is the digest of its q children's digests concatenated in ascending
-child index. ``aggregate`` reads those digests from the child layer's
-``Layer.hashes``, so ``build_tree`` hashes each row of each layer once and
-each parent's joined q-tuple once, the count of one hash per symbol per
-layer that Coded Merkle Tree commitments cost.
+``x mod s`` of layer u, where s is layer u's systematic count, at slot
+``x // s``: a parent is its q children's digests concatenated in ascending
+child index, q * 32 bytes, as in Coded Merkle Trees. ``aggregate`` reads
+those digests from the child layer's ``Layer.hashes``, so ``build_tree``
+hashes each row of each layer once, the count of one hash per symbol per
+layer that Coded Merkle Tree commitments cost. The commitment holds the
+digests of the root layer's t symbols.
 
-Membership. One digest chain runs from a symbol to the root: at each level
-the running digest takes its child position in a q-tuple of child digests,
-and the tuple's digest is the parent's value. ``Frontier._climb`` is its one
+Membership. One digest chain runs from a symbol to the commitment: at each
+layer up, the running digest must sit at its slot of the ancestor symbol,
+and the ancestor's digest is the running digest one layer up; at the root
+layer it must be the commitment's entry. ``Frontier._climb`` is its one
 implementation, behind one admission guard, ``commitment_geometry``.
-``verify_membership`` climbs from a bare digest at any (layer, index).
-``walk_pom`` climbs from a base symbol, then checks the proof's one
-(systematic, parity) value pair per intermediate layer, sampled by pure
-index arithmetic, against the climbed tuples: the systematic symbol is the
-parent, and the parity symbol shares that parent one level up.
+``verify_membership`` climbs from a bare digest at any (layer, index),
+through the ancestors a ``MembershipPath`` carries (none at the root
+layer). ``walk_pom`` climbs from a base symbol through the proof's
+ancestors, then checks the proof's one parity symbol per intermediate
+layer, sampled by pure index arithmetic: its digest sits at its slot of
+the ancestor one layer up.
 
 Geometry. ``geometry(params, block_len)`` derives every size from the
 integer e once: the base layer holds ceil(block_len / c) * e symbols, at
 most ``MAX_BASE_SYMBOLS``, each layer up shrinks by q // e, and a layer of
 m symbols has m // e systematic ones (each divisibility checked with
 ``%``). It caches the frozen result, whose ``pom_pairs`` gives a proof's
-sample indices. Tree building, proof sampling and walking, reconstruction
-and fraud-proof checks all read it, so the tree does no Fraction
-arithmetic beyond coercing the rate.
+(ancestor, parity) indices. Tree building, proof sampling and walking,
+reconstruction and fraud-proof checks all read it, so the tree does no
+Fraction arithmetic beyond coercing the rate.
 
-Sampling. Above its base symbol, a proof's sibling levels depend only on
-its base index, and its pairs only on that index modulo m - s of layer
-depth-1. So each tree builds its sampling tables once, on its first proof
-(``CodedTree.sampling``), top down, one pass per layer: the levels of
-every base index and the pairs of every residue, each entry its own
-tuple followed by the shared entry one layer up. Every proof sampled from
-the tree, by any call, shares those tuples; its own cost is a range
-check, one lookup in each table and a copy of its base row.
+Sampling. A proof's ancestors depend only on its base index modulo the
+systematic count s of layer depth-1, and its parity symbols only on that
+index modulo m - s of that layer. So each tree builds its sampling tables
+once, on its first proof (``CodedTree.sampling``), top down, one pass per
+layer: the ancestors of every residue and the parity symbols of every
+residue, each entry its own symbol followed by the shared entry one layer
+up. Every proof sampled from the tree, by any call, shares those symbols;
+its own cost is a range check, one lookup in each table and a copy of its
+base row.
 
 Batches. ``walk_poms`` walks its proofs against one ``Frontier``, as
 client ingest does across one reconstruction's ``walk_pom`` calls. The
 frontier holds, by position, what the proofs that passed so far
-authenticated: each climbed q-tuple with the sibling levels above it, and
-each pairs suffix.
-A climb stops at the first position the frontier holds, and the pair
-checks at the first pairs key it holds; the rest of the proof must then
-equal what was authenticated there, which is one tuple comparison each.
-Its hash memo hashes each distinct q-tuple and 32-byte value once. So
-each proof's verdict is that of a walk on its own, and the delivered
-values and tuples are derived once per distinct position. A
-frontier is never kept past its batch, so never shared across nodes or
-rounds.
+authenticated: each ancestor with the ancestors above it, and each parity
+symbol with the parity symbols above it. A climb stops at the first
+position the frontier holds, and the parity checks at the first one it
+holds; the rest of the proof must then equal what was authenticated
+there, which is one tuple comparison each. So each proof's verdict is
+that of a walk on its own, and a symbol a passing proof delivered is not
+hashed again in its batch. A frontier is never kept past its batch, so
+never shared across nodes or rounds.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ class TreeParams:
             raise ParameterError("batch * rate must exceed 1 so layers shrink")
         if self.batch % rate.denominator:
             # only then does each layer's systematic count divide the one
-            # below, so the pair a proof samples at a layer (i mod s_u) is
-            # the parent its digest chain climbs through
+            # below, so the ancestor a proof carries at a layer (i mod s_u)
+            # is the parent its digest chain climbs through
             raise ParameterError("batch * rate must be an integer")
         if self.max_eq_degree < 2:
             raise ParameterError("max_eq_degree (d) must be >= 2")
@@ -157,8 +159,8 @@ class Geometry:
     depth: int
 
     def pom_pairs(self, base_index: int) -> list[tuple[int, int]]:
-        """(systematic, parity) sample indices of a proof, for layers
-        depth-1 down to 1."""
+        """(ancestor, parity) symbol indices of a proof, for layers depth-1
+        down to 1."""
         out = []
         for u in range(self.depth - 1, 0, -1):
             m, s = self.sizes[u], self.sys_counts[u]
@@ -218,37 +220,37 @@ class Layer:
 
 @dataclass(frozen=True)
 class Commitment:
-    root: tuple[bytes, ...]
+    root: tuple[bytes, ...]  # the digests of the root layer's t symbols
     params: TreeParams
     block_len: int
 
 
 @dataclass(frozen=True)
 class ProofOfMembership:
-    """Base symbol plus its sampled pairs and sibling digests.
+    """Base symbol plus the symbols that bind it to the commitment.
 
-    pairs[j] is (p_index, e_index, p_value, e_value) for layer L-1-j, for
-    j = 0..L-2. levels[j] holds the q-1 sibling digests of the aggregation
-    at parent layer L-1-j, for j = 0..L-1 (position of the on-path child is
-    implied by index arithmetic).
+    ancestors[j] is the symbol ``base_index mod s`` of layer L-1-j, for
+    j = 0..L-1: the parent the digest chain climbs through. parities[j] is
+    the parity symbol ``s + base_index mod (m - s)`` of layer L-1-j, for
+    j = 0..L-2. Every index follows from the base index, so none is stored.
     """
 
     base_index: int
     base_symbol: bytes
     block_len: int
-    pairs: tuple[tuple[int, int, bytes, bytes], ...]
-    levels: tuple[tuple[bytes, ...], ...]
+    ancestors: tuple[bytes, ...]
+    parities: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
 class MembershipPath:
-    """Sibling digests binding one symbol (or just its digest) at
-    (layer, index) to the commitment: one q-1 tuple per aggregation level
-    from the symbol's own layer up to the root."""
+    """The ancestor symbols binding one symbol (or just its digest) at
+    (layer, index) to the commitment, one per layer from layer - 1 up to
+    the root layer; none for a root-layer symbol."""
 
     layer: int
     index: int
-    levels: tuple[tuple[bytes, ...], ...]
+    ancestors: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -310,24 +312,25 @@ def layer_code(params: TreeParams, layer_size: int) -> CodeSpec:
 
 def aggregate(child_hashes: np.ndarray, parent_size: int, params: TreeParams) -> np.ndarray:
     """Parent systematic symbols from the (size, 32) digests of one coded
-    child layer: parent k is the digest of children k, k + s, k + 2s, ...
-    joined, for s = the parent layer's systematic count."""
+    child layer: parent k is the digests of children k, k + s, k + 2s, ...
+    concatenated, for s = the parent layer's systematic count."""
     s_par = parent_size // params.rate.denominator
-    # child x = pos * s_par + k sits at [pos, k]; gather each parent's q
-    # digests into one contiguous row
+    # child x = pos * s_par + k sits at [pos, k]; the copy gathers each
+    # parent's q digests into one contiguous row
     q = child_hashes.shape[0] // s_par
     joined = child_hashes.reshape(q, s_par, HASH_BYTES).swapaxes(0, 1)
-    return _hash_rows(joined.reshape(s_par, q * HASH_BYTES))
+    return joined.reshape(s_par, q * HASH_BYTES)
 
 
 def _encode_digests(code: CodeSpec, inputs: np.ndarray) -> list[bytes]:
-    """The rows of ``encode_array(code, inputs)`` for a (k, 32) array of
-    digests, as bytes: at this width one Python int XOR beats a numpy call,
+    """The rows of ``encode_array(code, inputs)`` for a (k, q * 32) array of
+    parents, as bytes: at this width one Python int XOR beats a numpy call,
     as in the peel of a digest layer."""
+    width = inputs.shape[1]
     values = [*map(int_from_digest, _split(inputs)), *[0] * (code.n_coded - code.n_systematic)]
     for eq in code.tables.members:
         values[eq[-1]] = xor_members(values, eq)  # its parity member is still 0
-    return list(map(digest_from_int, values))
+    return [digest_from_int(v, width) for v in values]
 
 
 def build_tree(
@@ -357,14 +360,14 @@ def build_tree(
         parent_sys = aggregate(layers[u + 1].hashes, sizes[u], params)
         code = layer_code(params, sizes[u])
         rows = _encode_digests(code, parent_sys)
-        cur = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, HASH_BYTES)
+        cur = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
         layers[u] = Layer(cur, _hash_rows(rows), code)
     for layer in layers.values():
         layer.symbols.setflags(write=False)
         layer.hashes.setflags(write=False)
 
-    root_vals = tuple(row.tobytes() for row in layers[0].symbols)
-    commitment = Commitment(root=root_vals, params=params, block_len=len(block))
+    root = tuple(_split(layers[0].hashes))
+    commitment = Commitment(root=root, params=params, block_len=len(block))
     return CodedTree(
         params=params,
         layers=tuple(layers[u] for u in range(depth + 1)),
@@ -374,53 +377,41 @@ def build_tree(
 
 
 def _split(arr: np.ndarray) -> list[bytes]:
-    """The rows of a (rows, 32) uint8 array as bytes, from one copy."""
-    flat = arr.tobytes()
-    return [flat[k : k + HASH_BYTES] for k in range(0, len(flat), HASH_BYTES)]
+    """The rows of a 2-D uint8 array as bytes, from one copy."""
+    flat, width = arr.tobytes(), arr.shape[1]
+    return [flat[k : k + width] for k in range(0, len(flat), width)]
 
 
 class SamplingTables:
     """What every proof sampled from one tree shares (the module's
-    Sampling): ``levels[x]``, the sibling levels of base index x, and
-    ``pairs[r]``, the pairs of each base index i with i mod ``pair_mod`` =
-    r, each entry its own tuple followed by the entry one layer up."""
+    Sampling): ``ancestors[r]``, the ancestors of each base index i with
+    i mod ``ancestor_mod`` = r, and ``parities[r]``, the parity symbols of
+    each i with i mod ``parity_mod`` = r, each entry its own symbol
+    followed by the entry one layer up."""
 
-    __slots__ = ("levels", "pairs", "pair_mod")
+    __slots__ = ("ancestors", "ancestor_mod", "parities", "parity_mod")
 
     def __init__(self, tree: CodedTree):
         geo = geometry(tree.params, tree.block_len)
-        sizes, sys_counts, q = geo.sizes, geo.sys_counts, tree.params.batch
-        # child x of layer w + 1 sits at position x // s_w under parent
-        # x mod s_w, after levels[par] of the layer above
-        levels = [()] * sizes[0]
-        for w in range(geo.depth):
-            s_par = sys_counts[w]
-            digests = _split(tree.layers[w + 1].hashes)
-            below = [()] * sizes[w + 1]
-            for par in range(s_par):
-                children, above = tuple(digests[par::s_par]), levels[par]
-                for pos in range(q):
-                    below[pos * s_par + par] = (children[:pos] + children[pos + 1 :],) + above
-            levels = below
-        self.levels = levels
-        # the pair at layer u of residue r mod m_u - s_u is (r mod s_u,
-        # s_u + r); s_{u-1} divides s_u, so m_{u-1} - s_{u-1} divides m_u - s_u
-        pairs, mod = [()], 1
-        for u in range(1, geo.depth):
-            s = sys_counts[u]
-            rows = _split(tree.layers[u].symbols)
-            pairs = [
-                ((r % s, s + r, rows[r % s], rows[s + r]),) + pairs[r % mod]
-                for r in range(sizes[u] - s)
-            ]
-            mod = sizes[u] - s
-        self.pairs, self.pair_mod = pairs, mod
+        # the ancestor at layer u of residue r mod s_u is r mod s_u, and the
+        # parity symbol of residue r mod m_u - s_u is s_u + r; s_{u-1}
+        # divides s_u, and m_{u-1} - s_{u-1} divides m_u - s_u
+        ancestors, a_mod, parities, p_mod = [()], 1, [()], 1
+        for u in range(geo.depth):
+            s, rows = geo.sys_counts[u], _split(tree.layers[u].symbols)
+            ancestors = [(rows[r],) + ancestors[r % a_mod] for r in range(s)]
+            a_mod = s
+            if u:
+                parities = [(rows[s + r],) + parities[r % p_mod] for r in range(len(rows) - s)]
+                p_mod = len(rows) - s
+        self.ancestors, self.ancestor_mod = ancestors, a_mod
+        self.parities, self.parity_mod = parities, p_mod
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     """Membership proof of base symbol ``base_index``, read from the tree's
-    sampling tables, so it shares every pair and sibling tuple it has in
-    common with any proof sampled from this tree before."""
+    sampling tables, so it shares every symbol it has in common with any
+    proof sampled from this tree before."""
     base = tree.layers[-1].symbols
     if not 0 <= base_index < base.shape[0]:
         raise IndexOutOfRange(f"base index {base_index} not in [0, {base.shape[0]})")
@@ -429,8 +420,8 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         base_index=base_index,
         base_symbol=base[base_index].tobytes(),
         block_len=tree.block_len,
-        pairs=tables.pairs[base_index % tables.pair_mod],
-        levels=tables.levels[base_index],
+        ancestors=tables.ancestors[base_index % tables.ancestor_mod],
+        parities=tables.parities[base_index % tables.parity_mod],
     )
 
 
@@ -443,11 +434,9 @@ def sample_poms(tree: CodedTree, base_indices: Iterable[int]) -> list[ProofOfMem
 @dataclass
 class PomHarvest:
     """Everything a verified proof pins down: symbol values keyed by
-    (layer, index) and full q-digest child tuples keyed by
-    (parent_layer, parent_index)."""
+    (layer, index)."""
 
     values: dict[tuple[int, int], bytes] = field(default_factory=dict)
-    tuples: dict[tuple[int, int], tuple[bytes, ...]] = field(default_factory=dict)
 
 
 def commitment_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
@@ -467,76 +456,54 @@ class Frontier:
     """What the passing proofs of one batch authenticated against one
     commitment, keyed by position, never by content:
 
-    - ``paths[(w, p)]``: the q-tuple of child digests under parent p of
-      layer w, its digest, and the sibling levels from there to the root;
-    - ``pairs[(u, r)]`` for r = i mod (m_u - s_u), which decides a proof's
-      pairs from layer u up to layer 1: those pairs;
-    - ``base[i]``: base symbol i;
-    - ``digests``: sha256 of each q-tuple and 32-byte value the walks met,
-      keyed by content (a pure function, so any walk may add to it).
+    - ``paths[(w, a)]``: ancestor a of layer w followed by the ancestors
+      above it, up to the root layer;
+    - ``parities[(u, r)]`` for r = i mod (m_u - s_u), which decides a
+      proof's parity symbols from layer u up to layer 1: those symbols;
+    - ``base[i]``: base symbol i.
 
     Only a proof whose whole walk passed adds positions, so ``paths`` is
-    upward-closed: with (w, p) it holds every position above. Each symbol
-    it holds was certified by its walk, against the committed digest in its
-    parent's climbed tuple. A frontier is bound to the commitment and
-    params it was made for, and lives for one batch (one node's units, one
-    audit, one reconstruction)."""
+    upward-closed: with (w, a) it holds every position above. Each symbol
+    it holds was certified by its walk, against the committed digest at its
+    slot of its parent. A frontier is bound to the commitment and params it
+    was made for, and lives for one batch (one node's units, one audit, one
+    reconstruction)."""
 
-    __slots__ = ("commitment", "params", "geo", "paths", "pairs", "base", "digests")
+    __slots__ = ("commitment", "params", "geo", "width", "paths", "parities", "base")
 
     def __init__(self, commitment: Commitment, params: TreeParams):
         self.commitment = commitment
         self.params = params
         self.geo = commitment_geometry(commitment, params)
-        self.paths: dict[tuple[int, int], tuple] = {}
-        self.pairs: dict[tuple[int, int], tuple] = {}
+        self.width = params.batch * HASH_BYTES
+        self.paths: dict[tuple[int, int], tuple[bytes, ...]] = {}
+        self.parities: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.base: dict[int, bytes] = {}
-        self.digests: dict = {}
 
-    def _climb(self, u, x, h, levels) -> Optional[list]:
-        """The digest chain of digest ``h`` of symbol ``x`` of layer ``u``
-        through ``levels`` (u tuples of q-1 sibling digests): a list of
-        ((parent layer, parent index), q-tuple, its digest), bottom up, of
-        the levels below the first position the frontier holds, or None
-        when the chain does not reach ``commitment.root``. At a held
-        position the chain's tuple and the levels above must be the ones
-        authenticated there."""
-        if len(levels) != u:
+    def _climb(self, u, x, h, ancestors) -> Optional[int]:
+        """The number of leading ``ancestors`` (u of them, layers u-1 up to
+        0) below the first position the frontier holds, when digest ``h`` of
+        symbol ``x`` of layer ``u`` climbs through them to the commitment,
+        else None: at each layer the running digest sits at its slot of the
+        ancestor, whose digest runs on. At a held position the ancestors
+        from there up must be the ones authenticated there."""
+        if len(ancestors) != u:
             return None
-        sys_counts = self.geo.sys_counts
-        paths, digests = self.paths, self.digests
-        n_sibs = self.params.batch - 1
-        climbed = []
-        for j, (sibs, w) in enumerate(zip(levels, range(u - 1, -1, -1))):
+        sys_counts, paths, width = self.geo.sys_counts, self.paths, self.width
+        for j, w in enumerate(range(u - 1, -1, -1)):
             s_par = sys_counts[w]
-            par, pos = x % s_par, x // s_par
-            tup = sibs[:pos] + (h,) + sibs[pos:]
-            key = (w, par)
-            known = paths.get(key)
-            if known is not None:
-                # any other tuple here, or other levels above, could only
-                # reach the root through a sha256 collision
-                if tup == known[0] and levels[j + 1 :] == known[2]:
-                    return climbed
+            at = x // s_par * HASH_BYTES
+            x %= s_par
+            ancestor = ancestors[j]
+            if len(ancestor) != width or ancestor[at : at + HASH_BYTES] != h:
                 return None
-            value = digests.get(tup)
-            if value is None:
-                # only q-tuples of digests enter the memo, so a tuple found
-                # there has passed these checks
-                if len(sibs) != n_sibs:
-                    return None
-                for sib in sibs:
-                    if len(sib) != HASH_BYTES:
-                        return None
-                value = digests[tup] = sha256(b"".join(tup))
-            climbed.append((key, tup, value))
-            if w == 0:
-                return climbed if value == self.commitment.root[par] else None
-            h = digests.get(value)
-            if h is None:
-                h = digests[value] = sha256(value)
-            x = par
-        return None  # unreachable for u >= 1: the loop ends at w == 0
+            held = paths.get((w, x))
+            if held is not None:
+                # other ancestors above could only reach the commitment
+                # through a sha256 collision
+                return j if ancestors[j:] == held else None
+            h = sha256(ancestor)
+        return u if h == self.commitment.root[x] else None
 
     def walk(self, pom: ProofOfMembership) -> bool:
         """True iff ``pom`` is consistent with the commitment. A proof that
@@ -549,72 +516,57 @@ class Frontier:
         if geo is None:
             return False
         depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
-        i, pairs = pom.base_index, pom.pairs
+        i, ancestors, parities = pom.base_index, pom.ancestors, pom.parities
         if pom.block_len != self.commitment.block_len or not 0 <= i < sizes[depth]:
             return False
-        if len(pom.base_symbol) != self.params.symbol_size or len(pairs) != depth - 1:
+        if len(pom.base_symbol) != self.params.symbol_size or len(parities) != depth - 1:
             return False
-        h = sha256(pom.base_symbol)
-        climbed = self._climb(depth, i, h, pom.levels)
-        if climbed is None:
+        fresh = self._climb(depth, i, sha256(pom.base_symbol), ancestors)
+        if fresh is None:
             return False
 
-        # the pair sampled at layer u, (i mod s, s + i mod (m - s)): the
-        # systematic symbol is the parent of the tuple climbed below it, and
-        # the parity symbol's digest sits at its child position one up
-        # (admitted params make s_{u-1} divide both s and m - s, so that is
-        # the parent the chain climbs through)
-        paths, known_pairs, digests = self.paths, self.pairs, self.digests
-        n_new = len(climbed)
-        checked = []
+        # the parity symbol sampled at layer u, s + i mod (m - s), is a child
+        # of the proof's ancestor one layer up (admitted params make s_{u-1}
+        # divide both s and m - s), and its digest sits at its slot there
+        held_parities, width = self.parities, self.width
+        checked = 0
         for j, u in enumerate(range(depth - 1, 0, -1)):
-            s_par = sys_counts[u]
-            key = (u, i % (sizes[u] - s_par))
-            suffix = known_pairs.get(key)
-            if suffix is not None:
-                if pairs[j:] != suffix:
+            s = sys_counts[u]
+            r = i % (sizes[u] - s)
+            held = held_parities.get((u, r))
+            if held is not None:
+                if parities[j:] != held:
                     return False
                 break
-            p_idx, e_idx, p_val, e_val = pairs[j]
-            if p_idx != i % s_par or e_idx != s_par + key[1] or len(e_val) != HASH_BYTES:
+            at = (s + r) // sys_counts[u - 1] * HASH_BYTES
+            parity = parities[j]
+            if len(parity) != width or ancestors[j + 1][at : at + HASH_BYTES] != sha256(parity):
                 return False
-            value = climbed[j][2] if j < n_new else paths[(u, p_idx)][1]
-            if value != p_val:
-                return False
-            e_hash = digests.get(e_val)
-            if e_hash is None:
-                e_hash = digests[e_val] = sha256(e_val)
-            s_up = sys_counts[u - 1]
-            up = climbed[j + 1][1] if j + 1 < n_new else paths[(u - 1, i % s_up)][0]
-            if up[e_idx // s_up] != e_hash:
-                return False
-            checked.append(key)
+            checked += 1
 
-        levels = pom.levels
-        for j, (key, tup, value) in enumerate(climbed):
-            paths[key] = (tup, value, levels[j + 1 :])
-        for j, key in enumerate(checked):
-            known_pairs[key] = pairs[j:]
+        for j in range(fresh):
+            w = depth - 1 - j
+            self.paths[(w, i % sys_counts[w])] = ancestors[j:]
+        for j in range(checked):
+            u = depth - 1 - j
+            held_parities[(u, i % (sizes[u] - sys_counts[u]))] = parities[j:]
         self.base.setdefault(i, pom.base_symbol)
         return True
 
-    def known(self):
-        """(values, tuples) of everything the passing proofs delivered, each
-        certified symbol by (layer, index) and each climbed q-tuple by
-        (parent layer, parent index); each entry is derived once, however
-        many proofs carried it."""
-        tuples = {key: entry[0] for key, entry in self.paths.items()}
+    def known(self) -> dict[tuple[int, int], bytes]:
+        """Each symbol the passing proofs delivered, certified, by (layer,
+        index); each is derived once, however many proofs carried it."""
         values = {}
         if self.geo is None:
-            return values, tuples
-        depth = self.geo.depth
+            return values
+        depth, sys_counts = self.geo.depth, self.geo.sys_counts
         for i, symbol in self.base.items():
             values[(depth, i)] = symbol
-        for (u, _), suffix in self.pairs.items():
-            p_idx, e_idx, p_val, e_val = suffix[0]
-            values.setdefault((u, p_idx), p_val)
-            values.setdefault((u, e_idx), e_val)
-        return values, tuples
+        for key, ancestors in self.paths.items():
+            values[key] = ancestors[0]
+        for (u, r), parities in self.parities.items():
+            values[(u, sys_counts[u] + r)] = parities[0]
+        return values
 
 
 def walk_poms(
@@ -622,8 +574,8 @@ def walk_poms(
 ) -> list[bool]:
     """Each proof's verdict, ``walk_pom(commitment, params, pom) is not
     None``, walked against one ``Frontier``: a proof stops climbing where
-    an earlier passing proof already reached the root, and each distinct
-    q-tuple and 32-byte value is hashed once across the proofs."""
+    an earlier passing proof already reached the commitment, and stops
+    checking parity symbols where one already checked them."""
     frontier = Frontier(commitment, params)
     return [frontier.walk(pom) for pom in poms]
 
@@ -648,7 +600,7 @@ def walk_pom(
     frontier = Frontier(commitment, params)
     if not frontier.walk(pom):
         return None
-    return PomHarvest(*frontier.known())
+    return PomHarvest(frontier.known())
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
@@ -666,6 +618,6 @@ def verify_membership(
     if geo is None:
         return False
     u = path.layer
-    if not 1 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
+    if not 0 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
         return False
-    return frontier._climb(u, path.index, leaf_hash, path.levels) is not None
+    return frontier._climb(u, path.index, leaf_hash, path.ancestors) is not None

@@ -1,26 +1,24 @@
 """Cross-layer reconstruction from dispersed chunks, and fraud proofs.
 
 Reconstruction seeds every layer's known symbols from the collected
-membership proofs, then decodes top-down: the root is the commitment
-verbatim, and each layer below is peeled with its own code by the package's
-one peeling engine (``_kernels.Peel``), in its solve-in-turn order, so a
-fraud proof names the first failing equation of an ascending scan. Every
-solved symbol whose committed digest is pinned by some collected sibling
-tuple is checked against it, and every fully known equation is checked for
-zero XOR; a contradiction there yields a compact incorrect-coding proof a
-third party can verify against the commitment alone. After a layer
-completes, the aggregate of each parent without a collected tuple is
-recomputed and compared with the (already certified) layer above; a
-mismatch there only marks the reconstruction unprovable and never yields
-a proof. Digest layers XOR their 32-byte symbols as Python ints, here as
-in ``cit.build_tree``'s encode, and the base layer as uint8 rows in both,
-which are faster at symbol widths of 1 KiB and up.
+membership proofs, then decodes top-down, the root layer included: each
+layer is peeled with its own code by the package's one peeling engine
+(``_kernels.Peel``), in its solve-in-turn order, so a fraud proof names
+the first failing equation of an ascending scan. A decoded layer holds
+every child digest of the layer below, so every solved symbol is checked
+against its slot in its decoded parent, or at the root layer against the
+commitment, and every fully known equation is checked for zero XOR; a
+contradiction there yields a compact incorrect-coding proof a third party
+can verify against the commitment alone, each member bound by the
+ancestors the decoded layers above hold. Digest layers XOR their symbols
+as Python ints, here as in ``cit.build_tree``'s encode, and the base
+layer as uint8 rows in both, which are faster at symbol widths of 1 KiB
+and up.
 
 Each symbol is certified once: ingest walks the collected proofs against
 one ``cit.Frontier``, which checks each delivered symbol against the
-committed digest in its parent's climbed tuple, a solve under a parent
-with a collected tuple is checked at its solve, and only the children of
-the parents no collected tuple covers are hashed again, to re-aggregate.
+committed digest at its slot of its parent, and a solve is checked at its
+solve.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
@@ -61,7 +59,7 @@ class ChunkSet:
 class FraudMember:
     index: int
     value: bytes
-    path: Optional[MembershipPath]  # None only for root-layer members
+    path: MembershipPath
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,13 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     if code.parity_checks[proof.equation_no] != proof.equation:
         return False
-    width = params.symbol_size if u == depth else HASH_BYTES
+    width = params.symbol_size if u == depth else params.batch * HASH_BYTES
 
-    def committed(index: int, leaf_hash: bytes, path: Optional[MembershipPath]) -> bool:
+    def committed(index: int, leaf_hash: bytes, path: MembershipPath) -> bool:
         """The commitment binds a symbol hashing to ``leaf_hash`` at
         (u, index), by ``path``."""
         return (
-            path is not None
-            and path.layer == u
+            path.layer == u
             and path.index == index
             and verify_membership(commitment, params, leaf_hash, path)
         )
@@ -148,10 +145,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
             return False
         if len(member.value) != width:
             return False
-        if u == 0:
-            if member.path is not None or commitment.root[member.index] != member.value:
-                return False
-        elif not committed(member.index, sha256(member.value), member.path):
+        if not committed(member.index, sha256(member.value), member.path):
             return False
         seen[member.index] = member.value
 
@@ -161,7 +155,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return any(_xor(seen.values(), width))
 
     mm = proof.mismatch
-    if u == 0 or mm.index not in eq_idx or set(seen) != eq_idx - {mm.index}:
+    if mm.index not in eq_idx or set(seen) != eq_idx - {mm.index}:
         return False
     if len(mm.expected_hash) != HASH_BYTES:
         return False
@@ -184,11 +178,9 @@ class _Reconstructor:
         self.params = params
         geo = geometry(params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
-        # known symbols, each certified at ingest, and the collected
-        # q-tuples, by position
-        self.values, self.tuples = self._ingest(chunks)
+        # known symbols by position, each certified at ingest
+        self.values = self._ingest(chunks)
         self.layer_done: dict[int, list[bytes]] = {}
-        self.unprovable = False
 
     def _ingest(self, chunks: ChunkSet):
         # the walks share one frontier, as in cit.walk_poms; each goes
@@ -199,50 +191,42 @@ class _Reconstructor:
                 walk_pom(self.commitment, self.params, pom, frontier)
         return frontier.known()
 
-    def _expected_hash(self, u: int, x: int):
+    def _expected_hash(self, u: int, x: int) -> bytes:
+        """The committed digest of symbol x of layer u: the commitment's
+        entry at the root layer, else its slot in its decoded parent."""
+        if u == 0:
+            return self.commitment.root[x]
         s_par = self.sys_counts[u - 1]
-        tup = self.tuples.get((u - 1, x % s_par))
-        return None if tup is None else tup[x // s_par]
+        at = x // s_par * HASH_BYTES
+        return self.layer_done[u - 1][x % s_par][at : at + HASH_BYTES]
 
-    def _path(self, u: int, x: int) -> Optional[MembershipPath]:
-        levels = []
-        cur = x
-        for w in range(u - 1, -1, -1):
-            s_par = self.sys_counts[w]
-            par, pos = cur % s_par, cur // s_par
-            tup = self.tuples.get((w, par))
-            if tup is None:
-                return None
-            levels.append(tup[:pos] + tup[pos + 1 :])
-            cur = par
-        return MembershipPath(u, x, tuple(levels))
+    def _path(self, u: int, x: int) -> MembershipPath:
+        """Symbol x of layer u's ancestors, read from the decoded layers."""
+        done, sys_counts = self.layer_done, self.sys_counts
+        ancestors = tuple(done[w][x % sys_counts[w]] for w in range(u - 1, -1, -1))
+        return MembershipPath(u, x, ancestors)
 
-    def _members(self, u: int, eq: ParityEquation, rows, skip: int = -1):
-        """Fraud members with membership paths; None when some path is not
-        derivable from the collected material."""
-        members = []
-        for idx in eq.symbol_indices:
-            if idx == skip:
-                continue
-            if u == 0:
-                members.append(FraudMember(idx, self.commitment.root[idx], None))
-                continue
-            path = self._path(u, idx)
-            if path is None:
-                return None
-            members.append(FraudMember(idx, rows[idx], path))
-        return tuple(members)
+    def _fraud(self, u, code: CodeSpec, e: int, rows, mismatch_at: int = -1) -> Fraud:
+        """The proof that equation e of layer u fails: its known members,
+        and for a solve at ``mismatch_at`` the committed digest it misses."""
+        eq = code.parity_checks[e]
+        members = tuple(
+            FraudMember(idx, rows[idx], self._path(u, idx))
+            for idx in eq.symbol_indices
+            if idx != mismatch_at
+        )
+        mismatch = None
+        if mismatch_at >= 0:
+            expected = self._expected_hash(u, mismatch_at)
+            mismatch = HashMismatch(mismatch_at, expected, self._path(u, mismatch_at))
+        return Fraud(FraudProof(u, e, eq, members, mismatch))
 
     def run(self) -> ReconstructionResult:
         params = self.params
         for u in range(self.depth + 1):
             m = self.sizes[u]
             code = layer_code(params, m)
-            if u == 0:
-                rows = list(self.commitment.root)
-            else:
-                rows = [self.values.get((u, x)) for x in range(m)]
-
+            rows = [self.values.get((u, x)) for x in range(m)]
             outcome, known = self._peel_layer(u, code, rows)
             if outcome is not None:
                 return outcome
@@ -259,12 +243,7 @@ class _Reconstructor:
                         code_seed=code.seed,
                     )
                 return self._insufficient(u, frac)
-
             self.layer_done[u] = rows
-            if u >= 1:
-                self._check_aggregation(u, rows)
-        if self.unprovable:
-            return self._insufficient(self.depth, 1.0)
         base = self.layer_done[self.depth]
         s_base = self.sys_counts[self.depth]
         # only the last systematic symbol carries padding; cut it before the
@@ -277,16 +256,18 @@ class _Reconstructor:
 
         ``rows`` holds each symbol's bytes or None and is filled in with
         every solve. Every fully known equation the order reaches is checked
-        for zero XOR, and every solve whose digest some collected tuple pins
-        is checked against it; a contradiction that cannot be proven from
-        the collected material marks the reconstruction unprovable and, for
-        a solve, leaves the symbol unknown. Returns (Fraud or None, the
-        known flags)."""
+        for zero XOR, and every solve against its committed digest. Returns
+        (the Fraud of the first contradiction or None, the known flags)."""
         if u == self.depth:
             # wide symbols XOR fastest as uint8 rows
             load, dump, nonzero = _row_from_bytes, np.ndarray.tobytes, np.ndarray.any
         else:
-            load, dump, nonzero = int_from_digest, digest_from_int, bool
+            width = self.params.batch * HASH_BYTES
+            load, nonzero = int_from_digest, bool
+
+            def dump(value: int) -> bytes:
+                return digest_from_int(value, width)
+
         values = [None if r is None else load(r) for r in rows]
         tables = code.tables
         peel = Peel(tables, np.array([r is not None for r in rows]))
@@ -294,54 +275,14 @@ class _Reconstructor:
             acc = xor_members(values, tables.members[e], x)
             if x < 0:
                 if nonzero(acc):
-                    fraud = self._equation_fraud(u, code, e, rows)
-                    if fraud is not None:
-                        return fraud, peel.known
-                    self.unprovable = True
+                    return self._fraud(u, code, e, rows), peel.known
                 continue
             value = dump(acc)
-            expected = self._expected_hash(u, x) if u >= 1 else None
-            if expected is not None and sha256(value) != expected:
-                fraud = self._mismatch_fraud(u, code, e, x, expected, rows)
-                if fraud is not None:
-                    return fraud, peel.known
-                self.unprovable = True
-                continue
+            if sha256(value) != self._expected_hash(u, x):
+                return self._fraud(u, code, e, rows, mismatch_at=x), peel.known
             values[x], rows[x] = acc, value
             peel.solve(x)
         return None, peel.known
-
-    def _equation_fraud(self, u, code, e, rows):
-        eq = code.parity_checks[e]
-        members = self._members(u, eq, rows)
-        if members is None:
-            return None
-        return Fraud(FraudProof(u, e, eq, members, None))
-
-    def _mismatch_fraud(self, u, code, e, x, expected, rows):
-        eq = code.parity_checks[e]
-        path = self._path(u, x)
-        members = self._members(u, eq, rows, skip=x)
-        if path is None or members is None:
-            return None
-        return Fraud(FraudProof(u, e, eq, members, HashMismatch(x, expected, path)))
-
-    def _check_aggregation(self, u, rows):
-        """Recompute the aggregate of each parent of the completed layer u
-        that has no collected tuple against the certified layer above; a
-        mismatch marks the reconstruction unprovable. A parent with a tuple
-        cannot mismatch: tuples come from proofs' climbs to the root, so a
-        collected tuple's ancestors are collected too, and each child of a
-        parent with a tuple was checked against it at ingest or at its
-        solve."""
-        s_par = self.sys_counts[u - 1]
-        parent = self.layer_done[u - 1]
-        for k in range(s_par):
-            if (u - 1, k) in self.tuples:
-                continue
-            if sha256(b"".join(map(sha256, rows[k::s_par]))) != parent[k]:
-                self.unprovable = True
-                return
 
     def _insufficient(self, stalled: int, fraction: float) -> Insufficient:
         fractions = []

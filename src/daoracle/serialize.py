@@ -23,10 +23,10 @@ from .errors import ParameterError
 from .retrieval import FraudMember, FraudProof, HashMismatch
 from .util import HASH_BYTES
 
-MAGIC_COMMITMENT = b"DAC1"
-MAGIC_POM = b"DAP1"
-MAGIC_FRAUD = b"DAF1"
-MAGIC_BUNDLE = b"DAB1"
+MAGIC_COMMITMENT = b"DAC2"
+MAGIC_POM = b"DAP2"
+MAGIC_FRAUD = b"DAF2"
+MAGIC_BUNDLE = b"DAB2"
 MAGIC_TREE = b"DAT1"
 
 
@@ -35,8 +35,6 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-# one sampled pair of a DAP1 proof: p_index, e_index, p_value, e_value
-_PAIR = struct.Struct(f"<QQ{HASH_BYTES}s{HASH_BYTES}s")
 
 
 class _Reader:
@@ -66,14 +64,25 @@ class _Reader:
         data = self.data
         return tuple(data[k : k + HASH_BYTES] for k in range(pos, self.pos, HASH_BYTES))
 
+    def symbols(self) -> tuple[bytes, ...]:
+        """A u16 count and a u32 width, then that many symbols of that
+        width, behind one bounds check; the width is 0 exactly when the
+        count is."""
+        count, width = self.u16(), self.u32()
+        if (count == 0) != (width == 0):
+            raise ParameterError("symbol width must be 0 exactly when the count is")
+        pos = self._advance(count * width)
+        data = self.data
+        return tuple(data[k : k + width] for k in range(pos, self.pos, width or 1))
+
     def window(self, n: int) -> "_Reader":
         """A reader over the next n bytes, which this one skips."""
         pos = self._advance(n)
         return _Reader(self.data, pos, self.pos)
 
     def unpack(self, fmt: struct.Struct) -> tuple:
-        # integers and pairs are most of a proof's reads, so the bounds
-        # check is inline rather than a call to _advance
+        # integers are most of a small file's reads, so the bounds check
+        # is inline rather than a call to _advance
         pos = self.pos
         end = pos + fmt.size
         if end > self.end:
@@ -182,19 +191,27 @@ def decode_commitment(data: bytes) -> Commitment:
     return Commitment(root=root, params=params, block_len=block_len)
 
 
+def _put_symbols(parts: list, symbols: tuple[bytes, ...]) -> None:
+    """Append the symbols as ``_Reader.symbols`` reads them: a u16 count,
+    a u32 width they all share, then the symbols."""
+    width = len(symbols[0]) if symbols else 0
+    for symbol in symbols:
+        if len(symbol) != width:
+            raise ParameterError("symbols of one list must share one width")
+    parts += (_u16(len(symbols)), _u32(width), *symbols)
+
+
 def _put_pom(parts: list, pom: ProofOfMembership) -> None:
-    """Append the parts of ``pom``'s DAP1 encoding to ``parts``."""
+    """Append the parts of ``pom``'s DAP2 encoding to ``parts``."""
     parts += (
         MAGIC_POM,
         _u64(pom.base_index),
         _u64(pom.block_len),
         _u64(len(pom.base_symbol)),
         pom.base_symbol,
-        _u16(len(pom.pairs)),
     )
-    for p_idx, e_idx, p_val, e_val in pom.pairs:
-        parts += (_u64(p_idx), _u64(e_idx), p_val, e_val)
-    _put_levels(parts, pom.levels)
+    _put_symbols(parts, pom.ancestors)
+    _put_symbols(parts, pom.parities)
 
 
 def encode_pom(pom: ProofOfMembership) -> bytes:
@@ -208,41 +225,28 @@ def decode_pom(data: bytes) -> ProofOfMembership:
 
 
 def _take_pom(r: _Reader) -> ProofOfMembership:
-    """The DAP1 proof that fills all of ``r``."""
+    """The DAP2 proof that fills all of ``r``."""
     if r.take(4) != MAGIC_POM:
         raise ParameterError("not a membership proof file")
     base_index = r.u64()
     block_len = r.u64()
     base_symbol = r.take(r.u64())
-    pairs = tuple(r.unpack(_PAIR) for _ in range(r.u16()))
-    levels = _take_levels(r)
+    ancestors = r.symbols()
+    parities = r.symbols()
     if not r.done():
         raise ParameterError("trailing bytes in membership proof")
-    return ProofOfMembership(base_index, base_symbol, block_len, pairs, levels)
-
-
-def _put_levels(parts: list, levels) -> None:
-    """Sibling digest tuples: u16 tuple count, then per tuple a u16 digest
-    count and the 32-byte digests."""
-    parts.append(_u16(len(levels)))
-    for level in levels:
-        parts.append(_u16(len(level)))
-        parts += level
-
-
-def _take_levels(r: _Reader) -> tuple[tuple[bytes, ...], ...]:
-    return tuple(r.digests(r.u16()) for _ in range(r.u16()))
+    return ProofOfMembership(base_index, base_symbol, block_len, ancestors, parities)
 
 
 def _put_path(parts: list, path: MembershipPath) -> None:
     parts += (_u32(path.layer), _u64(path.index))
-    _put_levels(parts, path.levels)
+    _put_symbols(parts, path.ancestors)
 
 
 def _decode_path(r: _Reader) -> MembershipPath:
     layer = r.u32()
     index = r.u64()
-    return MembershipPath(layer, index, _take_levels(r))
+    return MembershipPath(layer, index, r.symbols())
 
 
 def encode_fraud_proof(proof: FraudProof) -> bytes:
@@ -257,9 +261,7 @@ def encode_fraud_proof(proof: FraudProof) -> bytes:
     ]
     for member in proof.members:
         parts += (_u64(member.index), _u64(len(member.value)), member.value)
-        parts.append(_u8(1 if member.path is not None else 0))
-        if member.path is not None:
-            _put_path(parts, member.path)
+        _put_path(parts, member.path)
     parts.append(_u8(1 if proof.mismatch is not None else 0))
     if proof.mismatch is not None:
         parts += (_u64(proof.mismatch.index), proof.mismatch.expected_hash)
@@ -278,8 +280,7 @@ def decode_fraud_proof(data: bytes) -> FraudProof:
     for _ in range(r.u16()):
         index = r.u64()
         value = r.take(r.u64())
-        path = _decode_path(r) if r.u8() else None
-        members.append(FraudMember(index, value, path))
+        members.append(FraudMember(index, value, _decode_path(r)))
     mismatch = None
     if r.u8():
         mismatch = HashMismatch(r.u64(), r.take(HASH_BYTES), _decode_path(r))

@@ -1,5 +1,6 @@
-"""Reference peelers: the three the package had before its one peeling
-engine, kept verbatim.
+"""Reference peelers, none of them on the package's one peeling engine:
+the first two as the package had them before it, the reconstructor in the
+tree layout the package has now.
 
 - ``peel_symbols`` rescans every equation on each pass, solving in turn;
   ``peel_decode`` is the codec decoder built on it.
@@ -8,9 +9,11 @@ engine, kept verbatim.
   ``estimate_undecodable_ratio`` / ``is_bad_code`` are the alpha gate built
   on that: the exact smallest stalling erased fraction over the trials,
   compared with alpha.
-- ``Reconstructor`` is the retrieval reconstructor whose ``_peel_layer``
-  rescans every equation on each pass, over numpy symbol rows; it walks
-  each proof on its own with ``reference_proofs.walk_pom``.
+- ``Reconstructor`` is a plain retrieval reconstructor whose
+  ``_peel_layer`` rescans every equation on each pass, over numpy symbol
+  rows, and checks each solve against its slot in the decoded parent (the
+  commitment at the root layer); it walks each proof on its own with
+  ``reference_proofs.walk_pom``.
 
 ``codec.peel_decode``, ``codec.is_bad_code`` and
 ``retrieval._Reconstructor`` must agree with them: the same outcomes and
@@ -20,7 +23,7 @@ the same equation numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -217,10 +220,7 @@ class Reconstructor:
         geo = geometry(params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         self.values: dict[tuple[int, int], bytes] = {}
-        self.tuples: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.layer_done: dict[int, np.ndarray] = {}
-        self.solver: dict[tuple[int, int], int] = {}
-        self.unprovable = False
         self._ingest(chunks)
 
     def _ingest(self, chunks: ChunkSet):
@@ -233,75 +233,44 @@ class Reconstructor:
                 continue
             for key, val in harvest.values.items():
                 self.values.setdefault(key, val)
-            for key, tup in harvest.tuples.items():
-                self.tuples.setdefault(key, tup)
 
-    def _tuple_at(self, w: int, par: int):
-        """Committed child-digest tuple of parent (w, par): harvested from a
-        proof, or regenerated once layer w+1 is fully decoded."""
-        tup = self.tuples.get((w, par))
-        if tup is not None:
-            return tup
-        child = self.layer_done.get(w + 1)
-        if child is None:
-            return None
-        s_par = self.sys_counts[w]
-        tup = tuple(sha256(child[x].tobytes()) for x in range(par, len(child), s_par))
-        self.tuples[(w, par)] = tup
-        return tup
-
-    def _expected_hash(self, u: int, x: int):
+    def _expected_hash(self, u: int, x: int) -> bytes:
+        """The commitment's entry at the root layer, else the digest at x's
+        slot of its decoded parent."""
+        if u == 0:
+            return self.commitment.root[x]
         s_par = self.sys_counts[u - 1]
-        tup = self._tuple_at(u - 1, x % s_par)
-        return None if tup is None else tup[x // s_par]
-
-    def _path(self, u: int, x: int) -> Optional[MembershipPath]:
-        levels = []
-        cur = x
-        for w in range(u - 1, -1, -1):
-            s_par = self.sys_counts[w]
-            par, pos = cur % s_par, cur // s_par
-            tup = self._tuple_at(w, par)
-            if tup is None:
-                return None
-            levels.append(tup[:pos] + tup[pos + 1 :])
-            cur = par
-        return MembershipPath(u, x, tuple(levels))
+        parent = self.layer_done[u - 1][x % s_par].tobytes()
+        pos = x // s_par
+        return parent[pos * HASH_BYTES : (pos + 1) * HASH_BYTES]
 
     def _members(self, u: int, eq: ParityEquation, sym, skip: int = -1):
-        """Fraud members with membership paths; None when some path is not
-        derivable from the collected material."""
-        members = []
-        for idx in eq.symbol_indices:
-            if idx == skip:
-                continue
-            if u == 0:
-                members.append(FraudMember(idx, self.commitment.root[idx], None))
-                continue
-            path = self._path(u, idx)
-            if path is None:
-                return None
-            members.append(FraudMember(idx, sym[idx].tobytes(), path))
-        return tuple(members)
+        return tuple(
+            FraudMember(idx, sym[idx].tobytes(), self._member_path(u, idx))
+            for idx in eq.symbol_indices
+            if idx != skip
+        )
+
+    def _member_path(self, u: int, index: int) -> MembershipPath:
+        ancestors, x = [], index
+        for w in range(u - 1, -1, -1):
+            x %= self.sys_counts[w]
+            ancestors.append(self.layer_done[w][x].tobytes())
+        return MembershipPath(u, index, tuple(ancestors))
 
     def run(self) -> ReconstructionResult:
         params = self.params
         for u in range(self.depth + 1):
             m = self.sizes[u]
             code = layer_code(params, m)
-            width = params.symbol_size if u == self.depth else HASH_BYTES
+            width = params.symbol_size if u == self.depth else params.batch * HASH_BYTES
             sym = np.zeros((m, width), dtype=np.uint8)
             known = np.zeros(m, dtype=bool)
-            if u == 0:
-                for idx, val in enumerate(self.commitment.root):
+            for idx in range(m):
+                val = self.values.get((u, idx))
+                if val is not None:
                     sym[idx] = np.frombuffer(val, dtype=np.uint8)
-                known[:] = True
-            else:
-                for idx in range(m):
-                    val = self.values.get((u, idx))
-                    if val is not None:
-                        sym[idx] = np.frombuffer(val, dtype=np.uint8)
-                        known[idx] = True
+                    known[idx] = True
 
             outcome = self._peel_layer(u, code, sym, known)
             if outcome is not None:
@@ -318,14 +287,7 @@ class Reconstructor:
                         code_seed=code.seed,
                     )
                 return self._insufficient(u, known)
-
             self.layer_done[u] = sym
-            if u >= 1:
-                outcome = self._check_aggregation(u, sym)
-                if outcome is not None:
-                    return outcome
-        if self.unprovable:
-            return self._insufficient(self.depth, np.ones(1, dtype=bool))
         base = self.layer_done[self.depth]
         s_base = self.sys_counts[self.depth]
         data = base[:s_base].tobytes()[: self.commitment.block_len]
@@ -344,15 +306,13 @@ class Reconstructor:
                     continue
                 members = eq_idx[eq_ptr[e] : eq_ptr[e + 1]]
                 unknown = [int(i) for i in members if not known[i]]
+                eq = code.parity_checks[e]
                 if not unknown:
                     acc = np.zeros(sym.shape[1], dtype=np.uint8)
                     for i in members:
                         acc ^= sym[i]
                     if acc.any():
-                        fraud = self._equation_fraud(u, code, e, sym)
-                        if fraud is not None:
-                            return fraud
-                        self.unprovable = True
+                        return Fraud(FraudProof(u, e, eq, self._members(u, eq, sym), None))
                     verified[e] = True
                 elif len(unknown) == 1:
                     x = unknown[0]
@@ -360,61 +320,15 @@ class Reconstructor:
                     for i in members:
                         if i != x:
                             acc ^= sym[i]
-                    expected = self._expected_hash(u, x) if u >= 1 else None
-                    if expected is not None and sha256(acc.tobytes()) != expected:
-                        fraud = self._mismatch_fraud(u, code, e, x, expected, sym)
-                        if fraud is not None:
-                            return fraud
-                        self.unprovable = True
-                        verified[e] = True
-                        continue
+                    expected = self._expected_hash(u, x)
+                    if sha256(acc.tobytes()) != expected:
+                        mismatch = HashMismatch(x, expected, self._member_path(u, x))
+                        members = self._members(u, eq, sym, skip=x)
+                        return Fraud(FraudProof(u, e, eq, members, mismatch))
                     sym[x] = acc
                     known[x] = True
-                    self.solver[(u, x)] = e
                     verified[e] = True
                     progress = True
-        return None
-
-    def _equation_fraud(self, u, code, e, sym):
-        eq = code.parity_checks[e]
-        members = self._members(u, eq, sym)
-        if members is None:
-            return None
-        return Fraud(FraudProof(u, e, eq, members, None))
-
-    def _mismatch_fraud(self, u, code, e, x, expected, sym):
-        eq = code.parity_checks[e]
-        path = self._path(u, x)
-        members = self._members(u, eq, sym, skip=x)
-        if path is None or members is None:
-            return None
-        return Fraud(FraudProof(u, e, eq, members, HashMismatch(x, expected, path)))
-
-    def _check_aggregation(self, u, sym):
-        """Recompute each parent aggregate of the completed layer u against
-        the certified layer above."""
-        s_par = self.sys_counts[u - 1]
-        parent = self.layer_done[u - 1]
-        hashes = [sha256(sym[x].tobytes()) for x in range(sym.shape[0])]
-        for k in range(s_par):
-            agg = sha256(b"".join(hashes[k::s_par]))
-            if agg == parent[k].tobytes():
-                continue
-            tup = self.tuples.get((u - 1, k))
-            if tup is None:
-                self.unprovable = True
-                continue
-            for pos in range(self.params.batch):
-                x = k + pos * s_par
-                if hashes[x] != tup[pos]:
-                    e = self.solver.get((u, x))
-                    if e is None:
-                        continue
-                    code = layer_code(self.params, self.sizes[u])
-                    fraud = self._mismatch_fraud(u, code, e, x, tup[pos], sym)
-                    if fraud is not None:
-                        return fraud
-            self.unprovable = True
         return None
 
     def _insufficient(self, stalled: int, known) -> Insufficient:

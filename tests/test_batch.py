@@ -3,12 +3,16 @@ reference in ``tests/reference_proofs.py``: the same proofs, the same
 per-proof verdicts, the same harvest from a single walk, and for a
 reconstruction's ingest the same first-wins merge of what passes. The
 proof sets mix honest proofs with single-field mutations, with forged
-q-tuples shared by several proofs, with forgeries that share positions,
-pairs keys or objects with honest proofs, over blocks whose tuples are all
-equal, and with forgeries placed before and after the honest proofs whose
-tuples they imitate, so nothing a walk leaves in the frontier has a
-chance to decide a later proof wrongly. Bare digest claims get the
-reference ``verify_membership``'s verdict."""
+ancestors shared by several proofs, with forgeries that share positions,
+parity keys or objects with honest proofs, over blocks whose child digests
+are all equal, and with forgeries placed before and after the honest
+proofs whose symbols they imitate, so nothing a walk leaves in the
+frontier has a chance to decide a later proof wrongly. The forgeries
+include a running digest moved to another slot of its ancestor, ancestor
+and parity symbols of the wrong width, a root-layer ancestor that hashes
+to another root entry, and a parity symbol whose digest sits at another
+slot. Bare digest claims get the reference ``verify_membership``'s
+verdict."""
 
 import dataclasses
 from fractions import Fraction
@@ -25,7 +29,7 @@ from daoracle import retrieval as rt
 from daoracle import serialize as sz
 from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode, IndexOutOfRange
-from daoracle.util import sha256
+from daoracle.util import HASH_BYTES, sha256
 
 from conftest import SMALL, chunkset_for
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
@@ -39,17 +43,20 @@ def merged(harvests) -> cit.PomHarvest:
             continue
         for key, val in harvest.values.items():
             out.values.setdefault(key, val)
-        for key, tup in harvest.tuples.items():
-            out.tuples.setdefault(key, tup)
     return out
+
+
+def slot(symbol: bytes, pos: int) -> bytes:
+    return symbol[pos * HASH_BYTES : (pos + 1) * HASH_BYTES]
 
 
 def check_batch(tree, poms) -> list:
     """Batched verdicts and one-proof harvests equal the reference walk's,
-    proof by proof, and what one frontier and the reconstructor's ingest keep is the
-    merge of the passing harvests, its values and tuples; each value hashes to
-    the digest at its position in the tuple one up. Returns the reference
-    harvests (None for a failing proof)."""
+    proof by proof, and what one frontier and the reconstructor's ingest
+    keep is the merge of the passing harvests; each symbol it holds hashes
+    to the digest at its slot of its parent, which it holds too, or at the
+    root layer to the commitment's entry. Returns the reference harvests
+    (None for a failing proof)."""
     c, p = tree.commitment, tree.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
     verdicts = [harvest is not None for harvest in want]
@@ -57,16 +64,18 @@ def check_batch(tree, poms) -> list:
     assert [cit.walk_pom(c, p, pom) for pom in poms] == want
     frontier = cit.Frontier(c, p)
     assert [cit.walk_pom(c, p, pom, frontier) for pom in poms] == verdicts
-    expect = merged(want)
-    values, tuples = frontier.known()
-    assert (values, tuples) == (expect.values, expect.tuples)
+    values = frontier.known()
+    assert values == merged(want).values
     sys_counts = cit.geometry(p, tree.block_len).sys_counts
     for (u, x), value in values.items():
-        s_par = sys_counts[u - 1]
-        assert sha256(value) == tuples[(u - 1, x % s_par)][x // s_par]
+        if u == 0:
+            assert sha256(value) == c.root[x]
+        else:
+            s_par = sys_counts[u - 1]
+            assert sha256(value) == slot(values[(u - 1, x % s_par)], x // s_par)
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(c, p, rt.ChunkSet(c, units))
-    assert (reader.values, reader.tuples) == (values, tuples)
+    assert reader.values == values
     return want
 
 
@@ -80,6 +89,10 @@ def path_children(tree, i) -> list[int]:
         out.append(x)
         x %= geo.sys_counts[u]
     return out
+
+
+def with_slot(symbol: bytes, pos: int, digest: bytes) -> bytes:
+    return symbol[: pos * HASH_BYTES] + digest + symbol[(pos + 1) * HASH_BYTES :]
 
 
 @st.composite
@@ -106,7 +119,7 @@ def test_batched_walk_matches_the_reference_on_mixed_sets(case):
 def shared_forgeries(draw):
     """(tree, proofs, which are forged): several proofs carry one forged
     digest for the same child k of the same parent (u, par), so all of them
-    rebuild one forged q-tuple; honest proofs through the same parent are
+    carry one forged ancestor; honest proofs through the same parent are
     mixed in, in any order."""
     tree = draw(st.sampled_from(TREES))
     geo = cit.geometry(tree.params, tree.block_len)
@@ -120,16 +133,12 @@ def shared_forgeries(draw):
     ]
     picks = draw(st.lists(st.sampled_from(through), min_size=2, max_size=6))
     honest = [cit.sample_pom(tree, i) for i in picks]
-    # the true digest of child k, read from any honest proof's siblings
-    pos0 = path_children(tree, picks[0])[j] // s_par
-    true_k = honest[0].levels[j][k if k < pos0 else k - 1]
-    forged_k = _flip(true_k, draw(st.integers(0, 31)))
-    forged = []
-    for i, pom in zip(picks, honest):
-        pos = path_children(tree, i)[j] // s_par
-        slot = k if k < pos else k - 1
-        sibs = _replace_at(pom.levels[j], slot, forged_k)
-        forged.append(dataclasses.replace(pom, levels=_replace_at(pom.levels, j, sibs)))
+    ancestor = honest[0].ancestors[j]
+    forged_ancestor = with_slot(ancestor, k, _flip(slot(ancestor, k), draw(st.integers(0, 31))))
+    forged = [
+        dataclasses.replace(pom, ancestors=_replace_at(pom.ancestors, j, forged_ancestor))
+        for pom in honest
+    ]
     extra = draw(st.lists(st.sampled_from(honest), max_size=4))
     order = draw(st.permutations(range(len(forged) + len(extra))))
     proofs = [(forged + extra)[n] for n in order]
@@ -150,18 +159,21 @@ def test_forgeries_first_do_not_decide_the_honest_proofs_after_them(tree):
     honest = cit.sample_poms(tree, range(tree.sizes[-1]))
     forged = []
     for n, pom in enumerate(honest):
-        j = n % len(pom.levels)
-        sibs = _replace_at(pom.levels[j], 0, _flip(pom.levels[j][0], n))
-        forged.append(dataclasses.replace(pom, levels=_replace_at(pom.levels, j, sibs)))
-    # a wrong pair value, and a sibling one byte too long, ahead of the rest
-    p_idx, e_idx, p_val, e_val = honest[0].pairs[0]
-    forged.append(dataclasses.replace(
-        honest[0], pairs=_replace_at(honest[0].pairs, 0, (p_idx, e_idx, p_val, _flip(e_val, 3)))
-    ))
-    long_sibs = _replace_at(honest[1].levels[0], 0, honest[1].levels[0][0] + b"\0")
-    forged.append(
-        dataclasses.replace(honest[1], levels=_replace_at(honest[1].levels, 0, long_sibs))
-    )
+        j = n % len(pom.ancestors)
+        ancestor = _flip(pom.ancestors[j], n)
+        forged.append(dataclasses.replace(pom, ancestors=_replace_at(pom.ancestors, j, ancestor)))
+    # a wrong parity symbol, and an ancestor and a parity symbol one byte
+    # too long, ahead of the rest
+    for n, pom in enumerate(honest[:3]):
+        if n == 0:
+            parities = _replace_at(pom.parities, 0, _flip(pom.parities[0], 3))
+            forged.append(dataclasses.replace(pom, parities=parities))
+        elif n == 1:
+            ancestor = pom.ancestors[0] + b"\0"
+            forged.append(dataclasses.replace(pom, ancestors=_replace_at(pom.ancestors, 0, ancestor)))
+        else:
+            parities = _replace_at(pom.parities, 0, pom.parities[0] + b"\0")
+            forged.append(dataclasses.replace(pom, parities=parities))
     got = check_batch(tree, forged + honest)
     assert all(harvest is None for harvest in got[: len(forged)])
     assert all(harvest is not None for harvest in got[len(forged):])
@@ -170,37 +182,40 @@ def test_forgeries_first_do_not_decide_the_honest_proofs_after_them(tree):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(mixed_sets(), shared_forgeries().map(lambda case: case[:2])))
 def test_ingest_keeps_the_collected_tuples_upward_closed(case):
-    """With the tuple of parent (w, p), ingest also holds the tuple of its
-    parent (w - 1, p mod s): the reconstructor reads committed digests only
-    from these tuples and never rebuilds one."""
+    """With symbol x of layer u, ingest also holds its parent (u - 1, x mod
+    s): the committed digest of every symbol it holds is in hand, and the
+    parents are the only digests the reconstructor reads above the
+    layers it decodes."""
     tree, poms = case
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(tree.commitment, tree.params, rt.ChunkSet(tree.commitment, units))
     sys_counts = cit.geometry(tree.params, tree.block_len).sys_counts
-    for w, p in reader.tuples:
-        assert w == 0 or (w - 1, p % sys_counts[w - 1]) in reader.tuples
+    for u, x in reader.values:
+        assert u == 0 or (u - 1, x % sys_counts[u - 1]) in reader.values
 
 
 @st.composite
 def pair_forgeries(draw):
     """(tree, forged proof, honest proof): the forged proof's chain is the
-    honest one, but one pair names another parity symbol under the same
-    parent and carries that symbol's true value, so only the index formula
-    tells it apart; or it keeps the honest indices with a forged e_val."""
+    honest one, but one parity symbol is another symbol under the same
+    parent, with its true value and a value other than the sampled one's,
+    so its digest sits at another slot of that parent; or it is the honest
+    parity symbol with one byte flipped."""
     tree = draw(st.sampled_from(TREES))
     geo = cit.geometry(tree.params, tree.block_len)
     honest = cit.sample_pom(tree, draw(st.integers(0, tree.sizes[-1] - 1)))
-    j = draw(st.integers(0, len(honest.pairs) - 1))
+    j = draw(st.integers(0, len(honest.parities) - 1))
     u = geo.depth - 1 - j
-    p_idx, e_idx, p_val, e_val = honest.pairs[j]
-    if draw(st.booleans()):
-        s_up = geo.sys_counts[u - 1]
-        others = [x for x in range(e_idx % s_up, geo.sizes[u], s_up) if x not in (p_idx, e_idx)]
-        x = draw(st.sampled_from(others))
-        pair = (p_idx, x, p_val, tree.layers[u].symbols[x].tobytes())
+    e_idx = geo.pom_pairs(honest.base_index)[j][1]
+    s_up = geo.sys_counts[u - 1]
+    # small layer codes repeat symbols: only another value is a forgery
+    others = {tree.layers[u].symbols[x].tobytes() for x in range(e_idx % s_up, geo.sizes[u], s_up)}
+    others.discard(honest.parities[j])
+    if others and draw(st.booleans()):
+        parity = draw(st.sampled_from(sorted(others)))
     else:
-        pair = (p_idx, e_idx, p_val, _flip(e_val, draw(st.integers(0, 31))))
-    forged = dataclasses.replace(honest, pairs=_replace_at(honest.pairs, j, pair))
+        parity = _flip(honest.parities[j], draw(st.integers(0, 255)))
+    forged = dataclasses.replace(honest, parities=_replace_at(honest.parities, j, parity))
     return tree, forged, honest
 
 
@@ -213,23 +228,31 @@ def test_an_honest_chain_with_a_forged_pair_is_rejected(case):
 
 
 # The frontier: a walk stops climbing at the first position an earlier
-# passing proof authenticated, and stops checking pairs at the first pairs
-# key one did. Each case puts forgeries next to honest proofs whose
-# positions they share.
+# passing proof authenticated, and stops checking parity symbols at the
+# first parity key one did. Each case puts forgeries next to honest proofs
+# whose positions they share.
 
-# zero blocks: every tuple of a layer is equal, whatever its position
+# zero blocks: every child digest of a layer is equal, whatever its position
 ZERO_TREES = tuple(cit.build_tree(bytes(tree.block_len), tree.params) for tree in TREES)
+
+
+def _resized(symbol: bytes, longer: bool) -> bytes:
+    return symbol + b"\0" if longer else symbol[:-1]
 
 
 @st.composite
 def frontier_sets(draw):
     """(tree, proofs, which must fail): honest proofs, each sampled from the
-    tree's tables (so proofs share tuples) or decoded from a chunk bundle
+    tree's tables (so proofs share symbols) or decoded from a chunk bundle
     (so it shares no objects), and forgeries, in any order. A forgery
-    climbs through the parent of an honest proof's first tuple and flips
-    one sibling digest above it; or shares one of an honest proof's pairs
-    keys (u, i mod (m_u - s_u)) and forges one pair, below, at or above
-    that layer; or is any single-field mutation."""
+    climbs through the parent of an honest proof's base symbol and then
+    changes one ancestor: a byte above the first, the running digest moved
+    to another slot, a wrong width, or at the root layer another root
+    symbol; or shares one of an honest proof's parity keys (u, i mod (m_u -
+    s_u)) and forges one parity symbol, below, at or above that layer: a
+    byte, a wrong width, or another symbol under the same parent; or is any
+    single-field mutation. A forgery that differs from the proof it was
+    made from must fail."""
     tree = draw(st.sampled_from(TREES + ZERO_TREES))
     geo = cit.geometry(tree.params, tree.block_len)
     depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
@@ -242,38 +265,57 @@ def frontier_sets(draw):
     forged, must_fail = [], []
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.sampled_from(picks))
-        kind = draw(st.sampled_from(("upper_sibling", "pair", "mutation")))
-        if kind == "upper_sibling":
+        kind = draw(st.sampled_from(("ancestor", "parity", "mutation")))
+        if kind == "ancestor":
             s_par = sys_counts[depth - 1]
             pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % s_par, m, s_par))))
-            j = draw(st.integers(1, depth - 1))
-            k = draw(st.integers(0, tree.params.batch - 2))
-            sibs = _replace_at(pom.levels[j], k, _flip(pom.levels[j][k], draw(st.integers(0, 31))))
-            forged.append(dataclasses.replace(pom, levels=_replace_at(pom.levels, j, sibs)))
-        elif kind == "pair":
+            ancestors = pom.ancestors
+            how = draw(st.sampled_from(("byte", "slot", "width", "root")))
+            if how == "byte":
+                j = draw(st.integers(1, depth - 1))
+                ancestor = _flip(ancestors[j], draw(st.integers(0, len(ancestors[j]) - 1)))
+            elif how == "slot":
+                # the running digest swapped with another child's
+                j = draw(st.integers(0, depth - 1))
+                pos = path_children(tree, pom.base_index)[j] // sys_counts[depth - 1 - j]
+                k = draw(st.integers(0, tree.params.batch - 1).filter(lambda k: k != pos))
+                ancestor = with_slot(ancestors[j], k, slot(ancestors[j], pos))
+                ancestor = with_slot(ancestor, pos, slot(ancestors[j], k))
+            elif how == "width":
+                j = draw(st.integers(0, depth - 1))
+                ancestor = _resized(ancestors[j], draw(st.booleans()))
+            else:
+                # a root-layer symbol that hashes to another root entry
+                j = depth - 1
+                at = draw(st.integers(0, sizes[0] - 1).filter(lambda x: x != i % sys_counts[0]))
+                ancestor = tree.layers[0].symbols[at].tobytes()
+            bad = dataclasses.replace(pom, ancestors=_replace_at(ancestors, j, ancestor))
+        elif kind == "parity":
             u_key = draw(st.integers(1, depth - 1))
             mod = sizes[u_key] - sys_counts[u_key]
             pom = cit.sample_pom(tree, draw(st.sampled_from(range(i % mod, m, mod))))
             j = draw(st.integers(0, depth - 2))
             u = depth - 1 - j
-            p_idx, e_idx, p_val, e_val = pom.pairs[j]
-            how = draw(st.sampled_from(("e_val", "p_val", "e_idx")))
-            if how == "e_val":
-                pair = (p_idx, e_idx, p_val, _flip(e_val, draw(st.integers(0, 31))))
-            elif how == "p_val":
-                pair = (p_idx, e_idx, _flip(p_val, draw(st.integers(0, 31))), e_val)
+            parity = pom.parities[j]
+            how = draw(st.sampled_from(("byte", "width", "other")))
+            if how == "byte":
+                parity = _flip(parity, draw(st.integers(0, len(parity) - 1)))
+            elif how == "width":
+                parity = _resized(parity, draw(st.booleans()))
             else:
                 # another symbol under the same parent, with its true value
+                e_idx = geo.pom_pairs(pom.base_index)[j][1]
                 s_up = sys_counts[u - 1]
                 x = draw(st.sampled_from(
                     [x for x in range(e_idx % s_up, sizes[u], s_up) if x != e_idx]
                 ))
-                pair = (p_idx, x, p_val, tree.layers[u].symbols[x].tobytes())
-            forged.append(dataclasses.replace(pom, pairs=_replace_at(pom.pairs, j, pair)))
+                parity = tree.layers[u].symbols[x].tobytes()
+            bad = dataclasses.replace(pom, parities=_replace_at(pom.parities, j, parity))
         else:
             # some mutations of a zero-block proof are another honest proof
-            forged.append(draw(mutated_proofs(trees=(tree,)))[2])
-        must_fail.append(kind != "mutation")
+            pom = bad = draw(mutated_proofs(trees=(tree,)))[2]
+        forged.append(bad)
+        must_fail.append(bad != pom)
     order = draw(st.permutations(range(len(honest) + len(forged))))
     proofs = [(honest + forged)[n] for n in order]
     fails = [n >= len(honest) and must_fail[n - len(honest)] for n in order]
@@ -326,7 +368,7 @@ def test_batched_sampling_rejects_an_out_of_range_index(tree, data):
 
 # (params, block length) of each tree built per draw, so every case starts
 # from empty tables: the geometries of TREES, and one of depth 1, whose
-# proofs carry no pairs
+# proofs carry no parity symbols
 TABLE_BLOCKS = tuple((tree.params, tree.block_len) for tree in TREES) + (
     (cit.TreeParams(**SMALL), 128),
 )
@@ -360,7 +402,7 @@ def test_sampling_tables_match_the_reference(shape, zero, data):
         else:
             assert cit.sample_pom(tree, indices[0]) == want[0]
     if shape == TABLE_BLOCKS[-1]:
-        assert trees[0].depth == 1 and want[0].pairs == ()
+        assert trees[0].depth == 1 and want[0].parities == ()
 
 
 # the round workloads' geometry (depth 8, 1024 coded base symbols) with
@@ -381,7 +423,9 @@ def test_fresh_tables_give_the_reference_proof_of_every_index(shape, zero):
     block = bytes(block_len) if zero else bytes((i * 53 + 9) % 256 for i in range(block_len))
     tree = cit.build_tree(block, params)
     m = tree.sizes[-1]
-    assert "sampling" not in vars(tree) and len(tree.sampling.levels) == m
+    assert "sampling" not in vars(tree)
+    s_top = cit.geometry(params, block_len).sys_counts[-2]
+    assert len(tree.sampling.ancestors) == tree.sampling.ancestor_mod == s_top
     assert cit.sample_poms(tree, range(m)) == [ref.sample_pom(tree, i) for i in range(m)]
 
 
@@ -427,12 +471,13 @@ def test_audit_fails_a_voter_holding_one_forged_proof():
     votes = [orc.node_on_dispersal(n, messages[n.node_id]) for n in nodes]
     orc.chain_submit_votes(chain, tree.commitment, votes)
     # node 0 keeps its units, but the proof of its last one now carries a
-    # forged sibling digest
+    # forged ancestor
     key = orc.commit_key(tree.commitment)
     idx = max(i for k, i in nodes[0].stored if k == key)
     symbol, pom = nodes[0].stored[(key, idx)]
-    sibs = _replace_at(pom.levels[1], 0, _flip(pom.levels[1][0], 0))
-    forged = dataclasses.replace(pom, levels=_replace_at(pom.levels, 1, sibs))
+    forged = dataclasses.replace(
+        pom, ancestors=_replace_at(pom.ancestors, 1, _flip(pom.ancestors[1], 0))
+    )
     nodes[0].stored[(key, idx)] = (symbol, forged)
     rng = np.random.default_rng(7)
     outcomes = [orc.audit(chain, nodes, tree.commitment, 1.0, rng, design) for _ in range(20)]
@@ -505,7 +550,7 @@ def test_a_fault_inside_the_fraud_verifier_propagates(fraud_case, monkeypatch):
     with pytest.raises(RuntimeError, match="spy"):
         rt.verify_fraud_proof(commitment, params, proof)
     monkeypatch.undo()
-    assert proof.layer > 0  # its members carry membership paths
+    assert proof.members  # each member's path is checked by verify_membership
     monkeypatch.setattr(rt, "verify_membership", spy)
     with pytest.raises(RuntimeError, match="spy"):
         rt.verify_fraud_proof(commitment, params, proof)
@@ -516,47 +561,45 @@ def test_a_fault_inside_the_fraud_verifier_propagates(fraud_case, monkeypatch):
 
 def honest_path(tree, u: int, x: int) -> cit.MembershipPath:
     """The membership path of symbol x of layer u, read off the tree's
-    digest rows: at each level up, the digests of the other children of
-    the parent the chain passes."""
+    rows: its ancestor at each layer up to the root layer."""
     geo = cit.geometry(tree.params, tree.block_len)
-    levels, cur = [], x
-    for w in range(u - 1, -1, -1):
-        s_par = geo.sys_counts[w]
-        hashes = tree.layers[w + 1].hashes
-        children = range(cur % s_par, geo.sizes[w + 1], s_par)
-        levels.append(tuple(hashes[k].tobytes() for k in children if k != cur))
-        cur %= s_par
-    return cit.MembershipPath(u, x, tuple(levels))
+    ancestors = tuple(
+        tree.layers[w].symbols[x % geo.sys_counts[w]].tobytes() for w in range(u - 1, -1, -1)
+    )
+    return cit.MembershipPath(u, x, ancestors)
 
 
-MEMBERSHIP_MUTATIONS = (
-    "honest", "layer", "index", "level_count", "sibling_count", "sibling_width",
-    "sibling_digest", "leaf_hash", "params", "root",
+# the kinds that change an ancestor, which a root-layer path has none of
+ANCESTOR_MUTATIONS = ("ancestor_count", "ancestor_width", "ancestor_byte", "ancestor_slot")
+MEMBERSHIP_MUTATIONS = ("honest", "layer", "index", "leaf_hash", "params", "root") + (
+    ANCESTOR_MUTATIONS
 )
 
 
 @st.composite
 def membership_claims(draw):
     """(kind, commitment, params, leaf hash, path): an honest claim, taken
-    from a fraud proof or read off a tree, or one differing
-    from it in the single field ``kind`` names."""
+    from a fraud proof or read off a tree at any layer, the root layer
+    included, or one differing from it in the single field ``kind``
+    names."""
     if draw(st.booleans()):
         commitment, params, proof = _fraud_case()
-        claims = [(sha256(m.value), m.path) for m in proof.members if m.path is not None]
+        claims = [(sha256(m.value), m.path) for m in proof.members]
         if proof.mismatch is not None:
             claims.append((proof.mismatch.expected_hash, proof.mismatch.path))
         leaf, path = draw(st.sampled_from(claims))
     else:
         tree = draw(st.sampled_from(TREES))
         commitment, params = tree.commitment, tree.params
-        u = draw(st.integers(1, tree.depth))
+        u = draw(st.integers(0, tree.depth))
         x = draw(st.integers(0, tree.sizes[u] - 1))
         leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
     geo = cit.geometry(params, commitment.block_len)
-    kind = draw(st.sampled_from(MEMBERSHIP_MUTATIONS))
-    levels = path.levels
-    j = draw(st.integers(0, len(levels) - 1))
-    k = draw(st.integers(0, len(levels[j]) - 1))
+    ancestors = path.ancestors
+    kinds = MEMBERSHIP_MUTATIONS if ancestors else MEMBERSHIP_MUTATIONS[:-len(ANCESTOR_MUTATIONS)]
+    kind = draw(st.sampled_from(kinds))
+    if ancestors:
+        j = draw(st.integers(0, len(ancestors) - 1))
     if kind == "layer":
         u = draw(st.integers(-1, geo.depth + 1).filter(lambda v: v != path.layer))
         path = dataclasses.replace(path, layer=u)
@@ -564,29 +607,27 @@ def membership_claims(draw):
         size = geo.sizes[path.layer]
         x = draw(st.integers(-1, size).filter(lambda v: v != path.index))
         path = dataclasses.replace(path, index=x)
-    elif kind == "level_count":
-        levels = levels[:-1] if draw(st.booleans()) else levels + (levels[-1],)
-        path = dataclasses.replace(path, levels=levels)
-    elif kind == "sibling_count":
-        sibs = levels[j][1:] if draw(st.booleans()) else levels[j] + (levels[j][0],)
-        path = dataclasses.replace(path, levels=_replace_at(levels, j, sibs))
-    elif kind == "sibling_digest":
-        sibs = _replace_at(levels[j], k, _flip(levels[j][k], draw(st.integers(0, 31))))
-        path = dataclasses.replace(path, levels=_replace_at(levels, j, sibs))
-    elif kind == "sibling_width":
-        sibs = levels[j]
+    elif kind == "ancestor_count":
+        ancestors = ancestors[:-1] if draw(st.booleans()) else ancestors + (ancestors[-1],)
+        path = dataclasses.replace(path, ancestors=ancestors)
+    elif kind == "ancestor_width":
+        ancestor = ancestors[j][:-1] if draw(st.booleans()) else ancestors[j] + b"\0"
+        path = dataclasses.replace(path, ancestors=_replace_at(ancestors, j, ancestor))
+    elif kind == "ancestor_byte":
+        ancestor = _flip(ancestors[j], draw(st.integers(0, len(ancestors[j]) - 1)))
+        path = dataclasses.replace(path, ancestors=_replace_at(ancestors, j, ancestor))
+    elif kind == "ancestor_slot":
+        # the running digest written at another slot of the ancestor too,
+        # or moved there
+        x = path.index
+        for w in range(path.layer - 1, path.layer - 1 - j, -1):
+            x %= geo.sys_counts[w]
+        pos = x // geo.sys_counts[path.layer - 1 - j]
+        k = draw(st.integers(0, params.batch - 1).filter(lambda k: k != pos))
+        ancestor = with_slot(ancestors[j], k, slot(ancestors[j], pos))
         if draw(st.booleans()):
-            sibs = _replace_at(sibs, k, sibs[k][:-1] if draw(st.booleans()) else sibs[k] + b"\0")
-        else:
-            # move one byte between two siblings that sit side by side in
-            # the joined q-tuple, so the joined bytes, and their digest, stay
-            x = path.index
-            for w in range(path.layer - 1, path.layer - 1 - j, -1):
-                x %= geo.sys_counts[w]
-            pos = x // geo.sys_counts[path.layer - 1 - j]
-            k = draw(st.sampled_from([k for k in range(len(sibs) - 1) if k + 1 != pos]))
-            sibs = sibs[:k] + (sibs[k][:-1], sibs[k][-1:] + sibs[k + 1]) + sibs[k + 2 :]
-        path = dataclasses.replace(path, levels=_replace_at(levels, j, sibs))
+            ancestor = with_slot(ancestor, pos, slot(ancestors[j], k))
+        path = dataclasses.replace(path, ancestors=_replace_at(ancestors, j, ancestor))
     elif kind == "leaf_hash":
         leaf = _flip(leaf, draw(st.integers(0, 31))) if draw(st.booleans()) else leaf[:-1]
     elif kind == "params":

@@ -76,9 +76,10 @@ class TestGeometry:
             assert cit.verify_symbol(tree.commitment, small_params, cit.sample_pom(tree, i))
 
     def test_build_tree_hashes_each_row_once(self, small_block, small_params, monkeypatch):
-        # every row of every layer is hashed once for Layer.hashes, and each
-        # parent's joined q child digests once for its value; aggregation
-        # reads the child layer's digests instead of hashing its rows again
+        # every row of every layer is hashed once, for Layer.hashes; a
+        # parent is its q child digests, read from the child layer's digests
+        # without hashing its rows again, and the commitment is the root
+        # layer's digests
         hashed = []
         real = cit.sha256
         monkeypatch.setattr(cit, "sha256", lambda data: hashed.append(bytes(data)) or real(data))
@@ -86,13 +87,13 @@ class TestGeometry:
         monkeypatch.undo()
         geo = cit.geometry(small_params, len(small_block))
         rows = [row.tobytes() for layer in tree.layers for row in layer.symbols]
-        joined = [
-            tree.layers[u + 1].hashes[k::s].tobytes()
-            for u, s in enumerate(geo.sys_counts[:-1])
-            for k in range(s)
-        ]
-        assert sorted(hashed) == sorted(rows + joined)
-        assert len(hashed) == sum(geo.sizes) + sum(geo.sys_counts[:-1])
+        assert sorted(hashed) == sorted(rows)
+        assert len(hashed) == sum(geo.sizes)
+        for u, s in enumerate(geo.sys_counts[:-1]):
+            for k in range(s):
+                joined = tree.layers[u + 1].hashes[k::s].tobytes()
+                assert tree.layers[u].symbols[k].tobytes() == joined
+        assert tree.commitment.root == tuple(sha256(row) for row in rows[: geo.sizes[0]])
 
     def test_commitment_binds_every_byte(self, small_block, small_params):
         tree = cit.build_tree(small_block, small_params)
@@ -165,30 +166,30 @@ class TestMembership:
         assert cit.verify_symbol(tree.commitment, small_params, pom)
 
     def test_tampered_sibling_fails(self, small_tree, small_params):
+        # a sibling digest is a slot of the ancestor other than the one the
+        # chain's own digest sits at: base 15 climbs through parent 3 of
+        # layer 2, at slot 3, and that through parent 1 of layer 1, at slot 1
         pom = cit.sample_pom(small_tree, 15)
-        levels = list(pom.levels)
-        row = list(levels[1])
-        row[2] = bytes(32)
-        levels[1] = tuple(row)
-        bad = dataclasses.replace(pom, levels=tuple(levels))
+        ancestor = pom.ancestors[1]
+        ancestor = ancestor[:64] + bytes(32) + ancestor[96:]
+        bad = dataclasses.replace(pom, ancestors=(pom.ancestors[0], ancestor, pom.ancestors[2]))
         assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
 
     def test_tampered_pair_value_fails(self, small_tree, small_params):
         pom = cit.sample_pom(small_tree, 15)
-        for slot in (2, 3):  # systematic value, parity value
-            pairs = list(pom.pairs)
-            entry = list(pairs[0])
-            entry[slot] = sha256(b"not the value")
-            pairs[0] = tuple(entry)
-            bad = dataclasses.replace(pom, pairs=tuple(pairs))
+        forged = sha256(b"not the value") * small_params.batch
+        for field in ("ancestors", "parities"):
+            symbols = getattr(pom, field)
+            bad = dataclasses.replace(pom, **{field: (forged,) + symbols[1:]})
             assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
 
     def test_perturbed_indices_fail(self, small_tree, small_params):
+        # the proof stores no index but its base index: the parity symbol
+        # one index past the sampled one, with its true value, fails
         pom = cit.sample_pom(small_tree, 15)
-        pairs = list(pom.pairs)
-        p, e, pv, ev = pairs[1]
-        pairs[1] = (p, e + 1, pv, ev)
-        bad = dataclasses.replace(pom, pairs=tuple(pairs))
+        e = cit.geometry(small_params, small_tree.block_len).pom_pairs(15)[1][1]
+        moved = small_tree.layers[1].symbols[e + 1].tobytes()
+        bad = dataclasses.replace(pom, parities=(pom.parities[0], moved))
         assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
 
     def test_tampered_base_symbol_fails(self, small_tree, small_params):
@@ -242,7 +243,7 @@ def test_digest_layers_encode_as_encode_array_does():
     """``build_tree``'s int encoder gives ``codec.encode_array``'s rows for
     the code of every digest layer of the geometry grid, ungated (the gate
     only picks among seeds), on rows with leading zero bytes, all-zero
-    rows and an all-zero layer, each kept 32 bytes wide."""
+    rows and an all-zero layer, each kept q * 32 bytes wide."""
     rng = np.random.default_rng(16)
     seen = set()
     for params in grid_params():
@@ -259,11 +260,12 @@ def test_digest_layers_encode_as_encode_array_does():
                 seen.add(key)
                 code = cit.layer_code(ungated, m)
                 k = code.n_systematic
-                rows = rng.integers(0, 256, (k, 32), dtype=np.uint8)
-                for i, lead in enumerate(rng.integers(0, 33, k)):
-                    rows[i, :lead] = 0  # lead 32 is an all-zero row
+                width = params.batch * 32
+                rows = rng.integers(0, 256, (k, width), dtype=np.uint8)
+                for i, lead in enumerate(rng.integers(0, width + 1, k)):
+                    rows[i, :lead] = 0  # lead == width is an all-zero row
                 for inputs in (rows, np.zeros_like(rows)):
                     got = cit._encode_digests(code, inputs)
-                    assert [len(row) for row in got] == [32] * m
+                    assert [len(row) for row in got] == [width] * m
                     assert b"".join(got) == encode_array(code, inputs).tobytes()
     assert len(seen) >= 60

@@ -178,7 +178,7 @@ class TestCommitVerifyRetrieve:
 
     @pytest.mark.parametrize("num,den", [(5, 4), (1, 0)], ids=["rate_5_4", "den_zero"])
     def test_hostile_rate_bytes_exit_params(self, workdir, num, den):
-        # DAC1 layout: magic(4) symbol_size u64 root_size u32, then the rate
+        # DAC2 layout: magic(4) symbol_size u64 root_size u32, then the rate
         # as u32 numerator and u32 denominator at offset 16
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
@@ -206,7 +206,7 @@ class TestCommitVerifyRetrieve:
         assert not (d / "p.bin").exists()
 
     def test_hostile_gate_trials_exit_params(self, workdir):
-        # gate_trials is the u32 at offset 52 of a DAC1 commitment
+        # gate_trials is the u32 at offset 52 of a DAC2 commitment
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
             "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
@@ -242,7 +242,7 @@ class TestCommitVerifyRetrieve:
 
     def test_oversized_base_layers_exit_params(self, workdir, capsys):
         # the two routes to a huge base layer: a DAT1's rate and root size
-        # (1/4097 over 512 bytes, 32776 symbols) and a DAC1's block_len
+        # (1/4097 over 512 bytes, 32776 symbols) and a DAC2's block_len
         # (2^30 bytes of 64-byte symbols, 2^26 symbols)
         d = workdir
         params = cit.TreeParams(**json.loads((d / "tree_params.json").read_text()))
@@ -581,13 +581,13 @@ class TestBadJsonInput:
 # each hostile format goes to every command that reads it, with valid files
 # for the other arguments
 HOSTILE_COMMANDS = {
-    "DAC1": (
+    "DAC2": (
         lambda d, x: ("verify", "--commitment", x, "--pom", d / "p.bin"),
         lambda d, x: ("retrieve", "--commitment", x, "--chunks", d / "all.bundle",
                       "--out-block", d / "out.bin"),
     ),
-    "DAP1": (lambda d, x: ("verify", "--commitment", d / "c.bin", "--pom", x),),
-    "DAB1": (
+    "DAP2": (lambda d, x: ("verify", "--commitment", d / "c.bin", "--pom", x),),
+    "DAB2": (
         lambda d, x: ("retrieve", "--commitment", d / "c.bin", "--chunks", x,
                       "--out-block", d / "out.bin"),
     ),
@@ -611,7 +611,7 @@ def valid_cli_files(tmp_path_factory, small_block):
                "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin") == cli.EXIT_OK
     assert run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin") == cli.EXIT_OK
     assert run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle") == cli.EXIT_OK
-    files = {"DAC1": "c.bin", "DAP1": "p.bin", "DAB1": "all.bundle", "DAT1": "t.bin"}
+    files = {"DAC2": "c.bin", "DAP2": "p.bin", "DAB2": "all.bundle", "DAT1": "t.bin"}
     return d, {kind: (d / name).read_bytes() for kind, name in files.items()}
 
 
@@ -628,13 +628,30 @@ def test_hostile_files_exit_with_a_documented_code(valid_cli_files, case):
         assert code in EXIT_CODES, (kind, argv(d, x)[0], code)
 
 
+@pytest.mark.parametrize("retired", ("DAC1", "DAP1", "DAB1", "DAF1"))
+def test_a_retired_magic_exits_params(valid_cli_files, retired):
+    """A file of a replaced layout is not read as the current one: each
+    valid file that ``verify`` or ``retrieve --chunks`` reads, behind a
+    retired magic, is a bad parameter with one ``error:`` line."""
+    d, valid = valid_cli_files
+    x = d / "retired.bin"
+    for kind in ("DAC2", "DAP2", "DAB2"):
+        x.write_bytes(retired.encode() + valid[kind][4:])
+        for argv in HOSTILE_COMMANDS[kind]:
+            code, err = quiet_run(*argv(d, x))
+            assert code == cli.EXIT_PARAMS, (retired, kind, argv(d, x)[0])
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "name,offset,fmt,values",
     [("c.bin", 16, "<III", (2, 3, 6)), ("t.bin", 28, "<I", (1,))],
     ids=["commitment_rate_2_3", "tree_cache_degree_1"],
 )
 def test_params_without_layer_codes_exit_params(workdir, capsys, name, offset, fmt, values):
-    # DAC1 and DAT1 share the tree-parameter layout: u32 rate num at offset
+    # DAC2 and DAT1 share the tree-parameter layout: u32 rate num at offset
     # 16, den at 20, batch at 24 and max_eq_degree at 28
     d = workdir
     run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",

@@ -126,7 +126,7 @@ def u32s(lo=1, hi=U32_MAX):
 @st.composite
 def u32_shapes(draw):
     """(tree knobs, block_len) with the rate, batch and root size drawn from
-    the u32 fields a DAC1 or DAT1 file carries them in. Most draws are
+    the u32 fields a DAC2 or DAT1 file carries them in. Most draws are
     shapes: rate 1/e, batch and root multiples of e and a block that
     fills a base of root * (batch / e)^levels symbols, whose sizes are all
     integral, so that only the base cap can reject them."""
@@ -237,40 +237,29 @@ def mutated_proofs(draw, trees=TREES):
     pom = cit.sample_pom(tree, draw(st.integers(0, m - 1)))
     kind = draw(
         st.sampled_from(
-            ("base_index", "pair_index", "pair_value", "sibling", "sibling_count",
-             "level_count", "pair_count", "base_symbol", "block_len")
+            ("base_index", "ancestor", "ancestor_count", "parity", "parity_count",
+             "base_symbol", "block_len")
         )
     )
     if kind == "base_index":
         i = draw(st.integers(-2, m + 2).filter(lambda v: v != pom.base_index))
         return tree, pom, dataclasses.replace(pom, base_index=i)
-    if kind in ("pair_index", "pair_value"):
-        j = draw(st.integers(0, len(pom.pairs) - 1))
-        slot = draw(st.integers(0, 1)) + (2 if kind == "pair_value" else 0)
-        entry = list(pom.pairs[j])
-        if kind == "pair_index":
-            entry[slot] = draw(st.integers(-1, tree.sizes[-2] + 1).filter(lambda v: v != entry[slot]))
-        elif draw(st.booleans()):
-            entry[slot] = _flip(entry[slot], draw(st.integers(0, 31)))
+    fields = {"ancestor": "ancestors", "parity": "parities"}
+    if kind in fields:
+        field = fields[kind]
+        symbols = getattr(pom, field)
+        j = draw(st.integers(0, len(symbols) - 1))
+        how = draw(st.sampled_from(("flip", "shorter", "longer")))
+        if how == "flip":
+            new = _flip(symbols[j], draw(st.integers(0, len(symbols[j]) - 1)))
         else:
-            entry[slot] = entry[slot][:-1]
-        return tree, pom, dataclasses.replace(pom, pairs=_replace_at(pom.pairs, j, tuple(entry)))
-    if kind in ("sibling", "sibling_count"):
-        j = draw(st.integers(0, len(pom.levels) - 1))
-        sibs = pom.levels[j]
-        if kind == "sibling":
-            k = draw(st.integers(0, len(sibs) - 1))
-            new = _flip(sibs[k], draw(st.integers(0, 31))) if draw(st.booleans()) else sibs[k] + b"\0"
-            sibs = _replace_at(sibs, k, new)
-        else:
-            sibs = sibs[1:] if draw(st.booleans()) else sibs + (sibs[0],)
-        return tree, pom, dataclasses.replace(pom, levels=_replace_at(pom.levels, j, sibs))
-    if kind == "level_count":
-        levels = pom.levels[:-1] if draw(st.booleans()) else pom.levels + (pom.levels[-1],)
-        return tree, pom, dataclasses.replace(pom, levels=levels)
-    if kind == "pair_count":
-        pairs = pom.pairs[:-1] if draw(st.booleans()) else pom.pairs + (pom.pairs[-1],)
-        return tree, pom, dataclasses.replace(pom, pairs=pairs)
+            new = symbols[j][:-1] if how == "shorter" else symbols[j] + b"\0"
+        return tree, pom, dataclasses.replace(pom, **{field: _replace_at(symbols, j, new)})
+    if kind in ("ancestor_count", "parity_count"):
+        field = fields[kind[: -len("_count")]]
+        symbols = getattr(pom, field)
+        symbols = symbols[:-1] if draw(st.booleans()) else symbols + (symbols[-1],)
+        return tree, pom, dataclasses.replace(pom, **{field: symbols})
     if kind == "base_symbol":
         at = draw(st.integers(0, len(pom.base_symbol) - 1))
         return tree, pom, dataclasses.replace(pom, base_symbol=_flip(pom.base_symbol, at))
@@ -329,9 +318,8 @@ def test_no_fraction_work_on_proof_paths_once_the_geometry_is_cached(monkeypatch
     assert isinstance(out, rt.Fraud)
     assert rt.verify_fraud_proof(corrupted.commitment, params, out.proof)
     for member in out.proof.members:
-        if member.path is not None:
-            assert cit.verify_membership(
-                corrupted.commitment, params, cit.sha256(member.value), member.path
-            )
+        assert cit.verify_membership(
+            corrupted.commitment, params, cit.sha256(member.value), member.path
+        )
     monkeypatch.undo()
     assert used == []

@@ -2,13 +2,9 @@
 (``tests/reference_peel.py``): reconstructions, ``codec.peel_decode`` and
 the alpha gate give the same answers, and the gate accepts the same codes.
 
-Reconstructions run on trees whose layers violate their codes at random
-places, from random chunk subsets, and on a code with a planted stopping
-set, so every outcome kind and the unprovable path occur. Some cases drop
-committed sibling tuples, so that some contradictions cannot be proven: a
-dropped tuple goes with every tuple below it, as when every chunk whose
-proof climbs through it is lost, so what is left stays upward-closed like
-any harvest.
+Reconstructions run on trees whose layers, the root layer included,
+violate their codes at random places, from random chunk subsets, and on a
+code with a planted stopping set, so every outcome kind occurs.
 """
 
 import hashlib
@@ -63,7 +59,7 @@ def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
         layers[u] = cit.Layer(cur, cit._hash_rows(cur), code)
         if u:
             inputs = cit.aggregate(layers[u].hashes, geo.sizes[u - 1], params)
-    root = tuple(row.tobytes() for row in layers[0].symbols)
+    root = tuple(row.tobytes() for row in layers[0].hashes)
     return cit.CodedTree(
         params,
         tuple(layers[u] for u in range(geo.depth + 1)),
@@ -72,44 +68,21 @@ def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
     )
 
 
-def outcome(reconstructor, drop):
-    """What a reconstruction returns or raises, in comparable form, with the
-    unprovable flag it ends with."""
-    for key in drop:
-        reconstructor.tuples.pop(key, None)
+def outcome(reconstructor):
+    """What a reconstruction returns or raises, in comparable form."""
     try:
         out = reconstructor.run()
     except BadCode as err:
-        got = ("bad code", str(err), err.layer, err.layer_size, err.known_fraction,
-               err.unknown, err.code_seed)
-    else:
-        if isinstance(out, rt.Fraud):
-            got = ("fraud", encode_fraud_proof(out.proof))
-        elif isinstance(out, rt.Block):
-            got = ("block", out.data)
-        else:
-            got = ("insufficient", out.known_fractions)
-    return got, reconstructor.unprovable
+        return ("bad code", str(err), err.layer, err.layer_size, err.known_fraction,
+                err.unknown, err.code_seed)
+    if isinstance(out, rt.Fraud):
+        return ("fraud", encode_fraud_proof(out.proof))
+    if isinstance(out, rt.Block):
+        return ("block", out.data)
+    return ("insufficient", out.known_fractions)
 
 
-def with_tuples_below(keys, picked, sys_counts):
-    """The tuple keys among ``keys`` at or below a picked one: (w, p) is
-    below (v, a) when the climb from parent p of layer w passes parent a
-    of layer v."""
-    out = set()
-    for key in keys:
-        w, p = key
-        chain = {key}
-        while w > 0:
-            w -= 1
-            p %= sys_counts[w]
-            chain.add((w, p))
-        if chain & picked:
-            out.add(key)
-    return out
-
-
-def both(which, flips, keep, drop_every):
+def both(which, flips, keep):
     """Run the engine's and the reference reconstructor on one case."""
     params, block_len = PARAMS[which], BLOCK_LENS[which]
     block = bytes((i * 37 + 11) % 256 for i in range(block_len))
@@ -117,17 +90,15 @@ def both(which, flips, keep, drop_every):
     chunks = chunkset_for(tree, keep)
     new = rt._Reconstructor(tree.commitment, params, chunks)
     old = ref.Reconstructor(tree.commitment, params, chunks)
-    assert new.tuples == old.tuples
-    picked = set(sorted(new.tuples)[::drop_every] if drop_every else ())
-    drop = with_tuples_below(set(new.tuples), picked, new.sys_counts)
-    return outcome(new, drop), outcome(old, drop), tree
+    assert new.values == old.values
+    return outcome(new), outcome(old), tree
 
 
 def make_case(pick):
     """One reconstruction case, from ``pick(lo, hi)`` returning an int in
     [lo, hi]: a parameter set, up to three flipped symbols at random
-    layers, a chunk subset (for the planted code, often everything outside
-    its stopping set) and which committed tuples to drop."""
+    layers, and a chunk subset (for the planted code, often everything
+    outside its stopping set)."""
     which = pick(0, len(PARAMS) - 1)
     geo = cit.geometry(PARAMS[which], BLOCK_LENS[which])
     flips = {}
@@ -139,7 +110,7 @@ def make_case(pick):
         keep = {i for i in range(n) if i not in BAD_BASE_STOPPING_SET}
     else:
         keep = {pick(0, n - 1) for _ in range(pick(1, 2 * n))}
-    return which, flips, sorted(keep), (0, 0, 1, 2, 5)[pick(0, 4)]
+    return which, flips, sorted(keep)
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,42 +121,26 @@ def test_reconstruction_matches_the_reference(data):
     assert new == old
 
 
-def test_reconstruction_cases_reach_every_outcome(monkeypatch):
-    """A seeded sweep over the same cases meets every outcome kind, both
-    fraud flavours and the unprovable path, all equal to the reference;
-    some cases are made unprovable by the aggregation check, on a parent
-    without a collected tuple, where the reference re-aggregates every
-    parent."""
-    check = rt._Reconstructor._check_aggregation
-    flagged = []
-
-    def spy(self, u, rows):
-        before = self.unprovable
-        check(self, u, rows)
-        if self.unprovable and not before:
-            flagged.append(u)
-
-    monkeypatch.setattr(rt._Reconstructor, "_check_aggregation", spy)
+def test_reconstruction_cases_reach_every_outcome():
+    """A seeded sweep over the same cases meets every outcome kind and both
+    fraud flavours, at the root layer as below it, all equal to the
+    reference, and every fraud proof verifies."""
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(200):
         case = make_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
-        flagged.clear()
         new, old, tree = both(*case)
-        if flagged:
-            seen.add("aggregation mismatch")
         assert new == old
-        (kind, *rest), unprovable = new
+        kind, *rest = new
         if kind == "fraud":
             proof = decode_fraud_proof(rest[0])
             assert rt.verify_fraud_proof(tree.commitment, tree.params, proof)
             kind = "equation fraud" if proof.mismatch is None else "mismatch fraud"
+            if proof.layer == 0:
+                seen.add("root fraud")
         seen.add(kind)
-        if unprovable:
-            seen.add("unprovable")
     assert seen >= {
-        "block", "equation fraud", "mismatch fraud", "insufficient", "bad code", "unprovable",
-        "aggregation mismatch",
+        "block", "equation fraud", "mismatch fraud", "insufficient", "bad code", "root fraud",
     }
 
 

@@ -74,11 +74,10 @@ class TestRoundTrip:
     def test_each_base_row_is_hashed_once(
         self, small_tree, small_block, small_params, monkeypatch, every
     ):
-        # ingest hashes each delivered base symbol, a peel solve hashes the
-        # symbol it checks against its parent's collected tuple, and the
-        # aggregation check hashes only the rows under parents without one;
-        # 64-byte inputs are exactly the base rows here (digests are 32
-        # bytes and the joined q-tuples 8 x 32)
+        # ingest hashes each delivered base symbol, and a peel solve hashes
+        # the symbol it checks against its slot in its decoded parent;
+        # 64-byte inputs are exactly the base rows here (the symbols above
+        # the base are q = 8 digests, 256 bytes)
         m = small_tree.sizes[-1]
         chunks = chunkset_for(small_tree, [i for i in range(m) if every == 1 or i % every])
         hashed = []
@@ -91,11 +90,12 @@ class TestRoundTrip:
         assert isinstance(out, rt.Block) and out.data == small_block
         assert hashed.count(small_params.symbol_size) == m
 
-    def test_every_chunk_delivered_hashes_nothing_after_ingest(self, monkeypatch):
-        # every base chunk's proof delivers every symbol of every layer and
-        # every parent's tuple, so each symbol is certified at ingest and no
-        # parent is re-aggregated (re-aggregating each would take 255 join
-        # hashes on this geometry)
+    def test_every_chunk_delivered_hashes_only_root_parities(self, monkeypatch):
+        # every base chunk's proof delivers every symbol of every layer
+        # below the root and every root systematic symbol, so each is
+        # certified at ingest; the root layer's parity symbols, which no
+        # proof carries, are the only solves, each hashed once against the
+        # commitment
         params = family(1024)
         block = np.random.default_rng(3).bytes(256 * 1024)
         tree = cit.build_tree(block, params)
@@ -105,7 +105,8 @@ class TestRoundTrip:
         monkeypatch.setattr(rt, "sha256", lambda data: hashed.append(len(data)) or real(data))
         out = rt.reconstruct(tree.commitment, params, chunks)
         assert isinstance(out, rt.Block) and out.data == block
-        assert hashed == []
+        t, s_root = params.root_size, params.root_size // params.rate.denominator
+        assert hashed == [params.batch * HASH_BYTES] * (t - s_root)
 
     @pytest.mark.parametrize("field", ["index", "symbol"])
     def test_a_unit_that_disagrees_with_its_proof_is_skipped(
@@ -251,8 +252,8 @@ class TestFraud:
 @lru_cache(maxsize=None)
 def fraud_flavours():
     """{name: (commitment, params, proof)}: an equation fraud on the base
-    layer, a mismatch fraud on the base layer, and an equation fraud on the
-    root layer, whose members carry no paths."""
+    layer, a mismatch fraud on the base layer, and a mismatch fraud on the
+    root layer, whose members and mismatch carry empty paths."""
     params = cit.TreeParams(**SMALL)
     block = bytes((i * 37 + 11) % 256 for i in range(512))
     cases = (
@@ -262,7 +263,8 @@ def fraud_flavours():
             build_tree_with_base_corruption(block, params, corrupt_index=3, xor_mask=0x77),
             [i for i in range(32) if i != 3],
         ),
-        # root symbol 1 is a parity symbol and no proof climbs through it
+        # root symbol 1 is a parity symbol, which no proof carries: it is
+        # solved, and misses its committed digest
         ("root", tampered_tree(block, params, {0: [(1, 0x5A)]}), range(32)),
     )
     out = {}
@@ -272,7 +274,7 @@ def fraud_flavours():
     depth = cit.geometry(params, 512).depth
     assert out["equation"][2].layer == depth and out["equation"][2].mismatch is None
     assert out["mismatch"][2].layer == depth and out["mismatch"][2].mismatch is not None
-    assert out["root"][2].layer == 0 and out["root"][2].mismatch is None
+    assert out["root"][2].layer == 0 and out["root"][2].mismatch is not None
     return out
 
 
@@ -288,7 +290,7 @@ FRAUD_MUTATIONS = [
     (flavour, kind)
     for flavour in ("equation", "mismatch", "root")
     for kind in MEMBER_MUTATIONS
-    + (MISMATCH_MUTATIONS if flavour == "mismatch" else ("add_mismatch",))
+    + (MISMATCH_MUTATIONS if flavour != "equation" else ("add_mismatch",))
 ]
 
 
@@ -302,7 +304,7 @@ def mutate_fraud(kind, commitment, params, proof, draw):
     j = draw(st.integers(0, len(members) - 1))
     member = members[j]
     other_path = draw(st.sampled_from(
-        [m.path for m in members if m.index != member.index] + [mm.path if mm else None]
+        [m.path for m in members if m.index != member.index] + ([mm.path] if mm else [])
     ))
     replace = dataclasses.replace
     if kind == "layer_out_of_range":
@@ -331,15 +333,13 @@ def mutate_fraud(kind, commitment, params, proof, draw):
         value = _flip(member.value, draw(st.integers(0, len(member.value) - 1)))
         return replace(proof, members=_replace_at(members, j, replace(member, value=value)))
     if kind == "member_path":
-        # a root-layer member carries no path; any other needs its own
-        path = cit.MembershipPath(0, member.index, ()) if member.path is None else other_path
-        return replace(proof, members=_replace_at(members, j, replace(member, path=path)))
+        # every member needs its own path
+        return replace(proof, members=_replace_at(members, j, replace(member, path=other_path)))
     if kind == "drop_member":
         return replace(proof, members=members[:j] + members[j + 1:])
     if kind == "add_mismatch":
         index = draw(st.sampled_from(eq))
-        path = member.path or cit.MembershipPath(0, index, ())
-        return replace(proof, mismatch=rt.HashMismatch(index, sha256(member.value), path))
+        return replace(proof, mismatch=rt.HashMismatch(index, sha256(member.value), member.path))
     if kind == "drop_mismatch":
         return replace(proof, mismatch=None)
     if kind == "mismatch_index":
@@ -355,14 +355,15 @@ def mutate_fraud(kind, commitment, params, proof, draw):
         digest = _flip(mm.expected_hash, draw(st.integers(0, HASH_BYTES - 1)))
         return replace(proof, mismatch=replace(mm, expected_hash=digest))
     assert kind == "mismatch_path"
-    levels = mm.path.levels
-    k = draw(st.integers(0, len(levels) - 1))
-    sibs = _replace_at(levels[k], 0, _flip(levels[k][0], draw(st.integers(0, HASH_BYTES - 1))))
-    flipped = replace(mm.path, levels=_replace_at(levels, k, sibs))
+    paths = [m.path for m in members]
+    ancestors = mm.path.ancestors
+    if ancestors:
+        k = draw(st.integers(0, len(ancestors) - 1))
+        flipped = _flip(ancestors[k], draw(st.integers(0, len(ancestors[k]) - 1)))
+        paths.append(replace(mm.path, ancestors=_replace_at(ancestors, k, flipped)))
     # any path but the mismatch's own: the members' paths are for other
     # indices
-    path = draw(st.sampled_from([flipped, None] + [m.path for m in members]))
-    return replace(proof, mismatch=replace(mm, path=path))
+    return replace(proof, mismatch=replace(mm, path=draw(st.sampled_from(paths))))
 
 
 @pytest.mark.parametrize("flavour, kind", FRAUD_MUTATIONS)
@@ -400,16 +401,15 @@ class TestProofSize:
 
     @staticmethod
     def formula(params, block_len):
+        # an equation fraud carries the d member values, each with its
+        # ancestor at every layer above: q digests per layer
         levels = math.log(
             block_len
             / (params.symbol_size * params.root_size * float(params.rate)),
             params.batch * float(params.rate),
         )
-        return (params.max_eq_degree - 1) * params.symbol_size + (
-            params.max_eq_degree
-            * HASH_BYTES
-            * (params.batch - 1)
-            * levels
+        return params.max_eq_degree * (
+            params.symbol_size + HASH_BYTES * params.batch * levels
         )
 
     def test_reference_tree_within_ten_percent(self, small_block, small_params):
@@ -424,7 +424,7 @@ class TestProofSize:
         proof = self.degree_d_fraud(params, block)
         measured = rt.fraud_proof_size(proof)
         expect = self.formula(params, len(block))
-        one_path = params.symbol_size + HASH_BYTES * (params.batch - 1) * 5
+        one_path = params.symbol_size + HASH_BYTES * params.batch * 5
         assert abs(measured - expect) <= one_path
 
     def test_smallest_equation_degree_two(self, small_params):

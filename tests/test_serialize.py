@@ -1,8 +1,11 @@
 """Byte-exact golden vectors and round trips for the wire formats."""
 
 import hashlib
+import re
 import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,18 +13,23 @@ from hypothesis import strategies as st
 from daoracle import cit, retrieval as rt, serialize as sz
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
-from daoracle.util import as_rate
+from daoracle.util import HASH_BYTES, as_rate
 
 from conftest import chunkset_for
 from hostile import hostile, hostile_files, time_bound
+from test_withholding import PARAMS as HONEST_ROUND_PARAMS
 
 # frozen digests of the canonical encodings for the reference tree; any
 # change to the wire layout must update these deliberately
-GOLDEN_COMMITMENT = "d46ccbe1240c6e05f5ce297622f2bf722c2c40ec6868386dc3ee58d90a499074"
-GOLDEN_POM_15 = "7fab6325af2d9eae0b369c79d47f6457bc31d3244869c5f0e88acc5459ccf2ba"
-GOLDEN_FRAUD = "1ee31c4db835689d7553871c3f58ff7858a5042f26d06ddac1821abe22031187"
-# DAB1 bundle of every base symbol of the reference tree, in index order
-GOLDEN_BUNDLE = "4ea32393d8e018b3256a4d6bc8be0200021b1cc8afd0f009acf87388c92a2b83"
+GOLDEN_COMMITMENT = "cc5194c959cf883da69cf38c8963eeadb668748fbe00a85440dbe760904d65de"
+GOLDEN_POM_15 = "c0f27db58497c81ee1dd4ceabc11f1f6c3802c34476267d5cd33d0de42425008"
+GOLDEN_FRAUD = "83d553631d4c0f6b8e067ec21a88397cea5b9a4bd9f525d8e653024e72945b41"
+# DAB2 bundle of every base symbol of the reference tree, in index order
+GOLDEN_BUNDLE = "21bb8ee3e95282d613475448bd4394516d090d0b2b64b54149259abfa3d8b2e5"
+# a DAP2 proof's fixed fields: magic, base index, block length, symbol
+# length, and the u16 count and u32 width before its ancestors and before
+# its parity symbols
+POM_HEADER = 4 + 3 * 8 + 2 * (2 + 4)
 
 
 def sha(data: bytes) -> str:
@@ -40,6 +48,24 @@ def test_pom_golden_and_round_trip(small_tree):
     blob = sz.encode_pom(pom)
     assert sha(blob) == GOLDEN_POM_15
     assert sz.decode_pom(blob) == pom
+
+
+@pytest.mark.parametrize("shape", ("small", "round"))
+def test_pom_size_is_the_header_and_2L_minus_1_symbols_above_the_base(small_tree, shape):
+    """A proof holds its base symbol, its ancestor at each of the L layers
+    above the base and its parity symbol at each of the L - 1 below the
+    root: c + (2L - 1) q 32 bytes behind the fixed header, at every base
+    index."""
+    if shape == "small":
+        tree = small_tree
+    else:
+        block = np.random.default_rng(0).bytes(256 * 1024)
+        tree = cit.build_tree(block, HONEST_ROUND_PARAMS)
+    p, depth = tree.params, tree.depth
+    want = POM_HEADER + p.symbol_size + (2 * depth - 1) * p.batch * HASH_BYTES
+    for pom in cit.sample_poms(tree, range(0, tree.sizes[-1], 7)):
+        assert len(sz.encode_pom(pom)) == want
+    assert (shape, depth, want) in (("small", 3, 1384), ("round", 8, 4904))
 
 
 def test_fraud_proof_golden(small_block, small_params):
@@ -65,7 +91,7 @@ def bundle_units(tree, indices):
 
 def test_chunk_bundle_golden(small_tree):
     blob = sz.encode_chunk_bundle(bundle_units(small_tree, range(small_tree.sizes[-1])))
-    assert len(blob) == 30152
+    assert len(blob) == 4 + 4 + 32 * (8 + 1384)
     assert sha(blob) == GOLDEN_BUNDLE
 
 
@@ -76,8 +102,8 @@ def test_chunk_bundle_round_trip_over_unit_subsets(small_tree, data):
     picks = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
     units = bundle_units(small_tree, picks)
     blob = sz.encode_chunk_bundle(units)
-    # a bundle is its units' DAP1 proofs, each behind a u64 length
-    assert blob == b"DAB1" + struct.pack("<I", len(units)) + b"".join(
+    # a bundle is its units' DAP2 proofs, each behind a u64 length
+    assert blob == b"DAB2" + struct.pack("<I", len(units)) + b"".join(
         struct.pack("<Q", len(pom)) + pom for pom in map(sz.encode_pom, (u[2] for u in units))
     )
     assert sz.decode_chunk_bundle(blob) == units
@@ -110,7 +136,7 @@ def test_truncation_detected(small_tree):
 
 @pytest.mark.parametrize("num,den", [(5, 4), (1, 0), (0, 4), (4, 4)])
 def test_hostile_rate_bytes_raise_parameter_error(small_tree, num, den):
-    # the rate sits at offset 16 of a DAC1 commitment: u32 num, u32 den
+    # the rate sits at offset 16 of a DAC2 commitment: u32 num, u32 den
     blob = bytearray(sz.encode_commitment(small_tree.commitment))
     blob[16:24] = struct.pack("<II", num, den)
     with pytest.raises(ParameterError):
@@ -121,7 +147,7 @@ def test_hostile_rate_bytes_raise_parameter_error(small_tree, num, den):
     "offset,fmt,values", [(16, "<III", (2, 3, 6)), (28, "<I", (1,))], ids=["rate_2_3", "degree_1"]
 )
 def test_params_without_layer_codes_raise_parameter_error(small_tree, offset, fmt, values):
-    # DAC1 tree parameters: u32 rate num at offset 16, den at 20, batch at
+    # DAC2 tree parameters: u32 rate num at offset 16, den at 20, batch at
     # 24, max_eq_degree at 28; rate 2/3 at batch 6 shrinks each layer by the
     # integer 4 and a degree cap of 1 is a plain u32, but no layer code
     # exists for either
@@ -133,7 +159,7 @@ def test_params_without_layer_codes_raise_parameter_error(small_tree, offset, fm
 
 @pytest.mark.parametrize("hash_size", [0, 31, 33, 2**32 - 1])
 def test_hash_size_other_than_32_raises_parameter_error(small_tree, hash_size):
-    # u32 hash_size at offset 40 of a DAC1 commitment has one legal value
+    # u32 hash_size at offset 40 of a DAC2 commitment has one legal value
     blob = bytearray(sz.encode_commitment(small_tree.commitment))
     assert struct.unpack_from("<I", blob, 40) == (32,)
     struct.pack_into("<I", blob, 40, hash_size)
@@ -145,7 +171,7 @@ def test_hash_size_other_than_32_raises_parameter_error(small_tree, hash_size):
 @pytest.mark.parametrize("which", ["commitment", "tree_cache"])
 def test_hostile_gate_counts_raise_parameter_error(small_tree, small_block, offset, which):
     # gate_trials and max_code_attempts are the last two u32 fields of the
-    # tree parameters, at offsets 52 and 56 of a DAC1 or DAT1 file; a count
+    # tree parameters, at offsets 52 and 56 of a DAC2 or DAT1 file; a count
     # of 2^32 - 1 would drive billions of gate trials, so decoding rejects
     # it before any code is generated
     if which == "commitment":
@@ -183,10 +209,10 @@ def test_as_rate_rejects_with_parameter_error(value):
 
 # every decoder, with one valid file of its format for the fuzz below
 DECODERS = {
-    "DAC1": sz.decode_commitment,
-    "DAP1": sz.decode_pom,
-    "DAF1": sz.decode_fraud_proof,
-    "DAB1": sz.decode_chunk_bundle,
+    "DAC2": sz.decode_commitment,
+    "DAP2": sz.decode_pom,
+    "DAF2": sz.decode_fraud_proof,
+    "DAB2": sz.decode_chunk_bundle,
     "DAT1": sz.decode_tree_cache,
 }
 # wall-clock bound on one decode; valid files here decode in well under a
@@ -200,10 +226,10 @@ def valid_files(small_tree, small_block, small_params):
     bad = build_tree_with_base_corruption(small_block, small_params, xor_mask=0x5A)
     fraud = rt.reconstruct(bad.commitment, small_params, chunkset_for(bad, range(32)))
     return {
-        "DAC1": sz.encode_commitment(small_tree.commitment),
-        "DAP1": sz.encode_pom(cit.sample_pom(small_tree, 15)),
-        "DAF1": sz.encode_fraud_proof(fraud.proof),
-        "DAB1": sz.encode_chunk_bundle(bundle_units(small_tree, (0, 7, 31))),
+        "DAC2": sz.encode_commitment(small_tree.commitment),
+        "DAP2": sz.encode_pom(cit.sample_pom(small_tree, 15)),
+        "DAF2": sz.encode_fraud_proof(fraud.proof),
+        "DAB2": sz.encode_chunk_bundle(bundle_units(small_tree, (0, 7, 31))),
         "DAT1": sz.encode_tree_cache(small_params, small_block),
     }
 
@@ -218,3 +244,20 @@ def test_hostile_bytes_decode_or_raise_parameter_error(valid_files, case):
             DECODERS[kind](blob)
         except ParameterError:
             pass
+
+
+# magics whose layouts were replaced; no file in them decodes any more
+RETIRED_MAGICS = ("DAC1", "DAP1", "DAF1", "DAB1")
+FORMATS_MD = Path(__file__).resolve().parent.parent / "FORMATS.md"
+
+
+def test_formats_md_documents_every_magic_and_no_retired_one():
+    text = FORMATS_MD.read_text()
+    magics = [v.decode() for k, v in vars(sz).items() if k.startswith("MAGIC_")]
+    assert len(magics) == 5
+    headings = re.findall(r"^## .*\(`(\w{4})`\)$", text, flags=re.M)
+    assert sorted(headings) == sorted(magics)
+    for magic in magics:
+        assert f'magic "{magic}"' in text
+    for magic in RETIRED_MAGICS:
+        assert magic not in text

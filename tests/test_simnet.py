@@ -263,10 +263,10 @@ def test_trace_json_and_csv_shapes():
 # shipped scenarios and the inline ones below; any change to encodings,
 # sampling, peeling order, storage accounting or the trace layout moves these
 TRACE_DIGESTS = {
-    "all_honest": "7e44e3398006160bc869c818ab55d00229bfdf31efc25d20a3298f814913e508",
-    "invalid_coding": "61d0205b61c99fd0ebc4f331a747c9987012ae52a91bf9bd2aa54e67fc188851",
-    "stored_history": "3943ee86bbc392e16c64021078414fe5429f53f3eb0f23523668d5cb96f195eb",
-    "repeated_commitment": "a162c287a207d4400dd0ce827950d0ed070b5c3e4931de5c743e0642d88ad7c6",
+    "all_honest": "42716e1345ae9c941cebeba9788207b727c0112d2acd5003cf4177eb592f5590",
+    "invalid_coding": "c27b7b0682a805ab225ceb408d47a9f3fcafd4cb6dca7bd1fac9b62a4b7e6646",
+    "stored_history": "11404e9e2f2d0b0f67bc025bae38f28d2be4c0052487e9994a7801c64ed8dbc9",
+    "repeated_commitment": "890f519b2138b7c525981c3505e338b65f64de8584fef0e0f8834911627df262",
 }
 
 
