@@ -233,13 +233,23 @@ class ProofOfMembership:
     j = 0..L-1: the parent the digest chain climbs through. parities[j] is
     the parity symbol ``s + base_index mod (m - s)`` of layer L-1-j, for
     j = 0..L-2. Every index follows from the base index, so none is stored.
+    A decoded proof's base symbol is a read-only view of the bytes it was
+    decoded from (see ``serialize``).
     """
 
     base_index: int
-    base_symbol: bytes
+    base_symbol: bytes | memoryview
     block_len: int
     ancestors: tuple[bytes, ...]
     parities: tuple[bytes, ...]
+
+
+def unit_agrees(index: int, symbol, pom: ProofOfMembership) -> bool:
+    """True iff a (base index, base symbol, proof) unit's index and symbol
+    are its proof's. Identity is tested first: a memoryview's == compares
+    byte by byte even with itself, and a decoded unit's symbol is its
+    proof's view."""
+    return index == pom.base_index and (symbol is pom.base_symbol or symbol == pom.base_symbol)
 
 
 @dataclass(frozen=True)

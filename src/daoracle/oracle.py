@@ -28,6 +28,7 @@ from .cit import (  # noqa: F401
     layer_code,
     sample_pom,
     sample_poms,
+    unit_agrees,
     verify_symbol,
     walk_poms,
 )
@@ -263,9 +264,8 @@ def _units_check(commitment: Commitment, assigned, units) -> bool:
     node's units with it."""
     if [idx for idx, _, _ in units] != sorted(set(assigned)):
         return False
-    for idx, symbol, pom in units:
-        if pom.base_index != idx or pom.base_symbol != symbol:
-            return False
+    if not all(unit_agrees(idx, symbol, pom) for idx, symbol, pom in units):
+        return False
     return all(walk_poms(commitment, commitment.params, [pom for _, _, pom in units]))
 
 

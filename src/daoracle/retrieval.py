@@ -40,6 +40,7 @@ from .cit import (
     commitment_geometry,
     geometry,
     layer_code,
+    unit_agrees,
     verify_membership,
     walk_pom,
 )
@@ -52,13 +53,15 @@ from .util import HASH_BYTES, sha256
 @dataclass(frozen=True)
 class ChunkSet:
     commitment: Commitment
-    units: tuple[tuple[int, bytes, ProofOfMembership], ...]
+    units: tuple[tuple[int, bytes | memoryview, ProofOfMembership], ...]
 
 
 @dataclass(frozen=True)
 class FraudMember:
     index: int
-    value: bytes
+    # a base-layer value may be a read-only view: of a decoded bundle, or
+    # of the XOR that solved it
+    value: bytes | memoryview
     path: MembershipPath
 
 
@@ -187,7 +190,7 @@ class _Reconstructor:
         # through this module's walk_pom name, which per-proof timers wrap
         frontier = Frontier(self.commitment, self.params)
         for index, symbol, pom in chunks.units:
-            if index == pom.base_index and symbol == pom.base_symbol:
+            if unit_agrees(index, symbol, pom):
                 walk_pom(self.commitment, self.params, pom, frontier)
         return frontier.known()
 
@@ -259,8 +262,10 @@ class _Reconstructor:
         for zero XOR, and every solve against its committed digest. Returns
         (the Fraud of the first contradiction or None, the known flags)."""
         if u == self.depth:
-            # wide symbols XOR fastest as uint8 rows
-            load, dump, nonzero = _row_from_bytes, np.ndarray.tobytes, np.ndarray.any
+            # wide symbols XOR fastest as uint8 rows; a solved row is kept
+            # as a read-only view of its XOR result, so the block's join
+            # is its only copy
+            load, dump, nonzero = _row_from_bytes, _view_of_row, np.ndarray.any
         else:
             width = self.params.batch * HASH_BYTES
             load, nonzero = int_from_digest, bool
@@ -297,8 +302,13 @@ class _Reconstructor:
         return Insufficient(tuple(fractions))
 
 
-def _row_from_bytes(value: bytes) -> np.ndarray:
+def _row_from_bytes(value: bytes | memoryview) -> np.ndarray:
     return np.frombuffer(value, dtype=np.uint8)
+
+
+def _view_of_row(row: np.ndarray) -> memoryview:
+    row.setflags(write=False)
+    return row.data
 
 
 def reconstruct(

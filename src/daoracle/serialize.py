@@ -7,9 +7,12 @@ to decode without out-of-band parameters.
 
 Encoders collect their fields as a list of parts and join it once, so each
 symbol is copied once into the output; a bundle's proofs share one list.
-Decoders read through a bounds-checked ``_Reader``; a bundle's proofs are
-read in place through readers windowed on the bundle bytes, so each symbol
-is copied once out of them.
+Decoders read through a bounds-checked ``_Reader`` over ``bytes``, which
+copies any other buffer once, so no decoded field can change under its
+caller. A bundle's proofs are read in place through readers windowed on the
+bundle bytes. A proof's base symbol is not copied out: it is a read-only
+``memoryview`` of the input, which keeps the whole input alive and does not
+pickle. Every other field is ``bytes``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 
-from .cit import Commitment, MembershipPath, ProofOfMembership, TreeParams
+from .cit import Commitment, MembershipPath, ProofOfMembership, TreeParams, unit_agrees
 from .codec import ParityEquation
 from .errors import ParameterError
 from .retrieval import FraudMember, FraudProof, HashMismatch
@@ -38,9 +41,12 @@ _F64 = struct.Struct("<d")
 
 
 class _Reader:
-    """Bounds-checked reads over ``data[start:end]``."""
+    """Bounds-checked reads over ``data[start:end]``; a buffer other than
+    ``bytes`` is copied to ``bytes`` first."""
 
     def __init__(self, data: bytes, start: int = 0, end: int = -1):
+        if not isinstance(data, bytes):
+            data = memoryview(data).tobytes()
         self.data = data
         self.pos = start
         self.end = len(data) if end < 0 else end
@@ -57,6 +63,11 @@ class _Reader:
     def take(self, n: int) -> bytes:
         pos = self._advance(n)
         return self.data[pos : self.pos]
+
+    def view(self, n: int) -> memoryview:
+        """The next n bytes as a read-only view of the input, not a copy."""
+        pos = self._advance(n)
+        return memoryview(self.data)[pos : self.pos]
 
     def digests(self, count: int) -> tuple[bytes, ...]:
         """``count`` 32-byte digests, behind one bounds check."""
@@ -230,7 +241,7 @@ def _take_pom(r: _Reader) -> ProofOfMembership:
         raise ParameterError("not a membership proof file")
     base_index = r.u64()
     block_len = r.u64()
-    base_symbol = r.take(r.u64())
+    base_symbol = r.view(r.u64())
     ancestors = r.symbols()
     parities = r.symbols()
     if not r.done():
@@ -311,7 +322,7 @@ def encode_chunk_bundle(units) -> bytes:
     go into one list, and one join copies each byte once."""
     parts = [MAGIC_BUNDLE, _u32(len(units))]
     for index, symbol, pom in units:
-        if index != pom.base_index or symbol != pom.base_symbol:
+        if not unit_agrees(index, symbol, pom):
             raise ParameterError("bundle unit disagrees with its proof")
         pom_parts: list = []
         _put_pom(pom_parts, pom)

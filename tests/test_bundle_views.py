@@ -1,0 +1,141 @@
+"""Retrieval from a decoded bundle, whose base symbols are read-only views
+of the bundle bytes, against retrieval from the sampled units, and the
+unit checks that compare a unit's symbol with its proof's."""
+
+import pytest
+
+from daoracle import cli, oracle, retrieval as rt, serialize as sz
+from daoracle.errors import ParameterError
+from daoracle.oracle import build_tree_with_base_corruption
+
+from conftest import chunkset_for
+from test_serialize import GOLDEN_FRAUD, sha
+
+# (tree, kept chunks): base symbols 0-3 solved by peeling, the first
+# failing equation of a base layer XORed with 0x5A, and too few chunks
+CASES = {
+    "block": ("honest", range(4, 28)),
+    "fraud": ("corrupt", range(32)),
+    "insufficient": ("honest", range(0, 32, 3)),
+}
+
+
+@pytest.fixture(scope="module")
+def trees(small_tree, small_block, small_params):
+    corrupt = build_tree_with_base_corruption(small_block, small_params, xor_mask=0x5A)
+    return {"honest": small_tree, "corrupt": corrupt}
+
+
+def both_ways(tree, keep):
+    """The reconstructions from the sampled units and from those units
+    through a DAB2 bundle."""
+    sampled = chunkset_for(tree, keep)
+    com, params = tree.commitment, tree.params
+    decoded = rt.ChunkSet(com, sz.decode_chunk_bundle(sz.encode_chunk_bundle(sampled.units)))
+    return rt.reconstruct(com, params, sampled), rt.reconstruct(com, params, decoded)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_decoded_bundle_reconstructs_as_the_sampled_units(trees, small_block, case):
+    name, keep = CASES[case]
+    tree = trees[name]
+    sampled, decoded = both_ways(tree, keep)
+    assert type(sampled) is type(decoded)
+    if case == "block":
+        assert sampled.data == decoded.data == small_block
+        assert type(decoded.data) is bytes
+        # no base symbol was copied before the block's join: a delivered
+        # one is a view of the bundle, a solved one a view of its XOR
+        blob = sz.encode_chunk_bundle(chunkset_for(tree, keep).units)
+        com = tree.commitment
+        rec = rt._Reconstructor(com, tree.params, rt.ChunkSet(com, sz.decode_chunk_bundle(blob)))
+        rec.run()
+        rows = rec.layer_done[tree.depth]
+        assert all(type(row) is memoryview and row.readonly for row in rows)
+        assert [row.obj is blob for row in rows[:8]] == [False] * 4 + [True] * 4
+    elif case == "fraud":
+        blobs = [sz.encode_fraud_proof(r.proof) for r in (sampled, decoded)]
+        assert sha(blobs[0]) == sha(blobs[1]) == GOLDEN_FRAUD
+        for result in (sampled, decoded):
+            assert rt.verify_fraud_proof(tree.commitment, tree.params, result.proof)
+        # a base-layer member is a view: of the bundle, or of its solve
+        assert any(type(m.value) is memoryview for m in decoded.proof.members)
+    else:
+        assert sampled.known_fractions == decoded.known_fractions
+        # 11 chunks delivered and one more solved by peeling
+        assert sampled.known_fractions[-1] == (3, 12 / 32)
+
+
+@pytest.mark.parametrize("case", ("block", "fraud"))
+def test_cli_retrieve_from_a_bundle_writes_the_library_outputs(trees, tmp_path, case):
+    name, keep = CASES[case]
+    tree = trees[name]
+    sampled, _decoded = both_ways(tree, keep)
+    (tmp_path / "c.bin").write_bytes(sz.encode_commitment(tree.commitment))
+    (tmp_path / "in.bundle").write_bytes(sz.encode_chunk_bundle(chunkset_for(tree, keep).units))
+    out_block, out_fraud = tmp_path / "block.bin", tmp_path / "fraud.bin"
+    code = cli.main([
+        "retrieve", "--commitment", str(tmp_path / "c.bin"),
+        "--chunks", str(tmp_path / "in.bundle"),
+        "--out-block", str(out_block), "--out-fraud", str(out_fraud),
+    ])
+    if case == "block":
+        assert code == cli.EXIT_OK
+        assert out_block.read_bytes() == sampled.data
+    else:
+        assert code == cli.EXIT_FRAUD
+        assert out_fraud.read_bytes() == sz.encode_fraud_proof(sampled.proof)
+
+
+def equal_copy(symbol, kind):
+    """A distinct object equal to ``symbol``: bytes, or a view of them."""
+    fresh = bytes(bytearray(symbol))
+    return fresh if kind == "bytes" else memoryview(fresh)
+
+
+def one_byte_off(symbol, kind):
+    edited = bytearray(symbol)
+    edited[len(edited) // 2] ^= 1
+    return bytes(edited) if kind == "bytes" else memoryview(bytes(edited))
+
+
+def units_of(tree, indices, pom_kind):
+    """Units whose proofs hold bytes base symbols, as sampled, or views,
+    as decoded."""
+    units = chunkset_for(tree, indices).units
+    if pom_kind == "view":
+        units = sz.decode_chunk_bundle(sz.encode_chunk_bundle(units))
+    return units
+
+
+@pytest.mark.parametrize("pom_kind", ("bytes", "view"))
+@pytest.mark.parametrize("kind", ("bytes", "view"))
+def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(
+    small_tree, small_params, pom_kind, kind
+):
+    """The checks test identity before ==; an equal symbol that is another
+    object passes each of them, and one byte off fails each of them."""
+    com = small_tree.commitment
+    units = units_of(small_tree, range(32), pom_kind)
+    at = 5
+    for make, agrees in ((equal_copy, True), (one_byte_off, False)):
+        index, old, pom = units[at]
+        symbol = make(old, kind)
+        assert symbol is not pom.base_symbol
+        edited = units[:at] + ((index, symbol, pom),) + units[at + 1:]
+
+        # encode_chunk_bundle: a changed symbol is rejected
+        if agrees:
+            assert sz.encode_chunk_bundle(edited) == sz.encode_chunk_bundle(units)
+        else:
+            with pytest.raises(ParameterError, match="disagrees with its proof"):
+                sz.encode_chunk_bundle(edited)
+
+        # dispersal and audit: the node's units are all or nothing
+        assert oracle._units_check(com, range(32), edited) is agrees
+
+        # client ingest: a changed unit is skipped, the rest are walked
+        values = rt._Reconstructor(com, small_params, rt.ChunkSet(com, edited)).values
+        base = {x for (u, x) in values if u == small_tree.depth}
+        assert (at in base) is agrees
+        assert base | {at} == set(range(32))

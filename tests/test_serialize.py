@@ -3,6 +3,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.util import HASH_BYTES, as_rate
 
-from conftest import chunkset_for
+from conftest import SMALL, chunkset_for
 from hostile import hostile, hostile_files, time_bound
 from test_withholding import PARAMS as HONEST_ROUND_PARAMS
 
@@ -232,6 +233,44 @@ def valid_files(small_tree, small_block, small_params):
         "DAB2": sz.encode_chunk_bundle(bundle_units(small_tree, (0, 7, 31))),
         "DAT1": sz.encode_tree_cache(small_params, small_block),
     }
+
+
+@pytest.mark.parametrize("kind", sorted(DECODERS))
+@pytest.mark.parametrize("wrap", (bytearray, memoryview), ids=("bytearray", "memoryview"))
+def test_every_decoder_reads_any_buffer_as_the_same_immutable_value(valid_files, kind, wrap):
+    """A decode of a bytearray or a memoryview equals and hashes as the
+    decode of the same bytes, and editing the buffer afterwards changes
+    nothing decoded from it."""
+    blob = valid_files[kind]
+    want = DECODERS[kind](blob)
+    buffer = bytearray(blob)
+    got = DECODERS[kind](wrap(buffer))
+    assert got == want and hash(got) == hash(want)
+    buffer[:] = bytes(len(buffer))
+    assert got == want and hash(got) == hash(want)
+
+
+def test_a_bundle_decodes_its_base_symbols_in_place():
+    """Each decoded base symbol is a read-only view of the bundle bytes, so
+    decoding copies none of them. The other fields are copied, 5 x 256
+    bytes a proof at this shape, so the symbols are 32 KiB wide to leave
+    those copies well under the bound."""
+    params = cit.TreeParams(**{**SMALL, "symbol_size": 32 * 1024})
+    tree = cit.build_tree(np.random.default_rng(3).bytes(8 * params.symbol_size), params)
+    blob = sz.encode_chunk_bundle(bundle_units(tree, range(tree.sizes[-1])))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        units = sz.decode_chunk_bundle(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(units) == 32
+    for _index, symbol, pom in units:
+        view = pom.base_symbol
+        assert symbol is view and type(view) is memoryview
+        assert view.readonly and view.obj is blob and len(view) == params.symbol_size
+    assert peak < len(blob) // 10
 
 
 @settings(max_examples=600, deadline=None)
