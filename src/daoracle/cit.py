@@ -23,10 +23,13 @@ Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
 and the ancestor's digest is the running digest one layer up; at the root
 layer it must be the commitment's entry. ``Frontier._climb`` is its one
-implementation, behind one admission guard, ``commitment_geometry``.
+implementation, behind one admission guard, ``commitment_geometry``, which
+reads the tree params the commitment carries. An entry point that also
+takes params (``walk_pom``, ``verify_symbol``, ``verify_membership``)
+first checks them against the commitment's, by ``echoes_params``.
 ``verify_membership`` climbs from a bare digest at any (layer, index),
 through the ancestors a ``MembershipPath`` carries (none at the root
-layer). ``walk_pom`` climbs from a base symbol through the proof's
+layer). ``Frontier.walk`` climbs from a base symbol through the proof's
 ancestors, then checks the proof's one parity symbol per intermediate
 layer, sampled by pure index arithmetic: its digest sits at its slot of
 the ancestor one layer up.
@@ -50,13 +53,14 @@ up. Every proof sampled from the tree, by any call, shares those symbols;
 its own cost is a range check, one lookup in each table and a copy of its
 base row.
 
-Batches. ``walk_poms`` walks its proofs against one ``Frontier``, as
-client ingest does across one reconstruction's ``walk_pom`` calls. The
-frontier holds, by position, what the proofs that passed so far
-authenticated: each ancestor with the ancestors above it, and each parity
-symbol with the parity symbols above it. A climb stops at the first
-position the frontier holds, and the parity checks at the first one it
-holds; the rest of the proof must then equal what was authenticated
+Batches. A ``Frontier``, made from a commitment alone, is the one proof
+verifier: a node walks its units on one, an audit a voter's units, and a
+reconstruction what it collected; ``walk_pom`` without a frontier walks a
+fresh one. The frontier holds, by position, what the proofs that passed
+so far authenticated: each ancestor with the ancestors above it, and each
+parity symbol with the parity symbols above it. A climb stops at the
+first position the frontier holds, and the parity checks at the first one
+it holds; the rest of the proof must then equal what was authenticated
 there, which is one tuple comparison each. So each proof's verdict is
 that of a walk on its own, and a symbol a passing proof delivered is not
 hashed again in its batch. A frontier is never kept past its batch, so
@@ -65,10 +69,10 @@ never shared across nodes or rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -435,26 +439,19 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     )
 
 
-def sample_poms(tree: CodedTree, base_indices: Iterable[int]) -> list[ProofOfMembership]:
-    """``[sample_pom(tree, i) for i in base_indices]``; the proofs share
-    what the tree's sampling tables hold, as proofs of separate calls do."""
-    return [sample_pom(tree, i) for i in base_indices]
+def echoes_params(commitment: Commitment, params: TreeParams) -> bool:
+    """True iff ``params`` are the tree params ``commitment`` carries, the
+    check every entry point that takes both makes once; identity first, as
+    callers pass ``commitment.params`` itself."""
+    return params is commitment.params or params == commitment.params
 
 
-@dataclass
-class PomHarvest:
-    """Everything a verified proof pins down: symbol values keyed by
-    (layer, index)."""
-
-    values: dict[tuple[int, int], bytes] = field(default_factory=dict)
-
-
-def commitment_geometry(commitment: Commitment, params: TreeParams) -> Optional[Geometry]:
-    """The commitment's geometry, or None when no proof can match it: the
-    params are not the ones the commitment echoes, the root has the wrong
-    length, or the geometry is invalid. Every membership and fraud-proof
-    check starts here."""
-    if params != commitment.params or len(commitment.root) != params.root_size:
+def commitment_geometry(commitment: Commitment) -> Optional[Geometry]:
+    """The geometry of the params ``commitment`` carries, or None when no
+    proof can match it: the root has the wrong length, or the geometry is
+    invalid. Every membership and fraud-proof check starts here."""
+    params = commitment.params
+    if len(commitment.root) != params.root_size:
         return None
     try:
         return geometry(params, commitment.block_len)
@@ -475,17 +472,16 @@ class Frontier:
     Only a proof whose whole walk passed adds positions, so ``paths`` is
     upward-closed: with (w, a) it holds every position above. Each symbol
     it holds was certified by its walk, against the committed digest at its
-    slot of its parent. A frontier is bound to the commitment and params it
-    was made for, and lives for one batch (one node's units, one audit, one
-    reconstruction)."""
+    slot of its parent. A frontier is made from a commitment alone, whose
+    params it reads, is bound to it, and lives for one batch (one node's
+    units, one audit, one reconstruction)."""
 
-    __slots__ = ("commitment", "params", "geo", "width", "paths", "parities", "base")
+    __slots__ = ("commitment", "geo", "width", "paths", "parities", "base")
 
-    def __init__(self, commitment: Commitment, params: TreeParams):
+    def __init__(self, commitment: Commitment):
         self.commitment = commitment
-        self.params = params
-        self.geo = commitment_geometry(commitment, params)
-        self.width = params.batch * HASH_BYTES
+        self.geo = commitment_geometry(commitment)
+        self.width = commitment.params.batch * HASH_BYTES
         self.paths: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.parities: dict[tuple[int, int], tuple[bytes, ...]] = {}
         self.base: dict[int, bytes] = {}
@@ -529,7 +525,7 @@ class Frontier:
         i, ancestors, parities = pom.base_index, pom.ancestors, pom.parities
         if pom.block_len != self.commitment.block_len or not 0 <= i < sizes[depth]:
             return False
-        if len(pom.base_symbol) != self.params.symbol_size or len(parities) != depth - 1:
+        if len(pom.base_symbol) != self.commitment.params.symbol_size or len(parities) != depth - 1:
             return False
         fresh = self._climb(depth, i, sha256(pom.base_symbol), ancestors)
         if fresh is None:
@@ -579,43 +575,27 @@ class Frontier:
         return values
 
 
-def walk_poms(
-    commitment: Commitment, params: TreeParams, poms: Sequence[ProofOfMembership]
-) -> list[bool]:
-    """Each proof's verdict, ``walk_pom(commitment, params, pom) is not
-    None``, walked against one ``Frontier``: a proof stops climbing where
-    an earlier passing proof already reached the commitment, and stops
-    checking parity symbols where one already checked them."""
-    frontier = Frontier(commitment, params)
-    return [frontier.walk(pom) for pom in poms]
-
-
 def walk_pom(
     commitment: Commitment,
     params: TreeParams,
     pom: ProofOfMembership,
     frontier: Optional[Frontier] = None,
-) -> Union[Optional[PomHarvest], bool]:
-    """Recompute the digest chain of a proof. Returns a PomHarvest when the
-    proof is consistent with the commitment, else None.
-
-    With a ``frontier``, made for this very commitment and params, the
-    proof is walked against it and the verdict is returned as a bool; a
+) -> bool:
+    """True iff ``params`` are the commitment's and the proof is consistent
+    with the commitment. The proof is walked against ``frontier``, which
+    must have been made for this very commitment, or else a fresh one; a
     caller walking many proofs reads what they delivered from
     ``frontier.known()``."""
-    if frontier is not None:
-        if commitment is not frontier.commitment or params is not frontier.params:
-            raise ValueError("the frontier was made for another commitment")
-        return frontier.walk(pom)
-    frontier = Frontier(commitment, params)
-    if not frontier.walk(pom):
-        return None
-    return PomHarvest(frontier.known())
+    if frontier is None:
+        frontier = Frontier(commitment)
+    elif frontier.commitment is not commitment:
+        raise ValueError("the frontier was made for another commitment")
+    return echoes_params(commitment, params) and frontier.walk(pom)
 
 
 def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
     """True iff the proof's digest chain reproduces a commitment entry."""
-    return walk_pom(commitment, params, pom) is not None
+    return walk_pom(commitment, params, pom)
 
 
 def verify_membership(
@@ -623,7 +603,9 @@ def verify_membership(
 ) -> bool:
     """Check a bare digest claim: the commitment binds a symbol hashing to
     ``leaf_hash`` at (path.layer, path.index)."""
-    frontier = Frontier(commitment, params)
+    if not echoes_params(commitment, params):
+        return False
+    frontier = Frontier(commitment)
     geo = frontier.geo
     if geo is None:
         return False

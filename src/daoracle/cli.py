@@ -16,7 +16,7 @@ from pathlib import Path
 from . import metrics as mx
 from . import serialize as sz
 from . import simnet
-from .cit import build_tree, sample_pom, sample_poms, verify_symbol
+from .cit import build_tree, sample_pom, verify_symbol
 from .dispersal import (
     DispersalParams,
     assign_chunks,
@@ -82,7 +82,7 @@ def cmd_pom(args) -> int:
     if len(indices) == 1 and not args.all and args.indices is None:
         Path(args.out).write_bytes(sz.encode_pom(sample_pom(tree, indices[0])))
     else:
-        poms = sample_poms(tree, sorted(set(indices)))
+        poms = [sample_pom(tree, i) for i in sorted(set(indices))]
         units = [(pom.base_index, pom.base_symbol, pom) for pom in poms]
         Path(args.out).write_bytes(sz.encode_chunk_bundle(units))
     print(f"wrote proofs for {len(set(indices))} base symbols")

@@ -16,21 +16,20 @@ from typing import Optional
 
 import numpy as np
 
-# protobench/layers.py times aggregate, encode_array and sample_pom through
-# this module's names, and protobench's tests replace verify_symbol here, so
-# they stay imported though nothing in this module calls them
+# protobench/layers.py times aggregate and encode_array through this
+# module's names, and protobench's tests replace verify_symbol here, so they
+# stay imported though nothing in this module calls them
 from .cit import (  # noqa: F401
     CodedTree,
     Commitment,
+    Frontier,
     TreeParams,
     aggregate,
     build_tree,
     layer_code,
     sample_pom,
-    sample_poms,
     unit_agrees,
     verify_symbol,
-    walk_poms,
 )
 from .codec import encode_array  # noqa: F401
 from .dispersal import DispersalDesign
@@ -232,7 +231,7 @@ def messages_for_tree(tree: CodedTree, design: DispersalDesign):
     wanted = sorted(set().union(*assigned))
     # one proof per chunk, shared by every node it is assigned to; a unit's
     # symbol is its proof's base symbol
-    poms = dict(zip(wanted, sample_poms(tree, wanted)))
+    poms = {idx: sample_pom(tree, idx) for idx in wanted}
     messages = {}
     for node, indices in enumerate(assigned):
         units = tuple((idx, poms[idx].base_symbol, poms[idx]) for idx in sorted(set(indices)))
@@ -260,13 +259,14 @@ def node_on_dispersal(node: OracleNode, message: DispersalMessage) -> Optional[V
 def _units_check(commitment: Commitment, assigned, units) -> bool:
     """True iff ``units`` holds one (index, symbol, proof) per distinct
     assigned index, ascending, each proof is for its index and symbol, and
-    every proof walks to ``commitment``. Dispersal and audit both check a
-    node's units with it."""
+    every proof walks to ``commitment``, all on one frontier. Dispersal and
+    audit both check a node's units with it."""
     if [idx for idx, _, _ in units] != sorted(set(assigned)):
         return False
     if not all(unit_agrees(idx, symbol, pom) for idx, symbol, pom in units):
         return False
-    return all(walk_poms(commitment, commitment.params, [pom for _, _, pom in units]))
+    frontier = Frontier(commitment)
+    return all(frontier.walk(pom) for _, _, pom in units)
 
 
 def node_on_retrieval(node: OracleNode, key: bytes):

@@ -38,6 +38,7 @@ from .cit import (
     ProofOfMembership,
     TreeParams,
     commitment_geometry,
+    echoes_params,
     geometry,
     layer_code,
     unit_agrees,
@@ -114,8 +115,11 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     """Stateless check of an incorrect-coding proof against the commitment
     alone. The proof carries the field types ``FraudProof`` declares, as
     ``serialize.decode_fraud_proof`` builds them; every value in it is
-    checked, so a malformed proof is False."""
-    geo = commitment_geometry(commitment, params)
+    checked, so a malformed proof is False, and so are ``params`` other
+    than the commitment's."""
+    if not echoes_params(commitment, params):
+        return False
+    geo = commitment_geometry(commitment)
     if geo is None:
         return False
     depth = geo.depth
@@ -138,7 +142,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return (
             path.layer == u
             and path.index == index
-            and verify_membership(commitment, params, leaf_hash, path)
+            and verify_membership(commitment, commitment.params, leaf_hash, path)
         )
 
     eq_idx = set(proof.equation.symbol_indices)
@@ -176,22 +180,23 @@ def fraud_proof_size(proof: FraudProof) -> int:
 
 
 class _Reconstructor:
-    def __init__(self, commitment: Commitment, params: TreeParams, chunks: ChunkSet):
+    def __init__(self, commitment: Commitment, chunks: ChunkSet):
         self.commitment = commitment
-        self.params = params
-        geo = geometry(params, commitment.block_len)
+        geo = geometry(commitment.params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         # known symbols by position, each certified at ingest
         self.values = self._ingest(chunks)
         self.layer_done: dict[int, list[bytes]] = {}
 
     def _ingest(self, chunks: ChunkSet):
-        # the walks share one frontier, as in cit.walk_poms; each goes
-        # through this module's walk_pom name, which per-proof timers wrap
-        frontier = Frontier(self.commitment, self.params)
+        # the walks share one frontier, as a node's dispersal check does;
+        # each goes through this module's walk_pom name, which per-proof
+        # timers wrap
+        commitment = self.commitment
+        frontier = Frontier(commitment)
         for index, symbol, pom in chunks.units:
             if unit_agrees(index, symbol, pom):
-                walk_pom(self.commitment, self.params, pom, frontier)
+                walk_pom(commitment, commitment.params, pom, frontier)
         return frontier.known()
 
     def _expected_hash(self, u: int, x: int) -> bytes:
@@ -225,7 +230,7 @@ class _Reconstructor:
         return Fraud(FraudProof(u, e, eq, members, mismatch))
 
     def run(self) -> ReconstructionResult:
-        params = self.params
+        params = self.commitment.params
         for u in range(self.depth + 1):
             m = self.sizes[u]
             code = layer_code(params, m)
@@ -251,7 +256,7 @@ class _Reconstructor:
         s_base = self.sys_counts[self.depth]
         # only the last systematic symbol carries padding; cut it before the
         # join, so each byte of the block is copied once
-        tail = self.commitment.block_len - (s_base - 1) * self.params.symbol_size
+        tail = self.commitment.block_len - (s_base - 1) * params.symbol_size
         return Block(b"".join([*base[: s_base - 1], base[s_base - 1][:tail]]))
 
     def _peel_layer(self, u, code: CodeSpec, rows):
@@ -267,7 +272,7 @@ class _Reconstructor:
             # is its only copy
             load, dump, nonzero = _row_from_bytes, _view_of_row, np.ndarray.any
         else:
-            width = self.params.batch * HASH_BYTES
+            width = self.commitment.params.batch * HASH_BYTES
             load, nonzero = int_from_digest, bool
 
             def dump(value: int) -> bytes:
@@ -314,6 +319,6 @@ def _view_of_row(row: np.ndarray) -> memoryview:
 def reconstruct(
     commitment: Commitment, params: TreeParams, chunks: ChunkSet
 ) -> ReconstructionResult:
-    if params != commitment.params:
+    if not echoes_params(commitment, params):
         raise ParameterError("params do not match the commitment echo")
-    return _Reconstructor(commitment, params, chunks).run()
+    return _Reconstructor(commitment, chunks).run()

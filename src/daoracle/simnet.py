@@ -27,13 +27,16 @@ from .util import NUMBER, RATE, derive_seed, json_fields, sha256
 
 PROPOSER_STRATEGIES = ("honest", "invalid_coding", "equivocating")
 # caps on values a scenario or trace file sets, checked before they size
-# the behavior list, the node table or a proposed block
+# the behavior list, the node table, the client ledgers or a proposed block
 MAX_NODES, MAX_BLOCK_SIZE = 1 << 14, 1 << 24
+MAX_CLIENTS = 1 << 10
 
 
-def _check_sizes(n_nodes: int, block_size: int) -> None:
+def _check_sizes(n_nodes: int, block_size: int, n_clients: int) -> None:
     if not 1 <= n_nodes <= MAX_NODES:
         raise ConfigError(f"n_nodes must lie in [1, {MAX_NODES}], got {n_nodes}")
+    if not 1 <= n_clients <= MAX_CLIENTS:
+        raise ConfigError(f"n_clients must lie in [1, {MAX_CLIENTS}], got {n_clients}")
     if not 1 <= block_size <= MAX_BLOCK_SIZE:
         raise ConfigError(f"block_size must lie in [1, {MAX_BLOCK_SIZE}], got {block_size}")
 
@@ -53,9 +56,12 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        _check_sizes(self.n_nodes, self.block_size)
+        _check_sizes(self.n_nodes, self.block_size, self.n_clients)
         if len(self.behaviors) != self.n_nodes:
             raise ConfigError("behaviors must list one entry per node")
+        # json reads NaN and Infinity, which no comparison admits
+        if not 0 <= self.beta <= 1:
+            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         bad = sum(1 for b in self.behaviors if b is not Behavior.HONEST)
         if bad > int(self.beta * self.n_nodes):
             raise ConfigError(
@@ -63,8 +69,8 @@ class ScenarioConfig:
             )
         if self.proposer_strategy not in PROPOSER_STRATEGIES:
             raise ConfigError(f"unknown proposer strategy {self.proposer_strategy!r}")
-        if self.n_clients < 1 or self.rounds < 0:
-            raise ConfigError("need at least one client and rounds >= 0")
+        if self.rounds < 0:
+            raise ConfigError("rounds must be >= 0")
         if not 0 <= self.audit_probability <= 1:
             raise ConfigError("audit_probability must lie in [0, 1]")
         # the design's checks, including its slot cap, before any round
@@ -134,8 +140,8 @@ def config_from_dict(raw) -> ScenarioConfig:
         },
     )
     disp = json_fields(raw["dispersal"], {"gamma": NUMBER, "eta": NUMBER, "lambda": NUMBER})
-    n_nodes = raw["n_nodes"]
-    _check_sizes(n_nodes, raw["block_size"])
+    n_nodes, n_clients = raw["n_nodes"], raw.get("n_clients", 3)
+    _check_sizes(n_nodes, raw["block_size"], n_clients)
     behaviors = raw.get("behaviors", {})
     if isinstance(behaviors, list):
         assignment = tuple(_behavior(b) for b in behaviors)
@@ -150,7 +156,7 @@ def config_from_dict(raw) -> ScenarioConfig:
         dispersal=DispersalParams(disp["gamma"], disp["eta"], disp["lambda"]),
         block_size=raw["block_size"],
         behaviors=assignment,
-        n_clients=raw.get("n_clients", 3),
+        n_clients=n_clients,
         proposer_strategy=raw.get("proposer_strategy", "honest"),
         rounds=raw.get("rounds", 1),
         audit_probability=raw.get("audit_probability", 0.0),

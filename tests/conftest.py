@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from daoracle.cit import CodedTree, Geometry, TreeParams, build_tree, geometry, sample_poms
+from daoracle.cit import CodedTree, Geometry, TreeParams, build_tree, geometry, sample_pom
 from daoracle.codec import CodeSpec, ParityEquation
 from daoracle.retrieval import ChunkSet
 
@@ -58,7 +58,7 @@ def small_tree(small_block, small_params) -> CodedTree:
 
 
 def chunkset_for(tree: CodedTree, indices) -> ChunkSet:
-    poms = sample_poms(tree, sorted(set(indices)))
+    poms = [sample_pom(tree, i) for i in sorted(set(indices))]
     return ChunkSet(tree.commitment, tuple((pom.base_index, pom.base_symbol, pom) for pom in poms))
 
 

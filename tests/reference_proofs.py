@@ -2,17 +2,22 @@
 nothing shared or memoized.
 
 ``sample_pom`` converts every row it reads on its own; ``walk_pom`` and
-``verify_membership`` hash every symbol they meet, each with its own loop.
-The package's ``sample_pom``, ``sample_poms``, ``walk_pom``, ``walk_poms``
-and ``verify_membership`` must agree with them: the same proofs, and for
-any proof or claim the same verdict and, when a proof passes, the same
-harvest; what a batch of passing proofs delivers
-(``cit.Frontier.known``) is the first-wins merge of their harvests.
+``verify_membership`` hash every symbol they meet, each with its own loop,
+and ``walk_pom`` returns what a passing proof pins down as a
+``PomHarvest``, a type the package does not have. The package's
+``sample_pom``, ``walk_pom``, ``cit.Frontier`` and ``verify_membership``
+must agree with them: the same proofs, and for any proof or claim the same
+verdict; what one passing proof walked on a fresh frontier delivers
+(``cit.Frontier.known``) is its harvest, and what a batch of passing
+proofs walked on one frontier delivers is the first-wins merge of their
+harvests.
 """
 
 from __future__ import annotations
 
-from daoracle.cit import PomHarvest, ProofOfMembership, geometry
+from dataclasses import dataclass, field
+
+from daoracle.cit import ProofOfMembership, geometry
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
 
@@ -37,6 +42,14 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         ancestors=tuple(ancestors),
         parities=tuple(parities),
     )
+
+
+@dataclass
+class PomHarvest:
+    """Everything a verified proof pins down: symbol values keyed by
+    (layer, index)."""
+
+    values: dict[tuple[int, int], bytes] = field(default_factory=dict)
 
 
 def _slot(symbol: bytes, pos: int) -> bytes:

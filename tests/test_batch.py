@@ -1,7 +1,8 @@
-"""Batched proof sampling and verification against the one-proof-at-a-time
-reference in ``tests/reference_proofs.py``: the same proofs, the same
-per-proof verdicts, the same harvest from a single walk, and for a
-reconstruction's ingest the same first-wins merge of what passes. The
+"""Proof sampling from shared tables and verification on one frontier
+against the one-proof-at-a-time reference in ``tests/reference_proofs.py``:
+the same proofs, the same per-proof verdicts, the same harvest from a
+single walk, and for a batch and a reconstruction's ingest the same
+first-wins merge of what passes. The
 proof sets mix honest proofs with single-field mutations, with forged
 ancestors shared by several proofs, with forgeries that share positions,
 parity keys or objects with honest proofs, over blocks whose child digests
@@ -28,16 +29,16 @@ from daoracle import cit, oracle as orc
 from daoracle import retrieval as rt
 from daoracle import serialize as sz
 from daoracle.dispersal import assign_chunks
-from daoracle.errors import BadCode, IndexOutOfRange
+from daoracle.errors import BadCode, IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
 
 from conftest import SMALL, chunkset_for
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
 
 
-def merged(harvests) -> cit.PomHarvest:
+def merged(harvests) -> ref.PomHarvest:
     """First-wins merge, in order, of the harvests of the passing proofs."""
-    out = cit.PomHarvest()
+    out = ref.PomHarvest()
     for harvest in harvests:
         if harvest is None:
             continue
@@ -51,18 +52,23 @@ def slot(symbol: bytes, pos: int) -> bytes:
 
 
 def check_batch(tree, poms) -> list:
-    """Batched verdicts and one-proof harvests equal the reference walk's,
-    proof by proof, and what one frontier and the reconstructor's ingest
-    keep is the merge of the passing harvests; each symbol it holds hashes
-    to the digest at its slot of its parent, which it holds too, or at the
-    root layer to the commitment's entry. Returns the reference harvests
-    (None for a failing proof)."""
+    """Verdicts equal the reference walk's, proof by proof, each proof
+    walked on its own or all on one frontier; what a fresh frontier keeps
+    after one proof is that proof's reference harvest, and what one frontier
+    and the reconstructor's ingest keep after all of them is the merge of
+    the passing harvests; each symbol it holds hashes to the digest at its
+    slot of its parent, which it holds too, or at the root layer to the
+    commitment's entry. Returns the reference harvests (None for a failing
+    proof)."""
     c, p = tree.commitment, tree.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
     verdicts = [harvest is not None for harvest in want]
-    assert cit.walk_poms(c, p, poms) == verdicts
-    assert [cit.walk_pom(c, p, pom) for pom in poms] == want
-    frontier = cit.Frontier(c, p)
+    assert [cit.walk_pom(c, p, pom) for pom in poms] == verdicts
+    for pom, harvest in zip(poms, want):
+        alone = cit.Frontier(c)
+        assert alone.walk(pom) is (harvest is not None)
+        assert alone.known() == (harvest.values if harvest is not None else {})
+    frontier = cit.Frontier(c)
     assert [cit.walk_pom(c, p, pom, frontier) for pom in poms] == verdicts
     values = frontier.known()
     assert values == merged(want).values
@@ -74,7 +80,7 @@ def check_batch(tree, poms) -> list:
             s_par = sys_counts[u - 1]
             assert sha256(value) == slot(values[(u - 1, x % s_par)], x // s_par)
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
-    reader = rt._Reconstructor(c, p, rt.ChunkSet(c, units))
+    reader = rt._Reconstructor(c, rt.ChunkSet(c, units))
     assert reader.values == values
     return want
 
@@ -156,7 +162,7 @@ def test_a_forged_tuple_shared_by_several_proofs_fails_each_of_them(case):
 
 @pytest.mark.parametrize("tree", TREES, ids=("small", "deep"))
 def test_forgeries_first_do_not_decide_the_honest_proofs_after_them(tree):
-    honest = cit.sample_poms(tree, range(tree.sizes[-1]))
+    honest = [cit.sample_pom(tree, i) for i in range(tree.sizes[-1])]
     forged = []
     for n, pom in enumerate(honest):
         j = n % len(pom.ancestors)
@@ -188,7 +194,7 @@ def test_ingest_keeps_the_collected_tuples_upward_closed(case):
     layers it decodes."""
     tree, poms = case
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
-    reader = rt._Reconstructor(tree.commitment, tree.params, rt.ChunkSet(tree.commitment, units))
+    reader = rt._Reconstructor(tree.commitment, rt.ChunkSet(tree.commitment, units))
     sys_counts = cit.geometry(tree.params, tree.block_len).sys_counts
     for u, x in reader.values:
         assert u == 0 or (u - 1, x % sys_counts[u - 1]) in reader.values
@@ -335,7 +341,7 @@ def test_a_zero_block_ingests_every_position_it_was_given():
     would let one proof stand for another position's."""
     tree = ZERO_TREES[0]
     m = tree.sizes[-1]
-    got = check_batch(tree, cit.sample_poms(tree, range(0, m, 2)))
+    got = check_batch(tree, [cit.sample_pom(tree, i) for i in range(0, m, 2)])
     assert all(harvest is not None for harvest in got)
     out = rt.reconstruct(tree.commitment, tree.params, chunkset_for(tree, range(m - 4)))
     assert out == rt.Block(bytes(tree.block_len))
@@ -348,7 +354,6 @@ def test_batched_sampling_matches_the_reference(tree, data):
     indices = data.draw(st.lists(st.integers(0, m - 1), max_size=24))
     indices += data.draw(st.lists(st.sampled_from(indices), max_size=4)) if indices else []
     want = [ref.sample_pom(tree, i) for i in indices]
-    assert cit.sample_poms(tree, indices) == want
     assert [cit.sample_pom(tree, i) for i in indices] == want
 
 
@@ -360,7 +365,7 @@ def test_batched_sampling_rejects_an_out_of_range_index(tree, data):
     bad = data.draw(st.one_of(st.integers(-3, -1), st.integers(m, m + 3)))
     indices.insert(data.draw(st.integers(0, len(indices))), bad)
     with pytest.raises(IndexOutOfRange):
-        cit.sample_poms(tree, indices)
+        [cit.sample_pom(tree, i) for i in indices]
 
 
 # The sampling tables: each tree builds its own on its first proof, and
@@ -378,7 +383,7 @@ TABLE_BLOCKS = tuple((tree.params, tree.block_len) for tree in TREES) + (
 @given(st.sampled_from(TABLE_BLOCKS), st.booleans(), st.data())
 def test_sampling_tables_match_the_reference(shape, zero, data):
     """Two trees of one geometry sampled in alternation, at repeated
-    indices in any order, one proof per call or in batches, give the
+    indices in any order, one proof or several per draw, give the
     reference proofs: the tables of one tree never answer for the other,
     and on a zero block (as in ZERO_TREES), where equal rows sit at
     different positions, the tables keep each position's own."""
@@ -397,10 +402,7 @@ def test_sampling_tables_match_the_reference(shape, zero, data):
     for which, indices in draws:
         tree = trees[which]
         want = [ref.sample_pom(tree, i) for i in indices]
-        if len(indices) > 1:
-            assert cit.sample_poms(tree, indices) == want
-        else:
-            assert cit.sample_pom(tree, indices[0]) == want[0]
+        assert [cit.sample_pom(tree, i) for i in indices] == want
     if shape == TABLE_BLOCKS[-1]:
         assert trees[0].depth == 1 and want[0].parities == ()
 
@@ -426,7 +428,8 @@ def test_fresh_tables_give_the_reference_proof_of_every_index(shape, zero):
     assert "sampling" not in vars(tree)
     s_top = cit.geometry(params, block_len).sys_counts[-2]
     assert len(tree.sampling.ancestors) == tree.sampling.ancestor_mod == s_top
-    assert cit.sample_poms(tree, range(m)) == [ref.sample_pom(tree, i) for i in range(m)]
+    for i in range(m):
+        assert cit.sample_pom(tree, i) == ref.sample_pom(tree, i)
 
 
 @settings(max_examples=50, deadline=None)
@@ -445,7 +448,7 @@ def test_an_out_of_range_index_raises_before_the_tables_are_built(shape, data):
 
 def test_duplicate_indices_sample_equal_proofs():
     tree = TREES[0]
-    poms = cit.sample_poms(tree, [3, 3, 0, 3])
+    poms = [cit.sample_pom(tree, i) for i in (3, 3, 0, 3)]
     assert poms[0] == poms[1] == poms[3] == ref.sample_pom(tree, 3)
     assert poms[2] == ref.sample_pom(tree, 0)
 
@@ -493,7 +496,52 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     pom = cit.sample_pom(tree, 5)
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
     assert not cit.verify_symbol(short, tree.params, pom)
-    assert cit.walk_poms(short, tree.params, [pom, pom]) == [False, False]
+    frontier = cit.Frontier(short)
+    assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
+    assert frontier.known() == {}
+
+
+@pytest.mark.parametrize("field", ("code_seed", "root_size"))
+def test_params_the_commitment_does_not_carry_verify_nothing(field, fraud_case, small_block):
+    """Every entry point that takes params beside a commitment checks them
+    against the commitment's: another code family of the same geometry, or
+    another root size, gives False, and reconstruct raises."""
+    tree = TREES[0]
+    c, p = tree.commitment, tree.params
+    other = dataclasses.replace(p, **{field: getattr(p, field) + 1})
+    pom = cit.sample_pom(tree, 5)
+    leaf, path = tree.layers[-1].hashes[5].tobytes(), honest_path(tree, tree.depth, 5)
+    chunks = chunkset_for(tree, range(tree.sizes[-1]))
+    commitment, params, proof = fraud_case
+    assert params is p
+    # each check passes with the commitment's own params, or equal ones
+    for q in (p, dataclasses.replace(p)):
+        assert cit.walk_pom(c, q, pom) and cit.walk_pom(c, q, pom, cit.Frontier(c))
+        assert cit.verify_symbol(c, q, pom)
+        assert cit.verify_membership(c, q, leaf, path)
+        assert rt.reconstruct(c, q, chunks) == rt.Block(small_block)
+        assert rt.verify_fraud_proof(commitment, q, proof)
+    assert not cit.walk_pom(c, other, pom)
+    frontier = cit.Frontier(c)
+    assert not cit.walk_pom(c, other, pom, frontier)
+    assert frontier.known() == {}
+    assert not cit.verify_symbol(c, other, pom)
+    assert not cit.verify_membership(c, other, leaf, path)
+    with pytest.raises(ParameterError, match="commitment echo"):
+        rt.reconstruct(c, other, chunks)
+    assert not rt.verify_fraud_proof(commitment, other, proof)
+
+
+def test_a_frontier_made_for_another_commitment_is_refused():
+    """walk_pom takes only a frontier made for its very commitment object:
+    an equal copy is another commitment, and so is another tree's."""
+    tree, other = TREES
+    pom = cit.sample_pom(tree, 5)
+    for commitment in (dataclasses.replace(tree.commitment), other.commitment):
+        frontier = cit.Frontier(commitment)
+        with pytest.raises(ValueError, match="another commitment"):
+            cit.walk_pom(tree.commitment, tree.params, pom, frontier)
+        assert frontier.known() == {}
 
 
 @lru_cache(maxsize=None)
@@ -538,7 +586,7 @@ def test_a_fault_inside_the_membership_verifier_propagates(monkeypatch):
     for call in (
         lambda: cit.verify_symbol(tree.commitment, tree.params, pom),
         lambda: cit.walk_pom(tree.commitment, tree.params, pom),
-        lambda: cit.walk_poms(tree.commitment, tree.params, [pom]),
+        lambda: cit.Frontier(tree.commitment).walk(pom),
     ):
         with pytest.raises(RuntimeError, match="spy"):
             call()

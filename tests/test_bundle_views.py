@@ -48,7 +48,7 @@ def test_a_decoded_bundle_reconstructs_as_the_sampled_units(trees, small_block, 
         # one is a view of the bundle, a solved one a view of its XOR
         blob = sz.encode_chunk_bundle(chunkset_for(tree, keep).units)
         com = tree.commitment
-        rec = rt._Reconstructor(com, tree.params, rt.ChunkSet(com, sz.decode_chunk_bundle(blob)))
+        rec = rt._Reconstructor(com, rt.ChunkSet(com, sz.decode_chunk_bundle(blob)))
         rec.run()
         rows = rec.layer_done[tree.depth]
         assert all(type(row) is memoryview and row.readonly for row in rows)
@@ -110,9 +110,7 @@ def units_of(tree, indices, pom_kind):
 
 @pytest.mark.parametrize("pom_kind", ("bytes", "view"))
 @pytest.mark.parametrize("kind", ("bytes", "view"))
-def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(
-    small_tree, small_params, pom_kind, kind
-):
+def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(small_tree, pom_kind, kind):
     """The checks test identity before ==; an equal symbol that is another
     object passes each of them, and one byte off fails each of them."""
     com = small_tree.commitment
@@ -135,7 +133,7 @@ def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(
         assert oracle._units_check(com, range(32), edited) is agrees
 
         # client ingest: a changed unit is skipped, the rest are walked
-        values = rt._Reconstructor(com, small_params, rt.ChunkSet(com, edited)).values
+        values = rt._Reconstructor(com, rt.ChunkSet(com, edited)).values
         base = {x for (u, x) in values if u == small_tree.depth}
         assert (at in base) is agrees
         assert base | {at} == set(range(32))

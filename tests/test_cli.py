@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from daoracle import cit, cli, serialize as sz
+from daoracle import cit, cli, simnet, serialize as sz
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
@@ -493,6 +493,17 @@ def without(raw: dict, key: str) -> str:
     return json.dumps({k: v for k, v in raw.items() if k != key})
 
 
+def scenario_argv(tmp_path, command: str, config: dict) -> tuple:
+    """The arguments that make ``simulate`` read ``config`` as its scenario,
+    or ``retrieve`` read it as the config of a trace to replay."""
+    path = tmp_path / "input.json"
+    if command == "simulate":
+        path.write_text(json.dumps(config))
+        return ("--scenario", path, "--out", tmp_path / "sim")
+    path.write_text(json.dumps({"config": config}))
+    return ("--trace", path, "--out-block", tmp_path / "block.bin")
+
+
 class TestBadJsonInput:
     """Malformed JSON input is a bad parameter: exit 2 and one error line."""
 
@@ -549,23 +560,31 @@ class TestBadJsonInput:
             {"block_size": 1 << 32, "tree": {**SCENARIO["tree"], "symbol_size": 1 << 27}},
             # one node and lambda 2**-20 over 128 chunks: a 1 GiB design
             {"dispersal": {**SCENARIO["dispersal"], "lambda": 2.0**-20}, "n_nodes": 1},
+            # one ledger per client is made before any round runs
+            {"n_clients": simnet.MAX_CLIENTS + 1, "rounds": 0},
         ],
-        ids=["n_nodes", "block_size", "design_slots"],
+        ids=["n_nodes", "block_size", "design_slots", "n_clients"],
     )
     def test_oversized_scenario_values_exit_params(self, tmp_path, command, oversized):
         # each value would size an allocation of gigabytes if read unchecked,
         # so the command runs in a child under a memory bound
-        config = {**SCENARIO, **oversized}
-        path = tmp_path / "input.json"
-        if command == "simulate":
-            path.write_text(json.dumps(config))
-            argv = ("--scenario", path, "--out", tmp_path / "sim")
-        else:
-            path.write_text(json.dumps({"config": config}))
-            argv = ("--trace", path, "--out-block", tmp_path / "block.bin")
+        argv = scenario_argv(tmp_path, command, {**SCENARIO, **oversized})
         code, err = memory_bound(quiet_run, command, *argv)
         assert code == cli.EXIT_PARAMS
         assert err.startswith("error: ") and next(iter(oversized)) in err
+
+    @pytest.mark.parametrize("command", ["simulate", "retrieve"])
+    @pytest.mark.parametrize(
+        "beta", [float("nan"), float("inf"), -0.25, 1.5],
+        ids=["nan", "infinity", "negative", "above_one"],
+    )
+    def test_beta_outside_the_unit_interval_exits_params(self, tmp_path, capsys, command, beta):
+        # json writes and reads NaN and Infinity as bare words
+        argv = scenario_argv(tmp_path, command, {**SCENARIO, "beta": beta})
+        assert run(command, *argv) == cli.EXIT_PARAMS
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "beta" in out.err
+        assert "Traceback" not in out.err
 
     def test_malformed_indices_exit_params(self, workdir, capsys):
         d = workdir

@@ -88,7 +88,7 @@ def both(which, flips, keep):
     block = bytes((i * 37 + 11) % 256 for i in range(block_len))
     tree = tampered_tree(block, params, flips)
     chunks = chunkset_for(tree, keep)
-    new = rt._Reconstructor(tree.commitment, params, chunks)
+    new = rt._Reconstructor(tree.commitment, chunks)
     old = ref.Reconstructor(tree.commitment, params, chunks)
     assert new.values == old.values
     return outcome(new), outcome(old), tree

@@ -1,9 +1,12 @@
-"""Every bash block documented in the README must execute cleanly.
+"""Every bash and python block documented in the README must execute
+cleanly.
 
-The blocks run once, in README order, in one shared working directory:
-later walkthrough blocks read the files that earlier ones write. They run
-the CLI as ``python3 -m daoracle`` against this checkout's ``src``, so no
-install step is needed.
+The bash blocks run once, in README order, in one shared working
+directory: later walkthrough blocks read the files that earlier ones
+write. They run the CLI as ``python3 -m daoracle`` against this checkout's
+``src``, so no install step is needed. Each python block runs on its own,
+in a fresh interpreter with the same ``src`` first on ``sys.path``, so a
+sketch of a renamed or deleted API fails here.
 """
 
 import os
@@ -20,9 +23,9 @@ REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
 
 
-def bash_blocks():
+def blocks(language: str) -> list[str]:
     text = README.read_text()
-    return re.findall(r"```bash\n(.*?)```", text, flags=re.DOTALL)
+    return re.findall(rf"```{language}\n(.*?)```", text, flags=re.DOTALL)
 
 
 def recurses(script: str) -> bool:
@@ -57,7 +60,7 @@ def readme_runs(tmp_path_factory) -> dict:
     env = block_env()
     runs = {}
     failed = None
-    for idx, script in enumerate(bash_blocks()):
+    for idx, script in enumerate(blocks("bash")):
         if recurses(script):
             continue
         if failed is not None:
@@ -77,9 +80,9 @@ def readme_runs(tmp_path_factory) -> dict:
     return runs
 
 
-@pytest.mark.parametrize("idx", range(len(bash_blocks())))
+@pytest.mark.parametrize("idx", range(len(blocks("bash"))))
 def test_readme_block(idx, readme_runs):
-    script = bash_blocks()[idx]
+    script = blocks("bash")[idx]
     if recurses(script):
         pytest.skip("the test-suite block would recurse")
     run = readme_runs[idx]
@@ -90,4 +93,21 @@ def test_readme_block(idx, readme_runs):
     assert run.returncode == 0, (
         f"README block {idx} failed\n--- script ---\n{script}\n"
         f"--- stdout ---\n{run.stdout}\n--- stderr ---\n{run.stderr}"
+    )
+
+
+@pytest.mark.parametrize("idx", range(len(blocks("python"))))
+def test_readme_python_block(idx, tmp_path):
+    script = blocks("python")[idx]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=block_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, (
+        f"README python block {idx} failed\n--- script ---\n{script}\n"
+        f"--- stderr ---\n{proc.stderr}"
     )
