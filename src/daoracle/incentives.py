@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .util import require_finite
 
 
 class Role(enum.Enum):
@@ -54,6 +55,7 @@ class IncentiveParams:
     n_signatures: int  # k, signatures aggregated in the committed signature
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 <= self.p_audit <= 1:
             raise ParameterError("p_audit must lie in [0, 1]")
         for name in (

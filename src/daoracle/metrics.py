@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .util import HASH_BYTES
+from .util import HASH_BYTES, require_finite
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,9 @@ class CostParams:
     hash_size: int = HASH_BYTES  # y
 
     def __post_init__(self):
+        require_finite(self)
+        if min(self.n_nodes, self.root_size, self.max_eq_degree) < 1:
+            raise ParameterError("n_nodes, root_size and max_eq_degree must be >= 1")
         if self.batch * self.rate <= 1:
             raise ParameterError("batch * rate must exceed 1 for the log base")
         if min(self.block_size, self.symbol_size, self.rate, self.lam) <= 0:

@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import oracle as orc
-from .cit import TreeParams, build_tree, geometry
+from .cit import TreeParams, geometry, sample_pom
 from .dispersal import DispersalParams, assign_chunks, chunks_per_node
 from .errors import BadCode, ConfigError, ParameterError
-from .oracle import Behavior, DispersalMessage, OracleNode, TrustedChain
+from .oracle import Behavior, OracleNode, TrustedChain
 from .retrieval import Block, Fraud
 from .serialize import encode_commitment, encode_pom
 from .util import NUMBER, RATE, derive_seed, json_fields, sha256
@@ -95,8 +95,10 @@ def behaviors_from_counts(
     """Expand {"silent": 3, ...} counts; ids are sampled by seed when given,
     else the highest ids take the non-honest roles."""
     order = []
-    # every count must be an int
+    # every count must be an int, and one in [0, n_nodes] before it sizes a list
     for name, cnt in sorted(json_fields(counts, {}, dict.fromkeys(counts, int)).items()):
+        if not 0 <= cnt <= n_nodes:
+            raise ConfigError(f"behaviors: {name!r} count must lie in [0, {n_nodes}], got {cnt}")
         order += [_behavior(name)] * cnt
     if len(order) > n_nodes:
         raise ConfigError("more behavior assignments than nodes")
@@ -227,23 +229,6 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-def _unit_size(pom, cache: dict) -> int:
-    # keyed on the proof's value: an id() key could be reused by a later
-    # proof once an earlier, unstored one is garbage-collected
-    size = cache.get(pom)
-    if size is None:
-        size = cache[pom] = 8 + len(encode_pom(pom))
-    return size
-
-
-def _units_size(units, cache: dict) -> int:
-    return sum(_unit_size(pom, cache) for _idx, _symbol, pom in units)
-
-
-def _message_size(message: DispersalMessage, cache: dict) -> int:
-    return len(encode_commitment(message.commitment)) + _units_size(message.units, cache)
-
-
 def _propose(config: ScenarioConfig, params: TreeParams, round_no: int, design):
     rng = np.random.default_rng(
         np.uint64(derive_seed("block", config.master_seed, round_no))
@@ -251,26 +236,39 @@ def _propose(config: ScenarioConfig, params: TreeParams, round_no: int, design):
     block = rng.bytes(config.block_size)
     strategy = config.proposer_strategy
     if strategy == "honest":
-        tree = build_tree(block, params)
-        return block, tree, orc.messages_for_tree(tree, design)
+        return (block, *orc.client_disperse(block, params, design))
     if strategy == "invalid_coding":
         tree = orc.build_tree_with_base_corruption(block, params, xor_mask=0x5A)
         return block, tree, orc.messages_for_tree(tree, design)
-    # equivocating: commitment from one block, chunks from another
+    # equivocating: odd nodes get the commitment of one block with the
+    # chunks of another
     other = rng.bytes(config.block_size)
-    tree_a = build_tree(block, params)
-    tree_b = build_tree(other, params)
-    msgs_a = orc.messages_for_tree(tree_a, design)
-    msgs_b = orc.messages_for_tree(tree_b, design)
-    messages = {}
-    for node_id, msg in msgs_a.items():
-        if node_id % 2 == 1:
-            messages[node_id] = DispersalMessage(
-                tree_a.commitment, msgs_b[node_id].units, msg.assigned
-            )
-        else:
-            messages[node_id] = msg
-    return block, tree_a, messages
+    tree, messages = orc.client_disperse(block, params, design)
+    _, others = orc.client_disperse(other, params, design)
+    return block, tree, {
+        node: replace(msg, units=others[node].units) if node % 2 else msg
+        for node, msg in messages.items()
+    }
+
+
+def _outcome(result, block: bytes) -> dict:
+    """The trace fields of a client's retrieval result."""
+    if isinstance(result, Block):
+        return {
+            "outcome": "block",
+            "sha256": sha256(result.data).hex(),
+            "matches_proposal": result.data == block,
+        }
+    if isinstance(result, Fraud):
+        return {
+            "outcome": "fraud",
+            "layer": result.proof.layer,
+            "equation": result.proof.equation_no,
+        }
+    return {
+        "outcome": "insufficient",
+        "fractions": [[u, f] for u, f in result.known_fractions],
+    }
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
@@ -281,13 +279,11 @@ def run_scenario(config: ScenarioConfig) -> Trace:
     trace.bytes_stored = {n.node_id: 0 for n in nodes}
     trace.bytes_downloaded = {c: 0 for c in range(config.n_clients)}
     trace.ledgers = {c: [] for c in range(config.n_clients)}
-    size_cache: dict = {}
     # the tree params of the next round: a confirmed bad code moves every
     # later round to the code seed the bad-code round agreed on
     params = config.tree
 
     for round_no in range(config.rounds):
-        proposer = round_no % config.n_clients
         design = assign_chunks(
             n_chunks,
             config.n_nodes,
@@ -298,74 +294,54 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         commitment = tree.commitment
         trace.commitments[round_no] = commitment
         key = orc.commit_key(commitment)
+        # every proof of one commitment has one size, and a unit is its
+        # proof behind an 8-byte length
+        unit_bytes = 8 + len(encode_pom(sample_pom(tree, 0)))
+        commitment_bytes = len(encode_commitment(commitment))
 
         votes = []
         for node in nodes:
-            trace.bytes_sent += _message_size(messages[node.node_id], size_cache)
-            # only this round's key can change: add its new units' bytes
-            held = _units_size(node.units(key), size_cache)
-            vote = orc.node_on_dispersal(node, messages[node.node_id])
-            trace.bytes_stored[node.node_id] += _units_size(node.units(key), size_cache) - held
+            message = messages[node.node_id]
+            trace.bytes_sent += commitment_bytes + len(message.units) * unit_bytes
+            # dispersal only adds units of this round's key
+            held = len(node.stored)
+            vote = orc.node_on_dispersal(node, message)
+            trace.bytes_stored[node.node_id] += (len(node.stored) - held) * unit_bytes
             if vote is not None:
                 votes.append(vote)
         status = orc.chain_submit_votes(chain, commitment, votes)
 
+        if status.committed:
+            # no retrieval changes what the nodes store, so every client
+            # downloads the same units
+            downloaded = len(orc.gather_units(nodes, key)) * unit_bytes
         retrievals = []
         for client in range(config.n_clients):
-            if not status.committed:
-                retrievals.append({"client": client, "outcome": "none"})
-                trace.ledgers[client].append({"round": round_no, "outcome": "none"})
-                continue
-            units = orc.gather_units(nodes, key)
-            trace.bytes_downloaded[client] += _units_size(units, size_cache)
-            chunks = orc.ChunkSet(commitment, units)
-            try:
-                result = orc.reconstruct(commitment, commitment.params, chunks)
-            except BadCode as signal:
-                new_seed = orc.bad_code_round(nodes, commitment, signal, chain)
-                params = replace(commitment.params, code_seed=new_seed)
-                entry = {"client": client, "outcome": "bad_code", "new_seed": new_seed}
-                retrievals.append(entry)
-                trace.ledgers[client].append({"round": round_no, **entry})
-                trace.results[(round_no, client)] = signal
-                continue
-            trace.results[(round_no, client)] = result
-            if isinstance(result, Block):
-                entry = {
-                    "client": client,
-                    "outcome": "block",
-                    "sha256": sha256(result.data).hex(),
-                    "matches_proposal": result.data == block,
-                }
-            elif isinstance(result, Fraud):
-                orc.chain_submit_fraud(chain, commitment, result.proof)
-                entry = {
-                    "client": client,
-                    "outcome": "fraud",
-                    "layer": result.proof.layer,
-                    "equation": result.proof.equation_no,
-                }
-            else:
-                entry = {
-                    "client": client,
-                    "outcome": "insufficient",
-                    "fractions": [[u, f] for u, f in result.known_fractions],
-                }
+            fields = {"outcome": "none"}
+            if status.committed:
+                trace.bytes_downloaded[client] += downloaded
+                try:
+                    result = orc.client_retrieve(chain, nodes, commitment, commitment.params)
+                    fields = _outcome(result, block)
+                except BadCode as signal:
+                    result = signal
+                    new_seed = orc.bad_code_round(nodes, commitment, signal, chain)
+                    params = replace(commitment.params, code_seed=new_seed)
+                    fields = {"outcome": "bad_code", "new_seed": new_seed}
+                trace.results[(round_no, client)] = result
+            entry = {"client": client, **fields}
             retrievals.append(entry)
-            trace.ledgers[client].append({"round": round_no, **entry})
+            # an uncommitted round's ledger entry names no client
+            ledger = entry if status.committed else fields
+            trace.ledgers[client].append({"round": round_no, **ledger})
 
-        audit_rng = np.random.default_rng(
-            np.uint64(derive_seed("audit", config.master_seed, round_no))
-        )
         audit_entry = None
         if status.committed and config.audit_probability > 0:
+            audit_rng = np.random.default_rng(
+                np.uint64(derive_seed("audit", config.master_seed, round_no))
+            )
             outcome = orc.audit(
-                chain,
-                nodes,
-                commitment,
-                config.audit_probability,
-                audit_rng,
-                design,
+                chain, nodes, commitment, config.audit_probability, audit_rng, design
             )
             if outcome.audited is not None:
                 audit_entry = {
@@ -377,7 +353,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         trace.rounds.append(
             {
                 "round": round_no,
-                "proposer": proposer,
+                "proposer": round_no % config.n_clients,
                 "strategy": config.proposer_strategy,
                 "committed": status.committed,
                 "block_id": status.block_id,

@@ -4,6 +4,8 @@ field checks for JSON configs."""
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional
 
@@ -18,6 +20,19 @@ RATE = (str, int, float)  # "1/4"-style string or an exact number, see as_rate
 
 def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
+
+
+def require_finite(params) -> None:
+    """Raise ParameterError naming the first field of the dataclass
+    ``params`` that no finite float holds: NaN, an infinity or an int past
+    the float range, each of which json reads from a file."""
+    for field in fields(params):
+        try:
+            finite = math.isfinite(getattr(params, field.name))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParameterError(f"{field.name} must be finite")
 
 
 def derive_seed(*parts) -> int:

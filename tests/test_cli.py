@@ -522,15 +522,30 @@ class TestBadJsonInput:
             ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8})),
             ("metrics", without(COST_PARAMS, "batch")),
             ("metrics", without(COST_PARAMS, "eta")),
+            ("metrics", json.dumps({**COST_PARAMS, "root_size": 0})),
+            ("metrics", json.dumps({**COST_PARAMS, "n_nodes": 0})),
+            ("metrics", json.dumps({**COST_PARAMS, "root_size": -4})),
+            ("metrics", json.dumps({**COST_PARAMS, "max_eq_degree": 0})),
+            ("metrics", json.dumps({**COST_PARAMS, "block_size": float("nan")})),
+            ("metrics", json.dumps({**COST_PARAMS, "symbol_size": float("inf")})),
+            ("metrics", json.dumps({**COST_PARAMS, "lambda": float("nan")})),
+            ("metrics", json.dumps({**COST_PARAMS, "n_nodes": 10**400})),
             ("incentives", without(INCENTIVE_PARAMS, "p_audit")),
+            ("incentives", json.dumps({**INCENTIVE_PARAMS, "stake_oracle": float("nan")})),
+            ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": float("inf")})),
+            ("incentives", json.dumps({**INCENTIVE_PARAMS, "block_reward": 10**400})),
             ("retrieve", json.dumps({"rounds": []})),
         ],
         ids=[
             "commit_missing_key", "commit_unparsable", "commit_wrong_type",
             "commit_not_an_object", "commit_rate_without_layer_codes", "simulate_missing_tree", "simulate_unknown_behavior",
             "simulate_count_not_an_int", "simulate_no_nodes", "disperse_missing_key",
-            "metrics_missing_key", "metrics_no_lambda_nor_eta",
-            "incentives_missing_key", "retrieve_trace_without_config",
+            "metrics_missing_key", "metrics_no_lambda_nor_eta", "metrics_no_root",
+            "metrics_no_nodes", "metrics_negative_root", "metrics_degree_zero",
+            "metrics_nan_block", "metrics_infinite_symbol", "metrics_nan_lambda",
+            "metrics_nodes_past_float", "incentives_missing_key", "incentives_nan_stake",
+            "incentives_infinite_signatures", "incentives_reward_past_float",
+            "retrieve_trace_without_config",
         ],
     )
     def test_exits_params(self, tmp_path, small_block, capsys, command, text):
@@ -562,8 +577,12 @@ class TestBadJsonInput:
             {"dispersal": {**SCENARIO["dispersal"], "lambda": 2.0**-20}, "n_nodes": 1},
             # one ledger per client is made before any round runs
             {"n_clients": simnet.MAX_CLIENTS + 1, "rounds": 0},
+            # a behavior count sizes the list of non-honest roles
+            {"behaviors": {"silent": 2**62}},
+            {"behaviors": {"silent": -1}},
         ],
-        ids=["n_nodes", "block_size", "design_slots", "n_clients"],
+        ids=["n_nodes", "block_size", "design_slots", "n_clients", "behavior_count_huge",
+             "behavior_count_negative"],
     )
     def test_oversized_scenario_values_exit_params(self, tmp_path, command, oversized):
         # each value would size an allocation of gigabytes if read unchecked,

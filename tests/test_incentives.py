@@ -1,5 +1,7 @@
 """Utility table arithmetic and equilibrium checks vs brute enumeration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ class TestUtilityTable:
             params(verify_cost=-1)
         with pytest.raises(ParameterError):
             params(p_audit=1.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_rejects_every_number_a_float_does_not_hold(self, value):
+        # json reads NaN, Infinity and ints past the float range; every
+        # comparison with NaN is False, so the range checks alone let it by
+        for field in dataclasses.fields(inc.IncentiveParams):
+            with pytest.raises(ParameterError, match=f"{field.name} must be finite"):
+                params(**{field.name: value})
 
 
 class TestAllCooperate:

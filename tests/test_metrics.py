@@ -94,6 +94,22 @@ class TestOperatingPoint:
         with pytest.raises(ParameterError):
             mx.CostParams(**{**OPERATING, "batch": 4, "rate": 0.25}, lam=0.01)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+    @pytest.mark.parametrize("name", [*OPERATING, "lam"])
+    def test_rejects_a_number_a_float_does_not_hold(self, name, value):
+        # NaN passes every range check and reached the tables as a bare NaN
+        raw = {**OPERATING, "lam": reference_lambda(), name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            mx.CostParams(**raw)
+
+    @pytest.mark.parametrize("value", [0, -4])
+    @pytest.mark.parametrize("name", ["n_nodes", "root_size", "max_eq_degree"])
+    def test_rejects_a_count_below_one(self, name, value):
+        # zero nodes or root digests divided by zero, a negative root size
+        # took the log of a negative, and degree 0 gave a negative proof size
+        with pytest.raises(ParameterError, match=name):
+            mx.CostParams(**{**OPERATING, name: value}, lam=reference_lambda())
+
 
 class TestScalingLaws:
     def sweep(self):

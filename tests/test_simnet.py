@@ -1,7 +1,6 @@
 """Scenario runs: determinism, safety sweep, counters vs closed forms."""
 
 import dataclasses
-import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -12,9 +11,10 @@ import pytest
 from daoracle import metrics as mx
 from daoracle import oracle as orc
 from daoracle import simnet as sn
-from daoracle.cit import TreeParams, sample_pom
+from daoracle.cit import TreeParams
 from daoracle.dispersal import MAX_DESIGN_SLOTS, DispersalParams, assign_chunks
 from daoracle.errors import BadCode, ConfigError
+from daoracle.serialize import encode_commitment, encode_pom
 from daoracle.util import derive_seed
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL
@@ -264,7 +264,9 @@ def test_trace_json_and_csv_shapes():
 # sampling, peeling order, storage accounting or the trace layout moves these
 TRACE_DIGESTS = {
     "all_honest": "42716e1345ae9c941cebeba9788207b727c0112d2acd5003cf4177eb592f5590",
+    "equivocating": "d7904760af2a94bbcd2962b4deb1f9f73fe8d9f435633b30980d35c60d3d1c25",
     "invalid_coding": "c27b7b0682a805ab225ceb408d47a9f3fcafd4cb6dca7bd1fac9b62a4b7e6646",
+    "planted_stall": "ab2812b7320eb6f5809530197c520fb86c46ad11fb04a0675f04d1cdc880b182",
     "stored_history": "11404e9e2f2d0b0f67bc025bae38f28d2be4c0052487e9994a7801c64ed8dbc9",
     "repeated_commitment": "890f519b2138b7c525981c3505e338b65f64de8584fef0e0f8834911627df262",
 }
@@ -284,6 +286,19 @@ def _scenario(name) -> dict:
             behaviors={"silent": 2, "withhold_after_vote": 2, "vote_without_store": 1},
         )
         return raw
+    if name == "equivocating":
+        # two rounds that each get 10 votes and never commit
+        raw = json.loads((SCENARIOS / "all_honest.json").read_text())
+        raw.update(
+            proposer_strategy="equivocating",
+            behaviors={"vote_without_store": 1, "silent": 1},
+        )
+        return raw
+    if name == "planted_stall":
+        # three clients each meet the bad code in round 0; round 1 commits
+        # under the agreed code seed
+        config = dataclasses.replace(planted_config(STALL_SEED), n_clients=3, rounds=2)
+        return json.loads(sn.config_to_json(config))
     if name == "repeated_commitment":
         # 2-byte blocks: round 102 proposes the block of round 41, so the
         # nodes take a second message, with another assignment, for one key
@@ -306,13 +321,65 @@ def test_scenario_trace_bytes_are_pinned(name):
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == TRACE_DIGESTS[name]
 
 
-def test_unit_size_cache_never_answers_for_another_proof(small_tree):
-    # proofs of alternating encoded size, each dropped right after its
-    # lookup, so a later proof may reuse the memory (and id) of an earlier one
-    cache: dict = {}
-    for rep in range(20):
-        pom = sample_pom(small_tree, rep)
-        pom = dataclasses.replace(pom, base_symbol=bytes(64 - rep % 2))
-        assert sn._unit_size(pom, cache) == 8 + len(sn.encode_pom(pom))
-        del pom
-        gc.collect()
+def _unit_bytes(units) -> int:
+    return sum(8 + len(encode_pom(pom)) for _idx, _symbol, pom in units)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        make_config({"silent": 2, "vote_without_store": 1}, rounds=2),
+        make_config({"withhold_after_vote": 2}, strategy="invalid_coding", rounds=2),
+        # gamma 0.3: the 10 nodes that verify and the one that votes
+        # without storing reach the 11 votes that commit
+        make_config({"vote_without_store": 1}, strategy="equivocating", rounds=2,
+                    disp=dataclasses.replace(DISP, gamma=0.3)),
+        sn.config_from_dict(_scenario("repeated_commitment")),
+    ],
+    ids=["honest", "invalid_coding", "equivocating", "repeated_commitment"],
+)
+def test_counters_equal_the_encoded_size_of_every_unit(monkeypatch, config):
+    """The trace's byte counters against encoding every unit the round moves:
+    what ``_propose`` sends, what each node holds at the end, and what each
+    client's ``gather_units`` returned in each committed round."""
+    sent, gathered, nodes = [], [], {}
+    propose, gather, on_dispersal = sn._propose, orc.gather_units, orc.node_on_dispersal
+
+    def spy_propose(*args):
+        out = propose(*args)
+        sent.append(out[2])
+        gathered.append([])
+        return out
+
+    def spy_gather(*args):
+        units = gather(*args)
+        gathered[-1].append(units)
+        return units
+
+    def spy_on_dispersal(node, message):
+        nodes[node.node_id] = node
+        return on_dispersal(node, message)
+
+    monkeypatch.setattr(sn, "_propose", spy_propose)
+    monkeypatch.setattr(orc, "gather_units", spy_gather)
+    monkeypatch.setattr(orc, "node_on_dispersal", spy_on_dispersal)
+    trace = sn.run_scenario(config)
+
+    assert trace.bytes_sent == sum(
+        len(encode_commitment(msg.commitment)) + _unit_bytes(msg.units)
+        for messages in sent for msg in messages.values()
+    )
+    assert trace.bytes_stored == {
+        node_id: _unit_bytes((idx, *unit) for (_key, idx), unit in node.stored.items())
+        for node_id, node in nodes.items()
+    }
+    downloaded = 0
+    for summary, calls in zip(trace.rounds, gathered):
+        if summary["committed"]:
+            # every client's gather of a round returns the same units
+            assert calls and all(units == calls[0] for units in calls)
+            downloaded += _unit_bytes(calls[0])
+        else:
+            assert calls == []
+    assert trace.bytes_downloaded == dict.fromkeys(range(config.n_clients), downloaded)
+    assert downloaded > 0
