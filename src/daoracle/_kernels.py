@@ -17,17 +17,17 @@ equation with one unknown names it directly. ``Peel.mark(x)`` records
 symbol x as known and returns the equations it leaves with exactly one
 unknown. The engine never touches symbol values. ``Peel.steps()`` visits
 equations in the order of an ascending scan over all equations, repeated
-while a scan solves something, that solves each equation in turn (a
-Violation or fraud proof names the first failing equation under that
-rule). The caller XORs values, or for the alpha gate only follows the
-closure, and calls ``Peel.solve(x)`` for each solve it accepts.
-``codec.peel_decode``, ``codec.is_bad_code`` and retrieval all peel this
-way.
+while a scan solves something, that solves each equation in turn (a fraud
+proof names the first failing equation under that rule). The caller XORs
+values, or for the alpha gate only follows the closure, and calls
+``Peel.solve(x)`` for each solve it accepts.
+``codec.is_bad_code`` and retrieval both peel this way.
 
 Values. The base layer XORs uint8 rows, in ``xor_encode`` and in the
 peel; a digest layer's symbols, q digests each, XOR as Python ints
 (``int_from_digest``), in ``cit.build_tree``'s encode and in the peel
-alike, through ``xor_members``.
+alike, through ``xor_members``, which also XORs a fraud proof's members
+as uint8 rows in ``retrieval.verify_fraud_proof``.
 """
 
 from __future__ import annotations

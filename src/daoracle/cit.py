@@ -79,7 +79,7 @@ import numpy as np
 from ._kernels import digest_from_int, int_from_digest, xor_members
 from .codec import CodeSpec, encode_array, generate_code, is_bad_code
 from .errors import BadCode, IndexOutOfRange, ParameterError
-from .util import HASH_BYTES, as_rate, derive_seed, sha256
+from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
 
 
 # caps on the alpha gate's loop counts: one layer size costs at most
@@ -310,7 +310,7 @@ def layer_code(params: TreeParams, layer_size: int) -> CodeSpec:
         )
     base_seed = derive_seed("cit-code", params.code_seed, layer_size)
     for attempt in range(max(1, params.max_code_attempts)):
-        seed = (base_seed + attempt) & ((1 << 64) - 1)
+        seed = (base_seed + attempt) & MASK64
         cand = generate_code(k, params.rate, params.max_eq_degree, seed)
         if params.gate_trials == 0 or not is_bad_code(
             cand, params.alpha, params.gate_trials, rng_seed=seed

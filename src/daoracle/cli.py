@@ -217,9 +217,9 @@ def cmd_metrics(args) -> int:
         lam=lam,
     )
     rep = mx.report(cost)
+    rows = mx.baseline_table(cost.block_size, cost.n_nodes, raw.get("beta", 0.49), cost)
     prefix = Path(args.out_prefix)
     prefix.with_suffix(".json").write_text(rep.to_json())
-    rows = mx.baseline_table(cost.block_size, cost.n_nodes, raw.get("beta", 0.49), cost)
     prefix.with_name(prefix.name + "_baselines").with_suffix(".csv").write_text(
         mx.baseline_csv(rows)
     )
@@ -234,6 +234,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_incentives(args) -> int:
     spec = {field.name: NUMBER for field in dataclasses.fields(IncentiveParams)}
+    spec["n_signatures"] = int  # k counts signatures
     params = IncentiveParams(**json_fields(_read_json(args.params), spec))
     payload = {
         "all_cooperate": json.loads(check_allC_equilibrium(params).to_json()),

@@ -10,11 +10,10 @@ are rejection-resampled. Tiny codes (k <= 2) degenerate to repetition.
 Everything is a pure function of its arguments including seeds; two calls
 with equal arguments produce bit-identical codes.
 
-Decoding and the alpha gate both run the one peeling engine
-(``_kernels.Peel``). ``peel_decode`` XORs symbol values along its solves.
-``is_bad_code`` only follows the closure: a code is bad when one of its
-seeded erasure trials, erasing the largest count below the alpha
-threshold, leaves a symbol unknown.
+The alpha gate runs the one peeling engine (``_kernels.Peel``) and only
+follows its closure: a code is bad when one of its seeded erasure trials,
+erasing the largest count below the alpha threshold, leaves a symbol
+unknown. Retrieval drives the same engine over symbol values.
 """
 
 from __future__ import annotations
@@ -23,15 +22,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import LengthMismatch, ParameterError
-from .util import as_rate
-
-_MASK64 = (1 << 64) - 1
+from .util import MASK64, as_rate
 
 
 @dataclass(frozen=True)
@@ -79,25 +75,6 @@ class CodeSpec:
         )
 
 
-@dataclass(frozen=True)
-class Decoded:
-    symbols: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
-class Stuck:
-    unknown: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Violation:
-    equation_index: int
-    known_symbols: tuple[tuple[int, bytes], ...]
-
-
-DecodeOutcome = Union[Decoded, Stuck, Violation]
-
-
 def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> CodeSpec:
     """Build the deterministic code for (k, rate, d, seed).
 
@@ -120,7 +97,7 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
         for j in range(n_parity):
             equations.append(ParityEquation(tuple(sorted((j % k, k + j)))))
     else:
-        rng = np.random.default_rng(np.uint64(seed & _MASK64))
+        rng = np.random.default_rng(np.uint64(seed & MASK64))
         hi = min(max_eq_degree - 1, k)
         lo = min(2, hi)
         seen: set[frozenset[int]] = set()
@@ -137,18 +114,7 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
                     break
             seen.add(inputs)
             equations.append(ParityEquation((*sorted(inputs), k + j)))
-    return CodeSpec(k, n, r, max_eq_degree, seed & _MASK64, tuple(equations))
-
-
-def _as_matrix(symbols: Sequence[bytes]) -> np.ndarray:
-    widths = {len(s) for s in symbols}
-    if len(widths) > 1:
-        raise LengthMismatch("symbols must all have equal length")
-    width = widths.pop() if widths else 0
-    out = np.empty((len(symbols), width), dtype=np.uint8)
-    for i, s in enumerate(symbols):
-        out[i] = np.frombuffer(bytes(s), dtype=np.uint8)
-    return out
+    return CodeSpec(k, n, r, max_eq_degree, seed & MASK64, tuple(equations))
 
 
 def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
@@ -161,49 +127,6 @@ def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
     sym[: code.n_systematic] = inputs
     _kernels.xor_encode(code.tables.members, sym)
     return sym
-
-
-def encode(code: CodeSpec, inputs: Sequence[bytes]) -> tuple[bytes, ...]:
-    sym = encode_array(code, _as_matrix(inputs))
-    return tuple(row.tobytes() for row in sym)
-
-
-def peel_decode(code: CodeSpec, known: Mapping[int, bytes]) -> DecodeOutcome:
-    """Iterative peeling: check fully known equations, solve those with one
-    unknown member.
-
-    Runs the peeling engine's solve-in-turn order (``_kernels.Peel.steps``),
-    so the outcome, including which equation a Violation names, is
-    deterministic: the first fully known equation that fails under that
-    order.
-    """
-    n = code.n_coded
-    for i in known:
-        if not 0 <= i < n:
-            raise ParameterError(f"known index {i} out of range")
-    if not known:
-        return Stuck(frozenset(range(n)))
-    width = {len(s) for s in known.values()}
-    if len(width) != 1:
-        raise LengthMismatch("known symbols must all have equal length")
-    rows = [None] * n
-    mask = np.zeros(n, dtype=np.bool_)
-    for i, s in known.items():
-        rows[i] = np.frombuffer(bytes(s), dtype=np.uint8)
-        mask[i] = True
-    tables = code.tables
-    peel = _kernels.Peel(tables, mask)
-    for e, x in peel.steps():
-        acc = _kernels.xor_members(rows, tables.members[e], x)
-        if x >= 0:
-            rows[x] = acc
-            peel.solve(x)
-        elif acc.any():
-            return Violation(e, tuple((i, rows[i].tobytes()) for i in tables.members[e]))
-    unknown = frozenset(i for i, k in enumerate(peel.known) if not k)
-    if unknown:
-        return Stuck(unknown)
-    return Decoded(tuple(row.tobytes() for row in rows))
 
 
 def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int) -> bool:
@@ -225,7 +148,7 @@ def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int)
     if erased == 0:
         return False
     tables = code.tables
-    rng = np.random.default_rng(np.uint64(rng_seed & _MASK64))
+    rng = np.random.default_rng(np.uint64(rng_seed & MASK64))
     for _ in range(trials):
         known = np.ones(n, dtype=np.bool_)
         known[rng.permutation(n)[:erased]] = False
@@ -236,9 +159,3 @@ def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int)
         if 0 in peel.known:
             return True
     return False
-
-
-def code_to_text(code: CodeSpec) -> str:
-    """Canonical sorted text form: one equation per line, space-separated."""
-    lines = sorted(" ".join(str(i) for i in eq.symbol_indices) for eq in code.parity_checks)
-    return "\n".join(lines) + "\n"

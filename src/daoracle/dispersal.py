@@ -19,9 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ComplexityError, ParameterError
-from .util import derive_seed
+from .util import MASK64, derive_seed
 
-_MASK64 = (1 << 64) - 1
 # cap on a design's slots N * k: the (N, k) int64 assignment array and the
 # design text written from it are sized by counts read from files
 MAX_DESIGN_SLOTS = 1 << 20
@@ -89,9 +88,9 @@ def chunks_per_node(n_chunks: int, n_nodes: int, lam: float) -> int:
 
 def assign_chunks(n_chunks: int, n_nodes: int, lam: float, seed: int) -> DispersalDesign:
     k = chunks_per_node(n_chunks, n_nodes, lam)
-    rng = np.random.default_rng(np.uint64(seed & _MASK64))
+    rng = np.random.default_rng(np.uint64(seed & MASK64))
     assignments = rng.integers(0, n_chunks, size=(n_nodes, k), dtype=np.int64)
-    return DispersalDesign(n_chunks, n_nodes, k, assignments, seed & _MASK64)
+    return DispersalDesign(n_chunks, n_nodes, k, assignments, seed & MASK64)
 
 
 def coverage(design: DispersalDesign, nodes) -> float:
@@ -199,23 +198,6 @@ def _entropy_nats(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log(p) - (1 - p) * math.log(1 - p)
-
-
-def sample_distinct_fractions(
-    n_chunks: int, n_draws: int, trials: int, seed: int
-) -> np.ndarray:
-    """Distinct-count fractions for `trials` rounds of n_draws uniform draws
-    with replacement from n_chunks bins (the tail-bound experiment)."""
-    rng = np.random.default_rng(np.uint64(seed & _MASK64))
-    out = np.empty(trials, dtype=np.float64)
-    batch = max(1, min(trials, (1 << 24) // max(n_draws, 1)))
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        draws = rng.integers(0, n_chunks, size=(b, n_draws), dtype=np.int64)
-        out[done : done + b] = _kernels.count_distinct(draws) / n_chunks
-        done += b
-    return out
 
 
 def design_to_text(design: DispersalDesign) -> str:

@@ -114,6 +114,11 @@ class MetricsReport:
     normal_case_overhead: float
     worst_case_overhead: float
 
+    def __post_init__(self):
+        # finite inputs can overflow a closed form, which json would write
+        # as a bare Infinity
+        require_finite(self)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -207,6 +212,9 @@ def baseline_table(block_size: float, n_nodes: int, beta: float, coded: CostPara
             "communication bytes": communication_cost(coded),
         },
     ]
+    for row in rows:
+        if not math.isfinite(row["communication bytes"] or 0):
+            raise ParameterError(f"communication bytes of {row['scheme']} overflow a float")
     return rows
 
 

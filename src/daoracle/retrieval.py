@@ -104,13 +104,6 @@ class Insufficient:
 ReconstructionResult = Union[Block, Fraud, Insufficient]
 
 
-def _xor(values, width: int) -> bytes:
-    acc = np.zeros(width, dtype=np.uint8)
-    for v in values:
-        acc ^= np.frombuffer(v, dtype=np.uint8)
-    return acc.tobytes()
-
-
 def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudProof) -> bool:
     """Stateless check of an incorrect-coding proof against the commitment
     alone. The proof carries the field types ``FraudProof`` declares, as
@@ -146,30 +139,32 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         )
 
     eq_idx = set(proof.equation.symbol_indices)
-    seen = {}
+    # each checked member's value as a uint8 row, by index: the XOR below
+    # runs over the indices this holds
+    rows = {}
     for member in proof.members:
-        if member.index in seen or member.index not in eq_idx:
+        if member.index in rows or member.index not in eq_idx:
             return False
         if len(member.value) != width:
             return False
         if not committed(member.index, sha256(member.value), member.path):
             return False
-        seen[member.index] = member.value
+        rows[member.index] = np.frombuffer(member.value, dtype=np.uint8)
 
     if proof.mismatch is None:
-        if set(seen) != eq_idx:
+        if set(rows) != eq_idx:
             return False
-        return any(_xor(seen.values(), width))
+        return bool(xor_members(rows, rows).any())
 
     mm = proof.mismatch
-    if mm.index not in eq_idx or set(seen) != eq_idx - {mm.index}:
+    if mm.index not in eq_idx or set(rows) != eq_idx - {mm.index}:
         return False
     if len(mm.expected_hash) != HASH_BYTES:
         return False
     if not committed(mm.index, mm.expected_hash, mm.path):
         return False
-    derived = _xor(seen.values(), width)
-    return sha256(derived) != mm.expected_hash
+    derived = xor_members(rows, rows)
+    return sha256(derived.tobytes()) != mm.expected_hash
 
 
 def fraud_proof_size(proof: FraudProof) -> int:

@@ -12,6 +12,8 @@ from typing import Optional
 from .errors import ConfigError, ParameterError
 
 HASH_BYTES = 32
+# seeds are taken mod 2**64, so that np.uint64 holds them
+MASK64 = (1 << 64) - 1
 
 # value types of JSON config fields; a bool never passes as a number
 NUMBER = (int, float)

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from daoracle import _kernels as kn
 from daoracle.cit import CodedTree, Geometry, TreeParams, build_tree, geometry, sample_pom
 from daoracle.codec import CodeSpec, ParityEquation
 from daoracle.retrieval import ChunkSet
@@ -40,6 +41,38 @@ def planted_weak_code() -> CodeSpec:
     eqs = [ParityEquation((i, k + i)) for i in range(k)]
     eqs += [ParityEquation((0, k + k + j)) for j in range(n - 2 * k)]
     return CodeSpec(k, n, Fraction(1, 4), 8, 0, tuple(eqs))
+
+
+def code_to_text(code: CodeSpec) -> str:
+    """A code's canonical text form, which the code goldens hash: one
+    equation per line, its indices space-separated, the lines sorted."""
+    lines = sorted(" ".join(str(i) for i in eq.symbol_indices) for eq in code.parity_checks)
+    return "\n".join(lines) + "\n"
+
+
+def peel_rows(tables, sym, known):
+    """Solve-in-turn decode of the uint8 rows ``sym`` on the package's
+    peeling engine, ``_kernels.Peel`` with ``xor_members``, driven over
+    values as retrieval drives it. Rows not in the bool array ``known`` are
+    overwritten as they are solved, and ``known`` is updated, in place.
+    Returns ("decoded", -1), ("stuck", -1) or ("violation", the first
+    failing equation under ``Peel.steps``)."""
+    rows = [row.copy() if k else None for row, k in zip(sym, known)]
+    peel = kn.Peel(tables, known)
+    outcome = None
+    for e, x in peel.steps():
+        acc = kn.xor_members(rows, tables.members[e], x)
+        if x >= 0:
+            rows[x] = acc
+            peel.solve(x)
+        elif acc.any():
+            outcome = "violation", e
+            break
+    known[:] = np.frombuffer(bytes(peel.known), dtype=np.uint8).astype(bool)
+    for i, row in enumerate(rows):
+        if row is not None:
+            sym[i] = row
+    return outcome or (("decoded" if known.all() else "stuck"), -1)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@ the first two as the package had them before it, the reconstructor in the
 tree layout the package has now.
 
 - ``peel_symbols`` rescans every equation on each pass, solving in turn;
-  ``peel_decode`` is the codec decoder built on it.
+  ``peel_decode`` decodes a code's uint8 rows with it, in the result form
+  of ``conftest.peel_rows``, which drives the package's engine over
+  values.
 - ``peel_pattern`` runs batched passes over a knownness pattern;
   ``first_fail_count`` binary-searches the erasure count with it, and
   ``estimate_undecodable_ratio`` / ``is_bad_code`` are the alpha gate built
@@ -15,7 +17,7 @@ tree layout the package has now.
   commitment at the root layer); it walks each proof on its own with
   ``reference_proofs.walk_pom``.
 
-``codec.peel_decode``, ``codec.is_bad_code`` and
+``conftest.peel_rows``, ``codec.is_bad_code`` and
 ``retrieval._Reconstructor`` must agree with them: the same outcomes and
 the same equation numbers.
 """
@@ -23,21 +25,12 @@ the same equation numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from daoracle.cit import Commitment, MembershipPath, TreeParams, geometry, layer_code
-from daoracle.codec import (
-    _MASK64,
-    CodeSpec,
-    Decoded,
-    DecodeOutcome,
-    ParityEquation,
-    Stuck,
-    Violation,
-)
-from daoracle.errors import BadCode, LengthMismatch, ParameterError
+from daoracle.codec import CodeSpec, ParityEquation
+from daoracle.errors import BadCode, ParameterError
 from daoracle.retrieval import (
     Block,
     ChunkSet,
@@ -48,7 +41,7 @@ from daoracle.retrieval import (
     Insufficient,
     ReconstructionResult,
 )
-from daoracle.util import HASH_BYTES, sha256
+from daoracle.util import HASH_BYTES, MASK64, sha256
 from reference_proofs import walk_pom
 
 
@@ -157,35 +150,19 @@ def first_fail_count(eq_ptr, eq_idx, perm):
     return lo
 
 
-def peel_decode(code: CodeSpec, known: Mapping[int, bytes]) -> DecodeOutcome:
-    """Iterative peeling: check degree-0 equations, solve degree-1 ones.
+def peel_decode(code: CodeSpec, sym, known) -> tuple[str, int]:
+    """Iterative peeling of the uint8 rows ``sym``, in place: rows not in
+    the bool array ``known`` are overwritten as they are solved, and
+    ``known`` is updated. Returns ("decoded", -1), ("stuck", -1) or
+    ("violation", e).
 
     Equations are scanned in ascending index order each pass and solves take
-    effect immediately, so the outcome (including which equation a Violation
-    names) is deterministic.
+    effect immediately, so the outcome (including which equation e a
+    violation names) is deterministic.
     """
-    n = code.n_coded
-    for i in known:
-        if not 0 <= i < n:
-            raise ParameterError(f"known index {i} out of range")
-    if not known:
-        return Stuck(frozenset(range(n)))
-    width = {len(s) for s in known.values()}
-    if len(width) != 1:
-        raise LengthMismatch("known symbols must all have equal length")
-    sym = np.zeros((n, width.pop()), dtype=np.uint8)
-    mask = np.zeros(n, dtype=np.bool_)
-    for i, s in known.items():
-        sym[i] = np.frombuffer(bytes(s), dtype=np.uint8)
-        mask[i] = True
     eq_ptr, eq_idx, _ = _csr(code)
-    status, viol = peel_symbols(eq_ptr, eq_idx, sym, mask)
-    if status == 0:
-        return Decoded(tuple(row.tobytes() for row in sym))
-    if status == 1:
-        return Stuck(frozenset(int(i) for i in np.nonzero(~mask)[0]))
-    members = code.parity_checks[viol].symbol_indices
-    return Violation(int(viol), tuple((i, sym[i].tobytes()) for i in members))
+    status, viol = peel_symbols(eq_ptr, eq_idx, sym, known)
+    return ("decoded", "stuck", "violation")[status], int(viol)
 
 
 def estimate_undecodable_ratio(
@@ -197,7 +174,7 @@ def estimate_undecodable_ratio(
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     eq_ptr, eq_idx, _ = _csr(code)
-    rng = np.random.default_rng(np.uint64(rng_seed & _MASK64))
+    rng = np.random.default_rng(np.uint64(rng_seed & MASK64))
     n = code.n_coded
     best = n
     for _ in range(trials):

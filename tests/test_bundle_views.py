@@ -1,6 +1,9 @@
 """Retrieval from a decoded bundle, whose base symbols are read-only views
 of the bundle bytes, against retrieval from the sampled units, and the
-unit checks that compare a unit's symbol with its proof's."""
+unit checks that compare a unit's symbol with its proof's, and the fraud
+verifier over each kind of member value."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +12,7 @@ from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import chunkset_for
+from test_peel import tampered_tree
 from test_serialize import GOLDEN_FRAUD, sha
 
 # (tree, kept chunks): base symbols 0-3 solved by peeling, the first
@@ -137,3 +141,37 @@ def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(small_tree
         base = {x for (u, x) in values if u == small_tree.depth}
         assert (at in base) is agrees
         assert base | {at} == set(range(32))
+
+
+def with_first_member(proof, value):
+    return replace(proof, members=(replace(proof.members[0], value=value),) + proof.members[1:])
+
+
+@pytest.mark.parametrize("flipped", (False, True), ids=("as_built", "one_member_flipped"))
+@pytest.mark.parametrize("case", ("base_views", "base_bytes", "digest_layer"))
+def test_fraud_proof_verdict_over_each_member_value_kind(
+    trees, small_block, small_params, case, flipped
+):
+    """``verify_fraud_proof`` XORs the members as uint8 rows whatever holds
+    their values: a base-layer proof from a decoded bundle, whose members
+    are read-only views, the same proof with bytes values, and a
+    digest-layer proof each verify, and each fails with one member value a
+    byte off."""
+    if case == "digest_layer":
+        tree = tampered_tree(small_block, small_params, {2: [(0, 0x5A)]})
+        chunks = chunkset_for(tree, range(32))
+        proof = rt.reconstruct(tree.commitment, small_params, chunks).proof
+        assert 0 < proof.layer < tree.depth
+    else:
+        tree = trees["corrupt"]
+        proof = both_ways(tree, CASES["fraud"][1])[1].proof
+        if case == "base_bytes":
+            members = tuple(replace(m, value=bytes(m.value)) for m in proof.members)
+            proof = replace(proof, members=members)
+        kinds = {type(m.value) for m in proof.members}
+        assert (memoryview in kinds) is (case == "base_views")
+    if flipped:
+        first = proof.members[0].value
+        kind = "view" if type(first) is memoryview else "bytes"
+        proof = with_first_member(proof, one_byte_off(first, kind))
+    assert rt.verify_fraud_proof(tree.commitment, tree.params, proof) is not flipped

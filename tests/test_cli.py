@@ -530,10 +530,18 @@ class TestBadJsonInput:
             ("metrics", json.dumps({**COST_PARAMS, "symbol_size": float("inf")})),
             ("metrics", json.dumps({**COST_PARAMS, "lambda": float("nan")})),
             ("metrics", json.dumps({**COST_PARAMS, "n_nodes": 10**400})),
+            # finite inputs whose closed forms overflow a float
+            ("metrics", json.dumps({**COST_PARAMS, "block_size": 1e308})),
+            ("metrics", json.dumps({**COST_PARAMS, "symbol_size": 1e-300})),
+            # a finite report whose uncoded baselines' N * b overflows
+            ("metrics", json.dumps(
+                {**COST_PARAMS, "block_size": 1e304, "n_nodes": 10**6, "lambda": 1.0}
+            )),
             ("incentives", without(INCENTIVE_PARAMS, "p_audit")),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "stake_oracle": float("nan")})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": float("inf")})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "block_reward": 10**400})),
+            ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 2.5})),
             ("retrieve", json.dumps({"rounds": []})),
         ],
         ids=[
@@ -543,8 +551,10 @@ class TestBadJsonInput:
             "metrics_missing_key", "metrics_no_lambda_nor_eta", "metrics_no_root",
             "metrics_no_nodes", "metrics_negative_root", "metrics_degree_zero",
             "metrics_nan_block", "metrics_infinite_symbol", "metrics_nan_lambda",
-            "metrics_nodes_past_float", "incentives_missing_key", "incentives_nan_stake",
+            "metrics_nodes_past_float", "metrics_block_overflows", "metrics_symbol_underflows",
+            "metrics_baselines_overflow", "incentives_missing_key", "incentives_nan_stake",
             "incentives_infinite_signatures", "incentives_reward_past_float",
+            "incentives_fractional_signatures",
             "retrieve_trace_without_config",
         ],
     )

@@ -1,4 +1,5 @@
-"""Erasure code construction, encoding, peeling, and the bad-code gate."""
+"""Erasure code construction, encoding, peeling on the package's engine,
+and the bad-code gate."""
 
 import math
 
@@ -11,16 +12,35 @@ import reference_peel as ref
 from daoracle import codec
 from daoracle.errors import LengthMismatch, ParameterError
 
-from conftest import planted_weak_code
-from gf2 import solve_erasure, xor_bytes
+from conftest import code_to_text, peel_rows, planted_weak_code
+from gf2 import solve_erasure
 
 
-def equation_xor(code, symbols, eq):
-    vals = [symbols[i] for i in eq.symbol_indices]
-    acc = bytes(len(vals[0]))
-    for v in vals:
-        acc = xor_bytes(acc, v)
-    return acc
+def encode_rows(code, inputs):
+    """The codeword of the equal-length byte strings ``inputs``, as uint8
+    rows."""
+    rows = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(len(inputs), -1)
+    return codec.encode_array(code, rows)
+
+
+def equation_xor(rows, eq):
+    """The XOR of the rows of ``eq``'s members."""
+    return np.bitwise_xor.reduce(rows[list(eq.symbol_indices)], axis=0)
+
+
+def erased(cw, keep):
+    """A copy of the rows ``cw`` with each row outside ``keep`` zeroed, and
+    the bool mask of ``keep``."""
+    known = np.zeros(len(cw), dtype=bool)
+    known[list(keep)] = True
+    sym = cw.copy()
+    sym[~known] = 0
+    return sym, known
+
+
+def as_known(cw, keep):
+    """The rows ``keep`` of ``cw`` as the dict ``gf2.solve_erasure`` reads."""
+    return {int(i): cw[i].tobytes() for i in keep}
 
 
 class TestGenerate:
@@ -43,7 +63,7 @@ class TestGenerate:
     def test_identical_inputs_identical_codes(self):
         a = codec.generate_code(8, "1/4", 8, seed=123)
         b = codec.generate_code(8, "1/4", 8, seed=123)
-        assert codec.code_to_text(a) == codec.code_to_text(b)
+        assert code_to_text(a) == code_to_text(b)
         assert a == b
 
     def test_every_symbol_covered(self):
@@ -68,29 +88,27 @@ class TestGenerate:
 class TestEncode:
     def test_zero_inputs_zero_codeword(self):
         code = codec.generate_code(8, "1/4", 8, seed=1)
-        out = codec.encode(code, [bytes(16)] * 8)
-        assert all(s == bytes(16) for s in out)
+        out = codec.encode_array(code, np.zeros((8, 16), dtype=np.uint8))
+        assert out.shape == (32, 16) and not out.any()
 
     def test_repetition_copies_the_input(self):
         code = codec.generate_code(1, "1/4", 8, seed=1)
-        out = codec.encode(code, [b"\xab" * 8])
-        assert out == (b"\xab" * 8,) * 4
+        out = encode_rows(code, [b"\xab" * 8])
+        assert out.shape == (4, 8) and (out == 0xAB).all()
 
     def test_parity_equations_hold_on_random_input(self):
         code = codec.generate_code(8, "1/4", 8, seed=9)
         rng = np.random.default_rng(0)
         inputs = [rng.bytes(32) for _ in range(8)]
-        out = codec.encode(code, inputs)
-        assert out[:8] == tuple(inputs)
+        out = encode_rows(code, inputs)
+        assert [row.tobytes() for row in out[:8]] == inputs
         for eq in code.parity_checks:
-            assert equation_xor(code, out, eq) == bytes(32)
+            assert not equation_xor(out, eq).any()
 
     def test_length_mismatch(self):
         code = codec.generate_code(4, "1/2", 4, seed=2)
         with pytest.raises(LengthMismatch):
-            codec.encode(code, [b"ab"] * 3)
-        with pytest.raises(LengthMismatch):
-            codec.encode(code, [b"ab", b"ab", b"ab", b"abc"])
+            codec.encode_array(code, np.zeros((3, 2), dtype=np.uint8))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -105,103 +123,105 @@ class TestEncode:
         inputs = [
             data.draw(st.binary(min_size=width, max_size=width)) for _ in range(k)
         ]
-        out = codec.encode(code, inputs)
-        assert out[:k] == tuple(inputs)
+        out = encode_rows(code, inputs)
+        assert [row.tobytes() for row in out[:k]] == inputs
         for eq in code.parity_checks:
-            assert equation_xor(code, out, eq) == bytes(width)
+            assert not equation_xor(out, eq).any()
 
 
 class TestPeel:
+    """The package's peeling engine driven over values by
+    ``conftest.peel_rows``, against GF(2) elimination."""
+
     def test_all_known_consistent_is_identity(self):
         code = codec.generate_code(8, "1/4", 8, seed=3)
-        out = codec.encode(code, [bytes([i]) * 8 for i in range(8)])
-        result = codec.peel_decode(code, dict(enumerate(out)))
-        assert isinstance(result, codec.Decoded)
-        assert result.symbols == out
+        out = encode_rows(code, [bytes([i]) * 8 for i in range(8)])
+        sym, known = out.copy(), np.ones(32, dtype=bool)
+        assert peel_rows(code.tables, sym, known) == ("decoded", -1)
+        assert np.array_equal(sym, out)
 
     def test_eighth_erased_matches_elimination_oracle(self):
         code = codec.generate_code(8, "1/4", 8, seed=42)
         rng = np.random.default_rng(7)
-        out = codec.encode(code, [rng.bytes(8) for _ in range(8)])
-        erased = {1, 13, 22, 30}  # 4 of 32 = 1 - 0.875
-        known = {i: out[i] for i in range(32) if i not in erased}
-        result = codec.peel_decode(code, known)
-        assert isinstance(result, codec.Decoded)
-        status, solution = solve_erasure(code, known)
+        out = encode_rows(code, [rng.bytes(8) for _ in range(8)])
+        erasures = {1, 13, 22, 30}  # 4 of 32 = 1 - 0.875
+        keep = [i for i in range(32) if i not in erasures]
+        sym, known = erased(out, keep)
+        assert peel_rows(code.tables, sym, known) == ("decoded", -1)
+        status, solution = solve_erasure(code, as_known(out, keep))
         assert status == "decoded"
-        assert result.symbols == tuple(solution[i] for i in range(32))
+        assert [row.tobytes() for row in sym] == [solution[i] for i in range(32)]
 
     def test_corrupted_symbol_yields_violation(self):
         code = codec.generate_code(8, "1/4", 8, seed=4)
-        out = list(codec.encode(code, [bytes([i]) * 4 for i in range(8)]))
-        out[9] = xor_bytes(out[9], b"\x01\x00\x00\x00")
-        result = codec.peel_decode(code, dict(enumerate(out)))
-        assert isinstance(result, codec.Violation)
-        eq = code.parity_checks[result.equation_index]
+        out = encode_rows(code, [bytes([i]) * 4 for i in range(8)])
+        out[9, 0] ^= 1
+        status, e = peel_rows(code.tables, out, np.ones(32, dtype=bool))
+        assert status == "violation"
+        eq = code.parity_checks[e]
         assert 9 in eq.symbol_indices
-        assert equation_xor(code, dict(result.known_symbols), eq) != bytes(4)
+        assert equation_xor(out, eq).any()
 
     def test_violation_never_decodes(self):
         # a fully known, corrupted equation must surface even when the rest
         # of the codeword is intact
         code = codec.generate_code(6, "1/2", 5, seed=11)
-        out = list(codec.encode(code, [bytes([i]) * 4 for i in range(6)]))
+        out = encode_rows(code, [bytes([i]) * 4 for i in range(6)])
         for member in code.parity_checks[2].symbol_indices:
-            broken = dict(enumerate(out))
-            broken[member] = xor_bytes(broken[member], b"\xff\x00\x00\x00")
-            result = codec.peel_decode(code, broken)
-            assert isinstance(result, codec.Violation)
+            broken = out.copy()
+            broken[member, 0] ^= 0xFF
+            status, _e = peel_rows(code.tables, broken, np.ones(12, dtype=bool))
+            assert status == "violation"
 
     def test_empty_known_is_stuck(self):
         code = codec.generate_code(4, "1/2", 4, seed=5)
-        result = codec.peel_decode(code, {})
-        assert isinstance(result, codec.Stuck)
-        assert result.unknown == frozenset(range(8))
+        known = np.zeros(8, dtype=bool)
+        assert peel_rows(code.tables, np.zeros((8, 4), dtype=np.uint8), known) == ("stuck", -1)
+        assert not known.any()
 
     def test_deterministic_violation_choice(self):
         code = codec.generate_code(8, "1/4", 8, seed=6)
-        out = list(codec.encode(code, [bytes([i]) * 4 for i in range(8)]))
-        out[0] = xor_bytes(out[0], b"\x01\x00\x00\x00")
+        out = encode_rows(code, [bytes([i]) * 4 for i in range(8)])
+        out[0, 0] ^= 1
         results = {
-            codec.peel_decode(code, dict(enumerate(out))).equation_index
-            for _ in range(3)
+            peel_rows(code.tables, out.copy(), np.ones(32, dtype=bool)) for _ in range(3)
         }
-        assert len(results) == 1
+        assert len(results) == 1 and results.pop()[0] == "violation"
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32), st.data())
     def test_peel_agrees_with_oracle_on_random_patterns(self, seed, data):
         code = codec.generate_code(6, "1/2", 5, seed=seed)
         rng = np.random.default_rng(seed)
-        out = codec.encode(code, [rng.bytes(4) for _ in range(6)])
+        out = encode_rows(code, [rng.bytes(4) for _ in range(6)])
         keep = data.draw(st.sets(st.integers(0, 11), min_size=1))
-        known = {i: out[i] for i in keep}
-        result = codec.peel_decode(code, known)
-        status, solution = solve_erasure(code, known)
+        sym, known = erased(out, keep)
+        result, _e = peel_rows(code.tables, sym, known)
+        status, solution = solve_erasure(code, as_known(out, keep))
         assert status != "inconsistent"
-        if isinstance(result, codec.Decoded):
+        if result == "decoded":
             # peeling success implies a unique solution identical to the
             # eliminator's; peeling may be weaker, never wrong
             assert status == "decoded"
-            assert result.symbols == tuple(solution[i] for i in range(12))
+            assert [row.tobytes() for row in sym] == [solution[i] for i in range(12)]
         else:
-            assert isinstance(result, codec.Stuck)
+            assert result == "stuck"
 
 
 def test_oracle_agreement_randomized_at_n32():
     # beyond the exhaustive n <= 16 sweep: random patterns on a larger code
     code = codec.generate_code(8, "1/4", 8, seed=77)
     rng = np.random.default_rng(77)
-    out = codec.encode(code, [rng.bytes(8) for _ in range(8)])
+    out = encode_rows(code, [rng.bytes(8) for _ in range(8)])
     for _ in range(300):
-        keep = rng.random(32) > rng.uniform(0.05, 0.5)
-        known = {i: out[i] for i in np.nonzero(keep)[0]}
-        result = codec.peel_decode(code, known)
-        assert not isinstance(result, codec.Violation)
-        if isinstance(result, codec.Decoded):
-            status, solution = solve_erasure(code, known)
+        keep = np.nonzero(rng.random(32) > rng.uniform(0.05, 0.5))[0]
+        sym, known = erased(out, keep)
+        result, _e = peel_rows(code.tables, sym, known)
+        assert result != "violation"
+        if result == "decoded":
+            status, solution = solve_erasure(code, as_known(out, keep))
             assert status == "decoded"
-            assert result.symbols == tuple(solution[i] for i in range(32))
+            assert [row.tobytes() for row in sym] == [solution[i] for i in range(32)]
 
 
 class TestUndecodableRatio:
@@ -238,7 +258,7 @@ class TestUndecodableRatio:
 
 def test_canonical_text_is_sorted_and_stable():
     code = codec.generate_code(4, "1/2", 4, seed=8)
-    text = codec.code_to_text(code)
+    text = code_to_text(code)
     lines = text.strip().splitlines()
     assert lines == sorted(lines)
     assert all(line.split() == sorted(line.split(), key=int) for line in lines)
@@ -247,7 +267,7 @@ def test_canonical_text_is_sorted_and_stable():
 def test_canonical_text_golden():
     import hashlib
 
-    text = codec.code_to_text(codec.generate_code(8, "1/4", 8, seed=42))
+    text = code_to_text(codec.generate_code(8, "1/4", 8, seed=42))
     assert len(text.splitlines()) == 24
     assert (
         hashlib.sha256(text.encode()).hexdigest()

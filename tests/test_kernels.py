@@ -2,14 +2,17 @@
 (``tests/gf2.py``), a plain set-based peeling closure, Python's own
 distinct count, and hand-built equation systems. The peeling engine is
 driven here the way its callers drive it: ``closes`` follows the closure of
-a known set, ``peel_rows`` decodes uint8 rows as ``codec.peel_decode``
-does. ``tests/test_peel.py`` checks it against the peelers it replaced."""
+a known set, as the alpha gate does, and ``conftest.peel_rows`` decodes
+uint8 rows, as retrieval does. ``tests/test_peel.py`` checks it against
+the peelers it replaced."""
 
 import numpy as np
 import pytest
 
 from daoracle import _kernels as kn
 from daoracle.codec import encode_array, generate_code
+
+from conftest import peel_rows
 from gf2 import solve_erasure
 
 
@@ -44,29 +47,6 @@ def closes(tables, known) -> bool:
         if x >= 0:
             peel.solve(x)
     return all(peel.known)
-
-
-def peel_rows(tables, sym, known):
-    """Solve-in-turn decode of the uint8 rows ``sym`` in place (rows not in
-    ``known`` are overwritten as they are solved), as ``codec.peel_decode``
-    runs it: ("decoded", -1), ("stuck", -1) or ("violation", the first
-    failing equation)."""
-    rows = [row.copy() if k else None for row, k in zip(sym, known)]
-    peel = kn.Peel(tables, known)
-    outcome = None
-    for e, x in peel.steps():
-        acc = kn.xor_members(rows, tables.members[e], x)
-        if x >= 0:
-            rows[x] = acc
-            peel.solve(x)
-        elif acc.any():
-            outcome = "violation", e
-            break
-    known[:] = np.frombuffer(bytes(peel.known), dtype=np.uint8).astype(bool)
-    for i, row in enumerate(rows):
-        if row is not None:
-            sym[i] = row
-    return outcome or (("decoded" if known.all() else "stuck"), -1)
 
 
 @pytest.mark.parametrize("seed", range(6))

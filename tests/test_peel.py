@@ -1,6 +1,7 @@
 """The peeling engine against the peelers it replaced
-(``tests/reference_peel.py``): reconstructions, ``codec.peel_decode`` and
-the alpha gate give the same answers, and the gate accepts the same codes.
+(``tests/reference_peel.py``): reconstructions, value decodes on the
+engine (``conftest.peel_rows``) and the alpha gate give the same answers,
+and the gate accepts the same codes.
 
 Reconstructions run on trees whose layers, the root layer included,
 violate their codes at random places, from random chunk subsets, and on a
@@ -25,7 +26,8 @@ from daoracle.errors import BadCode
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
 
 from conftest import (
-    BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, planted_weak_code,
+    BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, code_to_text, peel_rows,
+    planted_weak_code,
 )
 from test_kernels import closes
 
@@ -151,19 +153,25 @@ def decode_cases(draw):
     code = codec.generate_code(k, rate, draw(st.integers(2, 8)), seed=draw(st.integers(0, 2**32)))
     width = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    symbols = list(codec.encode(code, [rng.bytes(width) for _ in range(k)]))
+    sym = codec.encode_array(code, rng.integers(0, 256, size=(k, width), dtype=np.uint8))
     for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, code.n_coded - 1))
-        symbols[i] = bytes([symbols[i][0] ^ draw(st.integers(1, 255))]) + symbols[i][1:]
-    keep = draw(st.sets(st.integers(0, code.n_coded - 1)))
-    return code, {i: symbols[i] for i in sorted(keep)}
+        sym[draw(st.integers(0, code.n_coded - 1)), 0] ^= draw(st.integers(1, 255))
+    known = np.zeros(code.n_coded, dtype=bool)
+    known[sorted(draw(st.sets(st.integers(0, code.n_coded - 1))))] = True
+    sym[~known] = 0
+    return code, sym, known
 
 
 @settings(max_examples=200, deadline=None)
 @given(decode_cases())
 def test_peel_decode_matches_the_reference(case):
-    code, known = case
-    assert codec.peel_decode(code, known) == ref.peel_decode(code, known)
+    """The engine's value decode and the reference's end in the same
+    outcome and equation, with the same rows known and the same values."""
+    code, sym, known = case
+    new_sym, new_known = sym.copy(), known.copy()
+    new = peel_rows(code.tables, new_sym, new_known)
+    assert new == ref.peel_decode(code, sym, known)
+    assert np.array_equal(new_known, known) and np.array_equal(new_sym, sym)
 
 
 @st.composite
@@ -283,6 +291,6 @@ def test_gate_accepts_the_same_codes(params, block_len):
     got = []
     for m in sizes:
         code = cit.layer_code(params, m)
-        digest = hashlib.sha256(codec.code_to_text(code).encode()).hexdigest()
+        digest = hashlib.sha256(code_to_text(code).encode()).hexdigest()
         got.append((m, code.seed, digest[:16]))
     assert got == [row for row in ACCEPTED if row[0] in sizes]
