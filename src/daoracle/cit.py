@@ -219,7 +219,6 @@ def _geometry(symbol_size, root_size, e, batch, block_len) -> Geometry:
 class Layer:
     symbols: np.ndarray  # (size, width) uint8, read-only
     hashes: np.ndarray  # (size, 32) uint8, digests of the rows
-    code: CodeSpec
 
 
 @dataclass(frozen=True)
@@ -369,13 +368,13 @@ def build_tree(
     cur = encode_array(code, base_inputs)
     if base_tamper is not None:
         base_tamper(cur, code)
-    layers[depth] = Layer(cur, _hash_rows(cur), code)
+    layers[depth] = Layer(cur, _hash_rows(cur))
     for u in range(depth - 1, -1, -1):
         parent_sys = aggregate(layers[u + 1].hashes, sizes[u], params)
         code = layer_code(params, sizes[u])
         rows = _encode_digests(code, parent_sys)
         cur = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
-        layers[u] = Layer(cur, _hash_rows(rows), code)
+        layers[u] = Layer(cur, _hash_rows(rows))
     for layer in layers.values():
         layer.symbols.setflags(write=False)
         layer.hashes.setflags(write=False)

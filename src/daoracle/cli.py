@@ -23,7 +23,7 @@ from .dispersal import (
     design_to_text,
     feasibility,
 )
-from .errors import BadCode, ComplexityError, ConfigError, IndexOutOfRange, ParameterError
+from .errors import BadCode, ConfigError, IndexOutOfRange, ParameterError
 from .incentives import (
     IncentiveParams,
     check_allC_equilibrium,
@@ -72,20 +72,15 @@ def cmd_commit(args) -> int:
 def cmd_pom(args) -> int:
     params, block = sz.decode_tree_cache(Path(args.tree).read_bytes())
     tree = build_tree(block, params)
-    m_base = tree.sizes[-1]
-    if args.all:
-        indices = list(range(m_base))
-    elif args.indices:
-        indices = args.indices
+    if args.index is not None:
+        poms = [sample_pom(tree, args.index)]
+        Path(args.out).write_bytes(sz.encode_pom(poms[0]))
     else:
-        indices = [args.index]
-    if len(indices) == 1 and not args.all and args.indices is None:
-        Path(args.out).write_bytes(sz.encode_pom(sample_pom(tree, indices[0])))
-    else:
-        poms = [sample_pom(tree, i) for i in sorted(set(indices))]
+        indices = range(tree.sizes[-1]) if args.all else sorted(set(args.indices))
+        poms = [sample_pom(tree, i) for i in indices]
         units = [(pom.base_index, pom.base_symbol, pom) for pom in poms]
         Path(args.out).write_bytes(sz.encode_chunk_bundle(units))
-    print(f"wrote proofs for {len(set(indices))} base symbols")
+    print(f"wrote proofs for {len(poms)} base symbols")
     return EXIT_OK
 
 
@@ -123,7 +118,7 @@ def cmd_disperse(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    if args.chunks:
+    if args.chunks is not None:
         commitment = sz.decode_commitment(Path(args.commitment).read_bytes())
         units = sz.decode_chunk_bundle(Path(args.chunks).read_bytes())
         chunks = ChunkSet(commitment, units)
@@ -138,7 +133,7 @@ def cmd_retrieve(args) -> int:
         # round 0 plays out the same whatever the round count, and it is all
         # that is read, so a huge "rounds" in the file costs nothing
         replay = simnet.run_scenario(dataclasses.replace(config, rounds=min(config.rounds, 1)))
-        result = replay.results.get((0, 0))
+        result = replay.first_result
         if result is None:
             print("round 0 was never committed; nothing to retrieve")
             return EXIT_INSUFFICIENT
@@ -217,7 +212,7 @@ def cmd_metrics(args) -> int:
         lam=lam,
     )
     rep = mx.report(cost)
-    rows = mx.baseline_table(cost.block_size, cost.n_nodes, raw.get("beta", 0.49), cost)
+    rows = mx.baseline_table(cost.block_size, cost.n_nodes, raw.get("beta"), cost)
     prefix = Path(args.out_prefix)
     prefix.with_suffix(".json").write_text(rep.to_json())
     prefix.with_name(prefix.name + "_baselines").with_suffix(".csv").write_text(
@@ -267,11 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pom", help="sample membership proofs from a tree cache")
     p.add_argument("--tree", required=True)
-    p.add_argument("--index", type=int)
-    p.add_argument(
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--index", type=int)
+    which.add_argument(
         "--indices", type=_index_list, help="comma-separated base indices (writes a bundle)"
     )
-    p.add_argument("--all", action="store_true", help="bundle every base symbol")
+    which.add_argument("--all", action="store_true", help="bundle every base symbol")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pom)
 
@@ -288,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="reconstruct a block from chunks")
     p.add_argument("--commitment")
-    p.add_argument("--chunks")
-    p.add_argument("--trace")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--chunks")
+    source.add_argument("--trace")
     p.add_argument("--out-block", default="block.out")
     p.add_argument("--out-fraud")
     p.set_defaults(func=cmd_retrieve)
@@ -315,15 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "retrieve" and not (args.chunks or args.trace):
-        parser.error("retrieve needs --chunks or --trace")
-    if args.command == "retrieve" and args.chunks and not args.commitment:
+    if args.command == "retrieve" and args.chunks is not None and args.commitment is None:
         parser.error("--chunks needs --commitment")
-    if args.command == "pom" and args.index is None and not (args.indices or args.all):
-        parser.error("pom needs --index, --indices or --all")
     try:
         return args.func(args)
-    except (ParameterError, ConfigError, ComplexityError, IndexOutOfRange, OSError) as exc:
+    except (ParameterError, ConfigError, IndexOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except BadCode as exc:

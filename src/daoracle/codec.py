@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -48,23 +47,8 @@ class ParityEquation:
 class CodeSpec:
     n_systematic: int
     n_coded: int
-    rate: Fraction
-    max_eq_degree: int
     seed: int
     parity_checks: tuple[ParityEquation, ...]
-
-    def __post_init__(self):
-        if self.n_systematic < 1:
-            raise ParameterError("need at least one systematic symbol")
-        if self.n_coded * self.rate.numerator != self.n_systematic * self.rate.denominator:
-            raise ParameterError("n_coded * rate must equal n_systematic exactly")
-        if self.max_eq_degree < 2:
-            raise ParameterError("max_eq_degree must be >= 2")
-        for eq in self.parity_checks:
-            if len(eq.symbol_indices) > self.max_eq_degree:
-                raise ParameterError("equation degree exceeds max_eq_degree")
-            if eq.symbol_indices[0] < 0 or eq.symbol_indices[-1] >= self.n_coded:
-                raise ParameterError("equation index out of range")
 
     @cached_property
     def tables(self) -> _kernels.CodeTables:
@@ -114,7 +98,7 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
                     break
             seen.add(inputs)
             equations.append(ParityEquation((*sorted(inputs), k + j)))
-    return CodeSpec(k, n, r, max_eq_degree, seed & MASK64, tuple(equations))
+    return CodeSpec(k, n, seed & MASK64, tuple(equations))
 
 
 def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:

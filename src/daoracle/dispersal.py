@@ -51,7 +51,6 @@ class DispersalDesign:
     n_nodes: int  # N
     k_per_node: int  # M / (N * lam)
     assignments: np.ndarray  # (N, k) int64, multisets of chunk indices
-    seed: int
 
 
 def feasibility(params: DispersalParams) -> Feasibility:
@@ -90,7 +89,7 @@ def assign_chunks(n_chunks: int, n_nodes: int, lam: float, seed: int) -> Dispers
     k = chunks_per_node(n_chunks, n_nodes, lam)
     rng = np.random.default_rng(np.uint64(seed & MASK64))
     assignments = rng.integers(0, n_chunks, size=(n_nodes, k), dtype=np.int64)
-    return DispersalDesign(n_chunks, n_nodes, k, assignments, seed & MASK64)
+    return DispersalDesign(n_chunks, n_nodes, k, assignments)
 
 
 def coverage(design: DispersalDesign, nodes) -> float:

@@ -9,7 +9,9 @@ storage cost is
 
 communication is N*X, and the incorrect-coding proof size is
 
-    P = (d-1)*c + d*y*(q-1) * log_{qr}(b/(c*t*r)).
+    P = (d-1)*c + d*y*(q-1) * log_{qr}(b/(c*t*r)),
+
+y the fixed 32-byte digest (``HASH_BYTES``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ParameterError
 from .util import HASH_BYTES, require_finite
@@ -37,7 +40,6 @@ class CostParams:
     batch: int  # q
     max_eq_degree: int  # d
     lam: float  # dispersal efficiency
-    hash_size: int = HASH_BYTES  # y
 
     def __post_init__(self):
         require_finite(self)
@@ -73,11 +75,11 @@ def storage_cost(p: CostParams) -> float:
     """Per-node storage X in bytes."""
     levels = layer_count(p)
     return (
-        p.root_size * p.hash_size
+        p.root_size * HASH_BYTES
         + p.block_size / (p.n_nodes * p.rate * p.lam)
         + (2 * p.batch - 1)
         * p.block_size
-        * p.hash_size
+        * HASH_BYTES
         / (p.n_nodes * p.rate * p.symbol_size * p.lam)
         * levels
     )
@@ -86,7 +88,7 @@ def storage_cost(p: CostParams) -> float:
 def fraud_proof_cost(p: CostParams) -> float:
     """Worst-case proof size P in bytes."""
     levels = layer_count(p)
-    return (p.max_eq_degree - 1) * p.symbol_size + p.max_eq_degree * p.hash_size * (
+    return (p.max_eq_degree - 1) * p.symbol_size + p.max_eq_degree * HASH_BYTES * (
         p.batch - 1
     ) * levels
 
@@ -102,7 +104,7 @@ def normal_case_overhead(p: CostParams) -> float:
 
 def worst_case_overhead(p: CostParams) -> float:
     """P / y: proof bytes per byte of the single digest it settles."""
-    return fraud_proof_cost(p) / p.hash_size
+    return fraud_proof_cost(p) / HASH_BYTES
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,10 @@ BASELINE_COLUMNS = (
 )
 
 
-def baseline_table(block_size: float, n_nodes: int, beta: float, coded: CostParams):
+def baseline_table(block_size: float, n_nodes: int, beta: Optional[float], coded: CostParams):
     """Analytic rows for the five dispersal schemes, with asymptotic
-    classes and exact byte counts where a closed form exists."""
+    classes and exact byte counts where a closed form exists. A beta of
+    None leaves the coded row's adversary fraction empty."""
     rows = [
         {
             "scheme": "uncoded (repetition)",
@@ -203,7 +206,7 @@ def baseline_table(block_size: float, n_nodes: int, beta: float, coded: CostPara
         },
         {
             "scheme": "coded dispersal (this package)",
-            "max adversary fraction": f"{beta}",
+            "max adversary fraction": beta,
             "normal storage overhead": "O(1)",
             "normal download overhead": "O(1)",
             "worst storage overhead": "O(log b)",

@@ -335,10 +335,7 @@ def audit(
 
 
 def bad_code_round(
-    nodes,
-    commitment: Commitment,
-    signal: BadCode,
-    chain: Optional[TrustedChain] = None,
+    nodes, commitment: Commitment, signal: BadCode, chain: TrustedChain
 ) -> int:
     """Pool honest storage, confirm the stall, then agree on a replacement
     code seed (old seed + smallest bump whose codes pass the alpha gate).
@@ -349,7 +346,7 @@ def bad_code_round(
     """
     params = commitment.params
     key = commit_key(commitment)
-    if chain is not None and key in chain.new_seeds:
+    if key in chain.new_seeds:
         return chain.new_seeds[key]
     chunks = ChunkSet(commitment, _first_wins(node.units(key) for node in nodes))
     try:
@@ -366,11 +363,10 @@ def bad_code_round(
             layer_code(candidate, signal.layer_size or candidate.root_size)
         except BadCode:
             continue
-        if chain is not None:
-            chain.records.append(
-                BadCodeRecord(key, signal.layer_size or 0, params.code_seed, candidate.code_seed)
-            )
-            chain.new_seeds[key] = candidate.code_seed
+        chain.records.append(
+            BadCodeRecord(key, signal.layer_size or 0, params.code_seed, candidate.code_seed)
+        )
+        chain.new_seeds[key] = candidate.code_seed
         return candidate.code_seed
     raise BadCode("no replacement seed met the gate", layer_size=signal.layer_size)
 

@@ -199,7 +199,9 @@ class Trace:
     bytes_sent: int = 0
     bytes_stored: dict = field(default_factory=dict)  # node -> bytes
     bytes_downloaded: dict = field(default_factory=dict)  # client -> bytes
-    results: dict = field(default_factory=dict)  # (round, client) -> result object
+    # client 0's result object in round 0, None when round 0 is uncommitted;
+    # no other is kept, since each Block result holds its own copy of the block
+    first_result: object = None
     fraud_records: list = field(default_factory=list)  # FraudProof objects
     commitments: dict = field(default_factory=dict)  # round -> Commitment
 
@@ -328,7 +330,8 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                     new_seed = orc.bad_code_round(nodes, commitment, signal, chain)
                     params = replace(commitment.params, code_seed=new_seed)
                     fields = {"outcome": "bad_code", "new_seed": new_seed}
-                trace.results[(round_no, client)] = result
+                if (round_no, client) == (0, 0):
+                    trace.first_result = result
             entry = {"client": client, **fields}
             retrievals.append(entry)
             # an uncommitted round's ledger entry names no client

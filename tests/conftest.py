@@ -40,7 +40,7 @@ def planted_weak_code() -> CodeSpec:
     k, n = 64, 256
     eqs = [ParityEquation((i, k + i)) for i in range(k)]
     eqs += [ParityEquation((0, k + k + j)) for j in range(n - 2 * k)]
-    return CodeSpec(k, n, Fraction(1, 4), 8, 0, tuple(eqs))
+    return CodeSpec(k, n, 0, tuple(eqs))
 
 
 def code_to_text(code: CodeSpec) -> str:

@@ -444,6 +444,19 @@ class TestTables:
         assert report["storage_cost_bytes"] == pytest.approx(597e3, rel=0.05)
         baselines = (tmp_path / "tables_baselines.csv").read_text()
         assert "uncoded (repetition)" in baselines
+        assert "\ncoded dispersal (this package),0.49," in baselines
+
+    def test_coded_fraction_is_empty_without_beta(self, tmp_path):
+        # lambda stands in for beta and eta, so the input states no
+        # tolerance, as the 1D-RS row states no bytes
+        spec = {k: v for k, v in COST_PARAMS.items() if k not in ("beta", "eta")}
+        (tmp_path / "m.json").write_text(json.dumps({**spec, "lambda": 1.0}))
+        assert run(
+            "metrics", "--params", tmp_path / "m.json",
+            "--out-prefix", tmp_path / "tables",
+        ) == cli.EXIT_OK
+        baselines = (tmp_path / "tables_baselines.csv").read_text()
+        assert "\ncoded dispersal (this package),,O(1)," in baselines
 
     def test_incentives_report(self, tmp_path, capsys):
         spec = {
@@ -519,9 +532,19 @@ class TestBadJsonInput:
             ("simulate", json.dumps({**SCENARIO, "behaviors": {"sleepy": 1}})),
             ("simulate", json.dumps({**SCENARIO, "behaviors": {"silent": "2"}})),
             ("simulate", json.dumps({**SCENARIO, "n_nodes": 0})),
+            ("simulate", json.dumps({**SCENARIO, "proposer_strategy": "lazy"})),
+            ("simulate", json.dumps({**SCENARIO, "rounds": -1})),
+            ("simulate", json.dumps({**SCENARIO, "audit_probability": 1.5})),
+            ("simulate", json.dumps({**SCENARIO, "behaviors": ["honest"] * 19})),
+            # each count fits in n_nodes = 20, the two together do not
+            ("simulate", json.dumps(
+                {**SCENARIO, "behaviors": {"silent": 12, "withhold_after_vote": 12}}
+            )),
             ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8})),
             ("metrics", without(COST_PARAMS, "batch")),
             ("metrics", without(COST_PARAMS, "eta")),
+            # without lambda, beta must lie in [0, 0.5)
+            ("metrics", json.dumps({**COST_PARAMS, "beta": 0.6})),
             ("metrics", json.dumps({**COST_PARAMS, "root_size": 0})),
             ("metrics", json.dumps({**COST_PARAMS, "n_nodes": 0})),
             ("metrics", json.dumps({**COST_PARAMS, "root_size": -4})),
@@ -542,19 +565,23 @@ class TestBadJsonInput:
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": float("inf")})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "block_reward": 10**400})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 2.5})),
+            ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 0})),
             ("retrieve", json.dumps({"rounds": []})),
         ],
         ids=[
             "commit_missing_key", "commit_unparsable", "commit_wrong_type",
             "commit_not_an_object", "commit_rate_without_layer_codes", "simulate_missing_tree", "simulate_unknown_behavior",
-            "simulate_count_not_an_int", "simulate_no_nodes", "disperse_missing_key",
-            "metrics_missing_key", "metrics_no_lambda_nor_eta", "metrics_no_root",
+            "simulate_count_not_an_int", "simulate_no_nodes", "simulate_unknown_strategy",
+            "simulate_negative_rounds", "simulate_audit_above_one",
+            "simulate_behaviors_list_too_short", "simulate_counts_exceed_nodes",
+            "disperse_missing_key", "metrics_missing_key", "metrics_no_lambda_nor_eta",
+            "metrics_beta_without_lambda_above_half", "metrics_no_root",
             "metrics_no_nodes", "metrics_negative_root", "metrics_degree_zero",
             "metrics_nan_block", "metrics_infinite_symbol", "metrics_nan_lambda",
             "metrics_nodes_past_float", "metrics_block_overflows", "metrics_symbol_underflows",
             "metrics_baselines_overflow", "incentives_missing_key", "incentives_nan_stake",
             "incentives_infinite_signatures", "incentives_reward_past_float",
-            "incentives_fractional_signatures",
+            "incentives_fractional_signatures", "incentives_no_signatures",
             "retrieve_trace_without_config",
         ],
     )
@@ -614,6 +641,38 @@ class TestBadJsonInput:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "beta" in out.err
         assert "Traceback" not in out.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pom", "--tree", "t.bin", "--index", "3", "--all", "--out", "out.bin"),
+            ("pom", "--tree", "t.bin", "--index", "3", "--indices", "1,2", "--out", "out.bin"),
+            ("pom", "--tree", "t.bin", "--out", "out.bin"),
+            ("retrieve", "--commitment", "c.bin", "--chunks", "all.bundle",
+             "--trace", "trace.json", "--out-block", "out.bin"),
+            ("retrieve", "--commitment", "c.bin", "--out-block", "out.bin"),
+            ("retrieve", "--chunks", "all.bundle", "--out-block", "out.bin"),
+        ],
+        ids=["pom_index_and_all", "pom_index_and_indices", "pom_no_selector",
+             "retrieve_chunks_and_trace", "retrieve_no_source", "retrieve_chunks_alone"],
+    )
+    def test_selectors_exit_params(self, workdir, capsys, monkeypatch, argv):
+        # exactly one of pom's --index, --indices and --all, and of
+        # retrieve's --chunks and --trace; argparse refuses the rest before
+        # any file is read or written
+        d = workdir
+        run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+        run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle")
+        (d / "trace.json").write_text("{}")
+        capsys.readouterr()
+        monkeypatch.chdir(d)
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == cli.EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+        assert not (d / "out.bin").exists()
 
     def test_malformed_indices_exit_params(self, workdir, capsys):
         d = workdir

@@ -19,7 +19,6 @@ OPERATING = dict(
     rate=0.25,
     batch=8,
     max_eq_degree=8,
-    hash_size=32,
 )
 ETA, BETA = 0.875, 0.49
 

@@ -12,7 +12,7 @@ from daoracle.codec import ParityEquation
 from daoracle.dispersal import DispersalDesign, assign_chunks
 from daoracle.errors import BadCode
 
-from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL
+from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
 
 
 @pytest.fixture()
@@ -31,7 +31,7 @@ class TestDisperse:
 
     def test_empty_assignment_gets_commitment_only(self, setup, small_tree):
         design, tree, _ = setup
-        empty = DispersalDesign(32, 1, 0, np.zeros((1, 0), dtype=np.int64), 0)
+        empty = DispersalDesign(32, 1, 0, np.zeros((1, 0), dtype=np.int64))
         messages = orc.messages_for_tree(tree, empty)
         assert messages[0].units == ()
         node = orc.OracleNode(0)
@@ -139,6 +139,22 @@ class TestChain:
         assert not orc.chain_submit_fraud(chain, forged, proof)
         assert time.perf_counter() - start < 0.1
         assert calls == [] and chain.records == [] and chain.invalid == set()
+
+    def test_a_failing_proof_against_a_committed_commitment_is_false(
+        self, setup, small_block, small_params
+    ):
+        # a proof that verifies against the corrupted tree's commitment, sent
+        # against the honest one the chain committed
+        _, tree, _ = setup
+        bad = orc.build_tree_with_base_corruption(small_block, small_params, xor_mask=0x3C)
+        result = rt.reconstruct(bad.commitment, small_params, chunkset_for(bad, range(32)))
+        assert rt.verify_fraud_proof(bad.commitment, small_params, result.proof)
+        chain = orc.TrustedChain(n_nodes=4, beta=0.25, gamma=0.5)
+        votes = self.votes(tree, [0, 1, 2])
+        assert orc.chain_submit_votes(chain, tree.commitment, votes).committed
+        assert not orc.chain_submit_fraud(chain, tree.commitment, result.proof)
+        assert [type(r).__name__ for r in chain.records] == ["CommitRecord"]
+        assert orc.commit_key(tree.commitment) not in chain.invalid
 
     def test_log_lines(self, setup):
         _, tree, _ = setup
@@ -298,11 +314,34 @@ class TestBadCodeRound:
             orc.client_retrieve(
                 orc.TrustedChain(4, 0.25, 0.5), nodes, tree.commitment, params
             )
+        # a fresh chain per call, so each call pools and gates again
         seeds = {
-            orc.bad_code_round(nodes, tree.commitment, err.value, None)
+            orc.bad_code_round(
+                nodes, tree.commitment, err.value, orc.TrustedChain(4, 0.25, 0.5)
+            )
             for _ in range(3)
         }
         assert len(seeds) == 1
+
+    def test_no_replacement_seed_that_passes_the_gate_raises(self, small_block, monkeypatch):
+        params, tree, nodes = self.bad_network(small_block)
+        chain = orc.TrustedChain(4, 0.25, 0.5)
+        with pytest.raises(BadCode) as err:
+            orc.client_retrieve(chain, nodes, tree.commitment, params)
+        seeds = []
+
+        def every_code_is_bad(candidate, layer_size):
+            seeds.append(candidate.code_seed)
+            raise BadCode("gate failed", layer_size=layer_size)
+
+        # the stall is confirmed through retrieval's own layer codes
+        monkeypatch.setattr(orc, "layer_code", every_code_is_bad)
+        with pytest.raises(BadCode, match="no replacement seed met the gate") as again:
+            orc.bad_code_round(nodes, tree.commitment, err.value, chain)
+        assert again.value.layer_size == 32
+        bumps = range(1, 1 + params.max_code_attempts)
+        assert seeds == [params.code_seed + bump for bump in bumps]
+        assert chain.records == [] and chain.new_seeds == {}
 
     def test_good_code_is_a_no_op(self, small_block, small_tree, small_params):
         design = assign_chunks(32, 4, 1.0, seed=3)
@@ -312,6 +351,8 @@ class TestBadCodeRound:
             orc.node_on_dispersal(node, messages[node.node_id])
         signal = BadCode("spurious", layer=3, layer_size=32)
         assert (
-            orc.bad_code_round(nodes, small_tree.commitment, signal, None)
+            orc.bad_code_round(
+                nodes, small_tree.commitment, signal, orc.TrustedChain(4, 0.25, 0.5)
+            )
             == small_params.code_seed
         )

@@ -58,7 +58,7 @@ def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
         cur = cit.encode_array(code, inputs)
         for index, mask in flips.get(u, ()):
             cur[index % geo.sizes[u], 0] ^= mask
-        layers[u] = cit.Layer(cur, cit._hash_rows(cur), code)
+        layers[u] = cit.Layer(cur, cit._hash_rows(cur))
         if u:
             inputs = cit.aggregate(layers[u].hashes, geo.sizes[u - 1], params)
     root = tuple(row.tobytes() for row in layers[0].hashes)

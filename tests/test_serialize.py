@@ -159,6 +159,37 @@ def test_params_without_layer_codes_raise_parameter_error(small_tree, offset, fm
         sz.decode_commitment(bytes(blob))
 
 
+@pytest.mark.parametrize(
+    "offset,fmt,value,message",
+    [
+        (4, "<Q", 0, "symbol_size"),
+        (12, "<I", 0, "root_size"),
+        (32, "<d", 1.0, "alpha"),
+    ],
+    ids=["symbol_size_0", "root_size_0", "alpha_1"],
+)
+def test_tree_params_out_of_range_raise_parameter_error(small_tree, offset, fmt, value, message):
+    # DAC2 tree parameters: u64 symbol_size at offset 4, u32 root_size at
+    # 12 and f64 alpha at 32
+    blob = bytearray(sz.encode_commitment(small_tree.commitment))
+    struct.pack_into(fmt, blob, offset, value)
+    with pytest.raises(ParameterError, match=message):
+        sz.decode_commitment(bytes(blob))
+
+
+@pytest.mark.parametrize("count,width", [(0, 5), (3, 0)])
+def test_a_symbol_list_whose_count_and_width_disagree_raises(small_tree, count, width):
+    # the ancestor list of a DAP2 proof begins right after its base
+    # symbol: a u16 count, then a u32 width, 0 exactly when the count is
+    blob = bytearray(sz.encode_pom(cit.sample_pom(small_tree, 15)))
+    at = 4 + 3 * 8 + small_tree.params.symbol_size
+    depth, batch = len(small_tree.sizes) - 1, small_tree.params.batch
+    assert struct.unpack_from("<HI", blob, at) == (depth, batch * HASH_BYTES)
+    struct.pack_into("<HI", blob, at, count, width)
+    with pytest.raises(ParameterError, match="symbol width must be 0 exactly when the count"):
+        sz.decode_pom(bytes(blob))
+
+
 @pytest.mark.parametrize("hash_size", [0, 31, 33, 2**32 - 1])
 def test_hash_size_other_than_32_raises_parameter_error(small_tree, hash_size):
     # u32 hash_size at offset 40 of a DAC2 commitment has one legal value

@@ -1,8 +1,11 @@
 """Scenario runs: determinism, safety sweep, counters vs closed forms."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from daoracle import simnet as sn
 from daoracle.cit import TreeParams
 from daoracle.dispersal import MAX_DESIGN_SLOTS, DispersalParams, assign_chunks
 from daoracle.errors import BadCode, ConfigError
+from daoracle.retrieval import Block
 from daoracle.serialize import encode_commitment, encode_pom
 from daoracle.util import derive_seed
 
@@ -164,7 +168,7 @@ class TestStalledRetrieval:
         entry = {"client": 0, "outcome": "bad_code", "new_seed": BAD_BASE_CODE_SEED + 1}
         assert trace.rounds[0]["retrievals"] == [entry]
         assert trace.ledgers[0] == [{"round": 0, **entry}]
-        assert isinstance(trace.results[(0, 0)], BadCode)
+        assert isinstance(trace.first_result, BadCode)
         # pooling every node's storage confirms the stall, and the chain
         # records the replacement seed
         commit, badcode = trace.chain_lines
@@ -257,6 +261,36 @@ def test_trace_json_and_csv_shapes():
     csv_lines = trace.counters_csv().strip().splitlines()
     assert csv_lines[0] == "counter,entity,bytes"
     assert sum(1 for line in csv_lines if line.startswith("stored,")) == 20
+
+
+def test_a_trace_keeps_one_reconstructed_block():
+    # each client's result is its own reconstructed copy of the block; the
+    # trace keeps client 0's of round 0 only, so what it holds does not
+    # grow with the clients
+    config = make_config(n_clients=8)
+    sn.run_scenario(dataclasses.replace(config, n_clients=1))  # codes cached
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = sn.run_scenario(config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert isinstance(trace.first_result, Block)
+    assert retained < 2 * config.block_size
+
+
+def test_a_behavior_seed_draws_the_same_roles_on_every_run():
+    raw = json.loads(sn.config_to_json(make_config()))
+    raw["behaviors"] = {"silent": 2, "withhold_after_vote": 3}
+    unseeded = sn.config_from_dict(raw).behaviors
+    seeded = [sn.config_from_dict({**raw, "behavior_seed": 4}).behaviors for _ in range(2)]
+    assert seeded[0] == seeded[1] != unseeded
+    assert Counter(seeded[0]) == Counter(unseeded)
+    # unseeded, the highest ids take the roles
+    assert set(unseeded[15:]) == {orc.Behavior.SILENT, orc.Behavior.WITHHOLD_AFTER_VOTE}
 
 
 # sha256 of trace.json as `python3 -m daoracle simulate` writes it for the

@@ -80,7 +80,7 @@ def pooled(monkeypatch, nodes, commitment) -> tuple:
     seen = []
     with monkeypatch.context() as patch:
         patch.setattr(orc, "reconstruct", lambda _c, _p, chunks: seen.append(chunks.units))
-        orc.bad_code_round(nodes, commitment, SPURIOUS, None)
+        orc.bad_code_round(nodes, commitment, SPURIOUS, orc.TrustedChain(N_NODES, 0.375, 0.5))
     (units,) = seen
     return units
 
