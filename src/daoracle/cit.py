@@ -25,8 +25,8 @@ and the ancestor's digest is the running digest one layer up; at the root
 layer it must be the commitment's entry. ``Frontier._climb`` is its one
 implementation, behind one admission guard, ``commitment_geometry``, which
 reads the tree params the commitment carries. An entry point that also
-takes params (``walk_pom``, ``verify_symbol``, ``verify_membership``)
-first checks them against the commitment's, by ``echoes_params``.
+takes params (``walk_pom``, ``verify_membership``) first checks them
+against the commitment's, by ``echoes_params``.
 ``verify_membership`` climbs from a bare digest at any (layer, index),
 through the ancestors a ``MembershipPath`` carries (none at the root
 layer). ``Frontier.walk`` climbs from a base symbol through the proof's
@@ -38,10 +38,9 @@ Geometry. ``geometry(params, block_len)`` derives every size from the
 integer e once: the base layer holds ceil(block_len / c) * e symbols, at
 most ``MAX_BASE_SYMBOLS``, each layer up shrinks by q // e, and a layer of
 m symbols has m // e systematic ones (each divisibility checked with
-``%``). It caches the frozen result, whose ``pom_pairs`` gives a proof's
-(ancestor, parity) indices. Tree building, proof sampling and walking,
-reconstruction and fraud-proof checks all read it, so the tree does no
-Fraction arithmetic beyond coercing the rate.
+``%``). It caches the frozen result. Tree building, proof sampling and
+walking, reconstruction and fraud-proof checks all read it, so the tree
+does no Fraction arithmetic beyond coercing the rate.
 
 Sampling. A proof's ancestors depend only on its base index modulo the
 systematic count s of layer depth-1, and its parity symbols only on that
@@ -161,15 +160,6 @@ class Geometry:
     sizes: tuple[int, ...]
     sys_counts: tuple[int, ...]
     depth: int
-
-    def pom_pairs(self, base_index: int) -> list[tuple[int, int]]:
-        """(ancestor, parity) symbol indices of a proof, for layers depth-1
-        down to 1."""
-        out = []
-        for u in range(self.depth - 1, 0, -1):
-            m, s = self.sizes[u], self.sys_counts[u]
-            out.append((base_index % s, s + base_index % (m - s)))
-        return out
 
 
 def geometry(params: TreeParams, block_len: int) -> Geometry:
@@ -590,11 +580,6 @@ def walk_pom(
     elif frontier.commitment is not commitment:
         raise ValueError("the frontier was made for another commitment")
     return echoes_params(commitment, params) and frontier.walk(pom)
-
-
-def verify_symbol(commitment: Commitment, params: TreeParams, pom: ProofOfMembership) -> bool:
-    """True iff the proof's digest chain reproduces a commitment entry."""
-    return walk_pom(commitment, params, pom)
 
 
 def verify_membership(

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import metrics as mx
 from . import serialize as sz
 from . import simnet
-from .cit import build_tree, sample_pom, verify_symbol
+from .cit import Frontier, build_tree, sample_pom
 from .dispersal import (
     DispersalParams,
     assign_chunks,
@@ -87,7 +87,7 @@ def cmd_pom(args) -> int:
 def cmd_verify(args) -> int:
     commitment = sz.decode_commitment(Path(args.commitment).read_bytes())
     pom = sz.decode_pom(Path(args.pom).read_bytes())
-    if verify_symbol(commitment, commitment.params, pom):
+    if Frontier(commitment).walk(pom):
         print(f"symbol {pom.base_index}: membership verified")
         return EXIT_OK
     print(f"symbol {pom.base_index}: verification FAILED")
@@ -130,9 +130,12 @@ def cmd_retrieve(args) -> int:
     else:
         trace = json_fields(_read_json(args.trace), {"config": dict})
         config = simnet.config_from_dict(trace["config"])
-        # round 0 plays out the same whatever the round count, and it is all
-        # that is read, so a huge "rounds" in the file costs nothing
-        replay = simnet.run_scenario(dataclasses.replace(config, rounds=min(config.rounds, 1)))
+        # round 0 plays out the same whatever the round and client counts
+        # (client 0 retrieves first), and client 0's result is all that is
+        # read, so a huge "rounds" in the file costs nothing
+        replay = simnet.run_scenario(
+            dataclasses.replace(config, rounds=min(config.rounds, 1), n_clients=1)
+        )
         result = replay.first_result
         if result is None:
             print("round 0 was never committed; nothing to retrieve")

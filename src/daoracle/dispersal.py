@@ -13,12 +13,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import _kernels
-from .errors import ComplexityError, ParameterError
+from .errors import ParameterError
 from .util import MASK64, derive_seed
 
 # cap on a design's slots N * k: the (N, k) int64 assignment array and the
@@ -108,49 +107,29 @@ def coverage(design: DispersalDesign, nodes) -> float:
 class DesignCheck:
     failure_rate: float
     trials: int
-    exhaustive: bool
 
     @property
     def stderr(self) -> float:
-        if self.exhaustive or self.trials == 0:
-            return 0.0
         p = self.failure_rate
         return math.sqrt(max(p * (1 - p), 0.0) / self.trials)
-
-
-_EXHAUSTIVE_CAP = 10**6
 
 
 def verify_design(
     design: DispersalDesign,
     gamma: float,
     eta: float,
-    mode: str = "montecarlo",
     trials: int = 1000,
     seed: int = 0,
 ) -> DesignCheck:
-    """Fraction of gamma-N node subsets whose coverage falls below eta."""
+    """Monte Carlo estimate of the fraction of gamma-N node subsets whose
+    coverage falls below eta, over ``trials`` subsets drawn uniformly."""
     n = design.n_nodes
     take = int(round(gamma * n))
     if not 1 <= take <= n:
         raise ParameterError(f"gamma*N = {gamma * n} must round into [1, N]")
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     need = eta * design.n_chunks
-
-    if mode == "exhaustive":
-        total = math.comb(n, take)
-        if total > _EXHAUSTIVE_CAP:
-            raise ComplexityError(
-                f"C({n},{take}) = {total} exceeds the exhaustive cap {_EXHAUSTIVE_CAP}"
-            )
-        failures = 0
-        for subset in combinations(range(n), take):
-            rows = design.assignments[list(subset)].reshape(1, -1)
-            if int(_kernels.count_distinct(rows)[0]) < need:
-                failures += 1
-        return DesignCheck(failures / total, total, exhaustive=True)
-
-    if mode != "montecarlo":
-        raise ParameterError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(np.uint64(derive_seed("verify-design", seed)))
     batch = max(1, min(trials, (1 << 22) // max(take * design.k_per_node, 1)))
     failures = 0
@@ -162,7 +141,7 @@ def verify_design(
         distinct = _kernels.count_distinct(rows)
         failures += int(np.count_nonzero(distinct < need))
         done += b
-    return DesignCheck(failures / trials, trials, exhaustive=False)
+    return DesignCheck(failures / trials, trials)
 
 
 def tail_bound(eta: float, rho: float):

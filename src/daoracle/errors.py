@@ -13,10 +13,6 @@ class IndexOutOfRange(IndexError):
     """Requested symbol index lies outside the layer."""
 
 
-class ComplexityError(RuntimeError):
-    """Exhaustive enumeration was requested beyond the supported size."""
-
-
 class ConfigError(ValueError):
     """Scenario configuration is inconsistent or incomplete."""
 

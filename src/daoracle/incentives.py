@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParameterError
 from .util import require_finite
@@ -111,14 +111,7 @@ class EquilibriumCheck:
     binding_constraints: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "is_equilibrium": self.is_equilibrium,
-                "binding_constraints": self.binding_constraints,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def check_allC_equilibrium(params: IncentiveParams) -> EquilibriumCheck:

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ParameterError
@@ -122,18 +122,7 @@ class MetricsReport:
         require_finite(self)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "storage_cost_bytes": self.storage_cost_bytes,
-                "fraud_proof_bytes": self.fraud_proof_bytes,
-                "communication_bytes": self.communication_bytes,
-                "chunks_per_node": self.chunks_per_node,
-                "normal_case_overhead": self.normal_case_overhead,
-                "worst_case_overhead": self.worst_case_overhead,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def report(p: CostParams) -> MetricsReport:

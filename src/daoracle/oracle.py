@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 # protobench/layers.py times aggregate and encode_array through this
-# module's names, and protobench's tests replace verify_symbol here, so they
-# stay imported though nothing in this module calls them
+# module's names, and protobench's tests replace verify_symbol (walk_pom
+# under the name they patch) here, so they stay imported though nothing in
+# this module calls them
 from .cit import (  # noqa: F401
     CodedTree,
     Commitment,
@@ -29,7 +30,7 @@ from .cit import (  # noqa: F401
     layer_code,
     sample_pom,
     unit_agrees,
-    verify_symbol,
+    walk_pom as verify_symbol,
 )
 from .codec import encode_array  # noqa: F401
 from .dispersal import DispersalDesign
@@ -360,11 +361,11 @@ def bad_code_round(
     for bump in range(1, 1 + max(1, params.max_code_attempts)):
         candidate = replace(params, code_seed=params.code_seed + bump)
         try:
-            layer_code(candidate, signal.layer_size or candidate.root_size)
+            layer_code(candidate, signal.layer_size)
         except BadCode:
             continue
         chain.records.append(
-            BadCodeRecord(key, signal.layer_size or 0, params.code_seed, candidate.code_seed)
+            BadCodeRecord(key, signal.layer_size, params.code_seed, candidate.code_seed)
         )
         chain.new_seeds[key] = candidate.code_seed
         return candidate.code_seed

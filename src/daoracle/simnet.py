@@ -30,6 +30,9 @@ PROPOSER_STRATEGIES = ("honest", "invalid_coding", "equivocating")
 # the behavior list, the node table, the client ledgers or a proposed block
 MAX_NODES, MAX_BLOCK_SIZE = 1 << 14, 1 << 24
 MAX_CLIENTS = 1 << 10
+# caps run_scenario checks before its first round, not the config (retrieve
+# --trace replays round 0 of any): nodes keep each round's units to the end
+MAX_ROUNDS, MAX_PROPOSED_BYTES = 1 << 10, 1 << 25
 
 
 def _check_sizes(n_nodes: int, block_size: int, n_clients: int) -> None:
@@ -274,6 +277,11 @@ def _outcome(result, block: bytes) -> dict:
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
+    if config.rounds > MAX_ROUNDS or config.rounds * config.block_size > MAX_PROPOSED_BYTES:
+        raise ConfigError(
+            f"rounds must be at most {MAX_ROUNDS} and rounds * block_size at most "
+            f"{MAX_PROPOSED_BYTES}, got {config.rounds} x {config.block_size}"
+        )
     nodes = [OracleNode(i, config.behaviors[i]) for i in range(config.n_nodes)]
     chain = TrustedChain(config.n_nodes, config.beta, config.dispersal.gamma)
     n_chunks = geometry(config.tree, config.block_size).sizes[-1]

@@ -10,9 +10,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from daoracle import _kernels as kn
-from daoracle.cit import CodedTree, Geometry, TreeParams, build_tree, geometry, sample_pom
+from daoracle.cit import CodedTree, TreeParams, build_tree, sample_pom
 from daoracle.codec import CodeSpec, ParityEquation
 from daoracle.retrieval import ChunkSet
+from fraction_geometry import pom_pairs
 
 # 8 systematic base symbols at rate 1/4, batch 8, 4-digest root:
 # coded layers 32 / 16 / 8 over a root of 4.
@@ -123,24 +124,22 @@ def sizes_for(root_size, rate, batch, levels):
     return sizes
 
 
-def geometry_for(root_size, rate, batch, levels) -> Geometry:
-    """The geometry of ``sizes_for(root_size, rate, batch, levels)``: one
-    byte per symbol, so the block is as long as the base systematic count."""
-    sizes = sizes_for(root_size, rate, batch, levels)
-    params = TreeParams(
+def params_for(root_size, rate, batch) -> TreeParams:
+    """Tree params of one-byte symbols at this root size, rate and batch."""
+    return TreeParams(
         symbol_size=1, root_size=root_size, rate=rate, batch=batch,
         max_eq_degree=8, alpha=0.1,
     )
-    geo = geometry(params, int(sizes[-1] * rate))
-    assert list(geo.sizes) == sizes
-    return geo
 
 
-def pairs_table(geo: Geometry) -> np.ndarray:
-    """(base size, depth - 1, 2) int array whose row i is geo.pom_pairs(i)."""
-    m = geo.sizes[-1]
-    pairs = [geo.pom_pairs(i) for i in range(m)]
-    return np.array(pairs, dtype=np.int64).reshape(m, geo.depth - 1, 2)
+def pairs_table(root_size, rate, batch, levels) -> np.ndarray:
+    """(base size, levels - 1, 2) int array whose row i is the reference
+    ``fraction_geometry.pom_pairs`` of base index i over
+    ``sizes_for(root_size, rate, batch, levels)``."""
+    sizes = sizes_for(root_size, rate, batch, levels)
+    params, m = params_for(root_size, rate, batch), sizes[-1]
+    pairs = [pom_pairs(params, sizes, i) for i in range(m)]
+    return np.array(pairs, dtype=np.int64).reshape(m, levels - 1, 2)
 
 
 def covered_layers(table: np.ndarray, base_indices) -> list[set[int]]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from daoracle.cit import ProofOfMembership, geometry
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
+from fraction_geometry import pom_pairs
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
@@ -31,9 +32,10 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         tree.layers[u].symbols[base_index % geo.sys_counts[u]].tobytes()
         for u in range(depth - 1, -1, -1)
     ]
+    pairs = pom_pairs(tree.params, geo.sizes, base_index)
     parities = [
         tree.layers[u].symbols[e_idx].tobytes()
-        for u, (_p_idx, e_idx) in zip(range(depth - 1, 0, -1), geo.pom_pairs(base_index))
+        for u, (_p_idx, e_idx) in zip(range(depth - 1, 0, -1), pairs)
     ]
     return ProofOfMembership(
         base_index=base_index,
@@ -98,7 +100,8 @@ def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership)
     harvest.values[(depth, i)] = pom.base_symbol
     for ancestor, u in zip(pom.ancestors, range(depth - 1, -1, -1)):
         harvest.values[(u, i % sys_counts[u])] = ancestor
-    for j, (u, (_p_idx, e_idx)) in enumerate(zip(range(depth - 1, 0, -1), geo.pom_pairs(i))):
+    pairs = pom_pairs(params, sizes, i)
+    for j, (u, (_p_idx, e_idx)) in enumerate(zip(range(depth - 1, 0, -1), pairs)):
         # the parity symbol's parent is the proof's ancestor one layer up
         parity = pom.parities[j]
         if len(parity) != params.batch * HASH_BYTES:

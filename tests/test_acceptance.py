@@ -19,8 +19,9 @@ from daoracle.cit import TreeParams
 from daoracle.dispersal import DispersalParams
 
 from conftest import (
-    covered_layers, geometry_for, pairs_table, peel_rows, random_geometries, sizes_for,
+    covered_layers, pairs_table, params_for, peel_rows, random_geometries, sizes_for,
 )
+from fraction_geometry import pom_pairs
 from gf2 import solve_erasure
 
 ETA = 0.875
@@ -35,11 +36,10 @@ def test_criterion_1_sibling_property():
     geometries = [(4, Fraction(1, 4), 8, 3)] + random_geometries(3)
     checked = 0
     for t, r, q, levels in geometries:
-        sizes = sizes_for(t, r, q, levels)  # root .. base
-        geo = geometry_for(t, r, q, levels)
+        sizes, params = sizes_for(t, r, q, levels), params_for(t, r, q)  # root .. base
         layer_ids = list(range(len(sizes) - 2, 0, -1))
         for i in range(sizes[-1]):
-            pairs = geo.pom_pairs(i)
+            pairs = pom_pairs(params, sizes, i)
             prev = i
             for u, (p, e) in zip(layer_ids, pairs):
                 s_own = int(r * sizes[u])
@@ -64,7 +64,7 @@ def test_criterion_2_layer_coverage():
         m_base = sizes[-1]
         need = math.ceil(ETA * m_base)
         intermediate = sizes[-2:0:-1]
-        table = pairs_table(geometry_for(t, r, q, levels))
+        table = pairs_table(t, r, q, levels)
         for _ in range(10_000):
             subset = rng.choice(m_base, size=need, replace=False)
             covered = covered_layers(table, subset)

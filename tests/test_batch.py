@@ -33,6 +33,7 @@ from daoracle.errors import BadCode, IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
 
 from conftest import SMALL, chunkset_for
+from fraction_geometry import pom_pairs
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
 
 
@@ -212,7 +213,7 @@ def pair_forgeries(draw):
     honest = cit.sample_pom(tree, draw(st.integers(0, tree.sizes[-1] - 1)))
     j = draw(st.integers(0, len(honest.parities) - 1))
     u = geo.depth - 1 - j
-    e_idx = geo.pom_pairs(honest.base_index)[j][1]
+    e_idx = pom_pairs(tree.params, geo.sizes, honest.base_index)[j][1]
     s_up = geo.sys_counts[u - 1]
     # small layer codes repeat symbols: only another value is a forgery
     others = {tree.layers[u].symbols[x].tobytes() for x in range(e_idx % s_up, geo.sizes[u], s_up)}
@@ -310,7 +311,7 @@ def frontier_sets(draw):
                 parity = _resized(parity, draw(st.booleans()))
             else:
                 # another symbol under the same parent, with its true value
-                e_idx = geo.pom_pairs(pom.base_index)[j][1]
+                e_idx = pom_pairs(tree.params, sizes, pom.base_index)[j][1]
                 s_up = sys_counts[u - 1]
                 x = draw(st.sampled_from(
                     [x for x in range(e_idx % s_up, sizes[u], s_up) if x != e_idx]
@@ -495,7 +496,7 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
-    assert not cit.verify_symbol(short, tree.params, pom)
+    assert not cit.walk_pom(short, tree.params, pom)
     frontier = cit.Frontier(short)
     assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
     assert frontier.known() == {}
@@ -517,7 +518,7 @@ def test_params_the_commitment_does_not_carry_verify_nothing(field, fraud_case, 
     # each check passes with the commitment's own params, or equal ones
     for q in (p, dataclasses.replace(p)):
         assert cit.walk_pom(c, q, pom) and cit.walk_pom(c, q, pom, cit.Frontier(c))
-        assert cit.verify_symbol(c, q, pom)
+        assert cit.walk_pom(c, q, pom)
         assert cit.verify_membership(c, q, leaf, path)
         assert rt.reconstruct(c, q, chunks) == rt.Block(small_block)
         assert rt.verify_fraud_proof(commitment, q, proof)
@@ -525,7 +526,7 @@ def test_params_the_commitment_does_not_carry_verify_nothing(field, fraud_case, 
     frontier = cit.Frontier(c)
     assert not cit.walk_pom(c, other, pom, frontier)
     assert frontier.known() == {}
-    assert not cit.verify_symbol(c, other, pom)
+    assert not cit.walk_pom(c, other, pom)
     assert not cit.verify_membership(c, other, leaf, path)
     with pytest.raises(ParameterError, match="commitment echo"):
         rt.reconstruct(c, other, chunks)
@@ -584,7 +585,7 @@ def test_a_fault_inside_the_membership_verifier_propagates(monkeypatch):
     pom = cit.sample_pom(tree, 5)
     monkeypatch.setattr(cit, "sha256", spy)
     for call in (
-        lambda: cit.verify_symbol(tree.commitment, tree.params, pom),
+        lambda: cit.walk_pom(tree.commitment, tree.params, pom),
         lambda: cit.walk_pom(tree.commitment, tree.params, pom),
         lambda: cit.Frontier(tree.commitment).walk(pom),
     ):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from daoracle.codec import encode_array
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import sha256
 
-from conftest import (
-    SMALL, covered_layers, geometry_for, pairs_table, random_geometries, sizes_for,
-)
+from conftest import SMALL, covered_layers, pairs_table, params_for, random_geometries, sizes_for
+from fraction_geometry import pom_pairs
 from test_geometry import BLOCK_LENS, grid_params
 
 
@@ -35,8 +35,9 @@ class TestGeometry:
         # count 12 does not divide layer 2's 18, and the pair a proof
         # samples at layer 1 (i mod 12) is not the parent its digest chain
         # climbs through ((i mod 18) mod 12), so no honest proof verifies
-        geo = cit.Geometry((16, 24, 36, 54), (8, 12, 18, 27), 3)
-        assert [(i % 18) % 12 for i in range(54)] != [geo.pom_pairs(i)[1][0] for i in range(54)]
+        sizes, half = (16, 24, 36, 54), SimpleNamespace(rate=Fraction(1, 2))
+        sampled = [pom_pairs(half, sizes, i)[1][0] for i in range(54)]
+        assert [(i % 18) % 12 for i in range(54)] != sampled
         with pytest.raises(ParameterError, match=r"batch \* rate must be an integer"):
             cit.TreeParams(
                 symbol_size=4, root_size=16, rate=Fraction(1, 2), batch=3,
@@ -73,7 +74,7 @@ class TestGeometry:
         assert diff.tolist() == [9]
         assert tree.commitment.root != honest.commitment.root
         for i in range(32):
-            assert cit.verify_symbol(tree.commitment, small_params, cit.sample_pom(tree, i))
+            assert cit.walk_pom(tree.commitment, small_params, cit.sample_pom(tree, i))
 
     def test_build_tree_hashes_each_row_once(self, small_block, small_params, monkeypatch):
         # every row of every layer is hashed once, for Layer.hashes; a
@@ -104,13 +105,14 @@ class TestGeometry:
 
 
 class TestPomIndices:
+    # the index lemmas, on the reference pairs of tests/fraction_geometry.py
+    REFERENCE = params_for(4, Fraction(1, 4), 8), sizes_for(4, Fraction(1, 4), 8, 3)
+
     def test_reference_pairs_for_index_15(self):
-        geo = geometry_for(4, Fraction(1, 4), 8, 3)
-        assert geo.pom_pairs(15) == [(3, 7), (1, 5)]
+        assert pom_pairs(*self.REFERENCE, 15) == [(3, 7), (1, 5)]
 
     def test_index_zero_hits_first_systematic_and_first_parity(self):
-        geo = geometry_for(4, Fraction(1, 4), 8, 3)
-        for m, (p, e) in zip((16, 8), geo.pom_pairs(0)):
+        for m, (p, e) in zip((16, 8), pom_pairs(*self.REFERENCE, 0)):
             assert (p, e) == (0, m // 4)
 
     def test_sampled_pairs_share_a_parent(self):
@@ -118,10 +120,9 @@ class TestPomIndices:
         # symbol one layer up
         geometries = [(4, Fraction(1, 4), 8, 3)] + random_geometries()
         for t, r, q, levels in geometries:
-            sizes = sizes_for(t, r, q, levels)
-            geo = geometry_for(t, r, q, levels)
+            sizes, params = sizes_for(t, r, q, levels), params_for(t, r, q)
             for i in range(sizes[-1]):
-                pairs = geo.pom_pairs(i)
+                pairs = pom_pairs(params, sizes, i)
                 chain = [i] + [p for p, _ in pairs]
                 for depth, (p, e) in enumerate(pairs):
                     parent_size = sizes[len(sizes) - 2 - depth - 1]
@@ -129,7 +130,7 @@ class TestPomIndices:
                     assert p % s_par == e % s_par == chain[depth + 1] % s_par
 
     def test_projection_of_everything_is_everything(self):
-        table = pairs_table(geometry_for(4, Fraction(1, 4), 8, 3))
+        table = pairs_table(4, Fraction(1, 4), 8, 3)
         covered = covered_layers(table, range(32))
         assert covered[0] == set(range(16))
         assert covered[1] == set(range(8))
@@ -138,7 +139,7 @@ class TestPomIndices:
         # eta-dense base subsets stay eta-dense at every layer
         rng = np.random.default_rng(3)
         sizes = sizes_for(4, Fraction(1, 4), 8, 3)
-        table = pairs_table(geometry_for(4, Fraction(1, 4), 8, 3))
+        table = pairs_table(4, Fraction(1, 4), 8, 3)
         eta = 0.875
         for _ in range(300):
             take = rng.choice(32, size=28, replace=False)
@@ -151,7 +152,7 @@ class TestMembership:
     def test_honest_proofs_verify_everywhere(self, small_tree, small_params):
         for i in range(small_tree.sizes[-1]):
             pom = cit.sample_pom(small_tree, i)
-            assert cit.verify_symbol(small_tree.commitment, small_params, pom)
+            assert cit.walk_pom(small_tree.commitment, small_params, pom)
 
     def test_out_of_range_index(self, small_tree):
         with pytest.raises(IndexOutOfRange):
@@ -163,7 +164,7 @@ class TestMembership:
         assert not base.any()
         pom = cit.sample_pom(tree, 31)  # a parity index
         assert pom.base_symbol == bytes(64)
-        assert cit.verify_symbol(tree.commitment, small_params, pom)
+        assert cit.walk_pom(tree.commitment, small_params, pom)
 
     def test_tampered_sibling_fails(self, small_tree, small_params):
         # a sibling digest is a slot of the ancestor other than the one the
@@ -173,7 +174,7 @@ class TestMembership:
         ancestor = pom.ancestors[1]
         ancestor = ancestor[:64] + bytes(32) + ancestor[96:]
         bad = dataclasses.replace(pom, ancestors=(pom.ancestors[0], ancestor, pom.ancestors[2]))
-        assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
+        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
 
     def test_tampered_pair_value_fails(self, small_tree, small_params):
         pom = cit.sample_pom(small_tree, 15)
@@ -181,28 +182,28 @@ class TestMembership:
         for field in ("ancestors", "parities"):
             symbols = getattr(pom, field)
             bad = dataclasses.replace(pom, **{field: (forged,) + symbols[1:]})
-            assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
+            assert not cit.walk_pom(small_tree.commitment, small_params, bad)
 
     def test_perturbed_indices_fail(self, small_tree, small_params):
         # the proof stores no index but its base index: the parity symbol
         # one index past the sampled one, with its true value, fails
         pom = cit.sample_pom(small_tree, 15)
-        e = cit.geometry(small_params, small_tree.block_len).pom_pairs(15)[1][1]
+        e = pom_pairs(small_params, small_tree.sizes, 15)[1][1]
         moved = small_tree.layers[1].symbols[e + 1].tobytes()
         bad = dataclasses.replace(pom, parities=(pom.parities[0], moved))
-        assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
+        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
 
     def test_tampered_base_symbol_fails(self, small_tree, small_params):
         pom = cit.sample_pom(small_tree, 7)
         bad = dataclasses.replace(
             pom, base_symbol=bytes(64)
         )
-        assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
+        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
 
     def test_wrong_block_len_fails(self, small_tree, small_params):
         pom = cit.sample_pom(small_tree, 7)
         bad = dataclasses.replace(pom, block_len=pom.block_len + 1)
-        assert not cit.verify_symbol(small_tree.commitment, small_params, bad)
+        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
 
 
 class TestSiblingProperty:
@@ -213,12 +214,11 @@ class TestSiblingProperty:
         # parent(p_u(i)) == parent(e_u(i)) == p_{u-1}(i) at every layer,
         # exhaustively over all base indices
         for t, r, q, levels in self.geometries():
-            sizes = sizes_for(t, r, q, levels)  # root .. base
-            geo = geometry_for(t, r, q, levels)
+            sizes, params = sizes_for(t, r, q, levels), params_for(t, r, q)  # root .. base
             for i in range(sizes[-1]):
                 # pairs at layers len-2 .. 1, then the root junction
                 layer_ids = list(range(len(sizes) - 2, 0, -1))
-                pairs = geo.pom_pairs(i)
+                pairs = pom_pairs(params, sizes, i)
                 prev_child = i
                 for u, (p, e) in zip(layer_ids, pairs):
                     s_par = int(r * sizes[u])

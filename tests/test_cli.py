@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from daoracle import cit, cli, simnet, serialize as sz
+from daoracle import cit, cli, oracle as orc, simnet, serialize as sz
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
@@ -406,6 +406,42 @@ class TestSimulate:
             assert code == cli.EXIT_OK
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
+
+    def test_retrieve_replays_client_zero_only(self, tmp_path, capsys, monkeypatch):
+        # client 0's result is all a replay reads, so it reconstructs once
+        # however many clients the trace has, and prints the same line
+        path = self.scenario(tmp_path)
+        run("simulate", "--scenario", path, "--out", tmp_path / "sim")
+        trace = json.loads((tmp_path / "sim" / "trace.json").read_text())
+        calls, reconstruct = [], orc.reconstruct
+        monkeypatch.setattr(orc, "reconstruct", lambda *a: calls.append(a) or reconstruct(*a))
+        printed = []
+        for n_clients in (1, 32):
+            trace["config"]["n_clients"] = n_clients
+            (tmp_path / "t.json").write_text(json.dumps(trace))
+            capsys.readouterr()
+            code = run(
+                "retrieve", "--trace", tmp_path / "t.json",
+                "--out-block", tmp_path / "replayed.bin",
+            )
+            assert code == cli.EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert len(calls) == 2
+        assert printed[0] == printed[1] and printed[0].startswith("reconstructed 65536 bytes")
+
+    def test_simulate_past_the_round_caps_exits_params_before_any_tree(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(orc, "build_tree", lambda *a, **k: built.append(a))
+        config = json.loads(self.scenario(tmp_path).read_text())
+        for rounds in (simnet.MAX_ROUNDS + 1, simnet.MAX_PROPOSED_BYTES // 65536 + 1):
+            (tmp_path / "s.json").write_text(json.dumps({**config, "rounds": rounds}))
+            code = run("simulate", "--scenario", tmp_path / "s.json", "--out", tmp_path / "o")
+            assert code == cli.EXIT_PARAMS
+            assert capsys.readouterr().err.startswith("error: rounds must be at most")
+        assert built == []
+        assert not (tmp_path / "o").exists()
 
     def test_retrieve_from_fraud_trace_replay(self, tmp_path):
         path = self.scenario(tmp_path, strategy="invalid_coding")

@@ -1,12 +1,15 @@
 """Feasibility arithmetic, chunk assignment, coverage bounds, tail bounds."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from daoracle import _kernels, dispersal as dp
-from daoracle.errors import ComplexityError, ParameterError
+from daoracle.errors import ParameterError
+
+from reference_design import exact_failure_rate
 
 
 class TestFeasibility:
@@ -93,28 +96,33 @@ class TestCoverage:
 
 class TestVerifyDesign:
     def test_tiny_exhaustive(self):
+        # the reference enumerates every subset and counts against
+        # dispersal.coverage
         design = dp.assign_chunks(120, 6, 0.5, seed=9)
-        check = dp.verify_design(design, gamma=0.5, eta=0.5, mode="exhaustive")
-        assert check.exhaustive
-        assert check.trials == math.comb(6, 3)
-        assert 0.0 <= check.failure_rate <= 1.0
-
-    def test_exhaustive_cap(self):
-        design = dp.assign_chunks(4000, 40, 0.5, seed=1)
-        with pytest.raises(ComplexityError):
-            dp.verify_design(design, gamma=0.5, eta=0.5, mode="exhaustive")
+        rate, total = exact_failure_rate(design, gamma=0.5, eta=0.5)
+        assert total == math.comb(6, 3)
+        failures = sum(
+            dp.coverage(design, subset) < 0.5 for subset in combinations(range(6), 3)
+        )
+        assert rate == failures / total
 
     def test_montecarlo_matches_exhaustive_on_tiny_design(self):
         design = dp.assign_chunks(120, 6, 0.5, seed=9)
-        exact = dp.verify_design(design, 0.5, 0.6, mode="exhaustive")
-        mc = dp.verify_design(design, 0.5, 0.6, mode="montecarlo", trials=4000, seed=3)
-        assert abs(mc.failure_rate - exact.failure_rate) <= 4 * mc.stderr + 0.02
+        exact, _total = exact_failure_rate(design, 0.5, 0.6)
+        mc = dp.verify_design(design, 0.5, 0.6, trials=4000, seed=3)
+        assert abs(mc.failure_rate - exact) <= 4 * mc.stderr + 0.02
 
     def test_infeasible_regime_always_fails(self):
         # gamma/lam = 0.5 < eta = 0.875: counting forces failure rate 1.0
         design = dp.assign_chunks(400, 20, 0.5, seed=7)
-        check = dp.verify_design(design, 0.25, 0.875, mode="montecarlo", trials=300, seed=1)
+        check = dp.verify_design(design, 0.25, 0.875, trials=300, seed=1)
         assert check.failure_rate == 1.0
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_fewer_than_one_trial_is_a_parameter_error(self, trials):
+        design = dp.assign_chunks(120, 6, 0.5, seed=9)
+        with pytest.raises(ParameterError, match="trials"):
+            dp.verify_design(design, 0.5, 0.6, trials=trials)
 
     def test_montecarlo_deterministic_under_seed(self):
         design = dp.assign_chunks(200, 10, 0.25, seed=5)

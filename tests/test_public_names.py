@@ -1,14 +1,17 @@
-"""Every public top-level name of ``src/daoracle`` has a reader outside the
-tests: a ``src/daoracle`` module or a ``protobench`` file.
+"""Every public top-level name of ``src/daoracle``, and every public method
+and annotated field of its classes, has a reader outside the tests: a
+``src/daoracle`` module or a ``protobench`` file.
 
 A name counts as read where a module loads it, takes it as an attribute or
 imports it; in ``protobench`` also where a string names it, as its
-``Wrap("daoracle.cit", "walk_pom")`` entries do. The exceptions are the
-allowlist below, which must match exactly, so it only shrinks:
+``Wrap("daoracle.cit", "walk_pom")`` entries do. A class that passes itself
+to ``asdict`` (a ``to_json``) reads each of its fields. The exceptions are
+the allowlists below, which must match exactly, so they only shrink:
 ``coverage``, ``verify_design`` and ``invalid_design_bound`` are the
 dispersal theorem's check and bound, which only the acceptance tests run
 so far; ``best_oracle_deviation`` is the incentive analysis; and
-``decode_fraud_proof`` is the documented DAF2 reader.
+``decode_fraud_proof`` is the documented DAF2 reader. No method or field
+is unread.
 """
 
 import ast
@@ -25,6 +28,7 @@ ALLOWED_UNREAD = {
     ("incentives", "best_oracle_deviation"),
     ("serialize", "decode_fraud_proof"),
 }
+ALLOWED_UNREAD_MEMBERS: set[tuple[str, str, str]] = set()
 
 
 def public_names(source: str) -> set[str]:
@@ -58,17 +62,89 @@ def read_names(source: str, strings: bool) -> set[str]:
     return read
 
 
-def test_every_public_name_of_the_package_has_a_reader():
-    modules = sorted(PACKAGE.glob("*.py"))
+def fields(cls: ast.ClassDef) -> set[str]:
+    """The names a class body annotates."""
+    return {
+        node.target.id for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
+def public_members(source: str) -> set[tuple[str, str]]:
+    """(class, name) for each method and annotated field without a leading
+    underscore of the classes ``source`` defines at top level."""
+    members = set()
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef):
+            methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            members |= {(cls.name, name) for name in methods | fields(cls)}
+    return {(cls, name) for cls, name in members if not name.startswith("_")}
+
+
+def serialized_fields(source: str) -> set[str]:
+    """The annotated fields of each top-level class of ``source`` whose
+    methods call ``asdict(self)``, which reads every field."""
     read = set()
-    for path in modules:
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef) and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "asdict"
+            and [getattr(arg, "id", None) for arg in node.args] == ["self"]
+            for node in ast.walk(cls)
+        ):
+            read |= fields(cls)
+    return read
+
+
+def package_reads() -> set[str]:
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
         read |= read_names(path.read_text(), strings=False)
+        read |= serialized_fields(path.read_text())
     for path in sorted(BENCHMARK.rglob("*.py")):
         read |= read_names(path.read_text(), strings=True)
+    return read
+
+
+def test_every_public_name_of_the_package_has_a_reader():
+    read = package_reads()
     unread = {
         (path.stem, name)
-        for path in modules
+        for path in sorted(PACKAGE.glob("*.py"))
         for name in public_names(path.read_text())
         if name not in read
     }
     assert unread == ALLOWED_UNREAD
+
+
+def test_every_public_member_of_a_package_class_has_a_reader():
+    read = package_reads()
+    unread = {
+        (path.stem, cls, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls, name in public_members(path.read_text())
+        if name not in read
+    }
+    assert unread == ALLOWED_UNREAD_MEMBERS
+
+
+def test_the_member_check_sees_an_unread_member():
+    source = (
+        "import json\n"
+        "from dataclasses import asdict, dataclass\n"
+        "class Shape:\n"
+        "    sizes: tuple\n"
+        "    depth: int = 0\n"
+        "    def pairs(self, i):\n"
+        "        return self.sizes[i]\n"
+        "    def _hidden(self):\n"
+        "        return self.depth\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    rate: float\n"
+        "    def to_json(self):\n"
+        "        return json.dumps(asdict(self))\n"
+    )
+    read = read_names(source, strings=False) | serialized_fields(source)
+    unread = {member for member in public_members(source) if member[1] not in read}
+    assert unread == {("Shape", "pairs"), ("Report", "to_json")}
