@@ -215,7 +215,7 @@ def cmd_metrics(args) -> int:
         lam=lam,
     )
     rep = mx.report(cost)
-    rows = mx.baseline_table(cost.block_size, cost.n_nodes, raw.get("beta"), cost)
+    rows = mx.baseline_table(cost, raw.get("beta"))
     prefix = Path(args.out_prefix)
     prefix.with_suffix(".json").write_text(rep.to_json())
     prefix.with_name(prefix.name + "_baselines").with_suffix(".csv").write_text(

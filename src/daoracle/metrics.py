@@ -148,66 +148,26 @@ BASELINE_COLUMNS = (
 )
 
 
-def baseline_table(block_size: float, n_nodes: int, beta: Optional[float], coded: CostParams):
+def baseline_table(coded: CostParams, beta: Optional[float]):
     """Analytic rows for the five dispersal schemes, with asymptotic
     classes and exact byte counts where a closed form exists. A beta of
     None leaves the coded row's adversary fraction empty."""
-    rows = [
-        {
-            "scheme": "uncoded (repetition)",
-            "max adversary fraction": "1/2",
-            "normal storage overhead": "O(N)",
-            "normal download overhead": "O(1)",
-            "worst storage overhead": "O(N)",
-            "worst download overhead": "O(1)",
-            "communication complexity": "O(N*b)",
-            "communication bytes": n_nodes * block_size,
-        },
-        {
-            "scheme": "uncoded (dispersal)",
-            "max adversary fraction": "1/N",
-            "normal storage overhead": "O(1)",
-            "normal download overhead": "O(1)",
-            "worst storage overhead": "O(1)",
-            "worst download overhead": "O(1)",
-            "communication complexity": "O(b)",
-            "communication bytes": block_size,
-        },
-        {
-            "scheme": "AVID",
-            "max adversary fraction": "1/3",
-            "normal storage overhead": "O(1)",
-            "normal download overhead": "O(1)",
-            "worst storage overhead": "O(1)",
-            "worst download overhead": "O(1)",
-            "communication complexity": "O(N*b)",
-            "communication bytes": n_nodes * block_size,
-        },
-        {
-            "scheme": "1D-RS",
-            "max adversary fraction": "1/2",
-            "normal storage overhead": "O(1)",
-            "normal download overhead": "O(1)",
-            "worst storage overhead": "O(b)",
-            "worst download overhead": "O(b)",
-            "communication complexity": "O(b)",
-            "communication bytes": None,
-        },
-        {
-            "scheme": "coded dispersal (this package)",
-            "max adversary fraction": beta,
-            "normal storage overhead": "O(1)",
-            "normal download overhead": "O(1)",
-            "worst storage overhead": "O(log b)",
-            "worst download overhead": "O(log b)",
-            "communication complexity": "O(b)",
-            "communication bytes": communication_cost(coded),
-        },
-    ]
-    for row in rows:
-        if not math.isfinite(row["communication bytes"] or 0):
-            raise ParameterError(f"communication bytes of {row['scheme']} overflow a float")
-    return rows
+    b, n = coded.block_size, coded.n_nodes
+    # one tuple per scheme, in BASELINE_COLUMNS order
+    rows = (
+        ("uncoded (repetition)", "1/2", "O(N)", "O(1)", "O(N)", "O(1)", "O(N*b)", n * b),
+        ("uncoded (dispersal)", "1/N", "O(1)", "O(1)", "O(1)", "O(1)", "O(b)", b),
+        ("AVID", "1/3", "O(1)", "O(1)", "O(1)", "O(1)", "O(N*b)", n * b),
+        ("1D-RS", "1/2", "O(1)", "O(1)", "O(b)", "O(b)", "O(b)", None),
+        (
+            "coded dispersal (this package)", beta, "O(1)", "O(1)", "O(log b)", "O(log b)",
+            "O(b)", communication_cost(coded),
+        ),
+    )
+    for scheme, *_, nbytes in rows:
+        if not math.isfinite(nbytes or 0):
+            raise ParameterError(f"{BASELINE_COLUMNS[-1]} of {scheme} overflow a float")
+    return [dict(zip(BASELINE_COLUMNS, row)) for row in rows]
 
 
 def baseline_csv(rows) -> str:

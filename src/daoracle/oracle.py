@@ -46,7 +46,7 @@ from .retrieval import (
 from .serialize import encode_commitment
 from .util import sha256
 
-# stake a voter loses when an audit finds it without its exact units
+# the penalty an audit charges a voter it finds without its exact units
 STAKE_PENALTY = 1.0
 
 
@@ -89,7 +89,6 @@ class OracleNode:
 
     node_id: int
     behavior: Behavior = Behavior.HONEST
-    stake: float = 1.0
     stored: dict = field(default_factory=dict)  # (key, chunk_index) -> (symbol, pom)
     assigned: dict = field(default_factory=dict)  # key -> sorted distinct chunk indices
 
@@ -318,7 +317,8 @@ def audit(
     design: DispersalDesign,
 ) -> AuditOutcome:
     """With probability p_audit pick one voter; it must produce its exact
-    assigned units or lose STAKE_PENALTY of its stake."""
+    assigned units or be charged STAKE_PENALTY. Only the outcome records
+    the charge: votes are not weighted by stake."""
     if rng.random() >= p_audit:
         return AuditOutcome(None, None, 0.0)
     key = commit_key(commitment)
@@ -330,7 +330,6 @@ def audit(
     want = sorted(set(int(i) for i in design.assignments[picked]))
     units = [(idx, *node.stored[(key, idx)]) for idx in want if (key, idx) in node.stored]
     if not _units_check(commitment, want, units):
-        node.stake = max(0.0, node.stake - STAKE_PENALTY)
         return AuditOutcome(picked, False, STAKE_PENALTY)
     return AuditOutcome(picked, True, 0.0)
 

@@ -316,4 +316,8 @@ def reconstruct(
 ) -> ReconstructionResult:
     if not echoes_params(commitment, params):
         raise ParameterError("params do not match the commitment echo")
+    # the callers pass the chunk set's own commitment object, so the
+    # identity test decides the common case
+    if chunks.commitment is not commitment and chunks.commitment != commitment:
+        raise ParameterError("the chunks are labelled with another commitment")
     return _Reconstructor(commitment, chunks).run()

@@ -11,7 +11,7 @@ byte-identical trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -35,13 +35,13 @@ MAX_CLIENTS = 1 << 10
 MAX_ROUNDS, MAX_PROPOSED_BYTES = 1 << 10, 1 << 25
 
 
-def _check_sizes(n_nodes: int, block_size: int, n_clients: int) -> None:
-    if not 1 <= n_nodes <= MAX_NODES:
-        raise ConfigError(f"n_nodes must lie in [1, {MAX_NODES}], got {n_nodes}")
-    if not 1 <= n_clients <= MAX_CLIENTS:
-        raise ConfigError(f"n_clients must lie in [1, {MAX_CLIENTS}], got {n_clients}")
-    if not 1 <= block_size <= MAX_BLOCK_SIZE:
-        raise ConfigError(f"block_size must lie in [1, {MAX_BLOCK_SIZE}], got {block_size}")
+def _check_sizes(values) -> None:
+    """Check each of n_nodes, n_clients and block_size that the mapping
+    ``values`` holds against its cap."""
+    caps = {"n_nodes": MAX_NODES, "n_clients": MAX_CLIENTS, "block_size": MAX_BLOCK_SIZE}
+    for key, cap in caps.items():
+        if key in values and not 1 <= values[key] <= cap:
+            raise ConfigError(f"{key} must lie in [1, {cap}], got {values[key]}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        _check_sizes(self.n_nodes, self.block_size, self.n_clients)
+        _check_sizes(vars(self))
         if len(self.behaviors) != self.n_nodes:
             raise ConfigError("behaviors must list one entry per node")
         # json reads NaN and Infinity, which no comparison admits
@@ -131,6 +131,13 @@ def tree_params_from_dict(raw) -> TreeParams:
     return TreeParams(**json_fields(raw, TREE_FIELDS, OPTIONAL_TREE_FIELDS))
 
 
+# the optional scenario keys; left out, each takes its ScenarioConfig default
+OPTIONAL_SCENARIO_FIELDS = {
+    "n_clients": int, "proposer_strategy": str, "rounds": int,
+    "audit_probability": NUMBER, "master_seed": int,
+}
+
+
 def config_from_dict(raw) -> ScenarioConfig:
     """ScenarioConfig from a parsed scenario JSON object (FORMATS.md).
     Raises ConfigError for a missing key, a value of the wrong type, or a
@@ -138,58 +145,33 @@ def config_from_dict(raw) -> ScenarioConfig:
     raw = json_fields(
         raw,
         {"n_nodes": int, "beta": NUMBER, "tree": dict, "dispersal": dict, "block_size": int},
-        {
-            "behaviors": (dict, list), "behavior_seed": int, "n_clients": int,
-            "proposer_strategy": str, "rounds": int, "audit_probability": NUMBER,
-            "master_seed": int,
-        },
+        {"behaviors": (dict, list), "behavior_seed": int, **OPTIONAL_SCENARIO_FIELDS},
     )
     disp = json_fields(raw["dispersal"], {"gamma": NUMBER, "eta": NUMBER, "lambda": NUMBER})
-    n_nodes, n_clients = raw["n_nodes"], raw.get("n_clients", 3)
-    _check_sizes(n_nodes, raw["block_size"], n_clients)
+    _check_sizes(raw)
     behaviors = raw.get("behaviors", {})
     if isinstance(behaviors, list):
         assignment = tuple(_behavior(b) for b in behaviors)
     else:
         assignment = behaviors_from_counts(
-            n_nodes, behaviors, raw.get("behavior_seed")
+            raw["n_nodes"], behaviors, raw.get("behavior_seed")
         )
     return ScenarioConfig(
-        n_nodes=n_nodes,
+        n_nodes=raw["n_nodes"],
         beta=raw["beta"],
         tree=tree_params_from_dict(raw["tree"]),
         dispersal=DispersalParams(disp["gamma"], disp["eta"], disp["lambda"]),
         block_size=raw["block_size"],
         behaviors=assignment,
-        n_clients=n_clients,
-        proposer_strategy=raw.get("proposer_strategy", "honest"),
-        rounds=raw.get("rounds", 1),
-        audit_probability=raw.get("audit_probability", 0.0),
-        master_seed=raw.get("master_seed", 0),
+        **{key: raw[key] for key in OPTIONAL_SCENARIO_FIELDS if key in raw},
     )
 
 
 def config_to_json(config: ScenarioConfig) -> str:
-    raw = {
-        "n_nodes": config.n_nodes,
-        "beta": config.beta,
-        "tree": {
-            **{name: getattr(config.tree, name) for name in (*TREE_FIELDS, *OPTIONAL_TREE_FIELDS)},
-            "rate": str(config.tree.rate),
-        },
-        "dispersal": {
-            "gamma": config.dispersal.gamma,
-            "eta": config.dispersal.eta,
-            "lambda": config.dispersal.lam,
-        },
-        "block_size": config.block_size,
-        "behaviors": [b.value for b in config.behaviors],
-        "n_clients": config.n_clients,
-        "proposer_strategy": config.proposer_strategy,
-        "rounds": config.rounds,
-        "audit_probability": config.audit_probability,
-        "master_seed": config.master_seed,
-    }
+    raw = asdict(config)
+    raw["tree"]["rate"] = str(config.tree.rate)
+    raw["dispersal"]["lambda"] = raw["dispersal"].pop("lam")
+    raw["behaviors"] = [b.value for b in config.behaviors]
     return json.dumps(raw, sort_keys=True, indent=2)
 
 

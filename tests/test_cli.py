@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 from daoracle import cit, cli, oracle as orc, simnet, serialize as sz
 from daoracle.oracle import build_tree_with_base_corruption
+from daoracle.util import sha256
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
 from hostile import hostile, hostile_files, memory_bound, time_bound
@@ -481,6 +482,13 @@ class TestTables:
         baselines = (tmp_path / "tables_baselines.csv").read_text()
         assert "uncoded (repetition)" in baselines
         assert "\ncoded dispersal (this package),0.49," in baselines
+        # the README cost point's outputs, byte for byte
+        assert file_digest(tmp_path / "tables.json") == (
+            "15323caef8f2954f739bd0e95b299074fd6103b5b4a7c882bd5433305d99ed67"
+        )
+        assert file_digest(tmp_path / "tables_baselines.csv") == (
+            "8edd77e3f023550930ca849d4a97cd28c7e9a93b248be67355d396866c9f0c9c"
+        )
 
     def test_coded_fraction_is_empty_without_beta(self, tmp_path):
         # lambda stands in for beta and eta, so the input states no
@@ -493,6 +501,9 @@ class TestTables:
         ) == cli.EXIT_OK
         baselines = (tmp_path / "tables_baselines.csv").read_text()
         assert "\ncoded dispersal (this package),,O(1)," in baselines
+        assert file_digest(tmp_path / "tables_baselines.csv") == (
+            "d3ee8cfb341fbe9aaa56faa66b7d4a5956e1bde19b953cc9c4dbd7164fa41af0"
+        )
 
     def test_incentives_report(self, tmp_path, capsys):
         spec = {
@@ -528,6 +539,10 @@ INCENTIVE_PARAMS = {
     "submission_fee": 0.5, "block_reward": 100, "reward_fraction": 0.6,
     "verify_cost": 1.0, "aggregate_cost": 2.0, "n_signatures": 10,
 }
+
+
+def file_digest(path: Path) -> str:
+    return sha256(path.read_bytes()).hex()
 
 
 def quiet_run(*argv) -> tuple[int, str]:

@@ -142,7 +142,7 @@ class TestScalingLaws:
 class TestBaselines:
     def rows(self):
         cost = mx.CostParams(**OPERATING, lam=reference_lambda())
-        return {r["scheme"]: r for r in mx.baseline_table(B, int(N), BETA, cost)}
+        return {r["scheme"]: r for r in mx.baseline_table(cost, BETA)}
 
     def test_repetition_communication_is_exactly_nb(self):
         assert self.rows()["uncoded (repetition)"]["communication bytes"] == N * B
@@ -159,6 +159,6 @@ class TestBaselines:
 
     def test_csv_has_all_schemes(self):
         cost = mx.CostParams(**OPERATING, lam=reference_lambda())
-        text = mx.baseline_csv(mx.baseline_table(B, int(N), BETA, cost))
+        text = mx.baseline_csv(mx.baseline_table(cost, BETA))
         assert text.count("\n") == 6  # header + 5 schemes
         assert text.splitlines()[0].startswith("scheme,")

@@ -240,7 +240,6 @@ class TestAudit:
                 assert out.passed is True and out.slashed == 0
                 honest_passes += 1
         assert slashed > 0 and honest_passes > 0
-        assert nodes[0].stake < 1.0 and all(n.stake == 1.0 for n in nodes[1:])
 
     def test_symbols_that_differ_from_their_proofs_fail(self, setup):
         # every node keeps its proofs but zeroes its symbols: it can serve

@@ -2,8 +2,8 @@
 and annotated field of its classes, has a reader outside the tests: a
 ``src/daoracle`` module or a ``protobench`` file.
 
-A name counts as read where a module loads it, takes it as an attribute or
-imports it; in ``protobench`` also where a string names it, as its
+A name counts as read where a module loads it, as a name or an attribute,
+or imports it; in ``protobench`` also where a string names it, as its
 ``Wrap("daoracle.cit", "walk_pom")`` entries do. A class that passes itself
 to ``asdict`` (a ``to_json``) reads each of its fields. The exceptions are
 the allowlists below, which must match exactly, so they only shrink:
@@ -47,14 +47,30 @@ def public_names(source: str) -> set[str]:
 
 
 def read_names(source: str, strings: bool) -> set[str]:
-    """The names ``source`` loads, takes as attributes or imports, and with
-    ``strings`` each dotted part of its string constants."""
+    """The names ``source`` loads, as names or attributes, or imports, and
+    with ``strings`` each dotted part of its string constants. Storing an
+    attribute does not read it, nor does loading it inside an assignment
+    to that same attribute, as ``self.n = self.n + 1`` does."""
+    tree = ast.parse(source)
+    updates = set()  # ids of the loads that only feed a store to their attribute
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = {
+                n.attr for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            }
+            updates |= {
+                id(n) for n in ast.walk(node.value)
+                if isinstance(n, ast.Attribute) and n.attr in stored
+            }
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+            if isinstance(node.ctx, ast.Load) and id(node) not in updates:
+                read.add(node.attr)
         elif isinstance(node, ast.alias):
             read.add(node.name.split(".")[-1])
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -144,7 +160,15 @@ def test_the_member_check_sees_an_unread_member():
         "    rate: float\n"
         "    def to_json(self):\n"
         "        return json.dumps(asdict(self))\n"
+        "class Counter:\n"
+        "    n: int = 0\n"
+        "    seen: bool = False\n"
+        "    def _step(self):\n"
+        "        self.n = self.n + 1\n"
+        "        self.seen = True\n"
     )
     read = read_names(source, strings=False) | serialized_fields(source)
     unread = {member for member in public_members(source) if member[1] not in read}
-    assert unread == {("Shape", "pairs"), ("Report", "to_json")}
+    assert unread == {
+        ("Shape", "pairs"), ("Report", "to_json"), ("Counter", "n"), ("Counter", "seen"),
+    }

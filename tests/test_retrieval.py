@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt
-from daoracle.errors import BadCode
+from daoracle.errors import BadCode, ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
 from daoracle.util import HASH_BYTES, sha256
@@ -127,6 +127,17 @@ class TestRoundTrip:
             unit = (7, _flip(pom.base_symbol, 5), pom)
         with_unit = rt.ChunkSet(c, chunks.units + (unit,))
         assert rt.reconstruct(c, small_params, with_unit) == without
+
+    def test_chunks_labelled_with_another_commitment_raise(self, small_tree, small_params):
+        # every unit verifies against the commitment reconstructed, but the
+        # set names another tree's; an equal copy of the commitment is its own
+        c = small_tree.commitment
+        units = chunkset_for(small_tree, range(32)).units
+        other = cit.build_tree(bytes(c.block_len), small_params).commitment
+        with pytest.raises(ParameterError, match="another commitment"):
+            rt.reconstruct(c, small_params, rt.ChunkSet(other, units))
+        out = rt.reconstruct(c, small_params, rt.ChunkSet(dataclasses.replace(c), units))
+        assert isinstance(out, rt.Block)
 
     def test_agreement_between_independent_retrievers(
         self, small_tree, small_params

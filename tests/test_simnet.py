@@ -10,11 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daoracle import metrics as mx
 from daoracle import oracle as orc
 from daoracle import simnet as sn
-from daoracle.cit import TreeParams
+from daoracle.cit import MAX_CODE_ATTEMPTS, MAX_GATE_TRIALS, TreeParams
 from daoracle.dispersal import MAX_DESIGN_SLOTS, DispersalParams, assign_chunks
 from daoracle.errors import BadCode, ConfigError
 from daoracle.retrieval import Block
@@ -54,6 +56,29 @@ def make_config(counts=None, strategy="honest", rounds=1, seed=7, block_size=655
     )
 
 
+# the required keys but n_nodes of a scenario with 8 base chunks, 1-byte
+# symbols and lambda 1, so that any node count dividing 8 gives a design
+TINY_SCENARIO = {
+    "beta": 0.5, "block_size": 2,
+    "tree": {
+        "symbol_size": 1, "root_size": 4, "rate": "1/4", "batch": 8,
+        "max_eq_degree": 8, "alpha": 0.125,
+    },
+    "dispersal": {"gamma": 0.5, "eta": 0.875, "lambda": 1.0},
+}
+
+
+def optional_keys(data, cls, strategies: dict) -> dict:
+    """Each key of ``strategies`` left out, or drawn from its strategy with
+    any value but the default of the ``cls`` field of that name."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    out = {}
+    for key, values in strategies.items():
+        if data.draw(st.booleans(), label=f"set {key}"):
+            out[key] = data.draw(values.filter(lambda v, d=defaults.get(key): v != d), label=key)
+    return out
+
+
 class TestDeterminism:
     def test_identical_config_identical_trace(self):
         config = make_config({"silent": 4}, rounds=2)
@@ -65,6 +90,50 @@ class TestDeterminism:
         config = make_config({"withhold_after_vote": 2})
         again = sn.config_from_dict(json.loads(sn.config_to_json(config)))
         assert again == config
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_optional_key_round_trips_or_takes_its_default(self, data):
+        n_nodes = data.draw(st.sampled_from([1, 2, 4, 8]), label="n_nodes")
+        names = [b.value for b in orc.Behavior]
+        behaviors = optional_keys(data, sn.ScenarioConfig, {
+            "behaviors": st.one_of(
+                st.lists(st.sampled_from(names), min_size=n_nodes, max_size=n_nodes)
+                .filter(lambda bs: sum(b != "honest" for b in bs) <= n_nodes // 2),
+                st.dictionaries(st.sampled_from(names), st.integers(0, n_nodes // 2), max_size=1),
+            ),
+            "behavior_seed": st.integers(0, 2**32),
+        })
+        scenario = optional_keys(data, sn.ScenarioConfig, {
+            "n_clients": st.integers(1, sn.MAX_CLIENTS),
+            "proposer_strategy": st.sampled_from(sn.PROPOSER_STRATEGIES),
+            "rounds": st.integers(0, 4096),
+            "audit_probability": st.floats(0, 1),
+            "master_seed": st.integers(0, 2**64 - 1),
+        })
+        tree = optional_keys(data, TreeParams, {
+            "code_seed": st.integers(0, 2**32),
+            "gate_trials": st.integers(0, MAX_GATE_TRIALS),
+            "max_code_attempts": st.integers(0, MAX_CODE_ATTEMPTS),
+        })
+        required = {**TINY_SCENARIO, "n_nodes": n_nodes}
+        config = sn.config_from_dict(
+            {**required, **behaviors, **scenario, "tree": {**required["tree"], **tree}}
+        )
+        assert sn.config_from_dict(json.loads(sn.config_to_json(config))) == config
+        if isinstance(behaviors.get("behaviors"), list):
+            assert config.behaviors == tuple(map(orc.Behavior, behaviors["behaviors"]))
+        # without its optional keys, a scenario takes the dataclass defaults
+        plain = sn.config_from_dict(required)
+        assert plain == sn.ScenarioConfig(
+            n_nodes=n_nodes, beta=0.5, tree=TreeParams(**required["tree"]),
+            dispersal=DispersalParams(0.5, 0.875, 1.0), block_size=2,
+            behaviors=(orc.Behavior.HONEST,) * n_nodes,
+        )
+        assert config == dataclasses.replace(
+            plain, **scenario, tree=dataclasses.replace(plain.tree, **tree),
+            behaviors=config.behaviors,
+        )
 
     def test_config_rejects_too_many_adversaries(self):
         with pytest.raises(ConfigError):
