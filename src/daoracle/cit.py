@@ -23,16 +23,14 @@ Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
 and the ancestor's digest is the running digest one layer up; at the root
 layer it must be the commitment's entry. ``Frontier._climb`` is its one
-implementation, behind one admission guard, ``commitment_geometry``, which
-reads the tree params the commitment carries. An entry point that also
-takes params (``walk_pom``, ``verify_membership``) first checks them
-against the commitment's, by ``echoes_params``.
-``verify_membership`` climbs from a bare digest at any (layer, index),
+implementation, on the geometry of the params the commitment carries.
+``Frontier.claim`` climbs from a bare digest at any (layer, index),
 through the ancestors a ``MembershipPath`` carries (none at the root
 layer). ``Frontier.walk`` climbs from a base symbol through the proof's
 ancestors, then checks the proof's one parity symbol per intermediate
 layer, sampled by pure index arithmetic: its digest sits at its slot of
-the ancestor one layer up.
+the ancestor one layer up. ``walk_pom`` and ``verify_membership`` are
+each one call of these, named for the timers that wrap them.
 
 Geometry. ``geometry(params, block_len)`` derives every size from the
 integer e once: the base layer holds ceil(block_len / c) * e symbols, at
@@ -52,22 +50,24 @@ up. Every proof sampled from the tree, by any call, shares those symbols;
 its own cost is a range check, one lookup in each table and a copy of its
 base row.
 
-Batches. A ``Frontier``, made from a commitment alone, is the one proof
-verifier: a node walks its units on one, an audit a voter's units, and a
-reconstruction what it collected; ``walk_pom`` without a frontier walks a
-fresh one. The frontier holds, by position, what the proofs that passed
-so far authenticated: each ancestor with the ancestors above it, and each
-parity symbol with the parity symbols above it. A climb stops at the
+Batches. A ``Frontier``, made from a commitment alone, is the one claim
+checker: a node walks its units on one, an audit a voter's units, a
+reconstruction what it collected, and a fraud-proof check claims each of
+the proof's members and its mismatch on one. The frontier holds, in one
+map by (layer, index), what the claims that passed so far authenticated:
+each ancestor with the ancestors above it, each parity symbol with the
+parity symbols above it, and each base symbol alone. A climb stops at the
 first position the frontier holds, and the parity checks at the first one
-it holds; the rest of the proof must then equal what was authenticated
-there, which is one tuple comparison each. So each proof's verdict is
-that of a walk on its own, and a symbol a passing proof delivered is not
+it holds; the rest of the claim must then equal what was authenticated
+there, which is one tuple comparison each. So each claim's verdict is
+that of a check on its own, and a symbol a passing claim delivered is not
 hashed again in its batch. A frontier is never kept past its batch, so
 never shared across nodes or rounds.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -435,56 +435,45 @@ def echoes_params(commitment: Commitment, params: TreeParams) -> bool:
     return params is commitment.params or params == commitment.params
 
 
-def commitment_geometry(commitment: Commitment) -> Optional[Geometry]:
-    """The geometry of the params ``commitment`` carries, or None when no
-    proof can match it: the root has the wrong length, or the geometry is
-    invalid. Every membership and fraud-proof check starts here."""
-    params = commitment.params
-    if len(commitment.root) != params.root_size:
-        return None
-    try:
-        return geometry(params, commitment.block_len)
-    except ParameterError:
-        return None
-
-
 class Frontier:
-    """What the passing proofs of one batch authenticated against one
-    commitment, keyed by position, never by content:
+    """What the passing claims of one batch authenticated against one
+    commitment, by position, never by content: ``held[(u, x)]`` is symbol
+    x of layer u followed by the symbols of its kind that its claim
+    authenticated above it, ancestors up to the root layer or parity
+    symbols up to layer 1; a base symbol is held alone.
 
-    - ``paths[(w, a)]``: ancestor a of layer w followed by the ancestors
-      above it, up to the root layer;
-    - ``parities[(u, r)]`` for r = i mod (m_u - s_u), which decides a
-      proof's parity symbols from layer u up to layer 1: those symbols;
-    - ``base[i]``: base symbol i.
+    Only a claim that passed whole adds positions, so the ancestors held are
+    upward-closed: with (w, a) the frontier holds every ancestor position
+    above. Each symbol it holds was certified by its claim, against the
+    committed digest at its slot of its parent. A frontier is made from a
+    commitment alone, whose params it reads, is bound to it, and lives for
+    one batch (one node's units, one audit, one reconstruction, one fraud
+    proof). Its ``geo`` is None when no claim can match the commitment:
+    the root has the wrong length, or the geometry is invalid."""
 
-    Only a proof whose whole walk passed adds positions, so ``paths`` is
-    upward-closed: with (w, a) it holds every position above. Each symbol
-    it holds was certified by its walk, against the committed digest at its
-    slot of its parent. A frontier is made from a commitment alone, whose
-    params it reads, is bound to it, and lives for one batch (one node's
-    units, one audit, one reconstruction)."""
-
-    __slots__ = ("commitment", "geo", "width", "paths", "parities", "base")
+    __slots__ = ("commitment", "geo", "width", "held")
 
     def __init__(self, commitment: Commitment):
+        params = commitment.params
         self.commitment = commitment
-        self.geo = commitment_geometry(commitment)
-        self.width = commitment.params.batch * HASH_BYTES
-        self.paths: dict[tuple[int, int], tuple[bytes, ...]] = {}
-        self.parities: dict[tuple[int, int], tuple[bytes, ...]] = {}
-        self.base: dict[int, bytes] = {}
+        self.width = params.batch * HASH_BYTES
+        self.held: dict[tuple[int, int], tuple] = {}
+        self.geo: Optional[Geometry] = None
+        if len(commitment.root) == params.root_size:
+            with suppress(ParameterError):
+                self.geo = geometry(params, commitment.block_len)
 
-    def _climb(self, u, x, h, ancestors) -> Optional[int]:
-        """The number of leading ``ancestors`` (u of them, layers u-1 up to
-        0) below the first position the frontier holds, when digest ``h`` of
-        symbol ``x`` of layer ``u`` climbs through them to the commitment,
-        else None: at each layer the running digest sits at its slot of the
-        ancestor, whose digest runs on. At a held position the ancestors
-        from there up must be the ones authenticated there."""
+    def _climb(self, u, x, h, ancestors) -> Optional[list]:
+        """The positions of the leading ``ancestors`` (u of them, layers u-1
+        up to 0) below the first position the frontier holds, when digest
+        ``h`` of symbol ``x`` of layer ``u`` climbs through them to the
+        commitment, else None: at each layer the running digest sits at its
+        slot of the ancestor, whose digest runs on. At a held position the
+        ancestors from there up must be the ones authenticated there."""
         if len(ancestors) != u:
             return None
-        sys_counts, paths, width = self.geo.sys_counts, self.paths, self.width
+        sys_counts, held, width = self.geo.sys_counts, self.held, self.width
+        fresh = []
         for j, w in enumerate(range(u - 1, -1, -1)):
             s_par = sys_counts[w]
             at = x // s_par * HASH_BYTES
@@ -492,13 +481,29 @@ class Frontier:
             ancestor = ancestors[j]
             if len(ancestor) != width or ancestor[at : at + HASH_BYTES] != h:
                 return None
-            held = paths.get((w, x))
-            if held is not None:
+            key = (w, x)
+            above = held.get(key)
+            if above is not None:
                 # other ancestors above could only reach the commitment
                 # through a sha256 collision
-                return j if ancestors[j:] == held else None
+                return fresh if ancestors[j:] == above else None
+            fresh.append(key)
             h = sha256(ancestor)
-        return u if h == self.commitment.root[x] else None
+        return fresh if h == self.commitment.root[x] else None
+
+    def claim(self, u: int, x: int, h: bytes, ancestors) -> bool:
+        """True iff the commitment binds a symbol hashing to ``h`` at (u, x)
+        through ``ancestors``, one per layer from u - 1 up to the root
+        layer. A claim that passes holds the ancestors it authenticated."""
+        geo = self.geo
+        if geo is None or not 0 <= u <= geo.depth or not 0 <= x < geo.sizes[u]:
+            return False
+        fresh = self._climb(u, x, h, ancestors)
+        if fresh is None:
+            return False
+        for j, key in enumerate(fresh):
+            self.held[key] = ancestors[j:]
+        return True
 
     def walk(self, pom: ProofOfMembership) -> bool:
         """True iff ``pom`` is consistent with the commitment. A proof that
@@ -523,77 +528,42 @@ class Frontier:
         # the parity symbol sampled at layer u, s + i mod (m - s), is a child
         # of the proof's ancestor one layer up (admitted params make s_{u-1}
         # divide both s and m - s), and its digest sits at its slot there
-        held_parities, width = self.parities, self.width
-        checked = 0
+        held, width = self.held, self.width
+        checked = []
         for j, u in enumerate(range(depth - 1, 0, -1)):
             s = sys_counts[u]
-            r = i % (sizes[u] - s)
-            held = held_parities.get((u, r))
-            if held is not None:
-                if parities[j:] != held:
+            key = (u, s + i % (sizes[u] - s))
+            above = held.get(key)
+            if above is not None:
+                if parities[j:] != above:
                     return False
                 break
-            at = (s + r) // sys_counts[u - 1] * HASH_BYTES
+            at = key[1] // sys_counts[u - 1] * HASH_BYTES
             parity = parities[j]
             if len(parity) != width or ancestors[j + 1][at : at + HASH_BYTES] != sha256(parity):
                 return False
-            checked += 1
+            checked.append(key)
 
-        for j in range(fresh):
-            w = depth - 1 - j
-            self.paths[(w, i % sys_counts[w])] = ancestors[j:]
-        for j in range(checked):
-            u = depth - 1 - j
-            held_parities[(u, i % (sizes[u] - sys_counts[u]))] = parities[j:]
-        self.base.setdefault(i, pom.base_symbol)
+        for j, key in enumerate(fresh):
+            held[key] = ancestors[j:]
+        for j, key in enumerate(checked):
+            held[key] = parities[j:]
+        held.setdefault((depth, i), (pom.base_symbol,))
         return True
 
     def known(self) -> dict[tuple[int, int], bytes]:
-        """Each symbol the passing proofs delivered, certified, by (layer,
-        index); each is derived once, however many proofs carried it."""
-        values = {}
-        if self.geo is None:
-            return values
-        depth, sys_counts = self.geo.depth, self.geo.sys_counts
-        for i, symbol in self.base.items():
-            values[(depth, i)] = symbol
-        for key, ancestors in self.paths.items():
-            values[key] = ancestors[0]
-        for (u, r), parities in self.parities.items():
-            values[(u, sys_counts[u] + r)] = parities[0]
-        return values
+        """Each symbol the passing claims delivered, certified, by (layer,
+        index); each is derived once, however many claims carried it."""
+        return {key: symbols[0] for key, symbols in self.held.items()}
 
 
-def walk_pom(
-    commitment: Commitment,
-    params: TreeParams,
-    pom: ProofOfMembership,
-    frontier: Optional[Frontier] = None,
-) -> bool:
-    """True iff ``params`` are the commitment's and the proof is consistent
-    with the commitment. The proof is walked against ``frontier``, which
-    must have been made for this very commitment, or else a fresh one; a
-    caller walking many proofs reads what they delivered from
-    ``frontier.known()``."""
-    if frontier is None:
-        frontier = Frontier(commitment)
-    elif frontier.commitment is not commitment:
-        raise ValueError("the frontier was made for another commitment")
-    return echoes_params(commitment, params) and frontier.walk(pom)
+def walk_pom(frontier: Frontier, pom: ProofOfMembership) -> bool:
+    """``frontier.walk(pom)``, under the name per-proof timers wrap."""
+    return frontier.walk(pom)
 
 
-def verify_membership(
-    commitment: Commitment, params: TreeParams, leaf_hash: bytes, path: MembershipPath
-) -> bool:
-    """Check a bare digest claim: the commitment binds a symbol hashing to
-    ``leaf_hash`` at (path.layer, path.index)."""
-    if not echoes_params(commitment, params):
-        return False
-    frontier = Frontier(commitment)
-    geo = frontier.geo
-    if geo is None:
-        return False
-    u = path.layer
-    if not 0 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
-        return False
-    return frontier._climb(u, path.index, leaf_hash, path.ancestors) is not None
+def verify_membership(frontier: Frontier, leaf_hash: bytes, path: MembershipPath) -> bool:
+    """``frontier``'s claim that the commitment binds a symbol hashing to
+    ``leaf_hash`` at (path.layer, path.index), under the name call counters
+    wrap."""
+    return frontier.claim(path.layer, path.index, leaf_hash, path.ancestors)

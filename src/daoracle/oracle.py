@@ -2,9 +2,10 @@
 and a trusted-chain mock that stores only commitments and fraud proofs.
 
 Votes are identity-bound tokens (no signature aggregation); the chain
-counts distinct voters against the ceil((beta+gamma)*N) threshold, keeps
-an append-only record log with strictly increasing block ids, and never
-unmarks a commitment once a verified fraud proof lands.
+counts distinct voters against the ceil((beta+gamma)*N) threshold, exact
+on the decimals beta and gamma were written as, keeps an append-only
+record log with strictly increasing block ids, and never unmarks a
+commitment once a verified fraud proof lands.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .retrieval import (
     verify_fraud_proof,
 )
 from .serialize import encode_commitment
-from .util import sha256
+from .util import as_written, sha256
 
 # the penalty an audit charges a voter it finds without its exact units
 STAKE_PENALTY = 1.0
@@ -151,7 +152,7 @@ class TrustedChain:
 
     @property
     def commit_threshold(self) -> int:
-        return math.ceil((self.beta + self.gamma) * self.n_nodes)
+        return math.ceil((as_written(self.beta) + as_written(self.gamma)) * self.n_nodes)
 
     def log_lines(self) -> list[str]:
         lines = []

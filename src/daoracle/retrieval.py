@@ -37,7 +37,6 @@ from .cit import (
     MembershipPath,
     ProofOfMembership,
     TreeParams,
-    commitment_geometry,
     echoes_params,
     geometry,
     layer_code,
@@ -109,10 +108,12 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     alone. The proof carries the field types ``FraudProof`` declares, as
     ``serialize.decode_fraud_proof`` builds them; every value in it is
     checked, so a malformed proof is False, and so are ``params`` other
-    than the commitment's."""
+    than the commitment's. Each member and the mismatch are claims on one
+    frontier, so an ancestor they share is hashed once."""
     if not echoes_params(commitment, params):
         return False
-    geo = commitment_geometry(commitment)
+    frontier = Frontier(commitment)
+    geo = frontier.geo
     if geo is None:
         return False
     depth = geo.depth
@@ -121,7 +122,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     try:
         code = layer_code(params, geo.sizes[u])
-    except (BadCode, ParameterError):
+    except BadCode:
         return False
     if not 0 <= proof.equation_no < len(code.parity_checks):
         return False
@@ -129,25 +130,17 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     width = params.symbol_size if u == depth else params.batch * HASH_BYTES
 
-    def committed(index: int, leaf_hash: bytes, path: MembershipPath) -> bool:
-        """The commitment binds a symbol hashing to ``leaf_hash`` at
-        (u, index), by ``path``."""
-        return (
-            path.layer == u
-            and path.index == index
-            and verify_membership(commitment, commitment.params, leaf_hash, path)
-        )
-
     eq_idx = set(proof.equation.symbol_indices)
     # each checked member's value as a uint8 row, by index: the XOR below
     # runs over the indices this holds
     rows = {}
     for member in proof.members:
+        path = member.path
         if member.index in rows or member.index not in eq_idx:
             return False
-        if len(member.value) != width:
+        if len(member.value) != width or (path.layer, path.index) != (u, member.index):
             return False
-        if not committed(member.index, sha256(member.value), member.path):
+        if not verify_membership(frontier, sha256(member.value), path):
             return False
         rows[member.index] = np.frombuffer(member.value, dtype=np.uint8)
 
@@ -159,9 +152,9 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     mm = proof.mismatch
     if mm.index not in eq_idx or set(rows) != eq_idx - {mm.index}:
         return False
-    if len(mm.expected_hash) != HASH_BYTES:
+    if len(mm.expected_hash) != HASH_BYTES or (mm.path.layer, mm.path.index) != (u, mm.index):
         return False
-    if not committed(mm.index, mm.expected_hash, mm.path):
+    if not verify_membership(frontier, mm.expected_hash, mm.path):
         return False
     derived = xor_members(rows, rows)
     return sha256(derived.tobytes()) != mm.expected_hash
@@ -187,11 +180,10 @@ class _Reconstructor:
         # the walks share one frontier, as a node's dispersal check does;
         # each goes through this module's walk_pom name, which per-proof
         # timers wrap
-        commitment = self.commitment
-        frontier = Frontier(commitment)
+        frontier = Frontier(self.commitment)
         for index, symbol, pom in chunks.units:
             if unit_agrees(index, symbol, pom):
-                walk_pom(commitment, commitment.params, pom, frontier)
+                walk_pom(frontier, pom)
         return frontier.known()
 
     def _expected_hash(self, u: int, x: int) -> bytes:

@@ -23,7 +23,7 @@ from .errors import BadCode, ConfigError, ParameterError
 from .oracle import Behavior, OracleNode, TrustedChain
 from .retrieval import Block, Fraud
 from .serialize import encode_commitment, encode_pom
-from .util import NUMBER, RATE, derive_seed, json_fields, sha256
+from .util import NUMBER, RATE, as_written, derive_seed, json_fields, sha256
 
 PROPOSER_STRATEGIES = ("honest", "invalid_coding", "equivocating")
 # caps on values a scenario or trace file sets, checked before they size
@@ -66,10 +66,9 @@ class ScenarioConfig:
         if not 0 <= self.beta <= 1:
             raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
         bad = sum(1 for b in self.behaviors if b is not Behavior.HONEST)
-        if bad > int(self.beta * self.n_nodes):
-            raise ConfigError(
-                f"{bad} non-honest nodes exceeds beta*N = {self.beta * self.n_nodes}"
-            )
+        limit = as_written(self.beta) * self.n_nodes
+        if bad > limit:
+            raise ConfigError(f"{bad} non-honest nodes exceeds beta*N = {float(limit):g}")
         if self.proposer_strategy not in PROPOSER_STRATEGIES:
             raise ConfigError(f"unknown proposer strategy {self.proposer_strategy!r}")
         if self.rounds < 0:
@@ -188,7 +187,6 @@ class Trace:
     # no other is kept, since each Block result holds its own copy of the block
     first_result: object = None
     fraud_records: list = field(default_factory=list)  # FraudProof objects
-    commitments: dict = field(default_factory=dict)  # round -> Commitment
 
     def to_json(self) -> str:
         payload = {
@@ -284,7 +282,6 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         )
         block, tree, messages = _propose(config, params, round_no, design)
         commitment = tree.commitment
-        trace.commitments[round_no] = commitment
         key = orc.commit_key(commitment)
         # every proof of one commitment has one size, and a unit is its
         # proof behind an 8-byte length

@@ -24,6 +24,13 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def as_written(value) -> Fraction:
+    """The exact value of the decimal a number was written as: 0.1 is 1/10,
+    not the binary float nearest it, so a threshold on a count that is
+    stated as a fraction of N does not move with float rounding."""
+    return Fraction(str(value))
+
+
 def require_finite(params) -> None:
     """Raise ParameterError naming the first field of the dataclass
     ``params`` that no finite float holds: NaN, an infinity or an int past

@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from daoracle import _kernels as kn
+from daoracle import simnet
 from daoracle.cit import CodedTree, TreeParams, build_tree, sample_pom
 from daoracle.codec import CodeSpec, ParityEquation
 from daoracle.retrieval import ChunkSet
@@ -94,6 +95,19 @@ def small_tree(small_block, small_params) -> CodedTree:
 def chunkset_for(tree: CodedTree, indices) -> ChunkSet:
     poms = [sample_pom(tree, i) for i in sorted(set(indices))]
     return ChunkSet(tree.commitment, tuple((pom.base_index, pom.base_symbol, pom) for pom in poms))
+
+
+def voted_commitments(monkeypatch) -> list:
+    """The commitment of each round ``simnet.run_scenario`` runs from here
+    on, in round order, as each reaches ``chain_submit_votes``."""
+    seen, original = [], simnet.orc.chain_submit_votes
+
+    def spy(chain, commitment, votes):
+        seen.append(commitment)
+        return original(chain, commitment, votes)
+
+    monkeypatch.setattr(simnet.orc, "chain_submit_votes", spy)
+    return seen
 
 
 def random_geometries(count=3, seed=20240501):

@@ -5,12 +5,12 @@ nothing shared or memoized.
 ``verify_membership`` hash every symbol they meet, each with its own loop,
 and ``walk_pom`` returns what a passing proof pins down as a
 ``PomHarvest``, a type the package does not have. The package's
-``sample_pom``, ``walk_pom``, ``cit.Frontier`` and ``verify_membership``
-must agree with them: the same proofs, and for any proof or claim the same
-verdict; what one passing proof walked on a fresh frontier delivers
-(``cit.Frontier.known``) is its harvest, and what a batch of passing
-proofs walked on one frontier delivers is the first-wins merge of their
-harvests.
+``sample_pom`` and ``cit.Frontier`` (``walk`` and ``claim``) must agree
+with them: the same proofs, and for any proof or claim the same verdict,
+on a fresh frontier or on one shared with other claims; what one passing
+proof walked on a fresh frontier delivers (``cit.Frontier.known``) is its
+harvest, and what a batch of passing proofs walked on one frontier
+delivers is the first-wins merge of their harvests.
 """
 
 from __future__ import annotations

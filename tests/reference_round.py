@@ -7,11 +7,12 @@ and every reconstruction runs on ``reference_peel.Reconstructor``. No
 frontier, sampling table or per-round size is shared: each byte counter
 encodes every unit it counts. The chain's rules are restated here: a
 commitment commits once its distinct voters, pooled over every round that
-proposed it, reach ceil((beta + gamma) * N), with the next block id; the
-first fraud proof against a committed commitment that holds is recorded,
-and later ones are not; the first bad-code round that confirms a stall
-records the agreed code seed, which later rounds use and later clients
-read back.
+proposed it, reach ceil((beta + gamma) * N), taken exactly on the
+decimals beta and gamma were written as (0.1 is 1/10), with the next
+block id; the first fraud proof against a committed commitment that holds
+is recorded, and later ones are not; the first bad-code round that
+confirms a stall records the agreed code seed, which later rounds use and
+later clients read back.
 
 ``simnet.run_scenario`` must give the same trace: votes and commits, each
 client's outcome, the chain's lines, the ledgers, the audits and the three
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,7 +108,7 @@ def _propose(config, params, round_no, design):
     return block, tree, units
 
 
-def _fraud_holds(commitment, proof) -> bool:
+def fraud_holds(commitment, proof) -> bool:
     """The proof's members are committed at their (layer, index) and
     violate the proof's equation of the layer code: they XOR to nonzero,
     or, all but one, to a value whose digest is not the one committed for
@@ -183,7 +185,7 @@ def _retrieve(chain, nodes, commitment, key, units, block) -> tuple[dict, object
                 "matches_proposal": data == block}, result
     if isinstance(result, Fraud):
         proof = result.proof
-        if key in chain.committed and _fraud_holds(commitment, proof) and key not in chain.invalid:
+        if key in chain.committed and fraud_holds(commitment, proof) and key not in chain.invalid:
             chain.invalid.add(key)
             chain.frauds.append(proof)
             chain.lines.append(
@@ -215,7 +217,8 @@ def replay(config) -> tuple[dict, list, list]:
     BadCode, by round and client)."""
     n, n_clients = config.n_nodes, config.n_clients
     nodes = [Node(i, config.behaviors[i]) for i in range(n)]
-    chain = Chain(math.ceil((config.beta + config.dispersal.gamma) * n))
+    beta, gamma = Fraction(repr(config.beta)), Fraction(repr(config.dispersal.gamma))
+    chain = Chain(math.ceil((beta + gamma) * n))
     sent, stored = 0, dict.fromkeys(range(n), 0)
     downloaded = dict.fromkeys(range(n_clients), 0)
     ledgers = {c: [] for c in range(n_clients)}

@@ -20,6 +20,7 @@ from daoracle.dispersal import DispersalParams
 
 from conftest import (
     covered_layers, pairs_table, params_for, peel_rows, random_geometries, sizes_for,
+    voted_commitments,
 )
 from fraction_geometry import pom_pairs
 from gf2 import solve_erasure
@@ -217,7 +218,7 @@ def scenario(counts, strategy="honest"):
     )
 
 
-def test_criterion_6_end_to_end_protocol():
+def test_criterion_6_end_to_end_protocol(monkeypatch):
     t0 = time.time()
 
     # (a) all honest: commit plus identical reconstruction by 3 clients
@@ -241,14 +242,14 @@ def test_criterion_6_end_to_end_protocol():
 
     # (d) invalid-coding proposer: every honest client outputs the null
     # block and the chain holds a fraud proof that verifies
+    commitments = voted_commitments(monkeypatch)
     trace_d = sn.run_scenario(scenario({}, strategy="invalid_coding"))
+    monkeypatch.undo()
     assert trace_d.rounds[0]["committed"]
     assert [r["outcome"] for r in trace_d.rounds[0]["retrievals"]] == ["fraud"] * 3
     assert any(line.startswith("FRAUD") for line in trace_d.chain_lines)
     assert trace_d.fraud_records
-    assert rt.verify_fraud_proof(
-        trace_d.commitments[0], SCENARIO_TREE, trace_d.fraud_records[0]
-    )
+    assert rt.verify_fraud_proof(commitments[0], SCENARIO_TREE, trace_d.fraud_records[0])
 
     # determinism of every scenario under its seed
     assert sn.run_scenario(scenario({})).to_json() == trace.to_json()

@@ -13,7 +13,10 @@ include a running digest moved to another slot of its ancestor, ancestor
 and parity symbols of the wrong width, a root-layer ancestor that hashes
 to another root entry, and a parity symbol whose digest sits at another
 slot. Bare digest claims get the reference ``verify_membership``'s
-verdict."""
+verdict, and so do a fraud proof's claims, all made on one frontier, each
+against its own climb: with a forged ancestor two members share, a forged
+member placed first or last, a forged mismatch path, and a member that
+agrees with an earlier member's held ancestors only part way up."""
 
 import dataclasses
 from fractions import Fraction
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_proofs as ref
+import reference_round
 from daoracle import cit, oracle as orc
 from daoracle import retrieval as rt
 from daoracle import serialize as sz
@@ -35,6 +39,8 @@ from daoracle.util import HASH_BYTES, sha256
 from conftest import SMALL, chunkset_for
 from fraction_geometry import pom_pairs
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
+from test_peel import tampered_tree
+from test_retrieval import fraud_flavours
 
 
 def merged(harvests) -> ref.PomHarvest:
@@ -64,13 +70,12 @@ def check_batch(tree, poms) -> list:
     c, p = tree.commitment, tree.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
     verdicts = [harvest is not None for harvest in want]
-    assert [cit.walk_pom(c, p, pom) for pom in poms] == verdicts
     for pom, harvest in zip(poms, want):
         alone = cit.Frontier(c)
         assert alone.walk(pom) is (harvest is not None)
         assert alone.known() == (harvest.values if harvest is not None else {})
     frontier = cit.Frontier(c)
-    assert [cit.walk_pom(c, p, pom, frontier) for pom in poms] == verdicts
+    assert [frontier.walk(pom) for pom in poms] == verdicts
     values = frontier.known()
     assert values == merged(want).values
     sys_counts = cit.geometry(p, tree.block_len).sys_counts
@@ -496,53 +501,32 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
-    assert not cit.walk_pom(short, tree.params, pom)
+    path = honest_path(tree, tree.depth, 5)
     frontier = cit.Frontier(short)
     assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
+    assert not frontier.claim(path.layer, path.index, sha256(pom.base_symbol), path.ancestors)
     assert frontier.known() == {}
 
 
 @pytest.mark.parametrize("field", ("code_seed", "root_size"))
 def test_params_the_commitment_does_not_carry_verify_nothing(field, fraud_case, small_block):
-    """Every entry point that takes params beside a commitment checks them
+    """Both entry points that take params beside a commitment check them
     against the commitment's: another code family of the same geometry, or
-    another root size, gives False, and reconstruct raises."""
+    another root size, gives False, and reconstruct raises. A frontier
+    takes the commitment alone, so it reads the params it carries."""
     tree = TREES[0]
     c, p = tree.commitment, tree.params
     other = dataclasses.replace(p, **{field: getattr(p, field) + 1})
-    pom = cit.sample_pom(tree, 5)
-    leaf, path = tree.layers[-1].hashes[5].tobytes(), honest_path(tree, tree.depth, 5)
     chunks = chunkset_for(tree, range(tree.sizes[-1]))
     commitment, params, proof = fraud_case
     assert params is p
     # each check passes with the commitment's own params, or equal ones
     for q in (p, dataclasses.replace(p)):
-        assert cit.walk_pom(c, q, pom) and cit.walk_pom(c, q, pom, cit.Frontier(c))
-        assert cit.walk_pom(c, q, pom)
-        assert cit.verify_membership(c, q, leaf, path)
         assert rt.reconstruct(c, q, chunks) == rt.Block(small_block)
         assert rt.verify_fraud_proof(commitment, q, proof)
-    assert not cit.walk_pom(c, other, pom)
-    frontier = cit.Frontier(c)
-    assert not cit.walk_pom(c, other, pom, frontier)
-    assert frontier.known() == {}
-    assert not cit.walk_pom(c, other, pom)
-    assert not cit.verify_membership(c, other, leaf, path)
     with pytest.raises(ParameterError, match="commitment echo"):
         rt.reconstruct(c, other, chunks)
     assert not rt.verify_fraud_proof(commitment, other, proof)
-
-
-def test_a_frontier_made_for_another_commitment_is_refused():
-    """walk_pom takes only a frontier made for its very commitment object:
-    an equal copy is another commitment, and so is another tree's."""
-    tree, other = TREES
-    pom = cit.sample_pom(tree, 5)
-    for commitment in (dataclasses.replace(tree.commitment), other.commitment):
-        frontier = cit.Frontier(commitment)
-        with pytest.raises(ValueError, match="another commitment"):
-            cit.walk_pom(tree.commitment, tree.params, pom, frontier)
-        assert frontier.known() == {}
 
 
 @lru_cache(maxsize=None)
@@ -583,11 +567,11 @@ def spy(*_args, **_kwargs):
 def test_a_fault_inside_the_membership_verifier_propagates(monkeypatch):
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
+    leaf, path = tree.layers[-1].hashes[5].tobytes(), honest_path(tree, tree.depth, 5)
     monkeypatch.setattr(cit, "sha256", spy)
     for call in (
-        lambda: cit.walk_pom(tree.commitment, tree.params, pom),
-        lambda: cit.walk_pom(tree.commitment, tree.params, pom),
         lambda: cit.Frontier(tree.commitment).walk(pom),
+        lambda: cit.Frontier(tree.commitment).claim(path.layer, path.index, leaf, path.ancestors),
     ):
         with pytest.raises(RuntimeError, match="spy"):
             call()
@@ -627,10 +611,10 @@ MEMBERSHIP_MUTATIONS = ("honest", "layer", "index", "leaf_hash", "params", "root
 
 @st.composite
 def membership_claims(draw):
-    """(kind, commitment, params, leaf hash, path): an honest claim, taken
-    from a fraud proof or read off a tree at any layer, the root layer
-    included, or one differing from it in the single field ``kind``
-    names."""
+    """(kind, commitment, honest claim, claim): an honest (leaf hash, path)
+    claim, taken from a fraud proof or read off a tree at any layer, the
+    root layer included, and the claim, which is it or differs from it in
+    the single field ``kind`` names."""
     if draw(st.booleans()):
         commitment, params, proof = _fraud_case()
         claims = [(sha256(m.value), m.path) for m in proof.members]
@@ -643,6 +627,7 @@ def membership_claims(draw):
         u = draw(st.integers(0, tree.depth))
         x = draw(st.integers(0, tree.sizes[u] - 1))
         leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
+    honest = (leaf, path)
     geo = cit.geometry(params, commitment.block_len)
     ancestors = path.ancestors
     kinds = MEMBERSHIP_MUTATIONS if ancestors else MEMBERSHIP_MUTATIONS[:-len(ANCESTOR_MUTATIONS)]
@@ -680,25 +665,155 @@ def membership_claims(draw):
     elif kind == "leaf_hash":
         leaf = _flip(leaf, draw(st.integers(0, 31))) if draw(st.booleans()) else leaf[:-1]
     elif kind == "params":
-        # another code family of the same geometry, or another root size
-        params = dataclasses.replace(
-            params,
-            **draw(st.sampled_from(({"code_seed": params.code_seed + 1},
-                                    {"root_size": params.root_size + 1}))),
-        )
+        # the commitment carries another code family of the same geometry,
+        # or another root size
+        other = draw(st.sampled_from(({"code_seed": params.code_seed + 1},
+                                       {"root_size": params.root_size + 1})))
+        commitment = dataclasses.replace(commitment, params=dataclasses.replace(params, **other))
     elif kind == "root":
         commitment = dataclasses.replace(commitment, root=commitment.root[:-1])
-    return kind, commitment, params, leaf, path
+    return kind, commitment, honest, (leaf, path)
 
 
 @settings(max_examples=300, deadline=None)
 @given(membership_claims())
 def test_verify_membership_matches_the_reference(claim):
-    kind, commitment, params, leaf, path = claim
-    want = ref.verify_membership(commitment, params, leaf, path)
+    """A claim gets the reference verdict on a fresh frontier, and on one
+    that took the honest claim it was made from first."""
+    kind, commitment, honest, (leaf, path) = claim
+    want = ref.verify_membership(commitment, commitment.params, leaf, path)
     if kind == "honest":
         assert want
-    # the package also refuses params the commitment does not echo, as its
-    # proof walk and fraud verifier always have; the reference does not
-    want = want and params == commitment.params
-    assert cit.verify_membership(commitment, params, leaf, path) == want
+    assert cit.verify_membership(cit.Frontier(commitment), leaf, path) == want
+    frontier = cit.Frontier(commitment)
+    assert cit.verify_membership(frontier, *honest) == ref.verify_membership(
+        commitment, commitment.params, *honest
+    )
+    assert cit.verify_membership(frontier, leaf, path) == want
+
+
+# a fraud proof's claims on one frontier against each claim's own climb
+
+
+@lru_cache(maxsize=None)
+def claimed_frauds() -> dict:
+    """{name: (commitment, proof)}: honest incorrect-coding proofs whose
+    members carry ancestors: an equation fraud and a mismatch fraud on the
+    base layer, and an equation fraud on a digest layer (layer 2 of 3)."""
+    out = {}
+    for name in ("equation", "mismatch"):
+        commitment, _params, proof = fraud_flavours()[name]
+        out[name] = (commitment, proof)
+    params = TREES[0].params
+    tree = tampered_tree(bytes((i * 37 + 11) % 256 for i in range(512)), params, {2: [(12, 0x5A)]})
+    fraud = rt.reconstruct(tree.commitment, params, chunkset_for(tree, range(32)))
+    assert fraud.proof.layer == 2 and len(fraud.proof.members) == 4
+    out["digest"] = (tree.commitment, fraud.proof)
+    return out
+
+
+def forged(path: cit.MembershipPath, j: int, at: int) -> cit.MembershipPath:
+    """``path`` with byte ``at`` of its ancestor j flipped."""
+    return dataclasses.replace(
+        path, ancestors=_replace_at(path.ancestors, j, _flip(path.ancestors[j], at))
+    )
+
+
+FRAUD_CLAIM_KINDS = (
+    "honest", "forged_first", "forged_last", "shared_forged_ancestor", "partial_agreement",
+    "forged_mismatch_path",
+)
+
+
+@st.composite
+def fraud_claims(draw):
+    """(kind, commitment, proof): an honest proof, or one with forged
+    claims, in the member order ``kind`` names."""
+    name = draw(st.sampled_from(sorted(claimed_frauds())))
+    commitment, proof = claimed_frauds()[name]
+    kinds = FRAUD_CLAIM_KINDS if proof.mismatch is not None else FRAUD_CLAIM_KINDS[:-1]
+    kind = draw(st.sampled_from(kinds))
+    members, mm = list(proof.members), proof.mismatch
+    sys_counts = cit.geometry(commitment.params, commitment.block_len).sys_counts
+    u, width = proof.layer, commitment.params.batch * HASH_BYTES
+
+    def shares(a, b, j) -> bool:
+        """Members a and b climb through one ancestor position at j."""
+        s = sys_counts[u - 1 - j]
+        return members[a].index % s == members[b].index % s
+
+    at = draw(st.integers(0, width - 1))
+    if kind in ("forged_first", "forged_last"):
+        member = members.pop(draw(st.integers(0, len(members) - 1)))
+        member = dataclasses.replace(member, path=forged(member.path, draw(st.integers(0, u - 1)), at))
+        members = [member] + members if kind == "forged_first" else members + [member]
+    elif kind == "shared_forged_ancestor":
+        # every pair shares the root-layer ancestor at least
+        a, b = draw(st.lists(st.integers(0, len(members) - 1), min_size=2, max_size=2, unique=True))
+        j = draw(st.sampled_from([j for j in range(u) if shares(a, b, j)]))
+        for k in (a, b):
+            members[k] = dataclasses.replace(members[k], path=forged(members[k].path, j, at))
+    elif kind == "partial_agreement":
+        # member b, placed after a, climbs into a's held ancestors below
+        # the root layer and carries a forged ancestor above that position
+        a, b, j, above = draw(st.sampled_from([
+            (a, b, j, above)
+            for a in range(len(members)) for b in range(len(members)) if a != b
+            for j in range(u - 1) if shares(a, b, j)
+            for above in range(j + 1, u)
+        ]))
+        first, last = members[a], members[b]
+        last = dataclasses.replace(last, path=forged(last.path, above, at))
+        members = [first] + [m for k, m in enumerate(members) if k not in (a, b)] + [last]
+    elif kind == "forged_mismatch_path":
+        mm = dataclasses.replace(mm, path=forged(mm.path, draw(st.integers(0, u - 1)), at))
+    return kind, commitment, dataclasses.replace(proof, members=tuple(members), mismatch=mm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraud_claims())
+def test_fraud_proof_claims_on_one_frontier_match_each_claim_alone(case):
+    kind, commitment, proof = case
+    want = reference_round.fraud_holds(commitment, proof)
+    assert want is (kind == "honest")
+    assert rt.verify_fraud_proof(commitment, commitment.params, proof) is want
+
+
+def test_one_frontier_pins_the_hashes_of_a_round(monkeypatch):
+    """cit sha256 calls on the round workloads' tree (1 KiB symbols, a 256
+    KiB block drawn from seed 3): a node's batch of 32 proofs, one client's
+    ingest of 800 proofs, and the check of the invalid-coding proposer's
+    fraud proof (layer 8, equation 0, 4 members), whose members climb on
+    one frontier and so hash their shared ancestors once: 20 calls, where a
+    frontier per member made 32."""
+    params = cit.TreeParams(
+        symbol_size=1024, root_size=4, rate=Fraction(1, 4), batch=8, max_eq_degree=8,
+        alpha=0.125, code_seed=11, gate_trials=24,
+    )
+    rng = np.random.default_rng(3)
+    block = rng.bytes(256 * 1024)
+    honest = cit.build_tree(block, params)
+    corrupted = orc.build_tree_with_base_corruption(block, params)
+    n = honest.sizes[-1]
+    batch = [cit.sample_pom(honest, i) for i in sorted(rng.choice(n, 32, replace=False))]
+    ingest = chunkset_for(honest, rng.choice(n, 800, replace=False))
+    fraud = rt.reconstruct(corrupted.commitment, params, chunkset_for(corrupted, range(n)))
+    proof = fraud.proof
+    assert (proof.layer, proof.equation_no, len(proof.members)) == (8, 0, 4)
+    assert len(sz.encode_fraud_proof(proof)) == 12473
+
+    calls = []
+
+    def counted(data):
+        calls.append(1)
+        return sha256(data)
+
+    monkeypatch.setattr(cit, "sha256", counted)
+    frontier = cit.Frontier(honest.commitment)
+    assert all(frontier.walk(pom) for pom in batch) and len(calls) == 293
+    calls.clear()
+    assert rt.reconstruct(honest.commitment, params, ingest) == rt.Block(block)
+    assert len(calls) == 1810
+    calls.clear()
+    assert rt.verify_fraud_proof(corrupted.commitment, params, proof)
+    assert len(calls) == 20

@@ -74,7 +74,7 @@ class TestGeometry:
         assert diff.tolist() == [9]
         assert tree.commitment.root != honest.commitment.root
         for i in range(32):
-            assert cit.walk_pom(tree.commitment, small_params, cit.sample_pom(tree, i))
+            assert cit.Frontier(tree.commitment).walk(cit.sample_pom(tree, i))
 
     def test_build_tree_hashes_each_row_once(self, small_block, small_params, monkeypatch):
         # every row of every layer is hashed once, for Layer.hashes; a
@@ -149,10 +149,10 @@ class TestPomIndices:
 
 
 class TestMembership:
-    def test_honest_proofs_verify_everywhere(self, small_tree, small_params):
+    def test_honest_proofs_verify_everywhere(self, small_tree):
         for i in range(small_tree.sizes[-1]):
             pom = cit.sample_pom(small_tree, i)
-            assert cit.walk_pom(small_tree.commitment, small_params, pom)
+            assert cit.Frontier(small_tree.commitment).walk(pom)
 
     def test_out_of_range_index(self, small_tree):
         with pytest.raises(IndexOutOfRange):
@@ -164,9 +164,9 @@ class TestMembership:
         assert not base.any()
         pom = cit.sample_pom(tree, 31)  # a parity index
         assert pom.base_symbol == bytes(64)
-        assert cit.walk_pom(tree.commitment, small_params, pom)
+        assert cit.Frontier(tree.commitment).walk(pom)
 
-    def test_tampered_sibling_fails(self, small_tree, small_params):
+    def test_tampered_sibling_fails(self, small_tree):
         # a sibling digest is a slot of the ancestor other than the one the
         # chain's own digest sits at: base 15 climbs through parent 3 of
         # layer 2, at slot 3, and that through parent 1 of layer 1, at slot 1
@@ -174,7 +174,7 @@ class TestMembership:
         ancestor = pom.ancestors[1]
         ancestor = ancestor[:64] + bytes(32) + ancestor[96:]
         bad = dataclasses.replace(pom, ancestors=(pom.ancestors[0], ancestor, pom.ancestors[2]))
-        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
+        assert not cit.Frontier(small_tree.commitment).walk(bad)
 
     def test_tampered_pair_value_fails(self, small_tree, small_params):
         pom = cit.sample_pom(small_tree, 15)
@@ -182,7 +182,7 @@ class TestMembership:
         for field in ("ancestors", "parities"):
             symbols = getattr(pom, field)
             bad = dataclasses.replace(pom, **{field: (forged,) + symbols[1:]})
-            assert not cit.walk_pom(small_tree.commitment, small_params, bad)
+            assert not cit.Frontier(small_tree.commitment).walk(bad)
 
     def test_perturbed_indices_fail(self, small_tree, small_params):
         # the proof stores no index but its base index: the parity symbol
@@ -191,19 +191,19 @@ class TestMembership:
         e = pom_pairs(small_params, small_tree.sizes, 15)[1][1]
         moved = small_tree.layers[1].symbols[e + 1].tobytes()
         bad = dataclasses.replace(pom, parities=(pom.parities[0], moved))
-        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
+        assert not cit.Frontier(small_tree.commitment).walk(bad)
 
-    def test_tampered_base_symbol_fails(self, small_tree, small_params):
+    def test_tampered_base_symbol_fails(self, small_tree):
         pom = cit.sample_pom(small_tree, 7)
         bad = dataclasses.replace(
             pom, base_symbol=bytes(64)
         )
-        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
+        assert not cit.Frontier(small_tree.commitment).walk(bad)
 
-    def test_wrong_block_len_fails(self, small_tree, small_params):
+    def test_wrong_block_len_fails(self, small_tree):
         pom = cit.sample_pom(small_tree, 7)
         bad = dataclasses.replace(pom, block_len=pom.block_len + 1)
-        assert not cit.walk_pom(small_tree.commitment, small_params, bad)
+        assert not cit.Frontier(small_tree.commitment).walk(bad)
 
 
 class TestSiblingProperty:

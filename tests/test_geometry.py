@@ -266,9 +266,9 @@ def mutated_proofs(draw, trees=TREES):
 @given(mutated_proofs())
 def test_walk_accepts_honest_and_rejects_single_field_mutations(case):
     tree, pom, bad = case
-    assert cit.walk_pom(tree.commitment, tree.params, pom)
-    assert not cit.walk_pom(tree.commitment, tree.params, bad)
-    assert not cit.walk_pom(tree.commitment, tree.params, bad)
+    assert not cit.Frontier(tree.commitment).walk(bad)
+    frontier = cit.Frontier(tree.commitment)
+    assert frontier.walk(pom) and not frontier.walk(bad)
 
 
 FRACTION_OPS = (
@@ -303,18 +303,18 @@ def test_no_fraction_work_on_proof_paths_once_the_geometry_is_cached(monkeypatch
     assert Fraction(1, 2) and used == ["__new__"]  # the spies are live
     used.clear()
 
+    frontier = cit.Frontier(honest.commitment)
     for i in range(32):
         pom = cit.sample_pom(honest, i)
-        assert cit.walk_pom(honest.commitment, params, pom)
-        assert cit.walk_pom(honest.commitment, params, pom)
+        assert cit.Frontier(honest.commitment).walk(pom) and frontier.walk(pom)
     out = rt.reconstruct(honest.commitment, params, honest_units)
     assert isinstance(out, rt.Block) and out.data == block
     out = rt.reconstruct(corrupted.commitment, params, corrupted_units)
     assert isinstance(out, rt.Fraud)
     assert rt.verify_fraud_proof(corrupted.commitment, params, out.proof)
+    frontier = cit.Frontier(corrupted.commitment)
     for member in out.proof.members:
-        assert cit.verify_membership(
-            corrupted.commitment, params, cit.sha256(member.value), member.path
-        )
+        path = member.path
+        assert frontier.claim(path.layer, path.index, cit.sha256(member.value), path.ancestors)
     monkeypatch.undo()
     assert used == []

@@ -91,6 +91,10 @@ class TestChain:
         status = orc.chain_submit_votes(chain, tree.commitment, self.votes(tree, [0, 1, 2]))
         assert status.committed and status.block_id == 0
 
+    def test_threshold_is_exact_on_the_written_decimals(self):
+        # (0.1 + 0.2) * 10 is 3.0000000000000004 in floats
+        assert orc.TrustedChain(n_nodes=10, beta=0.1, gamma=0.2).commit_threshold == 3
+
     def test_below_threshold_pends(self, setup):
         _, tree, _ = setup
         chain = orc.TrustedChain(n_nodes=4, beta=0.25, gamma=0.5)

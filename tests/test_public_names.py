@@ -49,11 +49,14 @@ def public_names(source: str) -> set[str]:
 def read_names(source: str, strings: bool) -> set[str]:
     """The names ``source`` loads, as names or attributes, or imports, and
     with ``strings`` each dotted part of its string constants. Storing an
-    attribute does not read it, nor does loading it inside an assignment
-    to that same attribute, as ``self.n = self.n + 1`` does."""
+    attribute does not read it, nor does storing an item of it, as
+    ``obj.log[k] = v`` does, nor loading it inside an assignment to that
+    same attribute, as ``self.n = self.n + 1`` does."""
     tree = ast.parse(source)
-    updates = set()  # ids of the loads that only feed a store to their attribute
+    updates = set()  # ids of the attribute loads that only serve a store, to them or an item
     for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            updates.add(id(node.value))
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             stored = {
@@ -166,9 +169,14 @@ def test_the_member_check_sees_an_unread_member():
         "    def _step(self):\n"
         "        self.n = self.n + 1\n"
         "        self.seen = True\n"
+        "class Log:\n"
+        "    entries: dict\n"
+        "    def _note(self, k, v):\n"
+        "        self.entries[k] = v\n"
     )
     read = read_names(source, strings=False) | serialized_fields(source)
     unread = {member for member in public_members(source) if member[1] not in read}
     assert unread == {
         ("Shape", "pairs"), ("Report", "to_json"), ("Counter", "n"), ("Counter", "seen"),
+        ("Log", "entries"),
     }

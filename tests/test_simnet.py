@@ -23,7 +23,7 @@ from daoracle.retrieval import Block
 from daoracle.serialize import encode_commitment, encode_pom
 from daoracle.util import derive_seed
 
-from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL
+from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, voted_commitments
 
 TREE_64K = TreeParams(
     symbol_size=2048,
@@ -138,6 +138,20 @@ class TestDeterminism:
     def test_config_rejects_too_many_adversaries(self):
         with pytest.raises(ConfigError):
             make_config({"silent": 6})  # beta*N = 5
+
+    def test_config_takes_beta_as_the_decimal_it_was_written_as(self):
+        # 0.29 * 100 is 28.999999999999996 in floats; beta*N is 29 nodes
+        tree = TreeParams(
+            symbol_size=1, root_size=4, rate="1/4", batch=8, max_eq_degree=8, alpha=0.125
+        )
+        sizes = dict(
+            n_nodes=100, beta=0.29, tree=tree, block_size=128,
+            disp=DispersalParams(0.5, 0.875, 0.64),
+        )
+        config = make_config({"silent": 29}, **sizes)
+        assert config.behaviors.count(orc.Behavior.SILENT) == 29
+        with pytest.raises(ConfigError, match=r"30 non-honest nodes exceeds beta\*N = 29$"):
+            make_config({"silent": 30}, **sizes)
 
     def test_config_rejects_non_integral_chunks_per_node(self):
         with pytest.raises(ConfigError):
@@ -267,10 +281,12 @@ class TestStalledRetrieval:
         assert badcode.startswith("BADCODE")
         assert badcode.endswith(f"size=32 seed={BAD_BASE_CODE_SEED}->{BAD_BASE_CODE_SEED + 1}")
 
-    def test_the_rounds_after_a_confirmed_stall_use_the_agreed_code_seed(self):
+    def test_the_rounds_after_a_confirmed_stall_use_the_agreed_code_seed(self, monkeypatch):
+        commitments = voted_commitments(monkeypatch)
         trace = sn.run_scenario(dataclasses.replace(planted_config(STALL_SEED), rounds=2))
-        assert trace.commitments[0].params.code_seed == BAD_BASE_CODE_SEED
-        assert trace.commitments[1].params.code_seed == BAD_BASE_CODE_SEED + 1
+        assert [c.params.code_seed for c in commitments] == [
+            BAD_BASE_CODE_SEED, BAD_BASE_CODE_SEED + 1,
+        ]
         assert trace.rounds[1]["committed"]
 
     def test_a_stall_below_one_minus_alpha_is_insufficient(self):
