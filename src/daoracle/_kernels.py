@@ -27,7 +27,12 @@ Values. The base layer XORs uint8 rows, in ``xor_encode`` and in the
 peel; a digest layer's symbols, q digests each, XOR as Python ints
 (``int_from_digest``), in ``cit.build_tree``'s encode and in the peel
 alike, through ``xor_members``, which also XORs a fraud proof's members
-as uint8 rows in ``retrieval.verify_fraud_proof``.
+as uint8 rows in ``retrieval.verify_fraud_proof``. Both start from the
+first pair of inputs, so no row pass XORs into zeros: ``xor_encode``
+writes each parity row with one ``np.bitwise_xor(a, b, out=row)`` and
+XORs any further input into it in place, which writes every byte of the
+row once (``codec.encode_array`` can leave it unset), and
+``xor_members`` starts from ``first ^ second``.
 """
 
 from __future__ import annotations
@@ -60,22 +65,36 @@ class CodeTables:
 def xor_encode(members, sym):
     """Write each equation's parity row, its last member, as the XOR of the
     rows of its other members, systematic inputs already present in sym:
-    a copy of the first, then the rest XORed in place."""
+    one pass over each row, the first pair XORed straight into the parity
+    row and the rest XORed in place (a one-input equation copies it)."""
+    rows = list(sym)
     for eq in members:
-        row = sym[eq[-1]]
-        row[:] = sym[eq[0]]
-        for i in eq[1:-1]:
-            row ^= sym[i]
+        parity = rows[eq[-1]]
+        if len(eq) == 2:
+            parity[:] = rows[eq[0]]
+            continue
+        np.bitwise_xor(rows[eq[0]], rows[eq[1]], out=parity)
+        for i in eq[2:-1]:
+            parity ^= rows[i]
     return sym
 
 
 def xor_members(values, members, skip: int = -1):
-    """XOR of ``values[i]`` over the members other than ``skip``. Values are
-    Python ints or uint8 rows; the XOR of rows is a fresh array."""
-    acc = 0
+    """XOR of ``values[i]`` over the members other than ``skip``, at least
+    one. Values are Python ints or uint8 rows; the XOR of rows starts from
+    the first pair, so it is a fresh array that the rest are XORed into in
+    place, and a lone member is returned as it is (no input is ever
+    modified). One loop without a list of the picked values: at digest
+    width, building that list costs more than the int XORs."""
+    acc, fresh = None, False
     for i in members:
         if i != skip:
-            acc ^= values[i]
+            if fresh:
+                acc ^= values[i]
+            elif acc is None:
+                acc = values[i]
+            else:
+                acc, fresh = acc ^ values[i], True
     return acc
 
 

@@ -47,8 +47,9 @@ once, on its first proof (``CodedTree.sampling``), top down, one pass per
 layer: the ancestors of every residue and the parity symbols of every
 residue, each entry its own symbol followed by the shared entry one layer
 up. Every proof sampled from the tree, by any call, shares those symbols;
-its own cost is a range check, one lookup in each table and a copy of its
-base row.
+its own cost is a range check, one lookup in each table, a copy of its
+base row and one tuple (``ProofOfMembership`` is a ``NamedTuple``, built
+positionally).
 
 Batches. A ``Frontier``, made from a commitment alone, is the one claim
 checker: a node walks its units on one, an audit a voter's units, a
@@ -71,7 +72,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -218,8 +219,7 @@ class Commitment:
     block_len: int
 
 
-@dataclass(frozen=True)
-class ProofOfMembership:
+class ProofOfMembership(NamedTuple):
     """Base symbol plus the symbols that bind it to the commitment.
 
     ancestors[j] is the symbol ``base_index mod s`` of layer L-1-j, for
@@ -228,6 +228,10 @@ class ProofOfMembership:
     j = 0..L-2. Every index follows from the base index, so none is stored.
     A decoded proof's base symbol is a read-only view of the bytes it was
     decoded from (see ``serialize``).
+
+    An immutable tuple in this field order: ``sample_pom`` and
+    ``serialize`` build it positionally, ``Frontier.walk`` unpacks it, and
+    ``_replace`` makes an edited copy.
     """
 
     base_index: int
@@ -327,13 +331,15 @@ def aggregate(child_hashes: np.ndarray, parent_size: int, params: TreeParams) ->
 
 def _encode_digests(code: CodeSpec, inputs: np.ndarray) -> list[bytes]:
     """The rows of ``encode_array(code, inputs)`` for a (k, q * 32) array of
-    parents, as bytes: at this width one Python int XOR beats a numpy call,
-    as in the peel of a digest layer."""
-    width = inputs.shape[1]
-    values = [*map(int_from_digest, _split(inputs)), *[0] * (code.n_coded - code.n_systematic)]
+    parents, as bytes: the input rows, then the parity rows XORed as Python
+    ints, which at this width beats a numpy call, as in the peel of a digest
+    layer."""
+    width, k = inputs.shape[1], code.n_systematic
+    rows = _split(inputs)
+    values = [*map(int_from_digest, rows), *[0] * (code.n_coded - k)]
     for eq in code.tables.members:
-        values[eq[-1]] = xor_members(values, eq)  # its parity member is still 0
-    return [digest_from_int(v, width) for v in values]
+        values[eq[-1]] = xor_members(values, eq, eq[-1])
+    return rows + [digest_from_int(v, width) for v in values[k:]]
 
 
 def build_tree(
@@ -420,11 +426,11 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         raise IndexOutOfRange(f"base index {base_index} not in [0, {base.shape[0]})")
     tables = tree.sampling
     return ProofOfMembership(
-        base_index=base_index,
-        base_symbol=base[base_index].tobytes(),
-        block_len=tree.block_len,
-        ancestors=tables.ancestors[base_index % tables.ancestor_mod],
-        parities=tables.parities[base_index % tables.parity_mod],
+        base_index,
+        base[base_index].tobytes(),
+        tree.block_len,
+        tables.ancestors[base_index % tables.ancestor_mod],
+        tables.parities[base_index % tables.parity_mod],
     )
 
 
@@ -516,12 +522,13 @@ class Frontier:
         if geo is None:
             return False
         depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
-        i, ancestors, parities = pom.base_index, pom.ancestors, pom.parities
-        if pom.block_len != self.commitment.block_len or not 0 <= i < sizes[depth]:
+        # one unpacking: a NamedTuple's attribute loads are not specialised
+        i, symbol, block_len, ancestors, parities = pom
+        if block_len != self.commitment.block_len or not 0 <= i < sizes[depth]:
             return False
-        if len(pom.base_symbol) != self.commitment.params.symbol_size or len(parities) != depth - 1:
+        if len(symbol) != self.commitment.params.symbol_size or len(parities) != depth - 1:
             return False
-        fresh = self._climb(depth, i, sha256(pom.base_symbol), ancestors)
+        fresh = self._climb(depth, i, sha256(symbol), ancestors)
         if fresh is None:
             return False
 
@@ -548,7 +555,7 @@ class Frontier:
             held[key] = ancestors[j:]
         for j, key in enumerate(checked):
             held[key] = parities[j:]
-        held.setdefault((depth, i), (pom.base_symbol,))
+        held.setdefault((depth, i), (symbol,))
         return True
 
     def known(self) -> dict[tuple[int, int], bytes]:

@@ -107,7 +107,9 @@ def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"expected {code.n_systematic} input symbols, got {inputs.shape[0]}"
         )
-    sym = np.zeros((code.n_coded, inputs.shape[1]), dtype=np.uint8)
+    # each parity row is the last member of exactly one equation, which
+    # writes all of it
+    sym = np.empty((code.n_coded, inputs.shape[1]), dtype=np.uint8)
     sym[: code.n_systematic] = inputs
     _kernels.xor_encode(code.tables.members, sym)
     return sym

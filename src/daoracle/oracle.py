@@ -230,13 +230,16 @@ def messages_for_tree(tree: CodedTree, design: DispersalDesign):
     rows = design.assignments.tolist()
     assigned = [tuple(rows[node]) for node in range(design.n_nodes)]
     wanted = sorted(set().union(*assigned))
-    # one proof per chunk, shared by every node it is assigned to; a unit's
-    # symbol is its proof's base symbol
-    poms = {idx: sample_pom(tree, idx) for idx in wanted}
+    # one proof and one unit per chunk, shared by every node it is assigned
+    # to; a unit's symbol is its proof's base symbol
+    units = {}
+    for idx in wanted:
+        pom = sample_pom(tree, idx)
+        units[idx] = (idx, pom.base_symbol, pom)
     messages = {}
     for node, indices in enumerate(assigned):
-        units = tuple((idx, poms[idx].base_symbol, poms[idx]) for idx in sorted(set(indices)))
-        messages[node] = DispersalMessage(tree.commitment, units, indices)
+        own = tuple(units[idx] for idx in sorted(set(indices)))
+        messages[node] = DispersalMessage(tree.commitment, own, indices)
     return messages
 
 

@@ -214,15 +214,10 @@ def _put_symbols(parts: list, symbols: tuple[bytes, ...]) -> None:
 
 def _put_pom(parts: list, pom: ProofOfMembership) -> None:
     """Append the parts of ``pom``'s DAP2 encoding to ``parts``."""
-    parts += (
-        MAGIC_POM,
-        _u64(pom.base_index),
-        _u64(pom.block_len),
-        _u64(len(pom.base_symbol)),
-        pom.base_symbol,
-    )
-    _put_symbols(parts, pom.ancestors)
-    _put_symbols(parts, pom.parities)
+    index, symbol, block_len, ancestors, parities = pom
+    parts += (MAGIC_POM, _u64(index), _u64(block_len), _u64(len(symbol)), symbol)
+    _put_symbols(parts, ancestors)
+    _put_symbols(parts, parities)
 
 
 def encode_pom(pom: ProofOfMembership) -> bytes:

@@ -148,7 +148,7 @@ def shared_forgeries(draw):
     ancestor = honest[0].ancestors[j]
     forged_ancestor = with_slot(ancestor, k, _flip(slot(ancestor, k), draw(st.integers(0, 31))))
     forged = [
-        dataclasses.replace(pom, ancestors=_replace_at(pom.ancestors, j, forged_ancestor))
+        pom._replace(ancestors=_replace_at(pom.ancestors, j, forged_ancestor))
         for pom in honest
     ]
     extra = draw(st.lists(st.sampled_from(honest), max_size=4))
@@ -173,19 +173,19 @@ def test_forgeries_first_do_not_decide_the_honest_proofs_after_them(tree):
     for n, pom in enumerate(honest):
         j = n % len(pom.ancestors)
         ancestor = _flip(pom.ancestors[j], n)
-        forged.append(dataclasses.replace(pom, ancestors=_replace_at(pom.ancestors, j, ancestor)))
+        forged.append(pom._replace(ancestors=_replace_at(pom.ancestors, j, ancestor)))
     # a wrong parity symbol, and an ancestor and a parity symbol one byte
     # too long, ahead of the rest
     for n, pom in enumerate(honest[:3]):
         if n == 0:
             parities = _replace_at(pom.parities, 0, _flip(pom.parities[0], 3))
-            forged.append(dataclasses.replace(pom, parities=parities))
+            forged.append(pom._replace(parities=parities))
         elif n == 1:
             ancestor = pom.ancestors[0] + b"\0"
-            forged.append(dataclasses.replace(pom, ancestors=_replace_at(pom.ancestors, 0, ancestor)))
+            forged.append(pom._replace(ancestors=_replace_at(pom.ancestors, 0, ancestor)))
         else:
             parities = _replace_at(pom.parities, 0, pom.parities[0] + b"\0")
-            forged.append(dataclasses.replace(pom, parities=parities))
+            forged.append(pom._replace(parities=parities))
     got = check_batch(tree, forged + honest)
     assert all(harvest is None for harvest in got[: len(forged)])
     assert all(harvest is not None for harvest in got[len(forged):])
@@ -227,7 +227,7 @@ def pair_forgeries(draw):
         parity = draw(st.sampled_from(sorted(others)))
     else:
         parity = _flip(honest.parities[j], draw(st.integers(0, 255)))
-    forged = dataclasses.replace(honest, parities=_replace_at(honest.parities, j, parity))
+    forged = honest._replace(parities=_replace_at(honest.parities, j, parity))
     return tree, forged, honest
 
 
@@ -301,7 +301,7 @@ def frontier_sets(draw):
                 j = depth - 1
                 at = draw(st.integers(0, sizes[0] - 1).filter(lambda x: x != i % sys_counts[0]))
                 ancestor = tree.layers[0].symbols[at].tobytes()
-            bad = dataclasses.replace(pom, ancestors=_replace_at(ancestors, j, ancestor))
+            bad = pom._replace(ancestors=_replace_at(ancestors, j, ancestor))
         elif kind == "parity":
             u_key = draw(st.integers(1, depth - 1))
             mod = sizes[u_key] - sys_counts[u_key]
@@ -322,7 +322,7 @@ def frontier_sets(draw):
                     [x for x in range(e_idx % s_up, sizes[u], s_up) if x != e_idx]
                 ))
                 parity = tree.layers[u].symbols[x].tobytes()
-            bad = dataclasses.replace(pom, parities=_replace_at(pom.parities, j, parity))
+            bad = pom._replace(parities=_replace_at(pom.parities, j, parity))
         else:
             # some mutations of a zero-block proof are another honest proof
             pom = bad = draw(mutated_proofs(trees=(tree,)))[2]
@@ -471,6 +471,44 @@ def test_dispersal_units_are_the_reference_proofs_and_symbols():
         assert msg.units == want
 
 
+def test_a_proof_is_an_immutable_tuple_of_its_five_fields():
+    """The field order the positional builders (``cit.sample_pom``,
+    ``serialize``) and ``Frontier.walk``'s unpacking rely on; a proof
+    cannot be edited in place, and survives its encoding."""
+    assert cit.ProofOfMembership._fields == (
+        "base_index", "base_symbol", "block_len", "ancestors", "parities"
+    )
+    tree = TREES[0]
+    for i in range(tree.sizes[-1]):
+        pom = cit.sample_pom(tree, i)
+        assert tuple(pom) == (
+            pom.base_index, pom.base_symbol, pom.block_len, pom.ancestors, pom.parities
+        )
+        assert sz.decode_pom(sz.encode_pom(pom)) == pom
+    for field in cit.ProofOfMembership._fields:
+        with pytest.raises(AttributeError):
+            setattr(pom, field, getattr(pom, field))
+
+
+def test_round_dispersal_units_are_the_reference_proofs_one_per_chunk():
+    """On the round geometry with a round's design (64 nodes, lambda 0.5,
+    32 slots each), each node's units are its distinct chunks ascending,
+    each the reference proof with its base symbol, and a chunk assigned to
+    several nodes is one unit object shared by all of them."""
+    tree = cit.build_tree(bytes((i * 53 + 9) % 256 for i in range(ROUND_SHAPE[1])), ROUND_PARAMS)
+    m = tree.sizes[-1]
+    design = assign_chunks(m, 64, 0.5, seed=3)
+    base = tree.layers[-1].symbols
+    shared = {}
+    for node, msg in orc.messages_for_tree(tree, design).items():
+        indices = sorted(set(design.assignments[node].tolist()))
+        assert [unit[0] for unit in msg.units] == indices
+        for i, unit in zip(indices, msg.units):
+            assert unit == (i, base[i].tobytes(), ref.sample_pom(tree, i))
+            assert unit[1] is unit[2].base_symbol
+            assert shared.setdefault(i, unit) is unit
+
+
 def test_audit_fails_a_voter_holding_one_forged_proof():
     tree = TREES[0]
     design = assign_chunks(32, 4, 1.0, seed=21)
@@ -484,8 +522,8 @@ def test_audit_fails_a_voter_holding_one_forged_proof():
     key = orc.commit_key(tree.commitment)
     idx = max(i for k, i in nodes[0].stored if k == key)
     symbol, pom = nodes[0].stored[(key, idx)]
-    forged = dataclasses.replace(
-        pom, ancestors=_replace_at(pom.ancestors, 1, _flip(pom.ancestors[1], 0))
+    forged = pom._replace(
+        ancestors=_replace_at(pom.ancestors, 1, _flip(pom.ancestors[1], 0))
     )
     nodes[0].stored[(key, idx)] = (symbol, forged)
     rng = np.random.default_rng(7)

@@ -173,7 +173,7 @@ class TestMembership:
         pom = cit.sample_pom(small_tree, 15)
         ancestor = pom.ancestors[1]
         ancestor = ancestor[:64] + bytes(32) + ancestor[96:]
-        bad = dataclasses.replace(pom, ancestors=(pom.ancestors[0], ancestor, pom.ancestors[2]))
+        bad = pom._replace(ancestors=(pom.ancestors[0], ancestor, pom.ancestors[2]))
         assert not cit.Frontier(small_tree.commitment).walk(bad)
 
     def test_tampered_pair_value_fails(self, small_tree, small_params):
@@ -181,7 +181,7 @@ class TestMembership:
         forged = sha256(b"not the value") * small_params.batch
         for field in ("ancestors", "parities"):
             symbols = getattr(pom, field)
-            bad = dataclasses.replace(pom, **{field: (forged,) + symbols[1:]})
+            bad = pom._replace(**{field: (forged,) + symbols[1:]})
             assert not cit.Frontier(small_tree.commitment).walk(bad)
 
     def test_perturbed_indices_fail(self, small_tree, small_params):
@@ -190,19 +190,17 @@ class TestMembership:
         pom = cit.sample_pom(small_tree, 15)
         e = pom_pairs(small_params, small_tree.sizes, 15)[1][1]
         moved = small_tree.layers[1].symbols[e + 1].tobytes()
-        bad = dataclasses.replace(pom, parities=(pom.parities[0], moved))
+        bad = pom._replace(parities=(pom.parities[0], moved))
         assert not cit.Frontier(small_tree.commitment).walk(bad)
 
     def test_tampered_base_symbol_fails(self, small_tree):
         pom = cit.sample_pom(small_tree, 7)
-        bad = dataclasses.replace(
-            pom, base_symbol=bytes(64)
-        )
+        bad = pom._replace(base_symbol=bytes(64))
         assert not cit.Frontier(small_tree.commitment).walk(bad)
 
     def test_wrong_block_len_fails(self, small_tree):
         pom = cit.sample_pom(small_tree, 7)
-        bad = dataclasses.replace(pom, block_len=pom.block_len + 1)
+        bad = pom._replace(block_len=pom.block_len + 1)
         assert not cit.Frontier(small_tree.commitment).walk(bad)
 
 

@@ -76,7 +76,7 @@ class TestCommitVerifyRetrieve:
         pom = cit.sample_pom(small_tree, 3)
         import dataclasses
 
-        bad = dataclasses.replace(pom, base_symbol=bytes(64))
+        bad = pom._replace(base_symbol=bytes(64))
         (d / "bad.pom").write_bytes(sz.encode_pom(bad))
         assert run("verify", "--commitment", d / "c.bin", "--pom", d / "bad.pom") == cli.EXIT_VERIFY_FAILED
 

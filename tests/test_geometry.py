@@ -2,7 +2,6 @@
 it drives: honest proofs pass, every single-field mutation fails, and no
 Fraction is built or multiplied once the geometry is cached."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -234,11 +233,11 @@ def mutated_proofs(draw, trees=TREES):
         # and 25 (and 14 and 26) are equal and so are their proofs; moving a
         # proof to an index whose honest proof it then is forges nothing
         def forges(v: int) -> bool:
-            moved = dataclasses.replace(pom, base_index=v)
+            moved = pom._replace(base_index=v)
             return v != pom.base_index and not (0 <= v < m and cit.sample_pom(tree, v) == moved)
 
         i = draw(st.integers(-2, m + 2).filter(forges))
-        return tree, pom, dataclasses.replace(pom, base_index=i)
+        return tree, pom, pom._replace(base_index=i)
     fields = {"ancestor": "ancestors", "parity": "parities"}
     if kind in fields:
         field = fields[kind]
@@ -249,17 +248,17 @@ def mutated_proofs(draw, trees=TREES):
             new = _flip(symbols[j], draw(st.integers(0, len(symbols[j]) - 1)))
         else:
             new = symbols[j][:-1] if how == "shorter" else symbols[j] + b"\0"
-        return tree, pom, dataclasses.replace(pom, **{field: _replace_at(symbols, j, new)})
+        return tree, pom, pom._replace(**{field: _replace_at(symbols, j, new)})
     if kind in ("ancestor_count", "parity_count"):
         field = fields[kind[: -len("_count")]]
         symbols = getattr(pom, field)
         symbols = symbols[:-1] if draw(st.booleans()) else symbols + (symbols[-1],)
-        return tree, pom, dataclasses.replace(pom, **{field: symbols})
+        return tree, pom, pom._replace(**{field: symbols})
     if kind == "base_symbol":
         at = draw(st.integers(0, len(pom.base_symbol) - 1))
-        return tree, pom, dataclasses.replace(pom, base_symbol=_flip(pom.base_symbol, at))
+        return tree, pom, pom._replace(base_symbol=_flip(pom.base_symbol, at))
     delta = draw(st.sampled_from((-1, 1, tree.params.symbol_size)))
-    return tree, pom, dataclasses.replace(pom, block_len=pom.block_len + delta)
+    return tree, pom, pom._replace(block_len=pom.block_len + delta)
 
 
 @settings(max_examples=300, deadline=None)

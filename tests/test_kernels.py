@@ -1,13 +1,19 @@
 """The kernels against independent references: GF(2) elimination
 (``tests/gf2.py``), a plain set-based peeling closure, Python's own
-distinct count, and hand-built equation systems. The peeling engine is
+distinct count, and hand-built equation systems; the XOR encoder and
+the member XOR against numpy's and Python's own XOR. The peeling engine is
 driven here the way its callers drive it: ``closes`` follows the closure of
 a known set, as the alpha gate does, and ``conftest.peel_rows`` decodes
 uint8 rows, as retrieval does. ``tests/test_peel.py`` checks it against
 the peelers it replaced."""
 
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daoracle import _kernels as kn
 from daoracle.codec import encode_array, generate_code
@@ -175,3 +181,51 @@ def test_first_fail_monotone_and_in_range():
             assert stalls[-1] == (not peel_closure(equations, n, np.nonzero(known)[0].tolist()))
         assert stalls == sorted(stalls)
         assert 1 <= stalls.index(True) <= n
+
+
+# the encoder and the member XOR against numpy's and Python's own XOR
+
+
+@pytest.mark.parametrize("width", (1, 7, 1024, 65536))
+@pytest.mark.parametrize("k", (1, 2, 3, 16))
+def test_encode_is_the_xor_of_each_equations_inputs(k, width):
+    """Every parity row of ``encode_array``'s codeword, and of
+    ``xor_encode`` over a codeword whose parity rows start as 0xFF, is the
+    XOR of its equation's other members, for repetition codes (k <= 2) and
+    sparse ones; no unset row survives either."""
+    code = generate_code(k, "1/4", 8, seed=k * 31 + width)
+    rng = np.random.default_rng(width + k)
+    inputs = rng.integers(0, 256, size=(k, width), dtype=np.uint8)
+    filled = np.full((code.n_coded, width), 0xFF, dtype=np.uint8)
+    filled[:k] = inputs
+    for cw in (encode_array(code, inputs), kn.xor_encode(code.tables.members, filled)):
+        assert np.array_equal(cw[:k], inputs)
+        for eq in code.tables.members:
+            want = np.bitwise_xor.reduce(cw[list(eq[:-1])], axis=0)
+            assert np.array_equal(cw[eq[-1]], want)
+    assert np.array_equal(filled, encode_array(code, inputs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_xor_members_is_the_reduce_over_the_members_left(data):
+    """``xor_members`` is ``functools.reduce(operator.xor, ...)`` over the
+    members other than ``skip``, on ints and on uint8 rows, and modifies
+    none of its inputs."""
+    n = data.draw(st.integers(2, 12))
+    members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n)))
+    skip = data.draw(st.sampled_from([-1, *members]))
+    left = [i for i in members if i != skip]
+    ints = data.draw(st.lists(st.integers(0, (1 << 256) - 1), min_size=n, max_size=n))
+    assert kn.xor_members(ints, members, skip) == reduce(operator.xor, (ints[i] for i in left))
+    width = data.draw(st.sampled_from((1, 7, 64)))
+    rows = [np.frombuffer(data.draw(st.binary(min_size=width, max_size=width)), dtype=np.uint8)
+            .copy() for _ in range(n)]
+    before = [row.copy() for row in rows]
+    got = kn.xor_members(rows, members, skip)
+    assert np.array_equal(got, reduce(operator.xor, (rows[i] for i in left)))
+    assert all(np.array_equal(a, b) for a, b in zip(rows, before))
+    if len(left) == 1:
+        assert got is rows[left[0]]
+    else:
+        assert not any(np.shares_memory(got, row) for row in rows)

@@ -51,7 +51,7 @@ class TestNodeBehavior:
         _, _tree, messages = setup
         msg = messages[2]
         idx, symbol, pom = msg.units[0]
-        bad_pom = dataclasses.replace(pom, base_symbol=bytes(len(pom.base_symbol)))
+        bad_pom = pom._replace(base_symbol=bytes(len(pom.base_symbol)))
         bad_units = ((idx, bytes(len(symbol)), bad_pom),) + msg.units[1:]
         tampered = dataclasses.replace(msg, units=bad_units)
         node = orc.OracleNode(2)
