@@ -271,10 +271,6 @@ class CodedTree:
     def sizes(self) -> tuple[int, ...]:
         return tuple(layer.symbols.shape[0] for layer in self.layers)
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers) - 1
-
     @cached_property
     def sampling(self) -> "SamplingTables":
         """This tree's proof sampling tables, built on first use."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ParameterError
-from .util import MASK64, derive_seed
+from .util import MASK64, as_written, derive_seed
 
 # cap on a design's slots N * k: the (N, k) int64 assignment array and the
 # design text written from it are sized by counts read from files
@@ -122,14 +122,21 @@ def verify_design(
     seed: int = 0,
 ) -> DesignCheck:
     """Monte Carlo estimate of the fraction of gamma-N node subsets whose
-    coverage falls below eta, over ``trials`` subsets drawn uniformly."""
+    coverage falls below eta, over ``trials`` subsets drawn uniformly.
+
+    Any gamma fraction of the nodes is at least gamma*N of them, so a subset
+    is ceil(gamma*N) nodes; it fails when it holds fewer than eta*M distinct
+    chunks. Both products are exact on the decimals gamma and eta were
+    written as (``util.as_written``), as the chain threshold is."""
     n = design.n_nodes
-    take = int(round(gamma * n))
+    take = math.ceil(as_written(gamma) * n)
     if not 1 <= take <= n:
-        raise ParameterError(f"gamma*N = {gamma * n} must round into [1, N]")
+        raise ParameterError(f"gamma*N = {gamma * n} must lie in (0, N]")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    need = eta * design.n_chunks
+    # a distinct count is an integer, so it is below eta*M exactly when it
+    # is below the ceiling
+    need = math.ceil(as_written(eta) * design.n_chunks)
     rng = np.random.default_rng(np.uint64(derive_seed("verify-design", seed)))
     batch = max(1, min(trials, (1 << 22) // max(take * design.k_per_node, 1)))
     failures = 0

@@ -79,10 +79,11 @@ class Vote:
 class OracleNode:
     """One storage/voting node.
 
-    ``stored`` is flat, keyed ``(key, chunk_index)`` -> ``(symbol, pom)``,
-    so ``len(stored)`` counts units. ``assigned[key]`` holds, ascending and
-    once each, every chunk index of every message the node took for
-    commitment ``key``, so every stored unit of ``key`` has its index there.
+    ``stored`` is flat, keyed ``(key, chunk_index)`` -> the ``(chunk_index,
+    symbol, pom)`` unit as the message carried it, so ``len(stored)``
+    counts units. ``assigned[key]`` holds, ascending and once each, every
+    chunk index of every message the node took for commitment ``key``, so
+    every stored unit of ``key`` has its index there.
     The node answers for one key by looking up ``(key, i)`` for each ``i``
     in ``assigned[key]``: no read touches the units of other commitments,
     and a lookup costs the same however many blocks the node holds.
@@ -90,7 +91,7 @@ class OracleNode:
 
     node_id: int
     behavior: Behavior = Behavior.HONEST
-    stored: dict = field(default_factory=dict)  # (key, chunk_index) -> (symbol, pom)
+    stored: dict = field(default_factory=dict)  # (key, chunk_index) -> unit
     assigned: dict = field(default_factory=dict)  # key -> sorted distinct chunk indices
 
     def units(self, key: bytes) -> tuple:
@@ -98,9 +99,7 @@ class OracleNode:
         ascending index order, whatever its behavior."""
         stored = self.stored
         return tuple(
-            (idx, *stored[(key, idx)])
-            for idx in self.assigned.get(key, ())
-            if (key, idx) in stored
+            stored[(key, idx)] for idx in self.assigned.get(key, ()) if (key, idx) in stored
         )
 
     def assign(self, key: bytes, assigned) -> None:
@@ -255,8 +254,8 @@ def node_on_dispersal(node: OracleNode, message: DispersalMessage) -> Optional[V
     if not _units_check(message.commitment, message.assigned, message.units):
         return None
     node.assign(key, message.assigned)
-    for idx, symbol, pom in message.units:
-        node.stored[(key, idx)] = (symbol, pom)
+    for unit in message.units:
+        node.stored[(key, unit[0])] = unit
     return Vote(node.node_id, key)
 
 
@@ -332,7 +331,7 @@ def audit(
     picked = int(voters[rng.integers(0, len(voters))])
     node = next(n for n in nodes if n.node_id == picked)
     want = sorted(set(int(i) for i in design.assignments[picked]))
-    units = [(idx, *node.stored[(key, idx)]) for idx in want if (key, idx) in node.stored]
+    units = [node.stored[(key, idx)] for idx in want if (key, idx) in node.stored]
     if not _units_check(commitment, want, units):
         return AuditOutcome(picked, False, STAKE_PENALTY)
     return AuditOutcome(picked, True, 0.0)

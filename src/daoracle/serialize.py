@@ -5,6 +5,8 @@ length prefix. Layouts are documented byte-by-byte in FORMATS.md and frozen
 by golden digests in the test suite. Encodings are self-describing enough
 to decode without out-of-band parameters.
 
+Each fixed-width record is one module-level ``struct.Struct``, which its
+encoder packs and its decoder unpacks, so its layout is stated once.
 Encoders collect their fields as a list of parts and join it once, so each
 symbol is copied once into the output; a bundle's proofs share one list.
 Decoders read through a bounds-checked ``_Reader`` over ``bytes``, which
@@ -33,11 +35,20 @@ MAGIC_BUNDLE = b"DAB2"
 MAGIC_TREE = b"DAT1"
 
 
+# one Struct per fixed-width record of FORMATS.md, packed by its encoder
+# and unpacked by its decoder
+_TREE_PARAMS = struct.Struct("<QIIIIIdIQII")  # the 56-byte tree parameters
+_ROOT_HEAD = struct.Struct("<QI")  # DAC2: block_len, root count
+_POM_HEAD = struct.Struct("<QQQ")  # DAP2: base_index, block_len, symbol_len
+_SYMBOLS_HEAD = struct.Struct("<HI")  # symbol list: count, width
+_PATH_HEAD = struct.Struct("<IQ")  # membership path: layer, index
+_FRAUD_HEAD = struct.Struct("<IIH")  # DAF2: layer, equation_no, degree
+_MEMBER_HEAD = struct.Struct("<QQ")  # fraud member: index, value_len
+# lone counts, lengths and indices
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 
 
 class _Reader:
@@ -60,6 +71,11 @@ class _Reader:
         self.pos = end
         return pos
 
+    def magic(self, magic: bytes, what: str) -> None:
+        """Read the 4-byte magic, which must be ``magic``."""
+        if self.take(4) != magic:
+            raise ParameterError(f"not a {what} file")
+
     def take(self, n: int) -> bytes:
         pos = self._advance(n)
         return self.data[pos : self.pos]
@@ -79,7 +95,7 @@ class _Reader:
         """A u16 count and a u32 width, then that many symbols of that
         width, behind one bounds check; the width is 0 exactly when the
         count is."""
-        count, width = self.u16(), self.u32()
+        count, width = self.unpack(_SYMBOLS_HEAD)
         if (count == 0) != (width == 0):
             raise ParameterError("symbol width must be 0 exactly when the count is")
         pos = self._advance(count * width)
@@ -92,82 +108,29 @@ class _Reader:
         return _Reader(self.data, pos, self.pos)
 
     def unpack(self, fmt: struct.Struct) -> tuple:
-        # integers are most of a small file's reads, so the bounds check
-        # is inline rather than a call to _advance
-        pos = self.pos
-        end = pos + fmt.size
-        if end > self.end:
-            raise ParameterError("truncated encoding")
-        self.pos = end
-        return fmt.unpack_from(self.data, pos)
-
-    def u8(self) -> int:
-        return self.unpack(_U8)[0]
-
-    def u16(self) -> int:
-        return self.unpack(_U16)[0]
-
-    def u32(self) -> int:
-        return self.unpack(_U32)[0]
-
-    def u64(self) -> int:
-        return self.unpack(_U64)[0]
-
-    def f64(self) -> float:
-        return self.unpack(_F64)[0]
+        """The next ``fmt.size`` bytes, unpacked by ``fmt``."""
+        return fmt.unpack_from(self.data, self._advance(fmt.size))
 
     def done(self) -> bool:
         return self.pos == self.end
 
 
-_u8 = _U8.pack
-_u16 = _U16.pack
-_u32 = _U32.pack
-_u64 = _U64.pack
-_f64 = _F64.pack
-
-
 def encode_tree_params(p: TreeParams) -> bytes:
-    return b"".join(
-        (
-            _u64(p.symbol_size),
-            _u32(p.root_size),
-            _u32(p.rate.numerator),
-            _u32(p.rate.denominator),
-            _u32(p.batch),
-            _u32(p.max_eq_degree),
-            _f64(p.alpha),
-            _u32(HASH_BYTES),
-            _u64(p.code_seed),
-            _u32(p.gate_trials),
-            _u32(p.max_code_attempts),
-        )
+    return _TREE_PARAMS.pack(
+        p.symbol_size, p.root_size, p.rate.numerator, p.rate.denominator, p.batch,
+        p.max_eq_degree, p.alpha, HASH_BYTES, p.code_seed, p.gate_trials, p.max_code_attempts,
     )
 
 
 def decode_tree_params(r: _Reader) -> TreeParams:
-    symbol_size = r.u64()
-    root_size = r.u32()
-    num, den = r.u32(), r.u32()
+    (symbol_size, root_size, num, den, batch, max_eq_degree, alpha, hash_size,
+     code_seed, gate_trials, max_code_attempts) = r.unpack(_TREE_PARAMS)
     if den == 0:
         raise ParameterError("rate denominator is zero")
-    batch = r.u32()
-    max_eq_degree = r.u32()
-    alpha = r.f64()
-    hash_size = r.u32()
-    code_seed = r.u64()
-    gate_trials = r.u32()
-    max_code_attempts = r.u32()
     params = TreeParams(
-        symbol_size=symbol_size,
-        root_size=root_size,
-        rate=Fraction(num, den),
-        batch=batch,
-        max_eq_degree=max_eq_degree,
-        alpha=alpha,
-        code_seed=code_seed,
-        gate_trials=gate_trials,
-        max_code_attempts=max_code_attempts,
+        symbol_size=symbol_size, root_size=root_size, rate=Fraction(num, den), batch=batch,
+        max_eq_degree=max_eq_degree, alpha=alpha, code_seed=code_seed,
+        gate_trials=gate_trials, max_code_attempts=max_code_attempts,
     )
     if hash_size != HASH_BYTES:
         raise ParameterError(f"hash_size is fixed at {HASH_BYTES}")
@@ -182,8 +145,7 @@ def encode_commitment(com: Commitment) -> bytes:
         (
             MAGIC_COMMITMENT,
             encode_tree_params(com.params),
-            _u64(com.block_len),
-            _u32(len(com.root)),
+            _ROOT_HEAD.pack(com.block_len, len(com.root)),
             *com.root,
         )
     )
@@ -191,11 +153,9 @@ def encode_commitment(com: Commitment) -> bytes:
 
 def decode_commitment(data: bytes) -> Commitment:
     r = _Reader(data)
-    if r.take(4) != MAGIC_COMMITMENT:
-        raise ParameterError("not a commitment file")
+    r.magic(MAGIC_COMMITMENT, "commitment")
     params = decode_tree_params(r)
-    block_len = r.u64()
-    count = r.u32()
+    block_len, count = r.unpack(_ROOT_HEAD)
     root = r.digests(count)
     if count != params.root_size or not r.done():
         raise ParameterError("malformed commitment")
@@ -209,13 +169,13 @@ def _put_symbols(parts: list, symbols: tuple[bytes, ...]) -> None:
     for symbol in symbols:
         if len(symbol) != width:
             raise ParameterError("symbols of one list must share one width")
-    parts += (_u16(len(symbols)), _u32(width), *symbols)
+    parts += (_SYMBOLS_HEAD.pack(len(symbols), width), *symbols)
 
 
 def _put_pom(parts: list, pom: ProofOfMembership) -> None:
     """Append the parts of ``pom``'s DAP2 encoding to ``parts``."""
     index, symbol, block_len, ancestors, parities = pom
-    parts += (MAGIC_POM, _u64(index), _u64(block_len), _u64(len(symbol)), symbol)
+    parts += (MAGIC_POM, _POM_HEAD.pack(index, block_len, len(symbol)), symbol)
     _put_symbols(parts, ancestors)
     _put_symbols(parts, parities)
 
@@ -232,11 +192,9 @@ def decode_pom(data: bytes) -> ProofOfMembership:
 
 def _take_pom(r: _Reader) -> ProofOfMembership:
     """The DAP2 proof that fills all of ``r``."""
-    if r.take(4) != MAGIC_POM:
-        raise ParameterError("not a membership proof file")
-    base_index = r.u64()
-    block_len = r.u64()
-    base_symbol = r.view(r.u64())
+    r.magic(MAGIC_POM, "membership proof")
+    base_index, block_len, symbol_len = r.unpack(_POM_HEAD)
+    base_symbol = r.view(symbol_len)
     ancestors = r.symbols()
     parities = r.symbols()
     if not r.done():
@@ -245,13 +203,12 @@ def _take_pom(r: _Reader) -> ProofOfMembership:
 
 
 def _put_path(parts: list, path: MembershipPath) -> None:
-    parts += (_u32(path.layer), _u64(path.index))
+    parts.append(_PATH_HEAD.pack(path.layer, path.index))
     _put_symbols(parts, path.ancestors)
 
 
 def _decode_path(r: _Reader) -> MembershipPath:
-    layer = r.u32()
-    index = r.u64()
+    layer, index = r.unpack(_PATH_HEAD)
     return MembershipPath(layer, index, r.symbols())
 
 
@@ -259,37 +216,32 @@ def encode_fraud_proof(proof: FraudProof) -> bytes:
     indices = proof.equation.symbol_indices
     parts = [
         MAGIC_FRAUD,
-        _u32(proof.layer),
-        _u32(proof.equation_no),
-        _u16(len(indices)),
-        *map(_u64, indices),
-        _u16(len(proof.members)),
+        _FRAUD_HEAD.pack(proof.layer, proof.equation_no, len(indices)),
+        *map(_U64.pack, indices),
+        _U16.pack(len(proof.members)),
     ]
     for member in proof.members:
-        parts += (_u64(member.index), _u64(len(member.value)), member.value)
+        parts += (_MEMBER_HEAD.pack(member.index, len(member.value)), member.value)
         _put_path(parts, member.path)
-    parts.append(_u8(1 if proof.mismatch is not None else 0))
+    parts.append(_U8.pack(1 if proof.mismatch is not None else 0))
     if proof.mismatch is not None:
-        parts += (_u64(proof.mismatch.index), proof.mismatch.expected_hash)
+        parts += (_U64.pack(proof.mismatch.index), proof.mismatch.expected_hash)
         _put_path(parts, proof.mismatch.path)
     return b"".join(parts)
 
 
 def decode_fraud_proof(data: bytes) -> FraudProof:
     r = _Reader(data)
-    if r.take(4) != MAGIC_FRAUD:
-        raise ParameterError("not a fraud proof file")
-    layer = r.u32()
-    equation_no = r.u32()
-    equation = ParityEquation(tuple(r.u64() for _ in range(r.u16())))
+    r.magic(MAGIC_FRAUD, "fraud proof")
+    layer, equation_no, degree = r.unpack(_FRAUD_HEAD)
+    equation = ParityEquation(tuple(r.unpack(_U64)[0] for _ in range(degree)))
     members = []
-    for _ in range(r.u16()):
-        index = r.u64()
-        value = r.take(r.u64())
-        members.append(FraudMember(index, value, _decode_path(r)))
+    for _ in range(r.unpack(_U16)[0]):
+        index, value_len = r.unpack(_MEMBER_HEAD)
+        members.append(FraudMember(index, r.take(value_len), _decode_path(r)))
     mismatch = None
-    if r.u8():
-        mismatch = HashMismatch(r.u64(), r.take(HASH_BYTES), _decode_path(r))
+    if r.unpack(_U8)[0]:
+        mismatch = HashMismatch(r.unpack(_U64)[0], r.take(HASH_BYTES), _decode_path(r))
     if not r.done():
         raise ParameterError("trailing bytes in fraud proof")
     return FraudProof(layer, equation_no, equation, tuple(members), mismatch)
@@ -298,15 +250,14 @@ def decode_fraud_proof(data: bytes) -> FraudProof:
 def encode_tree_cache(params: TreeParams, block: bytes) -> bytes:
     """CLI cache: parameters plus the raw block; the tree itself is
     rebuilt deterministically on load."""
-    return b"".join((MAGIC_TREE, encode_tree_params(params), _u64(len(block)), block))
+    return b"".join((MAGIC_TREE, encode_tree_params(params), _U64.pack(len(block)), block))
 
 
 def decode_tree_cache(data: bytes) -> tuple[TreeParams, bytes]:
     r = _Reader(data)
-    if r.take(4) != MAGIC_TREE:
-        raise ParameterError("not a tree cache file")
+    r.magic(MAGIC_TREE, "tree cache")
     params = decode_tree_params(r)
-    block = r.take(r.u64())
+    block = r.take(r.unpack(_U64)[0])
     if not r.done():
         raise ParameterError("trailing bytes in tree cache")
     return params, block
@@ -315,24 +266,23 @@ def decode_tree_cache(data: bytes) -> tuple[TreeParams, bytes]:
 def encode_chunk_bundle(units) -> bytes:
     """Units as (base_index, base_symbol, pom) triples. Every unit's parts
     go into one list, and one join copies each byte once."""
-    parts = [MAGIC_BUNDLE, _u32(len(units))]
+    parts = [MAGIC_BUNDLE, _U32.pack(len(units))]
     for index, symbol, pom in units:
         if not unit_agrees(index, symbol, pom):
             raise ParameterError("bundle unit disagrees with its proof")
         pom_parts: list = []
         _put_pom(pom_parts, pom)
-        parts.append(_u64(sum(map(len, pom_parts))))
+        parts.append(_U64.pack(sum(map(len, pom_parts))))
         parts += pom_parts
     return b"".join(parts)
 
 
 def decode_chunk_bundle(data: bytes):
     r = _Reader(data)
-    if r.take(4) != MAGIC_BUNDLE:
-        raise ParameterError("not a chunk bundle file")
+    r.magic(MAGIC_BUNDLE, "chunk bundle")
     units = []
-    for _ in range(r.u32()):
-        pom = _take_pom(r.window(r.u64()))
+    for _ in range(r.unpack(_U32)[0]):
+        pom = _take_pom(r.window(r.unpack(_U64)[0]))
         units.append((pom.base_index, pom.base_symbol, pom))
     if not r.done():
         raise ParameterError("trailing bytes in chunk bundle")

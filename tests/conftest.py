@@ -46,8 +46,11 @@ def planted_weak_code() -> CodeSpec:
 
 
 def code_to_text(code: CodeSpec) -> str:
-    """A code's canonical text form, which the code goldens hash: one
-    equation per line, its indices space-separated, the lines sorted."""
+    """A code's canonical text form, which the pinned code digests of
+    ``test_peel`` and ``test_codec`` hash: one parity equation per line,
+    its member indices space-separated ascending, the lines sorted
+    lexicographically, each ending in a newline. No package code writes or
+    reads this form; it exists only to pin codes in the tests."""
     lines = sorted(" ".join(str(i) for i in eq.symbol_indices) for eq in code.parity_checks)
     return "\n".join(lines) + "\n"
 

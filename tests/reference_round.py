@@ -43,7 +43,7 @@ from reference_storage import gather_units, pooled_units
 class Node:
     node_id: int
     behavior: Behavior
-    stored: dict = field(default_factory=dict)  # (key, index) -> (symbol, proof)
+    stored: dict = field(default_factory=dict)  # (key, index) -> (index, symbol, proof)
 
 
 @dataclass
@@ -206,7 +206,7 @@ def _audit(config, chain, nodes, commitment, key, round_no, design):
     picked = int(voters[rng.integers(0, len(voters))])
     want = sorted(set(design.assignments[picked].tolist()))
     stored = nodes[picked].stored
-    units = [(i, *stored[(key, i)]) for i in want if (key, i) in stored]
+    units = [stored[(key, i)] for i in want if (key, i) in stored]
     passed = _units_hold(commitment, want, units)
     return {"node": picked, "passed": passed, "slashed": 0.0 if passed else 1.0}
 
@@ -247,8 +247,8 @@ def replay(config) -> tuple[dict, list, list]:
                 stored[node.node_id] += _unit_bytes(
                     u for u in mine if (key, u[0]) not in node.stored
                 )
-                for index, symbol, pom in mine:
-                    node.stored[(key, index)] = (symbol, pom)
+                for unit in mine:
+                    node.stored[(key, unit[0])] = unit
             voters.add(node.node_id)
         pool = chain.votes.setdefault(key, set())
         pool |= voters

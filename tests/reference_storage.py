@@ -18,7 +18,7 @@ def node_on_retrieval(node, key: bytes) -> tuple:
         return ()
     return tuple(
         (idx, symbol, pom)
-        for (k, idx), (symbol, pom) in sorted(node.stored.items())
+        for (k, _), (idx, symbol, pom) in sorted(node.stored.items())
         if k == key
     )
 
@@ -34,7 +34,7 @@ def gather_units(nodes, key: bytes) -> tuple:
 def pooled_units(nodes, key: bytes) -> tuple:
     pooled: dict[int, tuple] = {}
     for node in nodes:
-        for (k, idx), (symbol, pom) in node.stored.items():
+        for (k, _), (idx, symbol, pom) in node.stored.items():
             if k == key:
                 pooled.setdefault(idx, (idx, symbol, pom))
     return tuple(pooled[i] for i in sorted(pooled))

@@ -410,7 +410,7 @@ def test_sampling_tables_match_the_reference(shape, zero, data):
         want = [ref.sample_pom(tree, i) for i in indices]
         assert [cit.sample_pom(tree, i) for i in indices] == want
     if shape == TABLE_BLOCKS[-1]:
-        assert trees[0].depth == 1 and want[0].parities == ()
+        assert len(trees[0].layers) == 2 and want[0].parities == ()
 
 
 # the round workloads' geometry (depth 8, 1024 coded base symbols) with
@@ -521,11 +521,11 @@ def test_audit_fails_a_voter_holding_one_forged_proof():
     # forged ancestor
     key = orc.commit_key(tree.commitment)
     idx = max(i for k, i in nodes[0].stored if k == key)
-    symbol, pom = nodes[0].stored[(key, idx)]
+    _idx, symbol, pom = nodes[0].stored[(key, idx)]
     forged = pom._replace(
         ancestors=_replace_at(pom.ancestors, 1, _flip(pom.ancestors[1], 0))
     )
-    nodes[0].stored[(key, idx)] = (symbol, forged)
+    nodes[0].stored[(key, idx)] = (idx, symbol, forged)
     rng = np.random.default_rng(7)
     outcomes = [orc.audit(chain, nodes, tree.commitment, 1.0, rng, design) for _ in range(20)]
     assert {o.passed for o in outcomes if o.audited == 0} == {False}
@@ -539,7 +539,7 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
-    path = honest_path(tree, tree.depth, 5)
+    path = honest_path(tree, len(tree.layers) - 1, 5)
     frontier = cit.Frontier(short)
     assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
     assert not frontier.claim(path.layer, path.index, sha256(pom.base_symbol), path.ancestors)
@@ -605,7 +605,7 @@ def spy(*_args, **_kwargs):
 def test_a_fault_inside_the_membership_verifier_propagates(monkeypatch):
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
-    leaf, path = tree.layers[-1].hashes[5].tobytes(), honest_path(tree, tree.depth, 5)
+    leaf, path = tree.layers[-1].hashes[5].tobytes(), honest_path(tree, len(tree.layers) - 1, 5)
     monkeypatch.setattr(cit, "sha256", spy)
     for call in (
         lambda: cit.Frontier(tree.commitment).walk(pom),
@@ -662,7 +662,7 @@ def membership_claims(draw):
     else:
         tree = draw(st.sampled_from(TREES))
         commitment, params = tree.commitment, tree.params
-        u = draw(st.integers(0, tree.depth))
+        u = draw(st.integers(0, len(tree.layers) - 1))
         x = draw(st.integers(0, tree.sizes[u] - 1))
         leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
     honest = (leaf, path)

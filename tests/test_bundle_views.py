@@ -54,7 +54,7 @@ def test_a_decoded_bundle_reconstructs_as_the_sampled_units(trees, small_block, 
         com = tree.commitment
         rec = rt._Reconstructor(com, rt.ChunkSet(com, sz.decode_chunk_bundle(blob)))
         rec.run()
-        rows = rec.layer_done[tree.depth]
+        rows = rec.layer_done[rec.depth]
         assert all(type(row) is memoryview and row.readonly for row in rows)
         assert [row.obj is blob for row in rows[:8]] == [False] * 4 + [True] * 4
     elif case == "fraud":
@@ -138,7 +138,7 @@ def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(small_tree
 
         # client ingest: a changed unit is skipped, the rest are walked
         values = rt._Reconstructor(com, rt.ChunkSet(com, edited)).values
-        base = {x for (u, x) in values if u == small_tree.depth}
+        base = {x for (u, x) in values if u == len(small_tree.layers) - 1}
         assert (at in base) is agrees
         assert base | {at} == set(range(32))
 
@@ -161,7 +161,7 @@ def test_fraud_proof_verdict_over_each_member_value_kind(
         tree = tampered_tree(small_block, small_params, {2: [(0, 0x5A)]})
         chunks = chunkset_for(tree, range(32))
         proof = rt.reconstruct(tree.commitment, small_params, chunks).proof
-        assert 0 < proof.layer < tree.depth
+        assert 0 < proof.layer < len(tree.layers) - 1
     else:
         tree = trees["corrupt"]
         proof = both_ways(tree, CASES["fraud"][1])[1].proof

@@ -124,6 +124,16 @@ class TestVerifyDesign:
         with pytest.raises(ParameterError, match="trials"):
             dp.verify_design(design, 0.5, 0.6, trials=trials)
 
+    @pytest.mark.parametrize("n,gamma,eta", [(5, 0.5, 0.6), (25, 0.28, 0.28)])
+    def test_gamma_n_and_eta_m_are_counted_exactly(self, n, gamma, eta):
+        # one distinct chunk per node: any ceil(gamma*N) nodes hold exactly
+        # that many chunks, which is eta*M here, so no subset fails. 2.5
+        # nodes rounds to 2 by banker's rounding, and the float 0.28 * 25 is
+        # 7.000000000000001, above the 7 chunks that 7 nodes hold
+        design = dp.DispersalDesign(n, n, 1, np.arange(n, dtype=np.int64).reshape(n, 1))
+        assert dp.verify_design(design, gamma, eta, trials=50, seed=1).failure_rate == 0.0
+        assert exact_failure_rate(design, gamma, eta)[0] == 0.0
+
     def test_montecarlo_deterministic_under_seed(self):
         design = dp.assign_chunks(200, 10, 0.25, seed=5)
         a = dp.verify_design(design, 0.4, 0.7, trials=500, seed=11)

@@ -254,8 +254,8 @@ class TestAudit:
         votes = [orc.node_on_dispersal(n, messages[n.node_id]) for n in nodes]
         orc.chain_submit_votes(chain, tree.commitment, votes)
         for node in nodes:
-            for key, (symbol, pom) in node.stored.items():
-                node.stored[key] = (bytes(len(symbol)), pom)
+            for key, (idx, symbol, pom) in node.stored.items():
+                node.stored[key] = (idx, bytes(len(symbol)), pom)
         rng = np.random.default_rng(7)
         for _ in range(5):
             out = orc.audit(chain, nodes, tree.commitment, 1.0, rng, design)
@@ -274,7 +274,7 @@ class TestBadCodeRound:
         keep = [i for i in range(32) if i not in BAD_BASE_STOPPING_SET]
         for rank, idx in enumerate(keep):
             node = nodes[rank % 4]
-            node.stored[(key, idx)] = (base[idx].tobytes(), cit.sample_pom(tree, idx))
+            node.stored[(key, idx)] = (idx, base[idx].tobytes(), cit.sample_pom(tree, idx))
         # each node answers for key from its assignment, as after dispersal
         for node in nodes:
             node.assigned[key] = tuple(keep[node.node_id::4])

@@ -12,6 +12,11 @@ dispersal theorem's check and bound, which only the acceptance tests run
 so far; ``best_oracle_deviation`` is the incentive analysis; and
 ``decode_fraud_proof`` is the documented DAF2 reader. No method or field
 is unread.
+
+A member counts as read where any attribute of its name is loaded,
+whatever the object, so a name two classes share hides the unread one: an
+unread ``depth`` on any class passes, since ``Geometry.depth`` is read.
+Such a shared name is checked by hand.
 """
 
 import ast

@@ -62,7 +62,7 @@ def test_pom_size_is_the_header_and_2L_minus_1_symbols_above_the_base(small_tree
     else:
         block = np.random.default_rng(0).bytes(256 * 1024)
         tree = cit.build_tree(block, HONEST_ROUND_PARAMS)
-    p, depth = tree.params, tree.depth
+    p, depth = tree.params, len(tree.layers) - 1
     want = POM_HEADER + p.symbol_size + (2 * depth - 1) * p.batch * HASH_BYTES
     for i in range(0, tree.sizes[-1], 7):
         assert len(sz.encode_pom(cit.sample_pom(tree, i))) == want
@@ -317,6 +317,19 @@ def test_hostile_bytes_decode_or_raise_parameter_error(valid_files, case):
             pass
 
 
+@pytest.mark.parametrize("kind", sorted(DECODERS))
+def test_every_proper_prefix_raises_parameter_error(valid_files, kind):
+    """A file cut short anywhere, its magic included, is refused with a
+    ParameterError, never a ``struct.error``."""
+    blob = valid_files[kind]
+    golden = {"DAC2": GOLDEN_COMMITMENT, "DAP2": GOLDEN_POM_15, "DAF2": GOLDEN_FRAUD}
+    if kind in golden:
+        assert sha(blob) == golden[kind]
+    for n in range(len(blob)):
+        with pytest.raises(ParameterError):
+            DECODERS[kind](blob[:n])
+
+
 # magics whose layouts were replaced; no file in them decodes any more
 RETIRED_MAGICS = ("DAC1", "DAP1", "DAF1", "DAB1")
 FORMATS_MD = Path(__file__).resolve().parent.parent / "FORMATS.md"
@@ -332,3 +345,13 @@ def test_formats_md_documents_every_magic_and_no_retired_one():
         assert f'magic "{magic}"' in text
     for magic in RETIRED_MAGICS:
         assert magic not in text
+
+
+def test_tree_params_record_is_the_56_bytes_formats_md_lists():
+    text = FORMATS_MD.read_text()
+    size = re.search(r"^## Tree parameters \(embedded struct, (\d+) bytes\)$", text, flags=re.M)
+    listing = text.split("## Tree parameters", 1)[1].split("```")[1]
+    fields = re.findall(r"^(u32|u64|f64) ", listing, flags=re.M)
+    assert struct.calcsize(sz._TREE_PARAMS.format) == int(size[1]) == 56
+    codes = {"u32": "I", "u64": "Q", "f64": "d"}
+    assert sz._TREE_PARAMS.format == "<" + "".join(codes[f] for f in fields)

@@ -489,7 +489,7 @@ def test_counters_equal_the_encoded_size_of_every_unit(monkeypatch, config):
         for messages in sent for msg in messages.values()
     )
     assert trace.bytes_stored == {
-        node_id: _unit_bytes((idx, *unit) for (_key, idx), unit in node.stored.items())
+        node_id: _unit_bytes(node.stored.values())
         for node_id, node in nodes.items()
     }
     downloaded = 0

@@ -117,9 +117,9 @@ def test_a_forged_stored_unit_is_served_as_stored(monkeypatch):
     nodes = interleaved_nodes(3)
     key = key_of(4)
     idx, symbol, pom = nodes[0].units(key)[-1]
-    forged = (bytes(len(symbol)), pom)
+    forged = (idx, bytes(len(symbol)), pom)
     nodes[0].stored[(key, idx)] = forged
-    assert (idx, *forged) in orc.node_on_retrieval(nodes[0], key)
+    assert forged in orc.node_on_retrieval(nodes[0], key)
     assert_matches_reference(monkeypatch, nodes)
 
 
