@@ -5,23 +5,22 @@ the loops read, built once per code (``CodeSpec.tables``):
 
 - ``members[e]``, the coded-symbol indices of equation ``e`` as a tuple,
   sorted ascending (the last is its parity symbol), which ``xor_encode``
-  walks, and ``touching[x]``, the equations that contain symbol ``x``,
-  ascending;
-- the same indices as CSR arrays, from which a ``Peel`` starts: ``eq_ptr``
-  int32 of shape (n_eq + 1,) and ``eq_idx`` int32 of shape (nnz,), so
-  equation ``e`` touches ``eq_idx[eq_ptr[e]:eq_ptr[e+1]]``.
+  and the callers' value XORs walk;
+- ``touching[x]``, the equations that contain symbol ``x``, ascending,
+  which the peel walks.
 
-Peeling. A ``Peel`` starts from a known set and keeps, per equation, the
-number of members still unknown and the XOR of their indices, so an
-equation with one unknown names it directly. ``Peel.mark(x)`` records
-symbol x as known and returns the equations it leaves with exactly one
-unknown. The engine never touches symbol values. ``Peel.steps()`` visits
-equations in the order of an ascending scan over all equations, repeated
-while a scan solves something, that solves each equation in turn (a fraud
-proof names the first failing equation under that rule). The caller XORs
-values, or for the alpha gate only follows the closure, and calls
-``Peel.solve(x)`` for each solve it accepts.
-``codec.is_bad_code`` and retrieval both peel this way.
+Peeling. A ``Peel`` keeps, per equation, the number of members still
+unknown and the XOR of their indices, so an equation with one unknown
+names it directly. It starts from the unknown symbols by the same
+incidence walk a solve makes, mirrored: each unknown x adds one to the
+count of every equation in ``touching[x]`` and XORs x into its index XOR;
+``Peel.solve(x)`` takes both back. The engine never touches symbol
+values. ``Peel.steps()`` visits equations in the order of an ascending
+scan over all equations, repeated while a scan solves something, that
+solves each equation in turn (a fraud proof names the first failing
+equation under that rule). The caller XORs values, or for the alpha gate
+only follows the closure, and calls ``Peel.solve(x)`` for each solve it
+accepts. ``codec.is_bad_code`` and retrieval both peel this way.
 
 Values. The base layer XORs uint8 rows, in ``xor_encode`` and in the
 peel; a digest layer's symbols, q digests each, XOR as Python ints
@@ -46,7 +45,7 @@ import numpy as np
 class CodeTables:
     """Member and incidence tables of one code's parity equations."""
 
-    __slots__ = ("members", "touching", "eq_ptr", "eq_idx")
+    __slots__ = ("members", "touching")
 
     def __init__(self, equations: Sequence[Sequence[int]], n_coded: int):
         self.members = tuple(tuple(eq) for eq in equations)
@@ -55,11 +54,6 @@ class CodeTables:
             for i in eq:
                 touching[i].append(e)
         self.touching = touching
-        self.eq_ptr = np.zeros(len(self.members) + 1, dtype=np.int32)
-        self.eq_ptr[1:] = np.cumsum([len(eq) for eq in self.members])
-        self.eq_idx = np.fromiter(
-            (i for eq in self.members for i in eq), dtype=np.int32, count=int(self.eq_ptr[-1])
-        )
 
 
 def xor_encode(members, sym):
@@ -107,30 +101,21 @@ def digest_from_int(value: int, width: int) -> bytes:
 
 
 class Peel:
-    """Peeling state of one code from a known set (``known`` a bool array),
-    kept as a bytearray that ``mark`` updates."""
+    """Peeling state of one code from its unknown symbols, ``unknown`` the
+    distinct indices of the symbols not known, in any order (a repeated
+    index would count twice). ``known`` is a bytearray, 1 per known
+    symbol, that ``solve`` updates."""
 
-    def __init__(self, tables: CodeTables, known: np.ndarray):
-        self._touching = tables.touching
-        self.known = bytearray(known.astype(np.uint8))
-        starts = tables.eq_ptr[:-1]
-        unknown = ~known[tables.eq_idx]
-        self.count = np.add.reduceat(unknown.astype(np.int32), starts).tolist()
-        self.xor = np.bitwise_xor.reduceat(np.where(unknown, tables.eq_idx, 0), starts).tolist()
-
-    def mark(self, x: int) -> list[int]:
-        """Make symbol x known; returns the equations left with exactly one
-        unknown member (an equation reaches zero only through one)."""
-        self.known[x] = 1
-        count, index_xor = self.count, self.xor
-        ready = []
-        for f in self._touching[x]:
-            c = count[f] - 1
-            count[f] = c
-            index_xor[f] ^= x
-            if c == 1:
-                ready.append(f)
-        return ready
+    def __init__(self, tables: CodeTables, unknown: Sequence[int]):
+        touching = self._touching = tables.touching
+        known = self.known = bytearray(b"\x01") * len(touching)
+        count = self.count = [0] * len(tables.members)
+        index_xor = self.xor = [0] * len(tables.members)
+        for x in unknown:
+            known[x] = 0
+            for e in touching[x]:
+                count[e] += 1
+                index_xor[e] ^= x
 
     def steps(self):
         """Yield ``(e, x)`` for each equation an ascending, solve-in-turn
@@ -152,13 +137,20 @@ class Peel:
 
     def solve(self, x: int) -> None:
         """Accept the solve of symbol x at the equation ``steps`` last
-        yielded."""
-        e = self._at
-        for f in self.mark(x):
-            if f > e:
-                heappush(self._now, f)
-            else:
-                self._later.append(f)
+        yielded: x becomes known, and each equation it leaves with exactly
+        one unknown joins this pass if it lies after that equation, else
+        the next (an equation reaches zero unknowns only through one)."""
+        self.known[x] = 1
+        e, count, index_xor = self._at, self.count, self.xor
+        for f in self._touching[x]:
+            c = count[f] - 1
+            count[f] = c
+            index_xor[f] ^= x
+            if c == 1:
+                if f > e:
+                    heappush(self._now, f)
+                else:
+                    self._later.append(f)
 
 
 def count_distinct(rows):

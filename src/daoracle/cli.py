@@ -26,6 +26,7 @@ from .dispersal import (
 from .errors import BadCode, ConfigError, IndexOutOfRange, ParameterError
 from .incentives import (
     IncentiveParams,
+    best_oracle_deviation,
     check_allC_equilibrium,
     check_allO_equilibrium,
 )
@@ -234,10 +235,15 @@ def cmd_incentives(args) -> int:
     spec = {field.name: NUMBER for field in dataclasses.fields(IncentiveParams)}
     spec["n_signatures"] = int  # k counts signatures
     params = IncentiveParams(**json_fields(_read_json(args.params), spec))
-    payload = {
-        "all_cooperate": json.loads(check_allC_equilibrium(params).to_json()),
-        "all_offline": json.loads(check_allO_equilibrium(params).to_json()),
-    }
+    payload = {}
+    for name, profile, check in (
+        ("all_cooperate", "all_c", check_allC_equilibrium),
+        ("all_offline", "all_o", check_allO_equilibrium),
+    ):
+        # one oracle node's best response says why the profile holds or not
+        action, utility = best_oracle_deviation(profile, params)
+        payload[name] = json.loads(check(params).to_json())
+        payload[name]["best_deviation"] = {"action": action.value, "utility": utility}
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text)

@@ -136,9 +136,7 @@ def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int)
     tables = code.tables
     rng = np.random.default_rng(np.uint64(rng_seed & MASK64))
     for _ in range(trials):
-        known = np.ones(n, dtype=np.bool_)
-        known[rng.permutation(n)[:erased]] = False
-        peel = _kernels.Peel(tables, known)
+        peel = _kernels.Peel(tables, rng.permutation(n)[:erased].tolist())
         for _e, x in peel.steps():
             if x >= 0:
                 peel.solve(x)

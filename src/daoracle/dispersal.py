@@ -53,10 +53,12 @@ class DispersalDesign:
 
 
 def feasibility(params: DispersalParams) -> Feasibility:
-    ratio = params.gamma / params.lam
-    if ratio < params.eta:
+    gamma, eta, lam = params.gamma, params.eta, params.lam
+    # the counting side is exact on the values as written, as the chain
+    # threshold is, so gamma/lam = eta lies in the gap; ln stays on floats
+    if as_written(gamma) < as_written(eta) * as_written(lam):
         return Feasibility.INFEASIBLE
-    if params.eta < 1 and ratio > math.log(1 / (1 - params.eta)):
+    if eta < 1 and gamma / lam > math.log(1 / (1 - eta)):
         return Feasibility.FEASIBLE
     return Feasibility.INDETERMINATE
 

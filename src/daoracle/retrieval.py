@@ -267,7 +267,7 @@ class _Reconstructor:
 
         values = [None if r is None else load(r) for r in rows]
         tables = code.tables
-        peel = Peel(tables, np.array([r is not None for r in rows]))
+        peel = Peel(tables, [x for x, r in enumerate(rows) if r is None])
         for e, x in peel.steps():
             acc = xor_members(values, tables.members[e], x)
             if x < 0:

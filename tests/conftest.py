@@ -63,7 +63,7 @@ def peel_rows(tables, sym, known):
     Returns ("decoded", -1), ("stuck", -1) or ("violation", the first
     failing equation under ``Peel.steps``)."""
     rows = [row.copy() if k else None for row, k in zip(sym, known)]
-    peel = kn.Peel(tables, known)
+    peel = kn.Peel(tables, np.flatnonzero(~known).tolist())
     outcome = None
     for e, x in peel.steps():
         acc = kn.xor_members(rows, tables.members[e], x)

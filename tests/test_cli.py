@@ -287,6 +287,16 @@ class TestDisperse:
         assert len(lines) == 8
         assert all(len(line.split()) == 8 for line in lines)
 
+    def test_feasibility_counts_on_the_values_as_written(self, tmp_path, capsys):
+        # gamma/lam = 0.02/0.1 is eta = 0.2 exactly: on the counting line,
+        # which lies in the gap
+        spec = {"n_chunks": 20, "n_nodes": 2, "lambda": 0.1, "gamma": 0.02, "eta": 0.2}
+        (tmp_path / "d.json").write_text(json.dumps(spec))
+        assert run(
+            "disperse", "--params", tmp_path / "d.json", "--out", tmp_path / "design.txt"
+        ) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("; feasibility: indeterminate\n")
+
     def test_byte_stable_under_seed(self, tmp_path):
         spec = {"n_chunks": 32, "n_nodes": 8, "lambda": 0.5}
         (tmp_path / "d.json").write_text(json.dumps(spec))
@@ -519,6 +529,10 @@ class TestTables:
         report = json.loads((tmp_path / "i_out.json").read_text())
         assert report["all_cooperate"]["is_equilibrium"] is True
         assert report["all_offline"]["is_equilibrium"] is True
+        # the best response to all-C is cooperating, at eta_b*B/k - r_m - c_s;
+        # to all-O it is staying offline, at 0
+        assert report["all_cooperate"]["best_deviation"] == {"action": "C", "utility": 4.5}
+        assert report["all_offline"]["best_deviation"] == {"action": "O", "utility": 0.0}
 
 
 TREE_PARAMS = {

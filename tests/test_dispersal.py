@@ -32,6 +32,13 @@ class TestFeasibility:
         assert params.eta < params.gamma / params.lam < math.log(1 / (1 - params.eta))
         assert dp.feasibility(params) is dp.Feasibility.INDETERMINATE
 
+    def test_counting_line_is_in_the_gap(self):
+        # gamma/lam is eta as written, though the float 0.02 / 0.1 is
+        # 0.19999999999999998, below the float 0.2
+        params = dp.DispersalParams(gamma=0.02, eta=0.2, lam=0.1)
+        assert params.gamma / params.lam < params.eta
+        assert dp.feasibility(params) is dp.Feasibility.INDETERMINATE
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             dp.DispersalParams(gamma=0.0, eta=0.5, lam=0.5)

@@ -45,14 +45,23 @@ def peel_closure(equations, n, known) -> bool:
     return len(known) == n
 
 
+def visits(tables, unknown):
+    """The ``(e, x)`` steps of the engine's peel from the unknown symbol
+    indices ``unknown``, every solve accepted, and whether it reaches every
+    symbol."""
+    peel = kn.Peel(tables, unknown)
+    visited = []
+    for e, x in peel.steps():
+        visited.append((e, x))
+        if x >= 0:
+            peel.solve(x)
+    return visited, all(peel.known)
+
+
 def closes(tables, known) -> bool:
     """True when the engine's peel from the bool array ``known`` reaches
     every symbol."""
-    peel = kn.Peel(tables, known)
-    for _e, x in peel.steps():
-        if x >= 0:
-            peel.solve(x)
-    return all(peel.known)
+    return visits(tables, np.flatnonzero(~known).tolist())[1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -139,16 +148,13 @@ def test_peel_symbols_hand_built_cases():
 
 def test_steps_follow_the_ascending_scan():
     # knowing 3 readies equation 1, whose solve of 0 readies equation 2
-    # (later in this pass) and equation 0 (in the next pass)
+    # (later in this pass) and equation 0 (in the next pass), whatever the
+    # order the unknown symbols are given in
     tables = kn.CodeTables([(0, 1), (0, 3), (0, 2)], 4)
-    peel = kn.Peel(tables, np.array([0, 0, 0, 1], dtype=bool))
-    visited = []
-    for e, x in peel.steps():
-        visited.append((e, x))
-        if x >= 0:
-            peel.solve(x)
-    assert visited == [(1, 0), (2, 2), (0, 1)]
-    assert all(peel.known)
+    for unknown in ([0, 1, 2], [2, 1, 0]):
+        visited, complete = visits(tables, unknown)
+        assert visited == [(1, 0), (2, 2), (0, 1)]
+        assert complete
 
 
 def test_count_distinct_paths_agree():

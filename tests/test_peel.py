@@ -29,7 +29,7 @@ from conftest import (
     BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, code_to_text, peel_rows,
     planted_weak_code,
 )
-from test_kernels import closes
+from test_kernels import closes, visits
 
 # SMALL (layers 32/16/8/4 at rate 1/4); the same with an ungated code that
 # has a planted stopping set in its base layer; and a rate-1/2 family whose
@@ -192,9 +192,13 @@ def test_first_fail_count_matches_the_binary_search(system, rnd):
     """The engine stalls after erasing perm[:e] iff the batched reference
     peel does, for every e; so stalling is monotone in e, which the alpha
     gate's one threshold peel per trial rests on, and the first stalling e
-    is the one the reference binary search finds."""
+    is the one the reference binary search finds. The engine steps alike
+    from the unsorted ``perm[:e]``, as ``codec.is_bad_code`` passes it, and
+    from its sorted copy."""
     n, eqs = system
     tables = kn.CodeTables(eqs, n)
+    eq_ptr = np.cumsum([0] + [len(eq) for eq in eqs]).astype(np.int32)
+    eq_idx = np.array([i for eq in eqs for i in eq], dtype=np.int32)
     perm = list(range(n))
     rnd.shuffle(perm)
     stalls = []
@@ -202,9 +206,12 @@ def test_first_fail_count_matches_the_binary_search(system, rnd):
         known = np.ones(n, dtype=np.bool_)
         known[perm[:e]] = False
         stalls.append(not closes(tables, known))
-        assert stalls[-1] == (not ref.peel_pattern(tables.eq_ptr, tables.eq_idx, known))
+        assert stalls[-1] == (not ref.peel_pattern(eq_ptr, eq_idx, known))
+        walk = visits(tables, perm[:e])
+        assert walk == visits(tables, sorted(perm[:e]))
+        assert walk[1] != stalls[-1]
     assert stalls == sorted(stalls)
-    want = ref.first_fail_count(tables.eq_ptr, tables.eq_idx, np.array(perm, dtype=np.int64))
+    want = ref.first_fail_count(eq_ptr, eq_idx, np.array(perm, dtype=np.int64))
     assert stalls.index(True) == want
 
 

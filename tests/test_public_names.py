@@ -9,9 +9,8 @@ to ``asdict`` (a ``to_json``) reads each of its fields. The exceptions are
 the allowlists below, which must match exactly, so they only shrink:
 ``coverage``, ``verify_design`` and ``invalid_design_bound`` are the
 dispersal theorem's check and bound, which only the acceptance tests run
-so far; ``best_oracle_deviation`` is the incentive analysis; and
-``decode_fraud_proof`` is the documented DAF2 reader. No method or field
-is unread.
+so far, and ``decode_fraud_proof`` is the documented DAF2 reader. No
+method or field is unread.
 
 A member counts as read where any attribute of its name is loaded,
 whatever the object, so a name two classes share hides the unread one: an
@@ -30,7 +29,6 @@ ALLOWED_UNREAD = {
     ("dispersal", "coverage"),
     ("dispersal", "invalid_design_bound"),
     ("dispersal", "verify_design"),
-    ("incentives", "best_oracle_deviation"),
     ("serialize", "decode_fraud_proof"),
 }
 ALLOWED_UNREAD_MEMBERS: set[tuple[str, str, str]] = set()
