@@ -54,21 +54,25 @@ positionally).
 Batches. A ``Frontier``, made from a commitment alone, is the one claim
 checker: a node walks its units on one, an audit a voter's units, a
 reconstruction what it collected, and a fraud-proof check claims each of
-the proof's members and its mismatch on one. The frontier holds, in one
-map by (layer, index), what the claims that passed so far authenticated:
-each ancestor with the ancestors above it, each parity symbol with the
-parity symbols above it, and each base symbol alone. A climb stops at the
-first position the frontier holds, and the parity checks at the first one
-it holds; the rest of the claim must then equal what was authenticated
-there, which is one tuple comparison each. So each claim's verdict is
-that of a check on its own, and a symbol a passing claim delivered is not
-hashed again in its batch. A frontier is never kept past its batch, so
-never shared across nodes or rounds.
+the proof's members and its mismatch on one. The frontier holds what the
+claims that passed so far authenticated in one list per layer, indexed
+by position and sized from the commitment's geometry: each ancestor with
+the ancestors above it, each parity symbol with the parity symbols above
+it, and each base symbol alone. Its constructor works out once the
+systematic counts and periods each climb step and parity check reads, so
+a claim's step is index arithmetic and one list read. A climb stops at
+the first position the frontier holds, and the parity checks at the
+first one they hold; the rest of the claim must then equal what was
+authenticated there, which is one tuple comparison each. So each claim's
+verdict is that of a check on its own, and a symbol a passing claim
+delivered is not hashed again in its batch. ``Frontier.rows(u)`` gives
+layer u's certified symbols by index, which a reconstruction peels from.
+A frontier is never kept past its batch, so never shared across nodes or
+rounds.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -439,72 +443,95 @@ def echoes_params(commitment: Commitment, params: TreeParams) -> bool:
 
 class Frontier:
     """What the passing claims of one batch authenticated against one
-    commitment, by position, never by content: ``held[(u, x)]`` is symbol
-    x of layer u followed by the symbols of its kind that its claim
+    commitment, by position, never by content: ``held[u][x]`` is symbol x
+    of layer u followed by the symbols of its kind that its claim
     authenticated above it, ancestors up to the root layer or parity
-    symbols up to layer 1; a base symbol is held alone.
+    symbols up to layer 1, or None while no claim delivered it; a base
+    symbol is held alone. ``held`` has one list per layer of the
+    commitment's geometry, sized by it, and none when the geometry is
+    invalid.
 
     Only a claim that passed whole adds positions, so the ancestors held are
-    upward-closed: with (w, a) the frontier holds every ancestor position
-    above. Each symbol it holds was certified by its claim, against the
-    committed digest at its slot of its parent. A frontier is made from a
-    commitment alone, whose params it reads, is bound to it, and lives for
-    one batch (one node's units, one audit, one reconstruction, one fraud
-    proof). Its ``geo`` is None when no claim can match the commitment:
-    the root has the wrong length, or the geometry is invalid."""
+    upward-closed: with ancestor a of layer w the frontier holds every
+    ancestor position above. Each symbol it holds was certified by its
+    claim, against the committed digest at its slot of its parent. A
+    frontier is made from a commitment alone, whose params it reads, is
+    bound to it, and lives for one batch (one node's units, one audit, one
+    reconstruction, one fraud proof). Its ``geo`` is None when no claim can
+    match the commitment: the root has the wrong length, or the geometry is
+    invalid."""
 
-    __slots__ = ("commitment", "geo", "width", "held")
+    __slots__ = ("commitment", "geo", "width", "held", "_steps", "_checks")
 
     def __init__(self, commitment: Commitment):
         params = commitment.params
         self.commitment = commitment
         self.width = params.batch * HASH_BYTES
-        self.held: dict[tuple[int, int], tuple] = {}
         self.geo: Optional[Geometry] = None
+        self.held: tuple[list, ...] = ()
+        self._steps = self._checks = ()
+        try:
+            geo = geometry(params, commitment.block_len)
+        except ParameterError:
+            return
+        held = self.held = tuple([None] * m for m in geo.sizes)
+        sys_counts, depth = geo.sys_counts, geo.depth
+        # a climb's step into layer w, from the base layer up: the running
+        # index's systematic count there, and w's list
+        self._steps = tuple((sys_counts[w], held[w]) for w in range(depth - 1, -1, -1))
+        # a walk's parity check at layer u, from the base layer up: the
+        # sampled index is s_u + i mod (m_u - s_u), under its parent of
+        # systematic count s_{u-1}
+        self._checks = tuple(
+            (sys_counts[u], geo.sizes[u] - sys_counts[u], sys_counts[u - 1], held[u])
+            for u in range(depth - 1, 0, -1)
+        )
         if len(commitment.root) == params.root_size:
-            with suppress(ParameterError):
-                self.geo = geometry(params, commitment.block_len)
+            self.geo = geo
 
-    def _climb(self, u, x, h, ancestors) -> Optional[list]:
-        """The positions of the leading ``ancestors`` (u of them, layers u-1
-        up to 0) below the first position the frontier holds, when digest
-        ``h`` of symbol ``x`` of layer ``u`` climbs through them to the
-        commitment, else None: at each layer the running digest sits at its
-        slot of the ancestor, whose digest runs on. At a held position the
-        ancestors from there up must be the ones authenticated there."""
-        if len(ancestors) != u:
+    def _climb(self, steps, x, h, ancestors) -> Optional[list]:
+        """The indices, one per step, of the leading ``ancestors`` below the
+        first position the frontier holds, when digest ``h`` of symbol
+        ``x`` climbs through them by ``steps`` (a tail of ``_steps``) to
+        the commitment, else None: at each layer the running digest sits
+        at its slot of the ancestor, whose digest runs on. At a held
+        position the ancestors from there up must be the ones
+        authenticated there."""
+        if len(ancestors) != len(steps):
             return None
-        sys_counts, held, width = self.geo.sys_counts, self.held, self.width
+        width = self.width
         fresh = []
-        for j, w in enumerate(range(u - 1, -1, -1)):
-            s_par = sys_counts[w]
+        for ancestor, (s_par, row) in zip(ancestors, steps):
             at = x // s_par * HASH_BYTES
             x %= s_par
-            ancestor = ancestors[j]
-            if len(ancestor) != width or ancestor[at : at + HASH_BYTES] != h:
+            # h is 32 bytes wide, so this is the slot's comparison
+            if len(ancestor) != width or not ancestor.startswith(h, at):
                 return None
-            key = (w, x)
-            above = held.get(key)
+            above = row[x]
             if above is not None:
                 # other ancestors above could only reach the commitment
                 # through a sha256 collision
-                return fresh if ancestors[j:] == above else None
-            fresh.append(key)
+                return fresh if ancestors[len(fresh):] == above else None
+            fresh.append(x)
             h = sha256(ancestor)
         return fresh if h == self.commitment.root[x] else None
 
     def claim(self, u: int, x: int, h: bytes, ancestors) -> bool:
-        """True iff the commitment binds a symbol hashing to ``h`` at (u, x)
-        through ``ancestors``, one per layer from u - 1 up to the root
-        layer. A claim that passes holds the ancestors it authenticated."""
+        """True iff the commitment binds a symbol hashing to the 32-byte
+        digest ``h`` at (u, x) through ``ancestors``, one per layer from
+        u - 1 up to the root layer. A claim that passes holds the ancestors
+        it authenticated."""
         geo = self.geo
         if geo is None or not 0 <= u <= geo.depth or not 0 <= x < geo.sizes[u]:
             return False
-        fresh = self._climb(u, x, h, ancestors)
+        if len(h) != HASH_BYTES:
+            return False
+        steps = self._steps[geo.depth - u :]
+        fresh = self._climb(steps, x, h, ancestors)
         if fresh is None:
             return False
-        for j, key in enumerate(fresh):
-            self.held[key] = ancestors[j:]
+        for j, x in enumerate(fresh):
+            steps[j][1][x] = ancestors[j:]
         return True
 
     def walk(self, pom: ProofOfMembership) -> bool:
@@ -514,50 +541,62 @@ class Frontier:
         The proof carries the field types ``ProofOfMembership`` declares,
         as ``serialize.decode_pom`` builds them; every value in it is
         checked, either here or by equality with what the frontier holds."""
-        geo = self.geo
-        if geo is None:
+        if self.geo is None:
             return False
-        depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
         # one unpacking: a NamedTuple's attribute loads are not specialised
         i, symbol, block_len, ancestors, parities = pom
-        if block_len != self.commitment.block_len or not 0 <= i < sizes[depth]:
+        base, checks = self.held[-1], self._checks
+        if block_len != self.commitment.block_len or not 0 <= i < len(base):
             return False
-        if len(symbol) != self.commitment.params.symbol_size or len(parities) != depth - 1:
+        if len(symbol) != self.commitment.params.symbol_size or len(parities) != len(checks):
             return False
-        fresh = self._climb(depth, i, sha256(symbol), ancestors)
+        steps = self._steps
+        fresh = self._climb(steps, i, sha256(symbol), ancestors)
         if fresh is None:
             return False
 
-        # the parity symbol sampled at layer u, s + i mod (m - s), is a child
-        # of the proof's ancestor one layer up (admitted params make s_{u-1}
-        # divide both s and m - s), and its digest sits at its slot there
-        held, width = self.held, self.width
+        # the parity symbol sampled at layer u is a child of the proof's
+        # ancestor one layer up (admitted params make s_{u-1} divide both s
+        # and m - s), and its digest sits at its slot there
+        width = self.width
         checked = []
-        for j, u in enumerate(range(depth - 1, 0, -1)):
-            s = sys_counts[u]
-            key = (u, s + i % (sizes[u] - s))
-            above = held.get(key)
+        for j, (s, period, s_up, row) in enumerate(checks):
+            x = s + i % period
+            above = row[x]
             if above is not None:
                 if parities[j:] != above:
                     return False
                 break
-            at = key[1] // sys_counts[u - 1] * HASH_BYTES
             parity = parities[j]
-            if len(parity) != width or ancestors[j + 1][at : at + HASH_BYTES] != sha256(parity):
+            if len(parity) != width or not ancestors[j + 1].startswith(
+                sha256(parity), x // s_up * HASH_BYTES
+            ):
                 return False
-            checked.append(key)
+            checked.append(x)
 
-        for j, key in enumerate(fresh):
-            held[key] = ancestors[j:]
-        for j, key in enumerate(checked):
-            held[key] = parities[j:]
-        held.setdefault((depth, i), (symbol,))
+        for j, x in enumerate(fresh):
+            steps[j][1][x] = ancestors[j:]
+        for j, x in enumerate(checked):
+            checks[j][3][x] = parities[j:]
+        if base[i] is None:
+            base[i] = (symbol,)
         return True
+
+    def rows(self, u: int) -> list:
+        """Layer u's certified symbols by index, None where no passing
+        claim delivered one: a new list, which the caller may fill in."""
+        # a held entry is a non-empty tuple, so ``and`` picks its symbol
+        return [held and held[0] for held in self.held[u]]
 
     def known(self) -> dict[tuple[int, int], bytes]:
         """Each symbol the passing claims delivered, certified, by (layer,
         index); each is derived once, however many claims carried it."""
-        return {key: symbols[0] for key, symbols in self.held.items()}
+        return {
+            (u, x): symbols[0]
+            for u, row in enumerate(self.held)
+            for x, symbols in enumerate(row)
+            if symbols is not None
+        }
 
 
 def walk_pom(frontier: Frontier, pom: ProofOfMembership) -> bool:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -96,11 +98,11 @@ class OracleNode:
 
     def units(self, key: bytes) -> tuple:
         """The node's stored (index, symbol, proof) units of ``key``, in
-        ascending index order, whatever its behavior."""
-        stored = self.stored
-        return tuple(
-            stored[(key, idx)] for idx in self.assigned.get(key, ()) if (key, idx) in stored
-        )
+        ascending index order, whatever its behavior: one lookup per
+        assigned index, of which a node that votes without storing holds
+        none."""
+        found = map(self.stored.get, zip(repeat(key), self.assigned.get(key, ())))
+        return tuple(filter(None, found))
 
     def assign(self, key: bytes, assigned) -> None:
         """Add the indices ``assigned`` to the node's assignment for
@@ -282,10 +284,10 @@ def _first_wins(answers) -> tuple:
     """The distinct units of several answers by ascending index; of units
     with one index, the first answer's wins."""
     units: dict[int, tuple] = {}
-    for answer in answers:
-        for unit in answer:
-            units.setdefault(unit[0], unit)
-    return tuple(units[i] for i in sorted(units))
+    # the last answer first, so each earlier one overwrites what it holds
+    for answer in reversed(list(answers)):
+        units.update(zip(map(itemgetter(0), answer), answer))
+    return tuple(map(units.get, sorted(units)))
 
 
 def gather_units(nodes, key: bytes):

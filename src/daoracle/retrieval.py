@@ -18,7 +18,10 @@ and up.
 Each symbol is certified once: ingest walks the collected proofs against
 one ``cit.Frontier``, which checks each delivered symbol against the
 committed digest at its slot of its parent, and a solve is checked at its
-solve.
+solve. The frontier holds what passed in one list per layer, indexed by
+position, so each layer is peeled from a copy of its list
+(``Frontier.rows``), and a stall counts the other layers' symbols from
+the same lists.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient.
@@ -172,19 +175,15 @@ class _Reconstructor:
         self.commitment = commitment
         geo = geometry(commitment.params, commitment.block_len)
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
-        # known symbols by position, each certified at ingest
-        self.values = self._ingest(chunks)
-        self.layer_done: dict[int, list[bytes]] = {}
-
-    def _ingest(self, chunks: ChunkSet):
-        # the walks share one frontier, as a node's dispersal check does;
-        # each goes through this module's walk_pom name, which per-proof
-        # timers wrap
-        frontier = Frontier(self.commitment)
+        # the walks share one frontier, as a node's dispersal check does,
+        # and its per-layer lists hold the symbols each layer is peeled
+        # from, each certified at ingest; each walk goes through this
+        # module's walk_pom name, which per-proof timers wrap
+        self.frontier = frontier = Frontier(commitment)
         for index, symbol, pom in chunks.units:
             if unit_agrees(index, symbol, pom):
                 walk_pom(frontier, pom)
-        return frontier.known()
+        self.layer_done: dict[int, list[bytes]] = {}
 
     def _expected_hash(self, u: int, x: int) -> bytes:
         """The committed digest of symbol x of layer u: the commitment's
@@ -221,7 +220,7 @@ class _Reconstructor:
         for u in range(self.depth + 1):
             m = self.sizes[u]
             code = layer_code(params, m)
-            rows = [self.values.get((u, x)) for x in range(m)]
+            rows = self.frontier.rows(u)
             outcome, known = self._peel_layer(u, code, rows)
             if outcome is not None:
                 return outcome
@@ -289,8 +288,8 @@ class _Reconstructor:
             elif u == stalled:
                 fractions.append((u, fraction))
             else:
-                have = sum(1 for (w, _i) in self.values if w == u)
-                fractions.append((u, have / self.sizes[u]))
+                held = self.frontier.held[u]
+                fractions.append((u, (len(held) - held.count(None)) / len(held)))
         return Insufficient(tuple(fractions))
 
 

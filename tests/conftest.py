@@ -100,6 +100,17 @@ def chunkset_for(tree: CodedTree, indices) -> ChunkSet:
     return ChunkSet(tree.commitment, tuple((pom.base_index, pom.base_symbol, pom) for pom in poms))
 
 
+def ingested(reader) -> dict:
+    """What a ``retrieval._Reconstructor`` peels its layers from: each
+    certified symbol of ``frontier.rows(u)``, by (layer, index)."""
+    return {
+        (u, x): symbol
+        for u in range(reader.depth + 1)
+        for x, symbol in enumerate(reader.frontier.rows(u))
+        if symbol is not None
+    }
+
+
 def voted_commitments(monkeypatch) -> list:
     """The commitment of each round ``simnet.run_scenario`` runs from here
     on, in round order, as each reaches ``chain_submit_votes``."""

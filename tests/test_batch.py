@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_proofs as ref
@@ -36,7 +36,7 @@ from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode, IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
 
-from conftest import SMALL, chunkset_for
+from conftest import SMALL, chunkset_for, ingested
 from fraction_geometry import pom_pairs
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
 from test_peel import tampered_tree
@@ -87,7 +87,7 @@ def check_batch(tree, poms) -> list:
             assert sha256(value) == slot(values[(u - 1, x % s_par)], x // s_par)
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(c, rt.ChunkSet(c, units))
-    assert reader.values == values
+    assert ingested(reader) == reader.frontier.known() == values
     return want
 
 
@@ -202,8 +202,9 @@ def test_ingest_keeps_the_collected_tuples_upward_closed(case):
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(tree.commitment, rt.ChunkSet(tree.commitment, units))
     sys_counts = cit.geometry(tree.params, tree.block_len).sys_counts
-    for u, x in reader.values:
-        assert u == 0 or (u - 1, x % sys_counts[u - 1]) in reader.values
+    values = ingested(reader)
+    for u, x in values:
+        assert u == 0 or (u - 1, x % sys_counts[u - 1]) in values
 
 
 @st.composite
@@ -536,14 +537,23 @@ def test_audit_fails_a_voter_holding_one_forged_proof():
 
 
 def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
+    """Nor does one whose block_len puts the base layer past
+    MAX_BASE_SYMBOLS: its frontier sizes no per-layer list."""
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
+    p = tree.params
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
+    too_long = (cit.MAX_BASE_SYMBOLS // p.rate.denominator + 1) * p.symbol_size
+    huge = dataclasses.replace(tree.commitment, block_len=too_long)
+    with pytest.raises(ParameterError, match="exceeds the cap"):
+        cit.geometry(p, too_long)
     path = honest_path(tree, len(tree.layers) - 1, 5)
-    frontier = cit.Frontier(short)
-    assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
-    assert not frontier.claim(path.layer, path.index, sha256(pom.base_symbol), path.ancestors)
-    assert frontier.known() == {}
+    for commitment in (short, huge):
+        frontier = cit.Frontier(commitment)
+        assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
+        assert not frontier.claim(path.layer, path.index, sha256(pom.base_symbol), path.ancestors)
+        assert frontier.known() == {}
+    assert cit.Frontier(huge).held == ()
 
 
 @pytest.mark.parametrize("field", ("code_seed", "root_size"))
@@ -713,8 +723,18 @@ def membership_claims(draw):
     return kind, commitment, honest, (leaf, path)
 
 
+def truncated_leaf_claim():
+    """A base symbol's honest claim, and the claim of its digest less its
+    last byte: every slot of the honest ancestors starts with it."""
+    tree = TREES[0]
+    u, x = len(tree.layers) - 1, 5
+    leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
+    return "leaf_hash", tree.commitment, (leaf, path), (leaf[:-1], path)
+
+
 @settings(max_examples=300, deadline=None)
 @given(membership_claims())
+@example(truncated_leaf_claim())
 def test_verify_membership_matches_the_reference(claim):
     """A claim gets the reference verdict on a fresh frontier, and on one
     that took the honest claim it was made from first."""

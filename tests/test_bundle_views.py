@@ -11,7 +11,7 @@ from daoracle import cli, oracle, retrieval as rt, serialize as sz
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 
-from conftest import chunkset_for
+from conftest import chunkset_for, ingested
 from test_peel import tampered_tree
 from test_serialize import GOLDEN_FRAUD, sha
 
@@ -137,7 +137,7 @@ def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(small_tree
         assert oracle._units_check(com, range(32), edited) is agrees
 
         # client ingest: a changed unit is skipped, the rest are walked
-        values = rt._Reconstructor(com, rt.ChunkSet(com, edited)).values
+        values = ingested(rt._Reconstructor(com, rt.ChunkSet(com, edited)))
         base = {x for (u, x) in values if u == len(small_tree.layers) - 1}
         assert (at in base) is agrees
         assert base | {at} == set(range(32))
