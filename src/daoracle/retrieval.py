@@ -10,10 +10,13 @@ against its slot in its decoded parent, or at the root layer against the
 commitment, and every fully known equation is checked for zero XOR; a
 contradiction there yields a compact incorrect-coding proof a third party
 can verify against the commitment alone, each member bound by the
-ancestors the decoded layers above hold. Digest layers XOR their symbols
-as Python ints, here as in ``cit.build_tree``'s encode, and the base
-layer as uint8 rows in both, which are faster at symbol widths of 1 KiB
-and up.
+ancestors the decoded layers above hold. The peel and the fraud-proof
+check pick the form they XOR a layer's symbols in by its symbol width
+(``_kernels.value_form``): Python ints up to ``INT_VALUE_MAX_BYTES``
+(2 KiB), as a round's 256-byte digest-layer and 1 KiB base symbols are,
+and uint8 rows above it, as ``bulk_block``'s 64 KiB base rows are.
+``cit.build_tree``'s encode still picks by layer: digest layers as ints,
+the base layer as uint8 rows.
 
 Each symbol is certified once: ingest walks the collected proofs against
 one ``cit.Frontier``, which checks each delivered symbol against the
@@ -32,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import numpy as np
-
 from .cit import (
     Commitment,
     Frontier,
@@ -47,7 +48,7 @@ from .cit import (
     verify_membership,
     walk_pom,
 )
-from ._kernels import Peel, digest_from_int, int_from_digest, xor_members
+from ._kernels import Peel, value_form, xor_members
 from .codec import CodeSpec, ParityEquation
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, sha256
@@ -63,7 +64,7 @@ class ChunkSet:
 class FraudMember:
     index: int
     # a base-layer value may be a read-only view: of a decoded bundle, or
-    # of the XOR that solved it
+    # of the XOR that solved a symbol wider than INT_VALUE_MAX_BYTES
     value: bytes | memoryview
     path: MembershipPath
 
@@ -131,36 +132,41 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     if code.parity_checks[proof.equation_no] != proof.equation:
         return False
-    width = params.symbol_size if u == depth else params.batch * HASH_BYTES
+    width = _symbol_width(params, u, depth)
+    load, dump, nonzero = value_form(width)
 
     eq_idx = set(proof.equation.symbol_indices)
-    # each checked member's value as a uint8 row, by index: the XOR below
-    # runs over the indices this holds
-    rows = {}
+    # each checked member's value, in the form the peel XORs it in, by
+    # index: the XOR below runs over the indices this holds
+    values = {}
     for member in proof.members:
         path = member.path
-        if member.index in rows or member.index not in eq_idx:
+        if member.index in values or member.index not in eq_idx:
             return False
         if len(member.value) != width or (path.layer, path.index) != (u, member.index):
             return False
         if not verify_membership(frontier, sha256(member.value), path):
             return False
-        rows[member.index] = np.frombuffer(member.value, dtype=np.uint8)
+        values[member.index] = load(member.value)
 
     if proof.mismatch is None:
-        if set(rows) != eq_idx:
+        if set(values) != eq_idx:
             return False
-        return bool(xor_members(rows, rows).any())
+        return bool(nonzero(xor_members(values, values)))
 
     mm = proof.mismatch
-    if mm.index not in eq_idx or set(rows) != eq_idx - {mm.index}:
+    if mm.index not in eq_idx or set(values) != eq_idx - {mm.index}:
         return False
     if len(mm.expected_hash) != HASH_BYTES or (mm.path.layer, mm.path.index) != (u, mm.index):
         return False
     if not verify_membership(frontier, mm.expected_hash, mm.path):
         return False
-    derived = xor_members(rows, rows)
-    return sha256(derived.tobytes()) != mm.expected_hash
+    return sha256(dump(xor_members(values, values))) != mm.expected_hash
+
+
+def _symbol_width(params: TreeParams, u: int, depth: int) -> int:
+    """The byte width of layer u's symbols: a base symbol, or q digests."""
+    return params.symbol_size if u == depth else params.batch * HASH_BYTES
 
 
 def fraud_proof_size(proof: FraudProof) -> int:
@@ -251,24 +257,25 @@ class _Reconstructor:
         ``rows`` holds each symbol's bytes or None and is filled in with
         every solve. Every fully known equation the order reaches is checked
         for zero XOR, and every solve against its committed digest. Returns
-        (the Fraud of the first contradiction or None, the known flags)."""
-        if u == self.depth:
-            # wide symbols XOR fastest as uint8 rows; a solved row is kept
-            # as a read-only view of its XOR result, so the block's join
-            # is its only copy
-            load, dump, nonzero = _row_from_bytes, _view_of_row, np.ndarray.any
-        else:
-            width = self.commitment.params.batch * HASH_BYTES
-            load, nonzero = int_from_digest, bool
+        (the Fraud of the first contradiction or None, the known flags).
 
-            def dump(value: int) -> bytes:
-                return digest_from_int(value, width)
-
-        values = [None if r is None else load(r) for r in rows]
+        The symbol width picks the value form (``_kernels.value_form``):
+        Python ints up to ``INT_VALUE_MAX_BYTES``, whose solves are kept as
+        bytes, and uint8 rows above it, whose solves are kept as read-only
+        views of their XOR results, so the block's join is their only copy.
+        A known symbol's value is loaded the first time the order reaches
+        an equation that holds it, so a contradiction found early loads
+        only the members of the equations up to it."""
+        load, dump, nonzero = value_form(_symbol_width(self.commitment.params, u, self.depth))
+        values = [None] * len(rows)
         tables = code.tables
         peel = Peel(tables, [x for x, r in enumerate(rows) if r is None])
         for e, x in peel.steps():
-            acc = xor_members(values, tables.members[e], x)
+            members = tables.members[e]
+            for i in members:
+                if values[i] is None and i != x:
+                    values[i] = load(rows[i])
+            acc = xor_members(values, members, x)
             if x < 0:
                 if nonzero(acc):
                     return self._fraud(u, code, e, rows), peel.known
@@ -291,15 +298,6 @@ class _Reconstructor:
                 held = self.frontier.held[u]
                 fractions.append((u, (len(held) - held.count(None)) / len(held)))
         return Insufficient(tuple(fractions))
-
-
-def _row_from_bytes(value: bytes | memoryview) -> np.ndarray:
-    return np.frombuffer(value, dtype=np.uint8)
-
-
-def _view_of_row(row: np.ndarray) -> memoryview:
-    row.setflags(write=False)
-    return row.data
 
 
 def reconstruct(

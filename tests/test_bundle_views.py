@@ -1,18 +1,20 @@
 """Retrieval from a decoded bundle, whose base symbols are read-only views
 of the bundle bytes, against retrieval from the sampled units, and the
 unit checks that compare a unit's symbol with its proof's, and the fraud
-verifier over each kind of member value."""
+verifier over each kind of member value, at base symbol widths on both
+sides of ``_kernels.INT_VALUE_MAX_BYTES``."""
 
 from dataclasses import replace
 
 import pytest
 
 from daoracle import cli, oracle, retrieval as rt, serialize as sz
+from daoracle.cit import build_tree
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 
 from conftest import chunkset_for, ingested
-from test_peel import tampered_tree
+from test_peel import WIDE_PARAMS, tampered_tree
 from test_serialize import GOLDEN_FRAUD, sha
 
 # (tree, kept chunks): base symbols 0-3 solved by peeling, the first
@@ -30,6 +32,19 @@ def trees(small_tree, small_block, small_params):
     return {"honest": small_tree, "corrupt": corrupt}
 
 
+@pytest.fixture(scope="module")
+def wide_block():
+    return bytes((i * 37 + 11) % 256 for i in range(8 * WIDE_PARAMS.symbol_size))
+
+
+@pytest.fixture(scope="module")
+def wide_trees(wide_block):
+    """The ``trees`` pair in SMALL's layout with base symbols wider than
+    the peel XORs as ints."""
+    corrupt = build_tree_with_base_corruption(wide_block, WIDE_PARAMS, xor_mask=0x5A)
+    return {"honest": build_tree(wide_block, WIDE_PARAMS), "corrupt": corrupt}
+
+
 def both_ways(tree, keep):
     """The reconstructions from the sampled units and from those units
     through a DAB2 bundle."""
@@ -37,6 +52,16 @@ def both_ways(tree, keep):
     com, params = tree.commitment, tree.params
     decoded = rt.ChunkSet(com, sz.decode_chunk_bundle(sz.encode_chunk_bundle(sampled.units)))
     return rt.reconstruct(com, params, sampled), rt.reconstruct(com, params, decoded)
+
+
+def base_through_a_bundle(tree, keep):
+    """The decoded base layer of a reconstruction from ``keep`` through a
+    DAB2 bundle, and the bundle's bytes."""
+    blob = sz.encode_chunk_bundle(chunkset_for(tree, keep).units)
+    com = tree.commitment
+    reader = rt._Reconstructor(com, rt.ChunkSet(com, sz.decode_chunk_bundle(blob)))
+    assert isinstance(reader.run(), rt.Block)
+    return reader.layer_done[reader.depth], blob
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -48,26 +73,36 @@ def test_a_decoded_bundle_reconstructs_as_the_sampled_units(trees, small_block, 
     if case == "block":
         assert sampled.data == decoded.data == small_block
         assert type(decoded.data) is bytes
-        # no base symbol was copied before the block's join: a delivered
-        # one is a view of the bundle, a solved one a view of its XOR
-        blob = sz.encode_chunk_bundle(chunkset_for(tree, keep).units)
-        com = tree.commitment
-        rec = rt._Reconstructor(com, rt.ChunkSet(com, sz.decode_chunk_bundle(blob)))
-        rec.run()
-        rows = rec.layer_done[rec.depth]
-        assert all(type(row) is memoryview and row.readonly for row in rows)
-        assert [row.obj is blob for row in rows[:8]] == [False] * 4 + [True] * 4
+        # 64-byte symbols peel as ints: a solved base symbol is the bytes
+        # of its XOR, and a delivered one is still a view of the bundle
+        rows, blob = base_through_a_bundle(tree, keep)
+        kinds = [memoryview if x in keep else bytes for x in range(32)]
+        assert [type(row) for row in rows] == kinds
+        assert all(rows[x].obj is blob and rows[x].readonly for x in keep)
     elif case == "fraud":
         blobs = [sz.encode_fraud_proof(r.proof) for r in (sampled, decoded)]
         assert sha(blobs[0]) == sha(blobs[1]) == GOLDEN_FRAUD
         for result in (sampled, decoded):
             assert rt.verify_fraud_proof(tree.commitment, tree.params, result.proof)
-        # a base-layer member is a view: of the bundle, or of its solve
-        assert any(type(m.value) is memoryview for m in decoded.proof.members)
+        # every member was delivered, so each is a view of the bundle
+        assert all(type(m.value) is memoryview for m in decoded.proof.members)
     else:
         assert sampled.known_fractions == decoded.known_fractions
         # 11 chunks delivered and one more solved by peeling
         assert sampled.known_fractions[-1] == (3, 12 / 32)
+
+
+def test_wide_base_symbols_are_views_until_the_blocks_join(wide_trees, wide_block):
+    """Symbols wider than ``INT_VALUE_MAX_BYTES`` peel as uint8 rows, and no
+    base symbol is copied before the block's join: a delivered one is a
+    view of the bundle, a solved one a read-only view of its XOR."""
+    tree = wide_trees["honest"]
+    keep = CASES["block"][1]
+    sampled, decoded = both_ways(tree, keep)
+    assert sampled.data == decoded.data == wide_block
+    rows, blob = base_through_a_bundle(tree, keep)
+    assert all(type(row) is memoryview and row.readonly for row in rows)
+    assert [row.obj is blob for row in rows] == [x in keep for x in range(32)]
 
 
 @pytest.mark.parametrize("case", ("block", "fraud"))
@@ -148,28 +183,32 @@ def with_first_member(proof, value):
 
 
 @pytest.mark.parametrize("flipped", (False, True), ids=("as_built", "one_member_flipped"))
-@pytest.mark.parametrize("case", ("base_views", "base_bytes", "digest_layer"))
+@pytest.mark.parametrize(
+    "case", ("base_views", "base_bytes", "digest_layer", "wide_base_views", "wide_base_bytes")
+)
 def test_fraud_proof_verdict_over_each_member_value_kind(
-    trees, small_block, small_params, case, flipped
+    trees, wide_trees, small_block, small_params, case, flipped
 ):
-    """``verify_fraud_proof`` XORs the members as uint8 rows whatever holds
-    their values: a base-layer proof from a decoded bundle, whose members
-    are read-only views, the same proof with bytes values, and a
-    digest-layer proof each verify, and each fails with one member value a
-    byte off."""
+    """``verify_fraud_proof`` XORs the members in the form the peel XORs
+    their width in, ints or uint8 rows, whatever holds their values: a
+    base-layer proof from a decoded bundle, whose members are read-only
+    views, the same proof with bytes values, each at 64 bytes (ints) and
+    above ``INT_VALUE_MAX_BYTES`` (uint8 rows), and a digest-layer proof
+    each verify, and each fails with one member value a byte off."""
     if case == "digest_layer":
         tree = tampered_tree(small_block, small_params, {2: [(0, 0x5A)]})
         chunks = chunkset_for(tree, range(32))
         proof = rt.reconstruct(tree.commitment, small_params, chunks).proof
         assert 0 < proof.layer < len(tree.layers) - 1
     else:
-        tree = trees["corrupt"]
+        tree = (wide_trees if case.startswith("wide") else trees)["corrupt"]
         proof = both_ways(tree, CASES["fraud"][1])[1].proof
-        if case == "base_bytes":
+        assert proof.layer == len(tree.layers) - 1
+        if case.endswith("bytes"):
             members = tuple(replace(m, value=bytes(m.value)) for m in proof.members)
             proof = replace(proof, members=members)
         kinds = {type(m.value) for m in proof.members}
-        assert (memoryview in kinds) is (case == "base_views")
+        assert (memoryview in kinds) is case.endswith("views")
     if flipped:
         first = proof.members[0].value
         kind = "view" if type(first) is memoryview else "bytes"

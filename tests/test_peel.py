@@ -5,7 +5,9 @@ and the gate accepts the same codes.
 
 Reconstructions run on trees whose layers, the root layer included,
 violate their codes at random places, from random chunk subsets, and on a
-code with a planted stopping set, so every outcome kind occurs.
+code with a planted stopping set, so every outcome kind occurs; one tree's
+base symbols are wider than ``_kernels.INT_VALUE_MAX_BYTES``, so both value
+forms of the peel, Python ints and uint8 rows, meet the reference.
 """
 
 import hashlib
@@ -31,9 +33,14 @@ from conftest import (
 )
 from test_kernels import closes, visits
 
+# SMALL's layers with base symbols wider than the peel XORs as ints, so
+# its base layer peels as uint8 rows and its digest layers as ints
+WIDE_PARAMS = cit.TreeParams(**{**SMALL, "symbol_size": 2 * kn.INT_VALUE_MAX_BYTES})
+
 # SMALL (layers 32/16/8/4 at rate 1/4); the same with an ungated code that
-# has a planted stopping set in its base layer; and a rate-1/2 family whose
-# top layers (4 and 2 symbols) are k <= 2 repetition codes
+# has a planted stopping set in its base layer; a rate-1/2 family whose
+# top layers (4 and 2 symbols) are k <= 2 repetition codes; and
+# WIDE_PARAMS, its last systematic symbol padded
 PARAMS = (
     cit.TreeParams(**SMALL),
     cit.TreeParams(**{**SMALL, "code_seed": BAD_BASE_CODE_SEED, "gate_trials": 0}),
@@ -41,8 +48,9 @@ PARAMS = (
         symbol_size=16, root_size=2, rate=Fraction(1, 2), batch=4, max_eq_degree=5,
         alpha=0.1, code_seed=3, gate_trials=8,
     ),
+    WIDE_PARAMS,
 )
-BLOCK_LENS = (512, 512, 250)
+BLOCK_LENS = (512, 512, 250, 8 * WIDE_PARAMS.symbol_size - 100)
 
 
 def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
@@ -125,8 +133,9 @@ def test_reconstruction_matches_the_reference(data):
 
 def test_reconstruction_cases_reach_every_outcome():
     """A seeded sweep over the same cases meets every outcome kind and both
-    fraud flavours, at the root layer as below it, all equal to the
-    reference, and every fraud proof verifies."""
+    fraud flavours, at the root layer as below it, and a block and a base
+    fraud peeled as uint8 rows, all equal to the reference, and every
+    fraud proof verifies."""
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(200):
@@ -134,15 +143,21 @@ def test_reconstruction_cases_reach_every_outcome():
         new, old, tree = both(*case)
         assert new == old
         kind, *rest = new
+        wide = PARAMS[case[0]] is WIDE_PARAMS
         if kind == "fraud":
             proof = decode_fraud_proof(rest[0])
             assert rt.verify_fraud_proof(tree.commitment, tree.params, proof)
             kind = "equation fraud" if proof.mismatch is None else "mismatch fraud"
             if proof.layer == 0:
                 seen.add("root fraud")
+            if wide and proof.layer == len(tree.layers) - 1:
+                seen.add("wide base fraud")
+        if wide and kind == "block":
+            seen.add("wide block")
         seen.add(kind)
     assert seen >= {
         "block", "equation fraud", "mismatch fraud", "insufficient", "bad code", "root fraud",
+        "wide block", "wide base fraud",
     }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt
+from daoracle._kernels import value_form
 from daoracle.errors import BadCode, ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
@@ -248,6 +249,40 @@ class TestFraud:
         assert not rt.verify_fraud_proof(
             corrupted.commitment, small_params, relabeled
         )
+
+    def test_a_fraud_at_the_first_equation_loads_only_its_members(
+        self, corrupted, monkeypatch
+    ):
+        # a value is loaded on first read: with every chunk delivered, the
+        # base peel stops at its first equation and loads that equation's
+        # members alone, and no layer loads a symbol twice
+        loaded = []
+
+        def spy(width):
+            load, dump, nonzero = value_form(width)
+            seen = []
+            loaded.append(seen)
+
+            def recorded(value):
+                seen.append(value)
+                return load(value)
+
+            return recorded, dump, nonzero
+
+        monkeypatch.setattr(rt, "value_form", spy)
+        com = corrupted.commitment
+        reader = rt._Reconstructor(com, chunkset_for(corrupted, range(32)))
+        out = reader.run()
+        depth = reader.depth
+        assert isinstance(out, rt.Fraud)
+        assert (out.proof.layer, out.proof.equation_no, out.proof.mismatch) == (depth, 0, None)
+        assert len(loaded) == depth + 1
+        base = reader.frontier.rows(depth)
+        members = out.proof.equation.symbol_indices
+        assert len(members) < len(base)
+        assert sorted(map(id, loaded[depth])) == sorted(id(base[i]) for i in members)
+        for seen in loaded:
+            assert len(set(map(id, seen))) == len(seen)
 
     def test_proof_encoding_round_trip(self, corrupted, small_params):
         out = rt.reconstruct(
