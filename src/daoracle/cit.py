@@ -13,11 +13,12 @@ the root size are rejected.
 Aggregation. Child x of layer u+1 feeds the parent systematic symbol
 ``x mod s`` of layer u, where s is layer u's systematic count, at slot
 ``x // s``: a parent is its q children's digests concatenated in ascending
-child index, q * 32 bytes, as in Coded Merkle Trees. ``aggregate`` reads
-those digests from the child layer's ``Layer.hashes``, so ``build_tree``
-hashes each row of each layer once, the count of one hash per symbol per
-layer that Coded Merkle Tree commitments cost. The commitment holds the
-digests of the root layer's t symbols.
+child index, q * 32 bytes, as in Coded Merkle Trees. ``build_tree``
+hashes each row of a layer once and ``aggregate`` reads those digests, held
+only until the parent layer is built, so a tree costs one hash per symbol
+per layer, as Coded Merkle Tree commitments do. A tree's ``Layer`` keeps
+only its symbols. The commitment holds the digests of the root layer's t
+symbols.
 
 Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
@@ -213,7 +214,6 @@ def _geometry(symbol_size, root_size, e, batch, block_len) -> Geometry:
 @dataclass(frozen=True)
 class Layer:
     symbols: np.ndarray  # (size, width) uint8, read-only
-    hashes: np.ndarray  # (size, 32) uint8, digests of the rows
 
 
 @dataclass(frozen=True)
@@ -345,43 +345,43 @@ def _encode_digests(code: CodeSpec, inputs: np.ndarray) -> list[bytes]:
 def build_tree(
     block: bytes,
     params: TreeParams,
-    base_tamper: Optional[Callable[[np.ndarray, CodeSpec], None]] = None,
+    tamper: Optional[Callable[[int, np.ndarray, CodeSpec], None]] = None,
 ) -> CodedTree:
-    """Encode, hash and aggregate every layer of the tree over ``block``.
+    """Encode, hash and aggregate every layer of the tree over ``block``,
+    from the base layer up.
 
-    ``base_tamper(symbols, code)``, when given, edits the encoded base
-    layer in place before anything is hashed, so the tree stays
-    self-consistent (every proof verifies) while the base layer may
-    violate its code."""
+    ``tamper(u, symbols, code)``, when given, is called once per layer,
+    from the base (u = depth) up to the root (u = 0), with the layer's
+    encoded (m, width) uint8 array, which it may edit in place before
+    anything is hashed. So the tree stays self-consistent (every proof
+    verifies) while any layer may violate its code."""
     geo = geometry(params, len(block))
     sizes, depth = geo.sizes, geo.depth
     padded = block + bytes(-len(block) % params.symbol_size)
     # a read-only view: encode_array copies it into the codeword once
     base_inputs = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size)
 
-    layers: dict[int, Layer] = {}
-    code = layer_code(params, sizes[depth])
-    cur = encode_array(code, base_inputs)
-    if base_tamper is not None:
-        base_tamper(cur, code)
-    layers[depth] = Layer(cur, _hash_rows(cur))
-    for u in range(depth - 1, -1, -1):
-        parent_sys = aggregate(layers[u + 1].hashes, sizes[u], params)
+    layers = [None] * (depth + 1)
+    for u in range(depth, -1, -1):
         code = layer_code(params, sizes[u])
-        rows = _encode_digests(code, parent_sys)
-        cur = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), -1)
-        layers[u] = Layer(cur, _hash_rows(rows))
-    for layer in layers.values():
-        layer.symbols.setflags(write=False)
-        layer.hashes.setflags(write=False)
+        if u == depth:
+            rows = cur = encode_array(code, base_inputs)
+        else:
+            rows = _encode_digests(code, aggregate(hashes, sizes[u], params))
+            cur = np.frombuffer(bytearray().join(rows), dtype=np.uint8).reshape(len(rows), -1)
+        if tamper is not None:
+            tamper(u, cur, code)
+            # bytes rows hash faster than array rows; an edited layer has
+            # only its array
+            if rows is not cur and cur.tobytes() != b"".join(rows):
+                rows = cur
+        hashes = _hash_rows(rows)
+        cur.setflags(write=False)
+        layers[u] = Layer(cur)
 
-    root = tuple(_split(layers[0].hashes))
-    commitment = Commitment(root=root, params=params, block_len=len(block))
+    commitment = Commitment(root=tuple(_split(hashes)), params=params, block_len=len(block))
     return CodedTree(
-        params=params,
-        layers=tuple(layers[u] for u in range(depth + 1)),
-        commitment=commitment,
-        block_len=len(block),
+        params=params, layers=tuple(layers), commitment=commitment, block_len=len(block)
     )
 
 
@@ -587,16 +587,6 @@ class Frontier:
         claim delivered one: a new list, which the caller may fill in."""
         # a held entry is a non-empty tuple, so ``and`` picks its symbol
         return [held and held[0] for held in self.held[u]]
-
-    def known(self) -> dict[tuple[int, int], bytes]:
-        """Each symbol the passing claims delivered, certified, by (layer,
-        index); each is derived once, however many claims carried it."""
-        return {
-            (u, x): symbols[0]
-            for u, row in enumerate(self.held)
-            for x, symbols in enumerate(row)
-            if symbols is not None
-        }
 
 
 def walk_pom(frontier: Frontier, pom: ProofOfMembership) -> bool:

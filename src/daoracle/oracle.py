@@ -30,6 +30,7 @@ from .cit import (  # noqa: F401
     TreeParams,
     aggregate,
     build_tree,
+    geometry,
     layer_code,
     sample_pom,
     unit_agrees,
@@ -382,12 +383,15 @@ def build_tree_with_base_corruption(
     corrupt_index: Optional[int] = None,
     xor_mask: int = 0x01,
 ) -> CodedTree:
-    """Adversarial proposer harness: encode honestly, flip bits in one base
-    coded symbol (default: the first parity symbol), then hash and aggregate
-    so the tree is self-consistent (every proof verifies) while the base
-    layer violates its code."""
+    """Adversarial proposer harness: ``build_tree`` with a hook that, at the
+    base layer only, XORs ``xor_mask`` into the first byte of one coded
+    symbol (default: the first parity symbol), so the tree is
+    self-consistent (every proof verifies) while the base layer violates
+    its code."""
+    depth = geometry(params, len(block)).depth
 
-    def flip(symbols: np.ndarray, code) -> None:
-        symbols[code.n_systematic if corrupt_index is None else corrupt_index, 0] ^= xor_mask
+    def flip(u: int, symbols: np.ndarray, code) -> None:
+        if u == depth:
+            symbols[code.n_systematic if corrupt_index is None else corrupt_index, 0] ^= xor_mask
 
-    return build_tree(block, params, base_tamper=flip)
+    return build_tree(block, params, flip)

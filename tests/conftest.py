@@ -100,15 +100,26 @@ def chunkset_for(tree: CodedTree, indices) -> ChunkSet:
     return ChunkSet(tree.commitment, tuple((pom.base_index, pom.base_symbol, pom) for pom in poms))
 
 
-def ingested(reader) -> dict:
-    """What a ``retrieval._Reconstructor`` peels its layers from: each
-    certified symbol of ``frontier.rows(u)``, by (layer, index)."""
+def ingested(frontier) -> dict:
+    """Each certified symbol of ``frontier.rows(u)``, by (layer, index):
+    what a ``retrieval._Reconstructor`` peels its layers from."""
     return {
         (u, x): symbol
-        for u in range(reader.depth + 1)
-        for x, symbol in enumerate(reader.frontier.rows(u))
+        for u in range(len(frontier.held))
+        for x, symbol in enumerate(frontier.rows(u))
         if symbol is not None
     }
+
+
+def flipping(flips):
+    """A ``build_tree`` tamper hook that XORs each mask of {layer: [(index,
+    mask), ...]} into the first byte of symbol index mod m of that layer."""
+
+    def tamper(u, symbols, _code):
+        for index, mask in flips.get(u, ()):
+            symbols[index % len(symbols), 0] ^= mask
+
+    return tamper
 
 
 def voted_commitments(monkeypatch) -> list:

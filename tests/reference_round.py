@@ -34,6 +34,7 @@ from daoracle.oracle import Behavior
 from daoracle.retrieval import Block, ChunkSet, Fraud
 from daoracle.serialize import encode_commitment, encode_pom
 from daoracle.util import derive_seed, sha256
+from conftest import flipping
 from reference_peel import Reconstructor
 from reference_proofs import sample_pom, verify_membership, walk_pom
 from reference_storage import gather_units, pooled_units
@@ -93,11 +94,8 @@ def _propose(config, params, round_no, design):
     block = rng.bytes(config.block_size)
     rows = design.assignments.tolist()
     if config.proposer_strategy == "invalid_coding":
-
-        def flip(symbols, code):
-            symbols[code.n_systematic, 0] ^= 0x5A
-
-        tree = build_tree(block, params, base_tamper=flip)
+        geo = geometry(params, len(block))
+        tree = build_tree(block, params, flipping({geo.depth: [(geo.sys_counts[-1], 0x5A)]}))
     else:
         tree = build_tree(block, params)
     units = [_units(tree, row) for row in rows]

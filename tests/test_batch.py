@@ -36,10 +36,9 @@ from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode, IndexOutOfRange, ParameterError
 from daoracle.util import HASH_BYTES, sha256
 
-from conftest import SMALL, chunkset_for, ingested
+from conftest import SMALL, chunkset_for, flipping, ingested
 from fraction_geometry import pom_pairs
 from test_geometry import TREES, _flip, _replace_at, mutated_proofs
-from test_peel import tampered_tree
 from test_retrieval import fraud_flavours
 
 
@@ -73,10 +72,10 @@ def check_batch(tree, poms) -> list:
     for pom, harvest in zip(poms, want):
         alone = cit.Frontier(c)
         assert alone.walk(pom) is (harvest is not None)
-        assert alone.known() == (harvest.values if harvest is not None else {})
+        assert ingested(alone) == (harvest.values if harvest is not None else {})
     frontier = cit.Frontier(c)
     assert [frontier.walk(pom) for pom in poms] == verdicts
-    values = frontier.known()
+    values = ingested(frontier)
     assert values == merged(want).values
     sys_counts = cit.geometry(p, tree.block_len).sys_counts
     for (u, x), value in values.items():
@@ -87,7 +86,7 @@ def check_batch(tree, poms) -> list:
             assert sha256(value) == slot(values[(u - 1, x % s_par)], x // s_par)
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(c, rt.ChunkSet(c, units))
-    assert ingested(reader) == reader.frontier.known() == values
+    assert ingested(reader.frontier) == values
     return want
 
 
@@ -202,7 +201,7 @@ def test_ingest_keeps_the_collected_tuples_upward_closed(case):
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(tree.commitment, rt.ChunkSet(tree.commitment, units))
     sys_counts = cit.geometry(tree.params, tree.block_len).sys_counts
-    values = ingested(reader)
+    values = ingested(reader.frontier)
     for u, x in values:
         assert u == 0 or (u - 1, x % sys_counts[u - 1]) in values
 
@@ -552,7 +551,7 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
         frontier = cit.Frontier(commitment)
         assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
         assert not frontier.claim(path.layer, path.index, sha256(pom.base_symbol), path.ancestors)
-        assert frontier.known() == {}
+        assert ingested(frontier) == {}
     assert cit.Frontier(huge).held == ()
 
 
@@ -615,7 +614,7 @@ def spy(*_args, **_kwargs):
 def test_a_fault_inside_the_membership_verifier_propagates(monkeypatch):
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
-    leaf, path = tree.layers[-1].hashes[5].tobytes(), honest_path(tree, len(tree.layers) - 1, 5)
+    leaf, path = sha256(tree.layers[-1].symbols[5]), honest_path(tree, len(tree.layers) - 1, 5)
     monkeypatch.setattr(cit, "sha256", spy)
     for call in (
         lambda: cit.Frontier(tree.commitment).walk(pom),
@@ -674,7 +673,7 @@ def membership_claims(draw):
         commitment, params = tree.commitment, tree.params
         u = draw(st.integers(0, len(tree.layers) - 1))
         x = draw(st.integers(0, tree.sizes[u] - 1))
-        leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
+        leaf, path = sha256(tree.layers[u].symbols[x]), honest_path(tree, u, x)
     honest = (leaf, path)
     geo = cit.geometry(params, commitment.block_len)
     ancestors = path.ancestors
@@ -728,7 +727,7 @@ def truncated_leaf_claim():
     last byte: every slot of the honest ancestors starts with it."""
     tree = TREES[0]
     u, x = len(tree.layers) - 1, 5
-    leaf, path = tree.layers[u].hashes[x].tobytes(), honest_path(tree, u, x)
+    leaf, path = sha256(tree.layers[u].symbols[x]), honest_path(tree, u, x)
     return "leaf_hash", tree.commitment, (leaf, path), (leaf[:-1], path)
 
 
@@ -763,7 +762,8 @@ def claimed_frauds() -> dict:
         commitment, _params, proof = fraud_flavours()[name]
         out[name] = (commitment, proof)
     params = TREES[0].params
-    tree = tampered_tree(bytes((i * 37 + 11) % 256 for i in range(512)), params, {2: [(12, 0x5A)]})
+    block = bytes((i * 37 + 11) % 256 for i in range(512))
+    tree = cit.build_tree(block, params, flipping({2: [(12, 0x5A)]}))
     fraud = rt.reconstruct(tree.commitment, params, chunkset_for(tree, range(32)))
     assert fraud.proof.layer == 2 and len(fraud.proof.members) == 4
     out["digest"] = (tree.commitment, fraud.proof)

@@ -13,8 +13,8 @@ from daoracle.cit import build_tree
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 
-from conftest import chunkset_for, ingested
-from test_peel import WIDE_PARAMS, tampered_tree
+from conftest import chunkset_for, flipping, ingested
+from test_peel import WIDE_PARAMS
 from test_serialize import GOLDEN_FRAUD, sha
 
 # (tree, kept chunks): base symbols 0-3 solved by peeling, the first
@@ -172,7 +172,7 @@ def test_unit_checks_accept_an_equal_symbol_and_reject_a_changed_byte(small_tree
         assert oracle._units_check(com, range(32), edited) is agrees
 
         # client ingest: a changed unit is skipped, the rest are walked
-        values = ingested(rt._Reconstructor(com, rt.ChunkSet(com, edited)))
+        values = ingested(rt._Reconstructor(com, rt.ChunkSet(com, edited)).frontier)
         base = {x for (u, x) in values if u == len(small_tree.layers) - 1}
         assert (at in base) is agrees
         assert base | {at} == set(range(32))
@@ -196,7 +196,7 @@ def test_fraud_proof_verdict_over_each_member_value_kind(
     above ``INT_VALUE_MAX_BYTES`` (uint8 rows), and a digest-layer proof
     each verify, and each fails with one member value a byte off."""
     if case == "digest_layer":
-        tree = tampered_tree(small_block, small_params, {2: [(0, 0x5A)]})
+        tree = build_tree(small_block, small_params, flipping({2: [(0, 0x5A)]}))
         chunks = chunkset_for(tree, range(32))
         proof = rt.reconstruct(tree.commitment, small_params, chunks).proof
         assert 0 < proof.layer < len(tree.layers) - 1

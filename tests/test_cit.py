@@ -7,12 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from daoracle import cit
+from daoracle import cit, retrieval as rt
 from daoracle.codec import encode_array
 from daoracle.errors import IndexOutOfRange, ParameterError
 from daoracle.util import sha256
 
-from conftest import SMALL, covered_layers, pairs_table, params_for, random_geometries, sizes_for
+from conftest import SMALL, chunkset_for, covered_layers, flipping, pairs_table, params_for
+from conftest import random_geometries, sizes_for
 from fraction_geometry import pom_pairs
 from test_geometry import BLOCK_LENS, grid_params
 
@@ -55,46 +56,51 @@ class TestGeometry:
         assert tree.block_len == 450
         assert tree.sizes == (4, 8, 16, 32)
 
-    def test_identical_builds_identical_commitments(self, small_block, small_params):
-        a = cit.build_tree(small_block, small_params)
-        b = cit.build_tree(small_block, small_params)
-        assert a.commitment == b.commitment
+    @pytest.mark.parametrize("u", range(4))
+    def test_tamper_applies_before_hashing(self, small_tree, small_block, small_params, u):
+        # a parity symbol of layer u flipped: the hook sees each layer once,
+        # base to root, and every proof verifies while layer u violates its
+        # code, which a reconstruction from every chunk convicts
+        geo, seen = cit.geometry(small_params, len(small_block)), []
+        flipped = geo.sys_counts[u] + 1
+        flip = flipping({u: [(flipped, 0x80)]})
 
-    def test_base_tamper_applies_before_hashing(self, small_block, small_params):
-        seen = []
+        def tamper(w, symbols, code):
+            seen.append((w, code))
+            flip(w, symbols, code)
 
-        def tamper(symbols, code):
-            seen.append(code.n_coded)
-            symbols[code.n_systematic + 1, 3] ^= 0x80
-
-        honest = cit.build_tree(small_block, small_params)
-        tree = cit.build_tree(small_block, small_params, base_tamper=tamper)
-        assert seen == [32]
-        diff = np.nonzero((honest.layers[-1].symbols != tree.layers[-1].symbols).any(axis=1))[0]
-        assert diff.tolist() == [9]
-        assert tree.commitment.root != honest.commitment.root
+        tree = cit.build_tree(small_block, small_params, tamper)
+        assert seen == [(w, cit.layer_code(small_params, geo.sizes[w])) for w in (3, 2, 1, 0)]
+        for w in range(u, 4):
+            diff = (tree.layers[w].symbols != small_tree.layers[w].symbols).any(axis=1)
+            assert np.flatnonzero(diff).tolist() == ([flipped] if w == u else [])
         for i in range(32):
             assert cit.Frontier(tree.commitment).walk(cit.sample_pom(tree, i))
+        fraud = rt.reconstruct(tree.commitment, small_params, chunkset_for(tree, range(32)))
+        assert fraud.proof.layer == u
+        assert rt.verify_fraud_proof(tree.commitment, small_params, fraud.proof)
 
-    def test_build_tree_hashes_each_row_once(self, small_block, small_params, monkeypatch):
-        # every row of every layer is hashed once, for Layer.hashes; a
-        # parent is its q child digests, read from the child layer's digests
-        # without hashing its rows again, and the commitment is the root
-        # layer's digests
-        hashed = []
-        real = cit.sha256
-        monkeypatch.setattr(cit, "sha256", lambda data: hashed.append(bytes(data)) or real(data))
-        tree = cit.build_tree(small_block, small_params)
-        monkeypatch.undo()
-        geo = cit.geometry(small_params, len(small_block))
-        rows = [row.tobytes() for layer in tree.layers for row in layer.symbols]
-        assert sorted(hashed) == sorted(rows)
-        assert len(hashed) == sum(geo.sizes)
-        for u, s in enumerate(geo.sys_counts[:-1]):
-            for k in range(s):
-                joined = tree.layers[u + 1].hashes[k::s].tobytes()
-                assert tree.layers[u].symbols[k].tobytes() == joined
-        assert tree.commitment.root == tuple(sha256(row) for row in rows[: geo.sizes[0]])
+    def test_build_tree_hashes_each_row_once(self, small_tree, small_block, monkeypatch):
+        # every row of every layer is hashed once, with a hook or without,
+        # and only a hook's edits change the build; a parent is its q child
+        # digests, read from the child layer's digests without hashing its
+        # rows again, and the commitment is the root layer's digests
+        geo, real = cit.geometry(small_tree.params, len(small_block)), cit.sha256
+        parities = flipping({u: [(s, 0x0F)] for u, s in enumerate(geo.sys_counts)})
+        for tamper in (None, lambda *_: None, parities):
+            hashed = []
+            monkeypatch.setattr(cit, "sha256", lambda d: hashed.append(bytes(d)) or real(d))
+            tree = cit.build_tree(small_block, small_tree.params, tamper)
+            monkeypatch.undo()
+            rows = [row.tobytes() for layer in tree.layers for row in layer.symbols]
+            assert sorted(hashed) == sorted(rows)
+            assert len(hashed) == sum(geo.sizes)
+            for u, s in enumerate(geo.sys_counts[:-1]):
+                for k in range(s):
+                    joined = b"".join(map(sha256, tree.layers[u + 1].symbols[k::s]))
+                    assert tree.layers[u].symbols[k].tobytes() == joined
+            assert tree.commitment.root == tuple(sha256(row) for row in rows[: geo.sizes[0]])
+            assert (tree.commitment == small_tree.commitment) is (tamper is not parities)
 
     def test_commitment_binds_every_byte(self, small_block, small_params):
         tree = cit.build_tree(small_block, small_params)
@@ -267,3 +273,4 @@ def test_digest_layers_encode_as_encode_array_does():
                     assert [len(row) for row in got] == [width] * m
                     assert b"".join(got) == encode_array(code, inputs).tobytes()
     assert len(seen) >= 60
+

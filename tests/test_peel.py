@@ -28,8 +28,8 @@ from daoracle.errors import BadCode
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
 
 from conftest import (
-    BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, code_to_text, ingested,
-    peel_rows, planted_weak_code,
+    BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, code_to_text, flipping,
+    ingested, peel_rows, planted_weak_code,
 )
 from test_kernels import closes, visits
 
@@ -53,31 +53,6 @@ PARAMS = (
 BLOCK_LENS = (512, 512, 250, 8 * WIDE_PARAMS.symbol_size - 100)
 
 
-def tampered_tree(block: bytes, params: cit.TreeParams, flips) -> cit.CodedTree:
-    """``cit.build_tree`` with ``flips`` = {layer: [(index, mask), ...]}
-    applied to each layer's encoded symbols before they are hashed, so every
-    proof verifies while those layers violate their codes."""
-    geo = cit.geometry(params, len(block))
-    padded = block + bytes(-len(block) % params.symbol_size)
-    inputs = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size).copy()
-    layers = {}
-    for u in range(geo.depth, -1, -1):
-        code = cit.layer_code(params, geo.sizes[u])
-        cur = cit.encode_array(code, inputs)
-        for index, mask in flips.get(u, ()):
-            cur[index % geo.sizes[u], 0] ^= mask
-        layers[u] = cit.Layer(cur, cit._hash_rows(cur))
-        if u:
-            inputs = cit.aggregate(layers[u].hashes, geo.sizes[u - 1], params)
-    root = tuple(row.tobytes() for row in layers[0].hashes)
-    return cit.CodedTree(
-        params,
-        tuple(layers[u] for u in range(geo.depth + 1)),
-        cit.Commitment(root, params, len(block)),
-        len(block),
-    )
-
-
 def outcome(reconstructor):
     """What a reconstruction returns or raises, in comparable form."""
     try:
@@ -96,11 +71,11 @@ def both(which, flips, keep):
     """Run the engine's and the reference reconstructor on one case."""
     params, block_len = PARAMS[which], BLOCK_LENS[which]
     block = bytes((i * 37 + 11) % 256 for i in range(block_len))
-    tree = tampered_tree(block, params, flips)
+    tree = cit.build_tree(block, params, flipping(flips))
     chunks = chunkset_for(tree, keep)
     new = rt._Reconstructor(tree.commitment, chunks)
     old = ref.Reconstructor(tree.commitment, params, chunks)
-    assert ingested(new) == old.values
+    assert ingested(new.frontier) == old.values
     return outcome(new), outcome(old), tree
 
 

@@ -183,3 +183,16 @@ def test_the_member_check_sees_an_unread_member():
         ("Shape", "pairs"), ("Report", "to_json"), ("Counter", "n"), ("Counter", "seen"),
         ("Log", "entries"),
     }
+
+
+def test_only_cit_constructs_a_tree():
+    """No test or benchmark file calls ``Layer`` or ``CodedTree``: every
+    tree, tampered or not, is ``cit.build_tree``'s."""
+    calls = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted([*(ROOT / "tests").rglob("*.py"), *BENCHMARK.rglob("*.py")])
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("Layer", "CodedTree")
+    ]
+    assert calls == []

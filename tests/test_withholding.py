@@ -144,11 +144,12 @@ def is_codeword(tree) -> bool:
 def test_any_tamper_and_withholding_ends_in_block_fraud_bad_code_or_too_few_chunks(case):
     tampers, delivered = case
 
-    def flip(symbols, _code):
-        for index, (at, mask) in tampers.items():
-            symbols[index, at] ^= mask
+    def flip(u, symbols, _code):
+        if u == SMALL_GEO.depth:
+            for index, (at, mask) in tampers.items():
+                symbols[index, at] ^= mask
 
-    tree = cit.build_tree(SMALL_BLOCK, SMALL_PARAMS, base_tamper=flip)
+    tree = cit.build_tree(SMALL_BLOCK, SMALL_PARAMS, flip)
     try:
         result = rt.reconstruct(tree.commitment, SMALL_PARAMS, chunkset_for(tree, delivered))
     except BadCode:
