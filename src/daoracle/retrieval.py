@@ -27,12 +27,14 @@ position, so each layer is peeled from a copy of its list
 the same lists.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
-and raises BadCode; a stall below that returns Insufficient.
+and raises BadCode; a stall below that returns Insufficient. The test is
+exact on the decimal alpha was written as (``util.as_written``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 from .cit import (
@@ -48,10 +50,10 @@ from .cit import (
     verify_membership,
     walk_pom,
 )
-from ._kernels import Peel, value_form, xor_members
+from ._kernels import INT_VALUE_MAX_BYTES, Peel, value_form, xor_members
 from .codec import CodeSpec, ParityEquation
 from .errors import BadCode, ParameterError
-from .util import HASH_BYTES, sha256
+from .util import HASH_BYTES, as_written, sha256
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,9 @@ class _Reconstructor:
             n_known = known.count(1)
             if n_known < m:
                 frac = n_known / m
-                if frac >= 1 - params.alpha:
+                # exact on alpha as written: at alpha 0.7, 6 of 20 known is
+                # 1 - alpha, though 6 / 20 < 1 - 0.7 in floats
+                if Fraction(n_known, m) >= 1 - as_written(params.alpha):
                     raise BadCode(
                         f"layer {u} stalled with {frac:.4f} of symbols known",
                         layer=u,
@@ -265,17 +269,37 @@ class _Reconstructor:
         views of their XOR results, so the block's join is their only copy.
         A known symbol's value is loaded the first time the order reaches
         an equation that holds it, so a contradiction found early loads
-        only the members of the equations up to it."""
-        load, dump, nonzero = value_form(_symbol_width(self.commitment.params, u, self.depth))
+        only the members of the equations up to it.
+
+        As ints, each equation is XORed in one pass over its members that
+        also loads them: ``values`` holds None for a known symbol not yet
+        loaded and 0 for an unknown one, so the unknown member x XORs in as
+        nothing. As rows, the members are loaded first and ``xor_members``
+        XORs all but x."""
+        width = _symbol_width(self.commitment.params, u, self.depth)
+        load, dump, nonzero = value_form(width)
+        as_ints = width <= INT_VALUE_MAX_BYTES
+        unknown = [x for x, r in enumerate(rows) if r is None]
         values = [None] * len(rows)
+        if as_ints:
+            for x in unknown:
+                values[x] = 0
         tables = code.tables
-        peel = Peel(tables, [x for x, r in enumerate(rows) if r is None])
+        peel = Peel(tables, unknown)
         for e, x in peel.steps():
             members = tables.members[e]
-            for i in members:
-                if values[i] is None and i != x:
-                    values[i] = load(rows[i])
-            acc = xor_members(values, members, x)
+            if as_ints:
+                acc = 0
+                for i in members:
+                    v = values[i]
+                    if v is None:
+                        v = values[i] = load(rows[i])
+                    acc ^= v
+            else:
+                for i in members:
+                    if values[i] is None and i != x:
+                        values[i] = load(rows[i])
+                acc = xor_members(values, members, x)
             if x < 0:
                 if nonzero(acc):
                     return self._fraud(u, code, e, rows), peel.known

@@ -157,6 +157,44 @@ def test_steps_follow_the_ascending_scan():
         assert complete
 
 
+def scan_steps(members, unknown):
+    """The plain scan ``Peel.steps`` follows: every equation in ascending
+    order, once per pass, passes repeated while a pass solves something;
+    an equation with at most one unknown member is yielded, once, and its
+    unknown member, if any, solved."""
+    unknown, done, steps = set(unknown), set(), []
+    solved = True
+    while solved:
+        solved = False
+        for e, eq in enumerate(members):
+            if e in done:
+                continue
+            left = [i for i in eq if i in unknown]
+            if len(left) > 1:
+                continue
+            done.add(e)
+            x = left[0] if left else -1
+            steps.append((e, x))
+            if x >= 0:
+                unknown.discard(x)
+                solved = True
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_steps_are_the_plain_scan(data):
+    """``Peel.steps`` yields the plain scan's full ``(e, x)`` sequence,
+    every solve accepted, on random codes from random unknown sets."""
+    code = generate_code(
+        data.draw(st.integers(1, 40)), data.draw(st.sampled_from(("1/2", "1/3", "1/4"))),
+        data.draw(st.integers(2, 8)), seed=data.draw(st.integers(0, 2**32)),
+    )
+    unknown = data.draw(st.lists(st.integers(0, code.n_coded - 1), unique=True))
+    visited, _ = visits(code.tables, unknown)
+    assert visited == scan_steps(code.tables.members, unknown)
+
+
 def test_count_distinct_paths_agree():
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 37, size=(40, 25), dtype=np.int64)

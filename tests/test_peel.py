@@ -5,9 +5,10 @@ and the gate accepts the same codes.
 
 Reconstructions run on trees whose layers, the root layer included,
 violate their codes at random places, from random chunk subsets, and on a
-code with a planted stopping set, so every outcome kind occurs; one tree's
-base symbols are wider than ``_kernels.INT_VALUE_MAX_BYTES``, so both value
-forms of the peel, Python ints and uint8 rows, meet the reference.
+code with a planted stopping set, so every outcome kind occurs; two trees'
+base symbols are wider than ``_kernels.INT_VALUE_MAX_BYTES`` and one's are
+exactly that wide, so both value forms of the peel, Python ints and uint8
+rows, meet the reference, on both sides of the switch between them.
 """
 
 import hashlib
@@ -39,8 +40,10 @@ WIDE_PARAMS = cit.TreeParams(**{**SMALL, "symbol_size": 2 * kn.INT_VALUE_MAX_BYT
 
 # SMALL (layers 32/16/8/4 at rate 1/4); the same with an ungated code that
 # has a planted stopping set in its base layer; a rate-1/2 family whose
-# top layers (4 and 2 symbols) are k <= 2 repetition codes; and
-# WIDE_PARAMS, its last systematic symbol padded
+# top layers (4 and 2 symbols) are k <= 2 repetition codes; WIDE_PARAMS,
+# its last systematic symbol padded; and SMALL's layers on either side of
+# the switch between value forms: the widest symbols that peel as ints,
+# and one byte wider, an odd width that peels as uint8 rows
 PARAMS = (
     cit.TreeParams(**SMALL),
     cit.TreeParams(**{**SMALL, "code_seed": BAD_BASE_CODE_SEED, "gate_trials": 0}),
@@ -49,8 +52,13 @@ PARAMS = (
         alpha=0.1, code_seed=3, gate_trials=8,
     ),
     WIDE_PARAMS,
+    cit.TreeParams(**{**SMALL, "symbol_size": kn.INT_VALUE_MAX_BYTES}),
+    cit.TreeParams(**{**SMALL, "symbol_size": kn.INT_VALUE_MAX_BYTES + 1}),
 )
-BLOCK_LENS = (512, 512, 250, 8 * WIDE_PARAMS.symbol_size - 100)
+BLOCK_LENS = (
+    512, 512, 250, 8 * WIDE_PARAMS.symbol_size - 100,
+    8 * kn.INT_VALUE_MAX_BYTES, 8 * (kn.INT_VALUE_MAX_BYTES + 1) - 7,
+)
 
 
 def outcome(reconstructor):
@@ -108,8 +116,9 @@ def test_reconstruction_matches_the_reference(data):
 
 def test_reconstruction_cases_reach_every_outcome():
     """A seeded sweep over the same cases meets every outcome kind and both
-    fraud flavours, at the root layer as below it, and a block and a base
-    fraud peeled as uint8 rows, all equal to the reference, and every
+    fraud flavours, at the root layer as below it, a block and a base
+    fraud peeled as uint8 rows, and a block at each width next to the
+    switch between value forms, all equal to the reference, and every
     fraud proof verifies."""
     rng = np.random.default_rng(7)
     seen = set()
@@ -118,7 +127,8 @@ def test_reconstruction_cases_reach_every_outcome():
         new, old, tree = both(*case)
         assert new == old
         kind, *rest = new
-        wide = PARAMS[case[0]] is WIDE_PARAMS
+        width = PARAMS[case[0]].symbol_size
+        wide = width > kn.INT_VALUE_MAX_BYTES
         if kind == "fraud":
             proof = decode_fraud_proof(rest[0])
             assert rt.verify_fraud_proof(tree.commitment, tree.params, proof)
@@ -129,10 +139,13 @@ def test_reconstruction_cases_reach_every_outcome():
                 seen.add("wide base fraud")
         if wide and kind == "block":
             seen.add("wide block")
+        if kind == "block":
+            seen.add(f"block at width {width}")
         seen.add(kind)
     assert seen >= {
         "block", "equation fraud", "mismatch fraud", "insufficient", "bad code", "root fraud",
         "wide block", "wide base fraud",
+        f"block at width {kn.INT_VALUE_MAX_BYTES}", f"block at width {kn.INT_VALUE_MAX_BYTES + 1}",
     }
 
 

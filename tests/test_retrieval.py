@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -489,6 +490,23 @@ class TestBadCode:
         with pytest.raises(BadCode) as err:
             rt.reconstruct(tree.commitment, params, chunkset_for(tree, keep))
         assert err.value.known_fraction >= 1 - params.alpha
+
+    def test_a_stall_at_exactly_one_minus_alpha_known_indicts_the_code(self):
+        # alpha 0.7 over a 20-symbol base layer: 6 known symbols are exactly
+        # 1 - alpha of it, though 6 / 20 < 1 - 0.7 in floats; 5 are below
+        params = cit.TreeParams(
+            symbol_size=16, root_size=10, rate=Fraction(1, 2), batch=4, max_eq_degree=4,
+            alpha=0.7, code_seed=0, gate_trials=0,
+        )
+        tree = cit.build_tree(bytes(range(160)), params)
+        assert cit.geometry(params, 160).sizes == (10, 20)
+        assert 6 / 20 < 1 - params.alpha
+        with pytest.raises(BadCode) as err:
+            rt.reconstruct(tree.commitment, params, chunkset_for(tree, (0, 1, 2, 3, 6, 9)))
+        assert (err.value.layer, err.value.layer_size, len(err.value.unknown)) == (1, 20, 14)
+        assert err.value.known_fraction == 0.3
+        out = rt.reconstruct(tree.commitment, params, chunkset_for(tree, (0, 1, 2, 3, 9)))
+        assert out == rt.Insufficient(((0, 1.0), (1, 0.25)))
 
     def test_same_pattern_fine_on_gated_code(self, small_tree, small_params):
         keep = [i for i in range(32) if i not in BAD_BASE_STOPPING_SET]
