@@ -24,14 +24,15 @@ Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
 and the ancestor's digest is the running digest one layer up; at the root
 layer it must be the commitment's entry. ``Frontier._climb`` is its one
-implementation, on the geometry of the params the commitment carries.
-``Frontier.claim`` climbs from a bare digest at any (layer, index),
-through the ancestors a ``MembershipPath`` carries (none at the root
-layer). ``Frontier.walk`` climbs from a base symbol through the proof's
-ancestors, then checks the proof's one parity symbol per intermediate
-layer, sampled by pure index arithmetic: its digest sits at its slot of
-the ancestor one layer up. ``walk_pom`` and ``verify_membership`` are
-each one call of these, named for the timers that wrap them.
+implementation, on the geometry of the params the commitment carries. A
+claim is (layer, index, digest, ancestors): ``Frontier.claim`` climbs from
+a bare digest at any (layer, index) through its ancestors, one per layer
+up to the root layer (none at the root layer). ``Frontier.walk`` climbs
+from a base symbol through the proof's ancestors, then checks the proof's
+one parity symbol per intermediate layer, sampled by pure index
+arithmetic: its digest sits at its slot of the ancestor one layer up.
+``walk_pom`` and ``verify_membership`` are these two methods under the
+module names that timers and call counters wrap.
 
 Geometry. ``geometry(params, block_len)`` derives every size from the
 integer e once: the base layer holds ceil(block_len / c) * e symbols, at
@@ -254,22 +255,9 @@ def unit_agrees(index: int, symbol, pom: ProofOfMembership) -> bool:
 
 
 @dataclass(frozen=True)
-class MembershipPath:
-    """The ancestor symbols binding one symbol (or just its digest) at
-    (layer, index) to the commitment, one per layer from layer - 1 up to
-    the root layer; none for a root-layer symbol."""
-
-    layer: int
-    index: int
-    ancestors: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
 class CodedTree:
-    params: TreeParams
     layers: tuple[Layer, ...]  # depth 0 = root layer ... depth L = base
     commitment: Commitment
-    block_len: int
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -380,9 +368,7 @@ def build_tree(
         layers[u] = Layer(cur)
 
     commitment = Commitment(root=tuple(_split(hashes)), params=params, block_len=len(block))
-    return CodedTree(
-        params=params, layers=tuple(layers), commitment=commitment, block_len=len(block)
-    )
+    return CodedTree(layers=tuple(layers), commitment=commitment)
 
 
 def _split(arr: np.ndarray) -> list[bytes]:
@@ -401,7 +387,7 @@ class SamplingTables:
     __slots__ = ("ancestors", "ancestor_mod", "parities", "parity_mod")
 
     def __init__(self, tree: CodedTree):
-        geo = geometry(tree.params, tree.block_len)
+        geo = geometry(tree.commitment.params, tree.commitment.block_len)
         # the ancestor at layer u of residue r mod s_u is r mod s_u, and the
         # parity symbol of residue r mod m_u - s_u is s_u + r; s_{u-1}
         # divides s_u, and m_{u-1} - s_{u-1} divides m_u - s_u
@@ -428,7 +414,7 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     return ProofOfMembership(
         base_index,
         base[base_index].tobytes(),
-        tree.block_len,
+        tree.commitment.block_len,
         tables.ancestors[base_index % tables.ancestor_mod],
         tables.parities[base_index % tables.parity_mod],
     )
@@ -589,13 +575,6 @@ class Frontier:
         return [held and held[0] for held in self.held[u]]
 
 
-def walk_pom(frontier: Frontier, pom: ProofOfMembership) -> bool:
-    """``frontier.walk(pom)``, under the name per-proof timers wrap."""
-    return frontier.walk(pom)
-
-
-def verify_membership(frontier: Frontier, leaf_hash: bytes, path: MembershipPath) -> bool:
-    """``frontier``'s claim that the commitment binds a symbol hashing to
-    ``leaf_hash`` at (path.layer, path.index), under the name call counters
-    wrap."""
-    return frontier.claim(path.layer, path.index, leaf_hash, path.ancestors)
+# the per-proof timers and the claim counters wrap these module names
+walk_pom = Frontier.walk
+verify_membership = Frontier.claim

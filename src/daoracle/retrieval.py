@@ -40,7 +40,6 @@ from typing import Optional, Union
 from .cit import (
     Commitment,
     Frontier,
-    MembershipPath,
     ProofOfMembership,
     TreeParams,
     echoes_params,
@@ -68,7 +67,7 @@ class FraudMember:
     # a base-layer value may be a read-only view: of a decoded bundle, or
     # of the XOR that solved a symbol wider than INT_VALUE_MAX_BYTES
     value: bytes | memoryview
-    path: MembershipPath
+    ancestors: tuple[bytes, ...]  # one per layer above the proof's, root last
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class HashMismatch:
 
     index: int
     expected_hash: bytes
-    path: MembershipPath
+    ancestors: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -142,12 +141,9 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     # index: the XOR below runs over the indices this holds
     values = {}
     for member in proof.members:
-        path = member.path
-        if member.index in values or member.index not in eq_idx:
+        if member.index in values or member.index not in eq_idx or len(member.value) != width:
             return False
-        if len(member.value) != width or (path.layer, path.index) != (u, member.index):
-            return False
-        if not verify_membership(frontier, sha256(member.value), path):
+        if not verify_membership(frontier, u, member.index, sha256(member.value), member.ancestors):
             return False
         values[member.index] = load(member.value)
 
@@ -159,9 +155,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     mm = proof.mismatch
     if mm.index not in eq_idx or set(values) != eq_idx - {mm.index}:
         return False
-    if len(mm.expected_hash) != HASH_BYTES or (mm.path.layer, mm.path.index) != (u, mm.index):
-        return False
-    if not verify_membership(frontier, mm.expected_hash, mm.path):
+    if not verify_membership(frontier, u, mm.index, mm.expected_hash, mm.ancestors):
         return False
     return sha256(dump(xor_members(values, values))) != mm.expected_hash
 
@@ -202,25 +196,24 @@ class _Reconstructor:
         at = x // s_par * HASH_BYTES
         return self.layer_done[u - 1][x % s_par][at : at + HASH_BYTES]
 
-    def _path(self, u: int, x: int) -> MembershipPath:
+    def _ancestors(self, u: int, x: int) -> tuple[bytes, ...]:
         """Symbol x of layer u's ancestors, read from the decoded layers."""
         done, sys_counts = self.layer_done, self.sys_counts
-        ancestors = tuple(done[w][x % sys_counts[w]] for w in range(u - 1, -1, -1))
-        return MembershipPath(u, x, ancestors)
+        return tuple(done[w][x % sys_counts[w]] for w in range(u - 1, -1, -1))
 
     def _fraud(self, u, code: CodeSpec, e: int, rows, mismatch_at: int = -1) -> Fraud:
         """The proof that equation e of layer u fails: its known members,
         and for a solve at ``mismatch_at`` the committed digest it misses."""
         eq = code.parity_checks[e]
         members = tuple(
-            FraudMember(idx, rows[idx], self._path(u, idx))
+            FraudMember(idx, rows[idx], self._ancestors(u, idx))
             for idx in eq.symbol_indices
             if idx != mismatch_at
         )
         mismatch = None
         if mismatch_at >= 0:
             expected = self._expected_hash(u, mismatch_at)
-            mismatch = HashMismatch(mismatch_at, expected, self._path(u, mismatch_at))
+            mismatch = HashMismatch(mismatch_at, expected, self._ancestors(u, mismatch_at))
         return Fraud(FraudProof(u, e, eq, members, mismatch))
 
     def run(self) -> ReconstructionResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 
-from .cit import Commitment, MembershipPath, ProofOfMembership, TreeParams, unit_agrees
+from .cit import Commitment, ProofOfMembership, TreeParams, unit_agrees
 from .codec import ParityEquation
 from .errors import ParameterError
 from .retrieval import FraudMember, FraudProof, HashMismatch
@@ -202,31 +202,35 @@ def _take_pom(r: _Reader) -> ProofOfMembership:
     return ProofOfMembership(base_index, base_symbol, block_len, ancestors, parities)
 
 
-def _put_path(parts: list, path: MembershipPath) -> None:
-    parts.append(_PATH_HEAD.pack(path.layer, path.index))
-    _put_symbols(parts, path.ancestors)
+def _put_path(parts: list, layer: int, index: int, ancestors: tuple[bytes, ...]) -> None:
+    parts.append(_PATH_HEAD.pack(layer, index))
+    _put_symbols(parts, ancestors)
 
 
-def _decode_path(r: _Reader) -> MembershipPath:
-    layer, index = r.unpack(_PATH_HEAD)
-    return MembershipPath(layer, index, r.symbols())
+def _take_path(r: _Reader, layer: int, index: int) -> tuple[bytes, ...]:
+    """A path's ancestors; the path must name its symbol's position,
+    (layer, index), which the encoder wrote it from."""
+    if r.unpack(_PATH_HEAD) != (layer, index):
+        raise ParameterError("a fraud proof path names another position than its symbol's")
+    return r.symbols()
 
 
 def encode_fraud_proof(proof: FraudProof) -> bytes:
-    indices = proof.equation.symbol_indices
+    layer, indices = proof.layer, proof.equation.symbol_indices
     parts = [
         MAGIC_FRAUD,
-        _FRAUD_HEAD.pack(proof.layer, proof.equation_no, len(indices)),
+        _FRAUD_HEAD.pack(layer, proof.equation_no, len(indices)),
         *map(_U64.pack, indices),
         _U16.pack(len(proof.members)),
     ]
     for member in proof.members:
         parts += (_MEMBER_HEAD.pack(member.index, len(member.value)), member.value)
-        _put_path(parts, member.path)
-    parts.append(_U8.pack(1 if proof.mismatch is not None else 0))
-    if proof.mismatch is not None:
-        parts += (_U64.pack(proof.mismatch.index), proof.mismatch.expected_hash)
-        _put_path(parts, proof.mismatch.path)
+        _put_path(parts, layer, member.index, member.ancestors)
+    mm = proof.mismatch
+    parts.append(_U8.pack(1 if mm is not None else 0))
+    if mm is not None:
+        parts += (_U64.pack(mm.index), mm.expected_hash)
+        _put_path(parts, layer, mm.index, mm.ancestors)
     return b"".join(parts)
 
 
@@ -238,10 +242,11 @@ def decode_fraud_proof(data: bytes) -> FraudProof:
     members = []
     for _ in range(r.unpack(_U16)[0]):
         index, value_len = r.unpack(_MEMBER_HEAD)
-        members.append(FraudMember(index, r.take(value_len), _decode_path(r)))
+        members.append(FraudMember(index, r.take(value_len), _take_path(r, layer, index)))
     mismatch = None
     if r.unpack(_U8)[0]:
-        mismatch = HashMismatch(r.unpack(_U64)[0], r.take(HASH_BYTES), _decode_path(r))
+        index = r.unpack(_U64)[0]
+        mismatch = HashMismatch(index, r.take(HASH_BYTES), _take_path(r, layer, index))
     if not r.done():
         raise ParameterError("trailing bytes in fraud proof")
     return FraudProof(layer, equation_no, equation, tuple(members), mismatch)

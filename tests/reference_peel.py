@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from daoracle.cit import Commitment, MembershipPath, TreeParams, geometry, layer_code
+from daoracle.cit import Commitment, TreeParams, geometry, layer_code
 from daoracle.codec import CodeSpec, ParityEquation
 from daoracle.errors import BadCode, ParameterError
 from daoracle.retrieval import (
@@ -223,17 +223,17 @@ class Reconstructor:
 
     def _members(self, u: int, eq: ParityEquation, sym, skip: int = -1):
         return tuple(
-            FraudMember(idx, sym[idx].tobytes(), self._member_path(u, idx))
+            FraudMember(idx, sym[idx].tobytes(), self._ancestors(u, idx))
             for idx in eq.symbol_indices
             if idx != skip
         )
 
-    def _member_path(self, u: int, index: int) -> MembershipPath:
+    def _ancestors(self, u: int, index: int) -> tuple[bytes, ...]:
         ancestors, x = [], index
         for w in range(u - 1, -1, -1):
             x %= self.sys_counts[w]
             ancestors.append(self.layer_done[w][x].tobytes())
-        return MembershipPath(u, index, tuple(ancestors))
+        return tuple(ancestors)
 
     def run(self) -> ReconstructionResult:
         params = self.params
@@ -299,7 +299,7 @@ class Reconstructor:
                             acc ^= sym[i]
                     expected = self._expected_hash(u, x)
                     if sha256(acc.tobytes()) != expected:
-                        mismatch = HashMismatch(x, expected, self._member_path(u, x))
+                        mismatch = HashMismatch(x, expected, self._ancestors(u, x))
                         members = self._members(u, eq, sym, skip=x)
                         return Fraud(FraudProof(u, e, eq, members, mismatch))
                     sym[x] = acc

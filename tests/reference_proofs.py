@@ -8,7 +8,7 @@ and ``walk_pom`` returns what a passing proof pins down as a
 ``sample_pom`` and ``cit.Frontier`` (``walk`` and ``claim``) must agree
 with them: the same proofs, and for any proof or claim the same verdict,
 on a fresh frontier or on one shared with other claims; what one passing
-proof walked on a fresh frontier delivers (``cit.Frontier.known``) is its
+proof walked on a fresh frontier delivers (``conftest.ingested``) is its
 harvest, and what a batch of passing proofs walked on one frontier
 delivers is the first-wins merge of their harvests.
 """
@@ -24,7 +24,7 @@ from fraction_geometry import pom_pairs
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
-    geo = geometry(tree.params, tree.block_len)
+    geo = geometry(tree.commitment.params, tree.commitment.block_len)
     depth = geo.depth
     if not 0 <= base_index < geo.sizes[depth]:
         raise IndexOutOfRange(f"base index {base_index} not in [0, {geo.sizes[depth]})")
@@ -32,7 +32,7 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         tree.layers[u].symbols[base_index % geo.sys_counts[u]].tobytes()
         for u in range(depth - 1, -1, -1)
     ]
-    pairs = pom_pairs(tree.params, geo.sizes, base_index)
+    pairs = pom_pairs(tree.commitment.params, geo.sizes, base_index)
     parities = [
         tree.layers[u].symbols[e_idx].tobytes()
         for u, (_p_idx, e_idx) in zip(range(depth - 1, 0, -1), pairs)
@@ -40,7 +40,7 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     return ProofOfMembership(
         base_index=base_index,
         base_symbol=tree.layers[depth].symbols[base_index].tobytes(),
-        block_len=tree.block_len,
+        block_len=tree.commitment.block_len,
         ancestors=tuple(ancestors),
         parities=tuple(parities),
     )
@@ -116,17 +116,16 @@ def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership)
 
 
 def verify_membership(
-    commitment: Commitment, params: TreeParams, leaf_hash: bytes, path: MembershipPath
+    commitment: Commitment, params: TreeParams, u: int, x: int, leaf_hash: bytes, ancestors
 ) -> bool:
     """Check a bare digest claim: the commitment binds a symbol hashing to
-    ``leaf_hash`` at (path.layer, path.index)."""
+    ``leaf_hash`` at (u, x) through ``ancestors``."""
     if len(commitment.root) != params.root_size:
         return False
     try:
         geo = geometry(params, commitment.block_len)
     except ParameterError:
         return False
-    u = path.layer
-    if not 0 <= u <= geo.depth or not 0 <= path.index < geo.sizes[u]:
+    if not 0 <= u <= geo.depth or not 0 <= x < geo.sizes[u]:
         return False
-    return _climbs(commitment, params, geo, u, path.index, leaf_hash, path.ancestors)
+    return _climbs(commitment, params, geo, u, x, leaf_hash, ancestors)

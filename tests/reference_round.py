@@ -117,15 +117,13 @@ def fraud_holds(commitment, proof) -> bool:
     if code.parity_checks[proof.equation_no] != proof.equation:
         return False
 
-    def committed(index, digest, path):
-        return (path.layer, path.index) == (u, index) and verify_membership(
-            commitment, params, digest, path
-        )
+    def committed(index, digest, ancestors):
+        return verify_membership(commitment, params, u, index, digest, ancestors)
 
     values = {m.index: m.value for m in proof.members}
     if len(values) != len(proof.members):
         return False
-    if not all(committed(m.index, sha256(m.value), m.path) for m in proof.members):
+    if not all(committed(m.index, sha256(m.value), m.ancestors) for m in proof.members):
         return False
     xor = np.zeros(len(proof.members[0].value), dtype=np.uint8)
     for value in values.values():
@@ -137,7 +135,7 @@ def fraud_holds(commitment, proof) -> bool:
     return (
         set(values) == indices - {mm.index}
         and mm.index in indices
-        and committed(mm.index, mm.expected_hash, mm.path)
+        and committed(mm.index, mm.expected_hash, mm.ancestors)
         and sha256(xor.tobytes()) != mm.expected_hash
     )
 

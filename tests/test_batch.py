@@ -15,7 +15,7 @@ to another root entry, and a parity symbol whose digest sits at another
 slot. Bare digest claims get the reference ``verify_membership``'s
 verdict, and so do a fraud proof's claims, all made on one frontier, each
 against its own climb: with a forged ancestor two members share, a forged
-member placed first or last, a forged mismatch path, and a member that
+member placed first or last, a forged mismatch ancestor, and a member that
 agrees with an earlier member's held ancestors only part way up."""
 
 import dataclasses
@@ -66,7 +66,7 @@ def check_batch(tree, poms) -> list:
     slot of its parent, which it holds too, or at the root layer to the
     commitment's entry. Returns the reference harvests (None for a failing
     proof)."""
-    c, p = tree.commitment, tree.params
+    c, p = tree.commitment, tree.commitment.params
     want = [ref.walk_pom(c, p, pom) for pom in poms]
     verdicts = [harvest is not None for harvest in want]
     for pom, harvest in zip(poms, want):
@@ -77,7 +77,7 @@ def check_batch(tree, poms) -> list:
     assert [frontier.walk(pom) for pom in poms] == verdicts
     values = ingested(frontier)
     assert values == merged(want).values
-    sys_counts = cit.geometry(p, tree.block_len).sys_counts
+    sys_counts = cit.geometry(p, tree.commitment.block_len).sys_counts
     for (u, x), value in values.items():
         if u == 0:
             assert sha256(value) == c.root[x]
@@ -94,7 +94,7 @@ def path_children(tree, i) -> list[int]:
     """The child index the proof of base index ``i`` enters each
     aggregation through: entry j is at layer depth - j, under parent layer
     depth - 1 - j."""
-    geo = cit.geometry(tree.params, tree.block_len)
+    geo = cit.geometry(tree.commitment.params, tree.commitment.block_len)
     out, x = [], i
     for u in range(geo.depth - 1, -1, -1):
         out.append(x)
@@ -133,11 +133,11 @@ def shared_forgeries(draw):
     carry one forged ancestor; honest proofs through the same parent are
     mixed in, in any order."""
     tree = draw(st.sampled_from(TREES))
-    geo = cit.geometry(tree.params, tree.block_len)
+    geo = cit.geometry(tree.commitment.params, tree.commitment.block_len)
     j = draw(st.integers(0, geo.depth - 1))
     s_par = geo.sys_counts[geo.depth - 1 - j]
     par = draw(st.integers(0, s_par - 1))
-    k = draw(st.integers(0, tree.params.batch - 1))
+    k = draw(st.integers(0, tree.commitment.params.batch - 1))
     through = [
         i for i in range(tree.sizes[-1])
         if path_children(tree, i)[j] % s_par == par and path_children(tree, i)[j] // s_par != k
@@ -200,7 +200,7 @@ def test_ingest_keeps_the_collected_tuples_upward_closed(case):
     tree, poms = case
     units = tuple((pom.base_index, pom.base_symbol, pom) for pom in poms)
     reader = rt._Reconstructor(tree.commitment, rt.ChunkSet(tree.commitment, units))
-    sys_counts = cit.geometry(tree.params, tree.block_len).sys_counts
+    sys_counts = cit.geometry(tree.commitment.params, tree.commitment.block_len).sys_counts
     values = ingested(reader.frontier)
     for u, x in values:
         assert u == 0 or (u - 1, x % sys_counts[u - 1]) in values
@@ -214,11 +214,11 @@ def pair_forgeries(draw):
     so its digest sits at another slot of that parent; or it is the honest
     parity symbol with one byte flipped."""
     tree = draw(st.sampled_from(TREES))
-    geo = cit.geometry(tree.params, tree.block_len)
+    geo = cit.geometry(tree.commitment.params, tree.commitment.block_len)
     honest = cit.sample_pom(tree, draw(st.integers(0, tree.sizes[-1] - 1)))
     j = draw(st.integers(0, len(honest.parities) - 1))
     u = geo.depth - 1 - j
-    e_idx = pom_pairs(tree.params, geo.sizes, honest.base_index)[j][1]
+    e_idx = pom_pairs(tree.commitment.params, geo.sizes, honest.base_index)[j][1]
     s_up = geo.sys_counts[u - 1]
     # small layer codes repeat symbols: only another value is a forgery
     others = {tree.layers[u].symbols[x].tobytes() for x in range(e_idx % s_up, geo.sizes[u], s_up)}
@@ -245,7 +245,9 @@ def test_an_honest_chain_with_a_forged_pair_is_rejected(case):
 # whose positions they share.
 
 # zero blocks: every child digest of a layer is equal, whatever its position
-ZERO_TREES = tuple(cit.build_tree(bytes(tree.block_len), tree.params) for tree in TREES)
+ZERO_TREES = tuple(
+    cit.build_tree(bytes(tree.commitment.block_len), tree.commitment.params) for tree in TREES
+)
 
 
 def _resized(symbol: bytes, longer: bool) -> bytes:
@@ -266,7 +268,7 @@ def frontier_sets(draw):
     single-field mutation. A forgery that differs from the proof it was
     made from must fail."""
     tree = draw(st.sampled_from(TREES + ZERO_TREES))
-    geo = cit.geometry(tree.params, tree.block_len)
+    geo = cit.geometry(tree.commitment.params, tree.commitment.block_len)
     depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
     m = sizes[depth]
     picks = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
@@ -290,7 +292,8 @@ def frontier_sets(draw):
                 # the running digest swapped with another child's
                 j = draw(st.integers(0, depth - 1))
                 pos = path_children(tree, pom.base_index)[j] // sys_counts[depth - 1 - j]
-                k = draw(st.integers(0, tree.params.batch - 1).filter(lambda k: k != pos))
+                batch = tree.commitment.params.batch
+                k = draw(st.integers(0, batch - 1).filter(lambda k: k != pos))
                 ancestor = with_slot(ancestors[j], k, slot(ancestors[j], pos))
                 ancestor = with_slot(ancestor, pos, slot(ancestors[j], k))
             elif how == "width":
@@ -316,7 +319,7 @@ def frontier_sets(draw):
                 parity = _resized(parity, draw(st.booleans()))
             else:
                 # another symbol under the same parent, with its true value
-                e_idx = pom_pairs(tree.params, sizes, pom.base_index)[j][1]
+                e_idx = pom_pairs(tree.commitment.params, sizes, pom.base_index)[j][1]
                 s_up = sys_counts[u - 1]
                 x = draw(st.sampled_from(
                     [x for x in range(e_idx % s_up, sizes[u], s_up) if x != e_idx]
@@ -349,8 +352,8 @@ def test_a_zero_block_ingests_every_position_it_was_given():
     m = tree.sizes[-1]
     got = check_batch(tree, [cit.sample_pom(tree, i) for i in range(0, m, 2)])
     assert all(harvest is not None for harvest in got)
-    out = rt.reconstruct(tree.commitment, tree.params, chunkset_for(tree, range(m - 4)))
-    assert out == rt.Block(bytes(tree.block_len))
+    out = rt.reconstruct(tree.commitment, tree.commitment.params, chunkset_for(tree, range(m - 4)))
+    assert out == rt.Block(bytes(tree.commitment.block_len))
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,7 +383,7 @@ def test_batched_sampling_rejects_an_out_of_range_index(tree, data):
 # (params, block length) of each tree built per draw, so every case starts
 # from empty tables: the geometries of TREES, and one of depth 1, whose
 # proofs carry no parity symbols
-TABLE_BLOCKS = tuple((tree.params, tree.block_len) for tree in TREES) + (
+TABLE_BLOCKS = tuple((tree.commitment.params, tree.commitment.block_len) for tree in TREES) + (
     (cit.TreeParams(**SMALL), 128),
 )
 
@@ -540,17 +543,18 @@ def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
     MAX_BASE_SYMBOLS: its frontier sizes no per-layer list."""
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
-    p = tree.params
+    p = tree.commitment.params
     short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
     too_long = (cit.MAX_BASE_SYMBOLS // p.rate.denominator + 1) * p.symbol_size
     huge = dataclasses.replace(tree.commitment, block_len=too_long)
     with pytest.raises(ParameterError, match="exceeds the cap"):
         cit.geometry(p, too_long)
-    path = honest_path(tree, len(tree.layers) - 1, 5)
+    u = len(tree.layers) - 1
+    ancestors = honest_ancestors(tree, u, 5)
     for commitment in (short, huge):
         frontier = cit.Frontier(commitment)
         assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
-        assert not frontier.claim(path.layer, path.index, sha256(pom.base_symbol), path.ancestors)
+        assert not frontier.claim(u, 5, sha256(pom.base_symbol), ancestors)
         assert ingested(frontier) == {}
     assert cit.Frontier(huge).held == ()
 
@@ -562,7 +566,7 @@ def test_params_the_commitment_does_not_carry_verify_nothing(field, fraud_case, 
     another root size, gives False, and reconstruct raises. A frontier
     takes the commitment alone, so it reads the params it carries."""
     tree = TREES[0]
-    c, p = tree.commitment, tree.params
+    c, p = tree.commitment, tree.commitment.params
     other = dataclasses.replace(p, **{field: getattr(p, field) + 1})
     chunks = chunkset_for(tree, range(tree.sizes[-1]))
     commitment, params, proof = fraud_case
@@ -578,7 +582,7 @@ def test_params_the_commitment_does_not_carry_verify_nothing(field, fraud_case, 
 
 @lru_cache(maxsize=None)
 def _fraud_case():
-    params = TREES[0].params
+    params = TREES[0].commitment.params
     block = bytes((i * 37 + 11) % 256 for i in range(512))
     corrupted = orc.build_tree_with_base_corruption(block, params, xor_mask=0x5A)
     out = rt.reconstruct(corrupted.commitment, params, chunkset_for(corrupted, range(32)))
@@ -614,11 +618,12 @@ def spy(*_args, **_kwargs):
 def test_a_fault_inside_the_membership_verifier_propagates(monkeypatch):
     tree = TREES[0]
     pom = cit.sample_pom(tree, 5)
-    leaf, path = sha256(tree.layers[-1].symbols[5]), honest_path(tree, len(tree.layers) - 1, 5)
+    u = len(tree.layers) - 1
+    leaf, ancestors = sha256(tree.layers[u].symbols[5]), honest_ancestors(tree, u, 5)
     monkeypatch.setattr(cit, "sha256", spy)
     for call in (
         lambda: cit.Frontier(tree.commitment).walk(pom),
-        lambda: cit.Frontier(tree.commitment).claim(path.layer, path.index, leaf, path.ancestors),
+        lambda: cit.Frontier(tree.commitment).claim(u, 5, leaf, ancestors),
     ):
         with pytest.raises(RuntimeError, match="spy"):
             call()
@@ -630,7 +635,7 @@ def test_a_fault_inside_the_fraud_verifier_propagates(fraud_case, monkeypatch):
     with pytest.raises(RuntimeError, match="spy"):
         rt.verify_fraud_proof(commitment, params, proof)
     monkeypatch.undo()
-    assert proof.members  # each member's path is checked by verify_membership
+    assert proof.members  # each member is claimed through verify_membership
     monkeypatch.setattr(rt, "verify_membership", spy)
     with pytest.raises(RuntimeError, match="spy"):
         rt.verify_fraud_proof(commitment, params, proof)
@@ -639,17 +644,16 @@ def test_a_fault_inside_the_fraud_verifier_propagates(fraud_case, monkeypatch):
 # verify_membership against the reference
 
 
-def honest_path(tree, u: int, x: int) -> cit.MembershipPath:
-    """The membership path of symbol x of layer u, read off the tree's
-    rows: its ancestor at each layer up to the root layer."""
-    geo = cit.geometry(tree.params, tree.block_len)
-    ancestors = tuple(
+def honest_ancestors(tree, u: int, x: int) -> tuple[bytes, ...]:
+    """The ancestors of symbol x of layer u, read off the tree's rows: one
+    at each layer up to the root layer."""
+    geo = cit.geometry(tree.commitment.params, tree.commitment.block_len)
+    return tuple(
         tree.layers[w].symbols[x % geo.sys_counts[w]].tobytes() for w in range(u - 1, -1, -1)
     )
-    return cit.MembershipPath(u, x, ancestors)
 
 
-# the kinds that change an ancestor, which a root-layer path has none of
+# the kinds that change an ancestor, which a root-layer claim has none of
 ANCESTOR_MUTATIONS = ("ancestor_count", "ancestor_width", "ancestor_byte", "ancestor_slot")
 MEMBERSHIP_MUTATIONS = ("honest", "layer", "index", "leaf_hash", "params", "root") + (
     ANCESTOR_MUTATIONS
@@ -658,57 +662,54 @@ MEMBERSHIP_MUTATIONS = ("honest", "layer", "index", "leaf_hash", "params", "root
 
 @st.composite
 def membership_claims(draw):
-    """(kind, commitment, honest claim, claim): an honest (leaf hash, path)
-    claim, taken from a fraud proof or read off a tree at any layer, the
-    root layer included, and the claim, which is it or differs from it in
-    the single field ``kind`` names."""
+    """(kind, commitment, honest claim, claim): an honest (layer, index,
+    leaf hash, ancestors) claim, taken from a fraud proof or read off a tree
+    at any layer, the root layer included, and the claim, which is it or
+    differs from it in the single field ``kind`` names."""
     if draw(st.booleans()):
         commitment, params, proof = _fraud_case()
-        claims = [(sha256(m.value), m.path) for m in proof.members]
+        u = proof.layer
+        claims = [(u, m.index, sha256(m.value), m.ancestors) for m in proof.members]
         if proof.mismatch is not None:
-            claims.append((proof.mismatch.expected_hash, proof.mismatch.path))
-        leaf, path = draw(st.sampled_from(claims))
+            mm = proof.mismatch
+            claims.append((u, mm.index, mm.expected_hash, mm.ancestors))
+        honest = draw(st.sampled_from(claims))
     else:
         tree = draw(st.sampled_from(TREES))
-        commitment, params = tree.commitment, tree.params
+        commitment, params = tree.commitment, tree.commitment.params
         u = draw(st.integers(0, len(tree.layers) - 1))
         x = draw(st.integers(0, tree.sizes[u] - 1))
-        leaf, path = sha256(tree.layers[u].symbols[x]), honest_path(tree, u, x)
-    honest = (leaf, path)
+        honest = (u, x, sha256(tree.layers[u].symbols[x]), honest_ancestors(tree, u, x))
+    u, x, leaf, ancestors = honest
     geo = cit.geometry(params, commitment.block_len)
-    ancestors = path.ancestors
     kinds = MEMBERSHIP_MUTATIONS if ancestors else MEMBERSHIP_MUTATIONS[:-len(ANCESTOR_MUTATIONS)]
     kind = draw(st.sampled_from(kinds))
     if ancestors:
         j = draw(st.integers(0, len(ancestors) - 1))
     if kind == "layer":
-        u = draw(st.integers(-1, geo.depth + 1).filter(lambda v: v != path.layer))
-        path = dataclasses.replace(path, layer=u)
+        u = draw(st.integers(-1, geo.depth + 1).filter(lambda v: v != honest[0]))
     elif kind == "index":
-        size = geo.sizes[path.layer]
-        x = draw(st.integers(-1, size).filter(lambda v: v != path.index))
-        path = dataclasses.replace(path, index=x)
+        x = draw(st.integers(-1, geo.sizes[u]).filter(lambda v: v != honest[1]))
     elif kind == "ancestor_count":
         ancestors = ancestors[:-1] if draw(st.booleans()) else ancestors + (ancestors[-1],)
-        path = dataclasses.replace(path, ancestors=ancestors)
     elif kind == "ancestor_width":
         ancestor = ancestors[j][:-1] if draw(st.booleans()) else ancestors[j] + b"\0"
-        path = dataclasses.replace(path, ancestors=_replace_at(ancestors, j, ancestor))
+        ancestors = _replace_at(ancestors, j, ancestor)
     elif kind == "ancestor_byte":
         ancestor = _flip(ancestors[j], draw(st.integers(0, len(ancestors[j]) - 1)))
-        path = dataclasses.replace(path, ancestors=_replace_at(ancestors, j, ancestor))
+        ancestors = _replace_at(ancestors, j, ancestor)
     elif kind == "ancestor_slot":
         # the running digest written at another slot of the ancestor too,
         # or moved there
-        x = path.index
-        for w in range(path.layer - 1, path.layer - 1 - j, -1):
-            x %= geo.sys_counts[w]
-        pos = x // geo.sys_counts[path.layer - 1 - j]
+        at = x
+        for w in range(u - 1, u - 1 - j, -1):
+            at %= geo.sys_counts[w]
+        pos = at // geo.sys_counts[u - 1 - j]
         k = draw(st.integers(0, params.batch - 1).filter(lambda k: k != pos))
         ancestor = with_slot(ancestors[j], k, slot(ancestors[j], pos))
         if draw(st.booleans()):
             ancestor = with_slot(ancestor, pos, slot(ancestors[j], k))
-        path = dataclasses.replace(path, ancestors=_replace_at(ancestors, j, ancestor))
+        ancestors = _replace_at(ancestors, j, ancestor)
     elif kind == "leaf_hash":
         leaf = _flip(leaf, draw(st.integers(0, 31))) if draw(st.booleans()) else leaf[:-1]
     elif kind == "params":
@@ -719,7 +720,7 @@ def membership_claims(draw):
         commitment = dataclasses.replace(commitment, params=dataclasses.replace(params, **other))
     elif kind == "root":
         commitment = dataclasses.replace(commitment, root=commitment.root[:-1])
-    return kind, commitment, honest, (leaf, path)
+    return kind, commitment, honest, (u, x, leaf, ancestors)
 
 
 def truncated_leaf_claim():
@@ -727,8 +728,8 @@ def truncated_leaf_claim():
     last byte: every slot of the honest ancestors starts with it."""
     tree = TREES[0]
     u, x = len(tree.layers) - 1, 5
-    leaf, path = sha256(tree.layers[u].symbols[x]), honest_path(tree, u, x)
-    return "leaf_hash", tree.commitment, (leaf, path), (leaf[:-1], path)
+    leaf, ancestors = sha256(tree.layers[u].symbols[x]), honest_ancestors(tree, u, x)
+    return "leaf_hash", tree.commitment, (u, x, leaf, ancestors), (u, x, leaf[:-1], ancestors)
 
 
 @settings(max_examples=300, deadline=None)
@@ -737,16 +738,16 @@ def truncated_leaf_claim():
 def test_verify_membership_matches_the_reference(claim):
     """A claim gets the reference verdict on a fresh frontier, and on one
     that took the honest claim it was made from first."""
-    kind, commitment, honest, (leaf, path) = claim
-    want = ref.verify_membership(commitment, commitment.params, leaf, path)
+    kind, commitment, honest, claimed = claim
+    want = ref.verify_membership(commitment, commitment.params, *claimed)
     if kind == "honest":
         assert want
-    assert cit.verify_membership(cit.Frontier(commitment), leaf, path) == want
+    assert cit.verify_membership(cit.Frontier(commitment), *claimed) == want
     frontier = cit.Frontier(commitment)
     assert cit.verify_membership(frontier, *honest) == ref.verify_membership(
         commitment, commitment.params, *honest
     )
-    assert cit.verify_membership(frontier, leaf, path) == want
+    assert cit.verify_membership(frontier, *claimed) == want
 
 
 # a fraud proof's claims on one frontier against each claim's own climb
@@ -761,7 +762,7 @@ def claimed_frauds() -> dict:
     for name in ("equation", "mismatch"):
         commitment, _params, proof = fraud_flavours()[name]
         out[name] = (commitment, proof)
-    params = TREES[0].params
+    params = TREES[0].commitment.params
     block = bytes((i * 37 + 11) % 256 for i in range(512))
     tree = cit.build_tree(block, params, flipping({2: [(12, 0x5A)]}))
     fraud = rt.reconstruct(tree.commitment, params, chunkset_for(tree, range(32)))
@@ -770,16 +771,16 @@ def claimed_frauds() -> dict:
     return out
 
 
-def forged(path: cit.MembershipPath, j: int, at: int) -> cit.MembershipPath:
-    """``path`` with byte ``at`` of its ancestor j flipped."""
-    return dataclasses.replace(
-        path, ancestors=_replace_at(path.ancestors, j, _flip(path.ancestors[j], at))
-    )
+def forged(claim, j: int, at: int):
+    """A fraud member or mismatch with byte ``at`` of its ancestor j
+    flipped."""
+    ancestors = claim.ancestors
+    return dataclasses.replace(claim, ancestors=_replace_at(ancestors, j, _flip(ancestors[j], at)))
 
 
 FRAUD_CLAIM_KINDS = (
     "honest", "forged_first", "forged_last", "shared_forged_ancestor", "partial_agreement",
-    "forged_mismatch_path",
+    "forged_mismatch_ancestor",
 )
 
 
@@ -803,14 +804,14 @@ def fraud_claims(draw):
     at = draw(st.integers(0, width - 1))
     if kind in ("forged_first", "forged_last"):
         member = members.pop(draw(st.integers(0, len(members) - 1)))
-        member = dataclasses.replace(member, path=forged(member.path, draw(st.integers(0, u - 1)), at))
+        member = forged(member, draw(st.integers(0, u - 1)), at)
         members = [member] + members if kind == "forged_first" else members + [member]
     elif kind == "shared_forged_ancestor":
         # every pair shares the root-layer ancestor at least
         a, b = draw(st.lists(st.integers(0, len(members) - 1), min_size=2, max_size=2, unique=True))
         j = draw(st.sampled_from([j for j in range(u) if shares(a, b, j)]))
         for k in (a, b):
-            members[k] = dataclasses.replace(members[k], path=forged(members[k].path, j, at))
+            members[k] = forged(members[k], j, at)
     elif kind == "partial_agreement":
         # member b, placed after a, climbs into a's held ancestors below
         # the root layer and carries a forged ancestor above that position
@@ -821,10 +822,10 @@ def fraud_claims(draw):
             for above in range(j + 1, u)
         ]))
         first, last = members[a], members[b]
-        last = dataclasses.replace(last, path=forged(last.path, above, at))
+        last = forged(last, above, at)
         members = [first] + [m for k, m in enumerate(members) if k not in (a, b)] + [last]
-    elif kind == "forged_mismatch_path":
-        mm = dataclasses.replace(mm, path=forged(mm.path, draw(st.integers(0, u - 1)), at))
+    elif kind == "forged_mismatch_ancestor":
+        mm = forged(mm, draw(st.integers(0, u - 1)), at)
     return kind, commitment, dataclasses.replace(proof, members=tuple(members), mismatch=mm)
 
 

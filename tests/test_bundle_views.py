@@ -49,7 +49,7 @@ def both_ways(tree, keep):
     """The reconstructions from the sampled units and from those units
     through a DAB2 bundle."""
     sampled = chunkset_for(tree, keep)
-    com, params = tree.commitment, tree.params
+    com, params = tree.commitment, tree.commitment.params
     decoded = rt.ChunkSet(com, sz.decode_chunk_bundle(sz.encode_chunk_bundle(sampled.units)))
     return rt.reconstruct(com, params, sampled), rt.reconstruct(com, params, decoded)
 
@@ -83,7 +83,7 @@ def test_a_decoded_bundle_reconstructs_as_the_sampled_units(trees, small_block, 
         blobs = [sz.encode_fraud_proof(r.proof) for r in (sampled, decoded)]
         assert sha(blobs[0]) == sha(blobs[1]) == GOLDEN_FRAUD
         for result in (sampled, decoded):
-            assert rt.verify_fraud_proof(tree.commitment, tree.params, result.proof)
+            assert rt.verify_fraud_proof(tree.commitment, tree.commitment.params, result.proof)
         # every member was delivered, so each is a view of the bundle
         assert all(type(m.value) is memoryview for m in decoded.proof.members)
     else:
@@ -213,4 +213,4 @@ def test_fraud_proof_verdict_over_each_member_value_kind(
         first = proof.members[0].value
         kind = "view" if type(first) is memoryview else "bytes"
         proof = with_first_member(proof, one_byte_off(first, kind))
-    assert rt.verify_fraud_proof(tree.commitment, tree.params, proof) is not flipped
+    assert rt.verify_fraud_proof(tree.commitment, tree.commitment.params, proof) is not flipped

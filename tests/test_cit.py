@@ -53,7 +53,7 @@ class TestGeometry:
     def test_padding_keeps_true_length(self, small_params):
         block = b"x" * 450  # pads to 8 symbols = 512 bytes
         tree = cit.build_tree(block, small_params)
-        assert tree.block_len == 450
+        assert tree.commitment.block_len == 450
         assert tree.sizes == (4, 8, 16, 32)
 
     @pytest.mark.parametrize("u", range(4))
@@ -85,12 +85,12 @@ class TestGeometry:
         # and only a hook's edits change the build; a parent is its q child
         # digests, read from the child layer's digests without hashing its
         # rows again, and the commitment is the root layer's digests
-        geo, real = cit.geometry(small_tree.params, len(small_block)), cit.sha256
+        geo, real = cit.geometry(small_tree.commitment.params, len(small_block)), cit.sha256
         parities = flipping({u: [(s, 0x0F)] for u, s in enumerate(geo.sys_counts)})
         for tamper in (None, lambda *_: None, parities):
             hashed = []
             monkeypatch.setattr(cit, "sha256", lambda d: hashed.append(bytes(d)) or real(d))
-            tree = cit.build_tree(small_block, small_tree.params, tamper)
+            tree = cit.build_tree(small_block, small_tree.commitment.params, tamper)
             monkeypatch.undo()
             rows = [row.tobytes() for layer in tree.layers for row in layer.symbols]
             assert sorted(hashed) == sorted(rows)

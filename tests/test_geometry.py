@@ -257,7 +257,7 @@ def mutated_proofs(draw, trees=TREES):
     if kind == "base_symbol":
         at = draw(st.integers(0, len(pom.base_symbol) - 1))
         return tree, pom, pom._replace(base_symbol=_flip(pom.base_symbol, at))
-    delta = draw(st.sampled_from((-1, 1, tree.params.symbol_size)))
+    delta = draw(st.sampled_from((-1, 1, tree.commitment.params.symbol_size)))
     return tree, pom, pom._replace(block_len=pom.block_len + delta)
 
 
@@ -312,8 +312,8 @@ def test_no_fraction_work_on_proof_paths_once_the_geometry_is_cached(monkeypatch
     assert isinstance(out, rt.Fraud)
     assert rt.verify_fraud_proof(corrupted.commitment, params, out.proof)
     frontier = cit.Frontier(corrupted.commitment)
+    u = out.proof.layer
     for member in out.proof.members:
-        path = member.path
-        assert frontier.claim(path.layer, path.index, cit.sha256(member.value), path.ancestors)
+        assert frontier.claim(u, member.index, cit.sha256(member.value), member.ancestors)
     monkeypatch.undo()
     assert used == []

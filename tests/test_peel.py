@@ -131,7 +131,7 @@ def test_reconstruction_cases_reach_every_outcome():
         wide = width > kn.INT_VALUE_MAX_BYTES
         if kind == "fraud":
             proof = decode_fraud_proof(rest[0])
-            assert rt.verify_fraud_proof(tree.commitment, tree.params, proof)
+            assert rt.verify_fraud_proof(tree.commitment, tree.commitment.params, proof)
             kind = "equation fraud" if proof.mismatch is None else "mismatch fraud"
             if proof.layer == 0:
                 seen.add("root fraud")

@@ -212,7 +212,7 @@ class TestFraud:
         )
         assert isinstance(full, rt.Block)
         corrupted = build_tree_with_base_corruption(
-            bytes(small_tree.block_len), small_params
+            bytes(small_tree.commitment.block_len), small_params
         )
         mixed = rt.reconstruct(
             corrupted.commitment, small_params, chunkset_for(corrupted, range(32))
@@ -343,9 +343,6 @@ def mutate_fraud(kind, commitment, params, proof, draw):
     members, mm = proof.members, proof.mismatch
     j = draw(st.integers(0, len(members) - 1))
     member = members[j]
-    other_path = draw(st.sampled_from(
-        [m.path for m in members if m.index != member.index] + ([mm.path] if mm else [])
-    ))
     replace = dataclasses.replace
     if kind == "layer_out_of_range":
         return replace(proof, layer=draw(st.sampled_from((-1, geo.depth + 1))))
@@ -373,13 +370,15 @@ def mutate_fraud(kind, commitment, params, proof, draw):
         value = _flip(member.value, draw(st.integers(0, len(member.value) - 1)))
         return replace(proof, members=_replace_at(members, j, replace(member, value=value)))
     if kind == "member_path":
-        # every member needs its own path
-        return replace(proof, members=_replace_at(members, j, replace(member, path=other_path)))
+        # every member needs its own ancestors
+        ancestors = forged_ancestors(draw, member.ancestors, members + ((mm,) if mm else ()))
+        return replace(proof, members=_replace_at(members, j, replace(member, ancestors=ancestors)))
     if kind == "drop_member":
         return replace(proof, members=members[:j] + members[j + 1:])
     if kind == "add_mismatch":
         index = draw(st.sampled_from(eq))
-        return replace(proof, mismatch=rt.HashMismatch(index, sha256(member.value), member.path))
+        mismatch = rt.HashMismatch(index, sha256(member.value), member.ancestors)
+        return replace(proof, mismatch=mismatch)
     if kind == "drop_mismatch":
         return replace(proof, mismatch=None)
     if kind == "mismatch_index":
@@ -395,15 +394,21 @@ def mutate_fraud(kind, commitment, params, proof, draw):
         digest = _flip(mm.expected_hash, draw(st.integers(0, HASH_BYTES - 1)))
         return replace(proof, mismatch=replace(mm, expected_hash=digest))
     assert kind == "mismatch_path"
-    paths = [m.path for m in members]
-    ancestors = mm.path.ancestors
-    if ancestors:
-        k = draw(st.integers(0, len(ancestors) - 1))
-        flipped = _flip(ancestors[k], draw(st.integers(0, len(ancestors[k]) - 1)))
-        paths.append(replace(mm.path, ancestors=_replace_at(ancestors, k, flipped)))
-    # any path but the mismatch's own: the members' paths are for other
-    # indices
-    return replace(proof, mismatch=replace(mm, path=draw(st.sampled_from(paths))))
+    ancestors = forged_ancestors(draw, mm.ancestors, members)
+    return replace(proof, mismatch=replace(mm, ancestors=ancestors))
+
+
+def forged_ancestors(draw, own, claims):
+    """Ancestors other than a claim's ``own``: those of another of
+    ``claims`` that differ, ``own`` with one byte flipped, or ``own`` with
+    one ancestor too few or too many."""
+    options = [claim.ancestors for claim in claims if claim.ancestors != own]
+    options.append(own + (own[-1] if own else bytes(HASH_BYTES),))
+    if own:
+        k = draw(st.integers(0, len(own) - 1))
+        flipped = _flip(own[k], draw(st.integers(0, len(own[k]) - 1)))
+        options += [own[:-1], _replace_at(own, k, flipped)]
+    return draw(st.sampled_from(options))
 
 
 @pytest.mark.parametrize("flavour, kind", FRAUD_MUTATIONS)

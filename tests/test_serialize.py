@@ -18,6 +18,7 @@ from daoracle.util import HASH_BYTES, as_rate
 
 from conftest import SMALL, chunkset_for
 from hostile import hostile, hostile_files, time_bound
+from test_retrieval import fraud_flavours
 from test_withholding import PARAMS as HONEST_ROUND_PARAMS
 
 # frozen digests of the canonical encodings for the reference tree; any
@@ -62,7 +63,7 @@ def test_pom_size_is_the_header_and_2L_minus_1_symbols_above_the_base(small_tree
     else:
         block = np.random.default_rng(0).bytes(256 * 1024)
         tree = cit.build_tree(block, HONEST_ROUND_PARAMS)
-    p, depth = tree.params, len(tree.layers) - 1
+    p, depth = tree.commitment.params, len(tree.layers) - 1
     want = POM_HEADER + p.symbol_size + (2 * depth - 1) * p.batch * HASH_BYTES
     for i in range(0, tree.sizes[-1], 7):
         assert len(sz.encode_pom(cit.sample_pom(tree, i))) == want
@@ -75,6 +76,52 @@ def test_fraud_proof_golden(small_block, small_params):
     blob = sz.encode_fraud_proof(result.proof)
     assert sha(blob) == GOLDEN_FRAUD
     assert sz.decode_fraud_proof(blob) == result.proof
+
+
+def path_heads(blob: bytes) -> list[int]:
+    """The offset of each membership path's u32 layer and u64 index in a
+    DAF2 file, as FORMATS.md lays it out: the members' paths, then the
+    mismatch's."""
+    (degree,) = struct.unpack_from("<H", blob, 12)
+    at = 14 + 8 * degree
+    (n_members,) = struct.unpack_from("<H", blob, at)
+    at += 2
+    heads = []
+
+    def path(at: int) -> int:
+        heads.append(at)
+        count, width = struct.unpack_from("<HI", blob, at + 12)
+        return at + 18 + count * width
+
+    for _ in range(n_members):
+        _index, value_len = struct.unpack_from("<QQ", blob, at)
+        at = path(at + 16 + value_len)
+    if blob[at]:
+        path(at + 1 + 8 + HASH_BYTES)
+    return heads
+
+
+@pytest.mark.parametrize("flavour", ("equation", "mismatch", "root"))
+@pytest.mark.parametrize("field", ("layer", "index"))
+def test_a_fraud_path_naming_another_position_raises(flavour, field):
+    """Each path of a DAF2 file repeats its symbol's position: the proof's
+    layer and the member's or the mismatch's index. A file whose path names
+    another layer or index is refused, though its other bytes are those of
+    a proof that verifies."""
+    commitment, params, proof = fraud_flavours()[flavour]
+    blob = sz.encode_fraud_proof(proof)
+    assert sz.decode_fraud_proof(blob) == proof
+    heads = path_heads(blob)
+    assert len(heads) == len(proof.members) + (proof.mismatch is not None)
+    for at in heads:
+        layer, index = struct.unpack_from("<IQ", blob, at)
+        assert layer == proof.layer
+        moved = (layer + 1, index) if field == "layer" else (layer, index + 1)
+        forged = bytearray(blob)
+        struct.pack_into("<IQ", forged, at, *moved)
+        with pytest.raises(ParameterError, match="another position"):
+            sz.decode_fraud_proof(bytes(forged))
+    assert rt.verify_fraud_proof(commitment, params, sz.decode_fraud_proof(blob))
 
 
 def test_chunk_bundle_round_trip(small_tree):
@@ -182,8 +229,8 @@ def test_a_symbol_list_whose_count_and_width_disagree_raises(small_tree, count, 
     # the ancestor list of a DAP2 proof begins right after its base
     # symbol: a u16 count, then a u32 width, 0 exactly when the count is
     blob = bytearray(sz.encode_pom(cit.sample_pom(small_tree, 15)))
-    at = 4 + 3 * 8 + small_tree.params.symbol_size
-    depth, batch = len(small_tree.sizes) - 1, small_tree.params.batch
+    at = 4 + 3 * 8 + small_tree.commitment.params.symbol_size
+    depth, batch = len(small_tree.sizes) - 1, small_tree.commitment.params.batch
     assert struct.unpack_from("<HI", blob, at) == (depth, batch * HASH_BYTES)
     struct.pack_into("<HI", blob, at, count, width)
     with pytest.raises(ParameterError, match="symbol width must be 0 exactly when the count"):
@@ -210,11 +257,11 @@ def test_hostile_gate_counts_raise_parameter_error(small_tree, small_block, offs
     if which == "commitment":
         blob, decode = sz.encode_commitment(small_tree.commitment), sz.decode_commitment
     else:
-        blob = sz.encode_tree_cache(small_tree.params, small_block)
+        blob = sz.encode_tree_cache(small_tree.commitment.params, small_block)
         decode = sz.decode_tree_cache
     blob = bytearray(blob)
     assert struct.unpack_from("<II", blob, 52) == (
-        small_tree.params.gate_trials, small_tree.params.max_code_attempts
+        small_tree.commitment.params.gate_trials, small_tree.commitment.params.max_code_attempts
     )
     blob[offset : offset + 4] = struct.pack("<I", 2**32 - 1)
     with pytest.raises(ParameterError, match="must be an integer in"):

@@ -135,7 +135,7 @@ def is_codeword(tree) -> bool:
     base = tree.layers[-1].symbols
     return not any(
         np.bitwise_xor.reduce(base[list(eq.symbol_indices)]).any()
-        for eq in cit.layer_code(tree.params, len(base)).parity_checks
+        for eq in cit.layer_code(tree.commitment.params, len(base)).parity_checks
     )
 
 
