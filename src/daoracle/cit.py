@@ -13,11 +13,13 @@ the root size are rejected.
 Aggregation. Child x of layer u+1 feeds the parent systematic symbol
 ``x mod s`` of layer u, where s is layer u's systematic count, at slot
 ``x // s``: a parent is its q children's digests concatenated in ascending
-child index, q * 32 bytes, as in Coded Merkle Trees. ``build_tree``
-hashes each row of a layer once and ``aggregate`` reads those digests, held
-only until the parent layer is built, so a tree costs one hash per symbol
-per layer, as Coded Merkle Tree commitments do. A tree's ``Layer`` keeps
-only its symbols. The commitment holds the digests of the root layer's t
+child index, q * 32 bytes, as in Coded Merkle Trees. So a layer above the
+base stays a list of bytes rows from its encode to its proofs:
+``build_tree`` hashes each row of a layer once into a list of digests,
+held only until the parent layer is built, and ``aggregate`` joins them
+into the parent rows, so a tree costs one hash per symbol per layer, as
+Coded Merkle Tree commitments do. A tree's ``Layer`` keeps its symbols as
+a read-only array. The commitment holds the digests of the root layer's t
 symbols.
 
 Membership. One digest chain runs from a symbol to the commitment: at each
@@ -44,14 +46,14 @@ does no Fraction arithmetic beyond coercing the rate.
 
 Sampling. A proof's ancestors depend only on its base index modulo the
 systematic count s of layer depth-1, and its parity symbols only on that
-index modulo m - s of that layer. So each tree builds its sampling tables
-once, on its first proof (``CodedTree.sampling``), top down, one pass per
-layer: the ancestors of every residue and the parity symbols of every
-residue, each entry its own symbol followed by the shared entry one layer
-up. Every proof sampled from the tree, by any call, shares those symbols;
-its own cost is a range check, one lookup in each table, a copy of its
-base row and one tuple (``ProofOfMembership`` is a ``NamedTuple``, built
-positionally).
+index modulo m - s of that layer. So ``build_tree`` makes each tree's
+sampling tables (``CodedTree.sampling``) from the rows it hashed, after
+any tamper hook, top down, one pass per layer: the ancestors of every
+residue and the parity symbols of every residue, each entry its own
+symbol followed by the shared entry one layer up. Every proof sampled from
+the tree, by any call, shares those symbols; its own cost is a range
+check, one lookup in each table, a copy of its base row and one tuple
+(``ProofOfMembership`` is a ``NamedTuple``, built positionally).
 
 Batches. A ``Frontier``, made from a commitment alone, is the one claim
 checker: a node walks its units on one, an audit a voter's units, a
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -258,22 +260,11 @@ def unit_agrees(index: int, symbol, pom: ProofOfMembership) -> bool:
 class CodedTree:
     layers: tuple[Layer, ...]  # depth 0 = root layer ... depth L = base
     commitment: Commitment
+    sampling: SamplingTables  # built with the tree, from its digest rows
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(layer.symbols.shape[0] for layer in self.layers)
-
-    @cached_property
-    def sampling(self) -> "SamplingTables":
-        """This tree's proof sampling tables, built on first use."""
-        return SamplingTables(self)
-
-
-def _hash_rows(rows) -> np.ndarray:
-    """(rows, 32) digests of the rows of a C-contiguous 2-D uint8 array, or
-    of a list of bytes; each row is a contiguous buffer, hashed in place."""
-    digests = b"".join(map(sha256, rows))
-    return np.frombuffer(digests, dtype=np.uint8).reshape(-1, HASH_BYTES)
 
 
 @lru_cache(maxsize=512)
@@ -290,7 +281,8 @@ def layer_code(params: TreeParams, layer_size: int) -> CodeSpec:
             f"layer of {layer_size} symbols has non-integral systematic count"
         )
     base_seed = derive_seed("cit-code", params.code_seed, layer_size)
-    for attempt in range(max(1, params.max_code_attempts)):
+    attempts = max(1, params.max_code_attempts)  # 0 still tries the first seed
+    for attempt in range(attempts):
         seed = (base_seed + attempt) & MASK64
         cand = generate_code(k, params.rate, params.max_eq_degree, seed)
         if params.gate_trials == 0 or not is_bad_code(
@@ -299,31 +291,26 @@ def layer_code(params: TreeParams, layer_size: int) -> CodeSpec:
             return cand
     raise BadCode(
         f"no code of size {layer_size} met alpha={params.alpha} "
-        f"within {params.max_code_attempts} attempts",
+        f"within {attempts} attempts",
         layer_size=layer_size,
         code_seed=params.code_seed,
     )
 
 
-def aggregate(child_hashes: np.ndarray, parent_size: int, params: TreeParams) -> np.ndarray:
-    """Parent systematic symbols from the (size, 32) digests of one coded
-    child layer: parent k is the digests of children k, k + s, k + 2s, ...
-    concatenated, for s = the parent layer's systematic count."""
+def aggregate(child_hashes: list[bytes], parent_size: int, params: TreeParams) -> list[bytes]:
+    """Parent systematic symbols from the digests of one coded child layer:
+    parent k is the digests of children k, k + s, k + 2s, ... concatenated,
+    for s = the parent layer's systematic count."""
     s_par = parent_size // params.rate.denominator
-    # child x = pos * s_par + k sits at [pos, k]; the copy gathers each
-    # parent's q digests into one contiguous row
-    q = child_hashes.shape[0] // s_par
-    joined = child_hashes.reshape(q, s_par, HASH_BYTES).swapaxes(0, 1)
-    return joined.reshape(s_par, q * HASH_BYTES)
+    return [b"".join(child_hashes[k::s_par]) for k in range(s_par)]
 
 
-def _encode_digests(code: CodeSpec, inputs: np.ndarray) -> list[bytes]:
-    """The rows of ``encode_array(code, inputs)`` for a (k, q * 32) array of
-    parents, as bytes: the input rows, then the parity rows XORed as Python
+def _encode_digests(code: CodeSpec, rows: list[bytes]) -> list[bytes]:
+    """The rows of ``encode_array(code, inputs)`` for k parent rows of q * 32
+    bytes, as bytes: the input rows, then the parity rows XORed as Python
     ints, which at this width beats a numpy call, as in the peel of a digest
     layer."""
-    width, k = inputs.shape[1], code.n_systematic
-    rows = _split(inputs)
+    width, k = len(rows[0]), code.n_systematic
     values = [*map(int_from_digest, rows), *[0] * (code.n_coded - k)]
     for eq in code.tables.members:
         values[eq[-1]] = xor_members(values, eq, eq[-1])
@@ -341,15 +328,18 @@ def build_tree(
     ``tamper(u, symbols, code)``, when given, is called once per layer,
     from the base (u = depth) up to the root (u = 0), with the layer's
     encoded (m, width) uint8 array, which it may edit in place before
-    anything is hashed. So the tree stays self-consistent (every proof
-    verifies) while any layer may violate its code."""
+    anything is hashed, so the tree commits to the edited rows. An edited
+    parity symbol, or any edited base symbol, leaves every proof verifying
+    while its layer violates its code; an edited systematic symbol above
+    the base also unbinds the child whose digest sat in the edited
+    slot."""
     geo = geometry(params, len(block))
     sizes, depth = geo.sizes, geo.depth
     padded = block + bytes(-len(block) % params.symbol_size)
     # a read-only view: encode_array copies it into the codeword once
     base_inputs = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size)
 
-    layers = [None] * (depth + 1)
+    layers, rows_of = [None] * (depth + 1), [None] * (depth + 1)
     for u in range(depth, -1, -1):
         code = layer_code(params, sizes[u])
         if u == depth:
@@ -359,22 +349,14 @@ def build_tree(
             cur = np.frombuffer(bytearray().join(rows), dtype=np.uint8).reshape(len(rows), -1)
         if tamper is not None:
             tamper(u, cur, code)
-            # bytes rows hash faster than array rows; an edited layer has
-            # only its array
-            if rows is not cur and cur.tobytes() != b"".join(rows):
-                rows = cur
-        hashes = _hash_rows(rows)
+            if u < depth:
+                rows = [row.tobytes() for row in cur]
+        hashes = [*map(sha256, rows)]
         cur.setflags(write=False)
-        layers[u] = Layer(cur)
+        layers[u], rows_of[u] = Layer(cur), rows
 
-    commitment = Commitment(root=tuple(_split(hashes)), params=params, block_len=len(block))
-    return CodedTree(layers=tuple(layers), commitment=commitment)
-
-
-def _split(arr: np.ndarray) -> list[bytes]:
-    """The rows of a 2-D uint8 array as bytes, from one copy."""
-    flat, width = arr.tobytes(), arr.shape[1]
-    return [flat[k : k + width] for k in range(0, len(flat), width)]
+    commitment = Commitment(root=tuple(hashes), params=params, block_len=len(block))
+    return CodedTree(tuple(layers), commitment, SamplingTables(geo, rows_of))
 
 
 class SamplingTables:
@@ -386,19 +368,20 @@ class SamplingTables:
 
     __slots__ = ("ancestors", "ancestor_mod", "parities", "parity_mod")
 
-    def __init__(self, tree: CodedTree):
-        geo = geometry(tree.commitment.params, tree.commitment.block_len)
-        # the ancestor at layer u of residue r mod s_u is r mod s_u, and the
-        # parity symbol of residue r mod m_u - s_u is s_u + r; s_{u-1}
-        # divides s_u, and m_{u-1} - s_{u-1} divides m_u - s_u
+    def __init__(self, geo: Geometry, rows: list):
+        # rows[u] is the bytes rows of digest layer u (the base layer's
+        # entry is not read); the ancestor at layer u of residue r mod s_u
+        # is r mod s_u, and the parity symbol of residue r mod m_u - s_u is
+        # s_u + r; s_{u-1} divides s_u, and m_{u-1} - s_{u-1} divides
+        # m_u - s_u
         ancestors, a_mod, parities, p_mod = [()], 1, [()], 1
         for u in range(geo.depth):
-            s, rows = geo.sys_counts[u], _split(tree.layers[u].symbols)
-            ancestors = [(rows[r],) + ancestors[r % a_mod] for r in range(s)]
+            s, layer = geo.sys_counts[u], rows[u]
+            ancestors = [(layer[r],) + ancestors[r % a_mod] for r in range(s)]
             a_mod = s
             if u:
-                parities = [(rows[s + r],) + parities[r % p_mod] for r in range(len(rows) - s)]
-                p_mod = len(rows) - s
+                parities = [(layer[s + r],) + parities[r % p_mod] for r in range(len(layer) - s)]
+                p_mod = len(layer) - s
         self.ancestors, self.ancestor_mod = ancestors, a_mod
         self.parities, self.parity_mod = parities, p_mod
 

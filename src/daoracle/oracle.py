@@ -378,20 +378,16 @@ def bad_code_round(
 
 
 def build_tree_with_base_corruption(
-    block: bytes,
-    params: TreeParams,
-    corrupt_index: Optional[int] = None,
-    xor_mask: int = 0x01,
+    block: bytes, params: TreeParams, xor_mask: int = 0x01
 ) -> CodedTree:
     """Adversarial proposer harness: ``build_tree`` with a hook that, at the
-    base layer only, XORs ``xor_mask`` into the first byte of one coded
-    symbol (default: the first parity symbol), so the tree is
-    self-consistent (every proof verifies) while the base layer violates
-    its code."""
+    base layer only, XORs ``xor_mask`` into the first byte of the first
+    parity symbol, so the tree is self-consistent (every proof verifies)
+    while the base layer violates its code."""
     depth = geometry(params, len(block)).depth
 
     def flip(u: int, symbols: np.ndarray, code) -> None:
         if u == depth:
-            symbols[code.n_systematic if corrupt_index is None else corrupt_index, 0] ^= xor_mask
+            symbols[code.n_systematic, 0] ^= xor_mask
 
     return build_tree(block, params, flip)

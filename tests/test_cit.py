@@ -9,7 +9,7 @@ import pytest
 
 from daoracle import cit, retrieval as rt
 from daoracle.codec import encode_array
-from daoracle.errors import IndexOutOfRange, ParameterError
+from daoracle.errors import BadCode, IndexOutOfRange, ParameterError
 from daoracle.util import sha256
 
 from conftest import SMALL, chunkset_for, covered_layers, flipping, pairs_table, params_for
@@ -56,13 +56,21 @@ class TestGeometry:
         assert tree.commitment.block_len == 450
         assert tree.sizes == (4, 8, 16, 32)
 
-    @pytest.mark.parametrize("u", range(4))
-    def test_tamper_applies_before_hashing(self, small_tree, small_block, small_params, u):
-        # a parity symbol of layer u flipped: the hook sees each layer once,
-        # base to root, and every proof verifies while layer u violates its
-        # code, which a reconstruction from every chunk convicts
+    @pytest.mark.parametrize(
+        "u, systematic",
+        [pytest.param(u, False, id=f"{u}") for u in range(4)]
+        + [pytest.param(u, True, id=f"{u}-systematic") for u in range(4)],
+    )
+    def test_tamper_applies_before_hashing(
+        self, small_tree, small_block, small_params, u, systematic
+    ):
+        # a parity or a systematic symbol of layer u flipped: the hook sees
+        # each layer once, base to root, the sampled proofs carry the
+        # flipped row, and layer u violates its code, which a
+        # reconstruction from every chunk convicts
         geo, seen = cit.geometry(small_params, len(small_block)), []
-        flipped = geo.sys_counts[u] + 1
+        s = geo.sys_counts[u]
+        flipped = s - 1 if systematic else s + 1
         flip = flipping({u: [(flipped, 0x80)]})
 
         def tamper(w, symbols, code):
@@ -74,8 +82,22 @@ class TestGeometry:
         for w in range(u, 4):
             diff = (tree.layers[w].symbols != small_tree.layers[w].symbols).any(axis=1)
             assert np.flatnonzero(diff).tolist() == ([flipped] if w == u else [])
-        for i in range(32):
-            assert cit.Frontier(tree.commitment).walk(cit.sample_pom(tree, i))
+        poms = [cit.sample_pom(tree, i) for i in range(32)]
+        row = tree.layers[u].symbols[flipped].tobytes()
+        walks = [True] * 32
+        if systematic and u == 3:
+            assert poms[flipped].base_symbol == row
+        elif systematic:
+            # the ancestor at layer u of every proof under the flipped row
+            # is that row, and the child at its slot 0, symbol ``flipped``
+            # of layer u + 1, no longer hashes to that slot: exactly the
+            # proofs climbing through that child fail
+            assert [pom.ancestors[2 - u] == row for pom in poms] == [
+                i % s == flipped for i in range(32)
+            ]
+            below = geo.sys_counts[u + 1] if u < 2 else 32
+            walks = [i % below != flipped for i in range(32)]
+        assert [cit.Frontier(tree.commitment).walk(pom) for pom in poms] == walks
         fraud = rt.reconstruct(tree.commitment, small_params, chunkset_for(tree, range(32)))
         assert fraud.proof.layer == u
         assert rt.verify_fraud_proof(tree.commitment, small_params, fraud.proof)
@@ -235,12 +257,22 @@ class TestSiblingProperty:
 
 
 def test_gate_failure_raises_bad_code(small_block):
-    from daoracle.errors import BadCode
-
     # an unreachable gate: alpha = 0.9 rejects every candidate
     params = cit.TreeParams(**{**SMALL, "alpha": 0.9, "max_code_attempts": 3})
     with pytest.raises(BadCode):
         cit.build_tree(small_block, params)
+
+
+@pytest.mark.parametrize("max_attempts, ran", ((0, 1), (1, 1), (3, 3)))
+def test_gate_failure_reports_the_attempts_made(max_attempts, ran, monkeypatch):
+    # max_code_attempts = 0 still tries the first seed, and the message
+    # counts the candidates the gate actually rejected
+    params = cit.TreeParams(**{**SMALL, "alpha": 0.9, "max_code_attempts": max_attempts})
+    gated, real = [], cit.is_bad_code
+    monkeypatch.setattr(cit, "is_bad_code", lambda *a, **k: gated.append(a) or real(*a, **k))
+    with pytest.raises(BadCode, match=rf"alpha=0\.9 within {ran} attempts$"):
+        cit.layer_code(params, 32)
+    assert len(gated) == ran
 
 
 def test_digest_layers_encode_as_encode_array_does():
@@ -269,7 +301,7 @@ def test_digest_layers_encode_as_encode_array_does():
                 for i, lead in enumerate(rng.integers(0, width + 1, k)):
                     rows[i, :lead] = 0  # lead == width is an all-zero row
                 for inputs in (rows, np.zeros_like(rows)):
-                    got = cit._encode_digests(code, inputs)
+                    got = cit._encode_digests(code, [row.tobytes() for row in inputs])
                     assert [len(row) for row in got] == [width] * m
                     assert b"".join(got) == encode_array(code, inputs).tobytes()
     assert len(seen) >= 60

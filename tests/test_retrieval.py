@@ -193,9 +193,8 @@ class TestFraud:
         # corrupting a systematic symbol and withholding it forces the
         # decoder to solve it from a parity equation; the solved value then
         # contradicts the digest the commitment pins for that position
-        tree = build_tree_with_base_corruption(
-            small_block, small_params, corrupt_index=3, xor_mask=0x77
-        )
+        # base symbol 3 (the small tree's base layer is depth 3)
+        tree = cit.build_tree(small_block, small_params, flipping({3: [(3, 0x77)]}))
         subset = [i for i in range(32) if i != 3]
         out = rt.reconstruct(
             tree.commitment, small_params, chunkset_for(tree, subset)
@@ -300,7 +299,7 @@ def fraud_flavours():
         ("equation", build_tree_with_base_corruption(block, params, xor_mask=0x5A), range(32)),
         (
             "mismatch",
-            build_tree_with_base_corruption(block, params, corrupt_index=3, xor_mask=0x77),
+            cit.build_tree(block, params, flipping({3: [(3, 0x77)]})),
             [i for i in range(32) if i != 3],
         ),
         # root symbol 1 is a parity symbol, which no proof carries: it is
@@ -434,9 +433,8 @@ class TestProofSize:
         ]
         assert full, "reference code has no full-degree equation"
         target = full[0].symbol_indices[-1]
-        tree = build_tree_with_base_corruption(
-            block, params, corrupt_index=target, xor_mask=0x11
-        )
+        depth = cit.geometry(params, len(block)).depth
+        tree = cit.build_tree(block, params, flipping({depth: [(target, 0x11)]}))
         out = rt.reconstruct(
             tree.commitment, params, chunkset_for(tree, range(base_size))
         )

@@ -2,7 +2,9 @@
 and the proposer do: ``simnet.run_scenario`` on the scenarios that
 ``test_reference_round.scenarios`` draws, under every proposer strategy
 (``honest``, ``invalid_coding`` and ``equivocating``), and with the planted
-bad code of ``test_simnet``.
+bad code of ``test_simnet``. The ``invalid_coding`` proposer's tamper is
+drawn too: a mask from 1 to 255 XORed into the first byte of any symbol of
+any layer.
 
 Always, in every round:
 
@@ -23,19 +25,24 @@ from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from daoracle import oracle as orc
+from daoracle import cit, oracle as orc
 from daoracle import simnet as sn
 from daoracle.errors import BadCode
 from daoracle.retrieval import Block, Fraud, verify_fraud_proof
 from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
 from daoracle.util import derive_seed
 
+from conftest import flipping
 from hostile import time_bound
 from test_reference_round import scenarios
 
 DRAWS = 200
 BOUND_S = 30
+# (layer, index, mask) of the invalid_coding proposer's tamper: the layer
+# and the index are taken modulo the tree's layer count and layer size
+TAMPERS = st.tuples(st.integers(0, 7), st.integers(0, 127), st.integers(1, 255))
 
 
 def proposal(config, round_no: int) -> bytes:
@@ -45,11 +52,17 @@ def proposal(config, round_no: int) -> bytes:
     return rng.bytes(config.block_size)
 
 
-def played(config):
-    """The trace of ``config``, and (commitment, result or caught BadCode)
+def played(config, tamper):
+    """The trace of ``config`` with the ``invalid_coding`` proposer's
+    tamper drawn as ``tamper``, and (commitment, result or caught BadCode)
     for each ``client_retrieve`` call, in call order: round by round, each
     committed round's clients in order."""
-    calls, retrieve = [], orc.client_retrieve
+    calls, retrieve, propose = [], orc.client_retrieve, orc.build_tree_with_base_corruption
+    layer, index, mask = tamper
+
+    def tampered(block, params, xor_mask):  # the drawn mask replaces xor_mask
+        depth = cit.geometry(params, len(block)).depth
+        return cit.build_tree(block, params, flipping({layer % (depth + 1): [(index, mask)]}))
 
     def spy(chain, nodes, commitment, params):
         try:
@@ -60,15 +73,15 @@ def played(config):
         calls.append((commitment, result))
         return result
 
-    orc.client_retrieve = spy
+    orc.client_retrieve, orc.build_tree_with_base_corruption = spy, tampered
     try:
         return sn.run_scenario(config), calls
     finally:
-        orc.client_retrieve = retrieve
+        orc.client_retrieve, orc.build_tree_with_base_corruption = retrieve, propose
 
 
-def check_round_safety(config) -> None:
-    trace, calls = played(config)
+def check_round_safety(config, tamper) -> None:
+    trace, calls = played(config, tamper)
     lines = trace.chain_lines
     badcodes = Counter(line.split()[1] for line in lines if line.startswith("BADCODE"))
     assert all(count == 1 for count in badcodes.values()), lines
@@ -101,9 +114,9 @@ def test_drawn_rounds_keep_the_safety_properties():
     checked = []
 
     @settings(max_examples=DRAWS, deadline=None)
-    @given(scenarios())
-    def check(config):
-        check_round_safety(config)
+    @given(scenarios(), TAMPERS)
+    def check(config, tamper):
+        check_round_safety(config, tamper)
         checked.append(config.proposer_strategy)
 
     with time_bound(BOUND_S):

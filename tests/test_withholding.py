@@ -22,7 +22,7 @@ from daoracle import cit, oracle as orc, retrieval as rt
 from daoracle.dispersal import assign_chunks
 from daoracle.errors import BadCode
 
-from conftest import SMALL, chunkset_for
+from conftest import SMALL, chunkset_for, flipping
 
 # the honest_round geometry: 1024 coded base chunks of 1 KiB, depth 8
 PARAMS = cit.TreeParams(1024, 4, Fraction(1, 4), 8, 8, 0.125, code_seed=11, gate_trials=24)
@@ -34,7 +34,8 @@ N_NODES, BETA, GAMMA = 64, 0.25, 0.5
 @pytest.fixture(scope="module")
 def tree():
     block = np.random.default_rng(0).bytes(256 * 1024)
-    return orc.build_tree_with_base_corruption(block, PARAMS, corrupt_index=TAMPERED)
+    depth = cit.geometry(PARAMS, len(block)).depth
+    return cit.build_tree(block, PARAMS, flipping({depth: [(TAMPERED, 0x01)]}))
 
 
 def assert_convicted(chain, commitment, result):
