@@ -1,13 +1,11 @@
 """Hot inner loops: XOR encoding, the peeling engine, distinct counts.
 
-Code tables. ``CodeTables`` holds one code's parity equations in the forms
-the loops read, built once per code (``CodeSpec.tables``):
-
-- ``members[e]``, the coded-symbol indices of equation ``e`` as a tuple,
-  sorted ascending (the last is its parity symbol), which ``xor_encode``
-  and the callers' value XORs walk;
-- ``touching[x]``, the equations that contain symbol ``x``, ascending,
-  which the peel walks.
+Equations. A code is its parity equations, ``CodeSpec.parity_checks``:
+equation ``e`` is the tuple of its coded-symbol indices, ascending (the
+last is its parity symbol), which ``xor_encode`` and the callers' value
+XORs walk. The peel also walks ``CodeSpec.touching``, the equations that
+hold each symbol, ascending: an index derived from the equations once per
+code, not a second copy of them.
 
 Peeling. A ``Peel`` keeps, per equation, the number of members still
 unknown and the XOR of their indices, so an equation with one unknown
@@ -58,27 +56,13 @@ from typing import Sequence
 import numpy as np
 
 
-class CodeTables:
-    """Member and incidence tables of one code's parity equations."""
-
-    __slots__ = ("members", "touching")
-
-    def __init__(self, equations: Sequence[Sequence[int]], n_coded: int):
-        self.members = tuple(tuple(eq) for eq in equations)
-        touching: list[list[int]] = [[] for _ in range(n_coded)]
-        for e, eq in enumerate(self.members):
-            for i in eq:
-                touching[i].append(e)
-        self.touching = touching
-
-
-def xor_encode(members, sym):
+def xor_encode(equations, sym):
     """Write each equation's parity row, its last member, as the XOR of the
     rows of its other members, systematic inputs already present in sym:
     one pass over each row, the first pair XORed straight into the parity
     row and the rest XORed in place (a one-input equation copies it)."""
     rows = list(sym)
-    for eq in members:
+    for eq in equations:
         parity = rows[eq[-1]]
         if len(eq) == 2:
             parity[:] = rows[eq[0]]
@@ -150,16 +134,18 @@ def _view_of_row(row: np.ndarray) -> memoryview:
 
 
 class Peel:
-    """Peeling state of one code from its unknown symbols, ``unknown`` the
-    distinct indices of the symbols not known, in any order (a repeated
-    index would count twice). ``known`` is a bytearray, 1 per known
-    symbol, that ``solve`` updates."""
+    """Peeling state of one code from its unknown symbols. ``code`` is a
+    ``codec.CodeSpec``, read only for ``touching`` and the number of
+    ``parity_checks`` (``codec`` imports this module, so it is not named
+    here); ``unknown`` the distinct indices of the symbols not known, in
+    any order (a repeated index would count twice). ``known`` is a
+    bytearray, 1 per known symbol, that ``solve`` updates."""
 
-    def __init__(self, tables: CodeTables, unknown: Sequence[int]):
-        touching = self._touching = tables.touching
+    def __init__(self, code, unknown: Sequence[int]):
+        touching = self._touching = code.touching
         known = self.known = bytearray(b"\x01") * len(touching)
-        count = self.count = [0] * len(tables.members)
-        index_xor = self.xor = [0] * len(tables.members)
+        count = self.count = [0] * len(code.parity_checks)
+        index_xor = self.xor = [0] * len(code.parity_checks)
         for x in unknown:
             known[x] = 0
             for e in touching[x]:

@@ -312,7 +312,7 @@ def _encode_digests(code: CodeSpec, rows: list[bytes]) -> list[bytes]:
     layer."""
     width, k = len(rows[0]), code.n_systematic
     values = [*map(int_from_digest, rows), *[0] * (code.n_coded - k)]
-    for eq in code.tables.members:
+    for eq in code.parity_checks:
         values[eq[-1]] = xor_members(values, eq, eq[-1])
     return rows + [digest_from_int(v, width) for v in values[k:]]
 

@@ -29,18 +29,26 @@ from .errors import LengthMismatch, ParameterError
 from .util import MASK64, as_rate
 
 
-@dataclass(frozen=True)
-class ParityEquation:
-    """Coded-symbol indices whose bytewise XOR must be the zero symbol."""
+class ParityEquation(tuple):
+    """Coded-symbol indices, strictly increasing, whose bytewise XOR must
+    be the zero symbol. The equation is its own index tuple, the one form
+    the encoder, the peel and fraud proofs read."""
 
-    symbol_indices: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        idx = self.symbol_indices
-        if len(idx) < 2:
+    def __new__(cls, indices):
+        eq = super().__new__(cls, indices)
+        if len(eq) < 2:
             raise ParameterError("parity equation needs at least 2 symbols")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if any(b <= a for a, b in zip(eq, eq[1:])):
             raise ParameterError("equation indices must be strictly increasing")
+        return eq
+
+    @property
+    def symbol_indices(self) -> tuple[int, ...]:
+        # the equation itself, kept only for protobench's first_stall,
+        # which reads it; package and tests iterate the equation
+        return self
 
 
 @dataclass(frozen=True)
@@ -51,12 +59,16 @@ class CodeSpec:
     parity_checks: tuple[ParityEquation, ...]
 
     @cached_property
-    def tables(self) -> _kernels.CodeTables:
-        """Member and incidence tables for the encoder and the peeling
-        engine, built on first use and kept on this instance."""
-        return _kernels.CodeTables(
-            [eq.symbol_indices for eq in self.parity_checks], self.n_coded
-        )
+    def touching(self) -> tuple[tuple[int, ...], ...]:
+        """``touching[x]``, the equations that hold symbol x, ascending:
+        the incidence the peeling engine walks, derived from
+        ``parity_checks`` on first use and kept on this instance, as
+        tuples, since every caller of a cached code shares it."""
+        touching: list[list[int]] = [[] for _ in range(self.n_coded)]
+        for e, eq in enumerate(self.parity_checks):
+            for i in eq:
+                touching[i].append(e)
+        return tuple(map(tuple, touching))
 
 
 def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> CodeSpec:
@@ -79,7 +91,7 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
     equations: list[ParityEquation] = []
     if k <= 2:
         for j in range(n_parity):
-            equations.append(ParityEquation(tuple(sorted((j % k, k + j)))))
+            equations.append(ParityEquation(sorted((j % k, k + j))))
     else:
         rng = np.random.default_rng(np.uint64(seed & MASK64))
         hi = min(max_eq_degree - 1, k)
@@ -111,7 +123,7 @@ def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
     # writes all of it
     sym = np.empty((code.n_coded, inputs.shape[1]), dtype=np.uint8)
     sym[: code.n_systematic] = inputs
-    _kernels.xor_encode(code.tables.members, sym)
+    _kernels.xor_encode(code.parity_checks, sym)
     return sym
 
 
@@ -133,10 +145,9 @@ def is_bad_code(code: CodeSpec, alpha_target: float, trials: int, rng_seed: int)
     erased = bisect_left(range(1, n + 1), alpha_target, key=lambda e: e / n)
     if erased == 0:
         return False
-    tables = code.tables
     rng = np.random.default_rng(np.uint64(rng_seed & MASK64))
     for _ in range(trials):
-        peel = _kernels.Peel(tables, rng.permutation(n)[:erased].tolist())
+        peel = _kernels.Peel(code, rng.permutation(n)[:erased].tolist())
         for _e, x in peel.steps():
             if x >= 0:
                 peel.solve(x)

@@ -136,7 +136,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     width = _symbol_width(params, u, depth)
     load, dump, nonzero = value_form(width)
 
-    eq_idx = set(proof.equation.symbol_indices)
+    eq_idx = set(proof.equation)
     # each checked member's value, in the form the peel XORs it in, by
     # index: the XOR below runs over the indices this holds
     values = {}
@@ -207,7 +207,7 @@ class _Reconstructor:
         eq = code.parity_checks[e]
         members = tuple(
             FraudMember(idx, rows[idx], self._ancestors(u, idx))
-            for idx in eq.symbol_indices
+            for idx in eq
             if idx != mismatch_at
         )
         mismatch = None
@@ -277,10 +277,10 @@ class _Reconstructor:
         if as_ints:
             for x in unknown:
                 values[x] = 0
-        tables = code.tables
-        peel = Peel(tables, unknown)
+        equations = code.parity_checks
+        peel = Peel(code, unknown)
         for e, x in peel.steps():
-            members = tables.members[e]
+            members = equations[e]
             if as_ints:
                 acc = 0
                 for i in members:

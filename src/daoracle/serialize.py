@@ -216,11 +216,11 @@ def _take_path(r: _Reader, layer: int, index: int) -> tuple[bytes, ...]:
 
 
 def encode_fraud_proof(proof: FraudProof) -> bytes:
-    layer, indices = proof.layer, proof.equation.symbol_indices
+    layer, equation = proof.layer, proof.equation
     parts = [
         MAGIC_FRAUD,
-        _FRAUD_HEAD.pack(layer, proof.equation_no, len(indices)),
-        *map(_U64.pack, indices),
+        _FRAUD_HEAD.pack(layer, proof.equation_no, len(equation)),
+        *map(_U64.pack, equation),
         _U16.pack(len(proof.members)),
     ]
     for member in proof.members:
@@ -238,7 +238,7 @@ def decode_fraud_proof(data: bytes) -> FraudProof:
     r = _Reader(data)
     r.magic(MAGIC_FRAUD, "fraud proof")
     layer, equation_no, degree = r.unpack(_FRAUD_HEAD)
-    equation = ParityEquation(tuple(r.unpack(_U64)[0] for _ in range(degree)))
+    equation = ParityEquation(r.unpack(_U64)[0] for _ in range(degree))
     members = []
     for _ in range(r.unpack(_U16)[0]):
         index, value_len = r.unpack(_MEMBER_HEAD)

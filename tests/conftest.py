@@ -35,14 +35,21 @@ BAD_BASE_CODE_SEED = 6
 BAD_BASE_STOPPING_SET = (0, 3, 4, 5)
 
 
+def code_of(equations, n_coded: int) -> CodeSpec:
+    """A hand-built code over ``n_coded`` symbols whose parity equations
+    are ``equations``, index sequences ascending, for the peel and the
+    alpha gate, which read only those two: its systematic count and seed
+    are 0."""
+    return CodeSpec(0, n_coded, 0, tuple(map(ParityEquation, equations)))
+
+
 def planted_weak_code() -> CodeSpec:
     """Adversarial construction: systematic symbols 1..63 each appear in
     exactly one degree-2 equation, so every {i, 64 + i} is a stopping set
     of 2 of the 256 symbols."""
     k, n = 64, 256
-    eqs = [ParityEquation((i, k + i)) for i in range(k)]
-    eqs += [ParityEquation((0, k + k + j)) for j in range(n - 2 * k)]
-    return CodeSpec(k, n, 0, tuple(eqs))
+    eqs = [(i, k + i) for i in range(k)] + [(0, k + k + j) for j in range(n - 2 * k)]
+    return code_of(eqs, n)
 
 
 def code_to_text(code: CodeSpec) -> str:
@@ -51,22 +58,23 @@ def code_to_text(code: CodeSpec) -> str:
     its member indices space-separated ascending, the lines sorted
     lexicographically, each ending in a newline. No package code writes or
     reads this form; it exists only to pin codes in the tests."""
-    lines = sorted(" ".join(str(i) for i in eq.symbol_indices) for eq in code.parity_checks)
+    lines = sorted(" ".join(map(str, eq)) for eq in code.parity_checks)
     return "\n".join(lines) + "\n"
 
 
-def peel_rows(tables, sym, known):
-    """Solve-in-turn decode of the uint8 rows ``sym`` on the package's
-    peeling engine, ``_kernels.Peel`` with ``xor_members``, driven over
-    values as retrieval drives it. Rows not in the bool array ``known`` are
-    overwritten as they are solved, and ``known`` is updated, in place.
+def peel_rows(code: CodeSpec, sym, known):
+    """Solve-in-turn decode of the uint8 rows ``sym`` of ``code`` on the
+    package's peeling engine, ``_kernels.Peel`` with ``xor_members``, driven
+    over values as retrieval drives it. Rows not in the bool array
+    ``known`` are overwritten as they are solved, and ``known`` is updated,
+    in place.
     Returns ("decoded", -1), ("stuck", -1) or ("violation", the first
     failing equation under ``Peel.steps``)."""
     rows = [row.copy() if k else None for row, k in zip(sym, known)]
-    peel = kn.Peel(tables, np.flatnonzero(~known).tolist())
+    peel = kn.Peel(code, np.flatnonzero(~known).tolist())
     outcome = None
     for e, x in peel.steps():
-        acc = kn.xor_members(rows, tables.members[e], x)
+        acc = kn.xor_members(rows, code.parity_checks[e], x)
         if x >= 0:
             rows[x] = acc
             peel.solve(x)

@@ -31,7 +31,7 @@ def solve_erasure(code, known: dict):
     for eq in code.parity_checks:
         mask = 0
         rhs = zero
-        for i in eq.symbol_indices:
+        for i in eq:
             if i in col:
                 mask |= 1 << col[i]
             else:

@@ -53,16 +53,16 @@ class UndecodableEstimate:
 
 def _csr(code: CodeSpec):
     """CSR member arrays plus the parity-output index of each equation."""
-    counts = [len(eq.symbol_indices) for eq in code.parity_checks]
+    counts = [len(eq) for eq in code.parity_checks]
     eq_ptr = np.zeros(len(counts) + 1, dtype=np.int32)
     eq_ptr[1:] = np.cumsum(counts)
     eq_idx = np.fromiter(
-        (i for eq in code.parity_checks for i in eq.symbol_indices),
+        (i for eq in code.parity_checks for i in eq),
         dtype=np.int32,
         count=int(eq_ptr[-1]),
     )
     parity_of = np.fromiter(
-        (eq.symbol_indices[-1] for eq in code.parity_checks),
+        (eq[-1] for eq in code.parity_checks),
         dtype=np.int32,
         count=len(counts),
     )
@@ -224,7 +224,7 @@ class Reconstructor:
     def _members(self, u: int, eq: ParityEquation, sym, skip: int = -1):
         return tuple(
             FraudMember(idx, sym[idx].tobytes(), self._ancestors(u, idx))
-            for idx in eq.symbol_indices
+            for idx in eq
             if idx != skip
         )
 

@@ -128,7 +128,7 @@ def fraud_holds(commitment, proof) -> bool:
     xor = np.zeros(len(proof.members[0].value), dtype=np.uint8)
     for value in values.values():
         xor ^= np.frombuffer(value, dtype=np.uint8)
-    indices = set(proof.equation.symbol_indices)
+    indices = set(proof.equation)
     mm = proof.mismatch
     if mm is None:
         return set(values) == indices and bool(xor.any())

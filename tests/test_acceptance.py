@@ -95,7 +95,7 @@ def test_criterion_3_codec_oracle_equivalence():
             # the package's peel on the rows of ``mask``, the rest zeroed
             known = (mask & bit) != 0
             sym = cw * known[:, None]
-            out, _e = peel_rows(code.tables, sym, known)
+            out, _e = peel_rows(code, sym, known)
             assert out != "violation", "violation on honest data"
             if out == "decoded":
                 decoded += 1

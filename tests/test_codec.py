@@ -25,7 +25,7 @@ def encode_rows(code, inputs):
 
 def equation_xor(rows, eq):
     """The XOR of the rows of ``eq``'s members."""
-    return np.bitwise_xor.reduce(rows[list(eq.symbol_indices)], axis=0)
+    return np.bitwise_xor.reduce(rows[list(eq)], axis=0)
 
 
 def erased(cw, keep):
@@ -47,7 +47,7 @@ class TestGenerate:
     def test_single_input_degenerates_to_repetition(self):
         code = codec.generate_code(1, "1/4", 8, seed=77)
         assert code.n_coded == 4
-        assert [eq.symbol_indices for eq in code.parity_checks] == [
+        assert list(code.parity_checks) == [
             (0, 1),
             (0, 2),
             (0, 3),
@@ -57,7 +57,7 @@ class TestGenerate:
         code = codec.generate_code(8, "1/4", 8, seed=42)
         assert code.n_coded == 32
         assert len(code.parity_checks) == 24
-        degrees = [len(eq.symbol_indices) for eq in code.parity_checks]
+        degrees = [len(eq) for eq in code.parity_checks]
         assert max(degrees) <= 8 and min(degrees) >= 2
 
     def test_identical_inputs_identical_codes(self):
@@ -71,7 +71,7 @@ class TestGenerate:
             code = codec.generate_code(16, "1/2", 6, seed=seed)
             touched = set()
             for eq in code.parity_checks:
-                touched.update(eq.symbol_indices)
+                touched.update(eq)
             assert touched == set(range(code.n_coded))
 
     def test_parameter_errors(self):
@@ -137,7 +137,7 @@ class TestPeel:
         code = codec.generate_code(8, "1/4", 8, seed=3)
         out = encode_rows(code, [bytes([i]) * 8 for i in range(8)])
         sym, known = out.copy(), np.ones(32, dtype=bool)
-        assert peel_rows(code.tables, sym, known) == ("decoded", -1)
+        assert peel_rows(code, sym, known) == ("decoded", -1)
         assert np.array_equal(sym, out)
 
     def test_eighth_erased_matches_elimination_oracle(self):
@@ -147,7 +147,7 @@ class TestPeel:
         erasures = {1, 13, 22, 30}  # 4 of 32 = 1 - 0.875
         keep = [i for i in range(32) if i not in erasures]
         sym, known = erased(out, keep)
-        assert peel_rows(code.tables, sym, known) == ("decoded", -1)
+        assert peel_rows(code, sym, known) == ("decoded", -1)
         status, solution = solve_erasure(code, as_known(out, keep))
         assert status == "decoded"
         assert [row.tobytes() for row in sym] == [solution[i] for i in range(32)]
@@ -156,10 +156,10 @@ class TestPeel:
         code = codec.generate_code(8, "1/4", 8, seed=4)
         out = encode_rows(code, [bytes([i]) * 4 for i in range(8)])
         out[9, 0] ^= 1
-        status, e = peel_rows(code.tables, out, np.ones(32, dtype=bool))
+        status, e = peel_rows(code, out, np.ones(32, dtype=bool))
         assert status == "violation"
         eq = code.parity_checks[e]
-        assert 9 in eq.symbol_indices
+        assert 9 in eq
         assert equation_xor(out, eq).any()
 
     def test_violation_never_decodes(self):
@@ -167,16 +167,16 @@ class TestPeel:
         # of the codeword is intact
         code = codec.generate_code(6, "1/2", 5, seed=11)
         out = encode_rows(code, [bytes([i]) * 4 for i in range(6)])
-        for member in code.parity_checks[2].symbol_indices:
+        for member in code.parity_checks[2]:
             broken = out.copy()
             broken[member, 0] ^= 0xFF
-            status, _e = peel_rows(code.tables, broken, np.ones(12, dtype=bool))
+            status, _e = peel_rows(code, broken, np.ones(12, dtype=bool))
             assert status == "violation"
 
     def test_empty_known_is_stuck(self):
         code = codec.generate_code(4, "1/2", 4, seed=5)
         known = np.zeros(8, dtype=bool)
-        assert peel_rows(code.tables, np.zeros((8, 4), dtype=np.uint8), known) == ("stuck", -1)
+        assert peel_rows(code, np.zeros((8, 4), dtype=np.uint8), known) == ("stuck", -1)
         assert not known.any()
 
     def test_deterministic_violation_choice(self):
@@ -184,7 +184,7 @@ class TestPeel:
         out = encode_rows(code, [bytes([i]) * 4 for i in range(8)])
         out[0, 0] ^= 1
         results = {
-            peel_rows(code.tables, out.copy(), np.ones(32, dtype=bool)) for _ in range(3)
+            peel_rows(code, out.copy(), np.ones(32, dtype=bool)) for _ in range(3)
         }
         assert len(results) == 1 and results.pop()[0] == "violation"
 
@@ -196,7 +196,7 @@ class TestPeel:
         out = encode_rows(code, [rng.bytes(4) for _ in range(6)])
         keep = data.draw(st.sets(st.integers(0, 11), min_size=1))
         sym, known = erased(out, keep)
-        result, _e = peel_rows(code.tables, sym, known)
+        result, _e = peel_rows(code, sym, known)
         status, solution = solve_erasure(code, as_known(out, keep))
         assert status != "inconsistent"
         if result == "decoded":
@@ -216,7 +216,7 @@ def test_oracle_agreement_randomized_at_n32():
     for _ in range(300):
         keep = np.nonzero(rng.random(32) > rng.uniform(0.05, 0.5))[0]
         sym, known = erased(out, keep)
-        result, _e = peel_rows(code.tables, sym, known)
+        result, _e = peel_rows(code, sym, known)
         assert result != "violation"
         if result == "decoded":
             status, solution = solve_erasure(code, as_known(out, keep))

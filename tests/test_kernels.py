@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from daoracle import _kernels as kn
 from daoracle.codec import encode_array, generate_code
 
-from conftest import peel_rows
+from conftest import code_of, peel_rows
 from gf2 import solve_erasure
 
 
@@ -45,11 +45,11 @@ def peel_closure(equations, n, known) -> bool:
     return len(known) == n
 
 
-def visits(tables, unknown):
+def visits(code, unknown):
     """The ``(e, x)`` steps of the engine's peel from the unknown symbol
     indices ``unknown``, every solve accepted, and whether it reaches every
     symbol."""
-    peel = kn.Peel(tables, unknown)
+    peel = kn.Peel(code, unknown)
     visited = []
     for e, x in peel.steps():
         visited.append((e, x))
@@ -58,10 +58,10 @@ def visits(tables, unknown):
     return visited, all(peel.known)
 
 
-def closes(tables, known) -> bool:
+def closes(code, known) -> bool:
     """True when the engine's peel from the bool array ``known`` reaches
     every symbol."""
-    return visits(tables, np.flatnonzero(~known).tolist())[1]
+    return visits(code, np.flatnonzero(~known).tolist())[1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -79,7 +79,7 @@ def test_peel_symbols_paths_agree(seed):
         given[int(np.flatnonzero(known)[0]), 0] ^= 0x5A
 
     peeled, mask = given.copy(), known.copy()
-    status, viol = peel_rows(code.tables, peeled, mask)
+    status, viol = peel_rows(code, peeled, mask)
     verdict, solution = solve_erasure(
         code, {int(i): given[i].tobytes() for i in np.flatnonzero(known)}
     )
@@ -87,7 +87,7 @@ def test_peel_symbols_paths_agree(seed):
     if status == "violation":
         assert verdict == "inconsistent"
         eq = code.parity_checks[viol]
-        assert np.bitwise_xor.reduce(peeled[list(eq.symbol_indices)], axis=0).any()
+        assert np.bitwise_xor.reduce(peeled[list(eq)], axis=0).any()
         return
     if seed % 2 == 0:
         # an honest codeword: every solved symbol is the encoded one
@@ -99,7 +99,7 @@ def test_peel_symbols_paths_agree(seed):
         assert status == "stuck" and not mask.all() and viol == -1
         # a stall leaves a stopping set: no equation has exactly one unknown
         for eq in code.parity_checks:
-            assert sum(not mask[i] for i in eq.symbol_indices) != 1
+            assert sum(not mask[i] for i in eq) != 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -107,12 +107,13 @@ def test_peel_pattern_paths_agree(seed):
     """The engine's closure agrees with the set-based closure, and a
     pattern it decodes has a unique GF(2) solution."""
     code, sym = random_instance(seed, k=16, rate="1/2")
-    equations = [eq.symbol_indices for eq in code.parity_checks]
     rng = np.random.default_rng(seed)
     for _ in range(50):
         known = rng.random(code.n_coded) > rng.uniform(0.1, 0.6)
-        got = closes(code.tables, known)
-        assert got == peel_closure(equations, code.n_coded, np.flatnonzero(known).tolist())
+        got = closes(code, known)
+        assert got == peel_closure(
+            code.parity_checks, code.n_coded, np.flatnonzero(known).tolist()
+        )
         if got:
             verdict, _ = solve_erasure(
                 code, {int(i): sym[i].tobytes() for i in np.flatnonzero(known)}
@@ -122,37 +123,37 @@ def test_peel_pattern_paths_agree(seed):
 
 def test_peel_pattern_hand_built_cases():
     # a chain: knowing 0 and 1 solves 2, which solves 3, which solves 4
-    chain = kn.CodeTables([(0, 1, 2), (2, 3), (3, 4)], 5)
+    chain = code_of([(0, 1, 2), (2, 3), (3, 4)], 5)
     assert closes(chain, np.array([1, 1, 0, 0, 0], dtype=bool))
     assert not closes(chain, np.array([1, 0, 0, 0, 0], dtype=bool))
     # {1, 2} is a stopping set of (0, 1, 2), (1, 2, 3): each equation that
     # touches it touches it twice
-    stop = kn.CodeTables([(0, 1, 2), (1, 2, 3)], 4)
+    stop = code_of([(0, 1, 2), (1, 2, 3)], 4)
     assert not closes(stop, np.array([1, 0, 0, 1], dtype=bool))
     assert closes(stop, np.array([1, 1, 0, 1], dtype=bool))
 
 
 def test_peel_symbols_hand_built_cases():
-    tables = kn.CodeTables([(0, 1, 2), (2, 3)], 4)
+    code = code_of([(0, 1, 2), (2, 3)], 4)
     sym = np.array([[5], [3], [6], [6]], dtype=np.uint8)  # 5^3 = 6
     peeled, known = sym.copy(), np.array([1, 1, 0, 0], dtype=bool)
     peeled[~known] = 0
-    assert peel_rows(tables, peeled, known) == ("decoded", -1)
+    assert peel_rows(code, peeled, known) == ("decoded", -1)
     assert np.array_equal(peeled, sym) and known.all()
     # equation 1 is fully known and fails; equation 0 holds
     bad = np.array([[5], [3], [6], [7]], dtype=np.uint8)
-    assert peel_rows(tables, bad.copy(), np.ones(4, dtype=bool)) == ("violation", 1)
+    assert peel_rows(code, bad.copy(), np.ones(4, dtype=bool)) == ("violation", 1)
     known = np.array([1, 0, 0, 0], dtype=bool)
-    assert peel_rows(tables, sym.copy(), known) == ("stuck", -1)
+    assert peel_rows(code, sym.copy(), known) == ("stuck", -1)
 
 
 def test_steps_follow_the_ascending_scan():
     # knowing 3 readies equation 1, whose solve of 0 readies equation 2
     # (later in this pass) and equation 0 (in the next pass), whatever the
     # order the unknown symbols are given in
-    tables = kn.CodeTables([(0, 1), (0, 3), (0, 2)], 4)
+    code = code_of([(0, 1), (0, 3), (0, 2)], 4)
     for unknown in ([0, 1, 2], [2, 1, 0]):
-        visited, complete = visits(tables, unknown)
+        visited, complete = visits(code, unknown)
         assert visited == [(1, 0), (2, 2), (0, 1)]
         assert complete
 
@@ -191,8 +192,8 @@ def test_steps_are_the_plain_scan(data):
         data.draw(st.integers(2, 8)), seed=data.draw(st.integers(0, 2**32)),
     )
     unknown = data.draw(st.lists(st.integers(0, code.n_coded - 1), unique=True))
-    visited, _ = visits(code.tables, unknown)
-    assert visited == scan_steps(code.tables.members, unknown)
+    visited, _ = visits(code, unknown)
+    assert visited == scan_steps(code.parity_checks, unknown)
 
 
 def test_count_distinct_paths_agree():
@@ -213,7 +214,6 @@ def test_first_fail_monotone_and_in_range():
     length on, and that length lies in [1, n]."""
     code, _ = random_instance(3)
     n = code.n_coded
-    equations = [eq.symbol_indices for eq in code.parity_checks]
     rng = np.random.default_rng(3)
     for _ in range(10):
         perm = rng.permutation(n)
@@ -221,8 +221,10 @@ def test_first_fail_monotone_and_in_range():
         for e in range(n + 1):
             known = np.ones(n, dtype=np.bool_)
             known[perm[:e]] = False
-            stalls.append(not closes(code.tables, known))
-            assert stalls[-1] == (not peel_closure(equations, n, np.nonzero(known)[0].tolist()))
+            stalls.append(not closes(code, known))
+            assert stalls[-1] == (
+                not peel_closure(code.parity_checks, n, np.nonzero(known)[0].tolist())
+            )
         assert stalls == sorted(stalls)
         assert 1 <= stalls.index(True) <= n
 
@@ -242,9 +244,9 @@ def test_encode_is_the_xor_of_each_equations_inputs(k, width):
     inputs = rng.integers(0, 256, size=(k, width), dtype=np.uint8)
     filled = np.full((code.n_coded, width), 0xFF, dtype=np.uint8)
     filled[:k] = inputs
-    for cw in (encode_array(code, inputs), kn.xor_encode(code.tables.members, filled)):
+    for cw in (encode_array(code, inputs), kn.xor_encode(code.parity_checks, filled)):
         assert np.array_equal(cw[:k], inputs)
-        for eq in code.tables.members:
+        for eq in code.parity_checks:
             want = np.bitwise_xor.reduce(cw[list(eq[:-1])], axis=0)
             assert np.array_equal(cw[eq[-1]], want)
     assert np.array_equal(filled, encode_array(code, inputs))

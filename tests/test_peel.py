@@ -30,7 +30,7 @@ from daoracle.serialize import decode_fraud_proof, encode_fraud_proof
 
 from conftest import (
     BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for, code_to_text, flipping,
-    ingested, peel_rows, planted_weak_code,
+    code_of, ingested, peel_rows, planted_weak_code,
 )
 from test_kernels import closes, visits
 
@@ -172,7 +172,7 @@ def test_peel_decode_matches_the_reference(case):
     outcome and equation, with the same rows known and the same values."""
     code, sym, known = case
     new_sym, new_known = sym.copy(), known.copy()
-    new = peel_rows(code.tables, new_sym, new_known)
+    new = peel_rows(code, new_sym, new_known)
     assert new == ref.peel_decode(code, sym, known)
     assert np.array_equal(new_known, known) and np.array_equal(new_sym, sym)
 
@@ -199,7 +199,7 @@ def test_first_fail_count_matches_the_binary_search(system, rnd):
     from the unsorted ``perm[:e]``, as ``codec.is_bad_code`` passes it, and
     from its sorted copy."""
     n, eqs = system
-    tables = kn.CodeTables(eqs, n)
+    code = code_of(eqs, n)
     eq_ptr = np.cumsum([0] + [len(eq) for eq in eqs]).astype(np.int32)
     eq_idx = np.array([i for eq in eqs for i in eq], dtype=np.int32)
     perm = list(range(n))
@@ -208,10 +208,10 @@ def test_first_fail_count_matches_the_binary_search(system, rnd):
     for e in range(n + 1):
         known = np.ones(n, dtype=np.bool_)
         known[perm[:e]] = False
-        stalls.append(not closes(tables, known))
+        stalls.append(not closes(code, known))
         assert stalls[-1] == (not ref.peel_pattern(eq_ptr, eq_idx, known))
-        walk = visits(tables, perm[:e])
-        assert walk == visits(tables, sorted(perm[:e]))
+        walk = visits(code, perm[:e])
+        assert walk == visits(code, sorted(perm[:e]))
         assert walk[1] != stalls[-1]
     assert stalls == sorted(stalls)
     want = ref.first_fail_count(eq_ptr, eq_idx, np.array(perm, dtype=np.int64))

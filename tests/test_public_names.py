@@ -196,3 +196,16 @@ def test_only_cit_constructs_a_tree():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("Layer", "CodedTree")
     ]
     assert calls == []
+
+
+def test_no_package_or_test_file_reads_symbol_indices():
+    """``ParityEquation.symbol_indices`` returns the equation itself and
+    is kept only because a ``protobench`` file reads it; no package or
+    test file does, so it has no other reader to move when it goes."""
+    reads = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py")])
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "symbol_indices"
+    ]
+    assert reads == []

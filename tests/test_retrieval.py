@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daoracle import cit, retrieval as rt
+from daoracle import cit, codec, retrieval as rt
 from daoracle._kernels import value_form
 from daoracle.errors import BadCode, ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
@@ -271,7 +271,7 @@ class TestFraud:
         assert (out.proof.layer, out.proof.equation_no, out.proof.mismatch) == (depth, 0, None)
         assert len(loaded) == depth + 1
         base = reader.frontier.rows(depth)
-        members = out.proof.equation.symbol_indices
+        members = out.proof.equation
         assert len(members) < len(base)
         assert sorted(map(id, loaded[depth])) == sorted(id(base[i]) for i in members)
         for seen in loaded:
@@ -338,7 +338,7 @@ def mutate_fraud(kind, commitment, params, proof, draw):
     longer proves anything."""
     geo = cit.geometry(params, commitment.block_len)
     code = cit.layer_code(params, geo.sizes[proof.layer])
-    eq = proof.equation.symbol_indices
+    eq = proof.equation
     members, mm = proof.members, proof.mismatch
     j = draw(st.integers(0, len(members) - 1))
     member = members[j]
@@ -429,17 +429,17 @@ class TestProofSize:
         full = [
             eq
             for eq in code.parity_checks
-            if len(eq.symbol_indices) == params.max_eq_degree
+            if len(eq) == params.max_eq_degree
         ]
         assert full, "reference code has no full-degree equation"
-        target = full[0].symbol_indices[-1]
+        target = full[0][-1]
         depth = cit.geometry(params, len(block)).depth
         tree = cit.build_tree(block, params, flipping({depth: [(target, 0x11)]}))
         out = rt.reconstruct(
             tree.commitment, params, chunkset_for(tree, range(base_size))
         )
         assert isinstance(out, rt.Fraud)
-        assert len(out.proof.equation.symbol_indices) == params.max_eq_degree
+        assert len(out.proof.equation) == params.max_eq_degree
         return out.proof
 
     @staticmethod
@@ -480,7 +480,7 @@ class TestProofSize:
             tree.commitment, params, chunkset_for(tree, range(32))
         )
         assert isinstance(out, rt.Fraud)
-        assert len(out.proof.equation.symbol_indices) == 2
+        assert len(out.proof.equation) == 2
 
 
 class TestBadCode:
@@ -493,6 +493,26 @@ class TestBadCode:
         with pytest.raises(BadCode) as err:
             rt.reconstruct(tree.commitment, params, chunkset_for(tree, keep))
         assert err.value.known_fraction >= 1 - params.alpha
+
+    @pytest.mark.xfail(
+        raises=BadCode, strict=True,
+        reason="the gate accepts a code that a stall at exactly alpha*m unknown indicts",
+    )
+    def test_a_gate_accepted_code_peels_from_one_minus_alpha_known(self, small_block):
+        """A code the gate accepts never stalls with a BadCode from at least
+        (1 - alpha)*m known symbols. The default 32-trial gate accepts the
+        base code of BAD_BASE_CODE_SEED, yet withholding its stopping set,
+        exactly alpha*m = 4 of the 32 symbols, stalls the peel: the gate
+        calls a code bad only below alpha*m unknown, and reconstruction
+        indicts it at up to alpha*m unknown."""
+        params = cit.TreeParams(**{**SMALL, "code_seed": BAD_BASE_CODE_SEED})
+        code = cit.layer_code(params, 32)
+        assert params.gate_trials == 32
+        assert not codec.is_bad_code(code, params.alpha, params.gate_trials, code.seed)
+        tree = cit.build_tree(small_block, params)
+        keep = [i for i in range(32) if i not in BAD_BASE_STOPPING_SET]
+        assert len(keep) == (1 - params.alpha) * 32
+        rt.reconstruct(tree.commitment, params, chunkset_for(tree, keep))
 
     def test_a_stall_at_exactly_one_minus_alpha_known_indicts_the_code(self):
         # alpha 0.7 over a 20-symbol base layer: 6 known symbols are exactly

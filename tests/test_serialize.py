@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt, serialize as sz
+from daoracle.codec import ParityEquation
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.util import HASH_BYTES, as_rate
@@ -75,7 +76,11 @@ def test_fraud_proof_golden(small_block, small_params):
     result = rt.reconstruct(bad.commitment, small_params, chunkset_for(bad, range(32)))
     blob = sz.encode_fraud_proof(result.proof)
     assert sha(blob) == GOLDEN_FRAUD
-    assert sz.decode_fraud_proof(blob) == result.proof
+    decoded = sz.decode_fraud_proof(blob)
+    assert decoded == result.proof and type(decoded.equation) is ParityEquation
+    # the proof carries the code's own equation object, not a copy
+    code = cit.layer_code(small_params, 32)
+    assert result.proof.equation is code.parity_checks[result.proof.equation_no]
 
 
 def path_heads(blob: bytes) -> list[int]:
@@ -122,6 +127,31 @@ def test_a_fraud_path_naming_another_position_raises(flavour, field):
         with pytest.raises(ParameterError, match="another position"):
             sz.decode_fraud_proof(bytes(forged))
     assert rt.verify_fraud_proof(commitment, params, sz.decode_fraud_proof(blob))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    (
+        ("degree_0", "at least 2"),
+        ("degree_1", "at least 2"),
+        ("repeated", "strictly increasing"),
+        ("descending", "strictly increasing"),
+    ),
+)
+def test_a_malformed_fraud_equation_raises(valid_files, edit, message):
+    """A DAF2 equation of fewer than 2 indices, or whose indices are not
+    strictly increasing, is refused with a ParameterError. The edits write
+    the u16 degree at offset 12 and the u64 indices from 14, as
+    ``path_heads`` reads them, in the golden fraud proof."""
+    blob = bytearray(valid_files["DAF2"])
+    first, second = struct.unpack_from("<QQ", blob, 14)
+    if edit.startswith("degree"):
+        struct.pack_into("<H", blob, 12, int(edit[-1]))
+    else:
+        pair = (first, first) if edit == "repeated" else (second, first)
+        struct.pack_into("<QQ", blob, 14, *pair)
+    with pytest.raises(ParameterError, match=message):
+        sz.decode_fraud_proof(bytes(blob))
 
 
 def test_chunk_bundle_round_trip(small_tree):

@@ -135,7 +135,7 @@ def tampers_and_withholdings(draw):
 def is_codeword(tree) -> bool:
     base = tree.layers[-1].symbols
     return not any(
-        np.bitwise_xor.reduce(base[list(eq.symbol_indices)]).any()
+        np.bitwise_xor.reduce(base[list(eq)]).any()
         for eq in cit.layer_code(tree.commitment.params, len(base)).parity_checks
     )
 
