@@ -64,15 +64,19 @@ def cmd_commit(args) -> int:
     params = simnet.tree_params_from_dict(_read_json(args.params))
     tree = build_tree(block, params)
     Path(args.out_commitment).write_bytes(sz.encode_commitment(tree.commitment))
-    if args.out_tree:
-        Path(args.out_tree).write_bytes(sz.encode_tree_cache(params, block))
     print(f"committed {len(block)} bytes; root of {len(tree.commitment.root)} digests")
     return EXIT_OK
 
 
 def cmd_pom(args) -> int:
-    params, block = sz.decode_tree_cache(Path(args.tree).read_bytes())
-    tree = build_tree(block, params)
+    block = Path(args.block).read_bytes()
+    commitment = sz.decode_commitment(Path(args.commitment).read_bytes())
+    # the length first: a block of another length may have no geometry,
+    # and it is a mismatch all the same
+    tree = build_tree(block, commitment.params) if len(block) == commitment.block_len else None
+    if tree is None or tree.commitment != commitment:
+        print("block does not match the commitment; no proofs written")
+        return EXIT_VERIFY_FAILED
     if args.index is not None:
         poms = [sample_pom(tree, args.index)]
         Path(args.out).write_bytes(sz.encode_pom(poms[0]))
@@ -266,11 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--out-commitment", required=True)
-    p.add_argument("--out-tree")
     p.set_defaults(func=cmd_commit)
 
-    p = sub.add_parser("pom", help="sample membership proofs from a tree cache")
-    p.add_argument("--tree", required=True)
+    p = sub.add_parser("pom", help="sample membership proofs of a committed block")
+    p.add_argument("--block", required=True)
+    p.add_argument("--commitment", required=True)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--index", type=int)
     which.add_argument(
@@ -321,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "retrieve" and args.chunks is not None and args.commitment is None:
-        parser.error("--chunks needs --commitment")
+    if args.command == "retrieve" and (args.chunks is None) != (args.commitment is None):
+        parser.error("--commitment is needed with --chunks and refused with --trace")
     try:
         return args.func(args)
     except (ParameterError, ConfigError, IndexOutOfRange, OSError) as exc:

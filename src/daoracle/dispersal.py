@@ -74,7 +74,7 @@ def chunks_per_node(n_chunks: int, n_nodes: int, lam: float) -> int:
     if not 0 < lam <= 1:
         raise ParameterError(f"lam must lie in (0, 1], got {lam}")
     k = n_chunks / (n_nodes * lam)
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9 or round(k) < 1:
         raise ParameterError(
             f"chunks per node M/(N*lam) = {k} must be a positive integer"
         )

@@ -343,8 +343,10 @@ def audit(
 def bad_code_round(
     nodes, commitment: Commitment, signal: BadCode, chain: TrustedChain
 ) -> int:
-    """Pool honest storage, confirm the stall, then agree on a replacement
-    code seed (old seed + smallest bump whose codes pass the alpha gate).
+    """Pool every node's stored units, whatever its behavior (those of
+    ``WITHHOLD_AFTER_VOTE`` nodes too), confirm the stall, then agree on a
+    replacement code seed (old seed + smallest bump whose codes pass the
+    alpha gate).
 
     Returns the agreed code seed; unchanged when pooling reconstructs fine.
     Once the chain records the agreed seed for the commitment, later calls

@@ -1,4 +1,4 @@
-"""Canonical binary encodings: commitments, membership proofs, fraud proofs.
+"""Canonical binary encodings: commitments, membership proofs, bundles, fraud proofs.
 
 All integers are little-endian and fixed-width; variable fields carry a
 length prefix. Layouts are documented byte-by-byte in FORMATS.md and frozen
@@ -32,7 +32,6 @@ MAGIC_COMMITMENT = b"DAC2"
 MAGIC_POM = b"DAP2"
 MAGIC_FRAUD = b"DAF2"
 MAGIC_BUNDLE = b"DAB2"
-MAGIC_TREE = b"DAT1"
 
 
 # one Struct per fixed-width record of FORMATS.md, packed by its encoder
@@ -250,22 +249,6 @@ def decode_fraud_proof(data: bytes) -> FraudProof:
     if not r.done():
         raise ParameterError("trailing bytes in fraud proof")
     return FraudProof(layer, equation_no, equation, tuple(members), mismatch)
-
-
-def encode_tree_cache(params: TreeParams, block: bytes) -> bytes:
-    """CLI cache: parameters plus the raw block; the tree itself is
-    rebuilt deterministically on load."""
-    return b"".join((MAGIC_TREE, encode_tree_params(params), _U64.pack(len(block)), block))
-
-
-def decode_tree_cache(data: bytes) -> tuple[TreeParams, bytes]:
-    r = _Reader(data)
-    r.magic(MAGIC_TREE, "tree cache")
-    params = decode_tree_params(r)
-    block = r.take(r.unpack(_U64)[0])
-    if not r.done():
-        raise ParameterError("trailing bytes in tree cache")
-    return params, block
 
 
 def encode_chunk_bundle(units) -> bytes:

@@ -1,6 +1,5 @@
 """Exercise every subcommand and exit code through main(argv)."""
 
-import dataclasses
 import functools
 import io
 import json
@@ -9,7 +8,6 @@ import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +19,7 @@ from daoracle.util import sha256
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
 from hostile import hostile, hostile_files, memory_bound, time_bound
+from test_serialize import RETIRED_MAGICS
 
 @pytest.fixture()
 def workdir(tmp_path, small_block):
@@ -42,6 +41,11 @@ def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def pom_inputs(d: Path) -> tuple:
+    """``pom``'s inputs: the block in ``d`` and the commitment to it."""
+    return ("--block", d / "block.bin", "--commitment", d / "c.bin")
+
+
 def run_module(*argv, cwd) -> subprocess.CompletedProcess:
     """`python -m daoracle ARGV` in ``cwd``, importing this checkout's src."""
     src = str(Path(cli.__file__).parents[1])
@@ -58,11 +62,11 @@ class TestCommitVerifyRetrieve:
         d = workdir
         assert run(
             "commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin",
+            "--out-commitment", d / "c.bin",
         ) == cli.EXIT_OK
-        assert run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin") == cli.EXIT_OK
+        assert run("pom", *pom_inputs(d), "--index", "15", "--out", d / "p.bin") == cli.EXIT_OK
         assert run("verify", "--commitment", d / "c.bin", "--pom", d / "p.bin") == cli.EXIT_OK
-        assert run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle") == cli.EXIT_OK
+        assert run("pom", *pom_inputs(d), "--all", "--out", d / "all.bundle") == cli.EXIT_OK
         assert run(
             "retrieve", "--commitment", d / "c.bin", "--chunks", d / "all.bundle",
             "--out-block", d / "out.bin",
@@ -72,10 +76,8 @@ class TestCommitVerifyRetrieve:
     def test_verification_failure_code(self, workdir, small_tree):
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+            "--out-commitment", d / "c.bin")
         pom = cit.sample_pom(small_tree, 3)
-        import dataclasses
-
         bad = pom._replace(base_symbol=bytes(64))
         (d / "bad.pom").write_bytes(sz.encode_pom(bad))
         assert run("verify", "--commitment", d / "c.bin", "--pom", d / "bad.pom") == cli.EXIT_VERIFY_FAILED
@@ -102,8 +104,8 @@ class TestCommitVerifyRetrieve:
     def test_insufficient_exit_code(self, workdir, small_tree):
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
-        run("pom", "--tree", d / "t.bin", "--indices", "0,1,2", "--out", d / "few.bundle")
+            "--out-commitment", d / "c.bin")
+        run("pom", *pom_inputs(d), "--indices", "0,1,2", "--out", d / "few.bundle")
         assert run(
             "retrieve", "--commitment", d / "c.bin", "--chunks", d / "few.bundle",
             "--out-block", d / "x.bin",
@@ -129,10 +131,32 @@ class TestCommitVerifyRetrieve:
         d = workdir
         for tag in ("a", "b"):
             run("commit", "--block", d / "block.bin", "--params",
-                d / "tree_params.json", "--out-commitment", d / f"c_{tag}.bin",
-                "--out-tree", d / f"t_{tag}.bin")
+                d / "tree_params.json", "--out-commitment", d / f"c_{tag}.bin")
         assert (d / "c_a.bin").read_bytes() == (d / "c_b.bin").read_bytes()
-        assert (d / "t_a.bin").read_bytes() == (d / "t_b.bin").read_bytes()
+
+    @pytest.mark.parametrize("edit", ["flip", "drop", "add"])
+    def test_pom_of_another_block_exits_verify_failed(self, workdir, capsys, edit):
+        # one byte flipped, dropped or added; a block of another length is
+        # refused before its tree is built, where a 513-byte block would
+        # fail geometry (exit 2) instead
+        d = workdir
+        run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
+            "--out-commitment", d / "c.bin")
+        block = (d / "block.bin").read_bytes()
+        other = {
+            "flip": block[:100] + bytes([block[100] ^ 1]) + block[101:],
+            "drop": block[:-1],
+            "add": block + b"\0",
+        }[edit]
+        (d / "other.bin").write_bytes(other)
+        for selector in (("--index", "15"), ("--all",)):
+            capsys.readouterr()
+            assert run(
+                "pom", "--block", d / "other.bin", "--commitment", d / "c.bin", *selector,
+                "--out", d / "out.bin",
+            ) == cli.EXIT_VERIFY_FAILED
+            assert "does not match the commitment" in capsys.readouterr().out
+            assert not (d / "out.bin").exists()
 
     def test_missing_file_is_parameter_error(self, workdir):
         assert run(
@@ -183,8 +207,8 @@ class TestCommitVerifyRetrieve:
         # as u32 numerator and u32 denominator at offset 16
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
-        run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin")
+            "--out-commitment", d / "c.bin")
+        run("pom", *pom_inputs(d), "--index", "15", "--out", d / "p.bin")
         blob = bytearray((d / "c.bin").read_bytes())
         blob[16:24] = struct.pack("<II", num, den)
         (d / "hostile.bin").write_bytes(bytes(blob))
@@ -199,8 +223,8 @@ class TestCommitVerifyRetrieve:
     def test_out_of_range_index_exits_params(self, workdir, flag, value):
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
-        proc = run_module("pom", "--tree", "t.bin", flag, value, "--out", "p.bin", cwd=d)
+            "--out-commitment", d / "c.bin")
+        proc = run_module("pom", *pom_inputs(d), flag, value, "--out", "p.bin", cwd=d)
         assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -210,9 +234,9 @@ class TestCommitVerifyRetrieve:
         # gate_trials is the u32 at offset 52 of a DAC2 commitment
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
-        run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle")
-        run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin")
+            "--out-commitment", d / "c.bin")
+        run("pom", *pom_inputs(d), "--all", "--out", d / "all.bundle")
+        run("pom", *pom_inputs(d), "--index", "15", "--out", d / "p.bin")
         blob = bytearray((d / "c.bin").read_bytes())
         blob[52:56] = struct.pack("<I", 2**32 - 1)
         (d / "hostile.bin").write_bytes(bytes(blob))
@@ -226,15 +250,18 @@ class TestCommitVerifyRetrieve:
             assert proc.stderr.startswith("error: ")
 
     def test_tree_cache_with_fractional_batch_times_rate_exits_params(self, workdir):
-        # DAT1 layout: magic(4) symbol_size u64, root_size u32, rate num
+        # DAC2 layout: magic(4) symbol_size u64, root_size u32, rate num
         # u32 and den u32, batch u32; batch 3 at rate 1/2 over 108 bytes of
         # 4-byte symbols is a geometry (16/24/36/54) where no proof verifies
         d = workdir
         params = cit.TreeParams(**json.loads((d / "tree_params.json").read_text()))
-        blob = bytearray(sz.encode_tree_cache(params, bytes(108)))
+        com = cit.Commitment((bytes(32),) * params.root_size, params, 108)
+        blob = bytearray(sz.encode_commitment(com))
         struct.pack_into("<QIIII", blob, 4, 4, 16, 1, 2, 3)
-        (d / "t.bin").write_bytes(bytes(blob))
-        proc = run_module("pom", "--tree", "t.bin", "--index", "0", "--out", "p.bin", cwd=d)
+        (d / "c.bin").write_bytes(bytes(blob))
+        (d / "short.bin").write_bytes(bytes(108))
+        proc = run_module("pom", "--block", "short.bin", "--commitment", "c.bin",
+                          "--index", "0", "--out", "p.bin", cwd=d)
         assert proc.returncode == cli.EXIT_PARAMS, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -242,21 +269,22 @@ class TestCommitVerifyRetrieve:
         assert not (d / "p.bin").exists()
 
     def test_oversized_base_layers_exit_params(self, workdir, capsys):
-        # the two routes to a huge base layer: a DAT1's rate and root size
-        # (1/4097 over 512 bytes, 32776 symbols) and a DAC2's block_len
-        # (2^30 bytes of 64-byte symbols, 2^26 symbols)
+        # the two routes to a huge base layer, both 64-byte symbols at rate
+        # 1/4: pom given a block of 2^18 + 64 bytes (16388 symbols) and a
+        # commitment of that length, and retrieve given a commitment to
+        # 2^30 bytes (2^26 symbols)
         d = workdir
         params = cit.TreeParams(**json.loads((d / "tree_params.json").read_text()))
-        wide = dataclasses.replace(
-            params, root_size=4097, rate=Fraction(1, 4097), batch=8194
-        )
-        (d / "t.bin").write_bytes(sz.encode_tree_cache(wide, bytes(512)))
-        long = cit.Commitment((bytes(32),) * params.root_size, params, 1 << 30)
-        (d / "c.bin").write_bytes(sz.encode_commitment(long))
+        wide = (1 << 18) + 64
+        (d / "wide.bin").write_bytes(bytes(wide))
+        for name, block_len in (("c_wide.bin", wide), ("c_long.bin", 1 << 30)):
+            com = cit.Commitment((bytes(32),) * params.root_size, params, block_len)
+            (d / name).write_bytes(sz.encode_commitment(com))
         (d / "none.bundle").write_bytes(sz.encode_chunk_bundle(()))
         for argv in (
-            ("pom", "--tree", d / "t.bin", "--all", "--out", d / "out.bundle"),
-            ("retrieve", "--commitment", d / "c.bin", "--chunks", d / "none.bundle",
+            ("pom", "--block", d / "wide.bin", "--commitment", d / "c_wide.bin", "--all",
+             "--out", d / "out.bundle"),
+            ("retrieve", "--commitment", d / "c_long.bin", "--chunks", d / "none.bundle",
              "--out-block", d / "out.bin"),
         ):
             capsys.readouterr()
@@ -548,6 +576,9 @@ SCENARIO = {
     "tree": {**TREE_PARAMS, "symbol_size": 2048, "code_seed": 11},
     "dispersal": {"gamma": 0.5, "eta": 0.875, "lambda": 0.2},
 }
+SUBNORMAL_LAMBDA_SCENARIO = {
+    **SCENARIO, "dispersal": {**SCENARIO["dispersal"], "lambda": 1e-320}
+}
 INCENTIVE_PARAMS = {
     "p_audit": 0.2, "stake_oracle": 50, "stake_committee": 10, "stake_proposer": 20,
     "submission_fee": 0.5, "block_reward": 100, "reward_fraction": 0.6,
@@ -632,6 +663,10 @@ class TestBadJsonInput:
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 2.5})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 0})),
             ("retrieve", json.dumps({"rounds": []})),
+            # a subnormal lambda lies in (0, 1], yet M/(N*lambda) overflows
+            ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8, "lambda": 1e-320})),
+            ("simulate", json.dumps(SUBNORMAL_LAMBDA_SCENARIO)),
+            ("retrieve", json.dumps({"config": SUBNORMAL_LAMBDA_SCENARIO})),
         ],
         ids=[
             "commit_missing_key", "commit_unparsable", "commit_wrong_type",
@@ -647,7 +682,8 @@ class TestBadJsonInput:
             "metrics_baselines_overflow", "incentives_missing_key", "incentives_nan_stake",
             "incentives_infinite_signatures", "incentives_reward_past_float",
             "incentives_fractional_signatures", "incentives_no_signatures",
-            "retrieve_trace_without_config",
+            "retrieve_trace_without_config", "disperse_subnormal_lambda",
+            "simulate_subnormal_lambda", "retrieve_subnormal_lambda",
         ],
     )
     def test_exits_params(self, tmp_path, small_block, capsys, command, text):
@@ -710,25 +746,28 @@ class TestBadJsonInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("pom", "--tree", "t.bin", "--index", "3", "--all", "--out", "out.bin"),
-            ("pom", "--tree", "t.bin", "--index", "3", "--indices", "1,2", "--out", "out.bin"),
-            ("pom", "--tree", "t.bin", "--out", "out.bin"),
+            ("pom", *pom_inputs(Path()), "--index", "3", "--all", "--out", "out.bin"),
+            ("pom", *pom_inputs(Path()), "--index", "3", "--indices", "1,2", "--out", "out.bin"),
+            ("pom", *pom_inputs(Path()), "--out", "out.bin"),
             ("retrieve", "--commitment", "c.bin", "--chunks", "all.bundle",
              "--trace", "trace.json", "--out-block", "out.bin"),
             ("retrieve", "--commitment", "c.bin", "--out-block", "out.bin"),
             ("retrieve", "--chunks", "all.bundle", "--out-block", "out.bin"),
+            ("retrieve", "--commitment", "c.bin", "--trace", "trace.json",
+             "--out-block", "out.bin"),
         ],
         ids=["pom_index_and_all", "pom_index_and_indices", "pom_no_selector",
-             "retrieve_chunks_and_trace", "retrieve_no_source", "retrieve_chunks_alone"],
+             "retrieve_chunks_and_trace", "retrieve_no_source", "retrieve_chunks_alone",
+             "retrieve_trace_with_commitment"],
     )
     def test_selectors_exit_params(self, workdir, capsys, monkeypatch, argv):
         # exactly one of pom's --index, --indices and --all, and of
-        # retrieve's --chunks and --trace; argparse refuses the rest before
-        # any file is read or written
+        # retrieve's --chunks and --trace, with --commitment exactly when
+        # --chunks; the rest are refused before any file is read or written
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
-        run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle")
+            "--out-commitment", d / "c.bin")
+        run("pom", *pom_inputs(d), "--all", "--out", d / "all.bundle")
         (d / "trace.json").write_text("{}")
         capsys.readouterr()
         monkeypatch.chdir(d)
@@ -742,9 +781,9 @@ class TestBadJsonInput:
     def test_malformed_indices_exit_params(self, workdir, capsys):
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-            "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
+            "--out-commitment", d / "c.bin")
         with pytest.raises(SystemExit) as exit_:
-            run("pom", "--tree", d / "t.bin", "--indices", "1,,2", "--out", d / "p.bin")
+            run("pom", *pom_inputs(d), "--indices", "1,,2", "--out", d / "p.bin")
         assert exit_.value.code == cli.EXIT_PARAMS
         err = capsys.readouterr().err
         assert "error: argument --indices" in err and "Traceback" not in err
@@ -755,6 +794,8 @@ class TestBadJsonInput:
 HOSTILE_COMMANDS = {
     "DAC2": (
         lambda d, x: ("verify", "--commitment", x, "--pom", d / "p.bin"),
+        lambda d, x: ("pom", "--block", d / "block.bin", "--commitment", x, "--all",
+                      "--out", d / "out.bundle"),
         lambda d, x: ("retrieve", "--commitment", x, "--chunks", d / "all.bundle",
                       "--out-block", d / "out.bin"),
     ),
@@ -763,7 +804,6 @@ HOSTILE_COMMANDS = {
         lambda d, x: ("retrieve", "--commitment", d / "c.bin", "--chunks", x,
                       "--out-block", d / "out.bin"),
     ),
-    "DAT1": (lambda d, x: ("pom", "--tree", x, "--all", "--out", d / "out.bundle"),),
 }
 EXIT_CODES = {
     cli.EXIT_OK, cli.EXIT_PARAMS, cli.EXIT_VERIFY_FAILED, cli.EXIT_FRAUD,
@@ -780,10 +820,10 @@ def valid_cli_files(tmp_path_factory, small_block):
     (d / "block.bin").write_bytes(small_block)
     (d / "tree_params.json").write_text(json.dumps(TREE_PARAMS))
     assert run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-               "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin") == cli.EXIT_OK
-    assert run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin") == cli.EXIT_OK
-    assert run("pom", "--tree", d / "t.bin", "--all", "--out", d / "all.bundle") == cli.EXIT_OK
-    files = {"DAC2": "c.bin", "DAP2": "p.bin", "DAB2": "all.bundle", "DAT1": "t.bin"}
+               "--out-commitment", d / "c.bin") == cli.EXIT_OK
+    assert run("pom", *pom_inputs(d), "--index", "15", "--out", d / "p.bin") == cli.EXIT_OK
+    assert run("pom", *pom_inputs(d), "--all", "--out", d / "all.bundle") == cli.EXIT_OK
+    files = {"DAC2": "c.bin", "DAP2": "p.bin", "DAB2": "all.bundle"}
     return d, {kind: (d / name).read_bytes() for kind, name in files.items()}
 
 
@@ -800,11 +840,12 @@ def test_hostile_files_exit_with_a_documented_code(valid_cli_files, case):
         assert code in EXIT_CODES, (kind, argv(d, x)[0], code)
 
 
-@pytest.mark.parametrize("retired", ("DAC1", "DAP1", "DAB1", "DAF1"))
+@pytest.mark.parametrize("retired", RETIRED_MAGICS)
 def test_a_retired_magic_exits_params(valid_cli_files, retired):
-    """A file of a replaced layout is not read as the current one: each
-    valid file that ``verify`` or ``retrieve --chunks`` reads, behind a
-    retired magic, is a bad parameter with one ``error:`` line."""
+    """A file of a replaced or removed layout is not read as a current
+    one: each valid file that ``pom``, ``verify`` or ``retrieve --chunks``
+    reads, behind a retired magic, is a bad parameter with one ``error:``
+    line."""
     d, valid = valid_cli_files
     x = d / "retired.bin"
     for kind in ("DAC2", "DAP2", "DAB2"):
@@ -818,25 +859,25 @@ def test_a_retired_magic_exits_params(valid_cli_files, retired):
 
 
 @pytest.mark.parametrize(
-    "name,offset,fmt,values",
-    [("c.bin", 16, "<III", (2, 3, 6)), ("t.bin", 28, "<I", (1,))],
+    "offset,fmt,values,command",
+    [(16, "<III", (2, 3, 6), "verify"), (28, "<I", (1,), "pom")],
     ids=["commitment_rate_2_3", "tree_cache_degree_1"],
 )
-def test_params_without_layer_codes_exit_params(workdir, capsys, name, offset, fmt, values):
-    # DAC2 and DAT1 share the tree-parameter layout: u32 rate num at offset
-    # 16, den at 20, batch at 24 and max_eq_degree at 28
+def test_params_without_layer_codes_exit_params(workdir, capsys, offset, fmt, values, command):
+    # the tree parameters of a DAC2 file: u32 rate num at offset 16, den
+    # at 20, batch at 24 and max_eq_degree at 28
     d = workdir
     run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
-        "--out-commitment", d / "c.bin", "--out-tree", d / "t.bin")
-    run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "p.bin")
-    blob = bytearray((d / name).read_bytes())
+        "--out-commitment", d / "c.bin")
+    run("pom", *pom_inputs(d), "--index", "15", "--out", d / "p.bin")
+    blob = bytearray((d / "c.bin").read_bytes())
     struct.pack_into(fmt, blob, offset, *values)
-    (d / name).write_bytes(bytes(blob))
+    (d / "c.bin").write_bytes(bytes(blob))
     capsys.readouterr()
-    if name == "c.bin":
-        code = run("verify", "--commitment", d / "c.bin", "--pom", d / "p.bin")
-    else:
-        code = run("pom", "--tree", d / "t.bin", "--index", "15", "--out", d / "q.bin")
+    code = run(*{
+        "verify": ("verify", "--commitment", d / "c.bin", "--pom", d / "p.bin"),
+        "pom": ("pom", *pom_inputs(d), "--index", "15", "--out", d / "q.bin"),
+    }[command])
     assert code == cli.EXIT_PARAMS
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")

@@ -55,6 +55,11 @@ class TestAssignment:
         with pytest.raises(ParameterError):
             dp.assign_chunks(1000, 9000, 1 / 150, seed=0)
 
+    def test_chunk_count_overflowing_a_float_rejected(self):
+        # a subnormal lam lies in (0, 1], yet M / (N * lam) is infinite
+        with pytest.raises(ParameterError, match="must be a positive integer"):
+            dp.chunks_per_node(32, 8, 1e-320)
+
     def test_same_seed_same_design(self):
         a = dp.assign_chunks(120, 6, 0.5, seed=9)
         b = dp.assign_chunks(120, 6, 0.5, seed=9)

@@ -113,7 +113,7 @@ def u32s(lo=1, hi=U32_MAX):
 @st.composite
 def u32_shapes(draw):
     """(tree knobs, block_len) with the rate, batch and root size drawn from
-    the u32 fields a DAC2 or DAT1 file carries them in. Most draws are
+    the u32 fields a DAC2 file carries them in. Most draws are
     shapes: rate 1/e, batch and root multiples of e and a block that
     fills a base of root * (batch / e)^levels symbols, whose sizes are all
     integral, so that only the base cap can reject them."""
@@ -136,7 +136,7 @@ def u32_shapes(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(u32_shapes())
-@example(  # a 580-byte DAT1: 32776 base symbols over 512 bytes
+@example(  # rate 1/4097 and root size 4097: 32776 base symbols over 512 bytes
     (dict(symbol_size=64, root_size=4097, rate=Fraction(1, 4097), batch=8194,
           max_eq_degree=8, alpha=0.125), 512)
 )

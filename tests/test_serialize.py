@@ -188,12 +188,6 @@ def test_chunk_bundle_round_trip_over_unit_subsets(small_tree, data):
     assert sz.decode_chunk_bundle(blob) == units
 
 
-def test_tree_cache_round_trip(small_block, small_params):
-    blob = sz.encode_tree_cache(small_params, small_block)
-    params, block = sz.decode_tree_cache(blob)
-    assert params == small_params and block == small_block
-
-
 @pytest.mark.parametrize(
     "decoder",
     [sz.decode_commitment, sz.decode_pom, sz.decode_fraud_proof, sz.decode_chunk_bundle],
@@ -277,25 +271,21 @@ def test_hash_size_other_than_32_raises_parameter_error(small_tree, hash_size):
         sz.decode_commitment(bytes(blob))
 
 
-@pytest.mark.parametrize("offset", [52, 56], ids=["gate_trials", "max_code_attempts"])
-@pytest.mark.parametrize("which", ["commitment", "tree_cache"])
-def test_hostile_gate_counts_raise_parameter_error(small_tree, small_block, offset, which):
+@pytest.mark.parametrize(
+    "offset", [52, 56], ids=["commitment-gate_trials", "commitment-max_code_attempts"]
+)
+def test_hostile_gate_counts_raise_parameter_error(small_tree, offset):
     # gate_trials and max_code_attempts are the last two u32 fields of the
-    # tree parameters, at offsets 52 and 56 of a DAC2 or DAT1 file; a count
-    # of 2^32 - 1 would drive billions of gate trials, so decoding rejects
-    # it before any code is generated
-    if which == "commitment":
-        blob, decode = sz.encode_commitment(small_tree.commitment), sz.decode_commitment
-    else:
-        blob = sz.encode_tree_cache(small_tree.commitment.params, small_block)
-        decode = sz.decode_tree_cache
-    blob = bytearray(blob)
+    # tree parameters, at offsets 52 and 56 of a DAC2 file; a count of
+    # 2^32 - 1 would drive billions of gate trials, so decoding rejects it
+    # before any code is generated
+    blob = bytearray(sz.encode_commitment(small_tree.commitment))
     assert struct.unpack_from("<II", blob, 52) == (
         small_tree.commitment.params.gate_trials, small_tree.commitment.params.max_code_attempts
     )
     blob[offset : offset + 4] = struct.pack("<I", 2**32 - 1)
     with pytest.raises(ParameterError, match="must be an integer in"):
-        decode(bytes(blob))
+        sz.decode_commitment(bytes(blob))
 
 
 def test_gate_count_caps_admit_their_bound_only(small_params):
@@ -323,7 +313,6 @@ DECODERS = {
     "DAP2": sz.decode_pom,
     "DAF2": sz.decode_fraud_proof,
     "DAB2": sz.decode_chunk_bundle,
-    "DAT1": sz.decode_tree_cache,
 }
 # wall-clock bound on one decode; valid files here decode in well under a
 # millisecond, so only a loop or an allocation sized by a field read from
@@ -340,7 +329,6 @@ def valid_files(small_tree, small_block, small_params):
         "DAP2": sz.encode_pom(cit.sample_pom(small_tree, 15)),
         "DAF2": sz.encode_fraud_proof(fraud.proof),
         "DAB2": sz.encode_chunk_bundle(bundle_units(small_tree, (0, 7, 31))),
-        "DAT1": sz.encode_tree_cache(small_params, small_block),
     }
 
 
@@ -407,15 +395,15 @@ def test_every_proper_prefix_raises_parameter_error(valid_files, kind):
             DECODERS[kind](blob[:n])
 
 
-# magics whose layouts were replaced; no file in them decodes any more
-RETIRED_MAGICS = ("DAC1", "DAP1", "DAF1", "DAB1")
+# magics whose layouts were replaced or removed; no file in them decodes any more
+RETIRED_MAGICS = ("DAC1", "DAP1", "DAF1", "DAB1", "DAT1")
 FORMATS_MD = Path(__file__).resolve().parent.parent / "FORMATS.md"
 
 
 def test_formats_md_documents_every_magic_and_no_retired_one():
     text = FORMATS_MD.read_text()
     magics = [v.decode() for k, v in vars(sz).items() if k.startswith("MAGIC_")]
-    assert len(magics) == 5
+    assert len(magics) == 4
     headings = re.findall(r"^## .*\(`(\w{4})`\)$", text, flags=re.M)
     assert sorted(headings) == sorted(magics)
     for magic in magics:
