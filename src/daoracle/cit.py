@@ -26,7 +26,8 @@ Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
 and the ancestor's digest is the running digest one layer up; at the root
 layer it must be the commitment's entry. ``Frontier._climb`` is its one
-implementation, on the geometry of the params the commitment carries. A
+implementation, on the geometry of the params the commitment carries: a
+``Commitment`` names a tree by construction, so it has one. A
 claim is (layer, index, digest, ancestors): ``Frontier.claim`` climbs from
 a bare digest at any (layer, index) through its ancestors, one per layer
 up to the root layer (none at the root layer). ``Frontier.walk`` climbs
@@ -98,6 +99,7 @@ MAX_CODE_ATTEMPTS = 32
 # root_size: block_len and the rate are read from files, and each layer's
 # code is generated and gated before anything a proof carries is checked
 MAX_BASE_SYMBOLS = 1 << 12
+U32_MAX = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -129,31 +131,30 @@ class TreeParams:
     def __post_init__(self):
         rate = as_rate(self.rate)
         object.__setattr__(self, "rate", rate)
-        # exactly the params layer codes exist for (codec.generate_code)
-        if rate.numerator != 1 or rate.denominator < 2:
+        e = rate.denominator
+        # exactly the params layer codes exist for (codec.generate_code),
+        # each integer within its width in the DAC2 record (FORMATS.md)
+        if rate.numerator != 1 or e < 2:
             raise ParameterError("tree rate must be 1/e for an integer e >= 2")
-        if self.batch <= rate.denominator:
-            raise ParameterError("batch * rate must exceed 1 so layers shrink")
-        if self.batch % rate.denominator:
+        for name, value, low, high in (
+            ("rate denominator (e)", e, 2, U32_MAX),
+            ("batch (q)", self.batch, e + 1, U32_MAX),  # so layers shrink
+            ("max_eq_degree (d)", self.max_eq_degree, 2, U32_MAX),
+            ("root_size (t)", self.root_size, 1, U32_MAX),
+            ("symbol_size (c)", self.symbol_size, 1, MASK64),
+            ("code_seed", self.code_seed, 0, MASK64),
+            ("gate_trials", self.gate_trials, 0, MAX_GATE_TRIALS),
+            ("max_code_attempts", self.max_code_attempts, 0, MAX_CODE_ATTEMPTS),
+        ):
+            if not isinstance(value, int) or not low <= value <= high:
+                raise ParameterError(f"{name} must be an integer in [{low}, {high}]")
+        if self.batch % e:
             # only then does each layer's systematic count divide the one
             # below, so the ancestor a proof carries at a layer (i mod s_u)
             # is the parent its digest chain climbs through
             raise ParameterError("batch * rate must be an integer")
-        if self.max_eq_degree < 2:
-            raise ParameterError("max_eq_degree (d) must be >= 2")
-        if self.root_size < 1:
-            raise ParameterError("root_size (t) must be >= 1")
-        if self.symbol_size < 1:
-            raise ParameterError("symbol_size (c) must be >= 1")
         if not 0 <= self.alpha < 1:
             raise ParameterError("alpha must lie in [0, 1)")
-        for name, cap in (
-            ("gate_trials", MAX_GATE_TRIALS),
-            ("max_code_attempts", MAX_CODE_ATTEMPTS),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= cap:
-                raise ParameterError(f"{name} must be an integer in [0, {cap}]")
 
     def layer_sizes(self, block_len: int) -> tuple[int, ...]:
         """Coded layer sizes from root to base for a block of this length."""
@@ -221,9 +222,20 @@ class Layer:
 
 @dataclass(frozen=True)
 class Commitment:
-    root: tuple[bytes, ...]  # the digests of the root layer's t symbols
+    """One tree's root-layer digests, params and block length: values that
+    name no tree raise ParameterError, so every commitment has a geometry."""
+
+    root: tuple[bytes, ...]
     params: TreeParams
     block_len: int
+
+    def __post_init__(self):
+        geometry(self.params, self.block_len)
+        if self.block_len >= 1 << 64:  # DAC2's u64
+            raise ParameterError("block_len must be below 2**64")
+        t = self.params.root_size
+        if len(self.root) != t or any(len(entry) != HASH_BYTES for entry in self.root):
+            raise ParameterError(f"root must be root_size = {t} digests of {HASH_BYTES} bytes")
 
 
 class ProofOfMembership(NamedTuple):
@@ -417,8 +429,7 @@ class Frontier:
     authenticated above it, ancestors up to the root layer or parity
     symbols up to layer 1, or None while no claim delivered it; a base
     symbol is held alone. ``held`` has one list per layer of the
-    commitment's geometry, sized by it, and none when the geometry is
-    invalid.
+    commitment's geometry, sized by it.
 
     Only a claim that passed whole adds positions, so the ancestors held are
     upward-closed: with ancestor a of layer w the frontier holds every
@@ -426,23 +437,16 @@ class Frontier:
     claim, against the committed digest at its slot of its parent. A
     frontier is made from a commitment alone, whose params it reads, is
     bound to it, and lives for one batch (one node's units, one audit, one
-    reconstruction, one fraud proof). Its ``geo`` is None when no claim can
-    match the commitment: the root has the wrong length, or the geometry is
-    invalid."""
+    reconstruction, one fraud proof), and its ``geo`` is the geometry of the
+    tree the commitment names."""
 
     __slots__ = ("commitment", "geo", "width", "held", "_steps", "_checks")
 
     def __init__(self, commitment: Commitment):
-        params = commitment.params
         self.commitment = commitment
-        self.width = params.batch * HASH_BYTES
-        self.geo: Optional[Geometry] = None
-        self.held: tuple[list, ...] = ()
-        self._steps = self._checks = ()
-        try:
-            geo = geometry(params, commitment.block_len)
-        except ParameterError:
-            return
+        self.width = commitment.params.batch * HASH_BYTES
+        geo = geometry(commitment.params, commitment.block_len)
+        self.geo: Geometry = geo
         held = self.held = tuple([None] * m for m in geo.sizes)
         sys_counts, depth = geo.sys_counts, geo.depth
         # a climb's step into layer w, from the base layer up: the running
@@ -455,8 +459,6 @@ class Frontier:
             (sys_counts[u], geo.sizes[u] - sys_counts[u], sys_counts[u - 1], held[u])
             for u in range(depth - 1, 0, -1)
         )
-        if len(commitment.root) == params.root_size:
-            self.geo = geo
 
     def _climb(self, steps, x, h, ancestors) -> Optional[list]:
         """The indices, one per step, of the leading ``ancestors`` below the
@@ -491,9 +493,7 @@ class Frontier:
         u - 1 up to the root layer. A claim that passes holds the ancestors
         it authenticated."""
         geo = self.geo
-        if geo is None or not 0 <= u <= geo.depth or not 0 <= x < geo.sizes[u]:
-            return False
-        if len(h) != HASH_BYTES:
+        if not 0 <= u <= geo.depth or not 0 <= x < geo.sizes[u] or len(h) != HASH_BYTES:
             return False
         steps = self._steps[geo.depth - u :]
         fresh = self._climb(steps, x, h, ancestors)
@@ -510,8 +510,6 @@ class Frontier:
         The proof carries the field types ``ProofOfMembership`` declares,
         as ``serialize.decode_pom`` builds them; every value in it is
         checked, either here or by equality with what the frontier holds."""
-        if self.geo is None:
-            return False
         # one unpacking: a NamedTuple's attribute loads are not specialised
         i, symbol, block_len, ancestors, parities = pom
         base, checks = self.held[-1], self._checks

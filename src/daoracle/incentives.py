@@ -55,7 +55,7 @@ class IncentiveParams:
     n_signatures: int  # k, signatures aggregated in the committed signature
 
     def __post_init__(self):
-        require_finite(self)
+        require_finite(vars(self))
         if not 0 <= self.p_audit <= 1:
             raise ParameterError("p_audit must lie in [0, 1]")
         for name in (
@@ -110,6 +110,10 @@ class EquilibriumCheck:
     is_equilibrium: bool
     binding_constraints: dict
 
+    def __post_init__(self):
+        # finite params can overflow a slack
+        require_finite(self.binding_constraints)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
@@ -162,4 +166,5 @@ def best_oracle_deviation(
     else:
         raise ParameterError(f"unknown profile {profile!r}")
     best = max(utilities, key=lambda a: (utilities[a], a.value))
+    require_finite({f"best deviation from {profile}": utilities[best]})
     return best, utilities[best]

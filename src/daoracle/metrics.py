@@ -42,7 +42,7 @@ class CostParams:
     lam: float  # dispersal efficiency
 
     def __post_init__(self):
-        require_finite(self)
+        require_finite(vars(self))
         if min(self.n_nodes, self.root_size, self.max_eq_degree) < 1:
             raise ParameterError("n_nodes, root_size and max_eq_degree must be >= 1")
         if self.batch * self.rate <= 1:
@@ -119,7 +119,7 @@ class MetricsReport:
     def __post_init__(self):
         # finite inputs can overflow a closed form, which json would write
         # as a bare Infinity
-        require_finite(self)
+        require_finite(vars(self))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)

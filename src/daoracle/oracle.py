@@ -48,7 +48,7 @@ from .retrieval import (
     verify_fraud_proof,
 )
 from .serialize import encode_commitment
-from .util import as_written, sha256
+from .util import MASK64, as_written, sha256
 
 # the penalty an audit charges a voter it finds without its exact units
 STAKE_PENALTY = 1.0
@@ -346,7 +346,7 @@ def bad_code_round(
     """Pool every node's stored units, whatever its behavior (those of
     ``WITHHOLD_AFTER_VOTE`` nodes too), confirm the stall, then agree on a
     replacement code seed (old seed + smallest bump whose codes pass the
-    alpha gate).
+    alpha gate, mod 2**64 so that it stays a u64).
 
     Returns the agreed code seed; unchanged when pooling reconstructs fine.
     Once the chain records the agreed seed for the commitment, later calls
@@ -366,7 +366,7 @@ def bad_code_round(
         return params.code_seed
 
     for bump in range(1, 1 + max(1, params.max_code_attempts)):
-        candidate = replace(params, code_seed=params.code_seed + bump)
+        candidate = replace(params, code_seed=(params.code_seed + bump) & MASK64)
         try:
             layer_code(candidate, signal.layer_size)
         except BadCode:

@@ -43,7 +43,6 @@ from .cit import (
     ProofOfMembership,
     TreeParams,
     echoes_params,
-    geometry,
     layer_code,
     unit_agrees,
     verify_membership,
@@ -118,12 +117,8 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
     if not echoes_params(commitment, params):
         return False
     frontier = Frontier(commitment)
-    geo = frontier.geo
-    if geo is None:
-        return False
-    depth = geo.depth
-    u = proof.layer
-    if not 0 <= u <= depth:
+    geo, u = frontier.geo, proof.layer
+    if not 0 <= u <= geo.depth:
         return False
     try:
         code = layer_code(params, geo.sizes[u])
@@ -133,7 +128,7 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     if code.parity_checks[proof.equation_no] != proof.equation:
         return False
-    width = _symbol_width(params, u, depth)
+    width = _symbol_width(params, u, geo.depth)
     load, dump, nonzero = value_form(width)
 
     eq_idx = set(proof.equation)
@@ -175,13 +170,13 @@ def fraud_proof_size(proof: FraudProof) -> int:
 class _Reconstructor:
     def __init__(self, commitment: Commitment, chunks: ChunkSet):
         self.commitment = commitment
-        geo = geometry(commitment.params, commitment.block_len)
-        self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         # the walks share one frontier, as a node's dispersal check does,
         # and its per-layer lists hold the symbols each layer is peeled
         # from, each certified at ingest; each walk goes through this
         # module's walk_pom name, which per-proof timers wrap
         self.frontier = frontier = Frontier(commitment)
+        geo = frontier.geo
+        self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
         for index, symbol, pom in chunks.units:
             if unit_agrees(index, symbol, pom):
                 walk_pom(frontier, pom)

@@ -137,9 +137,6 @@ def decode_tree_params(r: _Reader) -> TreeParams:
 
 
 def encode_commitment(com: Commitment) -> bytes:
-    for val in com.root:
-        if len(val) != HASH_BYTES:
-            raise ParameterError("root entries must be digest-sized")
     return b"".join(
         (
             MAGIC_COMMITMENT,
@@ -156,8 +153,8 @@ def decode_commitment(data: bytes) -> Commitment:
     params = decode_tree_params(r)
     block_len, count = r.unpack(_ROOT_HEAD)
     root = r.digests(count)
-    if count != params.root_size or not r.done():
-        raise ParameterError("malformed commitment")
+    if not r.done():
+        raise ParameterError("trailing bytes in commitment")
     return Commitment(root=root, params=params, block_len=block_len)
 
 

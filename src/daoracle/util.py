@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import fields
 from fractions import Fraction
 from typing import Optional
 
@@ -31,17 +30,18 @@ def as_written(value) -> Fraction:
     return Fraction(str(value))
 
 
-def require_finite(params) -> None:
-    """Raise ParameterError naming the first field of the dataclass
-    ``params`` that no finite float holds: NaN, an infinity or an int past
-    the float range, each of which json reads from a file."""
-    for field in fields(params):
+def require_finite(values: dict) -> None:
+    """Raise ParameterError naming the first entry of ``values`` (name to
+    number) that no finite float holds: NaN, an infinity or an int past
+    the float range, each of which json reads from a file, or a float that
+    finite inputs overflowed, which json would write as a bare Infinity."""
+    for name, value in values.items():
         try:
-            finite = math.isfinite(getattr(params, field.name))
+            finite = math.isfinite(value)
         except OverflowError:
             finite = False
         if not finite:
-            raise ParameterError(f"{field.name} must be finite")
+            raise ParameterError(f"{name} must be finite")
 
 
 def derive_seed(*parts) -> int:

@@ -535,25 +535,20 @@ def test_audit_fails_a_voter_holding_one_forged_proof():
 # explicit checks: malformed input is False, a fault inside is an exception
 
 
-def test_a_commitment_with_the_wrong_root_count_verifies_nothing():
-    """Nor does one whose block_len puts the base layer past
-    MAX_BASE_SYMBOLS: its frontier sizes no per-layer list."""
-    tree = TREES[0]
-    pom = cit.sample_pom(tree, 5)
-    p = tree.commitment.params
-    short = dataclasses.replace(tree.commitment, root=tree.commitment.root[:-1])
+def test_a_commitment_that_names_no_tree_cannot_be_built():
+    """A root of another length than root_size, a root entry that is not a
+    digest, or a block_len whose base layer is past MAX_BASE_SYMBOLS raises
+    ParameterError, so no frontier or encoding ever sees one."""
+    c = TREES[0].commitment
+    p = c.params
     too_long = (cit.MAX_BASE_SYMBOLS // p.rate.denominator + 1) * p.symbol_size
-    huge = dataclasses.replace(tree.commitment, block_len=too_long)
-    with pytest.raises(ParameterError, match="exceeds the cap"):
-        cit.geometry(p, too_long)
-    u = len(tree.layers) - 1
-    ancestors = honest_ancestors(tree, u, 5)
-    for commitment in (short, huge):
-        frontier = cit.Frontier(commitment)
-        assert [frontier.walk(pom), frontier.walk(pom)] == [False, False]
-        assert not frontier.claim(u, 5, sha256(pom.base_symbol), ancestors)
-        assert ingested(frontier) == {}
-    assert cit.Frontier(huge).held == ()
+    for edit, message in (
+        ({"root": c.root[:-1]}, "root_size = 4 digests"),
+        ({"root": (c.root[0][:-1],) + c.root[1:]}, "digests of 32 bytes"),
+        ({"block_len": too_long}, "exceeds the cap"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(c, **edit)
 
 
 @pytest.mark.parametrize("field", ("code_seed", "root_size"))
@@ -595,11 +590,6 @@ def fraud_case():
 def test_malformed_fraud_proof_inputs_are_false(fraud_case, monkeypatch):
     commitment, params, proof = fraud_case
     assert rt.verify_fraud_proof(commitment, params, proof)
-    short = dataclasses.replace(commitment, root=commitment.root[:-1])
-    assert not rt.verify_fraud_proof(short, params, proof)
-    assert not rt.verify_fraud_proof(
-        dataclasses.replace(commitment, block_len=commitment.block_len + 1), params, proof
-    )
 
     def no_code(params, size):
         raise BadCode("gate failed", layer_size=size)
@@ -652,7 +642,7 @@ def honest_ancestors(tree, u: int, x: int) -> tuple[bytes, ...]:
 
 # the kinds that change an ancestor, which a root-layer claim has none of
 ANCESTOR_MUTATIONS = ("ancestor_count", "ancestor_width", "ancestor_byte", "ancestor_slot")
-MEMBERSHIP_MUTATIONS = ("honest", "layer", "index", "leaf_hash", "params", "root") + (
+MEMBERSHIP_MUTATIONS = ("honest", "layer", "index", "leaf_hash", "params") + (
     ANCESTOR_MUTATIONS
 )
 
@@ -710,13 +700,9 @@ def membership_claims(draw):
     elif kind == "leaf_hash":
         leaf = _flip(leaf, draw(st.integers(0, 31))) if draw(st.booleans()) else leaf[:-1]
     elif kind == "params":
-        # the commitment carries another code family of the same geometry,
-        # or another root size
-        other = draw(st.sampled_from(({"code_seed": params.code_seed + 1},
-                                       {"root_size": params.root_size + 1})))
-        commitment = dataclasses.replace(commitment, params=dataclasses.replace(params, **other))
-    elif kind == "root":
-        commitment = dataclasses.replace(commitment, root=commitment.root[:-1])
+        # the commitment carries another code family of the same geometry
+        other = dataclasses.replace(params, code_seed=params.code_seed + 1)
+        commitment = dataclasses.replace(commitment, params=other)
     return kind, commitment, honest, (u, x, leaf, ancestors)
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from daoracle import cit, cli, oracle as orc, simnet, serialize as sz
+from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.util import sha256
 
@@ -272,14 +273,17 @@ class TestCommitVerifyRetrieve:
         # the two routes to a huge base layer, both 64-byte symbols at rate
         # 1/4: pom given a block of 2^18 + 64 bytes (16388 symbols) and a
         # commitment of that length, and retrieve given a commitment to
-        # 2^30 bytes (2^26 symbols)
+        # 2^30 bytes (2^26 symbols); no Commitment has either length, so
+        # the u64 block_len at offset 60 of a DAC2 file is packed by hand
         d = workdir
         params = cit.TreeParams(**json.loads((d / "tree_params.json").read_text()))
+        com = cit.Commitment((bytes(32),) * params.root_size, params, 512)
+        blob = bytearray(sz.encode_commitment(com))
         wide = (1 << 18) + 64
         (d / "wide.bin").write_bytes(bytes(wide))
         for name, block_len in (("c_wide.bin", wide), ("c_long.bin", 1 << 30)):
-            com = cit.Commitment((bytes(32),) * params.root_size, params, block_len)
-            (d / name).write_bytes(sz.encode_commitment(com))
+            struct.pack_into("<Q", blob, 60, block_len)
+            (d / name).write_bytes(bytes(blob))
         (d / "none.bundle").write_bytes(sz.encode_chunk_bundle(()))
         for argv in (
             ("pom", "--block", d / "wide.bin", "--commitment", d / "c_wide.bin", "--all",
@@ -667,6 +671,20 @@ class TestBadJsonInput:
             ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8, "lambda": 1e-320})),
             ("simulate", json.dumps(SUBNORMAL_LAMBDA_SCENARIO)),
             ("retrieve", json.dumps({"config": SUBNORMAL_LAMBDA_SCENARIO})),
+            # each beyond its width in the DAC2 tree parameters (FORMATS.md)
+            ("commit", json.dumps({**TREE_PARAMS, "code_seed": -1})),
+            ("commit", json.dumps({**TREE_PARAMS, "code_seed": 2**64})),
+            ("commit", json.dumps({**TREE_PARAMS, "max_eq_degree": 2**32})),
+            ("simulate", json.dumps({**SCENARIO, "tree": {**SCENARIO["tree"], "code_seed": -1}})),
+            ("simulate", json.dumps(
+                {**SCENARIO, "tree": {**SCENARIO["tree"], "code_seed": 2**64}}
+            )),
+            # finite params whose audit slack p_a*(stk_o + reward) - c_s
+            # overflows a float, which JSON cannot write
+            ("incentives", json.dumps({
+                **INCENTIVE_PARAMS, "p_audit": 1, "stake_oracle": 1.7e308,
+                "block_reward": 1.7e308, "reward_fraction": 1,
+            })),
         ],
         ids=[
             "commit_missing_key", "commit_unparsable", "commit_wrong_type",
@@ -684,6 +702,9 @@ class TestBadJsonInput:
             "incentives_fractional_signatures", "incentives_no_signatures",
             "retrieve_trace_without_config", "disperse_subnormal_lambda",
             "simulate_subnormal_lambda", "retrieve_subnormal_lambda",
+            "commit_code_seed_negative", "commit_code_seed_past_u64", "commit_degree_past_u32",
+            "simulate_code_seed_negative", "simulate_code_seed_past_u64",
+            "incentives_slack_overflows",
         ],
     )
     def test_exits_params(self, tmp_path, small_block, capsys, command, text):
@@ -696,13 +717,14 @@ class TestBadJsonInput:
             "simulate": ("--scenario", path, "--out", tmp_path / "sim"),
             "disperse": ("--params", path, "--out", tmp_path / "design.txt"),
             "metrics": ("--params", path, "--out-prefix", tmp_path / "tables"),
-            "incentives": ("--params", path),
+            "incentives": ("--params", path, "--out", tmp_path / "report.json"),
             "retrieve": ("--trace", path),
         }[command]
         assert run(command, *argv) == cli.EXIT_PARAMS
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "Traceback" not in out.err
         assert out.out == ""
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "retrieve"])
     @pytest.mark.parametrize(
@@ -856,6 +878,40 @@ def test_a_retired_magic_exits_params(valid_cli_files, retired):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), err
             assert "Traceback" not in err
+
+
+# block lengths with no geometry under TREE_PARAMS (64-byte symbols at rate
+# 1/4, q = 8, t = 4): 96 base symbols halve to 3, never to 4; 65536 base
+# symbols pass the cap; 36 base symbols halve to 4.5
+NO_GEOMETRY_BLOCK_LENS = (1536, 1 << 20, 513)
+
+
+@pytest.mark.parametrize("command", ["verify", "pom", "retrieve"])
+@pytest.mark.parametrize("block_len", NO_GEOMETRY_BLOCK_LENS)
+def test_a_commitment_with_no_geometry_exits_params_in_every_reader(
+    valid_cli_files, command, block_len
+):
+    """A DAC2 file whose u64 block_len (offset 60) has no geometry names no
+    tree, so decoding it fails: ``verify``, ``pom --index`` and ``retrieve
+    --chunks`` each exit 2 with the one ``error:`` line of the geometry
+    fault, and write nothing."""
+    d, valid = valid_cli_files
+    blob = bytearray(valid["DAC2"])
+    struct.pack_into("<Q", blob, 60, block_len)
+    x, out = d / "no_geometry.bin", d / "no_geometry.out"
+    x.write_bytes(bytes(blob))
+    out.unlink(missing_ok=True)
+    with pytest.raises(ParameterError) as fault:
+        cit.geometry(cit.TreeParams(**TREE_PARAMS), block_len)
+    code, err = quiet_run(*{
+        "verify": ("verify", "--commitment", x, "--pom", d / "p.bin"),
+        "pom": ("pom", "--block", d / "block.bin", "--commitment", x, "--index", "15",
+                "--out", out),
+        "retrieve": ("retrieve", "--commitment", x, "--chunks", d / "all.bundle",
+                     "--out-block", out, "--out-fraud", out),
+    }[command])
+    assert (code, err) == (cli.EXIT_PARAMS, f"error: {fault.value}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

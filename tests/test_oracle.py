@@ -346,6 +346,28 @@ class TestBadCodeRound:
         assert seeds == [params.code_seed + bump for bump in bumps]
         assert chain.records == [] and chain.new_seeds == {}
 
+    def test_replacement_seeds_wrap_within_a_u64(self, small_params, monkeypatch):
+        # bumps from a seed at the top of its u64 go on from 0, each a seed
+        # that TreeParams admits and DAC2 holds
+        params = dataclasses.replace(small_params, code_seed=2**64 - 2)
+        commitment = cit.Commitment((bytes(32),) * params.root_size, params, 512)
+        seeds = []
+
+        def stall(*_args):
+            raise BadCode("stalled", layer_size=32)
+
+        def every_code_is_bad(candidate, layer_size):
+            seeds.append(candidate.code_seed)
+            raise BadCode("gate failed", layer_size=layer_size)
+
+        monkeypatch.setattr(orc, "reconstruct", stall)
+        monkeypatch.setattr(orc, "layer_code", every_code_is_bad)
+        with pytest.raises(BadCode, match="no replacement seed met the gate"):
+            orc.bad_code_round(
+                [], commitment, BadCode("stalled", layer_size=32), orc.TrustedChain(4, 0.25, 0.5)
+            )
+        assert seeds == [2**64 - 1, *range(params.max_code_attempts - 1)]
+
     def test_good_code_is_a_no_op(self, small_block, small_tree, small_params):
         design = assign_chunks(32, 4, 1.0, seed=3)
         _tree, messages = orc.client_disperse(small_block, small_params, design)

@@ -1,9 +1,11 @@
 """Byte-exact golden vectors and round trips for the wire formats."""
 
+import dataclasses
 import hashlib
 import re
 import struct
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -289,8 +291,6 @@ def test_hostile_gate_counts_raise_parameter_error(small_tree, offset):
 
 
 def test_gate_count_caps_admit_their_bound_only(small_params):
-    import dataclasses
-
     for name, cap in (
         ("gate_trials", cit.MAX_GATE_TRIALS), ("max_code_attempts", cit.MAX_CODE_ATTEMPTS)
     ):
@@ -299,6 +299,49 @@ def test_gate_count_caps_admit_their_bound_only(small_params):
         for bad in (cap + 1, -1, 2**32 - 1, 2.0, "24"):
             with pytest.raises(ParameterError):
                 dataclasses.replace(small_params, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "field,top,past,block_len",
+    [
+        ("symbol_size", {"symbol_size": 2**64 - 1}, {"symbol_size": 2**64}, None),
+        ("root_size", {"root_size": 2**32 - 1}, {"root_size": 2**32}, None),
+        # the largest e that leaves room for a batch of at least 2e
+        ("rate denominator", {"rate": Fraction(1, 2**31 - 1), "batch": 2**32 - 2},
+         {"rate": Fraction(1, 2**32), "batch": 2**33}, None),
+        ("batch", {"rate": Fraction(1, 3), "batch": 2**32 - 1},
+         {"rate": Fraction(1, 4), "batch": 2**32}, None),
+        ("max_eq_degree", {"max_eq_degree": 2**32 - 1}, {"max_eq_degree": 2**32}, 512),
+        ("code_seed", {"code_seed": 2**64 - 1}, {"code_seed": 2**64}, 512),
+        ("code_seed", {"code_seed": 0}, {"code_seed": -1}, 512),
+    ],
+    ids=["symbol_size", "root_size", "rate_denominator", "batch", "max_eq_degree",
+         "code_seed", "code_seed_negative"],
+)
+def test_tree_params_hold_each_integer_within_its_dac2_width(
+    small_params, field, top, past, block_len
+):
+    """Each integer of the tree parameters at the end of its width in
+    FORMATS.md is admitted, and round-trips through a DAC2 commitment of
+    ``block_len`` bytes where it has a geometry (None: no block shorter
+    than 2^64 bytes has one); one past that raises ParameterError."""
+    params = dataclasses.replace(small_params, **top)
+    if block_len is not None:
+        com = cit.Commitment((bytes(HASH_BYTES),) * params.root_size, params, block_len)
+        assert sz.decode_commitment(sz.encode_commitment(com)) == com
+    with pytest.raises(ParameterError, match=field):
+        dataclasses.replace(params, **past)
+
+
+def test_a_commitment_holds_its_block_len_within_a_u64(small_params):
+    # at symbols of 2^62 bytes, 2^64 - 1 bytes and 2^64 bytes are both 16
+    # base symbols, a geometry
+    params = dataclasses.replace(small_params, symbol_size=2**62)
+    com = cit.Commitment((bytes(HASH_BYTES),) * params.root_size, params, 2**64 - 1)
+    assert sz.decode_commitment(sz.encode_commitment(com)) == com
+    assert cit.geometry(params, 2**64) == cit.geometry(params, 2**64 - 1)
+    with pytest.raises(ParameterError, match="block_len"):
+        dataclasses.replace(com, block_len=2**64)
 
 
 @pytest.mark.parametrize("value", ["5/4", "1/0", "one quarter", float("nan"), float("inf"), 1.5, -1, None])
