@@ -87,7 +87,7 @@ import numpy as np
 
 from ._kernels import digest_from_int, int_from_digest, xor_members
 from .codec import CodeSpec, encode_array, generate_code, is_bad_code
-from .errors import BadCode, IndexOutOfRange, ParameterError
+from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
 
 
@@ -404,7 +404,7 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     proof sampled from this tree before."""
     base = tree.layers[-1].symbols
     if not 0 <= base_index < base.shape[0]:
-        raise IndexOutOfRange(f"base index {base_index} not in [0, {base.shape[0]})")
+        raise ParameterError(f"base index {base_index} not in [0, {base.shape[0]})")
     tables = tree.sampling
     return ProofOfMembership(
         base_index,

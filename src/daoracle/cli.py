@@ -23,7 +23,7 @@ from .dispersal import (
     design_to_text,
     feasibility,
 )
-from .errors import BadCode, ConfigError, IndexOutOfRange, ParameterError
+from .errors import BadCode, ParameterError
 from .incentives import (
     IncentiveParams,
     best_oracle_deviation,
@@ -43,11 +43,11 @@ EXIT_BAD_CODE = 6
 
 def _read_json(path: str):
     """The JSON document in file ``path``; a file that does not parse as
-    JSON raises ConfigError. Commands check its fields with json_fields."""
+    JSON raises ParameterError. Commands check its fields with json_fields."""
     try:
         return json.loads(Path(path).read_bytes())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _index_list(text: str) -> list[int]:
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         parser.error("--commitment is needed with --chunks and refused with --trace")
     try:
         return args.func(args)
-    except (ParameterError, ConfigError, IndexOutOfRange, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except BadCode as exc:

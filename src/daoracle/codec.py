@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import LengthMismatch, ParameterError
+from .errors import ParameterError
 from .util import MASK64, as_rate
 
 
@@ -116,7 +116,7 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
 def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
     """Encode a (k, width) uint8 array into the full (n, width) codeword."""
     if inputs.shape[0] != code.n_systematic:
-        raise LengthMismatch(
+        raise ParameterError(
             f"expected {code.n_systematic} input symbols, got {inputs.shape[0]}"
         )
     # each parity row is the last member of exactly one equation, which

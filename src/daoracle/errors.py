@@ -1,20 +1,9 @@
-"""Exception types shared across the package."""
+"""The package's two failure types: bad input and a defective code."""
 
 
 class ParameterError(ValueError):
-    """Parameters fail validation (non-integral geometry, bad ranges)."""
-
-
-class LengthMismatch(ValueError):
-    """Symbol sequence has the wrong count or unequal symbol widths."""
-
-
-class IndexOutOfRange(IndexError):
-    """Requested symbol index lies outside the layer."""
-
-
-class ConfigError(ValueError):
-    """Scenario configuration is inconsistent or incomplete."""
+    """Input fails validation: a parameter, a file's content, a scenario
+    field or an index out of its range (the CLI's exit code 2)."""
 
 
 class BadCode(RuntimeError):

@@ -38,7 +38,7 @@ from .cit import (  # noqa: F401
 )
 from .codec import encode_array  # noqa: F401
 from .dispersal import DispersalDesign
-from .errors import BadCode
+from .errors import BadCode, ParameterError
 from .retrieval import (
     ChunkSet,
     Fraud,
@@ -226,7 +226,7 @@ def client_disperse(block: bytes, params: TreeParams, design: DispersalDesign):
 def messages_for_tree(tree: CodedTree, design: DispersalDesign):
     m_base = tree.sizes[-1]
     if design.n_chunks != m_base:
-        raise ValueError(
+        raise ParameterError(
             f"design covers {design.n_chunks} chunks but tree has {m_base}"
         )
     rows = design.assignments.tolist()

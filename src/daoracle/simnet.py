@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle as orc
 from .cit import TreeParams, geometry, sample_pom
 from .dispersal import DispersalParams, assign_chunks, chunks_per_node
-from .errors import BadCode, ConfigError, ParameterError
+from .errors import BadCode, ParameterError
 from .oracle import Behavior, OracleNode, TrustedChain
 from .retrieval import Block, Fraud
 from .serialize import encode_commitment, encode_pom
@@ -41,7 +41,7 @@ def _check_sizes(values) -> None:
     caps = {"n_nodes": MAX_NODES, "n_clients": MAX_CLIENTS, "block_size": MAX_BLOCK_SIZE}
     for key, cap in caps.items():
         if key in values and not 1 <= values[key] <= cap:
-            raise ConfigError(f"{key} must lie in [1, {cap}], got {values[key]}")
+            raise ParameterError(f"{key} must lie in [1, {cap}], got {values[key]}")
 
 
 @dataclass(frozen=True)
@@ -61,34 +61,34 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_sizes(vars(self))
         if len(self.behaviors) != self.n_nodes:
-            raise ConfigError("behaviors must list one entry per node")
+            raise ParameterError("behaviors must list one entry per node")
         # json reads NaN and Infinity, which no comparison admits
         if not 0 <= self.beta <= 1:
-            raise ConfigError(f"beta must lie in [0, 1], got {self.beta}")
+            raise ParameterError(f"beta must lie in [0, 1], got {self.beta}")
         bad = sum(1 for b in self.behaviors if b is not Behavior.HONEST)
         limit = as_written(self.beta) * self.n_nodes
         if bad > limit:
-            raise ConfigError(f"{bad} non-honest nodes exceeds beta*N = {float(limit):g}")
+            raise ParameterError(f"{bad} non-honest nodes exceeds beta*N = {float(limit):g}")
         if self.proposer_strategy not in PROPOSER_STRATEGIES:
-            raise ConfigError(f"unknown proposer strategy {self.proposer_strategy!r}")
+            raise ParameterError(f"unknown proposer strategy {self.proposer_strategy!r}")
         if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+            raise ParameterError("rounds must be >= 0")
         if not 0 <= self.audit_probability <= 1:
-            raise ConfigError("audit_probability must lie in [0, 1]")
+            raise ParameterError("audit_probability must lie in [0, 1]")
         # the design's checks, including its slot cap, before any round
         # builds a tree or draws a design
         n_chunks = geometry(self.tree, self.block_size).sizes[-1]
         try:
             chunks_per_node(n_chunks, self.n_nodes, self.dispersal.lam)
         except ParameterError as exc:
-            raise ConfigError(f"dispersal: {exc}") from None
+            raise ParameterError(f"dispersal: {exc}") from None
 
 
 def _behavior(name) -> Behavior:
     try:
         return Behavior(name)
     except ValueError:
-        raise ConfigError(f"unknown behavior {name!r}") from None
+        raise ParameterError(f"unknown behavior {name!r}") from None
 
 
 def behaviors_from_counts(
@@ -100,10 +100,10 @@ def behaviors_from_counts(
     # every count must be an int, and one in [0, n_nodes] before it sizes a list
     for name, cnt in sorted(json_fields(counts, {}, dict.fromkeys(counts, int)).items()):
         if not 0 <= cnt <= n_nodes:
-            raise ConfigError(f"behaviors: {name!r} count must lie in [0, {n_nodes}], got {cnt}")
+            raise ParameterError(f"behaviors: {name!r} count must lie in [0, {n_nodes}], got {cnt}")
         order += [_behavior(name)] * cnt
     if len(order) > n_nodes:
-        raise ConfigError("more behavior assignments than nodes")
+        raise ParameterError("more behavior assignments than nodes")
     out = [Behavior.HONEST] * n_nodes
     if seed is None:
         ids = range(n_nodes - len(order), n_nodes)
@@ -125,7 +125,7 @@ OPTIONAL_TREE_FIELDS = {"code_seed": int, "gate_trials": int, "max_code_attempts
 
 def tree_params_from_dict(raw) -> TreeParams:
     """TreeParams from a JSON object, as in a scenario's "tree" block or the
-    CLI's tree parameter file. Raises ConfigError for a missing key or a
+    CLI's tree parameter file. Raises ParameterError for a missing key or a
     value of the wrong type."""
     return TreeParams(**json_fields(raw, TREE_FIELDS, OPTIONAL_TREE_FIELDS))
 
@@ -139,7 +139,7 @@ OPTIONAL_SCENARIO_FIELDS = {
 
 def config_from_dict(raw) -> ScenarioConfig:
     """ScenarioConfig from a parsed scenario JSON object (FORMATS.md).
-    Raises ConfigError for a missing key, a value of the wrong type, or a
+    Raises ParameterError for a missing key, a value of the wrong type, or a
     node count or block size outside its cap."""
     raw = json_fields(
         raw,
@@ -258,7 +258,7 @@ def _outcome(result, block: bytes) -> dict:
 
 def run_scenario(config: ScenarioConfig) -> Trace:
     if config.rounds > MAX_ROUNDS or config.rounds * config.block_size > MAX_PROPOSED_BYTES:
-        raise ConfigError(
+        raise ParameterError(
             f"rounds must be at most {MAX_ROUNDS} and rounds * block_size at most "
             f"{MAX_PROPOSED_BYTES}, got {config.rounds} x {config.block_size}"
         )

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 
 HASH_BYTES = 32
 # seeds are taken mod 2**64, so that np.uint64 holds them
@@ -85,17 +85,17 @@ def json_fields(raw, required: dict, optional: Optional[dict] = None) -> dict:
     """The entries of the JSON object ``raw`` that ``required`` and
     ``optional`` name (key -> type or tuple of types), each checked against
     its type. A missing required key, a value of another type, or a ``raw``
-    that is not an object raises ConfigError."""
+    that is not an object raises ParameterError."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"expected a JSON object, got {type(raw).__name__}")
+        raise ParameterError(f"expected a JSON object, got {type(raw).__name__}")
     out = {}
     for key, kind in (*required.items(), *(optional or {}).items()):
         if key not in raw:
             if key in required:
-                raise ConfigError(f"missing key {key!r}")
+                raise ParameterError(f"missing key {key!r}")
             continue
         value = raw[key]
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise ConfigError(f"key {key!r} has the wrong type {type(value).__name__}")
+            raise ParameterError(f"key {key!r} has the wrong type {type(value).__name__}")
         out[key] = value
     return out

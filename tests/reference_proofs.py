@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from daoracle.cit import ProofOfMembership, geometry
-from daoracle.errors import IndexOutOfRange, ParameterError
+from daoracle.errors import ParameterError
 from daoracle.util import HASH_BYTES, sha256
 from fraction_geometry import pom_pairs
 
@@ -27,7 +27,7 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     geo = geometry(tree.commitment.params, tree.commitment.block_len)
     depth = geo.depth
     if not 0 <= base_index < geo.sizes[depth]:
-        raise IndexOutOfRange(f"base index {base_index} not in [0, {geo.sizes[depth]})")
+        raise ParameterError(f"base index {base_index} not in [0, {geo.sizes[depth]})")
     ancestors = [
         tree.layers[u].symbols[base_index % geo.sys_counts[u]].tobytes()
         for u in range(depth - 1, -1, -1)
@@ -81,12 +81,7 @@ def walk_pom(commitment: Commitment, params: TreeParams, pom: ProofOfMembership)
     proof is consistent with the commitment, else None."""
     if params != commitment.params or pom.block_len != commitment.block_len:
         return None
-    if len(commitment.root) != params.root_size:
-        return None
-    try:
-        geo = geometry(params, pom.block_len)
-    except ParameterError:
-        return None
+    geo = geometry(params, pom.block_len)
     depth, sizes, sys_counts = geo.depth, geo.sizes, geo.sys_counts
     i = pom.base_index
     if not 0 <= i < sizes[depth]:
@@ -120,12 +115,7 @@ def verify_membership(
 ) -> bool:
     """Check a bare digest claim: the commitment binds a symbol hashing to
     ``leaf_hash`` at (u, x) through ``ancestors``."""
-    if len(commitment.root) != params.root_size:
-        return False
-    try:
-        geo = geometry(params, commitment.block_len)
-    except ParameterError:
-        return False
+    geo = geometry(params, commitment.block_len)
     if not 0 <= u <= geo.depth or not 0 <= x < geo.sizes[u]:
         return False
     return _climbs(commitment, params, geo, u, x, leaf_hash, ancestors)

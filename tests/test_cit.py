@@ -9,7 +9,7 @@ import pytest
 
 from daoracle import cit, retrieval as rt
 from daoracle.codec import encode_array
-from daoracle.errors import BadCode, IndexOutOfRange, ParameterError
+from daoracle.errors import BadCode, ParameterError
 from daoracle.util import sha256
 
 from conftest import SMALL, chunkset_for, covered_layers, flipping, pairs_table, params_for
@@ -183,7 +183,7 @@ class TestMembership:
             assert cit.Frontier(small_tree.commitment).walk(pom)
 
     def test_out_of_range_index(self, small_tree):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParameterError):
             cit.sample_pom(small_tree, 32)
 
     def test_zero_block_has_zero_base_parity(self, small_params):

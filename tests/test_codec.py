@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_peel as ref
 from daoracle import codec
-from daoracle.errors import LengthMismatch, ParameterError
+from daoracle.errors import ParameterError
 
 from conftest import code_to_text, peel_rows, planted_weak_code
 from gf2 import solve_erasure
@@ -107,7 +107,7 @@ class TestEncode:
 
     def test_length_mismatch(self):
         code = codec.generate_code(4, "1/2", 4, seed=2)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ParameterError):
             codec.encode_array(code, np.zeros((3, 2), dtype=np.uint8))
 
     @settings(max_examples=25, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from daoracle import cit, oracle as orc, retrieval as rt
 from daoracle.codec import ParityEquation
 from daoracle.dispersal import DispersalDesign, assign_chunks
-from daoracle.errors import BadCode
+from daoracle.errors import BadCode, ParameterError
 
 from conftest import BAD_BASE_CODE_SEED, BAD_BASE_STOPPING_SET, SMALL, chunkset_for
 
@@ -37,6 +37,11 @@ class TestDisperse:
         node = orc.OracleNode(0)
         vote = orc.node_on_dispersal(node, messages[0])
         assert vote is not None and node.stored == {}
+
+    def test_a_design_for_another_chunk_count_is_refused(self, small_tree):
+        design = assign_chunks(64, 4, 1.0, seed=21)
+        with pytest.raises(ParameterError, match="^design covers 64 chunks but tree has 32$"):
+            orc.messages_for_tree(small_tree, design)
 
 
 class TestNodeBehavior:

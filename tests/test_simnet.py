@@ -18,7 +18,7 @@ from daoracle import oracle as orc
 from daoracle import simnet as sn
 from daoracle.cit import MAX_CODE_ATTEMPTS, MAX_GATE_TRIALS, TreeParams
 from daoracle.dispersal import MAX_DESIGN_SLOTS, DispersalParams, assign_chunks
-from daoracle.errors import BadCode, ConfigError
+from daoracle.errors import BadCode, ParameterError
 from daoracle.retrieval import Block
 from daoracle.serialize import encode_commitment, encode_pom
 from daoracle.util import derive_seed
@@ -136,7 +136,7 @@ class TestDeterminism:
         )
 
     def test_config_rejects_too_many_adversaries(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             make_config({"silent": 6})  # beta*N = 5
 
     def test_config_takes_beta_as_the_decimal_it_was_written_as(self):
@@ -150,18 +150,18 @@ class TestDeterminism:
         )
         config = make_config({"silent": 29}, **sizes)
         assert config.behaviors.count(orc.Behavior.SILENT) == 29
-        with pytest.raises(ConfigError, match=r"30 non-honest nodes exceeds beta\*N = 29$"):
+        with pytest.raises(ParameterError, match=r"30 non-honest nodes exceeds beta\*N = 29$"):
             make_config({"silent": 30}, **sizes)
 
     def test_config_rejects_non_integral_chunks_per_node(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParameterError):
             make_config(disp=DispersalParams(gamma=0.5, eta=0.875, lam=0.21))
 
     def test_config_rejects_a_design_past_the_slot_cap(self):
         # one node and lambda 2**-20 over 128 chunks: k = 2**27 chunks per
         # node, a 1 GiB design, refused before anything is built
         disp = DispersalParams(gamma=0.5, eta=0.875, lam=2.0**-20)
-        with pytest.raises(ConfigError, match="exceeds the cap"):
+        with pytest.raises(ParameterError, match="exceeds the cap"):
             make_config(disp=disp, n_nodes=1)
         # the largest lambda-side design the cap admits on this block
         lam = 128 / MAX_DESIGN_SLOTS
