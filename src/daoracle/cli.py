@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -208,6 +209,9 @@ def cmd_metrics(args) -> int:
     if lam is None:
         # without lambda, beta and eta give it
         beta_eta = json_fields(raw, {"beta": NUMBER, "eta": NUMBER})
+        if 1 - beta_eta["eta"] == 1:
+            # lambda divides by ln(1/(1-eta))
+            raise ParameterError(f"eta {beta_eta['eta']!r} leaves 1 - eta at 1")
         lam = mx.lambda_from_beta(beta_eta["beta"], beta_eta["eta"])
     cost = mx.CostParams(
         block_size=raw["block_size"],
@@ -219,6 +223,18 @@ def cmd_metrics(args) -> int:
         max_eq_degree=raw["max_eq_degree"],
         lam=lam,
     )
+    # the closed forms divide by N*r*lam and N*r*c*lam and take the log of
+    # b/(c*t*r), and a product of positive floats can round to 0. Checked
+    # here, not in CostParams: every protobench worker imports metrics.py,
+    # and edits to it have moved bulk_block workers between malloc
+    # page-fault modes (ROADMAP, timing noise)
+    n_r = cost.n_nodes * cost.rate
+    span = cost.symbol_size * cost.root_size * cost.rate
+    if not (
+        min(n_r * cost.lam, n_r * cost.symbol_size * cost.lam, span) > 0
+        and 0 < cost.block_size / span < math.inf
+    ):
+        raise ParameterError("N*r*lam, N*r*c*lam and b/(c*t*r) must be finite and positive")
     rep = mx.report(cost)
     rows = mx.baseline_table(cost, raw.get("beta"))
     prefix = Path(args.out_prefix)

@@ -1,13 +1,13 @@
 """Utility-table arithmetic and equilibrium condition checks for the
-audit-backed voting game.
+audit-backed voting game, for the one player every check reads: an oracle
+node. Its row of the utility table (block committed), per action:
 
-Rows of the utility table (block committed), per role and action:
+    C: eta_b*B/k - r_m - c_s
+    O: 0
+    D: -p_a*stk_o + (1-p_a)*eta_b*B/k - r_m
 
-    proposer   C: (1-eta_b)*B        O: 0   D: -stk_b
-    oracle     C: eta_b*B/k - r_m - c_s
-               O: 0
-               D: -p_a*stk_o + (1-p_a)*eta_b*B/k - r_m
-    committee  C: k*r_m - c_m        O: 0   D: -stk_m
+ACeD's proposer and committee rows are not modelled, because no check
+reads them.
 
 When no block commits (the all-offline context) a cooperating oracle node
 still pays its verification cost and gains nothing.
@@ -29,12 +29,6 @@ from .errors import ParameterError
 from .util import require_finite
 
 
-class Role(enum.Enum):
-    PROPOSER = "proposer"
-    ORACLE = "oracle"
-    COMMITTEE = "committee"
-
-
 class Action(enum.Enum):
     COOPERATE = "C"
     OFFLINE = "O"
@@ -45,29 +39,18 @@ class Action(enum.Enum):
 class IncentiveParams:
     p_audit: float  # p_a
     stake_oracle: float  # stk_o
-    stake_committee: float  # stk_m
-    stake_proposer: float  # stk_b
     submission_fee: float  # r_m
     block_reward: float  # B
     reward_fraction: float  # eta_b, share of the reward paid to oracle nodes
     verify_cost: float  # c_s
-    aggregate_cost: float  # c_m
     n_signatures: int  # k, signatures aggregated in the committed signature
 
     def __post_init__(self):
         require_finite(vars(self))
-        if not 0 <= self.p_audit <= 1:
-            raise ParameterError("p_audit must lie in [0, 1]")
-        for name in (
-            "stake_oracle",
-            "stake_committee",
-            "stake_proposer",
-            "submission_fee",
-            "block_reward",
-            "reward_fraction",
-            "verify_cost",
-            "aggregate_cost",
-        ):
+        for name in ("p_audit", "reward_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ParameterError(f"{name} must lie in [0, 1]")
+        for name in ("stake_oracle", "submission_fee", "block_reward", "verify_cost"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
         if self.n_signatures < 1:
@@ -78,25 +61,17 @@ class IncentiveParams:
         return self.reward_fraction * self.block_reward / self.n_signatures
 
 
-def expected_utility(role: Role, action: Action, params: IncentiveParams) -> float:
-    """Exact utility-table entry, block-committed context."""
+def oracle_utility(action: Action, params: IncentiveParams) -> float:
+    """An oracle node's exact utility-table entry, block-committed context."""
     if action is Action.OFFLINE:
         return 0.0
-    if role is Role.PROPOSER:
-        if action is Action.COOPERATE:
-            return (1 - params.reward_fraction) * params.block_reward
-        return -params.stake_proposer
-    if role is Role.ORACLE:
-        if action is Action.COOPERATE:
-            return params.oracle_reward - params.submission_fee - params.verify_cost
-        return (
-            -params.p_audit * params.stake_oracle
-            + (1 - params.p_audit) * params.oracle_reward
-            - params.submission_fee
-        )
     if action is Action.COOPERATE:
-        return params.n_signatures * params.submission_fee - params.aggregate_cost
-    return -params.stake_committee
+        return params.oracle_reward - params.submission_fee - params.verify_cost
+    return (
+        -params.p_audit * params.stake_oracle
+        + (1 - params.p_audit) * params.oracle_reward
+        - params.submission_fee
+    )
 
 
 def oracle_utility_uncommitted(action: Action, params: IncentiveParams) -> float:
@@ -121,8 +96,8 @@ class EquilibriumCheck:
 def check_allC_equilibrium(params: IncentiveParams) -> EquilibriumCheck:
     """All-cooperate is an equilibrium for oracle nodes iff cooperation
     strictly beats both defection and going offline."""
-    c = expected_utility(Role.ORACLE, Action.COOPERATE, params)
-    d = expected_utility(Role.ORACLE, Action.DEFECT, params)
+    c = oracle_utility(Action.COOPERATE, params)
+    d = oracle_utility(Action.DEFECT, params)
     audit_slack = c - d  # = p_a*(stk_o + reward) - c_s
     reward_slack = c  # = reward - r_m - c_s, offline pays zero
     printed_audit = params.p_audit * (params.stake_oracle + 1) - params.verify_cost
@@ -160,7 +135,7 @@ def best_oracle_deviation(
     against All-O nothing commits either way.
     """
     if profile == "all_c":
-        utilities = {a: expected_utility(Role.ORACLE, a, params) for a in Action}
+        utilities = {a: oracle_utility(a, params) for a in Action}
     elif profile == "all_o":
         utilities = {a: oracle_utility_uncommitted(a, params) for a in Action}
     else:

@@ -298,20 +298,21 @@ def test_criterion_8_incentive_checks():
     rng = np.random.default_rng(88)
     agreements = 0
     for _ in range(100):
+        draws = [float(rng.uniform(0, high)) for high in (1, 100, 20, 40, 5, 200, 1, 5, 5)]
+        # draws 2, 3 and 8 stood for the committee and proposer stakes and
+        # the aggregation cost, which no oracle-node utility reads; they are
+        # still drawn, so that the rng stream gives the same 100 games
         params = inc.IncentiveParams(
-            p_audit=float(rng.uniform(0, 1)),
-            stake_oracle=float(rng.uniform(0, 100)),
-            stake_committee=float(rng.uniform(0, 20)),
-            stake_proposer=float(rng.uniform(0, 40)),
-            submission_fee=float(rng.uniform(0, 5)),
-            block_reward=float(rng.uniform(0, 200)),
-            reward_fraction=float(rng.uniform(0, 1)),
-            verify_cost=float(rng.uniform(0, 5)),
-            aggregate_cost=float(rng.uniform(0, 5)),
+            p_audit=draws[0],
+            stake_oracle=draws[1],
+            submission_fee=draws[4],
+            block_reward=draws[5],
+            reward_fraction=draws[6],
+            verify_cost=draws[7],
             n_signatures=int(rng.integers(1, 40)),
         )
-        coop = inc.expected_utility(inc.Role.ORACLE, inc.Action.COOPERATE, params)
-        defect = inc.expected_utility(inc.Role.ORACLE, inc.Action.DEFECT, params)
+        coop = inc.oracle_utility(inc.Action.COOPERATE, params)
+        defect = inc.oracle_utility(inc.Action.DEFECT, params)
         check_c = inc.check_allC_equilibrium(params)
         best, _ = inc.best_oracle_deviation("all_c", params)
         assert check_c.is_equilibrium == (coop > defect and coop > 0)

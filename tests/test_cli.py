@@ -565,6 +565,18 @@ class TestTables:
         # to all-O it is staying offline, at 0
         assert report["all_cooperate"]["best_deviation"] == {"action": "C", "utility": 4.5}
         assert report["all_offline"]["best_deviation"] == {"action": "O", "utility": 0.0}
+        # the README incentive point's report, byte for byte
+        assert file_digest(tmp_path / "i_out.json") == INCENTIVE_REPORT_DIGEST
+
+    def test_incentives_reads_only_the_oracle_node_keys(self, tmp_path):
+        # no check reads the committee and proposer stakes or the
+        # aggregation cost, so a file need not carry them
+        (tmp_path / "i.json").write_text(json.dumps(INCENTIVE_PARAMS))
+        code, err = quiet_run(
+            "incentives", "--params", tmp_path / "i.json", "--out", tmp_path / "i_out.json",
+        )
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert file_digest(tmp_path / "i_out.json") == INCENTIVE_REPORT_DIGEST
 
 
 TREE_PARAMS = {
@@ -583,11 +595,13 @@ SCENARIO = {
 SUBNORMAL_LAMBDA_SCENARIO = {
     **SCENARIO, "dispersal": {**SCENARIO["dispersal"], "lambda": 1e-320}
 }
+# the seven keys `incentives` reads, at the README point
 INCENTIVE_PARAMS = {
-    "p_audit": 0.2, "stake_oracle": 50, "stake_committee": 10, "stake_proposer": 20,
-    "submission_fee": 0.5, "block_reward": 100, "reward_fraction": 0.6,
-    "verify_cost": 1.0, "aggregate_cost": 2.0, "n_signatures": 10,
+    "p_audit": 0.2, "stake_oracle": 50, "submission_fee": 0.5, "block_reward": 100,
+    "reward_fraction": 0.6, "verify_cost": 1.0, "n_signatures": 10,
 }
+# sha256 of the `incentives --out` report at the README point
+INCENTIVE_REPORT_DIGEST = "989569ec122ceed48bbdc4df1e432273ad4eb1c3b3a56b3bf4c8b49242b85ac0"
 
 
 def file_digest(path: Path) -> str:
@@ -660,12 +674,25 @@ class TestBadJsonInput:
             ("metrics", json.dumps(
                 {**COST_PARAMS, "block_size": 1e304, "n_nodes": 10**6, "lambda": 1.0}
             )),
+            # finite inputs whose log argument b/(c*t*r) rounds to 0, or whose
+            # c*t*r does, or overflows, or whose divisor N*r*c*lam rounds to
+            # 0, or whose 1 - eta rounds to 1 so that ln(1/(1-eta)) is 0
+            ("metrics", json.dumps({**COST_PARAMS, "block_size": 5e-324})),
+            ("metrics", json.dumps({**COST_PARAMS, "symbol_size": 5e-324, "root_size": 1})),
+            ("metrics", json.dumps({**COST_PARAMS, "symbol_size": 1e308})),
+            ("metrics", json.dumps({
+                **COST_PARAMS, "block_size": 1e-16, "n_nodes": 1, "symbol_size": 5e-324,
+                "root_size": 4, "lambda": 1.0,
+            })),
+            ("metrics", json.dumps({**COST_PARAMS, "eta": 1e-320})),
             ("incentives", without(INCENTIVE_PARAMS, "p_audit")),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "stake_oracle": float("nan")})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": float("inf")})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "block_reward": 10**400})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 2.5})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 0})),
+            # a share of the block reward, so at most all of it
+            ("incentives", json.dumps({**INCENTIVE_PARAMS, "reward_fraction": 5})),
             ("retrieve", json.dumps({"rounds": []})),
             # a subnormal lambda lies in (0, 1], yet M/(N*lambda) overflows
             ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8, "lambda": 1e-320})),
@@ -697,9 +724,13 @@ class TestBadJsonInput:
             "metrics_no_nodes", "metrics_negative_root", "metrics_degree_zero",
             "metrics_nan_block", "metrics_infinite_symbol", "metrics_nan_lambda",
             "metrics_nodes_past_float", "metrics_block_overflows", "metrics_symbol_underflows",
-            "metrics_baselines_overflow", "incentives_missing_key", "incentives_nan_stake",
+            "metrics_baselines_overflow", "metrics_log_argument_underflows",
+            "metrics_symbol_span_underflows", "metrics_symbol_span_overflows",
+            "metrics_divisor_underflows", "metrics_lambda_from_tiny_eta",
+            "incentives_missing_key", "incentives_nan_stake",
             "incentives_infinite_signatures", "incentives_reward_past_float",
             "incentives_fractional_signatures", "incentives_no_signatures",
+            "incentives_share_above_one",
             "retrieve_trace_without_config", "disperse_subnormal_lambda",
             "simulate_subnormal_lambda", "retrieve_subnormal_lambda",
             "commit_code_seed_negative", "commit_code_seed_past_u64", "commit_degree_past_u32",

@@ -8,20 +8,17 @@ import pytest
 from daoracle import incentives as inc
 from daoracle.errors import ParameterError
 
-Role, Action = inc.Role, inc.Action
+Action = inc.Action
 
 
 def params(**overrides):
     base = dict(
         p_audit=0.2,
         stake_oracle=50.0,
-        stake_committee=10.0,
-        stake_proposer=20.0,
         submission_fee=0.5,
         block_reward=100.0,
         reward_fraction=0.6,
         verify_cost=1.0,
-        aggregate_cost=2.0,
         n_signatures=10,
     )
     base.update(overrides)
@@ -29,36 +26,34 @@ def params(**overrides):
 
 
 class TestUtilityTable:
-    def test_offline_is_zero_for_every_role(self):
-        p = params()
-        for role in Role:
-            assert inc.expected_utility(role, Action.OFFLINE, p) == 0.0
-
-    def test_proposer_cooperate_keeps_the_reward_remainder(self):
-        p = params()
-        assert inc.expected_utility(Role.PROPOSER, Action.COOPERATE, p) == 40.0
+    def test_offline_is_zero(self):
+        assert inc.oracle_utility(Action.OFFLINE, params()) == 0.0
 
     def test_oracle_defect_under_certain_audit(self):
         p = params(p_audit=1.0)
-        got = inc.expected_utility(Role.ORACLE, Action.DEFECT, p)
+        got = inc.oracle_utility(Action.DEFECT, p)
         assert got == -p.stake_oracle - p.submission_fee
 
     def test_oracle_cooperate_row(self):
         p = params()
-        assert inc.expected_utility(Role.ORACLE, Action.COOPERATE, p) == (
-            0.6 * 100 / 10 - 0.5 - 1.0
-        )
-
-    def test_committee_rows(self):
-        p = params()
-        assert inc.expected_utility(Role.COMMITTEE, Action.COOPERATE, p) == 3.0
-        assert inc.expected_utility(Role.COMMITTEE, Action.DEFECT, p) == -10.0
+        assert inc.oracle_utility(Action.COOPERATE, p) == 0.6 * 100 / 10 - 0.5 - 1.0
 
     def test_rejects_negative_costs(self):
         with pytest.raises(ParameterError):
             params(verify_cost=-1)
         with pytest.raises(ParameterError):
             params(p_audit=1.5)
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5, 5])
+    def test_rejects_a_reward_share_outside_the_unit_interval(self, value):
+        # eta_b is a share of B: above 1 the signers would be paid more
+        # than the block reward
+        with pytest.raises(ParameterError, match=r"reward_fraction must lie in \[0, 1\]"):
+            params(reward_fraction=value)
+
+    def test_reward_share_admits_both_ends(self):
+        assert params(reward_fraction=0.0).oracle_reward == 0.0
+        assert params(reward_fraction=1.0).oracle_reward == 10.0
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_rejects_every_number_a_float_does_not_hold(self, value):
@@ -133,9 +128,8 @@ def test_checks_agree_with_enumeration_on_random_draws():
         c_check = inc.check_allC_equilibrium(p)
         best_c, _ = inc.best_oracle_deviation("all_c", p)
         strict = (
-            inc.expected_utility(Role.ORACLE, Action.COOPERATE, p)
-            > inc.expected_utility(Role.ORACLE, Action.DEFECT, p)
-        ) and (inc.expected_utility(Role.ORACLE, Action.COOPERATE, p) > 0)
+            inc.oracle_utility(Action.COOPERATE, p) > inc.oracle_utility(Action.DEFECT, p)
+        ) and (inc.oracle_utility(Action.COOPERATE, p) > 0)
         assert c_check.is_equilibrium == strict
         if c_check.is_equilibrium:
             assert best_c is Action.COOPERATE
