@@ -18,9 +18,12 @@ base stays a list of bytes rows from its encode to its proofs:
 ``build_tree`` hashes each row of a layer once into a list of digests,
 held only until the parent layer is built, and ``aggregate`` joins them
 into the parent rows, so a tree costs one hash per symbol per layer, as
-Coded Merkle Tree commitments do. A tree's ``Layer`` keeps its symbols as
-a read-only array. The commitment holds the digests of the root layer's t
-symbols.
+Coded Merkle Tree commitments do. It hashes a layer's rows through
+``_kernels.map_rows``, so rows of at least ``PARALLEL_MIN_BYTES`` (16
+KiB), as ``bulk_block``'s 64 KiB base rows are, go to two threads; a
+round's 1 KiB base rows and every digest layer's rows stay on one. A
+tree's ``Layer`` keeps its symbols as a read-only array. The commitment
+holds the digests of the root layer's t symbols.
 
 Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
@@ -85,7 +88,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import digest_from_int, int_from_digest, xor_members
+from ._kernels import digest_from_int, int_from_digest, map_rows, xor_members
 from .codec import CodeSpec, encode_array, generate_code, is_bad_code
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
@@ -363,7 +366,7 @@ def build_tree(
             tamper(u, cur, code)
             if u < depth:
                 rows = [row.tobytes() for row in cur]
-        hashes = [*map(sha256, rows)]
+        hashes = map_rows(sha256, rows)
         cur.setflags(write=False)
         layers[u], rows_of[u] = Layer(cur), rows
 
@@ -503,9 +506,11 @@ class Frontier:
             steps[j][1][x] = ancestors[j:]
         return True
 
-    def walk(self, pom: ProofOfMembership) -> bool:
+    def walk(self, pom: ProofOfMembership, digest: Optional[bytes] = None) -> bool:
         """True iff ``pom`` is consistent with the commitment. A proof that
-        passes adds what it authenticated.
+        passes adds what it authenticated. ``digest``, when given, is the
+        sha256 of the proof's base symbol, which the caller hashed already
+        (a reconstruction hashes its delivered symbols in one batch).
 
         The proof carries the field types ``ProofOfMembership`` declares,
         as ``serialize.decode_pom`` builds them; every value in it is
@@ -518,7 +523,9 @@ class Frontier:
         if len(symbol) != self.commitment.params.symbol_size or len(parities) != len(checks):
             return False
         steps = self._steps
-        fresh = self._climb(steps, i, sha256(symbol), ancestors)
+        if digest is None:
+            digest = sha256(symbol)
+        fresh = self._climb(steps, i, digest, ancestors)
         if fresh is None:
             return False
 

@@ -205,6 +205,11 @@ def cmd_metrics(args) -> int:
         },
         {"lambda": NUMBER, "beta": NUMBER, "eta": NUMBER},
     )
+    beta = raw.get("beta")
+    if beta is not None and not 0 <= beta < 0.5:
+        # the coded row of the baselines table gives it as the max
+        # adversary fraction, with lambda or without
+        raise ParameterError(f"beta {beta!r} must lie in [0, 0.5)")
     lam = raw.get("lambda")
     if lam is None:
         # without lambda, beta and eta give it
@@ -223,20 +228,23 @@ def cmd_metrics(args) -> int:
         max_eq_degree=raw["max_eq_degree"],
         lam=lam,
     )
-    # the closed forms divide by N*r*lam and N*r*c*lam and take the log of
-    # b/(c*t*r), and a product of positive floats can round to 0. Checked
-    # here, not in CostParams: every protobench worker imports metrics.py,
-    # and edits to it have moved bulk_block workers between malloc
-    # page-fault modes (ROADMAP, timing noise)
+    # the closed forms divide by N*r*lam and N*r*c*lam, and a product of
+    # positive floats can round to 0; they take the log of b/(c*t*r), which
+    # is negative below 1 and can turn the costs negative. Checked here,
+    # not in CostParams: every protobench worker imports metrics.py, and
+    # edits to it have moved bulk_block workers between malloc page-fault
+    # modes (ROADMAP, timing noise)
     n_r = cost.n_nodes * cost.rate
     span = cost.symbol_size * cost.root_size * cost.rate
     if not (
         min(n_r * cost.lam, n_r * cost.symbol_size * cost.lam, span) > 0
-        and 0 < cost.block_size / span < math.inf
+        and 1 <= cost.block_size / span < math.inf
     ):
-        raise ParameterError("N*r*lam, N*r*c*lam and b/(c*t*r) must be finite and positive")
+        raise ParameterError(
+            "N*r*lam and N*r*c*lam must be positive, and b/(c*t*r) finite and at least 1"
+        )
     rep = mx.report(cost)
-    rows = mx.baseline_table(cost, raw.get("beta"))
+    rows = mx.baseline_table(cost, beta)
     prefix = Path(args.out_prefix)
     prefix.with_suffix(".json").write_text(rep.to_json())
     prefix.with_name(prefix.name + "_baselines").with_suffix(".csv").write_text(

@@ -24,7 +24,11 @@ committed digest at its slot of its parent, and a solve is checked at its
 solve. The frontier holds what passed in one list per layer, indexed by
 position, so each layer is peeled from a copy of its list
 (``Frontier.rows``), and a stall counts the other layers' symbols from
-the same lists.
+the same lists. Ingest hashes the delivered base symbols in one batch
+before the walks (``_kernels.map_rows``), and each walk climbs from its
+symbol's digest: symbols of at least ``PARALLEL_MIN_BYTES`` (16 KiB), as
+``bulk_block``'s 64 KiB ones are, are hashed on two threads, and a
+round's 1 KiB ones on one.
 
 A stall at >= (1 - alpha) known symbols indicts the code, not the data,
 and raises BadCode; a stall below that returns Insufficient. The test is
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import cit
 from .cit import (
     Commitment,
     Frontier,
@@ -48,7 +53,7 @@ from .cit import (
     verify_membership,
     walk_pom,
 )
-from ._kernels import INT_VALUE_MAX_BYTES, Peel, value_form, xor_members
+from ._kernels import INT_VALUE_MAX_BYTES, Peel, map_rows, value_form, xor_members
 from .codec import CodeSpec, ParityEquation
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, as_written, sha256
@@ -177,9 +182,19 @@ class _Reconstructor:
         self.frontier = frontier = Frontier(commitment)
         geo = frontier.geo
         self.sizes, self.sys_counts, self.depth = geo.sizes, geo.sys_counts, geo.depth
-        for index, symbol, pom in chunks.units:
-            if unit_agrees(index, symbol, pom):
-                walk_pom(frontier, pom)
+        # the base symbols of the committed width are hashed in one batch,
+        # by cit's sha256 name looked up at call time, as a walk's own hash
+        # is, so call counters see the calls they saw; each walk climbs
+        # from its symbol's digest
+        width = commitment.params.symbol_size
+        poms = [
+            pom
+            for index, symbol, pom in chunks.units
+            if unit_agrees(index, symbol, pom) and len(symbol) == width
+        ]
+        digests = map_rows(cit.sha256, [pom.base_symbol for pom in poms])
+        for pom, digest in zip(poms, digests):
+            walk_pom(frontier, pom, digest)
         self.layer_done: dict[int, list[bytes]] = {}
 
     def _expected_hash(self, u: int, x: int) -> bytes:

@@ -685,6 +685,11 @@ class TestBadJsonInput:
                 "root_size": 4, "lambda": 1.0,
             })),
             ("metrics", json.dumps({**COST_PARAMS, "eta": 1e-320})),
+            # a block smaller than c*t*r has a negative layer count, which
+            # with d = 1 turns the fraud proof size negative
+            ("metrics", json.dumps({**COST_PARAMS, "block_size": 1000, "max_eq_degree": 1})),
+            # the baselines table gives beta as the max adversary fraction
+            ("metrics", json.dumps({**COST_PARAMS, "beta": 7, "lambda": 0.5})),
             ("incentives", without(INCENTIVE_PARAMS, "p_audit")),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "stake_oracle": float("nan")})),
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": float("inf")})),
@@ -727,6 +732,7 @@ class TestBadJsonInput:
             "metrics_baselines_overflow", "metrics_log_argument_underflows",
             "metrics_symbol_span_underflows", "metrics_symbol_span_overflows",
             "metrics_divisor_underflows", "metrics_lambda_from_tiny_eta",
+            "metrics_block_below_root_layer", "metrics_beta_with_lambda_above_half",
             "incentives_missing_key", "incentives_nan_stake",
             "incentives_infinite_signatures", "incentives_reward_past_float",
             "incentives_fractional_signatures", "incentives_no_signatures",

@@ -1,13 +1,17 @@
 """The kernels against independent references: GF(2) elimination
 (``tests/gf2.py``), a plain set-based peeling closure, Python's own
 distinct count, and hand-built equation systems; the XOR encoder and
-the member XOR against numpy's and Python's own XOR. The peeling engine is
+the member XOR against numpy's and Python's own XOR; ``map_rows`` against
+the plain map, with its helper thread started or not. The peeling engine is
 driven here the way its callers drive it: ``closes`` follows the closure of
 a known set, as the alpha gate does, and ``conftest.peel_rows`` decodes
 uint8 rows, as retrieval does. ``tests/test_peel.py`` checks it against
 the peelers it replaced."""
 
+import hashlib
 import operator
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -275,3 +279,95 @@ def test_xor_members_is_the_reduce_over_the_members_left(data):
         assert got is rows[left[0]]
     else:
         assert not any(np.shares_memory(got, row) for row in rows)
+
+
+def digest(row) -> bytes:
+    return hashlib.sha256(row).digest()
+
+
+def random_rows(n: int, width: int) -> list[bytes]:
+    rng = np.random.default_rng([n, width])
+    return [rng.bytes(width) for _ in range(n)]
+
+
+WIDTHS = (1, kn.PARALLEL_MIN_BYTES - 1, kn.PARALLEL_MIN_BYTES, 2 * kn.PARALLEL_MIN_BYTES + 3)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("n", (0, 1, 2, 37))
+def test_map_rows_is_the_plain_map(n, width):
+    rows = random_rows(n, width)
+    expected = [*map(digest, rows)]
+    assert kn.map_rows(digest, rows) == expected
+    # the rows of a base layer, as build_tree passes them
+    array = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, width)
+    assert kn.map_rows(digest, array) == expected
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("n", (1, 2, 37))
+def test_map_rows_starts_a_helper_only_for_two_wide_rows(monkeypatch, n, width):
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    before = threading.active_count()
+    kn.map_rows(digest, random_rows(n, width))
+    assert len(started) == (n >= 2 and width >= kn.PARALLEL_MIN_BYTES)
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("width", (kn.PARALLEL_MIN_BYTES - 1, kn.PARALLEL_MIN_BYTES))
+@pytest.mark.parametrize("bad", ("row 0", "row 1", "row 20", "row 36", "every row"))
+def test_map_rows_raises_what_fn_raises_and_leaves_no_thread(bad, width):
+    rows = random_rows(37, width)
+    failing = rows if bad == "every row" else [rows[int(bad.split()[1])]]
+
+    def fn(row):
+        if any(row is r for r in failing):
+            raise Boom(bad)
+        return digest(row)
+
+    before = threading.active_count()
+    with pytest.raises(Boom):
+        kn.map_rows(fn, rows)
+    assert threading.active_count() == before
+
+
+def test_map_rows_maps_each_row_once_under_stress():
+    """Three callers share no state but the interpreter: each map_rows call
+    and its helper claim every row of their call exactly once, with
+    threads switching every microsecond (six threads on two cores)."""
+    rows = random_rows(64, kn.PARALLEL_MIN_BYTES)
+    expected = [*map(digest, rows)]
+    calls, results = [], {}
+
+    def fn(row):
+        calls.append(row)
+        return digest(row)
+
+    def caller(k):
+        results[k] = kn.map_rows(fn, rows)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results == {k: expected for k in range(3)}
+    assert sorted(map(id, calls)) == sorted(map(id, rows * 3))

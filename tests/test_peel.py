@@ -8,7 +8,9 @@ violate their codes at random places, from random chunk subsets, and on a
 code with a planted stopping set, so every outcome kind occurs; two trees'
 base symbols are wider than ``_kernels.INT_VALUE_MAX_BYTES`` and one's are
 exactly that wide, so both value forms of the peel, Python ints and uint8
-rows, meet the reference, on both sides of the switch between them.
+rows, meet the reference, on both sides of the switch between them. One
+tree's base symbols are ``_kernels.PARALLEL_MIN_BYTES`` wide, so its
+build and its ingest hash them on two threads (``_kernels.map_rows``).
 """
 
 import hashlib
@@ -43,7 +45,8 @@ WIDE_PARAMS = cit.TreeParams(**{**SMALL, "symbol_size": 2 * kn.INT_VALUE_MAX_BYT
 # top layers (4 and 2 symbols) are k <= 2 repetition codes; WIDE_PARAMS,
 # its last systematic symbol padded; and SMALL's layers on either side of
 # the switch between value forms: the widest symbols that peel as ints,
-# and one byte wider, an odd width that peels as uint8 rows
+# and one byte wider, an odd width that peels as uint8 rows; and SMALL's
+# layers with base symbols just wide enough to be hashed on two threads
 PARAMS = (
     cit.TreeParams(**SMALL),
     cit.TreeParams(**{**SMALL, "code_seed": BAD_BASE_CODE_SEED, "gate_trials": 0}),
@@ -54,10 +57,12 @@ PARAMS = (
     WIDE_PARAMS,
     cit.TreeParams(**{**SMALL, "symbol_size": kn.INT_VALUE_MAX_BYTES}),
     cit.TreeParams(**{**SMALL, "symbol_size": kn.INT_VALUE_MAX_BYTES + 1}),
+    cit.TreeParams(**{**SMALL, "symbol_size": kn.PARALLEL_MIN_BYTES}),
 )
 BLOCK_LENS = (
     512, 512, 250, 8 * WIDE_PARAMS.symbol_size - 100,
     8 * kn.INT_VALUE_MAX_BYTES, 8 * (kn.INT_VALUE_MAX_BYTES + 1) - 7,
+    8 * kn.PARALLEL_MIN_BYTES - 5,
 )
 
 
@@ -117,9 +122,10 @@ def test_reconstruction_matches_the_reference(data):
 def test_reconstruction_cases_reach_every_outcome():
     """A seeded sweep over the same cases meets every outcome kind and both
     fraud flavours, at the root layer as below it, a block and a base
-    fraud peeled as uint8 rows, and a block at each width next to the
-    switch between value forms, all equal to the reference, and every
-    fraud proof verifies."""
+    fraud peeled as uint8 rows, a block at each width next to the switch
+    between value forms, and a block and a fraud from base symbols hashed
+    on two threads, all equal to the reference, and every fraud proof
+    verifies."""
     rng = np.random.default_rng(7)
     seen = set()
     for _ in range(200):
@@ -141,11 +147,14 @@ def test_reconstruction_cases_reach_every_outcome():
             seen.add("wide block")
         if kind == "block":
             seen.add(f"block at width {width}")
+        if width >= kn.PARALLEL_MIN_BYTES:
+            seen.add(f"{kind} on two threads")
         seen.add(kind)
     assert seen >= {
         "block", "equation fraud", "mismatch fraud", "insufficient", "bad code", "root fraud",
         "wide block", "wide base fraud",
         f"block at width {kn.INT_VALUE_MAX_BYTES}", f"block at width {kn.INT_VALUE_MAX_BYTES + 1}",
+        "block on two threads", "equation fraud on two threads", "mismatch fraud on two threads",
     }
 
 
