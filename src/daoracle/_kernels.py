@@ -47,12 +47,22 @@ into zeros: ``xor_encode`` writes each parity row with one
 place, which writes every byte of the row once (``codec.encode_array``
 can leave it unset), and ``xor_members`` starts from ``first ^ second``.
 
-Rows on two threads. ``map_rows(fn, rows)`` is ``[fn(r) for r in rows]``;
-when there are at least two rows of at least ``PARALLEL_MIN_BYTES``, one
-helper ``threading.Thread``, started for the call and joined before it
-returns or raises, shares them with the caller, each thread taking the
-next unclaimed index. hashlib releases the GIL while it hashes 2 KiB or
-more, so two threads hash wide rows on two cores. Hashing up to 2048
+Rows on two threads. ``pipelined_map(fn, rows, n)`` maps fn over n rows
+while the caller makes the later ones final: inside its block the caller
+passes each further row, in index order, to ``put`` once it is final, as
+``xor_encode`` does with each parity row it has written. When there are
+at least two rows of at least ``PARALLEL_MIN_BYTES``, one helper
+``threading.Thread``, started on entry and joined before the block's exit
+returns or raises, maps the rows in order: those final on entry at once,
+each later one as soon as it is put (when it gets ahead of the caller it
+waits, without holding the GIL, on a ``threading.Event`` that the next
+put sets). When the block ends the caller joins in, each thread taking
+the next unclaimed index. The helper reads only rows already final, so
+an equation may read an earlier parity row. ``map_rows(fn, rows)``, which
+is ``[fn(r) for r in rows]``, is the case where every row is final at
+the call. hashlib releases the GIL while it hashes 2 KiB or more, and
+numpy while it XORs or copies rows, so two threads hash wide rows on two
+cores, or one hashes while the other encodes. Hashing up to 2048
 rows (at most 16 MiB) with sha256, two threads took this share of the
 time of one (min of 15 calls, four runs; Python 3.11, 2 vCPUs, the
 second core free):
@@ -64,35 +74,47 @@ The crossover lies between 4 and 8 KiB and moves from run to run, so
 ``PARALLEL_MIN_BYTES`` is 16 KiB, the narrowest width that gained in
 every run; a busy second core moves the crossover up (ROADMAP, "Parallel
 row hashing"). So only ``bulk_block``'s 64 KiB base rows go to
-two threads, in ``cit.build_tree`` and in a reconstruction's ingest; a
-round's 1 KiB base rows and every digest layer's 256-byte rows are hashed
-on the caller's thread alone.
+two threads: in ``cit.build_tree``, which hashes them behind its encode,
+and in a reconstruction's ingest. A round's 1 KiB base rows and every
+digest layer's 256-byte rows are hashed on the caller's thread alone,
+after their encode. Encoding and hashing ``bulk_block``'s base layer
+(1024 rows of 64 KiB, rate 1/4) took 44-47 ms this way against 57-62 ms
+for the encode followed by ``map_rows``, the encode alone 29-34 ms
+(medians of 21 alternating calls, two runs; Python 3.11, numpy 2.4, 2
+vCPUs, the second core free).
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ParameterError
 
-def xor_encode(equations, sym):
+
+def xor_encode(equations, sym, written=None):
     """Write each equation's parity row, its last member, as the XOR of the
     rows of its other members, systematic inputs already present in sym:
     one pass over each row, the first pair XORed straight into the parity
-    row and the rest XORed in place (a one-input equation copies it)."""
+    row and the rest XORed in place (a one-input equation copies it).
+    ``written``, when given, is called with each parity row as soon as its
+    equation has written it."""
     rows = list(sym)
     for eq in equations:
         parity = rows[eq[-1]]
         if len(eq) == 2:
             parity[:] = rows[eq[0]]
-            continue
-        np.bitwise_xor(rows[eq[0]], rows[eq[1]], out=parity)
-        for i in eq[2:-1]:
-            parity ^= rows[i]
+        else:
+            np.bitwise_xor(rows[eq[0]], rows[eq[1]], out=parity)
+            for i in eq[2:-1]:
+                parity ^= rows[i]
+        if written is not None:
+            written(parity)
     return sym
 
 
@@ -226,25 +248,73 @@ PARALLEL_MIN_BYTES = 16 * 1024
 
 
 def map_rows(fn: Callable, rows: Sequence) -> list:
-    """``[fn(r) for r in rows]`` for rows of one width. With at least two
-    rows of at least ``PARALLEL_MIN_BYTES``, one helper thread shares them,
-    each thread taking the next unclaimed index, and the helper is joined
-    before this returns or raises. An exception from fn on the caller's
-    thread stops the helper and propagates; a row fn raised on in the
-    helper is mapped again on the caller's thread once the rest are done,
-    so its exception reaches the caller with its own type and traceback."""
-    n = len(rows)
-    if n < 2 or len(rows[0]) < PARALLEL_MIN_BYTES:
-        return [*map(fn, rows)]
+    """``[fn(r) for r in rows]`` for rows of one width, all final at the
+    call: ``pipelined_map`` with no row put."""
+    with pipelined_map(fn, rows, len(rows)) as (_put, out):
+        pass
+    return out
+
+
+@contextmanager
+def pipelined_map(fn: Callable, rows: Sequence, n: int):
+    """Map fn over n rows of one width while the caller makes them final.
+    ``rows`` are the first ones, final on entry; the block passes each
+    later row to ``put``, in index order, once it is final. Yields
+    ``(put, out)``; on leaving the block the caller maps the rows the
+    helper has not taken, and ``out`` is ``[fn(r) for r in all n rows]``.
+    More or fewer than n rows raise ParameterError.
+
+    With at least two rows and a first row of at least
+    ``PARALLEL_MIN_BYTES``, one helper thread, started on entry, maps the
+    rows in order, each once it is final, while the block runs, and then
+    shares the rest with the caller, each thread taking the next unclaimed
+    index; it is joined before the block's exit returns or raises. An
+    exception from the block, or from fn on the caller's thread, stops the
+    helper and propagates; a row fn raised on in the helper is mapped again
+    on the caller's thread once the rest are done, so its exception reaches
+    the caller with its own type and traceback."""
+    if n < 2 or len(rows) == 0 or len(rows[0]) < PARALLEL_MIN_BYTES:
+        later, out = [], []
+        yield later.append, out
+        _check_count(len(rows) + len(later), n)
+        # one extend, as ``[*map(fn, rows)]`` makes: with two, bulk_block
+        # workers fell into glibc's high page-fault mode in 9 of 10 runs,
+        # though that mode also follows edits that change no allocation
+        # (ROADMAP, "Measuring on this host")
+        out += map(fn, itertools.chain(rows, later))
+        return
+    rows, out = list(rows), [None] * n
     # the caller maps row 0 before the helper starts, so fn's first call,
     # which may set state up (a call counter's first key), runs alone
-    out = [fn(rows[0])] + [None] * (n - 1)
+    out[0] = fn(rows[0])
     claim, stop, failed = itertools.count(1), [], []
+    # the event the helper waits on for a row not yet put, set by the next
+    # put or by the caller's exit; only the helper writes it
+    waiting = [None]
+
+    def wake():
+        event = waiting[0]
+        if event is not None:
+            event.set()
+
+    def put(row):
+        rows.append(row)
+        wake()
 
     def helper_rows():
         for i in claim:
             if i >= n or stop:
                 return
+            while i >= len(rows):
+                # publish the event, then look again: a put or a stop after
+                # the look sees the event and sets it
+                event = waiting[0] = threading.Event()
+                if i < len(rows):
+                    break
+                if stop:  # the block raised
+                    return
+                event.wait()
+                waiting[0] = None
             try:
                 out[i] = fn(rows[i])
             except BaseException:
@@ -254,16 +324,23 @@ def map_rows(fn: Callable, rows: Sequence) -> list:
     helper = threading.Thread(target=helper_rows, name="map_rows")
     helper.start()
     try:
+        yield put, out
+        _check_count(len(rows), n)
         for i in claim:
             if i >= n:
                 break
             out[i] = fn(rows[i])
     finally:
         stop.append(True)
+        wake()
         helper.join()
     for i in failed:
         out[i] = fn(rows[i])
-    return out
+
+
+def _check_count(got: int, n: int) -> None:
+    if got != n:
+        raise ParameterError(f"{got} of {n} rows put")
 
 
 def count_distinct(rows):

@@ -18,12 +18,18 @@ base stays a list of bytes rows from its encode to its proofs:
 ``build_tree`` hashes each row of a layer once into a list of digests,
 held only until the parent layer is built, and ``aggregate`` joins them
 into the parent rows, so a tree costs one hash per symbol per layer, as
-Coded Merkle Tree commitments do. It hashes a layer's rows through
-``_kernels.map_rows``, so rows of at least ``PARALLEL_MIN_BYTES`` (16
-KiB), as ``bulk_block``'s 64 KiB base rows are, go to two threads; a
-round's 1 KiB base rows and every digest layer's rows stay on one. A
-tree's ``Layer`` keeps its symbols as a read-only array. The commitment
-holds the digests of the root layer's t symbols.
+Coded Merkle Tree commitments do. Rows of at least
+``PARALLEL_MIN_BYTES`` (16 KiB), as ``bulk_block``'s 64 KiB base rows
+are, are hashed on two threads, and the base layer's while it is encoded
+(``_kernels.pipelined_map``): a helper hashes the systematic rows at once
+and each parity row as soon as ``xor_encode`` has written it, and the
+encoding thread joins in once the last equation is written. A round's
+1 KiB base rows and every digest layer's rows are hashed on one thread,
+after their encode (``_kernels.map_rows``). A ``tamper`` hook sees a
+whole encoded layer before any row of it is hashed, so with a hook the
+base layer is encoded, handed to it, and then hashed. A tree's
+``Layer`` keeps its symbols as a read-only array. The commitment holds
+the digests of the root layer's t symbols.
 
 Membership. One digest chain runs from a symbol to the commitment: at each
 layer up, the running digest must sit at its slot of the ancestor symbol,
@@ -88,7 +94,14 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import digest_from_int, int_from_digest, map_rows, xor_members
+from ._kernels import (
+    PARALLEL_MIN_BYTES,
+    digest_from_int,
+    int_from_digest,
+    map_rows,
+    pipelined_map,
+    xor_members,
+)
 from .codec import CodeSpec, encode_array, generate_code, is_bad_code
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
@@ -354,18 +367,32 @@ def build_tree(
     # a read-only view: encode_array copies it into the codeword once
     base_inputs = np.frombuffer(padded, dtype=np.uint8).reshape(-1, params.symbol_size)
 
-    layers, rows_of = [None] * (depth + 1), [None] * (depth + 1)
-    for u in range(depth, -1, -1):
+    code = layer_code(params, sizes[depth])
+    if tamper is None and params.symbol_size >= PARALLEL_MIN_BYTES:
+        # a helper thread hashes each row as soon as it is final, the
+        # systematic ones at once, while this thread encodes the rest
+        with pipelined_map(sha256, base_inputs, code.n_coded) as (put, hashes):
+            cur = encode_array(code, base_inputs, put)
+    else:
+        # narrower rows are hashed on this thread alone, after the whole
+        # encode: overlapping them gains nothing, and collecting their
+        # parity rows in a list grown during the encode left a round's
+        # heap in a layout with more page faults (ROADMAP, "Measuring on
+        # this host")
+        cur = encode_array(code, base_inputs)
+        if tamper is not None:
+            tamper(depth, cur, code)
+        hashes = map_rows(sha256, cur)
+    cur.setflags(write=False)
+    # the sampling tables read the rows of the digest layers only
+    layers, rows_of = [None] * depth + [Layer(cur)], [None] * (depth + 1)
+    for u in range(depth - 1, -1, -1):
         code = layer_code(params, sizes[u])
-        if u == depth:
-            rows = cur = encode_array(code, base_inputs)
-        else:
-            rows = _encode_digests(code, aggregate(hashes, sizes[u], params))
-            cur = np.frombuffer(bytearray().join(rows), dtype=np.uint8).reshape(len(rows), -1)
+        rows = _encode_digests(code, aggregate(hashes, sizes[u], params))
+        cur = np.frombuffer(bytearray().join(rows), dtype=np.uint8).reshape(len(rows), -1)
         if tamper is not None:
             tamper(u, cur, code)
-            if u < depth:
-                rows = [row.tobytes() for row in cur]
+            rows = [row.tobytes() for row in cur]
         hashes = map_rows(sha256, rows)
         cur.setflags(write=False)
         layers[u], rows_of[u] = Layer(cur), rows

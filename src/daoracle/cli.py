@@ -31,6 +31,7 @@ from .incentives import (
     check_allC_equilibrium,
     check_allO_equilibrium,
 )
+from .oracle import TrustedChain
 from .retrieval import Block, ChunkSet, Fraud, reconstruct
 from .util import NUMBER, RATE, as_rate, json_fields
 
@@ -188,9 +189,14 @@ def cmd_simulate(args) -> int:
     }
     (out / "report.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     frauds = [line for line in trace.chain_lines if line.startswith("FRAUD")]
+    threshold = TrustedChain(config.n_nodes, config.beta, config.dispersal.gamma).commit_threshold
+    # a threshold above N is reported, not refused: the simulator may build
+    # such a chain on purpose, and every round then ends uncommitted
+    beyond = " (above N: no round can commit)" if threshold > config.n_nodes else ""
     print(
         f"simulated {config.rounds} round(s); "
-        f"{sum(1 for r in trace.rounds if r['committed'])} committed, "
+        f"{sum(1 for r in trace.rounds if r['committed'])} committed, commit threshold "
+        f"ceil((beta + gamma)*N) = {threshold} of N = {config.n_nodes}{beyond}; "
         f"{len(frauds)} fraud record(s); outputs in {out}"
     )
     return EXIT_OK

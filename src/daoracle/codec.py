@@ -113,8 +113,10 @@ def generate_code(n_systematic: int, rate, max_eq_degree: int, seed: int) -> Cod
     return CodeSpec(k, n, seed & MASK64, tuple(equations))
 
 
-def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
-    """Encode a (k, width) uint8 array into the full (n, width) codeword."""
+def encode_array(code: CodeSpec, inputs: np.ndarray, written=None) -> np.ndarray:
+    """Encode a (k, width) uint8 array into the full (n, width) codeword.
+    ``written``, when given, is called with each parity row, k to n - 1 in
+    order (parity j is symbol k + j), as soon as it is written."""
     if inputs.shape[0] != code.n_systematic:
         raise ParameterError(
             f"expected {code.n_systematic} input symbols, got {inputs.shape[0]}"
@@ -123,7 +125,7 @@ def encode_array(code: CodeSpec, inputs: np.ndarray) -> np.ndarray:
     # writes all of it
     sym = np.empty((code.n_coded, inputs.shape[1]), dtype=np.uint8)
     sym[: code.n_systematic] = inputs
-    _kernels.xor_encode(code.parity_checks, sym)
+    _kernels.xor_encode(code.parity_checks, sym, written)
     return sym
 
 

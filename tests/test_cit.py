@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from daoracle import cit, retrieval as rt
+from daoracle._kernels import PARALLEL_MIN_BYTES
 from daoracle.codec import encode_array
 from daoracle.errors import BadCode, ParameterError
 from daoracle.util import sha256
@@ -123,6 +124,21 @@ class TestGeometry:
                     assert tree.layers[u].symbols[k].tobytes() == joined
             assert tree.commitment.root == tuple(sha256(row) for row in rows[: geo.sizes[0]])
             assert (tree.commitment == small_tree.commitment) is (tamper is not parities)
+
+    @pytest.mark.parametrize("width", (PARALLEL_MIN_BYTES, 2 * PARALLEL_MIN_BYTES + 3))
+    def test_a_no_op_hook_builds_the_tree_the_pipelined_hash_builds(self, width):
+        # base rows this wide are hashed while the encode runs without a
+        # hook, and after it with one: both orders build the same tree
+        params = cit.TreeParams(**{**SMALL, "symbol_size": width})
+        block = np.random.default_rng(width).bytes(8 * width - 5)
+        plain = cit.build_tree(block, params)
+        hooked = cit.build_tree(block, params, lambda *_: None)
+        assert plain.commitment == hooked.commitment
+        assert plain.sizes == hooked.sizes == (4, 8, 16, 32)
+        for a, b in zip(plain.layers, hooked.layers):
+            assert a.symbols.tobytes() == b.symbols.tobytes()
+        for name in cit.SamplingTables.__slots__:
+            assert getattr(plain.sampling, name) == getattr(hooked.sampling, name)
 
     def test_commitment_binds_every_byte(self, small_block, small_params):
         tree = cit.build_tree(small_block, small_params)

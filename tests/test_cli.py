@@ -497,6 +497,23 @@ class TestSimulate:
         assert code == cli.EXIT_FRAUD
         assert (tmp_path / "f.bin").exists()
 
+    @pytest.mark.parametrize("beta, threshold", ((0.25, 15), (0.75, 25)))
+    def test_summary_names_the_commit_threshold(self, tmp_path, capsys, beta, threshold):
+        # the shipped all-honest scenario with beta 0.75 needs 25 votes of
+        # 20 nodes: it still runs and exits 0, and the line says why
+        # nothing committed
+        shipped = Path(__file__).parents[1] / "scenarios" / "all_honest.json"
+        config = json.loads(shipped.read_text())
+        (tmp_path / "s.json").write_text(json.dumps({**config, "beta": beta}))
+        assert run("simulate", "--scenario", tmp_path / "s.json", "--out", tmp_path / "o") == 0
+        line = capsys.readouterr().out
+        committed = 0 if threshold > 20 else 2
+        assert line.startswith(
+            f"simulated 2 round(s); {committed} committed, commit threshold "
+            f"ceil((beta + gamma)*N) = {threshold} of N = 20"
+        )
+        assert ("(above N: no round can commit)" in line) is (threshold > 20)
+
     def test_outputs_byte_stable(self, tmp_path):
         path = self.scenario(tmp_path)
         run("simulate", "--scenario", path, "--out", tmp_path / "s1")

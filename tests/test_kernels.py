@@ -12,6 +12,8 @@ import hashlib
 import operator
 import sys
 import threading
+import time
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from daoracle import _kernels as kn
 from daoracle.codec import encode_array, generate_code
+from daoracle.errors import ParameterError
 
 from conftest import code_of, peel_rows
 from gf2 import solve_erasure
@@ -343,10 +346,98 @@ def test_map_rows_raises_what_fn_raises_and_leaves_no_thread(bad, width):
     assert threading.active_count() == before
 
 
+def encode_prefix(k: int, n: int, width: int):
+    """The first n rows of a codeword with k systematic rows, as a codeword
+    whose parity rows are unset, its first min(k, n) rows, and the
+    equations that write the rest (k <= 2 gives two-member ones)."""
+    code = generate_code(k, Fraction(1, max(2, -(-n // k))), 8, seed=31 * k + n + width)
+    sym = np.full((n, width), 0xFF, dtype=np.uint8)
+    first = min(k, n)
+    sym[:first] = np.random.default_rng([k, n, width]).integers(0, 256, (first, width))
+    return sym, sym[:first], [eq for eq in code.parity_checks if eq[-1] < n]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("n", (0, 1, 2, 37))
+@pytest.mark.parametrize("k", (1, 2, 10))
+def test_pipelined_map_is_the_encode_then_the_plain_map(k, n, width):
+    sym, first, equations = encode_prefix(k, n, width)
+    expected = kn.map_rows(digest, kn.xor_encode(equations, sym.copy()))
+    before = threading.active_count()
+    with kn.pipelined_map(digest, first, n) as (put, out):
+        kn.xor_encode(equations, sym, put)
+    assert out == expected == [*map(digest, sym)]
+    assert threading.active_count() == before
+
+
+def test_pipelined_map_refuses_a_row_count_it_was_not_promised():
+    for width in WIDTHS:
+        sym, first, equations = encode_prefix(10, 37, width)
+        before = threading.active_count()
+        for extra in (-1, 1):
+            with pytest.raises(ParameterError):
+                with kn.pipelined_map(digest, first, 37 + extra) as (put, _):
+                    kn.xor_encode(equations, sym, put)
+            assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("width", (kn.PARALLEL_MIN_BYTES - 1, kn.PARALLEL_MIN_BYTES))
+@pytest.mark.parametrize(
+    "bad", ("systematic row 0", "systematic row 3", "parity row 30", "every row", "the block")
+)
+def test_pipelined_map_raises_what_fn_or_the_block_raises_and_leaves_no_thread(bad, width):
+    sym, first, equations = encode_prefix(10, 37, width)
+    address = sym.ctypes.data
+
+    mapped = []
+
+    def fn(row):
+        i = (row.ctypes.data - address) // width
+        if bad == "every row" or bad.endswith(f" row {i}"):
+            raise Boom(bad)
+        mapped.append(i)
+        return digest(row)
+
+    def put_then_fail(put):
+        def written(row):
+            put(row)
+            if (row.ctypes.data - address) // width == 20:
+                # with a helper, let it map rows 0-20 and wait for row 21,
+                # so it is waiting when the block raises
+                deadline = time.monotonic() + 10
+                while width >= kn.PARALLEL_MIN_BYTES and len(mapped) < 21:
+                    assert time.monotonic() < deadline
+                    time.sleep(1e-3)
+                time.sleep(0.01)
+                raise Boom(bad)
+        return written
+
+    raised = []
+
+    def call():
+        try:
+            with kn.pipelined_map(fn, first, 37) as (put, _):
+                kn.xor_encode(equations, sym, put_then_fail(put) if bad == "the block" else put)
+        except Boom as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    # on a thread joined with a timeout, so a helper left waiting for a
+    # row fails the test instead of hanging it
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and len(raised) == 1
+    assert threading.active_count() == before
+
+
 def test_map_rows_maps_each_row_once_under_stress():
-    """Three callers share no state but the interpreter: each map_rows call
-    and its helper claim every row of their call exactly once, with
-    threads switching every microsecond (six threads on two cores)."""
+    """Six callers share no state but the interpreter: each map_rows call,
+    or pipelined map behind an encode, and its helper map every row of
+    their call exactly once, with threads switching every microsecond
+    (twelve threads on two cores). Each caller is joined with a timeout, so
+    a helper and a caller waiting on each other fail the test, not hang
+    it."""
     rows = random_rows(64, kn.PARALLEL_MIN_BYTES)
     expected = [*map(digest, rows)]
     calls, results = [], {}
@@ -355,19 +446,44 @@ def test_map_rows_maps_each_row_once_under_stress():
         calls.append(row)
         return digest(row)
 
+    codewords = [encode_prefix(16, 64, kn.PARALLEL_MIN_BYTES) for _ in range(3)]
+    encoded = [*map(digest, kn.xor_encode(codewords[0][2], codewords[0][0].copy()))]
+    mapped = {}
+
+    def encoding_fn(k):
+        address = codewords[k][0].ctypes.data
+
+        def fn(row):
+            mapped[k].append((row.ctypes.data - address) // kn.PARALLEL_MIN_BYTES)
+            return digest(row)
+        return fn
+
     def caller(k):
         results[k] = kn.map_rows(fn, rows)
+
+    def encoding_caller(k):
+        sym, first, equations = codewords[k]
+        mapped[k] = []
+        with kn.pipelined_map(encoding_fn(k), first, len(sym)) as (put, out):
+            kn.xor_encode(equations, sym, put)
+        results[3 + k] = out
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+        callers = [
+            threading.Thread(target=target, args=(k,), daemon=True)
+            for k in range(3)
+            for target in (caller, encoding_caller)
+        ]
         for thread in callers:
             thread.start()
+        deadline = time.monotonic() + 60
         for thread in callers:
-            thread.join(timeout=60)
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
-    assert results == {k: expected for k in range(3)}
+    assert results == {k: expected if k < 3 else encoded for k in range(6)}
     assert sorted(map(id, calls)) == sorted(map(id, rows * 3))
+    assert all(sorted(mapped[k]) == list(range(64)) for k in range(3))
