@@ -53,14 +53,17 @@ passes each further row, in index order, to ``put`` once it is final, as
 ``xor_encode`` does with each parity row it has written. When there are
 at least two rows of at least ``PARALLEL_MIN_BYTES``, one helper
 ``threading.Thread``, started on entry and joined before the block's exit
-returns or raises, maps the rows in order: those final on entry at once,
-each later one as soon as it is put (when it gets ahead of the caller it
-waits, without holding the GIL, on a ``threading.Event`` that the next
-put sets). When the block ends the caller joins in, each thread taking
-the next unclaimed index. The helper reads only rows already final, so
-an equation may read an earlier parity row. ``map_rows(fn, rows)``, which
-is ``[fn(r) for r in rows]``, is the case where every row is final at
-the call. hashlib releases the GIL while it hashes 2 KiB or more, and
+returns or raises, takes row indices from one ``queue.SimpleQueue``: those
+final on entry are queued at once, each later one when it is put. Ahead
+of the caller, the helper waits in the queue's blocking get, without
+holding the GIL. When the block ends the caller takes what is left,
+never blocking, and only after its last take puts the end mark, so the
+helper alone receives it; a block that raises empties the queue first.
+Row 0 is mapped before the helper starts, so fn's first call, which may
+set state up, runs alone. The helper reads only rows already final, so
+an equation may read an earlier parity row. ``map_rows(fn, rows)``,
+which is ``[fn(r) for r in rows]``, is the case where every row is final
+at the call. hashlib releases the GIL while it hashes 2 KiB or more, and
 numpy while it XORs or copies rows, so two threads hash wide rows on two
 cores, or one hashes while the other encodes. Hashing up to 2048
 rows (at most 16 MiB) with sha256, two threads took this share of the
@@ -87,6 +90,7 @@ vCPUs, the second core free).
 from __future__ import annotations
 
 import itertools
+import queue
 import threading
 from contextlib import contextmanager
 from heapq import heappop, heappush
@@ -265,14 +269,14 @@ def pipelined_map(fn: Callable, rows: Sequence, n: int):
     More or fewer than n rows raise ParameterError.
 
     With at least two rows and a first row of at least
-    ``PARALLEL_MIN_BYTES``, one helper thread, started on entry, maps the
-    rows in order, each once it is final, while the block runs, and then
-    shares the rest with the caller, each thread taking the next unclaimed
-    index; it is joined before the block's exit returns or raises. An
-    exception from the block, or from fn on the caller's thread, stops the
-    helper and propagates; a row fn raised on in the helper is mapped again
-    on the caller's thread once the rest are done, so its exception reaches
-    the caller with its own type and traceback."""
+    ``PARALLEL_MIN_BYTES``, one helper thread maps rows from a queue of
+    their indices, each queued once final, and is joined before the
+    block's exit returns or raises (the module's "Rows on two threads").
+    An exception from the block, or from fn on the caller's thread, leaves
+    the helper at most the row it holds, and propagates; a row fn raised
+    on in the helper is mapped again on the caller's thread once the rest
+    are done, so its exception reaches the caller with its own type and
+    traceback."""
     if n < 2 or len(rows) == 0 or len(rows[0]) < PARALLEL_MIN_BYTES:
         later, out = [], []
         yield later.append, out
@@ -287,34 +291,17 @@ def pipelined_map(fn: Callable, rows: Sequence, n: int):
     # the caller maps row 0 before the helper starts, so fn's first call,
     # which may set state up (a call counter's first key), runs alone
     out[0] = fn(rows[0])
-    claim, stop, failed = itertools.count(1), [], []
-    # the event the helper waits on for a row not yet put, set by the next
-    # put or by the caller's exit; only the helper writes it
-    waiting = [None]
-
-    def wake():
-        event = waiting[0]
-        if event is not None:
-            event.set()
+    todo, failed = queue.SimpleQueue(), []
+    for i in range(1, min(len(rows), n)):
+        todo.put(i)
 
     def put(row):
         rows.append(row)
-        wake()
+        if len(rows) <= n:  # a row past n is only counted: the exit raises
+            todo.put(len(rows) - 1)
 
     def helper_rows():
-        for i in claim:
-            if i >= n or stop:
-                return
-            while i >= len(rows):
-                # publish the event, then look again: a put or a stop after
-                # the look sees the event and sets it
-                event = waiting[0] = threading.Event()
-                if i < len(rows):
-                    break
-                if stop:  # the block raised
-                    return
-                event.wait()
-                waiting[0] = None
+        for i in iter(todo.get, None):
             try:
                 out[i] = fn(rows[i])
             except BaseException:
@@ -326,16 +313,26 @@ def pipelined_map(fn: Callable, rows: Sequence, n: int):
     try:
         yield put, out
         _check_count(len(rows), n)
-        for i in claim:
-            if i >= n:
-                break
+        for i in _left(todo):
             out[i] = fn(rows[i])
     finally:
-        stop.append(True)
-        wake()
+        # after an exception the rows left are dropped, so the helper maps
+        # at most the one it holds
+        for _ in _left(todo):
+            pass
+        todo.put(None)
         helper.join()
     for i in failed:
         out[i] = fn(rows[i])
+
+
+def _left(todo: queue.SimpleQueue):
+    """Take the indices left in todo, without blocking."""
+    while True:
+        try:
+            yield todo.get_nowait()
+        except queue.Empty:
+            return
 
 
 def _check_count(got: int, n: int) -> None:

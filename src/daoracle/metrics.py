@@ -49,13 +49,26 @@ class CostParams:
             raise ParameterError("batch * rate must exceed 1 for the log base")
         if min(self.block_size, self.symbol_size, self.rate, self.lam) <= 0:
             raise ParameterError("sizes, rate and lam must be positive")
+        # the closed forms divide by N*r*lam and N*r*c*lam, and a product of
+        # positive floats can round to 0; they take the log of b/(c*t*r),
+        # which is negative below 1 and can turn the costs negative
+        n_r = self.n_nodes * self.rate
+        span = self.symbol_size * self.root_size * self.rate
+        if not (
+            min(n_r * self.lam, n_r * self.symbol_size * self.lam, span) > 0
+            and 1 <= self.block_size / span < math.inf
+        ):
+            raise ParameterError(
+                "N*r*lam and N*r*c*lam must be positive, and b/(c*t*r) finite and at least 1"
+            )
 
 
 def lambda_from_beta(beta: float, eta: float) -> float:
     """Largest dispersal efficiency compatible with adversarial fraction
-    beta at coverage target eta: (1 - 2*beta) / ln(1/(1-eta))."""
-    if not 0 <= beta < 0.5 or not 0 < eta < 1:
-        raise ParameterError("need beta in [0, 0.5) and eta in (0, 1)")
+    beta at coverage target eta: (1 - 2*beta) / ln(1/(1-eta)). An eta so
+    small that 1 - eta rounds to 1 would divide by ln(1) = 0."""
+    if not 0 <= beta < 0.5 or not 0 < 1 - eta < 1:
+        raise ParameterError("need beta in [0, 0.5) and 1 - eta in (0, 1)")
     return (1 - 2 * beta) / math.log(1 / (1 - eta))
 
 
@@ -151,7 +164,10 @@ BASELINE_COLUMNS = (
 def baseline_table(coded: CostParams, beta: Optional[float]):
     """Analytic rows for the five dispersal schemes, with asymptotic
     classes and exact byte counts where a closed form exists. A beta of
-    None leaves the coded row's adversary fraction empty."""
+    None leaves the coded row's adversary fraction empty; a given one lies
+    in [0, 0.5)."""
+    if beta is not None and not 0 <= beta < 0.5:
+        raise ParameterError(f"beta {beta!r} must lie in [0, 0.5)")
     b, n = coded.block_size, coded.n_nodes
     # one tuple per scheme, in BASELINE_COLUMNS order
     rows = (

@@ -381,6 +381,25 @@ def test_pipelined_map_refuses_a_row_count_it_was_not_promised():
             assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("first", (1, 6))
+def test_pipelined_map_maps_no_row_past_the_count(first):
+    """Rows past n, given on entry or put, are counted and refused on exit,
+    but fn never sees them."""
+    rows = random_rows(6, kn.PARALLEL_MIN_BYTES)
+    mapped = []
+
+    def fn(row):
+        mapped.append(next(k for k, r in enumerate(rows) if r is row))
+        return digest(row)
+
+    with pytest.raises(ParameterError):
+        with kn.pipelined_map(fn, rows[:first], 4) as (put, _):
+            for row in rows[first:]:
+                put(row)
+            time.sleep(0.1)  # the helper takes every index it was given
+    assert sorted(mapped) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("width", (kn.PARALLEL_MIN_BYTES - 1, kn.PARALLEL_MIN_BYTES))
 @pytest.mark.parametrize(
     "bad", ("systematic row 0", "systematic row 3", "parity row 30", "every row", "the block")
@@ -429,6 +448,46 @@ def test_pipelined_map_raises_what_fn_or_the_block_raises_and_leaves_no_thread(b
     caller.join(timeout=60)
     assert not caller.is_alive() and len(raised) == 1
     assert threading.active_count() == before
+
+
+def test_pipelined_map_stops_the_helper_after_its_row_when_the_block_raises():
+    """The block puts every row, then raises while the helper is held
+    inside fn on row 1: the helper maps no later row."""
+    rows = random_rows(8, kn.PARALLEL_MIN_BYTES)
+    held, release, mapped = threading.Event(), threading.Event(), []
+
+    def fn(row):
+        i = next(k for k, r in enumerate(rows) if r is row)
+        if i == 1:
+            held.set()
+            release.wait(10)
+        mapped.append(i)
+        return digest(row)
+
+    timer = threading.Timer(0.2, release.set)
+    before = threading.active_count()
+    with pytest.raises(Boom):
+        with kn.pipelined_map(fn, rows[:2], len(rows)) as (put, _):
+            assert held.wait(10)
+            for row in rows[2:]:
+                put(row)
+            timer.start()
+            raise Boom("the block")
+    timer.join()
+    assert mapped == [0, 1]
+    assert threading.active_count() == before
+
+
+def test_pipelined_map_waits_for_a_row_without_spinning():
+    """A helper ahead of the caller waits without using the CPU."""
+    rows = random_rows(4, kn.PARALLEL_MIN_BYTES)
+    start = time.process_time()
+    with kn.pipelined_map(digest, rows[:2], len(rows)) as (put, out):
+        put(rows[2])
+        time.sleep(0.3)
+        put(rows[3])
+    assert time.process_time() - start < 0.1
+    assert out == [*map(digest, rows)]
 
 
 def test_map_rows_maps_each_row_once_under_stress():

@@ -109,6 +109,33 @@ class TestOperatingPoint:
         with pytest.raises(ParameterError, match=name):
             mx.CostParams(**{**OPERATING, name: value}, lam=reference_lambda())
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # a divisor, N*r*lam, N*r*c*lam or c*t*r, rounds to 0
+            {"n_nodes": 1, "lam": 5e-324},
+            {"symbol_size": 5e-324, "root_size": 1},
+            # b/(c*t*r) is below 1, or overflows
+            {"block_size": 1000},
+            {"block_size": 1e308, "symbol_size": 1e-300},
+        ],
+    )
+    def test_rejects_a_geometry_the_closed_forms_cannot_take(self, change):
+        with pytest.raises(ParameterError, match=r"b/\(c\*t\*r\)"):
+            mx.CostParams(**{**OPERATING, "lam": reference_lambda(), **change})
+
+    @pytest.mark.parametrize("eta", [1e-320, 1e-17, 0.0, 1.0, float("nan")])
+    def test_lambda_refuses_an_eta_that_leaves_no_log(self, eta):
+        # 1 - eta rounding to 1 divided by ln(1) = 0
+        with pytest.raises(ParameterError, match="eta"):
+            mx.lambda_from_beta(BETA, eta)
+
+    @pytest.mark.parametrize("beta", [-0.1, 0.5, 7, float("nan")])
+    def test_baselines_refuse_a_beta_outside_the_tolerated_range(self, beta):
+        cost = mx.CostParams(**OPERATING, lam=reference_lambda())
+        with pytest.raises(ParameterError, match="beta"):
+            mx.baseline_table(cost, beta)
+
 
 class TestScalingLaws:
     def sweep(self):
