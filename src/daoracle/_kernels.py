@@ -24,9 +24,9 @@ follows the closure, and calls ``Peel.solve(x)`` for each solve it
 accepts. ``codec.is_bad_code`` and retrieval both peel this way.
 
 Values. ``cit.build_tree``'s encode picks the value form by layer: the
-base layer XORs uint8 rows in ``xor_encode``, and a digest layer's
-symbols, q digests each, XOR as Python ints (``int_from_digest``). Ints
-are read and written little-endian, which ``int.from_bytes`` converts
+base layer XORs uint8 rows (``codec.encode_array``), and a digest layer's
+bytes rows, q digests each, XOR as Python ints (``codec.encode_rows``).
+Ints are read and written little-endian, which ``int.from_bytes`` converts
 2-12% faster than big-endian at 256 bytes and 1 KiB (timeit, 2 vCPUs);
 XOR acts bytewise, so the byte order changes no byte written. The
 encode's crossover lies below the peel's: encoding a 1024-symbol layer

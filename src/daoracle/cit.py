@@ -14,11 +14,11 @@ Aggregation. Child x of layer u+1 feeds the parent systematic symbol
 ``x mod s`` of layer u, where s is layer u's systematic count, at slot
 ``x // s``: a parent is its q children's digests concatenated in ascending
 child index, q * 32 bytes, as in Coded Merkle Trees. So a layer above the
-base stays a list of bytes rows from its encode to its proofs:
-``build_tree`` hashes each row of a layer once into a list of digests,
-held only until the parent layer is built, and ``aggregate`` joins them
-into the parent rows, so a tree costs one hash per symbol per layer, as
-Coded Merkle Tree commitments do. Rows of at least
+base stays one tuple of bytes rows from its encode (``codec.encode_rows``)
+to its proofs: ``build_tree`` hashes each row of a layer once into a list
+of digests, held only until the parent layer is built, and ``aggregate``
+joins them into the parent rows, so a tree costs one hash per symbol per
+layer, as Coded Merkle Tree commitments do. Rows of at least
 ``PARALLEL_MIN_BYTES`` (16 KiB), as ``bulk_block``'s 64 KiB base rows
 are, are hashed on two threads, and the base layer's while it is encoded
 (``_kernels.pipelined_map``): a helper hashes the systematic rows at once
@@ -26,9 +26,10 @@ and each parity row as soon as ``xor_encode`` has written it, and the
 encoding thread joins in once the last equation is written. A round's
 1 KiB base rows and every digest layer's rows are hashed on one thread,
 after their encode (``_kernels.map_rows``). A ``tamper`` hook sees a
-whole encoded layer before any row of it is hashed, so with a hook the
-base layer is encoded, handed to it, and then hashed. A tree's
-``Layer`` keeps its symbols as a read-only array. The commitment holds
+whole encoded layer, as one array, before any row of it is hashed, so
+with a hook the base layer is encoded, handed to it, and then hashed. A
+tree's ``Layer`` keeps the base layer as its read-only codeword array and
+a digest layer as the bytes rows its proofs share. The commitment holds
 the digests of the root layer's t symbols.
 
 Membership. One digest chain runs from a symbol to the commitment: at each
@@ -57,9 +58,9 @@ does no Fraction arithmetic beyond coercing the rate.
 Sampling. A proof's ancestors depend only on its base index modulo the
 systematic count s of layer depth-1, and its parity symbols only on that
 index modulo m - s of that layer. So ``build_tree`` makes each tree's
-sampling tables (``CodedTree.sampling``) from the rows it hashed, after
-any tamper hook, top down, one pass per layer: the ancestors of every
-residue and the parity symbols of every residue, each entry its own
+sampling tables (``CodedTree.sampling``) from its digest layers' rows,
+after any tamper hook, top down, one pass per layer: the ancestors of
+every residue and the parity symbols of every residue, each entry its own
 symbol followed by the shared entry one layer up. Every proof sampled from
 the tree, by any call, shares those symbols; its own cost is a range
 check, one lookup in each table, a copy of its base row and one tuple
@@ -94,15 +95,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import (
-    PARALLEL_MIN_BYTES,
-    digest_from_int,
-    int_from_digest,
-    map_rows,
-    pipelined_map,
-    xor_members,
-)
-from .codec import CodeSpec, encode_array, generate_code, is_bad_code
+from ._kernels import PARALLEL_MIN_BYTES, map_rows, pipelined_map
+from .codec import CodeSpec, encode_array, encode_rows, generate_code, is_bad_code
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
 
@@ -233,7 +227,10 @@ def _geometry(symbol_size, root_size, e, batch, block_len) -> Geometry:
 
 @dataclass(frozen=True)
 class Layer:
-    symbols: np.ndarray  # (size, width) uint8, read-only
+    """A layer's symbols by index: the base layer's read-only uint8
+    codeword array, or a digest layer's bytes rows, which its proofs share."""
+
+    symbols: np.ndarray | tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -292,7 +289,7 @@ class CodedTree:
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(layer.symbols.shape[0] for layer in self.layers)
+        return geometry(self.commitment.params, self.commitment.block_len).sizes
 
 
 @lru_cache(maxsize=512)
@@ -333,18 +330,6 @@ def aggregate(child_hashes: list[bytes], parent_size: int, params: TreeParams) -
     return [b"".join(child_hashes[k::s_par]) for k in range(s_par)]
 
 
-def _encode_digests(code: CodeSpec, rows: list[bytes]) -> list[bytes]:
-    """The rows of ``encode_array(code, inputs)`` for k parent rows of q * 32
-    bytes, as bytes: the input rows, then the parity rows XORed as Python
-    ints, which at this width beats a numpy call, as in the peel of a digest
-    layer."""
-    width, k = len(rows[0]), code.n_systematic
-    values = [*map(int_from_digest, rows), *[0] * (code.n_coded - k)]
-    for eq in code.parity_checks:
-        values[eq[-1]] = xor_members(values, eq, eq[-1])
-    return rows + [digest_from_int(v, width) for v in values[k:]]
-
-
 def build_tree(
     block: bytes,
     params: TreeParams,
@@ -356,11 +341,12 @@ def build_tree(
     ``tamper(u, symbols, code)``, when given, is called once per layer,
     from the base (u = depth) up to the root (u = 0), with the layer's
     encoded (m, width) uint8 array, which it may edit in place before
-    anything is hashed, so the tree commits to the edited rows. An edited
-    parity symbol, or any edited base symbol, leaves every proof verifying
-    while its layer violates its code; an edited systematic symbol above
-    the base also unbinds the child whose digest sat in the edited
-    slot."""
+    anything is hashed, so the tree commits to the edited rows (a digest
+    layer's rows are joined into that array for the call and split back
+    after it). An edited parity symbol, or any edited base symbol, leaves
+    every proof verifying while its layer violates its code; an edited
+    systematic symbol above the base also unbinds the child whose digest
+    sat in the edited slot."""
     geo = geometry(params, len(block))
     sizes, depth = geo.sizes, geo.depth
     padded = block + bytes(-len(block) % params.symbol_size)
@@ -384,21 +370,19 @@ def build_tree(
             tamper(depth, cur, code)
         hashes = map_rows(sha256, cur)
     cur.setflags(write=False)
-    # the sampling tables read the rows of the digest layers only
-    layers, rows_of = [None] * depth + [Layer(cur)], [None] * (depth + 1)
+    layers = [None] * depth + [Layer(cur)]
     for u in range(depth - 1, -1, -1):
         code = layer_code(params, sizes[u])
-        rows = _encode_digests(code, aggregate(hashes, sizes[u], params))
-        cur = np.frombuffer(bytearray().join(rows), dtype=np.uint8).reshape(len(rows), -1)
+        rows = encode_rows(code, aggregate(hashes, sizes[u], params))
         if tamper is not None:
+            cur = np.frombuffer(bytearray().join(rows), dtype=np.uint8).reshape(len(rows), -1)
             tamper(u, cur, code)
             rows = [row.tobytes() for row in cur]
         hashes = map_rows(sha256, rows)
-        cur.setflags(write=False)
-        layers[u], rows_of[u] = Layer(cur), rows
+        layers[u] = Layer(tuple(rows))
 
     commitment = Commitment(root=tuple(hashes), params=params, block_len=len(block))
-    return CodedTree(tuple(layers), commitment, SamplingTables(geo, rows_of))
+    return CodedTree(tuple(layers), commitment, SamplingTables(geo, layers))
 
 
 class SamplingTables:
@@ -410,15 +394,14 @@ class SamplingTables:
 
     __slots__ = ("ancestors", "ancestor_mod", "parities", "parity_mod")
 
-    def __init__(self, geo: Geometry, rows: list):
-        # rows[u] is the bytes rows of digest layer u (the base layer's
-        # entry is not read); the ancestor at layer u of residue r mod s_u
-        # is r mod s_u, and the parity symbol of residue r mod m_u - s_u is
-        # s_u + r; s_{u-1} divides s_u, and m_{u-1} - s_{u-1} divides
-        # m_u - s_u
+    def __init__(self, geo: Geometry, layers: list[Layer]):
+        # only the digest layers' bytes rows are read; the ancestor at
+        # layer u of residue r mod s_u is r mod s_u, and the parity symbol
+        # of residue r mod m_u - s_u is s_u + r; s_{u-1} divides s_u, and
+        # m_{u-1} - s_{u-1} divides m_u - s_u
         ancestors, a_mod, parities, p_mod = [()], 1, [()], 1
         for u in range(geo.depth):
-            s, layer = geo.sys_counts[u], rows[u]
+            s, layer = geo.sys_counts[u], layers[u].symbols
             ancestors = [(layer[r],) + ancestors[r % a_mod] for r in range(s)]
             a_mod = s
             if u:

@@ -1,7 +1,7 @@
 """Reference membership-proof sampling and checks: one proof at a time,
 nothing shared or memoized.
 
-``sample_pom`` converts every row it reads on its own; ``walk_pom`` and
+``sample_pom`` reads every row it needs by index, on its own; ``walk_pom`` and
 ``verify_membership`` hash every symbol they meet, each with its own loop,
 and ``walk_pom`` returns what a passing proof pins down as a
 ``PomHarvest``, a type the package does not have. The package's
@@ -29,12 +29,12 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     if not 0 <= base_index < geo.sizes[depth]:
         raise ParameterError(f"base index {base_index} not in [0, {geo.sizes[depth]})")
     ancestors = [
-        tree.layers[u].symbols[base_index % geo.sys_counts[u]].tobytes()
+        tree.layers[u].symbols[base_index % geo.sys_counts[u]]
         for u in range(depth - 1, -1, -1)
     ]
     pairs = pom_pairs(tree.commitment.params, geo.sizes, base_index)
     parities = [
-        tree.layers[u].symbols[e_idx].tobytes()
+        tree.layers[u].symbols[e_idx]
         for u, (_p_idx, e_idx) in zip(range(depth - 1, 0, -1), pairs)
     ]
     return ProofOfMembership(

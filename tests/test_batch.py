@@ -221,7 +221,7 @@ def pair_forgeries(draw):
     e_idx = pom_pairs(tree.commitment.params, geo.sizes, honest.base_index)[j][1]
     s_up = geo.sys_counts[u - 1]
     # small layer codes repeat symbols: only another value is a forgery
-    others = {tree.layers[u].symbols[x].tobytes() for x in range(e_idx % s_up, geo.sizes[u], s_up)}
+    others = {tree.layers[u].symbols[x] for x in range(e_idx % s_up, geo.sizes[u], s_up)}
     others.discard(honest.parities[j])
     if others and draw(st.booleans()):
         parity = draw(st.sampled_from(sorted(others)))
@@ -303,7 +303,7 @@ def frontier_sets(draw):
                 # a root-layer symbol that hashes to another root entry
                 j = depth - 1
                 at = draw(st.integers(0, sizes[0] - 1).filter(lambda x: x != i % sys_counts[0]))
-                ancestor = tree.layers[0].symbols[at].tobytes()
+                ancestor = tree.layers[0].symbols[at]
             bad = pom._replace(ancestors=_replace_at(ancestors, j, ancestor))
         elif kind == "parity":
             u_key = draw(st.integers(1, depth - 1))
@@ -324,7 +324,7 @@ def frontier_sets(draw):
                 x = draw(st.sampled_from(
                     [x for x in range(e_idx % s_up, sizes[u], s_up) if x != e_idx]
                 ))
-                parity = tree.layers[u].symbols[x].tobytes()
+                parity = tree.layers[u].symbols[x]
             bad = pom._replace(parities=_replace_at(pom.parities, j, parity))
         else:
             # some mutations of a zero-block proof are another honest proof
@@ -635,9 +635,7 @@ def honest_ancestors(tree, u: int, x: int) -> tuple[bytes, ...]:
     """The ancestors of symbol x of layer u, read off the tree's rows: one
     at each layer up to the root layer."""
     geo = cit.geometry(tree.commitment.params, tree.commitment.block_len)
-    return tuple(
-        tree.layers[w].symbols[x % geo.sys_counts[w]].tobytes() for w in range(u - 1, -1, -1)
-    )
+    return tuple(tree.layers[w].symbols[x % geo.sys_counts[w]] for w in range(u - 1, -1, -1))
 
 
 # the kinds that change an ancestor, which a root-layer claim has none of

@@ -1,6 +1,5 @@
 """Tree construction, membership sampling/verification, index lemmas."""
 
-import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,14 +8,32 @@ import pytest
 
 from daoracle import cit, retrieval as rt
 from daoracle._kernels import PARALLEL_MIN_BYTES
-from daoracle.codec import encode_array
 from daoracle.errors import BadCode, ParameterError
 from daoracle.util import sha256
 
 from conftest import SMALL, chunkset_for, covered_layers, flipping, pairs_table, params_for
 from conftest import random_geometries, sizes_for
 from fraction_geometry import pom_pairs
-from test_geometry import BLOCK_LENS, grid_params
+
+
+def assert_proofs_share_rows(tree):
+    """Every digest layer of ``tree`` is a tuple of bytes rows q * 32 bytes
+    wide, and every ancestor and parity symbol of every proof sampled from
+    it is the tree's own row object, not a copy."""
+    params, depth = tree.commitment.params, len(tree.layers) - 1
+    geo = cit.geometry(params, tree.commitment.block_len)
+    for layer in tree.layers[:-1]:
+        assert type(layer.symbols) is tuple
+        assert all(type(row) is bytes and len(row) == params.batch * 32 for row in layer.symbols)
+    for i in range(geo.sizes[-1]):
+        pom = cit.sample_pom(tree, i)
+        for j, ancestor in enumerate(pom.ancestors):
+            u = depth - 1 - j
+            assert ancestor is tree.layers[u].symbols[i % geo.sys_counts[u]]
+        for j, parity in enumerate(pom.parities):
+            u = depth - 1 - j
+            s = geo.sys_counts[u]
+            assert parity is tree.layers[u].symbols[s + i % (geo.sizes[u] - s)]
 
 
 class TestGeometry:
@@ -81,10 +98,13 @@ class TestGeometry:
         tree = cit.build_tree(small_block, small_params, tamper)
         assert seen == [(w, cit.layer_code(small_params, geo.sizes[w])) for w in (3, 2, 1, 0)]
         for w in range(u, 4):
-            diff = (tree.layers[w].symbols != small_tree.layers[w].symbols).any(axis=1)
-            assert np.flatnonzero(diff).tolist() == ([flipped] if w == u else [])
+            pairs = zip(tree.layers[w].symbols, small_tree.layers[w].symbols)
+            diff = [x for x, (a, b) in enumerate(pairs) if bytes(a) != bytes(b)]
+            assert diff == ([flipped] if w == u else [])
+        assert_proofs_share_rows(small_tree)
+        assert_proofs_share_rows(tree)
         poms = [cit.sample_pom(tree, i) for i in range(32)]
-        row = tree.layers[u].symbols[flipped].tobytes()
+        row = bytes(tree.layers[u].symbols[flipped])
         walks = [True] * 32
         if systematic and u == 3:
             assert poms[flipped].base_symbol == row
@@ -115,20 +135,22 @@ class TestGeometry:
             monkeypatch.setattr(cit, "sha256", lambda d: hashed.append(bytes(d)) or real(d))
             tree = cit.build_tree(small_block, small_tree.commitment.params, tamper)
             monkeypatch.undo()
-            rows = [row.tobytes() for layer in tree.layers for row in layer.symbols]
+            rows = [bytes(row) for layer in tree.layers for row in layer.symbols]
             assert sorted(hashed) == sorted(rows)
             assert len(hashed) == sum(geo.sizes)
             for u, s in enumerate(geo.sys_counts[:-1]):
                 for k in range(s):
                     joined = b"".join(map(sha256, tree.layers[u + 1].symbols[k::s]))
-                    assert tree.layers[u].symbols[k].tobytes() == joined
+                    assert tree.layers[u].symbols[k] == joined
             assert tree.commitment.root == tuple(sha256(row) for row in rows[: geo.sizes[0]])
             assert (tree.commitment == small_tree.commitment) is (tamper is not parities)
 
     @pytest.mark.parametrize("width", (PARALLEL_MIN_BYTES, 2 * PARALLEL_MIN_BYTES + 3))
     def test_a_no_op_hook_builds_the_tree_the_pipelined_hash_builds(self, width):
         # base rows this wide are hashed while the encode runs without a
-        # hook, and after it with one: both orders build the same tree
+        # hook, and after it with one: both orders build the same tree;
+        # a hook that edits a digest layer still leaves its proofs sharing
+        # the tree's rows
         params = cit.TreeParams(**{**SMALL, "symbol_size": width})
         block = np.random.default_rng(width).bytes(8 * width - 5)
         plain = cit.build_tree(block, params)
@@ -136,9 +158,13 @@ class TestGeometry:
         assert plain.commitment == hooked.commitment
         assert plain.sizes == hooked.sizes == (4, 8, 16, 32)
         for a, b in zip(plain.layers, hooked.layers):
-            assert a.symbols.tobytes() == b.symbols.tobytes()
+            assert b"".join(a.symbols) == b"".join(b.symbols)
         for name in cit.SamplingTables.__slots__:
             assert getattr(plain.sampling, name) == getattr(hooked.sampling, name)
+        edited = cit.build_tree(block, params, flipping({2: [(9, 0x01)]}))
+        assert edited.commitment != plain.commitment
+        for tree in (plain, hooked, edited):
+            assert_proofs_share_rows(tree)
 
     def test_commitment_binds_every_byte(self, small_block, small_params):
         tree = cit.build_tree(small_block, small_params)
@@ -233,7 +259,7 @@ class TestMembership:
         # one index past the sampled one, with its true value, fails
         pom = cit.sample_pom(small_tree, 15)
         e = pom_pairs(small_params, small_tree.sizes, 15)[1][1]
-        moved = small_tree.layers[1].symbols[e + 1].tobytes()
+        moved = small_tree.layers[1].symbols[e + 1]
         bad = pom._replace(parities=(pom.parities[0], moved))
         assert not cit.Frontier(small_tree.commitment).walk(bad)
 
@@ -289,36 +315,3 @@ def test_gate_failure_reports_the_attempts_made(max_attempts, ran, monkeypatch):
     with pytest.raises(BadCode, match=rf"alpha=0\.9 within {ran} attempts$"):
         cit.layer_code(params, 32)
     assert len(gated) == ran
-
-
-def test_digest_layers_encode_as_encode_array_does():
-    """``build_tree``'s int encoder gives ``codec.encode_array``'s rows for
-    the code of every digest layer of the geometry grid, ungated (the gate
-    only picks among seeds), on rows with leading zero bytes, all-zero
-    rows and an all-zero layer, each kept q * 32 bytes wide."""
-    rng = np.random.default_rng(16)
-    seen = set()
-    for params in grid_params():
-        ungated = dataclasses.replace(params, gate_trials=0)
-        for block_len in BLOCK_LENS:
-            try:
-                sizes = cit.geometry(params, block_len).sizes
-            except ParameterError:
-                continue
-            for m in sizes[:-1]:
-                key = (params.rate, params.max_eq_degree, params.code_seed, m)
-                if key in seen:
-                    continue
-                seen.add(key)
-                code = cit.layer_code(ungated, m)
-                k = code.n_systematic
-                width = params.batch * 32
-                rows = rng.integers(0, 256, (k, width), dtype=np.uint8)
-                for i, lead in enumerate(rng.integers(0, width + 1, k)):
-                    rows[i, :lead] = 0  # lead == width is an all-zero row
-                for inputs in (rows, np.zeros_like(rows)):
-                    got = cit._encode_digests(code, [row.tobytes() for row in inputs])
-                    assert [len(row) for row in got] == [width] * m
-                    assert b"".join(got) == encode_array(code, inputs).tobytes()
-    assert len(seen) >= 60
-

@@ -1,6 +1,7 @@
 """Erasure code construction, encoding, peeling on the package's engine,
 and the bad-code gate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_peel as ref
-from daoracle import codec
+from daoracle import cit, codec
 from daoracle.errors import ParameterError
 
 from conftest import code_to_text, peel_rows, planted_weak_code
 from gf2 import solve_erasure
+from test_geometry import BLOCK_LENS, grid_params
 
 
-def encode_rows(code, inputs):
+def codeword_of(code, inputs):
     """The codeword of the equal-length byte strings ``inputs``, as uint8
     rows."""
     rows = np.frombuffer(b"".join(inputs), dtype=np.uint8).reshape(len(inputs), -1)
@@ -93,14 +95,14 @@ class TestEncode:
 
     def test_repetition_copies_the_input(self):
         code = codec.generate_code(1, "1/4", 8, seed=1)
-        out = encode_rows(code, [b"\xab" * 8])
+        out = codeword_of(code, [b"\xab" * 8])
         assert out.shape == (4, 8) and (out == 0xAB).all()
 
     def test_parity_equations_hold_on_random_input(self):
         code = codec.generate_code(8, "1/4", 8, seed=9)
         rng = np.random.default_rng(0)
         inputs = [rng.bytes(32) for _ in range(8)]
-        out = encode_rows(code, inputs)
+        out = codeword_of(code, inputs)
         assert [row.tobytes() for row in out[:8]] == inputs
         for eq in code.parity_checks:
             assert not equation_xor(out, eq).any()
@@ -123,10 +125,42 @@ class TestEncode:
         inputs = [
             data.draw(st.binary(min_size=width, max_size=width)) for _ in range(k)
         ]
-        out = encode_rows(code, inputs)
+        out = codeword_of(code, inputs)
         assert [row.tobytes() for row in out[:k]] == inputs
         for eq in code.parity_checks:
             assert not equation_xor(out, eq).any()
+
+
+def test_encode_rows_gives_the_rows_of_encode_array():
+    """``codec.encode_rows``, the int encoder of the digest layers, gives
+    ``codec.encode_array``'s rows for the code of every digest layer of the geometry grid, ungated (the gate
+    only picks among seeds), on rows with leading zero bytes, all-zero
+    rows and an all-zero layer, each kept q * 32 bytes wide."""
+    rng = np.random.default_rng(16)
+    seen = set()
+    for params in grid_params():
+        ungated = dataclasses.replace(params, gate_trials=0)
+        for block_len in BLOCK_LENS:
+            try:
+                sizes = cit.geometry(params, block_len).sizes
+            except ParameterError:
+                continue
+            for m in sizes[:-1]:
+                key = (params.rate, params.max_eq_degree, params.code_seed, m)
+                if key in seen:
+                    continue
+                seen.add(key)
+                code = cit.layer_code(ungated, m)
+                k = code.n_systematic
+                width = params.batch * 32
+                rows = rng.integers(0, 256, (k, width), dtype=np.uint8)
+                for i, lead in enumerate(rng.integers(0, width + 1, k)):
+                    rows[i, :lead] = 0  # lead == width is an all-zero row
+                for inputs in (rows, np.zeros_like(rows)):
+                    got = codec.encode_rows(code, [row.tobytes() for row in inputs])
+                    assert [len(row) for row in got] == [width] * m
+                    assert b"".join(got) == codec.encode_array(code, inputs).tobytes()
+    assert len(seen) >= 60
 
 
 class TestPeel:
@@ -135,7 +169,7 @@ class TestPeel:
 
     def test_all_known_consistent_is_identity(self):
         code = codec.generate_code(8, "1/4", 8, seed=3)
-        out = encode_rows(code, [bytes([i]) * 8 for i in range(8)])
+        out = codeword_of(code, [bytes([i]) * 8 for i in range(8)])
         sym, known = out.copy(), np.ones(32, dtype=bool)
         assert peel_rows(code, sym, known) == ("decoded", -1)
         assert np.array_equal(sym, out)
@@ -143,7 +177,7 @@ class TestPeel:
     def test_eighth_erased_matches_elimination_oracle(self):
         code = codec.generate_code(8, "1/4", 8, seed=42)
         rng = np.random.default_rng(7)
-        out = encode_rows(code, [rng.bytes(8) for _ in range(8)])
+        out = codeword_of(code, [rng.bytes(8) for _ in range(8)])
         erasures = {1, 13, 22, 30}  # 4 of 32 = 1 - 0.875
         keep = [i for i in range(32) if i not in erasures]
         sym, known = erased(out, keep)
@@ -154,7 +188,7 @@ class TestPeel:
 
     def test_corrupted_symbol_yields_violation(self):
         code = codec.generate_code(8, "1/4", 8, seed=4)
-        out = encode_rows(code, [bytes([i]) * 4 for i in range(8)])
+        out = codeword_of(code, [bytes([i]) * 4 for i in range(8)])
         out[9, 0] ^= 1
         status, e = peel_rows(code, out, np.ones(32, dtype=bool))
         assert status == "violation"
@@ -166,7 +200,7 @@ class TestPeel:
         # a fully known, corrupted equation must surface even when the rest
         # of the codeword is intact
         code = codec.generate_code(6, "1/2", 5, seed=11)
-        out = encode_rows(code, [bytes([i]) * 4 for i in range(6)])
+        out = codeword_of(code, [bytes([i]) * 4 for i in range(6)])
         for member in code.parity_checks[2]:
             broken = out.copy()
             broken[member, 0] ^= 0xFF
@@ -181,7 +215,7 @@ class TestPeel:
 
     def test_deterministic_violation_choice(self):
         code = codec.generate_code(8, "1/4", 8, seed=6)
-        out = encode_rows(code, [bytes([i]) * 4 for i in range(8)])
+        out = codeword_of(code, [bytes([i]) * 4 for i in range(8)])
         out[0, 0] ^= 1
         results = {
             peel_rows(code, out.copy(), np.ones(32, dtype=bool)) for _ in range(3)
@@ -193,7 +227,7 @@ class TestPeel:
     def test_peel_agrees_with_oracle_on_random_patterns(self, seed, data):
         code = codec.generate_code(6, "1/2", 5, seed=seed)
         rng = np.random.default_rng(seed)
-        out = encode_rows(code, [rng.bytes(4) for _ in range(6)])
+        out = codeword_of(code, [rng.bytes(4) for _ in range(6)])
         keep = data.draw(st.sets(st.integers(0, 11), min_size=1))
         sym, known = erased(out, keep)
         result, _e = peel_rows(code, sym, known)
@@ -212,7 +246,7 @@ def test_oracle_agreement_randomized_at_n32():
     # beyond the exhaustive n <= 16 sweep: random patterns on a larger code
     code = codec.generate_code(8, "1/4", 8, seed=77)
     rng = np.random.default_rng(77)
-    out = encode_rows(code, [rng.bytes(8) for _ in range(8)])
+    out = codeword_of(code, [rng.bytes(8) for _ in range(8)])
     for _ in range(300):
         keep = np.nonzero(rng.random(32) > rng.uniform(0.05, 0.5))[0]
         sym, known = erased(out, keep)
