@@ -388,27 +388,26 @@ def build_tree(
 class SamplingTables:
     """What every proof sampled from one tree shares (the module's
     Sampling): ``ancestors[r]``, the ancestors of each base index i with
-    i mod ``ancestor_mod`` = r, and ``parities[r]``, the parity symbols of
-    each i with i mod ``parity_mod`` = r, each entry its own symbol
+    i mod ``len(ancestors)`` = r, and ``parities[r]``, the parity symbols
+    of each i with i mod ``len(parities)`` = r, each entry its own symbol
     followed by the entry one layer up."""
 
-    __slots__ = ("ancestors", "ancestor_mod", "parities", "parity_mod")
+    __slots__ = ("ancestors", "parities")
 
     def __init__(self, geo: Geometry, layers: list[Layer]):
         # only the digest layers' bytes rows are read; the ancestor at
         # layer u of residue r mod s_u is r mod s_u, and the parity symbol
         # of residue r mod m_u - s_u is s_u + r; s_{u-1} divides s_u, and
         # m_{u-1} - s_{u-1} divides m_u - s_u
-        ancestors, a_mod, parities, p_mod = [()], 1, [()], 1
+        ancestors, parities = [()], [()]
         for u in range(geo.depth):
             s, layer = geo.sys_counts[u], layers[u].symbols
-            ancestors = [(layer[r],) + ancestors[r % a_mod] for r in range(s)]
-            a_mod = s
+            ancestors = [(layer[r],) + ancestors[r % len(ancestors)] for r in range(s)]
             if u:
-                parities = [(layer[s + r],) + parities[r % p_mod] for r in range(len(layer) - s)]
-                p_mod = len(layer) - s
-        self.ancestors, self.ancestor_mod = ancestors, a_mod
-        self.parities, self.parity_mod = parities, p_mod
+                parities = [
+                    (layer[s + r],) + parities[r % len(parities)] for r in range(len(layer) - s)
+                ]
+        self.ancestors, self.parities = ancestors, parities
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
@@ -423,8 +422,8 @@ def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
         base_index,
         base[base_index].tobytes(),
         tree.commitment.block_len,
-        tables.ancestors[base_index % tables.ancestor_mod],
-        tables.parities[base_index % tables.parity_mod],
+        tables.ancestors[base_index % len(tables.ancestors)],
+        tables.parities[base_index % len(tables.parities)],
     )
 
 

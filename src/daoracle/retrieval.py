@@ -54,7 +54,7 @@ from .cit import (
     walk_pom,
 )
 from ._kernels import INT_VALUE_MAX_BYTES, Peel, map_rows, value_form, xor_members
-from .codec import CodeSpec, ParityEquation
+from .codec import CodeSpec
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, as_written, sha256
 
@@ -89,7 +89,6 @@ class HashMismatch:
 class FraudProof:
     layer: int  # depth: 0 = root ... L = base
     equation_no: int
-    equation: ParityEquation
     members: tuple[FraudMember, ...]
     mismatch: Optional[HashMismatch]
 
@@ -131,12 +130,10 @@ def verify_fraud_proof(commitment: Commitment, params: TreeParams, proof: FraudP
         return False
     if not 0 <= proof.equation_no < len(code.parity_checks):
         return False
-    if code.parity_checks[proof.equation_no] != proof.equation:
-        return False
     width = _symbol_width(params, u, geo.depth)
     load, dump, nonzero = value_form(width)
 
-    eq_idx = set(proof.equation)
+    eq_idx = set(code.parity_checks[proof.equation_no])
     # each checked member's value, in the form the peel XORs it in, by
     # index: the XOR below runs over the indices this holds
     values = {}
@@ -214,17 +211,16 @@ class _Reconstructor:
     def _fraud(self, u, code: CodeSpec, e: int, rows, mismatch_at: int = -1) -> Fraud:
         """The proof that equation e of layer u fails: its known members,
         and for a solve at ``mismatch_at`` the committed digest it misses."""
-        eq = code.parity_checks[e]
         members = tuple(
             FraudMember(idx, rows[idx], self._ancestors(u, idx))
-            for idx in eq
+            for idx in code.parity_checks[e]
             if idx != mismatch_at
         )
         mismatch = None
         if mismatch_at >= 0:
             expected = self._expected_hash(u, mismatch_at)
             mismatch = HashMismatch(mismatch_at, expected, self._ancestors(u, mismatch_at))
-        return Fraud(FraudProof(u, e, eq, members, mismatch))
+        return Fraud(FraudProof(u, e, members, mismatch))
 
     def run(self) -> ReconstructionResult:
         params = self.commitment.params

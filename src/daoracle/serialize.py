@@ -23,14 +23,13 @@ import struct
 from fractions import Fraction
 
 from .cit import Commitment, ProofOfMembership, TreeParams, unit_agrees
-from .codec import ParityEquation
 from .errors import ParameterError
 from .retrieval import FraudMember, FraudProof, HashMismatch
 from .util import HASH_BYTES
 
 MAGIC_COMMITMENT = b"DAC2"
 MAGIC_POM = b"DAP2"
-MAGIC_FRAUD = b"DAF2"
+MAGIC_FRAUD = b"DAF3"
 MAGIC_BUNDLE = b"DAB2"
 
 
@@ -40,12 +39,10 @@ _TREE_PARAMS = struct.Struct("<QIIIIIdIQII")  # the 56-byte tree parameters
 _ROOT_HEAD = struct.Struct("<QI")  # DAC2: block_len, root count
 _POM_HEAD = struct.Struct("<QQQ")  # DAP2: base_index, block_len, symbol_len
 _SYMBOLS_HEAD = struct.Struct("<HI")  # symbol list: count, width
-_PATH_HEAD = struct.Struct("<IQ")  # membership path: layer, index
-_FRAUD_HEAD = struct.Struct("<IIH")  # DAF2: layer, equation_no, degree
+_FRAUD_HEAD = struct.Struct("<IIH")  # DAF3: layer, equation_no, member count
 _MEMBER_HEAD = struct.Struct("<QQ")  # fraud member: index, value_len
 # lone counts, lengths and indices
 _U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
@@ -198,54 +195,34 @@ def _take_pom(r: _Reader) -> ProofOfMembership:
     return ProofOfMembership(base_index, base_symbol, block_len, ancestors, parities)
 
 
-def _put_path(parts: list, layer: int, index: int, ancestors: tuple[bytes, ...]) -> None:
-    parts.append(_PATH_HEAD.pack(layer, index))
-    _put_symbols(parts, ancestors)
-
-
-def _take_path(r: _Reader, layer: int, index: int) -> tuple[bytes, ...]:
-    """A path's ancestors; the path must name its symbol's position,
-    (layer, index), which the encoder wrote it from."""
-    if r.unpack(_PATH_HEAD) != (layer, index):
-        raise ParameterError("a fraud proof path names another position than its symbol's")
-    return r.symbols()
-
-
 def encode_fraud_proof(proof: FraudProof) -> bytes:
-    layer, equation = proof.layer, proof.equation
-    parts = [
-        MAGIC_FRAUD,
-        _FRAUD_HEAD.pack(layer, proof.equation_no, len(equation)),
-        *map(_U64.pack, equation),
-        _U16.pack(len(proof.members)),
-    ]
+    parts = [MAGIC_FRAUD, _FRAUD_HEAD.pack(proof.layer, proof.equation_no, len(proof.members))]
     for member in proof.members:
         parts += (_MEMBER_HEAD.pack(member.index, len(member.value)), member.value)
-        _put_path(parts, layer, member.index, member.ancestors)
+        _put_symbols(parts, member.ancestors)
     mm = proof.mismatch
     parts.append(_U8.pack(1 if mm is not None else 0))
     if mm is not None:
         parts += (_U64.pack(mm.index), mm.expected_hash)
-        _put_path(parts, layer, mm.index, mm.ancestors)
+        _put_symbols(parts, mm.ancestors)
     return b"".join(parts)
 
 
 def decode_fraud_proof(data: bytes) -> FraudProof:
     r = _Reader(data)
     r.magic(MAGIC_FRAUD, "fraud proof")
-    layer, equation_no, degree = r.unpack(_FRAUD_HEAD)
-    equation = ParityEquation(r.unpack(_U64)[0] for _ in range(degree))
+    layer, equation_no, n_members = r.unpack(_FRAUD_HEAD)
     members = []
-    for _ in range(r.unpack(_U16)[0]):
+    for _ in range(n_members):
         index, value_len = r.unpack(_MEMBER_HEAD)
-        members.append(FraudMember(index, r.take(value_len), _take_path(r, layer, index)))
+        members.append(FraudMember(index, r.take(value_len), r.symbols()))
     mismatch = None
     if r.unpack(_U8)[0]:
         index = r.unpack(_U64)[0]
-        mismatch = HashMismatch(index, r.take(HASH_BYTES), _take_path(r, layer, index))
+        mismatch = HashMismatch(index, r.take(HASH_BYTES), r.symbols())
     if not r.done():
         raise ParameterError("trailing bytes in fraud proof")
-    return FraudProof(layer, equation_no, equation, tuple(members), mismatch)
+    return FraudProof(layer, equation_no, tuple(members), mismatch)
 
 
 def encode_chunk_bundle(units) -> bytes:

@@ -289,7 +289,7 @@ class Reconstructor:
                     for i in members:
                         acc ^= sym[i]
                     if acc.any():
-                        return Fraud(FraudProof(u, e, eq, self._members(u, eq, sym), None))
+                        return Fraud(FraudProof(u, e, self._members(u, eq, sym), None))
                     verified[e] = True
                 elif len(unknown) == 1:
                     x = unknown[0]
@@ -301,7 +301,7 @@ class Reconstructor:
                     if sha256(acc.tobytes()) != expected:
                         mismatch = HashMismatch(x, expected, self._ancestors(u, x))
                         members = self._members(u, eq, sym, skip=x)
-                        return Fraud(FraudProof(u, e, eq, members, mismatch))
+                        return Fraud(FraudProof(u, e, members, mismatch))
                     sym[x] = acc
                     known[x] = True
                     verified[e] = True

@@ -114,8 +114,9 @@ def fraud_holds(commitment, proof) -> bool:
     params = commitment.params
     u = proof.layer
     code = layer_code(params, geometry(params, commitment.block_len).sizes[u])
-    if code.parity_checks[proof.equation_no] != proof.equation:
+    if not 0 <= proof.equation_no < len(code.parity_checks):
         return False
+    indices = set(code.parity_checks[proof.equation_no])
 
     def committed(index, digest, ancestors):
         return verify_membership(commitment, params, u, index, digest, ancestors)
@@ -128,7 +129,6 @@ def fraud_holds(commitment, proof) -> bool:
     xor = np.zeros(len(proof.members[0].value), dtype=np.uint8)
     for value in values.values():
         xor ^= np.frombuffer(value, dtype=np.uint8)
-    indices = set(proof.equation)
     mm = proof.mismatch
     if mm is None:
         return set(values) == indices and bool(xor.any())

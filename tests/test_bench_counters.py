@@ -42,13 +42,13 @@ PINNED = {
         },
     ),
     "fraud_round": (
-        "4635dcb5dc70ba0bc935caeab339a8a4aec17e3bb504978f1acecd419acaebd8",
+        "aa9a643214230538775467ba5b4f88544314dcbffce9d4ee46f6f7c4c31f7beb",
         {
             "cit.layer_sizes_calls": 1, "cit.sample_pom_calls": 64,
             "cit.verify_membership_calls": 32, "cit.walk_pom_calls": 128,
             "codec.gated_codes": 4, "oracle.node_verify_s.samples": 16,
             "oracle.stored_bytes_per_node": 28997.0, "oracle.stored_units": 813,
-            "retrieval.fraud_proof_bytes": 7009.0,
+            "retrieval.fraud_proof_bytes": 6847.0,
             "serialize.wire_bytes": 231976.0, "serialize.wire_bytes_per_node": 28997.0,
             "sha256_calls.cit": 1092, "sha256_calls.oracle": 26,
             "sha256_calls.retrieval": 44, "trace.ops": 2,

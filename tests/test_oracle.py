@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from daoracle import cit, oracle as orc, retrieval as rt
-from daoracle.codec import ParityEquation
 from daoracle.dispersal import DispersalDesign, assign_chunks
 from daoracle.errors import BadCode, ParameterError
 
@@ -139,7 +138,7 @@ class TestChain:
         )
         forged = cit.Commitment(root=(bytes(32),) * 4, params=params, block_len=1 << 16)
         depth = cit.geometry(params, forged.block_len).depth
-        proof = rt.FraudProof(depth, 0, ParityEquation((0, 1)), (), None)
+        proof = rt.FraudProof(depth, 0, (), None)
         calls = []
         real = rt.layer_code
         monkeypatch.setattr(rt, "layer_code", lambda *args: calls.append(args) or real(*args))

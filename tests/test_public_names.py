@@ -9,7 +9,7 @@ to ``asdict`` (a ``to_json``) reads each of its fields. The exceptions are
 the allowlists below, which must match exactly, so they only shrink:
 ``coverage``, ``verify_design`` and ``invalid_design_bound`` are the
 dispersal theorem's check and bound, which only the acceptance tests run
-so far, and ``decode_fraud_proof`` is the documented DAF2 reader. No
+so far, and ``decode_fraud_proof`` is the documented DAF3 reader. No
 method or field is unread.
 
 A member counts as read where any attribute of its name is loaded,

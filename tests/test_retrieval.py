@@ -271,7 +271,7 @@ class TestFraud:
         assert (out.proof.layer, out.proof.equation_no, out.proof.mismatch) == (depth, 0, None)
         assert len(loaded) == depth + 1
         base = reader.frontier.rows(depth)
-        members = out.proof.equation
+        members = cit.layer_code(com.params, len(base)).parity_checks[out.proof.equation_no]
         assert len(members) < len(base)
         assert sorted(map(id, loaded[depth])) == sorted(id(base[i]) for i in members)
         for seen in loaded:
@@ -338,7 +338,7 @@ def mutate_fraud(kind, commitment, params, proof, draw):
     longer proves anything."""
     geo = cit.geometry(params, commitment.block_len)
     code = cit.layer_code(params, geo.sizes[proof.layer])
-    eq = proof.equation
+    eq = code.parity_checks[proof.equation_no]
     members, mm = proof.members, proof.mismatch
     j = draw(st.integers(0, len(members) - 1))
     member = members[j]
@@ -350,12 +350,17 @@ def mutate_fraud(kind, commitment, params, proof, draw):
         return replace(proof, layer=layer)
     if kind == "equation_no_out_of_range":
         return replace(proof, equation_no=draw(st.sampled_from((-1, len(code.parity_checks)))))
-    if kind in ("equation_no", "equation"):
+    if kind == "equation_no":
         no = draw(st.integers(0, len(code.parity_checks) - 1).filter(
             lambda v: v != proof.equation_no))
-        if kind == "equation_no":
-            return replace(proof, equation_no=no)
-        return replace(proof, equation=code.parity_checks[no])
+        return replace(proof, equation_no=no)
+    if kind == "equation":
+        # another equation that holds one of the proof's members
+        shared = [
+            no for no, other in enumerate(code.parity_checks)
+            if no != proof.equation_no and not set(other).isdisjoint(eq)
+        ]
+        return replace(proof, equation_no=draw(st.sampled_from(shared)))
     if kind == "duplicate_member":
         at = draw(st.integers(0, len(members)))
         return replace(proof, members=members[:at] + (member,) + members[at:])
@@ -439,7 +444,7 @@ class TestProofSize:
             tree.commitment, params, chunkset_for(tree, range(base_size))
         )
         assert isinstance(out, rt.Fraud)
-        assert len(out.proof.equation) == params.max_eq_degree
+        assert len(code.parity_checks[out.proof.equation_no]) == params.max_eq_degree
         return out.proof
 
     @staticmethod
@@ -480,7 +485,7 @@ class TestProofSize:
             tree.commitment, params, chunkset_for(tree, range(32))
         )
         assert isinstance(out, rt.Fraud)
-        assert len(out.proof.equation) == 2
+        assert len(cit.layer_code(params, 32).parity_checks[out.proof.equation_no]) == 2
 
 
 class TestBadCode:

@@ -12,7 +12,7 @@ Always, in every round:
 - an honest proposer is never convicted: no client gets a ``Fraud`` and
   the chain holds no FRAUD line;
 - every ``Fraud`` a client gets verifies against its commitment, in memory
-  and after a DAF2 encode and decode, and the chain holds its FRAUD line;
+  and after a DAF3 encode and decode, and the chain holds its FRAUD line;
 - all clients of one round meet the same kind of outcome;
 - a commitment gets at most one BADCODE line.
 

@@ -10,12 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt, serialize as sz
-from daoracle.codec import ParityEquation
-from daoracle.errors import ParameterError
+from daoracle.errors import BadCode, ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.util import HASH_BYTES, as_rate
 
@@ -23,12 +22,13 @@ from conftest import SMALL, chunkset_for
 from hostile import hostile, hostile_files, time_bound
 from test_retrieval import fraud_flavours
 from test_withholding import PARAMS as HONEST_ROUND_PARAMS
+from test_withholding import SMALL_PARAMS, tampered_tree, tampers_and_withholdings
 
 # frozen digests of the canonical encodings for the reference tree; any
 # change to the wire layout must update these deliberately
 GOLDEN_COMMITMENT = "cc5194c959cf883da69cf38c8963eeadb668748fbe00a85440dbe760904d65de"
 GOLDEN_POM_15 = "c0f27db58497c81ee1dd4ceabc11f1f6c3802c34476267d5cd33d0de42425008"
-GOLDEN_FRAUD = "83d553631d4c0f6b8e067ec21a88397cea5b9a4bd9f525d8e653024e72945b41"
+GOLDEN_FRAUD = "bc67f21ccd141ff685b9026f83860392c730cda0afc0de54be6a2ede1624bd66"
 # DAB2 bundle of every base symbol of the reference tree, in index order
 GOLDEN_BUNDLE = "21bb8ee3e95282d613475448bd4394516d090d0b2b64b54149259abfa3d8b2e5"
 # a DAP2 proof's fixed fields: magic, base index, block length, symbol
@@ -78,82 +78,54 @@ def test_fraud_proof_golden(small_block, small_params):
     result = rt.reconstruct(bad.commitment, small_params, chunkset_for(bad, range(32)))
     blob = sz.encode_fraud_proof(result.proof)
     assert sha(blob) == GOLDEN_FRAUD
-    decoded = sz.decode_fraud_proof(blob)
-    assert decoded == result.proof and type(decoded.equation) is ParityEquation
-    # the proof carries the code's own equation object, not a copy
-    code = cit.layer_code(small_params, 32)
-    assert result.proof.equation is code.parity_checks[result.proof.equation_no]
+    assert sz.decode_fraud_proof(blob) == result.proof
 
 
-def path_heads(blob: bytes) -> list[int]:
-    """The offset of each membership path's u32 layer and u64 index in a
-    DAF2 file, as FORMATS.md lays it out: the members' paths, then the
-    mismatch's."""
-    (degree,) = struct.unpack_from("<H", blob, 12)
-    at = 14 + 8 * degree
-    (n_members,) = struct.unpack_from("<H", blob, at)
-    at += 2
-    heads = []
+def daf3_size(proof) -> int:
+    """The bytes of DAF3's fields as FORMATS.md lists them: magic, u32
+    layer, u32 equation_no, u16 n_members; each member's u64 index, u64
+    value_len, value and symbol list; u8 has_mismatch, then the mismatch's
+    u64 index, 32-byte digest and symbol list. A symbol list is a u16
+    count, a u32 width and its symbols."""
 
-    def path(at: int) -> int:
-        heads.append(at)
-        count, width = struct.unpack_from("<HI", blob, at + 12)
-        return at + 18 + count * width
+    def symbol_list(symbols) -> int:
+        return 2 + 4 + sum(map(len, symbols))
 
-    for _ in range(n_members):
-        _index, value_len = struct.unpack_from("<QQ", blob, at)
-        at = path(at + 16 + value_len)
-    if blob[at]:
-        path(at + 1 + 8 + HASH_BYTES)
-    return heads
+    size = 4 + 4 + 4 + 2 + 1
+    for member in proof.members:
+        size += 8 + 8 + len(member.value) + symbol_list(member.ancestors)
+    mm = proof.mismatch
+    if mm is not None:
+        size += 8 + HASH_BYTES + symbol_list(mm.ancestors)
+    return size
 
 
-@pytest.mark.parametrize("flavour", ("equation", "mismatch", "root"))
-@pytest.mark.parametrize("field", ("layer", "index"))
-def test_a_fraud_path_naming_another_position_raises(flavour, field):
-    """Each path of a DAF2 file repeats its symbol's position: the proof's
-    layer and the member's or the mismatch's index. A file whose path names
-    another layer or index is refused, though its other bytes are those of
-    a proof that verifies."""
-    commitment, params, proof = fraud_flavours()[flavour]
-    blob = sz.encode_fraud_proof(proof)
-    assert sz.decode_fraud_proof(blob) == proof
-    heads = path_heads(blob)
-    assert len(heads) == len(proof.members) + (proof.mismatch is not None)
-    for at in heads:
-        layer, index = struct.unpack_from("<IQ", blob, at)
-        assert layer == proof.layer
-        moved = (layer + 1, index) if field == "layer" else (layer, index + 1)
-        forged = bytearray(blob)
-        struct.pack_into("<IQ", forged, at, *moved)
-        with pytest.raises(ParameterError, match="another position"):
-            sz.decode_fraud_proof(bytes(forged))
-    assert rt.verify_fraud_proof(commitment, params, sz.decode_fraud_proof(blob))
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    (
-        ("degree_0", "at least 2"),
-        ("degree_1", "at least 2"),
-        ("repeated", "strictly increasing"),
-        ("descending", "strictly increasing"),
-    ),
-)
-def test_a_malformed_fraud_equation_raises(valid_files, edit, message):
-    """A DAF2 equation of fewer than 2 indices, or whose indices are not
-    strictly increasing, is refused with a ParameterError. The edits write
-    the u16 degree at offset 12 and the u64 indices from 14, as
-    ``path_heads`` reads them, in the golden fraud proof."""
-    blob = bytearray(valid_files["DAF2"])
-    first, second = struct.unpack_from("<QQ", blob, 14)
-    if edit.startswith("degree"):
-        struct.pack_into("<H", blob, 12, int(edit[-1]))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(("equation", "mismatch", "root")), tampers_and_withholdings()))
+def test_an_emitted_fraud_proof_is_exactly_its_daf3_fields(case):
+    """Over the fraud proofs ``reconstruct`` emits, from the tamper and
+    withholding draws of test_withholding on the reference tree and from
+    ``fraud_flavours`` (whose root-layer proof carries empty paths), the
+    encoding is the sum of DAF3's fields, decodes back to the proof, and
+    the decoded proof gets the same verdict."""
+    if isinstance(case, str):
+        commitment, params, proof = fraud_flavours()[case]
     else:
-        pair = (first, first) if edit == "repeated" else (second, first)
-        struct.pack_into("<QQ", blob, 14, *pair)
-    with pytest.raises(ParameterError, match=message):
-        sz.decode_fraud_proof(bytes(blob))
+        tampers, delivered = case
+        tree = tampered_tree(tampers)
+        commitment, params = tree.commitment, SMALL_PARAMS
+        try:
+            result = rt.reconstruct(commitment, params, chunkset_for(tree, delivered))
+        except BadCode:
+            result = None
+        assume(isinstance(result, rt.Fraud))
+        proof = result.proof
+    blob = sz.encode_fraud_proof(proof)
+    assert len(blob) == daf3_size(proof)
+    decoded = sz.decode_fraud_proof(blob)
+    assert decoded == proof
+    verdict = rt.verify_fraud_proof(commitment, params, proof)
+    assert rt.verify_fraud_proof(commitment, params, decoded) is verdict
 
 
 def test_chunk_bundle_round_trip(small_tree):
@@ -354,7 +326,7 @@ def test_as_rate_rejects_with_parameter_error(value):
 DECODERS = {
     "DAC2": sz.decode_commitment,
     "DAP2": sz.decode_pom,
-    "DAF2": sz.decode_fraud_proof,
+    "DAF3": sz.decode_fraud_proof,
     "DAB2": sz.decode_chunk_bundle,
 }
 # wall-clock bound on one decode; valid files here decode in well under a
@@ -370,7 +342,7 @@ def valid_files(small_tree, small_block, small_params):
     return {
         "DAC2": sz.encode_commitment(small_tree.commitment),
         "DAP2": sz.encode_pom(cit.sample_pom(small_tree, 15)),
-        "DAF2": sz.encode_fraud_proof(fraud.proof),
+        "DAF3": sz.encode_fraud_proof(fraud.proof),
         "DAB2": sz.encode_chunk_bundle(bundle_units(small_tree, (0, 7, 31))),
     }
 
@@ -430,7 +402,7 @@ def test_every_proper_prefix_raises_parameter_error(valid_files, kind):
     """A file cut short anywhere, its magic included, is refused with a
     ParameterError, never a ``struct.error``."""
     blob = valid_files[kind]
-    golden = {"DAC2": GOLDEN_COMMITMENT, "DAP2": GOLDEN_POM_15, "DAF2": GOLDEN_FRAUD}
+    golden = {"DAC2": GOLDEN_COMMITMENT, "DAP2": GOLDEN_POM_15, "DAF3": GOLDEN_FRAUD}
     if kind in golden:
         assert sha(blob) == golden[kind]
     for n in range(len(blob)):
@@ -439,7 +411,7 @@ def test_every_proper_prefix_raises_parameter_error(valid_files, kind):
 
 
 # magics whose layouts were replaced or removed; no file in them decodes any more
-RETIRED_MAGICS = ("DAC1", "DAP1", "DAF1", "DAB1", "DAT1")
+RETIRED_MAGICS = ("DAC1", "DAP1", "DAF1", "DAF2", "DAB1", "DAT1")
 FORMATS_MD = Path(__file__).resolve().parent.parent / "FORMATS.md"
 
 

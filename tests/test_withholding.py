@@ -132,6 +132,18 @@ def tampers_and_withholdings(draw):
     return tampers, [i for i in range(m) if i not in withheld]
 
 
+def tampered_tree(tampers):
+    """The reference tree with each drawn tamper, {base index: (byte,
+    mask)}, XORed into its base symbol after the encode."""
+
+    def flip(u, symbols, _code):
+        if u == SMALL_GEO.depth:
+            for index, (at, mask) in tampers.items():
+                symbols[index, at] ^= mask
+
+    return cit.build_tree(SMALL_BLOCK, SMALL_PARAMS, flip)
+
+
 def is_codeword(tree) -> bool:
     base = tree.layers[-1].symbols
     return not any(
@@ -144,13 +156,7 @@ def is_codeword(tree) -> bool:
 @given(tampers_and_withholdings())
 def test_any_tamper_and_withholding_ends_in_block_fraud_bad_code_or_too_few_chunks(case):
     tampers, delivered = case
-
-    def flip(u, symbols, _code):
-        if u == SMALL_GEO.depth:
-            for index, (at, mask) in tampers.items():
-                symbols[index, at] ^= mask
-
-    tree = cit.build_tree(SMALL_BLOCK, SMALL_PARAMS, flip)
+    tree = tampered_tree(tampers)
     try:
         result = rt.reconstruct(tree.commitment, SMALL_PARAMS, chunkset_for(tree, delivered))
     except BadCode:

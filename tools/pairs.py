@@ -19,8 +19,12 @@ fault mode, a cluster of runs whose fault counts lie within
 glibc page-fault modes (README, "Benchmark trajectory"), so a gain that
 holds only across modes is not a gain of the code.
 
-Exits 1 when the outputs digests differ within a pair, and 2 when a run
-fails or a commit cannot be exported.
+A run that exits 1, as protobench does when an operation failed, is kept,
+and the summary ends with each side's failed and attempted operations over
+all its runs. Exits 1 when the outputs digests differ within a pair or the
+change's share of failed operations exceeds the parent's, and 2 when a
+commit cannot be exported or a run exits otherwise or prints no result line
+(its outputs digest and final JSON line).
 """
 
 from __future__ import annotations
@@ -60,8 +64,7 @@ def export(commit: str, into: Path) -> Path:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in ``checkout``: its final JSON line,
-    outputs digest and minor faults."""
+    """One untraced benchmark run in ``checkout``, as ``run_record`` reads it."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "protobench/run.py", "--workload", workload, "--seed", str(seed),
@@ -69,11 +72,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
         cwd=checkout, capture_output=True, text=True,
     )
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
-    lines = proc.stdout.strip().splitlines()
+    try:
+        return run_record(proc.returncode, proc.stdout, faults)
+    except RunFailed as exc:
+        raise RunFailed(f"run in {checkout} {exc}: {proc.stderr.strip()}") from None
+
+
+def run_record(returncode: int, stdout: str, faults: int) -> dict:
+    """The record of a run that exited ``returncode`` after printing
+    ``stdout``: its final JSON line, its outputs digest and its minor
+    faults. Exit 1, an operation failed, is kept; RunFailed when the run
+    exited otherwise or printed no result line."""
+    lines = stdout.strip().splitlines()
     digests = [line.split()[-1] for line in lines if line.strip().startswith("outputs sha256:")]
-    if proc.returncode != 0 or not lines or not digests:
-        raise RunFailed(f"run in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
-    return {"line": json.loads(lines[-1]), "digest": digests[0], "faults": faults}
+    try:
+        line = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        line = None
+    if returncode not in (0, 1) or not digests or not isinstance(line, dict):
+        raise RunFailed(f"exited {returncode} without a result line")
+    return {"line": line, "digest": digests[0], "faults": faults}
 
 
 def quartiles(values: list) -> tuple:
@@ -151,7 +169,25 @@ def summary(pairs: list, metrics: list) -> str:
         for name, a, qa, b, qb, wins, n, ratio in compare(group, metrics):
             out.append(f"  {name:<16} {cell(a, qa):<28} {cell(b, qb):<28} {wins:>3}/{n:<3} "
                        f"{ratio:.3f}")
+    (fp, ap), (fc, ac) = failed_operations(pairs)
+    out.append(f"failed operations: parent {fp} of {ap}, change {fc} of {ac}")
     return "\n".join(out)
+
+
+def failed_operations(pairs: list) -> list:
+    """(failed, attempted) operations over all of each side's runs, parent
+    first."""
+    return [
+        (sum(run["line"]["failed"] for run in side), sum(run["line"]["attempted"] for run in side))
+        for side in zip(*pairs)
+    ]
+
+
+def fails_more(pairs: list) -> bool:
+    """True when the change's share of failed operations exceeds the
+    parent's."""
+    (fp, ap), (fc, ac) = failed_operations(pairs)
+    return fc * ap > fp * ac
 
 
 def digest_mismatches(pairs: list) -> list:
@@ -190,12 +226,17 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {args.seconds}: "
           f"{args.parent} -> {args.change}")
     print(summary(pairs, metrics))
+    status = 0
     bad = digest_mismatches(pairs)
     if bad:
         print(f"pairs: outputs digests differ in pairs {bad}", file=sys.stderr)
-        return 1
-    print("outputs digests equal in every pair")
-    return 0
+        status = 1
+    else:
+        print("outputs digests equal in every pair")
+    if fails_more(pairs):
+        print("pairs: the change fails a larger share of operations", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
