@@ -124,31 +124,14 @@ def cmd_disperse(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    if args.chunks is not None:
-        commitment = sz.decode_commitment(Path(args.commitment).read_bytes())
-        units = sz.decode_chunk_bundle(Path(args.chunks).read_bytes())
-        chunks = ChunkSet(commitment, units)
-        try:
-            result = reconstruct(commitment, commitment.params, chunks)
-        except BadCode as exc:
-            print(f"bad code: {exc}")
-            return EXIT_BAD_CODE
-    else:
-        trace = json_fields(_read_json(args.trace), {"config": dict})
-        config = simnet.config_from_dict(trace["config"])
-        # round 0 plays out the same whatever the round and client counts
-        # (client 0 retrieves first), and client 0's result is all that is
-        # read, so a huge "rounds" in the file costs nothing
-        replay = simnet.run_scenario(
-            dataclasses.replace(config, rounds=min(config.rounds, 1), n_clients=1)
-        )
-        result = replay.first_result
-        if result is None:
-            print("round 0 was never committed; nothing to retrieve")
-            return EXIT_INSUFFICIENT
-        if isinstance(result, BadCode):
-            print(f"bad code: {result}")
-            return EXIT_BAD_CODE
+    commitment = sz.decode_commitment(Path(args.commitment).read_bytes())
+    units = sz.decode_chunk_bundle(Path(args.chunks).read_bytes())
+    chunks = ChunkSet(commitment, units)
+    try:
+        result = reconstruct(commitment, commitment.params, chunks)
+    except BadCode as exc:
+        print(f"bad code: {exc}")
+        return EXIT_BAD_CODE
     if isinstance(result, Block):
         Path(args.out_block).write_bytes(result.data)
         print(f"reconstructed {len(result.data)} bytes -> {args.out_block}")
@@ -176,6 +159,8 @@ def cmd_simulate(args) -> int:
     (out / "counters.csv").write_text(trace.counters_csv())
     for n, record in enumerate(trace.fraud_records):
         (out / f"fraud_{n}.bin").write_bytes(sz.encode_fraud_proof(record))
+    for round_no, commitment in enumerate(trace.commitments):
+        (out / f"commitment_{round_no}.bin").write_bytes(sz.encode_commitment(commitment))
     summary = {
         "rounds": [
             {
@@ -302,10 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disperse)
 
     p = sub.add_parser("retrieve", help="reconstruct a block from chunks")
-    p.add_argument("--commitment")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--chunks")
-    source.add_argument("--trace")
+    p.add_argument("--commitment", required=True)
+    p.add_argument("--chunks", required=True)
     p.add_argument("--out-block", default="block.out")
     p.add_argument("--out-fraud")
     p.set_defaults(func=cmd_retrieve)
@@ -329,10 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "retrieve" and (args.chunks is None) != (args.commitment is None):
-        parser.error("--commitment is needed with --chunks and refused with --trace")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, OSError) as exc:

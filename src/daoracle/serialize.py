@@ -203,6 +203,9 @@ def encode_fraud_proof(proof: FraudProof) -> bytes:
     mm = proof.mismatch
     parts.append(_U8.pack(1 if mm is not None else 0))
     if mm is not None:
+        # the decoder reads exactly one digest
+        if len(mm.expected_hash) != HASH_BYTES:
+            raise ParameterError(f"a mismatch's expected hash must be {HASH_BYTES} bytes")
         parts += (_U64.pack(mm.index), mm.expected_hash)
         _put_symbols(parts, mm.ancestors)
     return b"".join(parts)

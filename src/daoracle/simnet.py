@@ -26,12 +26,11 @@ from .serialize import encode_commitment, encode_pom
 from .util import NUMBER, RATE, as_written, derive_seed, json_fields, sha256
 
 PROPOSER_STRATEGIES = ("honest", "invalid_coding", "equivocating")
-# caps on values a scenario or trace file sets, checked before they size
-# the behavior list, the node table, the client ledgers or a proposed block
+# caps on values a scenario sets, checked before they size the behavior
+# list, the node table, the client ledgers or a proposed block
 MAX_NODES, MAX_BLOCK_SIZE = 1 << 14, 1 << 24
 MAX_CLIENTS = 1 << 10
-# caps run_scenario checks before its first round, not the config (retrieve
-# --trace replays round 0 of any): nodes keep each round's units to the end
+# nodes keep each round's units to the end of the run
 MAX_ROUNDS, MAX_PROPOSED_BYTES = 1 << 10, 1 << 25
 
 
@@ -73,6 +72,11 @@ class ScenarioConfig:
             raise ParameterError(f"unknown proposer strategy {self.proposer_strategy!r}")
         if self.rounds < 0:
             raise ParameterError("rounds must be >= 0")
+        if self.rounds > MAX_ROUNDS or self.rounds * self.block_size > MAX_PROPOSED_BYTES:
+            raise ParameterError(
+                f"rounds must be at most {MAX_ROUNDS} and rounds * block_size at most "
+                f"{MAX_PROPOSED_BYTES}, got {self.rounds} x {self.block_size}"
+            )
         if not 0 <= self.audit_probability <= 1:
             raise ParameterError("audit_probability must lie in [0, 1]")
         # the design's checks, including its slot cap, before any round
@@ -140,7 +144,7 @@ OPTIONAL_SCENARIO_FIELDS = {
 def config_from_dict(raw) -> ScenarioConfig:
     """ScenarioConfig from a parsed scenario JSON object (FORMATS.md).
     Raises ParameterError for a missing key, a value of the wrong type, or a
-    node count or block size outside its cap."""
+    value outside its cap."""
     raw = json_fields(
         raw,
         {"n_nodes": int, "beta": NUMBER, "tree": dict, "dispersal": dict, "block_size": int},
@@ -183,9 +187,7 @@ class Trace:
     bytes_sent: int = 0
     bytes_stored: dict = field(default_factory=dict)  # node -> bytes
     bytes_downloaded: dict = field(default_factory=dict)  # client -> bytes
-    # client 0's result object in round 0, None when round 0 is uncommitted;
-    # no other is kept, since each Block result holds its own copy of the block
-    first_result: object = None
+    commitments: list = field(default_factory=list)  # each round's Commitment
     fraud_records: list = field(default_factory=list)  # FraudProof objects
 
     def to_json(self) -> str:
@@ -257,11 +259,6 @@ def _outcome(result, block: bytes) -> dict:
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:
-    if config.rounds > MAX_ROUNDS or config.rounds * config.block_size > MAX_PROPOSED_BYTES:
-        raise ParameterError(
-            f"rounds must be at most {MAX_ROUNDS} and rounds * block_size at most "
-            f"{MAX_PROPOSED_BYTES}, got {config.rounds} x {config.block_size}"
-        )
     nodes = [OracleNode(i, config.behaviors[i]) for i in range(config.n_nodes)]
     chain = TrustedChain(config.n_nodes, config.beta, config.dispersal.gamma)
     n_chunks = geometry(config.tree, config.block_size).sizes[-1]
@@ -282,6 +279,7 @@ def run_scenario(config: ScenarioConfig) -> Trace:
         )
         block, tree, messages = _propose(config, params, round_no, design)
         commitment = tree.commitment
+        trace.commitments.append(commitment)
         key = orc.commit_key(commitment)
         # every proof of one commitment has one size, and a unit is its
         # proof behind an 8-byte length
@@ -313,12 +311,9 @@ def run_scenario(config: ScenarioConfig) -> Trace:
                     result = orc.client_retrieve(chain, nodes, commitment, commitment.params)
                     fields = _outcome(result, block)
                 except BadCode as signal:
-                    result = signal
                     new_seed = orc.bad_code_round(nodes, commitment, signal, chain)
                     params = replace(commitment.params, code_seed=new_seed)
                     fields = {"outcome": "bad_code", "new_seed": new_seed}
-                if (round_no, client) == (0, 0):
-                    trace.first_result = result
             entry = {"client": client, **fields}
             retrievals.append(entry)
             # an uncommitted round's ledger entry names no client

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from daoracle import cit, cli, oracle as orc, simnet, serialize as sz
+from daoracle import cit, cli, oracle as orc, retrieval as rt, simnet, serialize as sz
 from daoracle.errors import ParameterError
 from daoracle.oracle import build_tree_with_base_corruption
 from daoracle.util import sha256
@@ -421,56 +421,33 @@ class TestSimulate:
         assert (out / "fraud_0.bin").exists()
         sz.decode_fraud_proof((out / "fraud_0.bin").read_bytes())
 
-    def test_retrieve_from_trace_replay(self, tmp_path):
-        path = self.scenario(tmp_path)
-        out = tmp_path / "sim_replay"
-        run("simulate", "--scenario", path, "--out", out)
-        code = run(
-            "retrieve", "--trace", out / "trace.json",
-            "--out-block", tmp_path / "replayed.bin",
-        )
-        assert code == cli.EXIT_OK
-        assert (tmp_path / "replayed.bin").stat().st_size == 65536
-
-    def test_retrieve_replays_round_zero_only(self, tmp_path, capsys):
-        path = self.scenario(tmp_path)
-        run("simulate", "--scenario", path, "--out", tmp_path / "sim")
-        trace = json.loads((tmp_path / "sim" / "trace.json").read_text())
-        printed = []
-        for rounds in (1, 10**9):
-            trace["config"]["rounds"] = rounds
-            (tmp_path / "t.json").write_text(json.dumps(trace))
-            capsys.readouterr()
-            with time_bound(30):
-                code = run(
-                    "retrieve", "--trace", tmp_path / "t.json",
-                    "--out-block", tmp_path / "replayed.bin",
-                )
-            assert code == cli.EXIT_OK
-            printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
-
-    def test_retrieve_replays_client_zero_only(self, tmp_path, capsys, monkeypatch):
-        # client 0's result is all a replay reads, so it reconstructs once
-        # however many clients the trace has, and prints the same line
-        path = self.scenario(tmp_path)
-        run("simulate", "--scenario", path, "--out", tmp_path / "sim")
-        trace = json.loads((tmp_path / "sim" / "trace.json").read_text())
-        calls, reconstruct = [], orc.reconstruct
-        monkeypatch.setattr(orc, "reconstruct", lambda *a: calls.append(a) or reconstruct(*a))
-        printed = []
-        for n_clients in (1, 32):
-            trace["config"]["n_clients"] = n_clients
-            (tmp_path / "t.json").write_text(json.dumps(trace))
-            capsys.readouterr()
-            code = run(
-                "retrieve", "--trace", tmp_path / "t.json",
-                "--out-block", tmp_path / "replayed.bin",
-            )
-            assert code == cli.EXIT_OK
-            printed.append(capsys.readouterr().out)
-        assert len(calls) == 2
-        assert printed[0] == printed[1] and printed[0].startswith("reconstructed 65536 bytes")
+    def test_each_fraud_file_convicts_the_commitment_file_of_its_round(self, tmp_path):
+        # simulate's files are enough to check a fraud proof outside the
+        # process: fraud_N.bin is the N-th FRAUD line of chain.log, and it
+        # convicts the commitment_<r>.bin of the round with that line's key
+        shipped = Path(__file__).parents[1] / "scenarios"
+        commitments = {}
+        for name in ("all_honest", "invalid_coding"):
+            out = tmp_path / name
+            assert run("simulate", "--scenario", shipped / f"{name}.json", "--out", out) == 0
+            rounds = json.loads((out / "trace.json").read_text())["rounds"]
+            assert len(list(out.glob("commitment_*.bin"))) == len(rounds) > 0
+            for entry in rounds:
+                blob = (out / f"commitment_{entry['round']}.bin").read_bytes()
+                commitment = sz.decode_commitment(blob)
+                assert orc.commit_key(commitment).hex()[:16] == entry["key"]
+                commitments[name, entry["key"]] = commitment
+        out = tmp_path / "invalid_coding"
+        chain = (out / "chain.log").read_text().splitlines()
+        frauds = [line.split() for line in chain if line.startswith("FRAUD")]
+        assert len(list(out.glob("fraud_*.bin"))) == len(frauds) > 0
+        honest = sz.decode_commitment((tmp_path / "all_honest" / "commitment_0.bin").read_bytes())
+        for n, (_, key, layer, eq) in enumerate(frauds):
+            proof = sz.decode_fraud_proof((out / f"fraud_{n}.bin").read_bytes())
+            assert (layer, eq) == (f"layer={proof.layer}", f"eq={proof.equation_no}")
+            commitment = commitments["invalid_coding", key.removeprefix("key=")]
+            assert rt.verify_fraud_proof(commitment, commitment.params, proof)
+            assert not rt.verify_fraud_proof(honest, honest.params, proof)
 
     def test_simulate_past_the_round_caps_exits_params_before_any_tree(
         self, tmp_path, capsys, monkeypatch
@@ -485,17 +462,6 @@ class TestSimulate:
             assert capsys.readouterr().err.startswith("error: rounds must be at most")
         assert built == []
         assert not (tmp_path / "o").exists()
-
-    def test_retrieve_from_fraud_trace_replay(self, tmp_path):
-        path = self.scenario(tmp_path, strategy="invalid_coding")
-        out = tmp_path / "sim_replay_bad"
-        run("simulate", "--scenario", path, "--out", out)
-        code = run(
-            "retrieve", "--trace", out / "trace.json",
-            "--out-block", tmp_path / "x.bin", "--out-fraud", tmp_path / "f.bin",
-        )
-        assert code == cli.EXIT_FRAUD
-        assert (tmp_path / "f.bin").exists()
 
     @pytest.mark.parametrize("beta, threshold", ((0.25, 15), (0.75, 25)))
     def test_summary_names_the_commit_threshold(self, tmp_path, capsys, beta, threshold):
@@ -637,15 +603,11 @@ def without(raw: dict, key: str) -> str:
     return json.dumps({k: v for k, v in raw.items() if k != key})
 
 
-def scenario_argv(tmp_path, command: str, config: dict) -> tuple:
-    """The arguments that make ``simulate`` read ``config`` as its scenario,
-    or ``retrieve`` read it as the config of a trace to replay."""
+def scenario_argv(tmp_path, config: dict) -> tuple:
+    """The arguments that make ``simulate`` read ``config`` as its scenario."""
     path = tmp_path / "input.json"
-    if command == "simulate":
-        path.write_text(json.dumps(config))
-        return ("--scenario", path, "--out", tmp_path / "sim")
-    path.write_text(json.dumps({"config": config}))
-    return ("--trace", path, "--out-block", tmp_path / "block.bin")
+    path.write_text(json.dumps(config))
+    return ("--scenario", path, "--out", tmp_path / "sim")
 
 
 class TestBadJsonInput:
@@ -715,11 +677,9 @@ class TestBadJsonInput:
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "n_signatures": 0})),
             # a share of the block reward, so at most all of it
             ("incentives", json.dumps({**INCENTIVE_PARAMS, "reward_fraction": 5})),
-            ("retrieve", json.dumps({"rounds": []})),
             # a subnormal lambda lies in (0, 1], yet M/(N*lambda) overflows
             ("disperse", json.dumps({"n_chunks": 32, "n_nodes": 8, "lambda": 1e-320})),
             ("simulate", json.dumps(SUBNORMAL_LAMBDA_SCENARIO)),
-            ("retrieve", json.dumps({"config": SUBNORMAL_LAMBDA_SCENARIO})),
             # each beyond its width in the DAC2 tree parameters (FORMATS.md)
             ("commit", json.dumps({**TREE_PARAMS, "code_seed": -1})),
             ("commit", json.dumps({**TREE_PARAMS, "code_seed": 2**64})),
@@ -754,8 +714,7 @@ class TestBadJsonInput:
             "incentives_infinite_signatures", "incentives_reward_past_float",
             "incentives_fractional_signatures", "incentives_no_signatures",
             "incentives_share_above_one",
-            "retrieve_trace_without_config", "disperse_subnormal_lambda",
-            "simulate_subnormal_lambda", "retrieve_subnormal_lambda",
+            "disperse_subnormal_lambda", "simulate_subnormal_lambda",
             "commit_code_seed_negative", "commit_code_seed_past_u64", "commit_degree_past_u32",
             "simulate_code_seed_negative", "simulate_code_seed_past_u64",
             "incentives_slack_overflows",
@@ -772,7 +731,6 @@ class TestBadJsonInput:
             "disperse": ("--params", path, "--out", tmp_path / "design.txt"),
             "metrics": ("--params", path, "--out-prefix", tmp_path / "tables"),
             "incentives": ("--params", path, "--out", tmp_path / "report.json"),
-            "retrieve": ("--trace", path),
         }[command]
         assert run(command, *argv) == cli.EXIT_PARAMS
         out = capsys.readouterr()
@@ -780,7 +738,7 @@ class TestBadJsonInput:
         assert out.out == ""
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "retrieve"])
+    @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize(
         "oversized",
         [
@@ -801,19 +759,19 @@ class TestBadJsonInput:
     def test_oversized_scenario_values_exit_params(self, tmp_path, command, oversized):
         # each value would size an allocation of gigabytes if read unchecked,
         # so the command runs in a child under a memory bound
-        argv = scenario_argv(tmp_path, command, {**SCENARIO, **oversized})
+        argv = scenario_argv(tmp_path, {**SCENARIO, **oversized})
         code, err = memory_bound(quiet_run, command, *argv)
         assert code == cli.EXIT_PARAMS
         assert err.startswith("error: ") and next(iter(oversized)) in err
 
-    @pytest.mark.parametrize("command", ["simulate", "retrieve"])
+    @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize(
         "beta", [float("nan"), float("inf"), -0.25, 1.5],
         ids=["nan", "infinity", "negative", "above_one"],
     )
     def test_beta_outside_the_unit_interval_exits_params(self, tmp_path, capsys, command, beta):
         # json writes and reads NaN and Infinity as bare words
-        argv = scenario_argv(tmp_path, command, {**SCENARIO, "beta": beta})
+        argv = scenario_argv(tmp_path, {**SCENARIO, "beta": beta})
         assert run(command, *argv) == cli.EXIT_PARAMS
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "beta" in out.err
@@ -837,9 +795,10 @@ class TestBadJsonInput:
              "retrieve_trace_with_commitment"],
     )
     def test_selectors_exit_params(self, workdir, capsys, monkeypatch, argv):
-        # exactly one of pom's --index, --indices and --all, and of
-        # retrieve's --chunks and --trace, with --commitment exactly when
-        # --chunks; the rest are refused before any file is read or written
+        # exactly one of pom's --index, --indices and --all, and both of
+        # retrieve's --commitment and --chunks, with no flag retrieve does
+        # not take (--trace); the rest are refused before any file is read
+        # or written
         d = workdir
         run("commit", "--block", d / "block.bin", "--params", d / "tree_params.json",
             "--out-commitment", d / "c.bin")

@@ -12,8 +12,14 @@ slot, a NamedTuple field), or a dataclass field or annotated name, so
 attribute ``depth``. Any other span, such as ``tree.commitment``, is prose
 about a value and is not checked. A reference that stops resolving is a
 stale doc left by a rename or a deletion.
+
+A span of README.md or FORMATS.md that starts with a CLI command, as
+``retrieve --chunks`` or ``daoracle pom --index`` do, must name only flags
+``cli.build_parser()`` gives that command. A markdown span may wrap one
+line.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -22,6 +28,7 @@ import re
 from pathlib import Path
 
 import daoracle
+from daoracle import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
@@ -67,8 +74,10 @@ def docstring_spans(source: str) -> list[str]:
 
 
 def markdown_spans(text: str) -> list[str]:
+    """The backtick spans outside code blocks, each wrapped line joined to
+    the next by one space."""
     text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
-    return re.findall(r"`([^`\n]+)`", text)
+    return [" ".join(span.split()) for span in re.findall(r"`([^`\n]+(?:\n[^`\n]+)?)`", text)]
 
 
 def member(owner, name: str):
@@ -117,12 +126,45 @@ def stale(sources, roots) -> list[str]:
     return [reference for reference, ok in verdicts(sources, roots).items() if not ok]
 
 
+def command_flags() -> dict[str, set[str]]:
+    """Each command of ``cli.build_parser()`` -> the flags it takes."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        for name, sub in commands.choices.items()
+    }
+
+
+def flag_uses(sources, flags: dict[str, set[str]]) -> list[tuple[str, str, str]]:
+    """(where, command, flag) for each ``--`` word of each span that starts
+    with a command of ``flags``, after an optional ``daoracle``."""
+    out = []
+    for where, spans in sources:
+        for span in spans:
+            command, *words = span.removeprefix("daoracle ").split() or [""]
+            if command in flags:
+                out += [(where, command, word) for word in words if word.startswith("--")]
+    return out
+
+
+def unknown_flags(sources, flags: dict[str, set[str]]) -> list[str]:
+    return [
+        f"{where}: {command} {flag}"
+        for where, command, flag in flag_uses(sources, flags)
+        if flag not in flags[command]
+    ]
+
+
+def doc_sources() -> list:
+    return [(name, markdown_spans((ROOT / name).read_text())) for name in ("README.md", "FORMATS.md")]
+
+
 def test_every_dotted_reference_in_the_docs_resolves():
     roots = roots_of(*(path.stem for path in TESTS.glob("*.py")))
     paths = sorted((ROOT / "src" / "daoracle").glob("*.py")) + sorted(TESTS.glob("*.py"))
     sources = [(path.relative_to(ROOT), docstring_spans(path.read_text())) for path in paths]
-    for name in ("README.md", "FORMATS.md"):
-        sources.append((name, markdown_spans((ROOT / name).read_text())))
+    sources += doc_sources()
     assert len(verdicts(sources, roots)) > 50  # the scan finds the docs' references
     assert stale(sources, roots) == []
 
@@ -144,3 +186,21 @@ def test_the_check_sees_a_stale_reference():
     spans = markdown_spans(markdown)
     assert spans == ["retrieval.FraudMember.layer", "cit.Frontier.rows(u)"]
     assert stale([("x.md", spans)], roots) == ["x.md: retrieval.FraudMember.layer"]
+
+
+def test_every_documented_command_flag_exists():
+    flags, sources = command_flags(), doc_sources()
+    assert len(flag_uses(sources, flags)) >= 3  # the scan finds the docs' flags
+    assert unknown_flags(sources, flags) == []
+
+
+def test_the_check_sees_a_stale_flag():
+    markdown = (
+        "`retrieve --chunks` and `daoracle pom --index 3 --every`, `simulate\n--trace`,\n"
+        "```\n`verify --fraud`\n```\n`--trace 0` and `python3 protobench/run.py --trace 1`"
+    )
+    spans = markdown_spans(markdown)
+    assert "simulate --trace" in spans and "verify --fraud" not in spans
+    assert unknown_flags([("x.md", spans)], command_flags()) == [
+        "x.md: pom --every", "x.md: simulate --trace",
+    ]

@@ -81,6 +81,17 @@ def test_fraud_proof_golden(small_block, small_params):
     assert sz.decode_fraud_proof(blob) == result.proof
 
 
+@pytest.mark.parametrize("length", (HASH_BYTES - 1, HASH_BYTES + 1))
+def test_a_mismatch_digest_of_another_length_is_not_encoded(length):
+    """The decoder reads a mismatch's expected hash as exactly HASH_BYTES
+    bytes, so the encoder writes no file of another length."""
+    _commitment, _params, proof = fraud_flavours()["mismatch"]
+    digest = (proof.mismatch.expected_hash * 2)[:length]
+    mismatch = dataclasses.replace(proof.mismatch, expected_hash=digest)
+    with pytest.raises(ParameterError, match="expected hash"):
+        sz.encode_fraud_proof(dataclasses.replace(proof, mismatch=mismatch))
+
+
 def daf3_size(proof) -> int:
     """The bytes of DAF3's fields as FORMATS.md lists them: magic, u32
     layer, u32 equation_no, u16 n_members; each member's u64 index, u64

@@ -18,8 +18,7 @@ from daoracle import oracle as orc
 from daoracle import simnet as sn
 from daoracle.cit import MAX_CODE_ATTEMPTS, MAX_GATE_TRIALS, TreeParams
 from daoracle.dispersal import MAX_DESIGN_SLOTS, DispersalParams, assign_chunks
-from daoracle.errors import BadCode, ParameterError
-from daoracle.retrieval import Block
+from daoracle.errors import ParameterError
 from daoracle.serialize import encode_commitment, encode_pom
 from daoracle.util import derive_seed
 
@@ -107,7 +106,7 @@ class TestDeterminism:
         scenario = optional_keys(data, sn.ScenarioConfig, {
             "n_clients": st.integers(1, sn.MAX_CLIENTS),
             "proposer_strategy": st.sampled_from(sn.PROPOSER_STRATEGIES),
-            "rounds": st.integers(0, 4096),
+            "rounds": st.integers(0, sn.MAX_ROUNDS),
             "audit_probability": st.floats(0, 1),
             "master_seed": st.integers(0, 2**64 - 1),
         })
@@ -166,6 +165,16 @@ class TestDeterminism:
         # the largest lambda-side design the cap admits on this block
         lam = 128 / MAX_DESIGN_SLOTS
         assert make_config(disp=dataclasses.replace(disp, lam=lam), n_nodes=1)
+
+    def test_config_rejects_a_run_past_either_round_cap(self):
+        # the nodes keep every round's units until the run ends, so the
+        # config bounds the rounds and the bytes they propose
+        raw = json.loads(sn.config_to_json(make_config()))
+        most = sn.MAX_PROPOSED_BYTES // raw["block_size"]
+        assert sn.config_from_dict({**raw, "rounds": most}).rounds == most
+        for rounds in (sn.MAX_ROUNDS + 1, most + 1):
+            with pytest.raises(ParameterError, match="rounds must be at most"):
+                sn.config_from_dict({**raw, "rounds": rounds})
 
 
 class TestSafetySweep:
@@ -251,7 +260,6 @@ class TestStalledRetrieval:
         entry = {"client": 0, "outcome": "bad_code", "new_seed": BAD_BASE_CODE_SEED + 1}
         assert trace.rounds[0]["retrievals"] == [entry]
         assert trace.ledgers[0] == [{"round": 0, **entry}]
-        assert isinstance(trace.first_result, BadCode)
         # pooling every node's storage confirms the stall, and the chain
         # records the replacement seed
         commit, badcode = trace.chain_lines
@@ -348,10 +356,10 @@ def test_trace_json_and_csv_shapes():
     assert sum(1 for line in csv_lines if line.startswith("stored,")) == 20
 
 
-def test_a_trace_keeps_one_reconstructed_block():
+def test_a_trace_keeps_no_client_result():
     # each client's result is its own reconstructed copy of the block; the
-    # trace keeps client 0's of round 0 only, so what it holds does not
-    # grow with the clients
+    # trace keeps none of them, only their outcome entries, so what it
+    # holds does not grow with the clients
     config = make_config(n_clients=8)
     sn.run_scenario(dataclasses.replace(config, n_clients=1))  # codes cached
     gc.collect()
@@ -363,7 +371,6 @@ def test_a_trace_keeps_one_reconstructed_block():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert isinstance(trace.first_result, Block)
     assert retained < 2 * config.block_size
 
 
