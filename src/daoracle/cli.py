@@ -151,28 +151,19 @@ def cmd_retrieve(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = simnet.config_from_dict(_read_json(args.scenario))
-    trace = simnet.run_scenario(config)
     out = Path(args.out)
+    # one directory holds one run: an earlier run's files would sit beside
+    # a chain.log that does not name them
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ParameterError(f"--out {out} exists and is not an empty directory")
+    trace = simnet.run_scenario(config)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trace.json").write_text(trace.to_json())
-    (out / "chain.log").write_text("\n".join(trace.chain_lines) + "\n")
-    (out / "counters.csv").write_text(trace.counters_csv())
+    (out / "chain.log").write_text("".join(line + "\n" for line in trace.chain_lines))
     for n, record in enumerate(trace.fraud_records):
         (out / f"fraud_{n}.bin").write_bytes(sz.encode_fraud_proof(record))
     for round_no, commitment in enumerate(trace.commitments):
         (out / f"commitment_{round_no}.bin").write_bytes(sz.encode_commitment(commitment))
-    summary = {
-        "rounds": [
-            {
-                "round": r["round"],
-                "committed": r["committed"],
-                "outcomes": [x["outcome"] for x in r["retrievals"]],
-            }
-            for r in trace.rounds
-        ]
-    }
-    (out / "report.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
-    frauds = [line for line in trace.chain_lines if line.startswith("FRAUD")]
     threshold = TrustedChain(config.n_nodes, config.beta, config.dispersal.gamma).commit_threshold
     # a threshold above N is reported, not refused: the simulator may build
     # such a chain on purpose, and every round then ends uncommitted
@@ -181,7 +172,7 @@ def cmd_simulate(args) -> int:
         f"simulated {config.rounds} round(s); "
         f"{sum(1 for r in trace.rounds if r['committed'])} committed, commit threshold "
         f"ceil((beta + gamma)*N) = {threshold} of N = {config.n_nodes}{beyond}; "
-        f"{len(frauds)} fraud record(s); outputs in {out}"
+        f"{len(trace.fraud_records)} fraud record(s); outputs in {out}"
     )
     return EXIT_OK
 

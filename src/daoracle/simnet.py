@@ -206,15 +206,6 @@ class Trace:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def counters_csv(self) -> str:
-        lines = ["counter,entity,bytes"]
-        lines.append(f"sent,all,{self.bytes_sent}")
-        for node, b in sorted(self.bytes_stored.items()):
-            lines.append(f"stored,node{node},{b}")
-        for client, b in sorted(self.bytes_downloaded.items()):
-            lines.append(f"downloaded,client{client},{b}")
-        return "\n".join(lines) + "\n"
-
 
 def _propose(config: ScenarioConfig, params: TreeParams, round_no: int, design):
     rng = np.random.default_rng(

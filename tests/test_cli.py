@@ -402,12 +402,20 @@ class TestSimulate:
     def test_simulate_writes_artifacts(self, tmp_path):
         path = self.scenario(tmp_path)
         out = tmp_path / "sim"
+        out.mkdir()  # an empty directory is as good as a new one
         assert run("simulate", "--scenario", path, "--out", out) == cli.EXIT_OK
-        assert (out / "trace.json").exists()
+        assert {f.name for f in out.iterdir()} == {"trace.json", "chain.log", "commitment_0.bin"}
         assert (out / "chain.log").read_text().startswith("COMMIT")
-        assert (out / "counters.csv").read_text().startswith("counter,")
-        report = json.loads((out / "report.json").read_text())
-        assert report["rounds"][0]["outcomes"] == ["block", "block"]
+        retrievals = json.loads((out / "trace.json").read_text())["rounds"][0]["retrievals"]
+        assert [entry["outcome"] for entry in retrievals] == ["block", "block"]
+
+    def test_a_chain_without_records_writes_an_empty_log(self, tmp_path):
+        # the equivocating proposer's round gathers too few votes to commit
+        out = tmp_path / "sim"
+        path = self.scenario(tmp_path, strategy="equivocating")
+        assert run("simulate", "--scenario", path, "--out", out) == cli.EXIT_OK
+        assert json.loads((out / "trace.json").read_text())["chain"] == []
+        assert (out / "chain.log").read_text() == ""
 
     def test_invalid_coding_scenario_records_fraud(self, tmp_path):
         path = self.scenario(tmp_path, strategy="invalid_coding")
@@ -430,8 +438,16 @@ class TestSimulate:
         for name in ("all_honest", "invalid_coding"):
             out = tmp_path / name
             assert run("simulate", "--scenario", shipped / f"{name}.json", "--out", out) == 0
-            rounds = json.loads((out / "trace.json").read_text())["rounds"]
-            assert len(list(out.glob("commitment_*.bin"))) == len(rounds) > 0
+            trace = json.loads((out / "trace.json").read_text())
+            rounds, chain = trace["rounds"], trace["chain"]
+            frauds = sum(1 for line in chain if line.startswith("FRAUD"))
+            assert {f.name for f in out.iterdir()} == {
+                "trace.json", "chain.log",
+                *(f"commitment_{r}.bin" for r in range(len(rounds))),
+                *(f"fraud_{n}.bin" for n in range(frauds)),
+            }
+            assert len(rounds) > 0
+            assert (out / "chain.log").read_text().splitlines() == chain
             for entry in rounds:
                 blob = (out / f"commitment_{entry['round']}.bin").read_bytes()
                 commitment = sz.decode_commitment(blob)
@@ -462,6 +478,38 @@ class TestSimulate:
             assert capsys.readouterr().err.startswith("error: rounds must be at most")
         assert built == []
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("occupied", ("stale_run", "a_file"))
+    def test_simulate_refuses_an_occupied_out_before_any_round(
+        self, tmp_path, capsys, monkeypatch, occupied
+    ):
+        # an earlier run's fraud_0.bin would sit beside a chain.log that
+        # names no fraud; the directory is left exactly as it was
+        path, out = self.scenario(tmp_path), tmp_path / "sim"
+        if occupied == "stale_run":
+            out.mkdir()
+            (out / "fraud_0.bin").write_bytes(b"an earlier run's proof")
+            (out / "sentinel").write_text("keep")
+        else:
+            out.write_text("keep")
+        before = sorted((f.name, f.read_bytes()) for f in tmp_path.rglob("*") if f.is_file())
+        ran = []
+        monkeypatch.setattr(simnet, "run_scenario", lambda config: ran.append(config))
+        code = run("simulate", "--scenario", path, "--out", out)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_PARAMS and ran == []
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not an empty directory" in err
+        after = sorted((f.name, f.read_bytes()) for f in tmp_path.rglob("*") if f.is_file())
+        assert after == before
+
+    def test_the_scenario_is_read_before_the_out_directory(self, tmp_path, capsys):
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "sentinel").write_text("keep")
+        (tmp_path / "s.json").write_text("{}")
+        code = run("simulate", "--scenario", tmp_path / "s.json", "--out", tmp_path / "sim")
+        assert code == cli.EXIT_PARAMS
+        assert "not an empty directory" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("beta, threshold", ((0.25, 15), (0.75, 25)))
     def test_summary_names_the_commit_threshold(self, tmp_path, capsys, beta, threshold):
@@ -730,13 +778,13 @@ class TestBadJsonInput:
             "simulate": ("--scenario", path, "--out", tmp_path / "sim"),
             "disperse": ("--params", path, "--out", tmp_path / "design.txt"),
             "metrics": ("--params", path, "--out-prefix", tmp_path / "tables"),
-            "incentives": ("--params", path, "--out", tmp_path / "report.json"),
+            "incentives": ("--params", path, "--out", tmp_path / "incentives.json"),
         }[command]
         assert run(command, *argv) == cli.EXIT_PARAMS
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "Traceback" not in out.err
         assert out.out == ""
-        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "incentives.json").exists()
 
     @pytest.mark.parametrize("command", ["simulate"])
     @pytest.mark.parametrize(

@@ -17,6 +17,11 @@ A span of README.md or FORMATS.md that starts with a CLI command, as
 ``retrieve --chunks`` or ``daoracle pom --index`` do, must name only flags
 ``cli.build_parser()`` gives that command. A markdown span may wrap one
 line.
+
+The files FORMATS.md lists under "``simulate --out DIR`` writes these
+files" are the files ``simulate`` writes for the shipped scenarios, with
+``N`` and ``<round>`` standing for numbers: every written file matches a
+listed name, and some scenario writes each listed name.
 """
 
 import argparse
@@ -31,6 +36,7 @@ import daoracle
 from daoracle import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS_LINE = "`simulate --out DIR` writes these files"
 TESTS = ROOT / "tests"
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 MISSING = object()
@@ -156,6 +162,32 @@ def unknown_flags(sources, flags: dict[str, set[str]]) -> list[str]:
     ]
 
 
+def documented_outputs(text: str) -> list[str]:
+    """The file name that opens each bullet of the list under
+    ``OUTPUTS_LINE``; the list ends at the first blank line."""
+    _, _, after = text.partition(OUTPUTS_LINE)
+    return re.findall(r"^- `([^`]+)`", after.split("\n\n", 1)[0], re.M)
+
+
+def output_mismatches(documented: list[str], runs: list[set[str]]) -> list[str]:
+    """Each written file that no documented name matches, and each
+    documented name that no run (a set of file names) writes."""
+    patterns = {
+        name: re.compile(r"\d+".join(map(re.escape, re.split(r"N|<round>", name))))
+        for name in documented
+    }
+    written = set().union(*runs)
+    undocumented = [
+        f"undocumented: {f}" for f in written
+        if not any(p.fullmatch(f) for p in patterns.values())
+    ]
+    unwritten = [
+        f"never written: {name}" for name, p in patterns.items()
+        if not any(p.fullmatch(f) for f in written)
+    ]
+    return sorted(undocumented + unwritten)
+
+
 def doc_sources() -> list:
     return [(name, markdown_spans((ROOT / name).read_text())) for name in ("README.md", "FORMATS.md")]
 
@@ -203,4 +235,29 @@ def test_the_check_sees_a_stale_flag():
     assert "simulate --trace" in spans and "verify --fraud" not in spans
     assert unknown_flags([("x.md", spans)], command_flags()) == [
         "x.md: pom --every", "x.md: simulate --trace",
+    ]
+
+
+def test_formats_lists_the_files_simulate_writes(tmp_path):
+    runs = []
+    for scenario in sorted((ROOT / "scenarios").glob("*.json")):
+        out = tmp_path / scenario.stem
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        runs.append({path.name for path in out.iterdir()})
+    documented = documented_outputs((ROOT / "FORMATS.md").read_text())
+    assert len(runs) >= 2 and documented
+    assert output_mismatches(documented, runs) == []
+
+
+def test_the_check_sees_a_stale_output_name():
+    text = (
+        "`simulate --out DIR` writes these files into DIR:\n"
+        "- `trace.json`: the trace;\n- `summary.json`: each round's outcomes;\n"
+        "- `fraud_N.bin`: the N-th proof.\n\n- `later.txt`: after the list\n"
+    )
+    documented = documented_outputs(text)
+    assert documented == ["trace.json", "summary.json", "fraud_N.bin"]
+    runs = [{"trace.json", "fraud_0.bin", "fraud_12.bin"}, {"trace.json", "chain.log", "fraudN.bin"}]
+    assert output_mismatches(documented, runs) == [
+        "never written: summary.json", "undocumented: chain.log", "undocumented: fraudN.bin",
     ]

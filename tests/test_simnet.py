@@ -346,14 +346,13 @@ class TestMeasure:
         assert len(set(trace.bytes_downloaded.values())) == 1
 
 
-def test_trace_json_and_csv_shapes():
+def test_trace_json_shape():
     trace = sn.run_scenario(make_config({"silent": 1}, rounds=2))
     payload = json.loads(trace.to_json())
     assert set(payload) == {"chain", "config", "counters", "ledgers", "rounds"}
     assert len(payload["rounds"]) == 2
-    csv_lines = trace.counters_csv().strip().splitlines()
-    assert csv_lines[0] == "counter,entity,bytes"
-    assert sum(1 for line in csv_lines if line.startswith("stored,")) == 20
+    assert set(payload["counters"]) == {"bytes_sent", "bytes_stored", "bytes_downloaded"}
+    assert len(payload["counters"]["bytes_stored"]) == 20
 
 
 def test_a_trace_keeps_no_client_result():
