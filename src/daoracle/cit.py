@@ -63,8 +63,18 @@ after any tamper hook, top down, one pass per layer: the ancestors of
 every residue and the parity symbols of every residue, each entry its own
 symbol followed by the shared entry one layer up. Every proof sampled from
 the tree, by any call, shares those symbols; its own cost is a range
-check, one lookup in each table, a copy of its base row and one tuple
-(``ProofOfMembership`` is a ``NamedTuple``, built positionally).
+check, one lookup in each table, its base row and one tuple
+(``ProofOfMembership`` is a ``NamedTuple``, built positionally). A base
+row wider than ``INT_VALUE_MAX_BYTES``, the width above which the peel
+keeps its solved rows as views too, is handed out as a read-only
+``memoryview`` of the tree's own codeword, sliced from one flat view the
+tables make once per tree, so a proof keeps the whole codeword alive. A
+narrower row, such as a round's 1 KiB one, is copied to ``bytes``: nodes
+keep a round's proofs across rounds, and a copy pins only its own row.
+The boundary is not tuned for sampling: the benchmark's rows are 1 KiB
+or 64 KiB, and any width between them sorts them alike, so the package's
+one stated width between a small row and a wide one is reused rather
+than a second constant added. Retuning the peel's constant moves it too.
 
 Batches. A ``Frontier``, made from a commitment alone, is the one claim
 checker: a node walks its units on one, an audit a voter's units, a
@@ -95,7 +105,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import PARALLEL_MIN_BYTES, map_rows, pipelined_map
+from ._kernels import INT_VALUE_MAX_BYTES, PARALLEL_MIN_BYTES, map_rows, pipelined_map
 from .codec import CodeSpec, encode_array, encode_rows, generate_code, is_bad_code
 from .errors import BadCode, ParameterError
 from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
@@ -259,7 +269,9 @@ class ProofOfMembership(NamedTuple):
     the parity symbol ``s + base_index mod (m - s)`` of layer L-1-j, for
     j = 0..L-2. Every index follows from the base index, so none is stored.
     A decoded proof's base symbol is a read-only view of the bytes it was
-    decoded from (see ``serialize``).
+    decoded from (see ``serialize``), and a sampled one wider than
+    ``INT_VALUE_MAX_BYTES`` a read-only view of its tree's codeword (see
+    ``sample_pom``); either keeps what it views alive and does not pickle.
 
     An immutable tuple in this field order: ``sample_pom`` and
     ``serialize`` build it positionally, ``Frontier.walk`` unpacks it, and
@@ -275,10 +287,21 @@ class ProofOfMembership(NamedTuple):
 
 def unit_agrees(index: int, symbol, pom: ProofOfMembership) -> bool:
     """True iff a (base index, base symbol, proof) unit's index and symbol
-    are its proof's. Identity is tested first: a memoryview's == compares
-    byte by byte even with itself, and a decoded unit's symbol is its
-    proof's view."""
-    return index == pom.base_index and (symbol is pom.base_symbol or symbol == pom.base_symbol)
+    are its proof's. A memoryview's == compares byte by byte, even with
+    itself, so identity is tested first (a decoded or sampled unit's symbol
+    is its proof's own object), and a ``bytes`` symbol on either side is
+    compared by ``bytes.startswith`` on equal lengths, which compares the
+    buffers whole; only two views meet at ==."""
+    own = pom.base_symbol
+    if index != pom.base_index:
+        return False
+    if symbol is own:
+        return True
+    if type(own) is bytes:
+        symbol, own = own, symbol
+    if type(symbol) is bytes and type(own) in (bytes, memoryview):
+        return len(symbol) == len(own) and symbol.startswith(own)
+    return symbol == own
 
 
 @dataclass(frozen=True)
@@ -390,9 +413,11 @@ class SamplingTables:
     Sampling): ``ancestors[r]``, the ancestors of each base index i with
     i mod ``len(ancestors)`` = r, and ``parities[r]``, the parity symbols
     of each i with i mod ``len(parities)`` = r, each entry its own symbol
-    followed by the entry one layer up."""
+    followed by the entry one layer up; and ``wide_base``, the base
+    codeword as one flat read-only view when its rows are wider than
+    ``INT_VALUE_MAX_BYTES``, else None."""
 
-    __slots__ = ("ancestors", "parities")
+    __slots__ = ("ancestors", "parities", "wide_base")
 
     def __init__(self, geo: Geometry, layers: list[Layer]):
         # only the digest layers' bytes rows are read; the ancestor at
@@ -408,19 +433,32 @@ class SamplingTables:
                     (layer[s + r],) + parities[r % len(parities)] for r in range(len(layer) - s)
                 ]
         self.ancestors, self.parities = ancestors, parities
+        base = layers[-1].symbols  # read-only, so each view of it is too
+        wide = base.shape[1] > INT_VALUE_MAX_BYTES
+        self.wide_base = memoryview(base).cast("B") if wide else None
 
 
 def sample_pom(tree: CodedTree, base_index: int) -> ProofOfMembership:
     """Membership proof of base symbol ``base_index``, read from the tree's
     sampling tables, so it shares every symbol it has in common with any
-    proof sampled from this tree before."""
+    proof sampled from this tree before. Its base symbol is a read-only
+    view of the tree's codeword row when rows are wider than
+    ``INT_VALUE_MAX_BYTES``, else a ``bytes`` copy of the row (the
+    module's Sampling)."""
     base = tree.layers[-1].symbols
-    if not 0 <= base_index < base.shape[0]:
-        raise ParameterError(f"base index {base_index} not in [0, {base.shape[0]})")
+    m, width = base.shape
+    if not 0 <= base_index < m:
+        raise ParameterError(f"base index {base_index} not in [0, {m})")
     tables = tree.sampling
+    flat = tables.wide_base
+    if flat is None:
+        symbol = base[base_index].tobytes()
+    else:
+        at = base_index * width
+        symbol = flat[at : at + width]
     return ProofOfMembership(
         base_index,
-        base[base_index].tobytes(),
+        symbol,
         tree.commitment.block_len,
         tables.ancestors[base_index % len(tables.ancestors)],
         tables.parities[base_index % len(tables.parities)],

@@ -27,7 +27,12 @@ def points(workload: str) -> list:
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_every_point_names_a_commit_and_the_last_has_every_metric(workload):
-    trajectory = points(workload)
+    assert_well_formed(workload, points(workload))
+
+
+def assert_well_formed(workload: str, trajectory) -> None:
+    """Every point of ``trajectory`` names a commit and records two correct
+    runs of ``workload``, and the last carries every metric."""
     assert isinstance(trajectory, list) and trajectory
     for point in trajectory:
         assert COMMIT.fullmatch(point["commit"]), point["commit"]

@@ -1,19 +1,23 @@
 """Tree construction, membership sampling/verification, index lemmas."""
 
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from daoracle import cit, retrieval as rt
-from daoracle._kernels import PARALLEL_MIN_BYTES
+from daoracle._kernels import INT_VALUE_MAX_BYTES, PARALLEL_MIN_BYTES
 from daoracle.errors import BadCode, ParameterError
 from daoracle.util import sha256
 
 from conftest import SMALL, chunkset_for, covered_layers, flipping, pairs_table, params_for
 from conftest import random_geometries, sizes_for
 from fraction_geometry import pom_pairs
+from hostile import time_bound
 
 
 def assert_proofs_share_rows(tree):
@@ -272,6 +276,110 @@ class TestMembership:
         pom = cit.sample_pom(small_tree, 7)
         bad = pom._replace(block_len=pom.block_len + 1)
         assert not cit.Frontier(small_tree.commitment).walk(bad)
+
+
+class TestBaseRowSampling:
+    """A sampled proof's base symbol: a read-only view of the tree's own
+    codeword row above ``INT_VALUE_MAX_BYTES``, a bytes copy up to it."""
+
+    @staticmethod
+    def tree_of(width: int, base_symbols: int = 32):
+        params = cit.TreeParams(**{**SMALL, "symbol_size": width})
+        block = np.random.default_rng(width).bytes(base_symbols // 4 * width - 3)
+        return cit.build_tree(block, params)
+
+    def test_wide_proofs_share_the_codeword_and_copy_no_row(self):
+        tree = self.tree_of(16 * 1024, base_symbols=256)
+        base = tree.layers[-1].symbols
+        m, width = base.shape
+        assert m == 256
+        tracemalloc.start()
+        try:
+            poms = [cit.sample_pom(tree, i) for i in range(m)]
+            allocated = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # copies would be m rows (4 MiB); views are a few hundred bytes each
+        assert allocated < m * width // 16
+        frontier = cit.Frontier(tree.commitment)
+        for i, pom in enumerate(poms):
+            symbol = pom.base_symbol
+            assert type(symbol) is memoryview and symbol.readonly
+            assert symbol == base[i].tobytes() and len(symbol) == width
+            assert np.shares_memory(np.frombuffer(symbol, dtype=np.uint8), base)
+            assert frontier.walk(pom)
+
+    @pytest.mark.parametrize("width", (64, 1024, INT_VALUE_MAX_BYTES, INT_VALUE_MAX_BYTES + 1))
+    def test_the_width_boundary_picks_copies_or_views(self, width):
+        tree = self.tree_of(width)
+        base = tree.layers[-1].symbols
+        for i in range(tree.sizes[-1]):
+            symbol = cit.sample_pom(tree, i).base_symbol
+            if width > INT_VALUE_MAX_BYTES:
+                assert type(symbol) is memoryview and symbol.readonly
+                assert np.shares_memory(np.frombuffer(symbol, dtype=np.uint8), base)
+            else:
+                assert type(symbol) is bytes
+            assert symbol == base[i].tobytes()
+
+
+WIDTHS = (1, 64, INT_VALUE_MAX_BYTES, INT_VALUE_MAX_BYTES + 1, 64 * 1024)
+
+
+def as_kind(data: bytes, kind: str):
+    """``data`` as bytes, a view of its own copy, or a view into the middle
+    of a larger buffer, as a codeword row is."""
+    if kind == "bytes":
+        return bytes(bytearray(data))
+    if kind == "view":
+        return memoryview(bytes(bytearray(data)))
+    return memoryview(b"\x01" + data + b"\x02")[1:-1]
+
+
+KINDS = ("bytes", "view", "row")
+
+
+@st.composite
+def symbol_pairs(draw):
+    """(unit symbol, proof symbol), each of any kind, the unit's equal to
+    the proof's or a first, last or middle byte off, or a byte longer or
+    shorter, at widths on both sides of ``INT_VALUE_MAX_BYTES``."""
+    width = draw(st.sampled_from(WIDTHS))
+    own = np.random.default_rng(draw(st.integers(0, 3))).bytes(width)
+    edit = draw(st.sampled_from(("equal", "first", "last", "middle", "longer", "shorter")))
+    data = bytearray(own)
+    if edit in ("first", "last", "middle"):
+        data[{"first": 0, "last": -1, "middle": width // 2}[edit]] ^= draw(st.integers(1, 255))
+    elif edit == "longer":
+        data.append(draw(st.integers(0, 255)))
+    elif edit == "shorter":
+        del data[-1:]
+    return as_kind(bytes(data), draw(st.sampled_from(KINDS))), as_kind(own, draw(st.sampled_from(KINDS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_pairs(), st.integers(-1, 1))
+@example((b"", memoryview(b"")), 0)
+def test_unit_agrees_is_equality_of_index_and_bytes(pair, shift):
+    symbol, own = pair
+    pom = cit.ProofOfMembership(7, own, 0, (), ())
+    want = shift == 0 and bytes(symbol) == bytes(own)
+    assert cit.unit_agrees(7 + shift, symbol, pom) is want
+    assert cit.unit_agrees(7 + shift, own, pom) is (shift == 0)
+
+
+def test_unit_agrees_compares_a_wide_row_with_a_view_whole():
+    """A 64 KiB bytes row against a view of an equal row, either way round:
+    == on a memoryview compares byte by byte, about 0.2 ms a row, so 4000
+    such compares would take about 0.9 s; whole-buffer compares take about
+    15 ms."""
+    row = np.random.default_rng(5).bytes(64 * 1024)
+    pairs = [(row, as_kind(row, "row")), (as_kind(row, "row"), bytes(bytearray(row)))]
+    poms = [(symbol, cit.ProofOfMembership(3, own, 0, (), ())) for symbol, own in pairs]
+    with time_bound(0.3):
+        for _ in range(2000):
+            for symbol, pom in poms:
+                assert cit.unit_agrees(3, symbol, pom)
 
 
 class TestSiblingProperty:

@@ -63,12 +63,13 @@ def export(commit: str, into: Path) -> Path:
     return into
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in ``checkout``, as ``run_record`` reads it."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One benchmark run in ``checkout``, untraced unless ``trace`` is 1, as
+    ``run_record`` reads it."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "protobench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
