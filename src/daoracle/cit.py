@@ -112,7 +112,8 @@ from .util import HASH_BYTES, MASK64, as_rate, derive_seed, sha256
 
 
 # caps on the alpha gate's loop counts: one layer size costs at most
-# MAX_CODE_ATTEMPTS * MAX_GATE_TRIALS peels
+# MAX_CODE_ATTEMPTS * MAX_GATE_TRIALS peels, and so does a confirmed
+# bad-code round, whose one replacement seed runs one layer_code search
 MAX_GATE_TRIALS = 128
 MAX_CODE_ATTEMPTS = 32
 # cap on a tree's coded base symbols, and so on every layer size, e and

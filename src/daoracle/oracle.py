@@ -344,9 +344,11 @@ def bad_code_round(
     nodes, commitment: Commitment, signal: BadCode, chain: TrustedChain
 ) -> int:
     """Pool every node's stored units, whatever its behavior (those of
-    ``WITHHOLD_AFTER_VOTE`` nodes too), confirm the stall, then agree on a
-    replacement code seed (old seed + smallest bump whose codes pass the
-    alpha gate, mod 2**64 so that it stays a u64).
+    ``WITHHOLD_AFTER_VOTE`` nodes too), confirm the stall, then agree on
+    the replacement code seed, old seed + 1 mod 2**64 (so that it stays a
+    u64). Its ``layer_code`` search for the stalled size is the whole
+    search: the ``BadCode`` it raises when no code passes the alpha gate
+    propagates, and nothing is recorded.
 
     Returns the agreed code seed; unchanged when pooling reconstructs fine.
     Once the chain records the agreed seed for the commitment, later calls
@@ -359,24 +361,16 @@ def bad_code_round(
     chunks = ChunkSet(commitment, _first_wins(node.units(key) for node in nodes))
     try:
         reconstruct(commitment, params, chunks)
-        confirmed = False
-    except BadCode:
-        confirmed = True
-    if not confirmed:
         return params.code_seed
-
-    for bump in range(1, 1 + max(1, params.max_code_attempts)):
-        candidate = replace(params, code_seed=(params.code_seed + bump) & MASK64)
-        try:
-            layer_code(candidate, signal.layer_size)
-        except BadCode:
-            continue
-        chain.records.append(
-            BadCodeRecord(key, signal.layer_size, params.code_seed, candidate.code_seed)
-        )
-        chain.new_seeds[key] = candidate.code_seed
-        return candidate.code_seed
-    raise BadCode("no replacement seed met the gate", layer_size=signal.layer_size)
+    except BadCode:
+        pass
+    candidate = replace(params, code_seed=(params.code_seed + 1) & MASK64)
+    layer_code(candidate, signal.layer_size)
+    chain.records.append(
+        BadCodeRecord(key, signal.layer_size, params.code_seed, candidate.code_seed)
+    )
+    chain.new_seeds[key] = candidate.code_seed
+    return candidate.code_seed
 
 
 def build_tree_with_base_corruption(

@@ -142,8 +142,9 @@ def fraud_holds(commitment, proof) -> bool:
 
 def _bad_code_round(chain, nodes, commitment, key, signal) -> int:
     """The agreed code seed: read back once recorded, else found by pooling
-    every node's units, confirming the stall, and bumping the seed to the
-    first whose code of the stalled size passes the gate."""
+    every node's units, confirming the stall, and taking the next seed,
+    mod 2**64, once its one code search for the stalled size passes the
+    gate (a search that fails raises its BadCode)."""
     if key in chain.seeds:
         return chain.seeds[key]
     params = commitment.params
@@ -152,19 +153,14 @@ def _bad_code_round(chain, nodes, commitment, key, signal) -> int:
         return params.code_seed  # pooled, the block reconstructs: no stall
     except BadCode:
         pass
-    for bump in range(1, 1 + max(1, params.max_code_attempts)):
-        candidate = replace(params, code_seed=params.code_seed + bump)
-        try:
-            layer_code(candidate, signal.layer_size)
-        except BadCode:
-            continue
-        chain.lines.append(
-            f"BADCODE key={key.hex()[:16]} size={signal.layer_size} "
-            f"seed={params.code_seed}->{candidate.code_seed}"
-        )
-        chain.seeds[key] = candidate.code_seed
-        return candidate.code_seed
-    raise BadCode("no replacement seed met the gate", layer_size=signal.layer_size)
+    candidate = replace(params, code_seed=(params.code_seed + 1) % 2**64)
+    layer_code(candidate, signal.layer_size)
+    chain.lines.append(
+        f"BADCODE key={key.hex()[:16]} size={signal.layer_size} "
+        f"seed={params.code_seed}->{candidate.code_seed}"
+    )
+    chain.seeds[key] = candidate.code_seed
+    return candidate.code_seed
 
 
 def _retrieve(chain, nodes, commitment, key, units, block) -> tuple[dict, object]:

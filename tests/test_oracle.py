@@ -331,46 +331,86 @@ class TestBadCodeRound:
         assert len(seeds) == 1
 
     def test_no_replacement_seed_that_passes_the_gate_raises(self, small_block, monkeypatch):
+        # the round tries one replacement seed, code_seed + 1; when its
+        # layer_code search finds no code that passes the gate, that
+        # search's BadCode is the round's, and nothing is recorded
         params, tree, nodes = self.bad_network(small_block)
         chain = orc.TrustedChain(4, 0.25, 0.5)
         with pytest.raises(BadCode) as err:
             orc.client_retrieve(chain, nodes, tree.commitment, params)
         seeds = []
 
-        def every_code_is_bad(candidate, layer_size):
+        def unreachable_gate(candidate, layer_size):
+            # the stall is confirmed through retrieval's own layer codes;
+            # only the replacement's search meets alpha = 0.9
             seeds.append(candidate.code_seed)
-            raise BadCode("gate failed", layer_size=layer_size)
+            gated = dataclasses.replace(candidate, alpha=0.9, gate_trials=32)
+            return cit.layer_code(gated, layer_size)
 
-        # the stall is confirmed through retrieval's own layer codes
-        monkeypatch.setattr(orc, "layer_code", every_code_is_bad)
-        with pytest.raises(BadCode, match="no replacement seed met the gate") as again:
+        monkeypatch.setattr(orc, "layer_code", unreachable_gate)
+        attempts = params.max_code_attempts
+        with pytest.raises(
+            BadCode, match=rf"^no code of size 32 met alpha=0\.9 within {attempts} attempts$"
+        ) as again:
             orc.bad_code_round(nodes, tree.commitment, err.value, chain)
+        assert seeds == [params.code_seed + 1]
         assert again.value.layer_size == 32
-        bumps = range(1, 1 + params.max_code_attempts)
-        assert seeds == [params.code_seed + bump for bump in bumps]
+        assert again.value.code_seed == params.code_seed + 1
         assert chain.records == [] and chain.new_seeds == {}
 
-    def test_replacement_seeds_wrap_within_a_u64(self, small_params, monkeypatch):
-        # bumps from a seed at the top of its u64 go on from 0, each a seed
-        # that TreeParams admits and DAC2 holds
-        params = dataclasses.replace(small_params, code_seed=2**64 - 2)
+    @staticmethod
+    def stalled_round(params, monkeypatch):
+        """A commitment under params whose pooled reconstruct stalls at
+        layer size 32, and the signal a client would have caught."""
         commitment = cit.Commitment((bytes(32),) * params.root_size, params, 512)
-        seeds = []
 
         def stall(*_args):
             raise BadCode("stalled", layer_size=32)
 
-        def every_code_is_bad(candidate, layer_size):
-            seeds.append(candidate.code_seed)
-            raise BadCode("gate failed", layer_size=layer_size)
-
         monkeypatch.setattr(orc, "reconstruct", stall)
-        monkeypatch.setattr(orc, "layer_code", every_code_is_bad)
-        with pytest.raises(BadCode, match="no replacement seed met the gate"):
-            orc.bad_code_round(
-                [], commitment, BadCode("stalled", layer_size=32), orc.TrustedChain(4, 0.25, 0.5)
-            )
-        assert seeds == [2**64 - 1, *range(params.max_code_attempts - 1)]
+        return commitment, BadCode("stalled", layer_size=32)
+
+    def test_replacement_seeds_wrap_within_a_u64(self, small_params, monkeypatch):
+        # the seed after the top of its u64 is 0, a seed that TreeParams
+        # admits and DAC2 holds
+        params = dataclasses.replace(small_params, code_seed=2**64 - 1, alpha=0.9)
+        commitment, signal = self.stalled_round(params, monkeypatch)
+        seeds = []
+
+        def spy(candidate, layer_size):
+            seeds.append(candidate.code_seed)
+            return cit.layer_code(candidate, layer_size)
+
+        monkeypatch.setattr(orc, "layer_code", spy)
+        with pytest.raises(BadCode, match=r"^no code of size 32 met alpha=0\.9 ") as err:
+            orc.bad_code_round([], commitment, signal, orc.TrustedChain(4, 0.25, 0.5))
+        assert seeds == [0]
+        assert err.value.layer_size == 32 and err.value.code_seed == 0
+
+    @pytest.mark.parametrize("max_attempts", (0, 4, cit.MAX_CODE_ATTEMPTS))
+    def test_a_confirmed_round_runs_one_code_search(self, small_params, monkeypatch, max_attempts):
+        # with every candidate code failing the gate, a confirmed round
+        # costs one layer_code search: max(1, max_code_attempts) gated
+        # codes, not one search per replacement seed
+        params = dataclasses.replace(
+            small_params, code_seed=0x5EED_B0B, alpha=0.9, max_code_attempts=max_attempts
+        )
+        commitment, signal = self.stalled_round(params, monkeypatch)
+        searches, gated = [], []
+        real_search, real_gate = orc.layer_code, cit.is_bad_code
+        monkeypatch.setattr(
+            orc, "layer_code", lambda *a: searches.append(a) or real_search(*a)
+        )
+        monkeypatch.setattr(
+            cit, "is_bad_code", lambda *a, **k: gated.append(a) or real_gate(*a, **k)
+        )
+        chain = orc.TrustedChain(4, 0.25, 0.5)
+        with pytest.raises(BadCode) as err:
+            orc.bad_code_round([], commitment, signal, chain)
+        assert len(searches) == 1
+        assert len(gated) == max(1, max_attempts)
+        assert str(err.value).startswith("no code of size 32 ")
+        assert chain.records == [] and chain.new_seeds == {}
 
     def test_good_code_is_a_no_op(self, small_block, small_tree, small_params):
         design = assign_chunks(32, 4, 1.0, seed=3)
